@@ -2,18 +2,18 @@
 //!
 //! Simulates a fleet of Chronos Agents holding persistent keep-alive
 //! connections to the control plane. `agents` sockets are multiplexed over
-//! a small, fixed set of driver threads (the bench must not need one OS
-//! thread per agent — that is the server pathology under test), each
-//! driver round-robining a closed loop over its sockets: send one `GET`,
-//! read one response, move on.
+//! a small, fixed set of driver threads (a bench that needed one OS thread
+//! per agent could not reach fleet scale itself), each driver
+//! round-robining a closed loop over its sockets: send one `GET`, read one
+//! response, move on.
 //!
 //! Classification mirrors the E11 harness: 2xx responses are goodput and
 //! record their latency; typed 429/503 sheds back off per the server's
 //! Retry-After hint; a read timeout — the signature of a connection that
 //! got accepted but will never be served — counts as an error and forces
-//! a reconnect. A healthy core answers every agent *somehow* (result or
-//! typed shed) within the timeout; a core that pins one thread per
-//! connection starves everything beyond its thread budget.
+//! a reconnect. A healthy server answers every agent *somehow* (result or
+//! typed shed) within the timeout; one that only serves the connections
+//! holding its workers starves the rest, and shows up here as errors.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -684,9 +684,8 @@ fn experiment_e13(quick: bool, emit_json: bool) {
 }
 
 /// E12 — connection scaling: goodput and accepted-request p99 vs concurrent
-/// keep-alive agent connections, epoll reactor core vs the thread-per-
-/// connection baseline at equal worker counts. `--json` also writes both
-/// sweeps to `BENCH_http_scale.json` for regression tracking.
+/// keep-alive agent connections on the shipped server. `--json` also
+/// writes the sweep to `BENCH_http_scale.json` for regression tracking.
 fn experiment_e12(quick: bool, emit_json: bool) {
     use chronos_bench::http_scale::{
         point_collapsed, point_sustained, run_scale, CoreReport, ScalePoint, DRIVERS,
@@ -694,7 +693,7 @@ fn experiment_e12(quick: bool, emit_json: bool) {
     use chronos_http::{Response, Server};
     use std::time::Duration;
 
-    println!("== E12: keep-alive connection scaling (reactor vs threaded core) ==");
+    println!("== E12: keep-alive connection scaling ==");
 
     const WORKERS: usize = 4;
     let sweep: Vec<usize> = if quick { vec![4, 64] } else { vec![4, 64, 512, 2048, 8192] };
@@ -706,8 +705,8 @@ fn experiment_e12(quick: bool, emit_json: bool) {
     if (nofile as usize) < 2 * max_agents + 64 {
         println!("warning: RLIMIT_NOFILE {nofile} may truncate the {max_agents}-agent point");
     }
-    // The open-connection cap must not be the variable under test: raise it
-    // identically on both cores so the difference is purely the core.
+    // The open-connection cap must not be the variable under test: idle
+    // keep-alive connections count against it, so it has to clear the fleet.
     let inflight_cap = 2 * max_agents + 64;
     let path = "/api/v1/ping";
     let handler = |_req: chronos_http::Request| {
@@ -722,29 +721,22 @@ fn experiment_e12(quick: bool, emit_json: bool) {
         std::hint::black_box(acc);
         Response::json(&chronos_json::obj! { "ok" => true })
     };
-    let start_core = |core: chronos_http::CoreKind| {
-        // A short queue keeps an *accepted* request's wait bounded by a
-        // couple of service times; the long Retry-After hint paces a large
-        // shed fleet so shed replies do not become the dominant workload.
-        let builder = Server::new()
-            .workers(WORKERS)
-            .queue_depth(2)
-            .max_inflight(inflight_cap)
-            .retry_after(Duration::from_secs(1));
-        match core {
-            chronos_http::CoreKind::Reactor => builder.reactor(),
-            chronos_http::CoreKind::Threaded => builder.threaded(),
-        }
+    // A short queue keeps an *accepted* request's wait bounded by a couple
+    // of service times; the long Retry-After hint paces a large shed fleet
+    // so shed replies do not become the dominant workload.
+    let server = Server::new()
+        .workers(WORKERS)
+        .queue_depth(2)
+        .max_inflight(inflight_cap)
+        .retry_after(Duration::from_secs(1))
         .serve("127.0.0.1:0", handler)
-        .expect("bind E12 server")
-    };
+        .expect("bind E12 server");
 
-    let widths = [10, 8, 8, 12, 10, 10, 10, 12];
+    let widths = [8, 8, 12, 10, 10, 10, 12];
     println!(
         "{}",
         row(
             &[
-                "core".into(),
                 "agents".into(),
                 "served".into(),
                 "goodput/s".into(),
@@ -756,12 +748,11 @@ fn experiment_e12(quick: bool, emit_json: bool) {
             &widths
         )
     );
-    let print_point = |core: &str, point: &ScalePoint| {
+    let print_point = |point: &ScalePoint| {
         println!(
             "{}",
             row(
                 &[
-                    core.into(),
                     point.agents.to_string(),
                     point.served_agents.to_string(),
                     format!("{:.0}", point.goodput_per_sec),
@@ -775,50 +766,39 @@ fn experiment_e12(quick: bool, emit_json: bool) {
         );
     };
 
-    let mut reports: Vec<CoreReport> = Vec::new();
-    for core in [chronos_http::CoreKind::Threaded, chronos_http::CoreKind::Reactor] {
-        let name = match core {
-            chronos_http::CoreKind::Threaded => "threaded",
-            chronos_http::CoreKind::Reactor => "reactor",
-        };
-        let server = start_core(core);
-        // Warm up (lazy init, fd caches) before measuring anything.
-        let _ = run_scale(server.addr(), path, 1, Duration::from_millis(200));
-        let mut points: Vec<ScalePoint> = Vec::new();
-        for &agents in &sweep {
-            // Larger fleets get longer windows: with thousands of agents
-            // pacing themselves on shed backoff, each agent needs several
-            // attempts inside the window for coverage to be measurable.
-            let window = duration * (1 + (agents / 2048) as u32);
-            let point = run_scale(server.addr(), path, agents, window);
-            print_point(name, &point);
-            let peak = points
-                .iter()
-                .chain(std::iter::once(&point))
-                .map(|p| p.goodput_per_sec)
-                .fold(0.0f64, f64::max);
-            let collapsed = point_collapsed(&point, peak);
-            points.push(point);
-            if collapsed {
-                println!("{name}: collapsed at {agents} agents; skipping larger points");
-                break;
-            }
+    // Warm up (lazy init, fd caches) before measuring anything.
+    let _ = run_scale(server.addr(), path, 1, Duration::from_millis(200));
+    let mut points: Vec<ScalePoint> = Vec::new();
+    for &agents in &sweep {
+        // Larger fleets get longer windows: with thousands of agents
+        // pacing themselves on shed backoff, each agent needs several
+        // attempts inside the window for coverage to be measurable.
+        let window = duration * (1 + (agents / 2048) as u32);
+        let point = run_scale(server.addr(), path, agents, window);
+        print_point(&point);
+        let peak = points
+            .iter()
+            .chain(std::iter::once(&point))
+            .map(|p| p.goodput_per_sec)
+            .fold(0.0f64, f64::max);
+        let collapsed = point_collapsed(&point, peak);
+        points.push(point);
+        if collapsed {
+            println!("collapsed at {agents} agents; skipping larger points");
+            break;
         }
-        drop(server);
-        // The smallest sweep point (as many agents as workers) is the
-        // low-concurrency baseline: the p99 budget for every larger point
-        // is twice its tail.
-        let baseline_p99 = points.first().map(|p| p.p99_ms).unwrap_or(0.0);
-        println!(
-            "{name} low-concurrency baseline ({} agents): p99 {baseline_p99:.2} ms",
-            points.first().map(|p| p.agents).unwrap_or(0)
-        );
-        reports.push(CoreReport::evaluate(name, baseline_p99, points));
     }
+    drop(server);
+    // The smallest sweep point (as many agents as workers) is the
+    // low-concurrency baseline: the p99 budget for every larger point
+    // is twice its tail.
+    let baseline_p99 = points.first().map(|p| p.p99_ms).unwrap_or(0.0);
+    println!(
+        "low-concurrency baseline ({} agents): p99 {baseline_p99:.2} ms",
+        points.first().map(|p| p.agents).unwrap_or(0)
+    );
+    let reactor = CoreReport::evaluate("reactor", baseline_p99, points);
 
-    let threaded = &reports[0];
-    let reactor = &reports[1];
-    let ratio = reactor.sustained_agents as f64 / threaded.sustained_agents.max(1) as f64;
     let reactor_peak = reactor.points.iter().map(|p| p.goodput_per_sec).fold(0.0f64, f64::max);
     let best = reactor
         .points
@@ -826,10 +806,9 @@ fn experiment_e12(quick: bool, emit_json: bool) {
         .filter(|p| point_sustained(p, reactor_peak, reactor.baseline_p99_ms))
         .max_by_key(|p| p.agents);
     println!(
-        "shape: with {WORKERS} workers and {DRIVERS} driver threads the reactor sustains \
-         {} keep-alive agents vs {} threaded ({ratio:.0}x){}\n",
+        "shape: with {WORKERS} workers and {DRIVERS} driver threads the server sustains \
+         {} keep-alive agents{}\n",
         reactor.sustained_agents,
-        threaded.sustained_agents,
         best.map(|p| format!(
             "; at that point goodput {:.0}/s, accepted p99 {:.2} ms (budget 2x baseline = {:.2} ms)",
             p.goodput_per_sec,
@@ -842,7 +821,7 @@ fn experiment_e12(quick: bool, emit_json: bool) {
     if emit_json {
         let doc = chronos_json::obj! {
             "experiment" => "E12",
-            "description" => "keep-alive connection scaling: epoll reactor core vs thread-per-connection baseline at equal workers",
+            "description" => "keep-alive connection scaling: goodput and accepted-request p99 vs concurrent agent connections",
             "workload" => chronos_json::obj! {
                 "endpoint" => path,
                 "workers" => WORKERS as i64,
@@ -853,8 +832,6 @@ fn experiment_e12(quick: bool, emit_json: bool) {
                 "keep_alive" => true,
             },
             "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
-            "sustained_ratio" => ratio,
-            "threaded" => threaded.to_json(),
             "reactor" => reactor.to_json(),
         };
         let path = "BENCH_http_scale.json";
@@ -864,16 +841,15 @@ fn experiment_e12(quick: bool, emit_json: bool) {
 }
 
 /// E11 — overload protection: goodput and accepted-request p99 vs offered
-/// load, bounded admission (shed typed 429s) vs the unbounded legacy
-/// configuration. `--json` also writes both curves to
-/// `BENCH_overload.json` for regression tracking.
+/// load under bounded admission (typed 429 sheds). `--json` also writes
+/// the curve to `BENCH_overload.json` for regression tracking.
 fn experiment_e11(quick: bool, emit_json: bool) {
     use chronos_bench::overload::{run_load, LoadPoint};
     use chronos_http::Server;
     use chronos_server::ChronosServer;
     use std::time::Duration;
 
-    println!("== E11: overload protection (bounded admission vs unbounded) ==");
+    println!("== E11: overload protection (bounded admission) ==");
 
     // A control plane whose /api/v1/stats walks a real installation, so
     // each request costs actual store work rather than a no-op.
@@ -912,10 +888,9 @@ fn experiment_e11(quick: bool, emit_json: bool) {
     // The smallest honest envelope: one worker, a one-slot queue,
     // in-flight cap 2. Only one handler ever runs (queued work waits off
     // the CPU), so an accepted request's latency stays within the 2x
-    // budget on any host — including a single-core CI box — while the
-    // uncapped configuration lets queueing stretch every response. The
-    // single queue slot also absorbs the reconnect race of a lone
-    // back-to-back client, keeping the unloaded baseline shed-free.
+    // budget on any host — including a single-core CI box. The single
+    // queue slot also absorbs the reconnect race of a lone back-to-back
+    // client, keeping the unloaded baseline shed-free.
     const WORKERS: usize = 1;
     const QUEUE: usize = 1;
     let saturation = WORKERS + QUEUE;
@@ -984,39 +959,21 @@ fn experiment_e11(quick: bool, emit_json: bool) {
     }
     drop(bounded_server);
 
-    let unbounded_server = ChronosServer::start_with(
-        Arc::clone(&control),
-        "127.0.0.1:0",
-        Server::new().workers(WORKERS).unbounded(),
-    )
-    .unwrap();
-    let mut unbounded_points: Vec<LoadPoint> = Vec::new();
-    for &clients in &loads {
-        let point = run_load(unbounded_server.addr(), path, &token, clients, duration);
-        print_point("unbounded", &point);
-        unbounded_points.push(point);
-    }
-    drop(unbounded_server);
-
     let bounded_max = bounded_points.last().unwrap();
-    let unbounded_max = unbounded_points.last().unwrap();
     let budget = 2.0 * unloaded.p99_ms;
     println!(
         "shape: at {}x saturation bounded keeps accepted p99 at {:.2} ms \
-         (budget 2x unloaded = {:.2} ms) while shedding {} typed 429s; \
-         unbounded degrades to {:.2} ms ({:.1}x unloaded)\n",
+         (budget 2x unloaded = {:.2} ms) while shedding {} typed 429s\n",
         loads.last().unwrap() / saturation,
         bounded_max.p99_ms,
         budget,
         bounded_max.shed,
-        unbounded_max.p99_ms,
-        unbounded_max.p99_ms / unloaded.p99_ms.max(1e-9),
     );
 
     if emit_json {
         let doc = chronos_json::obj! {
             "experiment" => "E11",
-            "description" => "overload protection: goodput and accepted-request p99 vs offered load, bounded admission vs unbounded",
+            "description" => "overload protection: goodput and accepted-request p99 vs offered load under bounded admission",
             "workload" => chronos_json::obj! {
                 "endpoint" => path,
                 "evaluations" => evaluations as i64,
@@ -1030,7 +987,6 @@ fn experiment_e11(quick: bool, emit_json: bool) {
             "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
             "unloaded" => unloaded.to_json(),
             "bounded" => Value::Array(bounded_points.iter().map(LoadPoint::to_json).collect()),
-            "unbounded" => Value::Array(unbounded_points.iter().map(LoadPoint::to_json).collect()),
         };
         let path = "BENCH_overload.json";
         std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();

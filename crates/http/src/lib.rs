@@ -6,18 +6,18 @@
 //! dependency-free HTTP/1.1 implementation with exactly the features the
 //! REST API needs —
 //!
-//! * [`Server`] — HTTP/1.1 server with two cores: an epoll reactor event
-//!   loop (default on Linux; idle keep-alive connections cost bytes, not
-//!   threads) and the original blocking accept loop on a thread pool
-//!   (the measured baseline), with keep-alive, `Content-Length` bodies,
-//!   admission control and graceful shutdown on both;
+//! * [`Server`] — HTTP/1.1 server: one epoll reactor event loop (idle
+//!   keep-alive connections cost bytes, not threads) in front of a bounded
+//!   worker pool, with keep-alive, `Content-Length` bodies, admission
+//!   control and graceful shutdown. Serving is Linux-only; everything else
+//!   in the crate is portable;
 //! * [`Router`] — method + path-pattern dispatch with `:param` captures,
 //!   the backbone of the versioned API;
 //! * [`Client`] — a blocking client with a keep-alive connection cache,
 //!   used by Chronos Agents (job polling, log upload, result upload) and by
 //!   integration tests;
 //! * [`Request`] / [`Response`] — message types with JSON body helpers;
-//! * [`parser`] — the incremental request parser behind the reactor;
+//! * [`parser`] — the incremental request parser behind the server;
 //! * [`url`] — percent-encoding and query-string parsing.
 
 pub mod client;
@@ -32,7 +32,7 @@ pub mod url;
 
 pub use client::{Client, ClientError};
 pub use router::{RouteParams, Router};
-pub use server::{CoreKind, Server, ServerHandle, ServerMetrics};
+pub use server::{Server, ServerHandle, ServerMetrics};
 pub use sys::raise_nofile_limit;
 pub use types::{Headers, Method, Request, Response, Status};
 pub use types::{

@@ -1,24 +1,25 @@
-//! Incremental HTTP/1.1 request parser for the reactor core.
+//! Incremental HTTP/1.1 request parser — the one place that knows how a
+//! request is read.
 //!
-//! The blocking core reads a request with `BufRead::read_line` on a socket
-//! it owns for the whole exchange. The reactor owns thousands of sockets at
-//! once and only gets bytes when the kernel says they arrived, so parsing
-//! must be resumable at *any* byte boundary: mid-request-line, mid-header,
-//! mid-CRLF, mid-body. [`RequestParser`] accumulates fed bytes and yields a
-//! request exactly when one is complete; trailing bytes (a pipelined second
-//! request) stay buffered for the next poll.
+//! The reactor owns thousands of sockets at once and only gets bytes when
+//! the kernel says they arrived, so parsing must be resumable at *any* byte
+//! boundary: mid-request-line, mid-header, mid-CRLF, mid-body.
+//! [`RequestParser`] accumulates fed bytes and yields a request exactly
+//! when one is complete; trailing bytes (a pipelined second request) stay
+//! buffered for the next poll.
 //!
-//! Semantics intentionally mirror `server::read_request` — same limits,
-//! same error strings, same keep-alive and deadline rules — so switching
-//! cores never changes what a client observes.
+//! Limits: the head (request line + headers) is capped at 64 KiB, the
+//! declared body at [`MAX_BODY_BYTES`]; only `Content-Length` bodies are
+//! accepted. The buffer grows only as bytes actually arrive — a declared
+//! `Content-Length` is an untrusted claim and reserves nothing.
 
 use std::time::{Duration, Instant};
 
 use crate::server::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use crate::types::{Headers, Method, Request, DEADLINE_HEADER};
 
-/// Why a request could not be parsed. Maps to the same responses the
-/// blocking core sends: `BadRequest` → 400, `TooLarge` → 413.
+/// Why a request could not be parsed. The server answers `BadRequest`
+/// with 400 and `TooLarge` with 413, then closes the connection.
 #[derive(Debug)]
 pub enum ParseError {
     /// Malformed message; the string is the client-visible diagnostic.
@@ -104,7 +105,7 @@ impl RequestParser {
     /// `Ok(None)` means more bytes are needed. Leftover bytes beyond the
     /// returned request (pipelining) remain buffered. After an `Err` the
     /// parser is poisoned for this connection — the caller responds and
-    /// closes, matching the blocking core.
+    /// closes.
     pub fn poll(&mut self) -> Result<Option<ParsedRequest>, ParseError> {
         loop {
             match &mut self.state {
@@ -188,7 +189,7 @@ impl RequestParser {
 }
 
 /// Parses a complete head (everything up to and including the blank line)
-/// into the pending-request fields. Mirrors `server::read_request` exactly.
+/// into the pending-request fields.
 fn parse_head(head: &[u8]) -> Result<PendingHead, ParseError> {
     let mut lines = head.split(|&b| b == b'\n').map(|line| {
         let line = if line.last() == Some(&b'\r') { &line[..line.len() - 1] } else { line };
@@ -209,6 +210,9 @@ fn parse_head(head: &[u8]) -> Result<PendingHead, ParseError> {
         return Err(ParseError::BadRequest(format!("unsupported version {version}")));
     }
     let http10 = version == "HTTP/1.0";
+    // The path stays raw (still percent-encoded): the router decodes each
+    // segment exactly once at match time. Decoding here as well would
+    // double-decode params and let an encoded `/` alter segmentation.
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target.to_string(), String::new()),
@@ -422,6 +426,44 @@ mod tests {
         let mut p = RequestParser::new();
         p.feed(b"\r\n");
         assert!(matches!(p.poll(), Err(ParseError::BadRequest(_))));
+    }
+
+    #[test]
+    fn declared_length_is_not_precommitted() {
+        // A 64 MiB `Content-Length` with only 1000 body bytes on the wire:
+        // the request is incomplete and the buffer must hold what arrived
+        // (within one 16 KiB reactor read chunk), not what was declared —
+        // otherwise a peer reserves 64 MiB per connection for free.
+        let head = format!("POST /x HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n");
+        let mut p = RequestParser::new();
+        p.feed(head.as_bytes());
+        p.feed(&[7u8; 1000]);
+        assert!(p.poll().expect("parse ok").is_none());
+        assert!(p.reading_body());
+        assert!(
+            p.buf.capacity() <= head.len() + 1000 + 16 * 1024,
+            "buffer pre-committed {} bytes off the declared Content-Length",
+            p.buf.capacity()
+        );
+    }
+
+    #[test]
+    fn large_body_in_uneven_segments_roundtrips() {
+        let data: Vec<u8> = (0..3 * 64 * 1024 + 17).map(|i| (i % 251) as u8).collect();
+        let mut p = RequestParser::new();
+        p.feed(format!("POST /big HTTP/1.1\r\nContent-Length: {}\r\n\r\n", data.len()).as_bytes());
+        let mut lens = [1, 4095, 16 * 1024, 3, 70_000, 1, 50_000].into_iter().cycle();
+        let mut sent = 0;
+        while sent < data.len() {
+            assert!(p.poll().expect("parse ok").is_none(), "complete after {sent} body bytes");
+            // Growth follows arrival (amortized doubling), never the header.
+            assert!(p.buf.capacity() <= 2 * p.buffered() + 16 * 1024);
+            let end = (sent + lens.next().unwrap()).min(data.len());
+            p.feed(&data[sent..end]);
+            sent = end;
+        }
+        assert_eq!(poll_one(&mut p).request.body, data);
+        assert!(!p.has_partial());
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Event-driven reactor core: one epoll loop owning every connection.
+//! Event-driven reactor: one epoll loop owning every connection.
 //!
-//! The threaded core parks a worker thread per admitted connection, so a box
-//! can hold at most `workers + queue` keep-alive agents. Here a single
-//! reactor thread multiplexes all sockets through epoll; an idle keep-alive
-//! connection costs a slab slot and a (shrunk) parse buffer — a few hundred
-//! bytes — instead of a thread. Handler CPU still runs on the bounded worker
+//! A single reactor thread multiplexes all sockets through epoll; an idle
+//! keep-alive connection costs a slab slot and a (shrunk) parse buffer — a
+//! few hundred bytes — not a thread. Handler CPU runs on the bounded worker
 //! pool: the reactor parses complete requests, dispatches them, and workers
 //! hand the finished response back through a completion queue plus an
 //! eventfd wakeup.
@@ -18,11 +16,11 @@
 //!              └───────────── (pipelined request) ←────────┘
 //! ```
 //!
-//! Every PR 5 admission invariant carries over: `max_inflight` caps *open
-//! admitted connections* (shed at accept with the typed `429 overloaded`
-//! envelope), drain closes idle connections immediately and lets in-flight
-//! requests finish with a polite `Connection: close`, and
-//! `accepted + shed == total connections` holds exactly.
+//! Admission invariants: `max_inflight` caps *open admitted connections*,
+//! idle keep-alive ones included (shed at accept with the typed
+//! `429 overloaded` envelope); drain closes idle connections immediately
+//! and lets in-flight requests finish with a polite `Connection: close`;
+//! and `accepted + shed == total connections` holds exactly.
 //!
 //! Liveness note: a worker's wakeup write can be lost (that is literally a
 //! failpoint below). The loop therefore never sleeps longer than
@@ -62,7 +60,7 @@ const MAX_READS_PER_EVENT: usize = 16;
 
 /// Admission and timeout knobs, fixed at `serve` time.
 pub(crate) struct ReactorConfig {
-    /// Cap on open admitted connections (`usize::MAX` when unbounded).
+    /// Cap on open admitted connections, idle keep-alive ones included.
     pub max_inflight: usize,
     /// `Retry-After` hint attached to shed responses.
     pub retry_after: Duration,
@@ -112,9 +110,8 @@ struct Conn {
     /// admitted.
     admitted: bool,
     /// Counted in the `accepted` counter — set when the connection's first
-    /// request reaches the worker pool, exactly the moment the threaded
-    /// core counts a connection, so `accepted + shed == total` holds
-    /// identically on both cores.
+    /// request reaches the worker pool, so `accepted + shed == total
+    /// connections`.
     accepted: bool,
     close_after_write: bool,
     /// Active timeout, if any; the wheel entry re-checks this on expiry.
@@ -294,9 +291,10 @@ where
         }
     }
 
-    /// Accepts until the backlog is empty, applying the same admission
-    /// decisions the threaded accept loop makes — but refusals are written
-    /// asynchronously, so a slow shed peer cannot stall accepting.
+    /// Accepts until the backlog is empty. Each connection is admitted, or
+    /// refused with `503 draining` / `429 overloaded` (in-flight cap hit);
+    /// refusals are written asynchronously, so a slow shed peer cannot
+    /// stall accepting.
     fn accept_burst(&mut self) {
         loop {
             match self.listener.accept() {
@@ -356,9 +354,9 @@ where
     }
 
     /// Writes a typed refusal on a connection the server will not admit.
-    /// Unlike the threaded core's synchronous shed, backpressure from the
-    /// peer parks the refusal in the event loop instead of stalling accepts
-    /// — under overload every connection still gets its envelope.
+    /// Backpressure from the peer parks the refusal in the event loop
+    /// instead of stalling accepts — under overload every connection still
+    /// gets its envelope.
     fn shed(&mut self, stream: TcpStream, status: Status, code: &str, message: &str) {
         let response =
             Response::error_named(status, code, message).with_retry_after(self.cfg.retry_after);
@@ -496,8 +494,8 @@ where
                             } else {
                                 ConnState::ReadingHeaders
                             };
-                            // Progress resets the stall budget, mirroring
-                            // the threaded core's per-read timeout.
+                            // The stall budget is per read, not per
+                            // request: any progress resets it.
                             let deadline = now + self.cfg.header_read_timeout;
                             arm_timer(&mut self.wheel, conn, slot, generation, now, deadline);
                         }
@@ -573,8 +571,8 @@ where
             self.metrics.requests.inc();
             let conn = self.conns[slot].as_mut().expect("dispatch on live conn");
             if !conn.accepted {
-                // First request reached the pool: this is the moment the
-                // threaded core counts a connection as accepted.
+                // First request reached the pool: the connection now
+                // counts as accepted.
                 conn.accepted = true;
                 self.metrics.accepted.inc();
             }
@@ -584,11 +582,9 @@ where
         // `shed_overload` but never `accepted` — a connection whose
         // requests only ever shed is never accepted, so `accepted + shed
         // == total connections` stays an identity for one-request
-        // (`Connection: close`) clients. Unlike the threaded core — which
-        // must hang up because a shed connection would otherwise occupy a
-        // worker — the reactor keeps a shed keep-alive connection open: an
-        // idle connection costs bytes, and a backed-off agent retrying on
-        // the same socket beats a reconnect storm.
+        // (`Connection: close`) clients. A shed keep-alive connection
+        // stays open: an idle connection costs bytes, and a backed-off
+        // agent retrying on the same socket beats a reconnect storm.
         self.metrics.shed_overload.inc();
         let response = Response::error_named(
             Status::TOO_MANY_REQUESTS,

@@ -1,34 +1,27 @@
-//! HTTP/1.1 server with two interchangeable cores.
+//! HTTP/1.1 server: one epoll reactor in front of a bounded worker pool.
 //!
 //! Handles exactly what the Chronos REST API needs: persistent connections,
 //! `Content-Length` bodies (both directions), a body size cap for untrusted
 //! uploads, and graceful shutdown so integration tests can tear servers
 //! down deterministically.
 //!
-//! # Cores
-//!
-//! * **Reactor** (default on Linux) — a single epoll event loop owns every
-//!   socket; handlers run on the bounded worker pool and hand serialized
-//!   responses back through a completion queue + eventfd (see
-//!   [`crate::reactor`]). Idle keep-alive connections cost a few hundred
-//!   bytes of state, so one box holds tens of thousands of polling agents.
-//! * **Threaded** — the original blocking accept/worker model, one pool
-//!   thread per admitted connection. Kept fully functional as the baseline
-//!   experiment E12 measures against, selectable with
-//!   [`Server::threaded`] (or `CHRONOS_HTTP_CORE=threaded`).
-//!
-//! Both cores share the admission semantics below; switching cores never
-//! changes what a client observes (`tests/overload.rs` runs against both).
+//! A single event-loop thread owns every socket (see [`crate::reactor`]):
+//! it reads and parses requests incrementally ([`crate::parser`]), hands
+//! each complete request to the worker pool, and writes the serialized
+//! response when the worker passes it back through a completion queue +
+//! eventfd. An idle keep-alive connection costs a few hundred bytes of
+//! state, not a thread, so one box holds tens of thousands of polling
+//! agents. The reactor is built on epoll, so [`Server::serve`] works on
+//! Linux only and returns [`std::io::ErrorKind::Unsupported`] elsewhere.
 //!
 //! # Overload protection
 //!
-//! The accept→pool handoff is *bounded*: a fixed worker pool, a bounded job
-//! queue, and an in-flight connection cap. When either limit is hit the
-//! server sheds the new connection cheaply on the accept thread — a typed
-//! `429` `{"error":{"code":"overloaded",...}}` body with `Retry-After`
-//! hints — instead of queueing it until collapse. [`Server::unbounded`]
-//! restores the old accept-everything behavior (the baseline measured by
-//! experiment E11).
+//! Admission is *bounded*: a fixed worker pool, a bounded job queue, and a
+//! cap on open admitted connections. When either limit is hit the server
+//! sheds cheaply on the event loop — a typed `429`
+//! `{"error":{"code":"overloaded",...}}` body with `Retry-After` hints —
+//! instead of queueing work until collapse. `accepted + shed == total
+//! connections` holds exactly.
 //!
 //! # Graceful drain
 //!
@@ -39,8 +32,7 @@
 //! and the pool joins. [`ServerHandle::shutdown`] is drain followed by
 //! teardown, so no accepted request is ever silently dropped.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,21 +41,12 @@ use chronos_json::{obj, Value};
 use chronos_metrics::{Counter, Gauge};
 use chronos_util::ThreadPool;
 
-use crate::types::{Headers, Method, Request, Response, Status, DEADLINE_HEADER};
-use crate::types::{CODE_DRAINING, CODE_OVERLOADED};
+use crate::types::{Method, Request, Response};
 
 /// Maximum accepted request body (64 MiB — result zips can be large).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 /// Maximum length of the request line plus headers.
 pub(crate) const MAX_HEAD_BYTES: usize = 64 * 1024;
-/// Body bytes are read (and the buffer grown) in increments of this size,
-/// so an attacker declaring a huge `Content-Length` commits no memory
-/// beyond what actually arrives.
-const BODY_CHUNK: usize = 64 * 1024;
-/// Per-connection socket timeout. Kept short so idle keep-alive connections
-/// re-check the lifecycle phase frequently; `read_request` treats a timeout
-/// on an idle connection as "no request yet", not an error.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
 /// How long [`ServerHandle::drain`] waits for in-flight requests before
 /// giving up and tearing down anyway.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
@@ -73,12 +56,12 @@ pub(crate) const PHASE_RUNNING: u8 = 0;
 pub(crate) const PHASE_DRAINING: u8 = 1;
 pub(crate) const PHASE_STOPPED: u8 = 2;
 
-/// Default stall budget while reading a request head or body — matches the
-/// threaded core's `MAX_STALLS × IO_TIMEOUT` (~30 s).
+/// Default stall budget while reading a request head or body: a request
+/// whose bytes stop flowing for this long is a slowloris, not a slow link.
 const DEFAULT_HEADER_READ_TIMEOUT: Duration = Duration::from_secs(30);
-/// Default keep-alive idle timeout on the reactor core. Polling agents call
-/// in far more often than this; a connection quiet for a full minute is
-/// almost certainly abandoned.
+/// Default keep-alive idle timeout. Polling agents call in far more often
+/// than this; a connection quiet for a full minute is almost certainly
+/// abandoned.
 const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Counters surfaced by a running server: admission decisions and the
@@ -86,7 +69,7 @@ const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 /// `deadline_exceeded` count) and the status UI.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// Connections admitted to the worker pool.
+    /// Connections whose first request reached the worker pool.
     pub accepted: Counter,
     /// Requests fully parsed and handed to the handler.
     pub requests: Counter,
@@ -103,10 +86,9 @@ pub struct ServerMetrics {
     pub shed_idle: Counter,
     /// Admitted connections currently queued or being served.
     pub inflight: Gauge,
-    /// All tracked connections, admitted or being shed (reactor core).
+    /// All tracked connections, admitted or being shed.
     pub open_connections: Gauge,
-    /// Keep-alive connections currently idle between requests (reactor
-    /// core) — the population that used to pin worker threads.
+    /// Keep-alive connections currently idle between requests.
     pub idle_keepalive: Gauge,
     /// Reactor event-loop iterations (epoll wakeups + ticks).
     pub reactor_loops: Counter,
@@ -154,8 +136,8 @@ impl ServerMetrics {
     }
 }
 
-/// Lifecycle + metrics state shared between the accept/event loop, every
-/// connection handler, and the [`ServerHandle`].
+/// Lifecycle + metrics state shared between the event loop and the
+/// [`ServerHandle`].
 pub(crate) struct Shared {
     pub(crate) phase: AtomicU8,
     pub(crate) metrics: Arc<ServerMetrics>,
@@ -167,70 +149,15 @@ impl Shared {
     }
 }
 
-/// Which connection-handling core a [`Server`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreKind {
-    /// Epoll event loop (Linux only; elsewhere this falls back to
-    /// [`CoreKind::Threaded`]).
-    Reactor,
-    /// Blocking accept loop, one pool thread per admitted connection.
-    Threaded,
-}
-
-impl CoreKind {
-    /// The platform default: reactor where epoll exists, threaded elsewhere.
-    fn default_for_platform() -> CoreKind {
-        if cfg!(target_os = "linux") {
-            CoreKind::Reactor
-        } else {
-            CoreKind::Threaded
-        }
-    }
-
-    /// On non-Linux hosts the reactor silently degrades to the threaded
-    /// core, which implements identical semantics.
-    fn effective(self) -> CoreKind {
-        if cfg!(target_os = "linux") {
-            self
-        } else {
-            CoreKind::Threaded
-        }
-    }
-}
-
 /// The server configuration and entry point.
 pub struct Server {
     workers: usize,
-    bounded: bool,
     queue_depth: Option<usize>,
     max_inflight: Option<usize>,
     retry_after: Duration,
     metrics: Option<Arc<ServerMetrics>>,
-    core: CoreKind,
     header_read_timeout: Duration,
     idle_timeout: Duration,
-}
-
-/// The running core behind a [`ServerHandle`].
-enum CoreHandle {
-    Threaded {
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Reactor {
-        thread: Option<std::thread::JoinHandle<()>>,
-        wake: Arc<crate::sys::EventFd>,
-    },
-}
-
-impl CoreHandle {
-    fn finished(&self) -> bool {
-        match self {
-            CoreHandle::Threaded { accept_thread } => accept_thread.is_none(),
-            #[cfg(target_os = "linux")]
-            CoreHandle::Reactor { thread, .. } => thread.is_none(),
-        }
-    }
 }
 
 /// A handle to a running server: address introspection, metrics, drain and
@@ -239,7 +166,10 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     pool: Option<Arc<ThreadPool>>,
-    core: CoreHandle,
+    /// The reactor thread; `None` once drained.
+    thread: Option<std::thread::JoinHandle<()>>,
+    #[cfg(target_os = "linux")]
+    wake: Arc<crate::sys::EventFd>,
 }
 
 impl Default for Server {
@@ -256,42 +186,25 @@ impl Server {
         let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         Server {
             workers: (cpus * 2).max(4),
-            bounded: true,
             queue_depth: None,
             max_inflight: None,
             retry_after: Duration::from_secs(1),
             metrics: None,
-            core: CoreKind::default_for_platform(),
             header_read_timeout: DEFAULT_HEADER_READ_TIMEOUT,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
         }
     }
 
-    /// Selects the epoll reactor core (the default on Linux). On platforms
-    /// without epoll this silently falls back to the threaded core.
-    pub fn reactor(mut self) -> Self {
-        self.core = CoreKind::Reactor;
-        self
-    }
-
-    /// Selects the blocking thread-per-connection core — the pre-reactor
-    /// behavior, kept as the baseline experiment E12 compares against.
-    pub fn threaded(mut self) -> Self {
-        self.core = CoreKind::Threaded;
-        self
-    }
-
     /// Overrides the stall budget for reading one request's head and body
-    /// (the slowloris guard; reactor core). A request whose bytes stop
-    /// flowing for this long is answered `408 request_timeout` and closed.
-    /// Default ~30 s, matching the threaded core's stall budget.
+    /// (the slowloris guard). A request whose bytes stop flowing for this
+    /// long is answered `408 request_timeout` and closed. Default 30 s.
     pub fn header_read_timeout(mut self, timeout: Duration) -> Self {
         self.header_read_timeout = timeout.max(Duration::from_millis(1));
         self
     }
 
     /// Overrides how long a keep-alive connection may sit idle between
-    /// requests before the reactor closes it (default 60 s).
+    /// requests before the server closes it (default 60 s).
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = timeout.max(Duration::from_millis(1));
         self
@@ -303,25 +216,18 @@ impl Server {
         self
     }
 
-    /// Overrides the bounded queue depth (connections waiting for a worker
+    /// Overrides the bounded queue depth (requests waiting for a worker
     /// beyond the ones being served). Default: 2× workers.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = Some(depth);
-        self.bounded = true;
         self
     }
 
-    /// Overrides the in-flight connection cap (queued + served). Default:
-    /// workers + queue depth.
+    /// Overrides the cap on open admitted connections — idle keep-alive
+    /// ones included, so a fleet of N polling agents needs a cap of at
+    /// least N. Default: workers + queue depth.
     pub fn max_inflight(mut self, cap: usize) -> Self {
         self.max_inflight = Some(cap.max(1));
-        self
-    }
-
-    /// Disables admission control: unbounded queue, no in-flight cap — the
-    /// pre-overload-protection behavior, kept as the E11 baseline.
-    pub fn unbounded(mut self) -> Self {
-        self.bounded = false;
         self
     }
 
@@ -340,136 +246,48 @@ impl Server {
 
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
     /// serving `handler` on background threads. Returns immediately.
-    ///
-    /// The `CHRONOS_HTTP_CORE` environment variable (`reactor` /
-    /// `threaded`) overrides the builder's core selection, so the whole
-    /// test suite can be forced onto either core without code changes.
     pub fn serve<F>(self, addr: &str, handler: F) -> std::io::Result<ServerHandle>
     where
         F: Fn(Request) -> Response + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let handler = Arc::new(handler);
-        let queue_depth =
-            if self.bounded { Some(self.queue_depth.unwrap_or(self.workers * 2)) } else { None };
-        let max_inflight = match (self.bounded, self.max_inflight) {
-            (false, _) => usize::MAX,
-            (true, Some(cap)) => cap,
-            (true, None) => self.workers + queue_depth.unwrap_or(0),
-        };
-        let retry_after = self.retry_after;
-        let pool = Arc::new(match queue_depth {
-            Some(depth) => ThreadPool::bounded_with_name(self.workers, depth, "chronos-http"),
-            None => ThreadPool::with_name(self.workers, "chronos-http"),
-        });
-        let metrics = self.metrics.unwrap_or_else(ServerMetrics::shared);
-        let shared = Arc::new(Shared { phase: AtomicU8::new(PHASE_RUNNING), metrics });
-
-        let core = match std::env::var("CHRONOS_HTTP_CORE").as_deref() {
-            Ok("threaded") => CoreKind::Threaded,
-            Ok("reactor") => CoreKind::Reactor,
-            _ => self.core,
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = (addr, handler);
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "chronos-http serves on Linux only (epoll reactor)",
+            ));
         }
-        .effective();
-
         #[cfg(target_os = "linux")]
-        if core == CoreKind::Reactor {
+        {
+            let listener = std::net::TcpListener::bind(addr)?;
+            let local_addr = listener.local_addr()?;
+            let queue_depth = self.queue_depth.unwrap_or(self.workers * 2);
             let cfg = crate::reactor::ReactorConfig {
-                max_inflight,
-                retry_after,
+                max_inflight: self.max_inflight.unwrap_or(self.workers + queue_depth),
+                retry_after: self.retry_after,
                 header_read_timeout: self.header_read_timeout,
                 idle_timeout: self.idle_timeout,
             };
+            let pool =
+                Arc::new(ThreadPool::bounded_with_name(self.workers, queue_depth, "chronos-http"));
+            let metrics = self.metrics.unwrap_or_else(ServerMetrics::shared);
+            let shared = Arc::new(Shared { phase: AtomicU8::new(PHASE_RUNNING), metrics });
             let (thread, wake) = crate::reactor::spawn(
                 listener,
                 Arc::clone(&shared),
                 Arc::clone(&pool),
-                handler,
+                Arc::new(handler),
                 cfg,
             )?;
-            return Ok(ServerHandle {
+            Ok(ServerHandle {
                 addr: local_addr,
                 shared,
                 pool: Some(pool),
-                core: CoreHandle::Reactor { thread: Some(thread), wake },
-            });
-        }
-        let _ = core; // non-Linux: only the threaded core exists
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_pool = Arc::clone(&pool);
-        let accept_thread = std::thread::Builder::new()
-            .name("chronos-http-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    match accept_shared.phase() {
-                        PHASE_STOPPED => break,
-                        PHASE_DRAINING => {
-                            if let Ok(stream) = stream {
-                                accept_shared.metrics.shed_draining.inc();
-                                shed(
-                                    stream,
-                                    Status::SERVICE_UNAVAILABLE,
-                                    CODE_DRAINING,
-                                    "server is draining; connection not accepted",
-                                    retry_after,
-                                );
-                            }
-                            continue;
-                        }
-                        _ => {}
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let metrics = &accept_shared.metrics;
-                    if metrics.inflight.get() as usize >= max_inflight {
-                        metrics.shed_overload.inc();
-                        shed(
-                            stream,
-                            Status::TOO_MANY_REQUESTS,
-                            CODE_OVERLOADED,
-                            "connection limit reached; retry later",
-                            retry_after,
-                        );
-                        continue;
-                    }
-                    // Keep a second handle so the connection can still be
-                    // answered if the bounded queue rejects the job (the
-                    // closure — and the primary handle — are dropped then).
-                    let shed_handle = stream.try_clone().ok();
-                    metrics.inflight.inc();
-                    let handler = Arc::clone(&handler);
-                    let job_shared = Arc::clone(&accept_shared);
-                    let admitted = accept_pool.try_execute(move || {
-                        handle_connection(stream, &*handler, &job_shared);
-                        job_shared.metrics.inflight.dec();
-                    });
-                    if admitted {
-                        metrics.accepted.inc();
-                    } else {
-                        metrics.inflight.dec();
-                        metrics.shed_overload.inc();
-                        if let Some(stream) = shed_handle {
-                            shed(
-                                stream,
-                                Status::TOO_MANY_REQUESTS,
-                                CODE_OVERLOADED,
-                                "request queue full; retry later",
-                                retry_after,
-                            );
-                        }
-                    }
-                }
-                // The accept thread's pool handle drops here; the
-                // ServerHandle holds the other one and joins deterministically.
+                thread: Some(thread),
+                wake,
             })
-            .expect("failed to spawn accept thread");
-        Ok(ServerHandle {
-            addr: local_addr,
-            shared,
-            pool: Some(pool),
-            core: CoreHandle::Threaded { accept_thread: Some(accept_thread) },
-        })
+        }
     }
 }
 
@@ -515,39 +333,24 @@ impl ServerHandle {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
-        if was.is_err() && self.core.finished() {
+        if was.is_err() && self.thread.is_none() {
             return true; // already drained
         }
-        #[cfg(target_os = "linux")]
-        if let CoreHandle::Reactor { wake, .. } = &self.core {
-            // Nudge the loop so it sweeps idle keep-alive connections now
-            // instead of on its next tick.
-            wake.wake();
-        }
+        // Nudge the loop so it sweeps idle keep-alive connections now
+        // instead of on its next tick.
+        self.wake_reactor();
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.shared.metrics.inflight.get() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         let clean = self.shared.metrics.inflight.get() == 0;
         self.shared.phase.store(PHASE_STOPPED, Ordering::SeqCst);
-        match &mut self.core {
-            CoreHandle::Threaded { accept_thread } => {
-                // Wake the blocking accept() with a no-op connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            CoreHandle::Reactor { thread, wake } => {
-                wake.wake();
-                if let Some(t) = thread.take() {
-                    let _ = t.join();
-                }
-            }
+        self.wake_reactor();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
         if let Some(pool) = self.pool.take() {
-            // The core thread has exited and dropped its handle, so this
+            // The reactor thread has exited and dropped its handle, so this
             // unwrap succeeds and dropping the pool joins every worker.
             if let Ok(pool) = Arc::try_unwrap(pool) {
                 drop(pool);
@@ -560,6 +363,12 @@ impl ServerHandle {
     pub fn shutdown(&mut self) {
         let _ = self.drain();
     }
+
+    /// Wakes the event loop so it re-reads the lifecycle phase now.
+    fn wake_reactor(&self) {
+        #[cfg(target_os = "linux")]
+        self.wake.wake();
+    }
 }
 
 impl Drop for ServerHandle {
@@ -568,267 +377,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Answers a connection the server refuses to admit, entirely on the accept
-/// thread: a typed error envelope plus `Retry-After` hints, then close. The
-/// body is a handful of bytes, so the write almost always completes into
-/// the socket buffer without blocking; a pathological peer costs at most
-/// one `IO_TIMEOUT`.
-fn shed(mut stream: TcpStream, status: Status, code: &str, message: &str, retry_after: Duration) {
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let response = Response::error_named(status, code, message).with_retry_after(retry_after);
-    let _ = write_response(&mut stream, &response, false, Method::Get);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-fn handle_connection<F>(stream: TcpStream, handler: &F, shared: &Shared)
-where
-    F: Fn(Request) -> Response,
-{
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let peer = stream.peer_addr().ok();
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    loop {
-        if shared.phase() == PHASE_STOPPED {
-            break;
-        }
-        let (request, mut keep_alive) = match read_request(&mut reader) {
-            Ok(Some(parsed)) => parsed,
-            Ok(None) => break, // clean EOF between requests
-            Err(ReadError::Idle) => {
-                // No request in flight: during drain the idle keep-alive
-                // connection just closes; otherwise poll again.
-                if shared.phase() != PHASE_RUNNING {
-                    break;
-                }
-                continue;
-            }
-            Err(ReadError::BadRequest(msg)) => {
-                let resp = Response::error(Status::BAD_REQUEST, msg);
-                let _ = write_response(&mut stream, &resp, false, Method::Get);
-                break;
-            }
-            Err(ReadError::TooLarge) => {
-                let resp = Response::error(Status::PAYLOAD_TOO_LARGE, "request too large");
-                let _ = write_response(&mut stream, &resp, false, Method::Get);
-                break;
-            }
-            Err(ReadError::Io) => break,
-        };
-        // A request that arrived before (or while) drain began is served to
-        // completion — but the connection closes politely afterwards
-        // instead of being cut mid-keep-alive.
-        if shared.phase() != PHASE_RUNNING {
-            keep_alive = false;
-        }
-        let method = request.method;
-        shared.metrics.requests.inc();
-        let response = handler(request);
-        // Dropped-response fault: the handler has fully committed its
-        // effects, but the client never hears back (connection dies). This
-        // is the case idempotency keys exist for.
-        if chronos_util::fail_eval!("http.server.drop_response").is_some() {
-            break;
-        }
-        if write_response(&mut stream, &response, keep_alive, method).is_err() {
-            break;
-        }
-        if !keep_alive {
-            break;
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    let _ = peer; // reserved for access logging
-}
-
-#[derive(Debug)]
-enum ReadError {
-    BadRequest(String),
-    TooLarge,
-    Io,
-    /// The connection is idle (read timed out before any bytes arrived).
-    Idle,
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Retries after socket timeouts (the short [`IO_TIMEOUT`] is a polling
-/// interval, not a deadline). ~30 s of inactivity mid-message gives up.
-const MAX_STALLS: u32 = 60;
-
-/// Reads one line, tolerating timeouts while data is still arriving.
-/// `read_until` semantics guarantee partially read bytes stay in `line`.
-fn read_line_retry(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-) -> Result<usize, ReadError> {
-    let start = line.len();
-    let mut stalls = 0;
-    loop {
-        match reader.read_line(line) {
-            Ok(0) if line.len() == start => return Ok(0),
-            Ok(_) => return Ok(line.len() - start),
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > MAX_STALLS {
-                    return Err(ReadError::Io);
-                }
-            }
-            Err(_) => return Err(ReadError::Io),
-        }
-    }
-}
-
-/// Fills `buf` completely, tolerating timeouts while data keeps arriving.
-fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), ReadError> {
-    let mut filled = 0;
-    let mut stalls = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err(ReadError::Io),
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > MAX_STALLS {
-                    return Err(ReadError::Io);
-                }
-            }
-            Err(_) => return Err(ReadError::Io),
-        }
-    }
-    Ok(())
-}
-
-/// Reads a `content_length` body into `body` in [`BODY_CHUNK`] increments,
-/// growing the buffer only as bytes actually arrive. The declared length is
-/// an untrusted claim: committing it up front would let a peer reserve
-/// 64 MiB per connection without sending a byte.
-fn read_body_into<R: Read>(
-    reader: &mut R,
-    content_length: usize,
-    body: &mut Vec<u8>,
-) -> Result<(), ReadError> {
-    let mut remaining = content_length;
-    while remaining > 0 {
-        let chunk = remaining.min(BODY_CHUNK);
-        let start = body.len();
-        body.resize(start + chunk, 0);
-        read_full(reader, &mut body[start..])?;
-        remaining -= chunk;
-    }
-    Ok(())
-}
-
-/// Reads one request. `Ok(None)` means the peer closed the connection
-/// cleanly before sending another request; `Err(Idle)` means nothing has
-/// arrived yet (caller should re-check the lifecycle phase and poll again).
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<(Request, bool)>, ReadError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if is_timeout(&e) && line.is_empty() => return Err(ReadError::Idle),
-        Err(e) if is_timeout(&e) => {
-            // Partial request line: wait for the rest.
-            read_line_retry(reader, &mut line)?;
-        }
-        Err(_) => return Err(ReadError::Io),
-    }
-    let request_line = line.trim_end();
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .and_then(Method::parse)
-        .ok_or_else(|| ReadError::BadRequest(format!("bad method in {request_line:?}")))?;
-    let target =
-        parts.next().ok_or_else(|| ReadError::BadRequest("missing request target".to_string()))?;
-    let version = parts.next().unwrap_or("HTTP/1.1");
-    if !version.starts_with("HTTP/1.") {
-        return Err(ReadError::BadRequest(format!("unsupported version {version}")));
-    }
-    let http10 = version == "HTTP/1.0";
-
-    let mut headers = Headers::new();
-    let mut head_bytes = request_line.len();
-    loop {
-        let mut header_line = String::new();
-        match read_line_retry(reader, &mut header_line)? {
-            0 => return Err(ReadError::Io),
-            n => head_bytes += n,
-        }
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::TooLarge);
-        }
-        let trimmed = header_line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        match trimmed.split_once(':') {
-            Some((name, value)) => headers.add(name.trim(), value.trim()),
-            None => return Err(ReadError::BadRequest(format!("malformed header {trimmed:?}"))),
-        }
-    }
-
-    let content_length = match headers.get("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| ReadError::BadRequest("bad content-length".to_string()))?,
-        None => 0,
-    };
-    if content_length > MAX_BODY_BYTES {
-        return Err(ReadError::TooLarge);
-    }
-    if headers.get("transfer-encoding").is_some_and(|v| !v.eq_ignore_ascii_case("identity")) {
-        return Err(ReadError::BadRequest("chunked requests not supported".to_string()));
-    }
-    let mut body = Vec::new();
-    if content_length > 0 {
-        read_body_into(reader, content_length, &mut body)?;
-    }
-
-    let keep_alive = match headers.get("connection") {
-        Some(v) if v.eq_ignore_ascii_case("close") => false,
-        Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-        _ => !http10,
-    };
-
-    // The caller's processing budget, counted from arrival.
-    let deadline = headers
-        .get(DEADLINE_HEADER)
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let request = Request {
-        method,
-        // The raw (still percent-encoded) path: the router decodes each
-        // segment exactly once at match time. Decoding here as well would
-        // double-decode params and let an encoded `/` alter segmentation.
-        path: path.to_string(),
-        query: query.to_string(),
-        headers,
-        body,
-        deadline,
-    };
-    Ok(Some((request, keep_alive)))
-}
-
-/// Serializes a response to the exact bytes both cores put on the wire
-/// (HEAD responses advertise the length but carry no body).
+/// Serializes a response to the exact bytes that go on the wire (HEAD
+/// responses advertise the length but carry no body).
 pub(crate) fn serialize_response(response: &Response, keep_alive: bool, method: Method) -> Vec<u8> {
     let mut head = format!("HTTP/1.1 {} {}\r\n", response.status.0, response.status.reason());
     for (name, value) in response.headers.iter() {
@@ -844,21 +394,14 @@ pub(crate) fn serialize_response(response: &Response, keep_alive: bool, method: 
     bytes
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    keep_alive: bool,
-    method: Method,
-) -> std::io::Result<()> {
-    stream.write_all(&serialize_response(response, keep_alive, method))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::types::{Status, CODE_OVERLOADED};
     use chronos_json::obj;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     fn echo_server() -> ServerHandle {
         Server::new()
@@ -957,31 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn body_read_does_not_precommit_declared_length() {
-        // Regression: the body buffer used to be `vec![0; content_length]`
-        // before a single byte arrived — a 64 MiB commit per connection off
-        // an untrusted header. Only ~1000 bytes arrive here, so the buffer
-        // must stay within one chunk of that, not the declared 64 MiB.
-        let mut body = Vec::new();
-        let mut reader = std::io::Cursor::new(vec![7u8; 1000]);
-        assert!(read_body_into(&mut reader, MAX_BODY_BYTES, &mut body).is_err());
-        assert!(
-            body.capacity() <= 2 * BODY_CHUNK,
-            "buffer pre-committed {} bytes off the declared Content-Length",
-            body.capacity()
-        );
-    }
-
-    #[test]
-    fn body_read_roundtrips_across_chunks() {
-        let data: Vec<u8> = (0..3 * BODY_CHUNK + 17).map(|i| (i % 251) as u8).collect();
-        let mut reader = std::io::Cursor::new(data.clone());
-        let mut body = Vec::new();
-        read_body_into(&mut reader, data.len(), &mut body).unwrap();
-        assert_eq!(body, data);
-    }
-
-    #[test]
     fn large_declared_body_with_no_bytes_is_rejected_gracefully() {
         let server = echo_server();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -998,8 +516,8 @@ mod tests {
     #[test]
     fn sheds_with_typed_envelope_when_queue_is_full() {
         // One worker parked in a slow handler, queue depth 0, cap 1: the
-        // second connection must be shed with a typed 429 on the accept
-        // thread while the first is still being served.
+        // second connection must be shed with a typed 429 while the first is
+        // still being served.
         let gate = Arc::new(parking_lot::Mutex::new(()));
         let guard = gate.lock();
         let handler_gate = Arc::clone(&gate);
@@ -1070,20 +588,5 @@ mod tests {
         // New connections are refused entirely now.
         assert!(Client::new(&url).get("/late").is_err());
         assert_eq!(server.pool_panics(), 0);
-    }
-
-    #[test]
-    fn unbounded_server_never_sheds() {
-        let server = Server::new()
-            .workers(2)
-            .unbounded()
-            .serve("127.0.0.1:0", |_req| Response::text(Status::OK, "ok"));
-        let server = server.expect("bind");
-        let url = server.base_url();
-        let results = chronos_util::pool::scoped_indexed(16, |_| {
-            Client::new(&url).get("/x").unwrap().status.is_success()
-        });
-        assert!(results.into_iter().all(|ok| ok));
-        assert_eq!(server.metrics().shed_overload.get(), 0);
     }
 }

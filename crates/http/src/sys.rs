@@ -1,4 +1,4 @@
-//! Thin wrappers over the raw Linux syscalls the reactor core needs.
+//! Thin wrappers over the raw Linux syscalls the reactor needs.
 //!
 //! The repository builds offline with no external crates, so instead of the
 //! `libc` crate this module declares the handful of symbols it needs as
@@ -15,8 +15,8 @@ pub use linux::{Epoll, EpollEvent, EventFd};
 
 #[cfg(target_os = "linux")]
 pub mod linux {
-    //! The real implementation. Only compiled on Linux; the reactor core is
-    //! gated on the same cfg and the server falls back to the threaded core
+    //! The real implementation. Only compiled on Linux; the reactor is
+    //! gated on the same cfg, and `Server::serve` returns `Unsupported`
     //! elsewhere.
 
     use std::io;

@@ -14,7 +14,6 @@ use chronos_http::{Response, Server, Status};
 /// Starts a reactor-core echo server with small, test-friendly timeouts.
 fn echo_server(header_timeout: Duration, idle_timeout: Duration) -> chronos_http::ServerHandle {
     Server::new()
-        .reactor()
         .workers(2)
         .header_read_timeout(header_timeout)
         .idle_timeout(idle_timeout)
@@ -137,7 +136,6 @@ fn large_response_survives_slow_reader_partial_writes() {
     // readiness while the client drains at its leisure.
     const SIZE: usize = 4 << 20;
     let server = Server::new()
-        .reactor()
         .workers(2)
         .serve("127.0.0.1:0", |_| {
             Response::bytes(Status::OK, "application/octet-stream", vec![0xA5u8; SIZE])

@@ -77,9 +77,9 @@ impl ChronosServer {
     }
 
     /// Like [`ChronosServer::start`], but with a caller-configured HTTP
-    /// front end (worker count, admission queue depth, in-flight cap, or
-    /// an unbounded legacy configuration). Used by the overload experiment
-    /// and robustness tests to pin the admission envelope.
+    /// front end (worker count, admission queue depth, in-flight cap).
+    /// Used by the overload experiment and robustness tests to pin the
+    /// admission envelope.
     pub fn start_with(
         control: Arc<ChronosControl>,
         addr: &str,

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, the full test suite, and a quick
-# benchmark smoke run.
+# Repository gate: formatting, one workspace-wide lint pass, the full test
+# suite, a quick chronos-bench smoke run, and a build of the repo benchmark
+# (benchmark/ is its own workspace, so nothing else compiles it).
 # Usage: scripts/check.sh [--bench] [--chaos] [--cluster]
 #   --bench    also regenerate BENCH_control_plane.json / BENCH_data_plane.json /
 #              BENCH_overload.json / BENCH_http_scale.json / BENCH_analytics.json /
@@ -22,28 +23,6 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
-
-echo "== clippy: wire-contract crate (deny warnings) =="
-# The contract crate is the one clients link against; hold it to the
-# strictest bar even if the workspace-wide lint set ever loosens.
-cargo clippy -p chronos-api --all-targets --offline -- -D warnings
-
-echo "== clippy: overload-protection + budget-enforcement crates (deny warnings) =="
-# The admission/drain/retry path cuts across these crates, and the agent
-# additionally carries the budget watchdog / cgroup containment modules;
-# keep them individually warning-clean like the contract crate.
-cargo clippy -p chronos-http -p chronos-agent -p chronos-server --all-targets --offline -- -D warnings
-
-echo "== clippy: result-analytics crate (deny warnings) =="
-# The columnar store backs every chart/summary read and the regression
-# endpoint; hold it to the same individual bar.
-cargo clippy -p chronos-analytics --all-targets --offline -- -D warnings
-
-echo "== clippy: job-source / scheduling crates (deny warnings) =="
-# The incremental JobSource (lazy materialization + adaptive successive
-# halving) spans these crates; its determinism guarantees make them part
-# of the durable contract, so lint them individually too.
-cargo clippy -p chronos-core -p chronos-workload -p chronos-bench --all-targets --offline -- -D warnings
 
 echo "== cargo test =="
 cargo test -q --workspace --offline
@@ -78,13 +57,10 @@ test -s "$smoke_dir/BENCH_adaptive.json"
 test -s "$smoke_dir/BENCH_isolation.json"
 rm -rf "$smoke_dir"
 
-echo "== overload protection gate (tests/overload.rs, both network cores) =="
+echo "== overload protection gate (tests/overload.rs) =="
 # Typed shed envelopes, deadline refusal, graceful drain, Retry-After
-# cooperation — pinned explicitly, not just via the workspace run, and on
-# both the epoll reactor (platform default) and the threaded fallback so
-# neither core can drift on overload semantics.
-CHRONOS_HTTP_CORE=reactor cargo test -q --offline --test overload
-CHRONOS_HTTP_CORE=threaded cargo test -q --offline --test overload
+# cooperation — pinned explicitly, not just via the workspace run.
+cargo test -q --offline --test overload
 
 echo "== budget + quarantine gate (tests/quarantine.rs) =="
 # Per-job resource budgets end to end: the watchdog kills a runaway with a
@@ -93,6 +69,12 @@ echo "== budget + quarantine gate (tests/quarantine.rs) =="
 # once, and unbudgeted experiments never arm the watchdog. Pinned
 # explicitly like the overload gate — this is the containment contract.
 cargo test -q --offline --test quarantine
+
+echo "== repo benchmark builds (benchmark/, its own workspace) =="
+# chronos-benchmark links the crates' public API from outside the
+# workspace; without this stage a deletion under crates/ could break the
+# BENCHMARK.json command and no other gate would notice.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 for arg in "$@"; do
     case "$arg" in
