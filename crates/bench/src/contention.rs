@@ -1,5 +1,5 @@
-//! Mixed put/get/list contention harness shared by the E8 experiment in
-//! `chronos-bench` and the Criterion control-plane benches.
+//! Mixed put/get/list contention harness for the E8 experiment in
+//! `chronos-bench`.
 //!
 //! The workload models the control plane under a fleet of agents: mostly
 //! document rewrites (heartbeats, log appends, state transitions) with a
@@ -9,43 +9,9 @@
 
 use std::time::Instant;
 
+use chronos_core::store::MetadataStore;
 use chronos_json::{obj, Value};
 use rand::{Rng, SeedableRng};
-
-/// Store operations exercised under contention, implemented by both the
-/// old single-mutex baseline and the sharded store.
-pub trait ContendedStore: Sync {
-    /// Insert or replace a document.
-    fn put(&self, kind: &str, id: &str, doc: Value);
-    /// Point read; returns whether the document existed.
-    fn get(&self, kind: &str, id: &str) -> bool;
-    /// Full listing; returns the number of documents.
-    fn list(&self, kind: &str) -> usize;
-}
-
-impl ContendedStore for crate::baseline::SingleMutexStore {
-    fn put(&self, kind: &str, id: &str, doc: Value) {
-        crate::baseline::SingleMutexStore::put(self, kind, id, doc).unwrap();
-    }
-    fn get(&self, kind: &str, id: &str) -> bool {
-        crate::baseline::SingleMutexStore::get(self, kind, id).is_some()
-    }
-    fn list(&self, kind: &str) -> usize {
-        crate::baseline::SingleMutexStore::list(self, kind).len()
-    }
-}
-
-impl ContendedStore for chronos_core::store::MetadataStore {
-    fn put(&self, kind: &str, id: &str, doc: Value) {
-        chronos_core::store::MetadataStore::put(self, kind, id, doc).unwrap();
-    }
-    fn get(&self, kind: &str, id: &str) -> bool {
-        chronos_core::store::MetadataStore::get(self, kind, id).is_some()
-    }
-    fn list(&self, kind: &str) -> usize {
-        chronos_core::store::MetadataStore::list(self, kind).len()
-    }
-}
 
 /// Kinds the workload spreads over (jobs dominate real traffic, but all
 /// kinds see writes).
@@ -84,10 +50,10 @@ impl MixReport {
 /// Pre-populates every `(kind, id)` pair so reads hit and listings have a
 /// fixed size, then runs `threads` workers, each performing
 /// `ops_per_thread` operations: 50% put, 40% get, 10% list.
-pub fn run_mixed<S: ContendedStore>(store: &S, threads: u64, ops_per_thread: u64) -> MixReport {
+pub fn run_mixed(store: &MetadataStore, threads: u64, ops_per_thread: u64) -> MixReport {
     for (k, kind) in KINDS.iter().enumerate() {
         for i in 0..IDS_PER_KIND {
-            store.put(kind, &id_name(i), sample_doc(k as u64 * IDS_PER_KIND + i));
+            store.put(kind, &id_name(i), sample_doc(k as u64 * IDS_PER_KIND + i)).unwrap();
         }
     }
     let start = Instant::now();
@@ -99,12 +65,12 @@ pub fn run_mixed<S: ContendedStore>(store: &S, threads: u64, ops_per_thread: u64
                     let kind = KINDS[rng.gen_range(0..KINDS.len() as u64) as usize];
                     let id = id_name(rng.gen_range(0..IDS_PER_KIND));
                     match rng.gen_range(0..10u64) {
-                        0..=4 => store.put(kind, &id, sample_doc(i)),
+                        0..=4 => store.put(kind, &id, sample_doc(i)).unwrap(),
                         5..=8 => {
-                            assert!(store.get(kind, &id), "pre-populated read must hit");
+                            assert!(store.get(kind, &id).is_some(), "pre-populated read must hit");
                         }
                         _ => {
-                            assert!(store.list(kind) >= IDS_PER_KIND as usize);
+                            assert!(store.list(kind).len() >= IDS_PER_KIND as usize);
                         }
                     }
                 }
@@ -123,10 +89,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn harness_drives_both_stores() {
-        let report = run_mixed(&crate::baseline::SingleMutexStore::in_memory(), 2, 200);
-        assert_eq!(report.total_ops, 400);
-        let report = run_mixed(&chronos_core::store::MetadataStore::in_memory(), 2, 200);
+    fn harness_drives_the_store() {
+        let report = run_mixed(&MetadataStore::in_memory(), 2, 200);
         assert_eq!(report.total_ops, 400);
         assert!(report.ops_per_sec() > 0.0);
     }

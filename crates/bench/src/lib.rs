@@ -1,16 +1,14 @@
 //! Shared harness code for the Chronos benchmark suite.
 //!
-//! Every experiment in `EXPERIMENTS.md` is regenerated either by the
+//! Every experiment in `EXPERIMENTS.md` is regenerated by the
 //! `chronos-bench` binary (`cargo run -p chronos-bench --release`), which
-//! prints the full tables, or by the Criterion benches
-//! (`cargo bench -p chronos-bench`), which measure the same configurations
-//! under Criterion's statistics.
+//! prints the full tables; the end-to-end gate is the separate package in
+//! `benchmark/`.
 
 use chronos_agent::{DocstoreClient, EvaluationClient, JobContext};
 use chronos_json::{obj, Value};
 use chronos_util::Id;
 
-pub mod baseline;
 pub mod contention;
 pub mod data_plane;
 pub mod http_scale;
@@ -118,6 +116,16 @@ pub fn run_docstore(config: &RunConfig) -> RunOutcome {
             .unwrap_or(0),
         total_errors: data.pointer("/total_errors").and_then(Value::as_u64).unwrap_or(0),
     }
+}
+
+/// Stamps `host_cores` onto an experiment's `--json` document and writes
+/// it to `path` in the working directory.
+pub fn write_report(path: &str, mut doc: Value) {
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    doc.set("host_cores", cores as i64);
+    std::fs::write(path, doc.to_pretty_string() + "\n")
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}\n");
 }
 
 /// Renders a fixed-width table row.

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use chronos_bench::{fmt_bytes, fmt_tp, row, run_docstore, RunConfig};
+use chronos_bench::{fmt_bytes, fmt_tp, row, run_docstore, write_report, RunConfig};
 use chronos_core::auth::Role;
 use chronos_core::params::{ParamAssignments, ParamDef, ParamType};
 use chronos_core::store::MetadataStore;
@@ -21,19 +21,73 @@ struct Scale {
     ops: i64,
 }
 
+/// What the command line asked of every selected experiment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Options {
+    /// `--quick`: smaller sizes.
+    quick: bool,
+    /// `--json`: also write the experiment's `BENCH_*.json`.
+    emit_json: bool,
+}
+
+impl Options {
+    /// Record/operation counts of the minidoc demo experiments (E1–E4, E7).
+    fn scale(self) -> Scale {
+        let (records, ops) = if self.quick { (500, 2_000) } else { (2_000, 8_000) };
+        Scale { records, ops }
+    }
+}
+
+/// Every experiment — its command-line id and the function that runs it —
+/// in the order a full run executes them.
+type Experiment = (&'static str, fn(Options));
+const EXPERIMENTS: [Experiment; 15] = [
+    ("E1", experiment_e1),
+    ("E2", experiment_e2),
+    ("E3", experiment_e3),
+    ("E4", experiment_e4),
+    ("E5", experiment_e5),
+    ("E6", experiment_e6),
+    ("E7", experiment_e7),
+    ("E8", experiment_e8),
+    ("E9", experiment_e9),
+    ("E11", experiment_e11),
+    ("E12", experiment_e12),
+    ("E13", experiment_e13),
+    ("E14", experiment_e14),
+    ("E15", experiment_e15),
+    ("E16", experiment_e16),
+];
+
+/// Parses the command line into the options and the experiment ids it
+/// named (canonical spelling; none named selects all). Anything but a known
+/// id, `--quick` or `--json` is an error naming the valid choices.
+fn parse_args(args: &[String]) -> Result<(Options, Vec<&'static str>), String> {
+    let mut options = Options { quick: false, emit_json: false };
+    let mut named = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => options.quick = true,
+            "--json" => options.emit_json = true,
+            other => match EXPERIMENTS.iter().find(|(id, _)| id.eq_ignore_ascii_case(other)) {
+                Some((id, _)) => named.push(*id),
+                None => {
+                    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+                    let ids = ids.join(" ");
+                    return Err(format!("unknown argument {other:?}; valid: {ids} --quick --json"));
+                }
+            },
+        }
+    }
+    Ok((options, named))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let emit_json = args.iter().any(|a| a == "--json");
-    let selected: Vec<&str> =
-        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
-    let scale = if quick {
-        Scale { records: 500, ops: 2_000 }
-    } else {
-        Scale { records: 2_000, ops: 8_000 }
-    };
-    let want =
-        |id: &str| selected.is_empty() || selected.iter().any(|s| s.eq_ignore_ascii_case(id));
+    let (options, named) = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("chronos-bench: {message}");
+        std::process::exit(2);
+    });
 
     println!("chronos-bench: reproducing the Chronos (EDBT 2020) demo evaluation");
     println!(
@@ -41,50 +95,11 @@ fn main() {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     );
 
-    if want("E1") {
-        experiment_e1(&scale);
-    }
-    if want("E2") {
-        experiment_e2(&scale);
-    }
-    if want("E3") {
-        experiment_e3(&scale);
-    }
-    if want("E4") {
-        experiment_e4(&scale);
-    }
-    if want("E5") {
-        experiment_e5();
-    }
-    if want("E6") {
-        experiment_e6();
-    }
-    if want("E7") {
-        experiment_e7(&scale);
-    }
-    if want("E8") {
-        experiment_e8(quick, emit_json);
-    }
-    if want("E9") {
-        experiment_e9(quick, emit_json);
-    }
-    if want("E11") {
-        experiment_e11(quick, emit_json);
-    }
-    if want("E12") {
-        experiment_e12(quick, emit_json);
-    }
-    if want("E13") {
-        experiment_e13(quick, emit_json);
-    }
-    if want("E14") {
-        experiment_e14(quick, emit_json);
-    }
-    if want("E15") {
-        experiment_e15(quick, emit_json);
-    }
-    if want("E16") {
-        experiment_e16(quick, emit_json);
+    // Table order, each at most once, however the ids were named.
+    for (id, run) in EXPERIMENTS {
+        if named.is_empty() || named.contains(&id) {
+            run(options);
+        }
     }
 }
 
@@ -97,7 +112,7 @@ fn main() {
 /// asserts each is cancelled with the right typed dimension — the wall case
 /// within one watchdog interval plus scheduling slack. `--json` also writes
 /// the numbers to `BENCH_isolation.json`.
-fn experiment_e16(quick: bool, emit_json: bool) {
+fn experiment_e16(Options { quick, emit_json }: Options) {
     use std::time::Duration;
 
     use chronos_agent::{
@@ -295,11 +310,8 @@ fn experiment_e16(quick: bool, emit_json: bool) {
             },
             "wall_budget_millis" => wall_budget_millis as i64,
             "kills" => Value::from(kill_reports),
-            "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
         };
-        let path = "BENCH_isolation.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_isolation.json", doc);
     }
 }
 
@@ -309,7 +321,7 @@ fn experiment_e16(quick: bool, emit_json: bool) {
 /// 30% of the grid's jobs, and that replaying the same seed reproduces the
 /// pruning decisions bit-for-bit. `--json` also writes the numbers to
 /// `BENCH_adaptive.json` for regression tracking.
-fn experiment_e15(quick: bool, emit_json: bool) {
+fn experiment_e15(Options { quick, emit_json }: Options) {
     use std::collections::HashMap;
 
     use chronos_core::{AdaptiveConfig, Strategy};
@@ -500,29 +512,23 @@ fn experiment_e15(quick: bool, emit_json: bool) {
                 "axis_cardinality" => axis,
                 "total_points" => total as i64,
             },
-            "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
             "runs" => Value::from(reports),
         };
-        let path = "BENCH_adaptive.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_adaptive.json", doc);
     }
 }
 
-/// E13 — result-analytics aggregation throughput: the parse-every-JSON-row
-/// baseline (what the chart/summary endpoints did before the columnar
-/// store) vs decoding the columnar table and running vectorized kernels.
-/// Both paths compute the same chart aggregation and p99, and must agree
-/// bit-for-bit. `--json` also writes the numbers to `BENCH_analytics.json`.
-fn experiment_e13(quick: bool, emit_json: bool) {
+/// E13 — result-analytics aggregation throughput: decode the columnar
+/// table, gather, and run the chart aggregation and p99 through the
+/// vectorized kernels, as every chart/summary request does; plus the table's
+/// size against the same uploads as JSON rows. `--json` also writes the
+/// numbers to `BENCH_analytics.json`.
+fn experiment_e13(Options { quick, emit_json }: Options) {
     use chronos_analytics::{percentile_sorted, ResultTable};
-    use chronos_core::analysis::{
-        chart_data_from_points, chart_data_from_table, ResultPoint, STANDARD_METRIC_PATHS,
-    };
+    use chronos_core::analysis::{chart_data_from_table, STANDARD_METRIC_PATHS};
     use chronos_core::charts::ChartSpec;
-    use chronos_util::Id;
 
-    println!("== E13: result analytics (JSON row scan vs columnar kernels) ==");
+    println!("== E13: result analytics (columnar kernels) ==");
     let rows = if quick { 5_000usize } else { 50_000 };
     let reps = if quick { 3 } else { 5 };
 
@@ -539,7 +545,7 @@ fn experiment_e13(quick: bool, emit_json: bool) {
     };
     let engines = ["wiredtiger", "mmapv1"];
     let thread_counts = [1i64, 2, 4, 8];
-    let mut serialized: Vec<(u128, String, String)> = Vec::with_capacity(rows);
+    let mut json_bytes = 0usize;
     let mut table = ResultTable::new();
     for i in 0..rows {
         let engine = engines[i % engines.len()];
@@ -560,12 +566,10 @@ fn experiment_e13(quick: bool, emit_json: bool) {
                 },
             },
         };
-        let id = i as u128 + 1;
-        serialized.push((id, params.to_string(), data.to_string()));
-        table.append(id, &params, &data, &STANDARD_METRIC_PATHS);
+        json_bytes += params.to_string().len() + data.to_string().len();
+        table.append(i as u128 + 1, &params, &data, &STANDARD_METRIC_PATHS);
     }
     let encoded = table.encode();
-    let json_bytes: usize = serialized.iter().map(|(_, p, d)| p.len() + d.len()).sum();
     let ids: Vec<u128> = (1..=rows as u128).collect();
     let spec = ChartSpec {
         kind: "line".into(),
@@ -576,91 +580,36 @@ fn experiment_e13(quick: bool, emit_json: bool) {
         y_label: "ops/s".into(),
     };
 
-    // Baseline: parse every stored JSON row, then aggregate row-at-a-time.
+    // Decode the table, gather, run the vectorized kernels.
     let start = Instant::now();
-    let mut json_chart = None;
-    let mut json_p99 = 0.0;
-    for _ in 0..reps {
-        let points: Vec<ResultPoint> = serialized
-            .iter()
-            .map(|(id, p, d)| ResultPoint {
-                job_id: Id::from_u128(*id),
-                parameters: chronos_json::parse(p).unwrap(),
-                data: chronos_json::parse(d).unwrap(),
-            })
-            .collect();
-        let chart = chart_data_from_points(&points, &spec).unwrap();
-        let mut values: Vec<f64> = points
-            .iter()
-            .filter_map(|pt| pt.data.pointer(&spec.value_path).and_then(Value::as_f64))
-            .collect();
-        values.sort_by(f64::total_cmp);
-        json_p99 = percentile_sorted(&values, 0.99).unwrap();
-        json_chart = Some(chart);
-    }
-    let json_secs = start.elapsed().as_secs_f64();
-
-    // Columnar: decode the table, gather, run the vectorized kernels.
-    let start = Instant::now();
-    let mut col_chart = None;
-    let mut col_p99 = 0.0;
     for _ in 0..reps {
         let table = ResultTable::decode(&encoded).unwrap();
         let order = table.gather(ids.iter().copied());
         let chart = chart_data_from_table(&table, &order, &spec);
+        assert_eq!(chart.series.len(), engines.len());
+        assert_eq!(chart.x_labels.len(), thread_counts.len());
         let cells = table.data_column(&spec.value_path).unwrap().materialize();
         let mut values: Vec<f64> = order.iter().filter_map(|&r| cells[r].as_f64()).collect();
         values.sort_by(f64::total_cmp);
-        col_p99 = percentile_sorted(&values, 0.99).unwrap();
-        col_chart = Some(chart);
+        std::hint::black_box(percentile_sorted(&values, 0.99).unwrap());
     }
     let col_secs = start.elapsed().as_secs_f64();
-
-    assert_eq!(json_chart, col_chart, "aggregation paths must agree bit-for-bit");
-    assert_eq!(json_p99, col_p99, "percentile paths must agree bit-for-bit");
-
-    let json_rps = (rows * reps) as f64 / json_secs.max(1e-9);
     let col_rps = (rows * reps) as f64 / col_secs.max(1e-9);
-    let speedup = col_rps / json_rps.max(1e-9);
-    let widths = [26, 14, 14, 10];
+    let compression = json_bytes as f64 / encoded.len().max(1) as f64;
     println!(
-        "{}",
-        row(&["path".into(), "rows/sec".into(), "stored bytes".into(), "speedup".into()], &widths)
+        "columnar kernels: {} rows/sec; stored {} (the same uploads as JSON rows: {})",
+        fmt_tp(col_rps),
+        fmt_bytes(encoded.len() as u64),
+        fmt_bytes(json_bytes as u64)
     );
     println!(
-        "{}",
-        row(
-            &[
-                "JSON row scan".into(),
-                fmt_tp(json_rps),
-                fmt_bytes(json_bytes as u64),
-                "1.0x".into()
-            ],
-            &widths
-        )
-    );
-    println!(
-        "{}",
-        row(
-            &[
-                "columnar kernels".into(),
-                fmt_tp(col_rps),
-                fmt_bytes(encoded.len() as u64),
-                format!("{speedup:.1}x"),
-            ],
-            &widths
-        )
-    );
-    println!(
-        "shape: one table decode replaces {rows} JSON parses per request; \
-         compression = {:.1}x, aggregation speedup = {speedup:.1}x\n",
-        json_bytes as f64 / encoded.len().max(1) as f64
+        "shape: one table decode serves {rows} uploads per request; {compression:.1}x smaller\n"
     );
 
     if emit_json {
         let doc = chronos_json::obj! {
             "experiment" => "E13",
-            "description" => "result-analytics aggregation: JSON row scan vs columnar table + vectorized kernels",
+            "description" => "result-analytics aggregation: columnar table + vectorized kernels",
             "workload" => chronos_json::obj! {
                 "rows" => rows as i64,
                 "reps" => reps as i64,
@@ -669,24 +618,19 @@ fn experiment_e13(quick: bool, emit_json: bool) {
                 "chart" => "throughput by threads, series = engine",
                 "percentile" => 0.99,
             },
-            "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
-            "json_rows_per_sec" => json_rps,
             "columnar_rows_per_sec" => col_rps,
-            "speedup" => speedup,
             "json_bytes" => json_bytes as i64,
             "columnar_bytes" => encoded.len() as i64,
-            "compression_ratio" => json_bytes as f64 / encoded.len().max(1) as f64,
+            "compression_ratio" => compression,
         };
-        let path = "BENCH_analytics.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_analytics.json", doc);
     }
 }
 
 /// E12 — connection scaling: goodput and accepted-request p99 vs concurrent
 /// keep-alive agent connections on the shipped server. `--json` also
 /// writes the sweep to `BENCH_http_scale.json` for regression tracking.
-fn experiment_e12(quick: bool, emit_json: bool) {
+fn experiment_e12(Options { quick, emit_json }: Options) {
     use chronos_bench::http_scale::{
         point_collapsed, point_sustained, run_scale, CoreReport, ScalePoint, DRIVERS,
     };
@@ -831,19 +775,16 @@ fn experiment_e12(quick: bool, emit_json: bool) {
                 "read_timeout_ms" => 1000i64,
                 "keep_alive" => true,
             },
-            "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
             "reactor" => reactor.to_json(),
         };
-        let path = "BENCH_http_scale.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_http_scale.json", doc);
     }
 }
 
 /// E11 — overload protection: goodput and accepted-request p99 vs offered
 /// load under bounded admission (typed 429 sheds). `--json` also writes
 /// the curve to `BENCH_overload.json` for regression tracking.
-fn experiment_e11(quick: bool, emit_json: bool) {
+fn experiment_e11(Options { quick, emit_json }: Options) {
     use chronos_bench::overload::{run_load, LoadPoint};
     use chronos_http::Server;
     use chronos_server::ChronosServer;
@@ -984,19 +925,17 @@ fn experiment_e11(quick: bool, emit_json: bool) {
                 "duration_ms" => duration.as_millis() as i64,
                 "connection_per_request" => true,
             },
-            "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
             "unloaded" => unloaded.to_json(),
             "bounded" => Value::Array(bounded_points.iter().map(LoadPoint::to_json).collect()),
         };
-        let path = "BENCH_overload.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_overload.json", doc);
     }
 }
 
 /// E1 — the demo headline: YCSB-A throughput vs client threads per engine,
 /// durable configuration.
-fn experiment_e1(scale: &Scale) {
+fn experiment_e1(options: Options) {
+    let scale = options.scale();
     println!("== E1: YCSB-A throughput vs client threads (durable writes) ==");
     let widths = [10, 8, 12, 12, 14];
     println!(
@@ -1051,7 +990,8 @@ fn experiment_e1(scale: &Scale) {
 
 /// E2 — read-heavy mixes: the engines converge as writes (and their locks)
 /// leave the picture.
-fn experiment_e2(scale: &Scale) {
+fn experiment_e2(options: Options) {
+    let scale = options.scale();
     println!("== E2: read-mix sensitivity (durable, 4 threads) ==");
     let widths = [10, 10, 12];
     println!("{}", row(&["workload".into(), "engine".into(), "ops/s".into()], &widths));
@@ -1098,7 +1038,8 @@ fn experiment_e2(scale: &Scale) {
 
 /// E3 — bulk load (the workflow's data-ingestion step) and the storage
 /// footprint after loading, including the compression ablation.
-fn experiment_e3(scale: &Scale) {
+fn experiment_e3(options: Options) {
+    let scale = options.scale();
     println!("== E3: bulk load and storage footprint ==");
     let widths = [22, 12, 12, 12];
     println!(
@@ -1150,7 +1091,8 @@ fn experiment_e3(scale: &Scale) {
 
 /// E4 — document size sensitivity (field_length sweep), in-memory to
 /// isolate the CPU/storage path from fsync.
-fn experiment_e4(scale: &Scale) {
+fn experiment_e4(options: Options) {
+    let scale = options.scale();
     println!("== E4: document size sensitivity (YCSB-A, 2 threads, in-memory) ==");
     let widths = [10, 12, 12, 12];
     println!(
@@ -1190,7 +1132,7 @@ fn experiment_e4(scale: &Scale) {
 
 /// E5 — control plane: evaluation-space expansion, claim throughput,
 /// store recovery.
-fn experiment_e5() {
+fn experiment_e5(_: Options) {
     println!("== E5: Chronos Control plane ==");
     let control = ChronosControl::in_memory();
     let owner = control.create_user("bench", "pw", Role::Member).unwrap();
@@ -1285,7 +1227,7 @@ fn experiment_e5() {
 }
 
 /// E6 — the result pipeline: JSON encode/parse, zip pack/unpack, base64.
-fn experiment_e6() {
+fn experiment_e6(_: Options) {
     println!("== E6: result pipeline (JSON + zip, per paper §2.1) ==");
     // A realistic result document: a merged RunSummary.
     let outcome = run_docstore(&RunConfig {
@@ -1367,83 +1309,41 @@ fn experiment_e6() {
     println!();
 }
 
-/// E8 — metadata store under contention: the old single-mutex store vs the
-/// sharded group-commit store, 8 threads of mixed put/get/list, both
-/// appending to a real log file. `--json` also writes the numbers to
-/// `BENCH_control_plane.json` for regression tracking.
-fn experiment_e8(quick: bool, emit_json: bool) {
-    use chronos_bench::baseline::SingleMutexStore;
-    use chronos_bench::contention::{run_mixed, MixReport};
+/// E8 — metadata store under contention: the sharded group-commit store
+/// under 1 and 8 threads of mixed put/get/list, appending to a real log
+/// file. `--json` also writes the numbers to `BENCH_control_plane.json`
+/// for regression tracking.
+fn experiment_e8(Options { quick, emit_json }: Options) {
+    use chronos_bench::contention::run_mixed;
 
     println!("== E8: metadata store contention (mixed 50% put / 40% get / 10% list) ==");
     let ops_per_thread: u64 = if quick { 5_000 } else { 20_000 };
-    let tmp = |name: &str| {
-        std::env::temp_dir().join(format!("chronos-bench-e8-{}-{name}.log", std::process::id()))
-    };
-    let run_baseline = |threads: u64| -> MixReport {
-        let path = tmp("baseline");
-        let _ = std::fs::remove_file(&path);
-        let store = SingleMutexStore::open(&path).unwrap();
-        let report = run_mixed(&store, threads, ops_per_thread);
-        drop(store);
-        let _ = std::fs::remove_file(&path);
-        report
-    };
-    let run_sharded = |threads: u64| -> MixReport {
-        let path = tmp("sharded");
+    let path = std::env::temp_dir().join(format!("chronos-bench-e8-{}.log", std::process::id()));
+
+    let widths = [10, 14];
+    println!("{}", row(&["threads".into(), "sharded".into()], &widths));
+    let mut rates: Vec<f64> = Vec::new();
+    let mut runs: Vec<Value> = Vec::new();
+    for threads in [1u64, 8] {
         let _ = std::fs::remove_file(&path);
         let store = MetadataStore::open(&path).unwrap();
-        let report = run_mixed(&store, threads, ops_per_thread);
+        let rate = run_mixed(&store, threads, ops_per_thread).ops_per_sec();
         drop(store);
         let _ = std::fs::remove_file(&path);
-        report
-    };
-
-    let widths = [10, 14, 14, 10];
-    println!(
-        "{}",
-        row(&["threads".into(), "baseline".into(), "sharded".into(), "speedup".into()], &widths)
-    );
-    let mut results: Vec<(u64, f64, f64)> = Vec::new();
-    for threads in [1u64, 8] {
-        let baseline = run_baseline(threads);
-        let sharded = run_sharded(threads);
-        results.push((threads, baseline.ops_per_sec(), sharded.ops_per_sec()));
-        println!(
-            "{}",
-            row(
-                &[
-                    threads.to_string(),
-                    fmt_tp(baseline.ops_per_sec()),
-                    fmt_tp(sharded.ops_per_sec()),
-                    format!("{:.1}x", sharded.ops_per_sec() / baseline.ops_per_sec().max(1.0)),
-                ],
-                &widths
-            )
-        );
+        println!("{}", row(&[threads.to_string(), fmt_tp(rate)], &widths));
+        runs.push(chronos_json::obj! {"threads" => threads as i64, "sharded_ops_per_sec" => rate});
+        rates.push(rate);
     }
-    let contended = results.iter().find(|(t, _, _)| *t == 8).copied().unwrap();
     println!(
-        "shape: sharding + group commit turn contention into batching; \
-         8-thread speedup = {:.1}x\n",
-        contended.2 / contended.1.max(1.0)
+        "shape: per-kind shards + group commit batch contending appends; \
+         8 threads keep {:.0}% of the single-thread rate\n",
+        100.0 * rates[1] / rates[0].max(1.0)
     );
 
     if emit_json {
-        let runs: Vec<Value> = results
-            .iter()
-            .map(|(threads, baseline, sharded)| {
-                chronos_json::obj! {
-                    "threads" => *threads as i64,
-                    "baseline_ops_per_sec" => *baseline,
-                    "sharded_ops_per_sec" => *sharded,
-                    "speedup" => *sharded / baseline.max(1.0),
-                }
-            })
-            .collect();
         let doc = chronos_json::obj! {
             "experiment" => "E8",
-            "description" => "metadata store contention: single-mutex baseline vs sharded group-commit store",
+            "description" => "metadata store contention: sharded group-commit store under mixed put/get/list",
             "workload" => chronos_json::obj! {
                 "mix" => "50% put / 40% get / 10% list",
                 "kinds" => chronos_bench::contention::KINDS.len() as i64,
@@ -1451,99 +1351,54 @@ fn experiment_e8(quick: bool, emit_json: bool) {
                 "ops_per_thread" => ops_per_thread as i64,
                 "durable_log" => true,
             },
-            "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
             "runs" => Value::Array(runs),
         };
-        let path = "BENCH_control_plane.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_control_plane.json", doc);
     }
 }
 
-/// E9 — data-plane read path: the decode-everything baseline (what
-/// `find`/`scan` did before the overhaul) vs engine cursors + predicate
-/// pushdown over the encoded bytes, per engine. `--json` also writes the
-/// numbers to `BENCH_data_plane.json` for regression tracking.
-fn experiment_e9(quick: bool, emit_json: bool) {
-    use chronos_bench::data_plane::{
-        self, load, run_finds_decode, run_finds_pushdown, run_scans_cursor, run_scans_decode,
-    };
+/// E9 — data-plane read path: engine cursors (scans) and predicate
+/// pushdown over the encoded bytes (non-indexed finds), per engine.
+/// `--json` also writes the numbers to `BENCH_data_plane.json` for
+/// regression tracking.
+fn experiment_e9(Options { quick, emit_json }: Options) {
+    use chronos_bench::data_plane::{self, load, run_finds_pushdown, run_scans_cursor};
 
     println!("== E9: data-plane read path (scans + non-indexed find) ==");
     let records = if quick { 2_000 } else { 20_000 };
     let scans = if quick { 500 } else { 2_000 };
     let finds = if quick { 30 } else { 100 };
-    let widths = [10, 26, 12, 12, 10];
+    let widths = [10, 26, 12, 12];
     println!(
         "{}",
-        row(
-            &[
-                "engine".into(),
-                "workload".into(),
-                "baseline".into(),
-                "new path".into(),
-                "speedup".into()
-            ],
-            &widths
-        )
+        row(&["engine".into(), "workload".into(), "ops/s".into(), "rows".into()], &widths)
     );
     let mut results: Vec<Value> = Vec::new();
-    let mut speedups: Vec<f64> = Vec::new();
     for engine in ["wiredtiger", "mmapv1"] {
         let db = load(engine, records, 100);
         let coll = db.collection("usertable");
         let legs = [
-            (
-                "scan (YCSB-E, len 50)",
-                "scans_per_sec",
-                run_scans_decode(&coll, scans),
-                run_scans_cursor(&coll, scans),
-            ),
-            (
-                "find (non-indexed, ~1%)",
-                "finds_per_sec",
-                run_finds_decode(&coll, finds),
-                run_finds_pushdown(&coll, finds),
-            ),
+            ("scan (YCSB-E, len 50)", "scans_per_sec", run_scans_cursor(&coll, scans)),
+            ("find (non-indexed, ~1%)", "finds_per_sec", run_finds_pushdown(&coll, finds)),
         ];
-        for (label, unit, baseline, new_path) in legs {
-            assert_eq!(baseline.rows, new_path.rows, "paths must agree on {engine}/{label}");
-            let speedup = new_path.ops_per_sec() / baseline.ops_per_sec().max(1e-9);
-            speedups.push(speedup);
-            println!(
-                "{}",
-                row(
-                    &[
-                        engine.into(),
-                        label.into(),
-                        fmt_tp(baseline.ops_per_sec()),
-                        fmt_tp(new_path.ops_per_sec()),
-                        format!("{speedup:.1}x"),
-                    ],
-                    &widths
-                )
-            );
+        for (label, unit, report) in legs {
+            let (rate, rows) = (fmt_tp(report.ops_per_sec()), report.rows.to_string());
+            println!("{}", row(&[engine.into(), label.into(), rate, rows], &widths));
             results.push(chronos_json::obj! {
                 "engine" => engine,
                 "workload" => label,
                 "unit" => unit,
-                "rows_touched" => baseline.rows as i64,
-                "baseline_ops_per_sec" => baseline.ops_per_sec(),
-                "new_ops_per_sec" => new_path.ops_per_sec(),
-                "speedup" => speedup,
+                "rows_touched" => report.rows as i64,
+                "new_ops_per_sec" => report.ops_per_sec(),
             });
         }
     }
-    let worst = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    println!(
-        "shape: cursors skip per-row decode, pushdown decodes only matches; \
-         worst-case speedup = {worst:.1}x\n"
-    );
+    println!("shape: cursors skip per-row decode, pushdown decodes only matches\n");
 
     if emit_json {
         let doc = chronos_json::obj! {
             "experiment" => "E9",
-            "description" => "data-plane read path: decode-everything baseline vs engine cursors + predicate pushdown",
+            "description" => "data-plane read path: engine cursors + predicate pushdown",
             "workload" => chronos_json::obj! {
                 "records" => records as i64,
                 "scan_length" => data_plane::SCAN_LEN as i64,
@@ -1551,20 +1406,17 @@ fn experiment_e9(quick: bool, emit_json: bool) {
                 "find_queries" => finds as i64,
                 "find_selectivity" => 1.0 / data_plane::GROUPS as f64,
             },
-            "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as i64,
             "runs" => Value::Array(results),
-            "worst_case_speedup" => worst,
         };
-        let path = "BENCH_data_plane.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_data_plane.json", doc);
     }
 }
 
 /// E7 — tpcc-lite: the paper's future-work OLTP-Bench direction. Per-engine
 /// new-orders/minute and per-transaction-type p99 latency, durable mode.
-fn experiment_e7(scale: &Scale) {
+fn experiment_e7(options: Options) {
     use chronos_agent::{EvaluationClient, JobContext, TpccClient};
+    let scale = options.scale();
     println!("== E7: tpcc-lite transactions (durable, 4 terminals) ==");
     let widths = [10, 14, 14, 16];
     println!(
@@ -1622,7 +1474,7 @@ fn experiment_e7(scale: &Scale) {
 /// exactly-once ledger across the leader death, and (c) follower read
 /// scaling vs a single node at equal worker counts. `--json` also writes
 /// the numbers to `BENCH_cluster.json` for regression tracking.
-fn experiment_e14(quick: bool, emit_json: bool) {
+fn experiment_e14(Options { quick, emit_json }: Options) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
@@ -1959,14 +1811,34 @@ fn experiment_e14(quick: bool, emit_json: bool) {
                 "floor" => 2.0,
                 "floor_enforced" => scaling_enforced,
             },
-            "host_cores" => cores as i64,
         };
-        let path = "BENCH_cluster.json";
-        std::fs::write(path, doc.to_pretty_string() + "\n").unwrap();
-        println!("wrote {path}\n");
+        write_report("BENCH_cluster.json", doc);
     }
 
     for mut server in servers {
         server.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Options, Vec<&'static str>), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn arguments_name_known_experiments_and_reject_everything_else() {
+        assert_eq!(parse(&[]), Ok((Options { quick: false, emit_json: false }, vec![])));
+        assert_eq!(
+            parse(&["E13", "--quick", "e8", "--json"]),
+            Ok((Options { quick: true, emit_json: true }, vec!["E13", "E8"])),
+            "known subset, ids case-insensitive"
+        );
+        for (args, culprit) in [(&["E99"][..], "E99"), (&["E8", "--jsno"], "--jsno")] {
+            let message = parse(args).unwrap_err();
+            assert!(message.contains(culprit) && message.contains("E1 E2 "), "{message}");
+        }
     }
 }

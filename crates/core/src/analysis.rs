@@ -42,9 +42,11 @@ pub const STANDARD_METRIC_PATHS: [&str; 6] = [
     "/operations/update/latency_micros/p99",
 ];
 
-/// One analyzable data point: a finished job's parameters + measurements.
+/// One finished job read back from the row store: its parameters and
+/// measurements. Input of the columnar backfill only — every read is
+/// served from the table.
 #[derive(Debug, Clone)]
-pub struct ResultPoint {
+pub(crate) struct ResultPoint {
     /// Job id.
     pub job_id: Id,
     /// The job's concrete parameters.
@@ -53,8 +55,12 @@ pub struct ResultPoint {
     pub data: Value,
 }
 
-/// Collects the finished jobs of an evaluation as result points.
-pub fn collect_points(control: &ChronosControl, evaluation_id: Id) -> CoreResult<Vec<ResultPoint>> {
+/// Collects the finished jobs of an evaluation, in `job_ids` order, for
+/// [`ChronosControl::columnar_table`]'s backfill.
+pub(crate) fn collect_points(
+    control: &ChronosControl,
+    evaluation_id: Id,
+) -> CoreResult<Vec<ResultPoint>> {
     let jobs = control.list_jobs(evaluation_id)?;
     let mut points = Vec::new();
     for job in jobs {
@@ -70,15 +76,6 @@ pub fn collect_points(control: &ChronosControl, evaluation_id: Id) -> CoreResult
         }
     }
     Ok(points)
-}
-
-/// Renders one parameter value as a stable label.
-fn param_label(value: Option<&Value>) -> String {
-    match value {
-        None | Some(Value::Null) => "-".to_string(),
-        Some(Value::String(s)) => s.clone(),
-        Some(other) => other.to_string(),
-    }
 }
 
 /// Sorts labels numerically when they all parse as numbers, else
@@ -101,7 +98,8 @@ fn sort_labels(labels: &mut Vec<String>) {
 /// An evaluation's columnar table plus its rows gathered in canonical
 /// `job_ids` order — the exact row set and iteration order of
 /// [`collect_points`], so every columnar aggregation below is
-/// bit-identical to the row path it replaced.
+/// bit-identical to the row path it replaced (kept as the oracle in this
+/// module's tests).
 fn columnar_rows(
     control: &ChronosControl,
     evaluation_id: Id,
@@ -113,7 +111,7 @@ fn columnar_rows(
 }
 
 /// The display label of `row` in a parameter column — `"-"` for an
-/// absent/null parameter, matching [`param_label`] on the row path.
+/// absent/null parameter.
 fn column_label(column: Option<&ParamColumn>, row: usize) -> &str {
     column.and_then(|c| c.label_at(row)).unwrap_or("-")
 }
@@ -133,9 +131,10 @@ pub fn chart_data(
     Ok(chart_data_from_table(&table, &order, spec))
 }
 
-/// [`chart_data`] over a columnar table: same labels, same ordering, same
-/// left-to-right float accumulation as [`chart_data_from_points`] —
-/// bit-identical output.
+/// [`chart_data`] over a columnar table and the physical rows to read, in
+/// accumulation order: float sums run left to right over `order`, so the
+/// output is bit-identical to the row-at-a-time oracle in this module's
+/// tests.
 pub fn chart_data_from_table(table: &ResultTable, order: &[usize], spec: &ChartSpec) -> ChartData {
     let x_col = table.param_column(&spec.x_param);
     let mut x_labels: Vec<String> =
@@ -194,57 +193,6 @@ pub fn chart_data_from_table(table: &ResultTable, order: &[usize], spec: &ChartS
     ChartData { x_labels, series }
 }
 
-/// [`chart_data`] over pre-collected points (used by archives and tests).
-pub fn chart_data_from_points(points: &[ResultPoint], spec: &ChartSpec) -> CoreResult<ChartData> {
-    let mut x_labels: Vec<String> =
-        points.iter().map(|p| param_label(p.parameters.get(&spec.x_param))).collect();
-    sort_labels(&mut x_labels);
-    let mut series_names: Vec<String> = match &spec.series_param {
-        Some(param) => {
-            let mut names: Vec<String> =
-                points.iter().map(|p| param_label(p.parameters.get(param))).collect();
-            names.sort();
-            names.dedup();
-            names
-        }
-        None => vec![spec.y_label.clone()],
-    };
-    if series_names.is_empty() {
-        series_names.push(spec.y_label.clone());
-    }
-    // (series, x) -> (sum, count)
-    let mut cells: Vec<Vec<(f64, u32)>> = vec![vec![(0.0, 0); x_labels.len()]; series_names.len()];
-    for point in points {
-        let x = param_label(point.parameters.get(&spec.x_param));
-        let series = match &spec.series_param {
-            Some(param) => param_label(point.parameters.get(param)),
-            None => spec.y_label.clone(),
-        };
-        let Some(value) = point.data.pointer(&spec.value_path).and_then(Value::as_f64) else {
-            continue;
-        };
-        let (Some(xi), Some(si)) =
-            (x_labels.iter().position(|l| *l == x), series_names.iter().position(|s| *s == series))
-        else {
-            continue;
-        };
-        cells[si][xi].0 += value;
-        cells[si][xi].1 += 1;
-    }
-    let series = series_names
-        .into_iter()
-        .zip(cells)
-        .map(|(name, row)| {
-            let values = row
-                .into_iter()
-                .map(|(sum, n)| if n == 0 { None } else { Some(sum / n as f64) })
-                .collect();
-            (name, values)
-        })
-        .collect();
-    Ok(ChartData { x_labels, series })
-}
-
 /// A tabular summary of an evaluation: one row per finished job with its
 /// parameters and the standard metrics found in the result document.
 /// Served from the columnar store (parameter documents round-trip through
@@ -280,19 +228,6 @@ pub fn summary_table(control: &ChronosControl, evaluation_id: Id) -> CoreResult<
         "evaluation_id" => evaluation_id.to_base32(),
         "rows" => Value::Array(rows),
     })
-}
-
-/// Extracts the standard metrics (requirement *(vi)*: "standard metrics for
-/// measurements (e.g., execution time)") from a result document, tolerating
-/// missing fields.
-pub fn standard_metrics(data: &Value) -> Value {
-    let mut metrics = obj! {};
-    for (label, pointer) in STANDARD_METRIC_COLUMNS {
-        if let Some(v) = data.pointer(pointer) {
-            metrics.set(label, v.clone());
-        }
-    }
-    metrics
 }
 
 /// Compares two series of a chart: per-x ratio `a / b` and the overall
@@ -543,6 +478,81 @@ pub fn experiment_regressions(
 mod tests {
     use super::*;
 
+    /// Renders one parameter value as a stable label.
+    fn param_label(value: Option<&Value>) -> String {
+        match value {
+            None | Some(Value::Null) => "-".to_string(),
+            Some(Value::String(s)) => s.clone(),
+            Some(other) => other.to_string(),
+        }
+    }
+
+    /// The pre-columnar row-at-a-time chart aggregation, kept verbatim as the
+    /// oracle.
+    fn chart_data_from_points(points: &[ResultPoint], spec: &ChartSpec) -> CoreResult<ChartData> {
+        let mut x_labels: Vec<String> =
+            points.iter().map(|p| param_label(p.parameters.get(&spec.x_param))).collect();
+        sort_labels(&mut x_labels);
+        let mut series_names: Vec<String> = match &spec.series_param {
+            Some(param) => {
+                let mut names: Vec<String> =
+                    points.iter().map(|p| param_label(p.parameters.get(param))).collect();
+                names.sort();
+                names.dedup();
+                names
+            }
+            None => vec![spec.y_label.clone()],
+        };
+        if series_names.is_empty() {
+            series_names.push(spec.y_label.clone());
+        }
+        // (series, x) -> (sum, count)
+        let mut cells: Vec<Vec<(f64, u32)>> =
+            vec![vec![(0.0, 0); x_labels.len()]; series_names.len()];
+        for point in points {
+            let x = param_label(point.parameters.get(&spec.x_param));
+            let series = match &spec.series_param {
+                Some(param) => param_label(point.parameters.get(param)),
+                None => spec.y_label.clone(),
+            };
+            let Some(value) = point.data.pointer(&spec.value_path).and_then(Value::as_f64) else {
+                continue;
+            };
+            let (Some(xi), Some(si)) = (
+                x_labels.iter().position(|l| *l == x),
+                series_names.iter().position(|s| *s == series),
+            ) else {
+                continue;
+            };
+            cells[si][xi].0 += value;
+            cells[si][xi].1 += 1;
+        }
+        let series = series_names
+            .into_iter()
+            .zip(cells)
+            .map(|(name, row)| {
+                let values = row
+                    .into_iter()
+                    .map(|(sum, n)| if n == 0 { None } else { Some(sum / n as f64) })
+                    .collect();
+                (name, values)
+            })
+            .collect();
+        Ok(ChartData { x_labels, series })
+    }
+
+    /// The pre-columnar extraction of the standard metrics from one result
+    /// document, tolerating missing fields; oracle for `summary_table`.
+    fn standard_metrics(data: &Value) -> Value {
+        let mut metrics = obj! {};
+        for (label, pointer) in STANDARD_METRIC_COLUMNS {
+            if let Some(v) = data.pointer(pointer) {
+                metrics.set(label, v.clone());
+            }
+        }
+        metrics
+    }
+
     fn points() -> Vec<ResultPoint> {
         let mut out = Vec::new();
         for (engine, threads, tp) in [
@@ -638,10 +648,12 @@ mod tests {
 
     mod columnar {
         use super::super::*;
+        use super::{chart_data_from_points, standard_metrics};
         use crate::auth::Role;
         use crate::params::{ParamAssignments, ParamDef, ParamType};
         use crate::scheduler::SchedulerConfig;
         use crate::store::MetadataStore;
+        use chronos_analytics::percentile_sorted;
         use chronos_json::obj;
         use chronos_util::SystemClock;
         use std::sync::Arc;
@@ -795,6 +807,49 @@ mod tests {
             out
         }
 
+        /// E13's synthetic evaluation — a 2-engine x 4-thread sweep of `n`
+        /// uploads with splitmix64 noise — as a decoded table, the physical
+        /// rows to read, and the same uploads as row points. Both paths get
+        /// the rows in one seeded permutation of append order, so a path
+        /// that accumulates floats over physical rows `0..n` instead of
+        /// `order` diverges from the oracle.
+        fn permuted_sweep(n: usize) -> (ResultTable, Vec<usize>, Vec<ResultPoint>) {
+            let mut state = 0x1234_5678_9abc_def0u64;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let mut table = ResultTable::new();
+            let mut points = Vec::new();
+            for i in 0..n {
+                let threads = [1i64, 2, 4, 8][(i / 2) % 4];
+                let noise = (next() % 1_000) as f64 / 10.0;
+                let parameters = obj! {"engine" => ["a", "b"][i % 2], "threads" => threads};
+                let data = obj! {
+                    "throughput_ops_per_sec" => 1_000.0 * threads as f64 + noise,
+                    "operations" => obj! {
+                        "read" => obj! {
+                            "latency_micros" => obj! {"p99" => 400 + (next() % 200) as i64},
+                        },
+                    },
+                };
+                let job_id = Id::from_u128(i as u128 + 1);
+                table.append(job_id.as_u128(), &parameters, &data, &STANDARD_METRIC_PATHS);
+                points.push(ResultPoint { job_id, parameters, data });
+            }
+            // Fisher-Yates over append order; gathering by the shuffled
+            // points' ids permutes `order` the same way.
+            for i in (1..n).rev() {
+                points.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let table = ResultTable::decode(&table.encode()).unwrap();
+            let order = table.gather(points.iter().map(|p| p.job_id.as_u128()));
+            (table, order, points)
+        }
+
         #[test]
         fn chart_matches_row_path_byte_for_byte() {
             let (control, evaluation_id) = fixture(MetadataStore::in_memory());
@@ -814,6 +869,26 @@ mod tests {
             let columnar = chart_data(&control, evaluation_id, &absent).unwrap();
             let rows = chart_data_from_points(&points, &absent).unwrap();
             assert_eq!(columnar, rows);
+            // A float and an int metric over the permuted sweep: same chart,
+            // same values in gather order, hence the same p99.
+            let (table, order, points) = permuted_sweep(2_000);
+            for value_path in ["/throughput_ops_per_sec", "/operations/read/latency_micros/p99"] {
+                let mut sweep = spec();
+                sweep.value_path = value_path.into();
+                let columnar = chart_data_from_table(&table, &order, &sweep);
+                assert_eq!(columnar, chart_data_from_points(&points, &sweep).unwrap());
+                let cells = table.data_column(value_path).unwrap().materialize();
+                let mut columnar: Vec<f64> =
+                    order.iter().filter_map(|&row| cells[row].as_f64()).collect();
+                let mut rows: Vec<f64> = points
+                    .iter()
+                    .filter_map(|p| p.data.pointer(value_path).and_then(Value::as_f64))
+                    .collect();
+                assert_eq!(columnar, rows);
+                columnar.sort_by(f64::total_cmp);
+                rows.sort_by(f64::total_cmp);
+                assert_eq!(percentile_sorted(&columnar, 0.99), percentile_sorted(&rows, 0.99));
+            }
         }
 
         #[test]

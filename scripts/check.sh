@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, one workspace-wide lint pass, the full test
-# suite, a quick chronos-bench smoke run, and a build of the repo benchmark
-# (benchmark/ is its own workspace, so nothing else compiles it).
+# suite, a quick chronos-bench smoke run, and a build + unit-test run of the
+# repo benchmark (benchmark/ is its own workspace, so nothing else compiles
+# or tests it).
 # Usage: scripts/check.sh [--bench] [--chaos] [--cluster]
 #   --bench    also regenerate BENCH_control_plane.json / BENCH_data_plane.json /
 #              BENCH_overload.json / BENCH_http_scale.json / BENCH_analytics.json /
 #              BENCH_cluster.json / BENCH_adaptive.json / BENCH_isolation.json at
 #              full scale via the E8, E9, E11, E12, E13, E14, E15 and E16
-#              experiments
+#              experiments. This overwrites the committed files, which also
+#              hold rows no commit can regenerate any more (E8/E9/E13
+#              baselines, E11 unbounded, E12 threaded — see EXPERIMENTS.md).
 #   --chaos    also run the fault-injection suites (torture + chaos) with
 #              --features failpoints under a fixed seed, and verify that the
 #              default release build carries zero failpoint overhead
@@ -39,7 +42,9 @@ fi
 
 echo "== chronos-bench smoke (E8 E9 E11 E12 E13 E15 E16, quick sizes) =="
 # Runs in a temp directory so the quick-size numbers don't clobber the
-# committed full-scale BENCH_*.json files. E15 also asserts the adaptive
+# committed full-scale BENCH_*.json files. E8, E9 and E13 time the shipped
+# store, read path and columnar kernels only (no baseline arm, no ratio to
+# assert); an unknown id or flag exits 2. E15 also asserts the adaptive
 # invariants (budget <= 30% of the grid, deterministic replay, survivor
 # == sampled argmax), and E16 asserts the budget-watchdog invariants
 # (<=2% overhead on compliant work, typed kills on runaway work), so the
@@ -75,6 +80,11 @@ echo "== repo benchmark builds (benchmark/, its own workspace) =="
 # workspace; without this stage a deletion under crates/ could break the
 # BENCHMARK.json command and no other gate would notice.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "== repo benchmark unit tests =="
+# The harness's own arithmetic: percentile rule, span self-time, stamp
+# comparison, and BENCHMARK.json <-> metric-table agreement.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 for arg in "$@"; do
     case "$arg" in
