@@ -10,8 +10,9 @@
 //!   ingestion on a store that predates the cache start out
 //!   un-backfilled; the first reader rebuilds them from the row store
 //!   (lazy backfill) and installs the complete table.
-//! * `generation` — bumped by every ingest, so a backfill computed from a
-//!   snapshot is dropped instead of clobbering a concurrent upload.
+//! * `generation` — bumped by every ingest and every invalidation, so a
+//!   backfill computed from a snapshot is dropped instead of clobbering a
+//!   concurrent upload or outliving the rows it was built from.
 
 use std::collections::HashMap;
 
@@ -58,8 +59,26 @@ pub struct RegressionFlag {
 /// experiment id (regression flags).
 #[derive(Default)]
 pub struct AnalyticsStore {
-    tables: RwLock<HashMap<u128, TableEntry>>,
+    tables: RwLock<Tables>,
     flags: RwLock<HashMap<u128, RegressionFlag>>,
+}
+
+#[derive(Default)]
+struct Tables {
+    entries: HashMap<u128, TableEntry>,
+    /// The generation an entry that does not exist yet loads as and is
+    /// created with. Advanced by every invalidation, so a backfill that
+    /// found no entry before one cannot install after it either.
+    absent_generation: u64,
+}
+
+impl Tables {
+    fn entry(&mut self, evaluation: u128) -> &mut TableEntry {
+        let generation = self.absent_generation;
+        self.entries
+            .entry(evaluation)
+            .or_insert_with(|| TableEntry { generation, ..TableEntry::default() })
+    }
 }
 
 impl AnalyticsStore {
@@ -72,8 +91,7 @@ impl AnalyticsStore {
     /// result will flow through [`AnalyticsStore::ingest`], so readers
     /// never need a backfill pass.
     pub fn mark_fresh(&self, evaluation: u128) {
-        let mut tables = self.tables.write();
-        tables.entry(evaluation).or_default().backfilled = true;
+        self.tables.write().entry(evaluation).backfilled = true;
     }
 
     /// Columnarizes one uploaded result into the evaluation's table.
@@ -88,7 +106,7 @@ impl AnalyticsStore {
         json_paths: &[&str],
     ) {
         let mut tables = self.tables.write();
-        let entry = tables.entry(evaluation).or_default();
+        let entry = tables.entry(evaluation);
         let mut table = if entry.encoded.is_empty() {
             ResultTable::new()
         } else {
@@ -114,8 +132,12 @@ impl AnalyticsStore {
     /// entry is missing or corrupt).
     pub fn load(&self, evaluation: u128) -> LoadedTable {
         let tables = self.tables.read();
-        match tables.get(&evaluation) {
-            None => LoadedTable { table: ResultTable::new(), backfilled: false, generation: 0 },
+        match tables.entries.get(&evaluation) {
+            None => LoadedTable {
+                table: ResultTable::new(),
+                backfilled: false,
+                generation: tables.absent_generation,
+            },
             Some(entry) => {
                 let table = if entry.encoded.is_empty() {
                     Ok(ResultTable::new())
@@ -143,7 +165,7 @@ impl AnalyticsStore {
     /// raced the backfill; the next reader simply rebuilds.
     pub fn install(&self, evaluation: u128, table: &ResultTable, loaded_generation: u64) -> bool {
         let mut tables = self.tables.write();
-        let entry = tables.entry(evaluation).or_default();
+        let entry = tables.entry(evaluation);
         if entry.generation != loaded_generation {
             return false;
         }
@@ -153,9 +175,24 @@ impl AnalyticsStore {
         true
     }
 
+    /// Drops every table back to empty and un-backfilled: the row store
+    /// changed underneath them (a replication install), so the next reader
+    /// of each rebuilds it. Every generation advances, the absent one
+    /// included — a backfill that loaded before the call must not install
+    /// after it.
+    pub fn invalidate_all(&self) {
+        let mut tables = self.tables.write();
+        tables.absent_generation += 1;
+        for entry in tables.entries.values_mut() {
+            entry.encoded = Vec::new();
+            entry.backfilled = false;
+            entry.generation += 1;
+        }
+    }
+
     /// Encoded size of an evaluation's table in bytes (0 when absent).
     pub fn encoded_size(&self, evaluation: u128) -> usize {
-        self.tables.read().get(&evaluation).map(|e| e.encoded.len()).unwrap_or(0)
+        self.tables.read().entries.get(&evaluation).map(|e| e.encoded.len()).unwrap_or(0)
     }
 
     /// Records the outcome of a regression scan.
@@ -209,6 +246,29 @@ mod tests {
         let fresh = store.load(1);
         assert!(store.install(1, &fresh.table, fresh.generation));
         assert!(store.load(1).backfilled);
+    }
+
+    #[test]
+    fn invalidation_empties_tables_and_fences_out_older_backfills() {
+        let store = AnalyticsStore::new();
+        store.mark_fresh(1);
+        store.ingest(1, 10, &obj! {}, &obj! {"tp" => 1.0}, &[]);
+        let before = store.load(1);
+        assert!(before.backfilled);
+        store.invalidate_all();
+        let after = store.load(1);
+        assert!(!after.backfilled, "the next reader must rebuild");
+        assert_eq!((after.table.rows(), store.encoded_size(1)), (0, 0));
+        // A backfill that loaded before the invalidation is refused.
+        assert!(!store.install(1, &before.table, before.generation));
+        assert!(!store.load(1).backfilled);
+        assert!(store.install(1, &before.table, after.generation));
+        assert!(store.load(1).backfilled);
+        // So is one that found no entry at all before it.
+        let absent = store.load(2);
+        store.invalidate_all();
+        assert!(!store.install(2, &absent.table, absent.generation));
+        assert!(!store.load(2).backfilled);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::model::{Deployment, Evaluation, Experiment, Job, JobResult, JobState,
 use crate::params::{ParamAssignments, PointSpace};
 use crate::scheduler::{EvaluationStatus, SchedulerConfig};
 use crate::store::MetadataStore;
+use crate::versions::Versions;
 
 const KIND_USER: &str = "user";
 const KIND_SYSTEM: &str = "system";
@@ -41,6 +42,9 @@ pub struct ChronosControl {
     /// Columnar mirror of uploaded results (chart/summary/regression
     /// queries run over this instead of re-decoding JSON rows).
     analytics: AnalyticsStore,
+    /// What version of an evaluation a derived read was computed from
+    /// (see [`ChronosControl::evaluation_version`]).
+    versions: Versions,
     /// Serializes read-modify-write cycles on entities (claims, state
     /// transitions) so concurrent agents never double-claim a job.
     write_lock: parking_lot::Mutex<()>,
@@ -60,6 +64,7 @@ impl ChronosControl {
             clock,
             config,
             analytics: AnalyticsStore::new(),
+            versions: Versions::default(),
             write_lock: parking_lot::Mutex::new(()),
         }
     }
@@ -99,9 +104,50 @@ impl ChronosControl {
     /// store (see [`MetadataStore::install_replication`]). Serialized
     /// against local control-plane writes so installed frames interleave
     /// cleanly with any lingering local mutation.
+    ///
+    /// The frames bypass the lifecycle code, so nothing here knows which
+    /// evaluations they touched: every columnar table drops back to
+    /// un-backfilled (its next reader rebuilds it from the replicated
+    /// rows) and every evaluation's version advances at once. Writer
+    /// ordering rule: rows, then tables, then the epoch — a reader that
+    /// sees the new epoch sees both. Done on an error too (the store
+    /// applies frames to memory before its flush can fail), but not when
+    /// no frame applied: leaders ship empty segments as heartbeats several
+    /// times a lease, and those must not cost a follower its tables.
     pub fn install_replication(&self, payload: &[u8]) -> CoreResult<u64> {
         let _guard = self.write_lock.lock();
-        self.store.install_replication(payload)
+        let installed = self.store.install_replication(payload);
+        if !matches!(installed, Ok(0)) {
+            self.analytics.invalidate_all();
+            self.versions.advance_epoch();
+        }
+        installed
+    }
+
+    // ----- versions (what a derived read was computed from) -----------------
+
+    /// A monotone per-evaluation counter, advanced by every transition
+    /// that can change anything read about the evaluation: each job and
+    /// evaluation document put, each analytics ingest, each replication
+    /// install (which advances all evaluations at once). Restarts at 0
+    /// with the process.
+    ///
+    /// Reader ordering rule: load this *before* reading any state and tag
+    /// what was derived with the pre-read value. Writers bump after their
+    /// last mutation is visible, so a body computed across a concurrent
+    /// write is at worst tagged too old and recomputed by the next reader,
+    /// never served stale.
+    pub fn evaluation_version(&self, id: Id) -> u64 {
+        self.versions.evaluation(id.as_u128())
+    }
+
+    /// A store-wide monotone value that every mutation advances: the
+    /// replication feed's end offset (every document put or delete, on
+    /// leaders and followers, persistent or in-memory) plus the number of
+    /// evaluation-version bumps (analytics ingest moves no document). Same
+    /// reader rule as [`ChronosControl::evaluation_version`].
+    pub fn state_version(&self) -> u64 {
+        self.store.replication_offset() + self.versions.total()
     }
 
     // ----- users & sessions ------------------------------------------------
@@ -481,7 +527,7 @@ impl ChronosControl {
             source: Some(JobSourceState::plan(experiment.strategy.clone(), space.total())),
         };
         let _guard = self.write_lock.lock();
-        self.store.put(KIND_EVALUATION, &evaluation.id.to_base32(), evaluation.to_json())?;
+        self.save_evaluation(&evaluation)?;
         // Born with the analytics store attached: every result is ingested
         // at upload, so columnar reads never need a backfill pass.
         self.analytics.mark_fresh(evaluation.id.as_u128());
@@ -509,11 +555,20 @@ impl ChronosControl {
     /// The state roll-up of an evaluation (paper Fig. 3b). Lazy evaluations
     /// also report their unmaterialized remainder, so a fresh evaluation
     /// with zero job documents reads as 0 % complete, not 100 %.
+    ///
+    /// Reads only the `state` field of each stored job document — a status
+    /// poll never decodes logs, timelines or parameters.
     pub fn evaluation_status(&self, id: Id) -> CoreResult<EvaluationStatus> {
         let evaluation = self.get_evaluation(id)?;
         let mut status = EvaluationStatus::default();
         for job_id in &evaluation.job_ids {
-            match self.get_job(*job_id)?.state {
+            let state = self
+                .store
+                .get(KIND_JOB, &job_id.to_base32())
+                .as_deref()
+                .and_then(stored_job_state)
+                .ok_or_else(|| CoreError::not_found("job", job_id))?;
+            match state {
                 JobState::Scheduled => status.scheduled += 1,
                 JobState::Running => status.running += 1,
                 JobState::Finished => status.finished += 1,
@@ -540,8 +595,21 @@ impl ChronosControl {
         evaluation.job_ids.iter().map(|id| self.get_job(*id)).collect()
     }
 
+    /// The one place a job document is put. Bumps the evaluation's version
+    /// after the put — on an error too: the store inserts into memory
+    /// before its flush can fail.
     fn save_job(&self, job: &Job) -> CoreResult<()> {
-        self.store.put(KIND_JOB, &job.id.to_base32(), job.to_json())
+        let put = self.store.put(KIND_JOB, &job.id.to_base32(), job.to_json());
+        self.versions.bump(job.evaluation_id.as_u128());
+        put
+    }
+
+    /// The one place an evaluation document is put; bumps like
+    /// [`ChronosControl::save_job`].
+    fn save_evaluation(&self, evaluation: &Evaluation) -> CoreResult<()> {
+        let put = self.store.put(KIND_EVALUATION, &evaluation.id.to_base32(), evaluation.to_json());
+        self.versions.bump(evaluation.id.as_u128());
+        put
     }
 
     /// Marks `job` claimed by `deployment` and persists it. Caller holds
@@ -686,7 +754,7 @@ impl ChronosControl {
             }
             evaluation.job_ids.push(job.id);
             evaluation.source = Some(source);
-            self.store.put(KIND_EVALUATION, &evaluation.id.to_base32(), evaluation.to_json())?;
+            self.save_evaluation(&evaluation)?;
             return Ok(Some(self.claim_job_locked(job, deployment, idempotency_key)?));
         }
         Ok(None)
@@ -834,6 +902,11 @@ impl ChronosControl {
             &result.data,
             &crate::analysis::STANDARD_METRIC_PATHS,
         );
+        // Writer ordering rule: the transition's last bump follows its
+        // last mutation. `save_job` bumped before the row above existed;
+        // without this one a reader could tag a summary that lacks the row
+        // with the evaluation's final version and serve it forever.
+        self.versions.bump(job.evaluation_id.as_u128());
         Ok(result)
     }
 
@@ -918,15 +991,14 @@ impl ChronosControl {
         let mut timed_out = Vec::new();
         let candidates: Vec<Id> = {
             let _guard = self.write_lock.lock();
+            // Only running jobs hold a lease: peek at the stored state and
+            // fully decode just those.
             self.store
-                .ids(KIND_JOB)
+                .list(KIND_JOB)
                 .iter()
-                .filter_map(|id| self.store.get(KIND_JOB, id))
-                .filter_map(|doc| Job::from_json(&doc).ok())
-                .filter(|job| {
-                    job.state == JobState::Running
-                        && self.config.lease_expired(job.heartbeat_at, now)
-                })
+                .filter(|doc| stored_job_state(doc) == Some(JobState::Running))
+                .filter_map(|doc| Job::from_json(doc).ok())
+                .filter(|job| self.config.lease_expired(job.heartbeat_at, now))
                 .map(|job| job.id)
                 .collect()
         };
@@ -1025,6 +1097,12 @@ impl ChronosControl {
     }
 }
 
+/// The lifecycle state of a stored job document, read without decoding
+/// the rest of it. `None` when the field is missing or not a known state.
+fn stored_job_state(doc: &Value) -> Option<JobState> {
+    doc.get("state").and_then(Value::as_str).and_then(JobState::parse)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1102,6 +1180,115 @@ mod tests {
             .unwrap();
         let evaluation = control.create_evaluation(experiment.id).unwrap();
         (control, clock, evaluation, deployment)
+    }
+
+    /// The state peek of `evaluation_status` against the count a full
+    /// decode of every job gives.
+    fn assert_status_matches_full_decode(control: &ChronosControl, evaluation_id: Id) {
+        let mut decoded = EvaluationStatus::default();
+        for job in control.list_jobs(evaluation_id).unwrap() {
+            match job.state {
+                JobState::Scheduled => decoded.scheduled += 1,
+                JobState::Running => decoded.running += 1,
+                JobState::Finished => decoded.finished += 1,
+                JobState::Aborted => decoded.aborted += 1,
+                JobState::Failed => decoded.failed += 1,
+                JobState::Quarantined => decoded.quarantined += 1,
+            }
+        }
+        decoded.remaining =
+            control.get_evaluation(evaluation_id).unwrap().source.map(|s| s.remaining() as usize);
+        assert_eq!(control.evaluation_status(evaluation_id).unwrap(), decoded);
+    }
+
+    /// Ships everything `leader` has committed beyond `follower`'s offset.
+    fn replicate(leader: &ChronosControl, follower: &ChronosControl) {
+        let segment = leader.read_replication(follower.replication_offset(), usize::MAX).unwrap();
+        assert_eq!(follower.install_replication(&segment).unwrap(), segment.len() as u64);
+    }
+
+    #[test]
+    fn follower_analytics_follow_every_installed_segment() {
+        let (leader, _clock, evaluation, deployment) = demo_evaluation();
+        let (follower, _follower_clock) = control_with_clock();
+        let summary = |control: &ChronosControl| {
+            crate::analysis::summary_table(control, evaluation.id).unwrap().to_string()
+        };
+        for finished in 1..=3 {
+            let job = leader.claim_next_job(deployment.id, None).unwrap().unwrap();
+            leader
+                .finish_job(
+                    job.id,
+                    obj! {"throughput_ops_per_sec" => 100.0 * finished as f64},
+                    vec![],
+                    None,
+                    None,
+                )
+                .unwrap();
+            let (version, state) =
+                (follower.evaluation_version(evaluation.id), follower.state_version());
+            replicate(&leader, &follower);
+            assert!(follower.evaluation_version(evaluation.id) > version);
+            assert!(follower.state_version() > state);
+            // The first read backfills and marks the follower's table
+            // complete; the next install must take that back.
+            assert_eq!(follower.columnar_table(evaluation.id).unwrap().rows(), finished);
+            assert_eq!(leader.columnar_table(evaluation.id).unwrap().rows(), finished);
+            assert_eq!(summary(&follower), summary(&leader));
+            // A heartbeat (an empty segment) installs nothing and must not
+            // cost the follower its rebuilt table or move a version.
+            let version = follower.evaluation_version(evaluation.id);
+            replicate(&leader, &follower);
+            assert_eq!(follower.evaluation_version(evaluation.id), version);
+            assert!(follower.analytics.load(evaluation.id.as_u128()).backfilled);
+        }
+        // Promotion: the follower takes writes, and its ingest lands in a
+        // table that holds every replicated row.
+        let job = follower.claim_next_job(deployment.id, None).unwrap().unwrap();
+        follower
+            .finish_job(job.id, obj! {"throughput_ops_per_sec" => 1.0}, vec![], None, None)
+            .unwrap();
+        assert_eq!(follower.columnar_table(evaluation.id).unwrap().rows(), 4);
+    }
+
+    #[test]
+    fn versions_move_with_every_transition_of_their_evaluation_only() {
+        let (control, clock, evaluation, deployment) = demo_evaluation();
+        let experiment = control.get_experiment(evaluation.experiment_id).unwrap();
+        let other = control.create_evaluation(experiment.id).unwrap();
+        let mut last = (control.evaluation_version(evaluation.id), control.state_version());
+        let mut moved = |what: &str| {
+            let now = (control.evaluation_version(evaluation.id), control.state_version());
+            assert!(now.0 > last.0 && now.1 > last.1, "{what}: {last:?} -> {now:?}");
+            last = now;
+        };
+        let untouched = control.evaluation_version(other.id);
+        let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+        moved("claim");
+        control.heartbeat(job.id, Some(10), None).unwrap();
+        moved("heartbeat");
+        control.append_log(job.id, "line").unwrap();
+        moved("log");
+        control.finish_job(job.id, obj! {"ok" => 1}, vec![], None, None).unwrap();
+        moved("finish");
+        let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+        moved("claim");
+        control.fail_job(job.id, "boom", None).unwrap();
+        moved("fail");
+        control.abort_job(job.id).unwrap();
+        moved("abort");
+        let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+        clock.advance_millis(10_001);
+        assert_eq!(control.check_timeouts().unwrap(), vec![job.id]);
+        moved("timeout");
+        assert_eq!(control.evaluation_version(other.id), untouched);
+        // A rejected transition changes nothing and moves nothing.
+        assert!(control.heartbeat(job.id, None, Some(9)).is_err());
+        assert_eq!(last, (control.evaluation_version(evaluation.id), control.state_version()));
+        // Mutations outside any evaluation still move the store-wide value.
+        control.create_user("bob", "pw", Role::Viewer).unwrap();
+        assert!(control.state_version() > last.1);
+        assert_eq!(control.evaluation_version(evaluation.id), last.0);
     }
 
     #[test]
@@ -1251,6 +1438,7 @@ mod tests {
         // The roll-up reports it and treats it as settled work.
         let status = control.evaluation_status(failed.evaluation_id).unwrap();
         assert_eq!(status.quarantined, 1);
+        assert_status_matches_full_decode(&control, failed.evaluation_id);
     }
 
     #[test]
@@ -1326,6 +1514,18 @@ mod tests {
         assert!(matches!(control.abort_job(next.id), Err(CoreError::Conflict(_))));
         // Heartbeat on an aborted job fails.
         assert!(control.heartbeat(running.id, None, None).is_err());
+        // The roll-up peeks at each stored state; it agrees with a full
+        // decode, and a state it cannot read is an error, not a zero.
+        assert_status_matches_full_decode(&control, next.evaluation_id);
+        for state in [Value::from("paused"), Value::Null] {
+            let mut doc = next.to_json();
+            doc.set("state", state);
+            control.store.put(KIND_JOB, &next.id.to_base32(), doc).unwrap();
+            assert!(matches!(
+                control.evaluation_status(next.evaluation_id),
+                Err(CoreError::NotFound { .. })
+            ));
+        }
     }
 
     #[test]

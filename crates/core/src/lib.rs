@@ -40,6 +40,7 @@ pub mod model;
 pub mod params;
 pub mod scheduler;
 pub mod store;
+mod versions;
 
 pub use chronos_analytics::{ChangePoint, ChangePointConfig};
 pub use control::ChronosControl;

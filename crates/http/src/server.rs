@@ -105,6 +105,13 @@ pub struct ServerMetrics {
     pub elections: Counter,
     /// Replication segments shipped while leading (heartbeats excluded).
     pub segments_shipped: Counter,
+    /// Cached read routes answered from the encoded-response cache
+    /// (incremented, like the two below, by the dispatch layer).
+    pub read_cache_hits: Counter,
+    /// Cached read routes that computed their body.
+    pub read_cache_misses: Counter,
+    /// Conditional requests answered `304` from the version alone.
+    pub not_modified: Counter,
 }
 
 impl ServerMetrics {
@@ -132,6 +139,9 @@ impl ServerMetrics {
             "replication_lag_ms" => self.replication_lag_ms.get() as i64,
             "elections" => self.elections.get() as i64,
             "segments_shipped" => self.segments_shipped.get() as i64,
+            "read_cache_hits" => self.read_cache_hits.get() as i64,
+            "read_cache_misses" => self.read_cache_misses.get() as i64,
+            "not_modified" => self.not_modified.get() as i64,
         }
     }
 }

@@ -97,6 +97,7 @@ impl Status {
     pub const OK: Status = Status(200);
     pub const CREATED: Status = Status(201);
     pub const NO_CONTENT: Status = Status(204);
+    pub const NOT_MODIFIED: Status = Status(304);
     pub const BAD_REQUEST: Status = Status(400);
     pub const UNAUTHORIZED: Status = Status(401);
     pub const FORBIDDEN: Status = Status(403);
@@ -119,6 +120,7 @@ impl Status {
             201 => "Created",
             204 => "No Content",
             301 => "Moved Permanently",
+            304 => "Not Modified",
             400 => "Bad Request",
             401 => "Unauthorized",
             403 => "Forbidden",

@@ -17,6 +17,7 @@ use chronos_core::{ChronosControl, CoreError, CoreResult};
 use chronos_http::{Request, Response, RouteParams, Router, ServerMetrics, Status};
 use chronos_util::Id;
 
+use crate::read_cache::{CachedReads, Scope};
 use crate::{deadline_guard, error_response};
 
 /// Header carrying the session token (defined by the wire contract).
@@ -70,9 +71,13 @@ fn admin(control: &ChronosControl, req: &Request) -> CoreResult<User> {
 /// Mounts all v1 routes. Handlers doing expensive store or archive work
 /// re-check the caller's `X-Chronos-Deadline-Ms` budget (via
 /// [`deadline_guard`]) before starting it; `metrics` counts rejections.
+/// The hot reads (evaluation detail, job list, summary, CSV, charts,
+/// stats, trend, regressions) answer through one [`CachedReads`] made
+/// here, after the deadline guard and authentication have run.
 pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<ServerMetrics>) {
     let c = &control;
     let m = &metrics;
+    let reads = Arc::new(CachedReads::new(Arc::clone(c), Arc::clone(m)));
 
     router.get("/api/v1/version", |_req, _p| Response::json(&ApiVersion::V1.version_body()));
 
@@ -340,19 +345,25 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     // subsequent change sets, paper §3).
     let control_ = Arc::clone(c);
     let metrics_ = Arc::clone(m);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/experiments/:id/trend", move |req, p| {
         if let Some(busy) = deadline_guard(req, &metrics_) {
             return busy;
         }
         respond((|| {
             authed(&control_, req)?;
-            let value_path =
-                req.query_param("path").unwrap_or_else(|| "/throughput_ops_per_sec".to_string());
-            let threshold =
-                req.query_param("threshold").and_then(|t| t.parse::<f64>().ok()).unwrap_or(0.10);
-            let trend =
-                analysis::experiment_trend(&control_, param_id(p, "id")?, &value_path, threshold)?;
-            Ok(Response::json(&trend))
+            let id = param_id(p, "id")?;
+            reads_.serve(req, Scope::State, || {
+                let value_path = req
+                    .query_param("path")
+                    .unwrap_or_else(|| "/throughput_ops_per_sec".to_string());
+                let threshold = req
+                    .query_param("threshold")
+                    .and_then(|t| t.parse::<f64>().ok())
+                    .unwrap_or(0.10);
+                let trend = analysis::experiment_trend(&control_, id, &value_path, threshold)?;
+                Ok(Response::json(&trend))
+            })
         })())
     });
 
@@ -360,66 +371,71 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     // the experiment's per-evaluation metric history (columnar store).
     let control_ = Arc::clone(c);
     let metrics_ = Arc::clone(m);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/experiments/:id/regressions", move |req, p| {
         if let Some(busy) = deadline_guard(req, &metrics_) {
             return busy;
         }
         respond((|| {
             authed(&control_, req)?;
-            let value_path =
-                req.query_param("path").unwrap_or_else(|| "/throughput_ops_per_sec".to_string());
-            let defaults = chronos_core::ChangePointConfig::default();
-            let config = chronos_core::ChangePointConfig {
-                seed: req.query_param("seed").and_then(|s| s.parse().ok()).unwrap_or(defaults.seed),
-                permutations: req
-                    .query_param("permutations")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(defaults.permutations),
-                significance: req
-                    .query_param("significance")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(defaults.significance),
-                min_segment: req
-                    .query_param("min_segment")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(defaults.min_segment),
-            };
-            let report = analysis::experiment_regressions(
-                &control_,
-                param_id(p, "id")?,
-                &value_path,
-                config,
-            )?;
-            let response = v1::RegressionsResponse {
-                experiment_id: report.experiment_id,
-                value_path: report.value_path,
-                seed: report.config.seed,
-                permutations: report.config.permutations as u64,
-                significance: report.config.significance,
-                min_segment: report.config.min_segment as u64,
-                runs: report
-                    .runs
-                    .iter()
-                    .map(|r| v1::RegressionRunDto {
-                        evaluation_id: r.evaluation_id,
-                        created_at: r.created_at,
-                        jobs_measured: r.jobs_measured,
-                        mean: r.mean,
-                    })
-                    .collect(),
-                change_points: report
-                    .change_points
-                    .iter()
-                    .map(|cp| v1::RegressionChangePointDto {
-                        index: cp.index as u64,
-                        before_mean: cp.before_mean,
-                        after_mean: cp.after_mean,
-                        p_value: cp.p_value,
-                    })
-                    .collect(),
-                regressed: report.regressed,
-            };
-            Ok(Response::json(&response.to_value()))
+            let id = param_id(p, "id")?;
+            // A miss scans and records the experiment's regression flag; a
+            // hit leaves the flag at the scan that produced the held body.
+            reads_.serve(req, Scope::State, || {
+                let value_path = req
+                    .query_param("path")
+                    .unwrap_or_else(|| "/throughput_ops_per_sec".to_string());
+                let defaults = chronos_core::ChangePointConfig::default();
+                let config = chronos_core::ChangePointConfig {
+                    seed: req
+                        .query_param("seed")
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or(defaults.seed),
+                    permutations: req
+                        .query_param("permutations")
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or(defaults.permutations),
+                    significance: req
+                        .query_param("significance")
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or(defaults.significance),
+                    min_segment: req
+                        .query_param("min_segment")
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or(defaults.min_segment),
+                };
+                let report = analysis::experiment_regressions(&control_, id, &value_path, config)?;
+                let response = v1::RegressionsResponse {
+                    experiment_id: report.experiment_id,
+                    value_path: report.value_path,
+                    seed: report.config.seed,
+                    permutations: report.config.permutations as u64,
+                    significance: report.config.significance,
+                    min_segment: report.config.min_segment as u64,
+                    runs: report
+                        .runs
+                        .iter()
+                        .map(|r| v1::RegressionRunDto {
+                            evaluation_id: r.evaluation_id,
+                            created_at: r.created_at,
+                            jobs_measured: r.jobs_measured,
+                            mean: r.mean,
+                        })
+                        .collect(),
+                    change_points: report
+                        .change_points
+                        .iter()
+                        .map(|cp| v1::RegressionChangePointDto {
+                            index: cp.index as u64,
+                            before_mean: cp.before_mean,
+                            after_mean: cp.after_mean,
+                            p_value: cp.p_value,
+                        })
+                        .collect(),
+                    regressed: report.regressed,
+                };
+                Ok(Response::json(&response.to_value()))
+            })
         })())
     });
 
@@ -453,61 +469,73 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     });
 
     let control_ = Arc::clone(c);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id", move |req, p| {
         respond((|| {
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
-            let evaluation = control_.get_evaluation(id)?;
-            let status = control_.evaluation_status(id)?;
-            let mut detail = evaluation.to_json();
-            detail.set("status", status.to_json());
-            Ok(Response::json(&detail))
+            reads_.serve(req, Scope::Evaluation(id), || {
+                let evaluation = control_.get_evaluation(id)?;
+                let status = control_.evaluation_status(id)?;
+                let mut detail = evaluation.to_json();
+                detail.set("status", status.to_json());
+                Ok(Response::json(&detail))
+            })
         })())
     });
 
     let control_ = Arc::clone(c);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id/jobs", move |req, p| {
         respond((|| {
             authed(&control_, req)?;
-            // Listing view: omit the potentially large log and timeline.
-            let jobs: Vec<_> = control_
-                .list_jobs(param_id(p, "id")?)?
-                .iter()
-                .map(|j| j.to_json_summary())
-                .collect();
-            Ok(Response::json(&chronos_json::Value::Array(jobs)))
+            let id = param_id(p, "id")?;
+            reads_.serve(req, Scope::Evaluation(id), || {
+                // Listing view: omit the potentially large log and timeline.
+                let jobs: Vec<_> =
+                    control_.list_jobs(id)?.iter().map(|j| j.to_json_summary()).collect();
+                Ok(Response::json(&chronos_json::Value::Array(jobs)))
+            })
         })())
     });
 
     let control_ = Arc::clone(c);
     let metrics_ = Arc::clone(m);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id/summary", move |req, p| {
         if let Some(busy) = deadline_guard(req, &metrics_) {
             return busy;
         }
         respond((|| {
             authed(&control_, req)?;
-            let summary = analysis::summary_table(&control_, param_id(p, "id")?)?;
-            Ok(Response::json(&summary))
+            let id = param_id(p, "id")?;
+            reads_.serve(req, Scope::Evaluation(id), || {
+                Ok(Response::json(&analysis::summary_table(&control_, id)?))
+            })
         })())
     });
 
     let control_ = Arc::clone(c);
     let metrics_ = Arc::clone(m);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id/summary.csv", move |req, p| {
         if let Some(busy) = deadline_guard(req, &metrics_) {
             return busy;
         }
         respond((|| {
             authed(&control_, req)?;
-            let csv = analysis::summary_csv(&control_, param_id(p, "id")?)?;
-            Ok(Response::bytes(Status::OK, "text/csv; charset=utf-8", csv.into_bytes()))
+            let id = param_id(p, "id")?;
+            reads_.serve(req, Scope::Evaluation(id), || {
+                let csv = analysis::summary_csv(&control_, id)?;
+                Ok(Response::bytes(Status::OK, "text/csv; charset=utf-8", csv.into_bytes()))
+            })
         })())
     });
 
     // Chart renders: /charts/:index.svg and .txt (paper Fig. 3d).
     let control_ = Arc::clone(c);
     let metrics_ = Arc::clone(m);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id/charts/:chart", move |req, p| {
         if let Some(busy) = deadline_guard(req, &metrics_) {
             return busy;
@@ -521,22 +549,26 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
                 .ok_or_else(|| CoreError::Invalid("chart ref must be <index>.<svg|txt>".into()))?;
             let index: usize =
                 index_str.parse().map_err(|_| CoreError::Invalid("bad chart index".into()))?;
-            let evaluation = control_.get_evaluation(evaluation_id)?;
-            let experiment = control_.get_experiment(evaluation.experiment_id)?;
-            let system = control_.get_system(experiment.system_id)?;
-            let spec =
-                system.charts.get(index).ok_or_else(|| CoreError::not_found("chart", index))?;
-            let data = analysis::chart_data(&control_, evaluation_id, spec)?;
-            let registry = chronos_core::charts::ChartRegistry::with_builtins();
-            match format {
-                "svg" => Ok(Response::bytes(
-                    Status::OK,
-                    "image/svg+xml",
-                    registry.render_svg(spec, &data)?.into_bytes(),
-                )),
-                "txt" => Ok(Response::text(Status::OK, registry.render_ascii(spec, &data)?)),
-                other => Err(CoreError::Invalid(format!("unknown chart format {other:?}"))),
-            }
+            // The experiment's system and the system's chart specs never
+            // change once created, so the evaluation's version covers them.
+            reads_.serve(req, Scope::Evaluation(evaluation_id), || {
+                let evaluation = control_.get_evaluation(evaluation_id)?;
+                let experiment = control_.get_experiment(evaluation.experiment_id)?;
+                let system = control_.get_system(experiment.system_id)?;
+                let spec =
+                    system.charts.get(index).ok_or_else(|| CoreError::not_found("chart", index))?;
+                let data = analysis::chart_data(&control_, evaluation_id, spec)?;
+                let registry = chronos_core::charts::ChartRegistry::with_builtins();
+                match format {
+                    "svg" => Ok(Response::bytes(
+                        Status::OK,
+                        "image/svg+xml",
+                        registry.render_svg(spec, &data)?.into_bytes(),
+                    )),
+                    "txt" => Ok(Response::text(Status::OK, registry.render_ascii(spec, &data)?)),
+                    other => Err(CoreError::Invalid(format!("unknown chart format {other:?}"))),
+                }
+            })
         })())
     });
 
@@ -689,35 +721,38 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     // Stats: job states across the installation (monitoring dashboards).
     let control_ = Arc::clone(c);
     let metrics_ = Arc::clone(m);
+    let reads_ = Arc::clone(&reads);
     router.get("/api/v1/stats", move |req, _p| {
-        // Walks every evaluation in the installation.
+        // A miss walks every evaluation in the installation.
         if let Some(busy) = deadline_guard(req, &metrics_) {
             return busy;
         }
         respond((|| {
             authed(&control_, req)?;
-            let mut stats = v1::StatsResponse {
-                scheduled: 0,
-                running: 0,
-                finished: 0,
-                aborted: 0,
-                failed: 0,
-                quarantined: 0,
-                remaining_space: 0,
-                systems: control_.list_systems().len(),
-                projects: control_.list_projects().len(),
-            };
-            for evaluation in control_.list_evaluations(None) {
-                let status = control_.evaluation_status(evaluation.id)?;
-                stats.scheduled += status.scheduled;
-                stats.running += status.running;
-                stats.finished += status.finished;
-                stats.aborted += status.aborted;
-                stats.failed += status.failed;
-                stats.quarantined += status.quarantined;
-                stats.remaining_space += status.remaining.unwrap_or(0) as u64;
-            }
-            Ok(Response::json(&stats.to_value()))
+            reads_.serve(req, Scope::State, || {
+                let mut stats = v1::StatsResponse {
+                    scheduled: 0,
+                    running: 0,
+                    finished: 0,
+                    aborted: 0,
+                    failed: 0,
+                    quarantined: 0,
+                    remaining_space: 0,
+                    systems: control_.list_systems().len(),
+                    projects: control_.list_projects().len(),
+                };
+                for evaluation in control_.list_evaluations(None) {
+                    let status = control_.evaluation_status(evaluation.id)?;
+                    stats.scheduled += status.scheduled;
+                    stats.running += status.running;
+                    stats.finished += status.finished;
+                    stats.aborted += status.aborted;
+                    stats.failed += status.failed;
+                    stats.quarantined += status.quarantined;
+                    stats.remaining_space += status.remaining.unwrap_or(0) as u64;
+                }
+                Ok(Response::json(&stats.to_value()))
+            })
         })())
     });
 }

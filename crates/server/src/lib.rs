@@ -38,6 +38,7 @@
 mod api_v0;
 mod api_v1;
 mod cluster;
+mod read_cache;
 mod ui;
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -98,8 +98,9 @@ fn token_of(req: &Request) -> String {
 }
 
 /// Renders the server-health block on the overview page: drain state, the
-/// front-end admission counters, and (read from the mirrored gauges) the
-/// node's cluster role, term, and replication health.
+/// front-end admission counters, (read from the mirrored gauges) the
+/// node's cluster role, term, and replication health, and the read
+/// cache's hit, miss and `304` counts.
 fn health_section(metrics: &ServerMetrics, draining: bool) -> String {
     let role = match metrics.cluster_role.get() {
         0 => "follower",
@@ -116,7 +117,10 @@ fn health_section(metrics: &ServerMetrics, draining: bool) -> String {
          <tr><th>role</th><th>term</th><th>replication lag (ms)</th>\
          <th>elections</th><th>segments shipped</th></tr>\
          <tr><td>{role}</td><td>{term}</td><td>{lag}</td>\
-         <td>{elections}</td><td>{shipped}</td></tr></table>",
+         <td>{elections}</td><td>{shipped}</td></tr></table>\
+         <table>\
+         <tr><th>read cache hits</th><th>read cache misses</th><th>not modified (304)</th></tr>\
+         <tr><td>{hits}</td><td>{misses}</td><td>{not_modified}</td></tr></table>",
         state = if draining { "draining" } else { "running" },
         inflight = metrics.inflight.get(),
         accepted = metrics.accepted.get(),
@@ -128,6 +132,9 @@ fn health_section(metrics: &ServerMetrics, draining: bool) -> String {
         lag = metrics.replication_lag_ms.get(),
         elections = metrics.elections.get(),
         shipped = metrics.segments_shipped.get(),
+        hits = metrics.read_cache_hits.get(),
+        misses = metrics.read_cache_misses.get(),
+        not_modified = metrics.not_modified.get(),
     )
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, one workspace-wide lint pass, the full test
-# suite, a quick chronos-bench smoke run, and a build + unit-test run of the
-# repo benchmark (benchmark/ is its own workspace, so nothing else compiles
-# or tests it).
+# suite, a quick chronos-bench smoke run, and a build + unit-test run + quick
+# end-to-end run of the repo benchmark (benchmark/ is its own workspace, so
+# nothing else compiles, tests or runs it).
 # Usage: scripts/check.sh [--bench] [--chaos] [--cluster]
 #   --bench    also regenerate BENCH_control_plane.json / BENCH_data_plane.json /
 #              BENCH_overload.json / BENCH_http_scale.json / BENCH_analytics.json /
@@ -85,6 +85,15 @@ echo "== repo benchmark unit tests =="
 # The harness's own arithmetic: percentile rule, span self-time, stamp
 # comparison, and BENCHMARK.json <-> metric-table agreement.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== repo benchmark, quick sizes: all four workloads and their output checks =="
+# Under 15 s. The numbers are not comparable and nobody reads them here;
+# the exit code is the gate. A run is incorrect (non-zero exit) when a
+# repeated read is not byte-identical, summary rows / CSV lines / the job
+# list disagree with the finished jobs, the restarted store serves another
+# summary, or any operation failed — every one of which a wrong answer from
+# the response cache would trip.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick
 
 for arg in "$@"; do
     case "$arg" in
