@@ -15,6 +15,8 @@
 //! change points — a hard requirement for an endpoint that CI compares
 //! run-over-run.
 
+use chronos_util::SplitMix64;
+
 /// Detection parameters. The defaults match the regression endpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangePointConfig {
@@ -48,19 +50,10 @@ pub struct ChangePoint {
     pub p_value: f64,
 }
 
-/// splitmix64 — tiny, fast, and identical on every platform.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Seeded Fisher-Yates shuffle.
-fn shuffle(values: &mut [f64], state: &mut u64) {
+fn shuffle(values: &mut [f64], rng: &mut SplitMix64) {
     for i in (1..values.len()).rev() {
-        let j = (splitmix64(state) % (i as u64 + 1)) as usize;
+        let j = rng.next_below(i as u64 + 1) as usize;
         values.swap(i, j);
     }
 }
@@ -111,12 +104,13 @@ fn detect_segment(
     };
     // Permutation test: how often does a shuffled segment produce a mean
     // shift at least this strong? Deterministic per (seed, lo, hi).
-    let mut state =
-        cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add((lo as u64) << 32 | hi as u64);
+    let mut rng = SplitMix64::new(
+        cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add((lo as u64) << 32 | hi as u64),
+    );
     let mut shuffled = segment.to_vec();
     let mut at_least_as_strong = 0u32;
     for _ in 0..cfg.permutations {
-        shuffle(&mut shuffled, &mut state);
+        shuffle(&mut shuffled, &mut rng);
         if let Some((_, q, _, _)) = best_split(&shuffled, cfg.min_segment.max(1)) {
             if q >= observed_q {
                 at_least_as_strong += 1;
@@ -147,10 +141,10 @@ mod tests {
 
     /// Deterministic ±`amplitude` noise around `base`.
     fn noisy(base: f64, amplitude: f64, n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed;
+        let mut rng = SplitMix64::new(seed);
         (0..n)
             .map(|_| {
-                let unit = splitmix64(&mut state) as f64 / u64::MAX as f64;
+                let unit = rng.next_u64() as f64 / u64::MAX as f64;
                 base + (unit - 0.5) * 2.0 * amplitude
             })
             .collect()

@@ -14,8 +14,11 @@
 //! | string dict    | varint count, then varint-length-prefixed UTF-8   |
 //!
 //! Decoders are fail-closed: any truncation or overflow is a
-//! [`CodecError`], never a panic, so a corrupt cache entry degrades to a
-//! rebuild from the row store.
+//! [`CodecError`], never a panic.
+//!
+//! This is a size/export format with no request-path caller: the store
+//! keeps tables live and decoded ([`crate::store`]) and encodes one only
+//! to report [`AnalyticsStore::encoded_size`](crate::AnalyticsStore::encoded_size).
 
 use minidoc::doc::{decode_varint, encode_varint};
 

@@ -1,9 +1,14 @@
-//! The columnar result store: encoded per-evaluation tables plus the
+//! The columnar result store: one live table per evaluation plus the
 //! per-experiment regression-scan cache.
 //!
-//! Tables are held **encoded** (the dictionary/delta/LEB128 chunks of
-//! [`crate::encoding`]), so the store costs a fraction of the JSON rows
-//! it mirrors; readers decode on demand. Every entry carries:
+//! Tables are held **decoded** behind an `Arc`: nothing here is written to
+//! disk or shipped by replication, and a restart rebuilds every table from
+//! the row store, so there is no at-rest form to keep. An ingest appends
+//! its row in place (copy-on-write: a reader still holding a snapshot keeps
+//! a consistent one and the writer pays one clone only then); a load hands
+//! out the `Arc`. The chunk codecs of [`crate::encoding`] are what
+//! [`AnalyticsStore::encoded_size`] reports, computed on demand. Every
+//! entry carries:
 //!
 //! * `backfilled` — whether the entry is known to contain *every*
 //!   finished result of its evaluation. Entries created lazily by upload
@@ -15,6 +20,7 @@
 //!   concurrent upload or outliving the rows it was built from.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use chronos_json::Value;
 use parking_lot::RwLock;
@@ -23,16 +29,17 @@ use crate::table::ResultTable;
 
 #[derive(Default)]
 struct TableEntry {
-    encoded: Vec<u8>,
+    table: Arc<ResultTable>,
     backfilled: bool,
     generation: u64,
 }
 
-/// A freshness-tracked load result: the decoded table, whether it is
+/// A freshness-tracked load result: a snapshot of the table, whether it is
 /// complete, and the generation to pass back to [`AnalyticsStore::install`].
 pub struct LoadedTable {
-    /// The decoded table (empty when the entry is missing).
-    pub table: ResultTable,
+    /// The table as of the load (empty when the entry is missing); later
+    /// ingests do not show through it.
+    pub table: Arc<ResultTable>,
     /// True when the entry is known complete (no backfill needed).
     pub backfilled: bool,
     /// Entry generation at load time.
@@ -95,8 +102,7 @@ impl AnalyticsStore {
     }
 
     /// Columnarizes one uploaded result into the evaluation's table.
-    /// Idempotent per job. A corrupt entry is dropped back to
-    /// un-backfilled so the next reader rebuilds it from the row store.
+    /// Idempotent per job: a duplicate appends nothing and bumps nothing.
     pub fn ingest(
         &self,
         evaluation: u128,
@@ -107,69 +113,46 @@ impl AnalyticsStore {
     ) {
         let mut tables = self.tables.write();
         let entry = tables.entry(evaluation);
-        let mut table = if entry.encoded.is_empty() {
-            ResultTable::new()
-        } else {
-            match ResultTable::decode(&entry.encoded) {
-                Ok(table) => table,
-                Err(_) => {
-                    entry.encoded.clear();
-                    entry.backfilled = false;
-                    entry.generation += 1;
-                    ResultTable::new()
-                }
-            }
-        };
-        if table.contains(job) {
+        if entry.table.contains(job) {
             return;
         }
-        table.append(job, parameters, data, json_paths);
-        entry.encoded = table.encode();
+        Arc::make_mut(&mut entry.table).append(job, parameters, data, json_paths);
         entry.generation += 1;
     }
 
     /// Loads an evaluation's table (an empty, un-backfilled one when the
-    /// entry is missing or corrupt).
+    /// entry is missing).
     pub fn load(&self, evaluation: u128) -> LoadedTable {
         let tables = self.tables.read();
         match tables.entries.get(&evaluation) {
             None => LoadedTable {
-                table: ResultTable::new(),
+                table: Arc::default(),
                 backfilled: false,
                 generation: tables.absent_generation,
             },
-            Some(entry) => {
-                let table = if entry.encoded.is_empty() {
-                    Ok(ResultTable::new())
-                } else {
-                    ResultTable::decode(&entry.encoded)
-                };
-                match table {
-                    Ok(table) => LoadedTable {
-                        table,
-                        backfilled: entry.backfilled,
-                        generation: entry.generation,
-                    },
-                    Err(_) => LoadedTable {
-                        table: ResultTable::new(),
-                        backfilled: false,
-                        generation: entry.generation,
-                    },
-                }
-            }
+            Some(entry) => LoadedTable {
+                table: Arc::clone(&entry.table),
+                backfilled: entry.backfilled,
+                generation: entry.generation,
+            },
         }
     }
 
     /// Installs a backfilled table computed from generation
     /// `loaded_generation`. Refuses (returns `false`) when an ingest
     /// raced the backfill; the next reader simply rebuilds.
-    pub fn install(&self, evaluation: u128, table: &ResultTable, loaded_generation: u64) -> bool {
+    pub fn install(
+        &self,
+        evaluation: u128,
+        table: &Arc<ResultTable>,
+        loaded_generation: u64,
+    ) -> bool {
         let mut tables = self.tables.write();
         let entry = tables.entry(evaluation);
         if entry.generation != loaded_generation {
             return false;
         }
-        entry.encoded = table.encode();
+        entry.table = Arc::clone(table);
         entry.backfilled = true;
         entry.generation += 1;
         true
@@ -184,15 +167,20 @@ impl AnalyticsStore {
         let mut tables = self.tables.write();
         tables.absent_generation += 1;
         for entry in tables.entries.values_mut() {
-            entry.encoded = Vec::new();
+            entry.table = Arc::default();
             entry.backfilled = false;
             entry.generation += 1;
         }
     }
 
-    /// Encoded size of an evaluation's table in bytes (0 when absent).
+    /// Size in bytes of an evaluation's table in the chunk encoding (0
+    /// when absent or empty). Encodes a snapshot, outside the lock.
     pub fn encoded_size(&self, evaluation: u128) -> usize {
-        self.tables.read().entries.get(&evaluation).map(|e| e.encoded.len()).unwrap_or(0)
+        let table = self.load(evaluation).table;
+        if table.rows() == 0 {
+            return 0;
+        }
+        table.encode().len()
     }
 
     /// Records the outcome of a regression scan.
@@ -269,6 +257,45 @@ mod tests {
         store.invalidate_all();
         assert!(!store.install(2, &absent.table, absent.generation));
         assert!(!store.load(2).backfilled);
+    }
+
+    #[test]
+    fn a_loaded_table_is_a_snapshot() {
+        use crate::column::Cell;
+
+        let store = AnalyticsStore::new();
+        store.mark_fresh(1);
+        store.ingest(1, 10, &obj! {"threads" => 4}, &obj! {"tp" => 100.0}, &[]);
+        let before = store.load(1);
+        // The upload lands while the reader still holds its table.
+        store.ingest(1, 11, &obj! {"threads" => 8}, &obj! {"tp" => 180.0, "errors" => 2}, &[]);
+        assert_eq!(before.table.rows(), 1);
+        assert!(!before.table.contains(11));
+        assert!(before.table.data_column("/errors").is_none());
+        assert_eq!(before.table.data_column("/tp").unwrap().materialize(), [Cell::Float(100.0)]);
+        let after = store.load(1);
+        assert_eq!(after.table.rows(), 2);
+        assert_eq!(
+            after.table.data_column("/tp").unwrap().materialize(),
+            [Cell::Float(100.0), Cell::Float(180.0)]
+        );
+        // Holding the older table does not keep its generation installable.
+        assert!(!store.install(1, &before.table, before.generation));
+        assert_eq!(store.load(1).table.rows(), 2);
+    }
+
+    #[test]
+    fn encoded_size_is_the_length_of_the_chunk_encoding() {
+        let store = AnalyticsStore::new();
+        assert_eq!(store.encoded_size(1), 0, "absent");
+        store.mark_fresh(1);
+        assert_eq!(store.encoded_size(1), 0, "present but empty");
+        for job in 0..20u128 {
+            store.ingest(1, job, &obj! {"threads" => 4}, &obj! {"tp" => job as f64}, &[]);
+        }
+        assert_eq!(store.encoded_size(1), store.load(1).table.encode().len());
+        store.invalidate_all();
+        assert_eq!(store.encoded_size(1), 0, "emptied");
     }
 
     #[test]

@@ -21,13 +21,14 @@ struct Scale {
     ops: i64,
 }
 
-/// What the command line asked of every selected experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What one experiment is run with.
+#[derive(Debug, Clone, Copy)]
 struct Options {
     /// `--quick`: smaller sizes.
     quick: bool,
-    /// `--json`: also write the experiment's `BENCH_*.json`.
-    emit_json: bool,
+    /// The `BENCH_*.json` to write: the experiment's report file under
+    /// `--json`, `None` without it.
+    report: Option<&'static str>,
 }
 
 impl Options {
@@ -38,56 +39,77 @@ impl Options {
     }
 }
 
-/// Every experiment — its command-line id and the function that runs it —
-/// in the order a full run executes them.
-type Experiment = (&'static str, fn(Options));
-const EXPERIMENTS: [Experiment; 15] = [
-    ("E1", experiment_e1),
-    ("E2", experiment_e2),
-    ("E3", experiment_e3),
-    ("E4", experiment_e4),
-    ("E5", experiment_e5),
-    ("E6", experiment_e6),
-    ("E7", experiment_e7),
-    ("E8", experiment_e8),
-    ("E9", experiment_e9),
-    ("E11", experiment_e11),
-    ("E12", experiment_e12),
-    ("E13", experiment_e13),
-    ("E14", experiment_e14),
-    ("E15", experiment_e15),
-    ("E16", experiment_e16),
+/// Every experiment — its command-line id, the report file `--json` makes
+/// it write (if it has one) and the function that runs it — in the order a
+/// full run executes them. `--list` prints the first two columns, which is
+/// where `scripts/check.sh` gets its smoke and `--bench` lists from.
+type Experiment = (&'static str, Option<&'static str>, fn(Options));
+const EXPERIMENTS: [Experiment; 14] = [
+    ("E1", None, experiment_e1),
+    ("E2", None, experiment_e2),
+    ("E3", None, experiment_e3),
+    ("E4", None, experiment_e4),
+    ("E5", None, experiment_e5),
+    ("E6", None, experiment_e6),
+    ("E7", None, experiment_e7),
+    ("E8", Some("BENCH_control_plane.json"), experiment_e8),
+    ("E9", Some("BENCH_data_plane.json"), experiment_e9),
+    ("E11", Some("BENCH_overload.json"), experiment_e11),
+    ("E12", Some("BENCH_http_scale.json"), experiment_e12),
+    ("E14", Some("BENCH_cluster.json"), experiment_e14),
+    ("E15", Some("BENCH_adaptive.json"), experiment_e15),
+    ("E16", Some("BENCH_isolation.json"), experiment_e16),
 ];
 
-/// Parses the command line into the options and the experiment ids it
-/// named (canonical spelling; none named selects all). Anything but a known
-/// id, `--quick` or `--json` is an error naming the valid choices.
-fn parse_args(args: &[String]) -> Result<(Options, Vec<&'static str>), String> {
-    let mut options = Options { quick: false, emit_json: false };
-    let mut named = Vec::new();
+/// What the command line asked for.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    quick: bool,
+    emit_json: bool,
+    list: bool,
+    /// The experiment ids it named (canonical spelling; none selects all).
+    named: Vec<&'static str>,
+}
+
+/// Parses the command line. Anything but a known id, `--quick`, `--json`
+/// or `--list` is an error naming the valid choices.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
     for arg in args {
         match arg.as_str() {
-            "--quick" => options.quick = true,
-            "--json" => options.emit_json = true,
-            other => match EXPERIMENTS.iter().find(|(id, _)| id.eq_ignore_ascii_case(other)) {
-                Some((id, _)) => named.push(*id),
+            "--quick" => parsed.quick = true,
+            "--json" => parsed.emit_json = true,
+            "--list" => parsed.list = true,
+            other => match EXPERIMENTS.iter().find(|(id, ..)| id.eq_ignore_ascii_case(other)) {
+                Some((id, ..)) => parsed.named.push(*id),
                 None => {
-                    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+                    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
                     let ids = ids.join(" ");
-                    return Err(format!("unknown argument {other:?}; valid: {ids} --quick --json"));
+                    return Err(format!(
+                        "unknown argument {other:?}; valid: {ids} --quick --json --list"
+                    ));
                 }
             },
         }
     }
-    Ok((options, named))
+    Ok(parsed)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (options, named) = parse_args(&args).unwrap_or_else(|message| {
+    let args = parse_args(&args).unwrap_or_else(|message| {
         eprintln!("chronos-bench: {message}");
         std::process::exit(2);
     });
+    if args.list {
+        for (id, report, _) in EXPERIMENTS {
+            match report {
+                Some(file) => println!("{id} {file}"),
+                None => println!("{id}"),
+            }
+        }
+        return;
+    }
 
     println!("chronos-bench: reproducing the Chronos (EDBT 2020) demo evaluation");
     println!(
@@ -96,9 +118,9 @@ fn main() {
     );
 
     // Table order, each at most once, however the ids were named.
-    for (id, run) in EXPERIMENTS {
-        if named.is_empty() || named.contains(&id) {
-            run(options);
+    for (id, report, run) in EXPERIMENTS {
+        if args.named.is_empty() || args.named.contains(&id) {
+            run(Options { quick: args.quick, report: report.filter(|_| args.emit_json) });
         }
     }
 }
@@ -112,7 +134,7 @@ fn main() {
 /// asserts each is cancelled with the right typed dimension — the wall case
 /// within one watchdog interval plus scheduling slack. `--json` also writes
 /// the numbers to `BENCH_isolation.json`.
-fn experiment_e16(Options { quick, emit_json }: Options) {
+fn experiment_e16(Options { quick, report }: Options) {
     use std::time::Duration;
 
     use chronos_agent::{
@@ -295,7 +317,7 @@ fn experiment_e16(Options { quick, emit_json }: Options) {
         overhead * 100.0
     );
 
-    if emit_json {
+    if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E16",
             "description" => "per-job budget enforcement: watchdog overhead on compliant work and kill latency on runaway work",
@@ -311,7 +333,7 @@ fn experiment_e16(Options { quick, emit_json }: Options) {
             "wall_budget_millis" => wall_budget_millis as i64,
             "kills" => Value::from(kill_reports),
         };
-        write_report("BENCH_isolation.json", doc);
+        write_report(path, doc);
     }
 }
 
@@ -321,7 +343,7 @@ fn experiment_e16(Options { quick, emit_json }: Options) {
 /// 30% of the grid's jobs, and that replaying the same seed reproduces the
 /// pruning decisions bit-for-bit. `--json` also writes the numbers to
 /// `BENCH_adaptive.json` for regression tracking.
-fn experiment_e15(Options { quick, emit_json }: Options) {
+fn experiment_e15(Options { quick, report }: Options) {
     use std::collections::HashMap;
 
     use chronos_core::{AdaptiveConfig, Strategy};
@@ -503,7 +525,7 @@ fn experiment_e15(Options { quick, emit_json }: Options) {
          with <=30% of the grid's jobs, and seeds replay to identical decisions\n"
     );
 
-    if emit_json {
+    if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E15",
             "description" => "adaptive successive-halving scheduling vs full grid on a seeded response surface",
@@ -514,123 +536,14 @@ fn experiment_e15(Options { quick, emit_json }: Options) {
             },
             "runs" => Value::from(reports),
         };
-        write_report("BENCH_adaptive.json", doc);
-    }
-}
-
-/// E13 — result-analytics aggregation throughput: decode the columnar
-/// table, gather, and run the chart aggregation and p99 through the
-/// vectorized kernels, as every chart/summary request does; plus the table's
-/// size against the same uploads as JSON rows. `--json` also writes the
-/// numbers to `BENCH_analytics.json`.
-fn experiment_e13(Options { quick, emit_json }: Options) {
-    use chronos_analytics::{percentile_sorted, ResultTable};
-    use chronos_core::analysis::{chart_data_from_table, STANDARD_METRIC_PATHS};
-    use chronos_core::charts::ChartSpec;
-
-    println!("== E13: result analytics (columnar kernels) ==");
-    let rows = if quick { 5_000usize } else { 50_000 };
-    let reps = if quick { 3 } else { 5 };
-
-    // Synthetic evaluation: a 2-engine x 4-thread sweep, `rows` uploads
-    // with the realistic nested result shape. Deterministic splitmix64
-    // noise so runs are reproducible.
-    let mut state = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let engines = ["wiredtiger", "mmapv1"];
-    let thread_counts = [1i64, 2, 4, 8];
-    let mut json_bytes = 0usize;
-    let mut table = ResultTable::new();
-    for i in 0..rows {
-        let engine = engines[i % engines.len()];
-        let threads = thread_counts[(i / engines.len()) % thread_counts.len()];
-        let noise = (next() % 1_000) as f64 / 10.0;
-        let params = chronos_json::obj! {"engine" => engine, "threads" => threads};
-        let data = chronos_json::obj! {
-            "throughput_ops_per_sec" => 1_000.0 * threads as f64 + noise,
-            "wall_millis" => 2_000 + (next() % 500) as i64,
-            "total_ops" => 100_000i64,
-            "total_errors" => (next() % 3) as i64,
-            "operations" => chronos_json::obj! {
-                "read" => chronos_json::obj! {
-                    "latency_micros" => chronos_json::obj! {"p99" => 400 + (next() % 200) as i64},
-                },
-                "update" => chronos_json::obj! {
-                    "latency_micros" => chronos_json::obj! {"p99" => 900 + (next() % 300) as i64},
-                },
-            },
-        };
-        json_bytes += params.to_string().len() + data.to_string().len();
-        table.append(i as u128 + 1, &params, &data, &STANDARD_METRIC_PATHS);
-    }
-    let encoded = table.encode();
-    let ids: Vec<u128> = (1..=rows as u128).collect();
-    let spec = ChartSpec {
-        kind: "line".into(),
-        title: "Throughput".into(),
-        x_param: "threads".into(),
-        series_param: Some("engine".into()),
-        value_path: "/throughput_ops_per_sec".into(),
-        y_label: "ops/s".into(),
-    };
-
-    // Decode the table, gather, run the vectorized kernels.
-    let start = Instant::now();
-    for _ in 0..reps {
-        let table = ResultTable::decode(&encoded).unwrap();
-        let order = table.gather(ids.iter().copied());
-        let chart = chart_data_from_table(&table, &order, &spec);
-        assert_eq!(chart.series.len(), engines.len());
-        assert_eq!(chart.x_labels.len(), thread_counts.len());
-        let cells = table.data_column(&spec.value_path).unwrap().materialize();
-        let mut values: Vec<f64> = order.iter().filter_map(|&r| cells[r].as_f64()).collect();
-        values.sort_by(f64::total_cmp);
-        std::hint::black_box(percentile_sorted(&values, 0.99).unwrap());
-    }
-    let col_secs = start.elapsed().as_secs_f64();
-    let col_rps = (rows * reps) as f64 / col_secs.max(1e-9);
-    let compression = json_bytes as f64 / encoded.len().max(1) as f64;
-    println!(
-        "columnar kernels: {} rows/sec; stored {} (the same uploads as JSON rows: {})",
-        fmt_tp(col_rps),
-        fmt_bytes(encoded.len() as u64),
-        fmt_bytes(json_bytes as u64)
-    );
-    println!(
-        "shape: one table decode serves {rows} uploads per request; {compression:.1}x smaller\n"
-    );
-
-    if emit_json {
-        let doc = chronos_json::obj! {
-            "experiment" => "E13",
-            "description" => "result-analytics aggregation: columnar table + vectorized kernels",
-            "workload" => chronos_json::obj! {
-                "rows" => rows as i64,
-                "reps" => reps as i64,
-                "engines" => engines.len() as i64,
-                "thread_counts" => thread_counts.len() as i64,
-                "chart" => "throughput by threads, series = engine",
-                "percentile" => 0.99,
-            },
-            "columnar_rows_per_sec" => col_rps,
-            "json_bytes" => json_bytes as i64,
-            "columnar_bytes" => encoded.len() as i64,
-            "compression_ratio" => compression,
-        };
-        write_report("BENCH_analytics.json", doc);
+        write_report(path, doc);
     }
 }
 
 /// E12 — connection scaling: goodput and accepted-request p99 vs concurrent
 /// keep-alive agent connections on the shipped server. `--json` also
 /// writes the sweep to `BENCH_http_scale.json` for regression tracking.
-fn experiment_e12(Options { quick, emit_json }: Options) {
+fn experiment_e12(Options { quick, report }: Options) {
     use chronos_bench::http_scale::{
         point_collapsed, point_sustained, run_scale, CoreReport, ScalePoint, DRIVERS,
     };
@@ -762,7 +675,7 @@ fn experiment_e12(Options { quick, emit_json }: Options) {
         .unwrap_or_default(),
     );
 
-    if emit_json {
+    if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E12",
             "description" => "keep-alive connection scaling: goodput and accepted-request p99 vs concurrent agent connections",
@@ -777,14 +690,14 @@ fn experiment_e12(Options { quick, emit_json }: Options) {
             },
             "reactor" => reactor.to_json(),
         };
-        write_report("BENCH_http_scale.json", doc);
+        write_report(path, doc);
     }
 }
 
 /// E11 — overload protection: goodput and accepted-request p99 vs offered
 /// load under bounded admission (typed 429 sheds). `--json` also writes
 /// the curve to `BENCH_overload.json` for regression tracking.
-fn experiment_e11(Options { quick, emit_json }: Options) {
+fn experiment_e11(Options { quick, report }: Options) {
     use chronos_bench::overload::{run_load, LoadPoint};
     use chronos_http::Server;
     use chronos_server::ChronosServer;
@@ -911,7 +824,7 @@ fn experiment_e11(Options { quick, emit_json }: Options) {
         bounded_max.shed,
     );
 
-    if emit_json {
+    if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E11",
             "description" => "overload protection: goodput and accepted-request p99 vs offered load under bounded admission",
@@ -928,7 +841,7 @@ fn experiment_e11(Options { quick, emit_json }: Options) {
             "unloaded" => unloaded.to_json(),
             "bounded" => Value::Array(bounded_points.iter().map(LoadPoint::to_json).collect()),
         };
-        write_report("BENCH_overload.json", doc);
+        write_report(path, doc);
     }
 }
 
@@ -1313,7 +1226,7 @@ fn experiment_e6(_: Options) {
 /// under 1 and 8 threads of mixed put/get/list, appending to a real log
 /// file. `--json` also writes the numbers to `BENCH_control_plane.json`
 /// for regression tracking.
-fn experiment_e8(Options { quick, emit_json }: Options) {
+fn experiment_e8(Options { quick, report }: Options) {
     use chronos_bench::contention::run_mixed;
 
     println!("== E8: metadata store contention (mixed 50% put / 40% get / 10% list) ==");
@@ -1340,7 +1253,7 @@ fn experiment_e8(Options { quick, emit_json }: Options) {
         100.0 * rates[1] / rates[0].max(1.0)
     );
 
-    if emit_json {
+    if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E8",
             "description" => "metadata store contention: sharded group-commit store under mixed put/get/list",
@@ -1353,7 +1266,7 @@ fn experiment_e8(Options { quick, emit_json }: Options) {
             },
             "runs" => Value::Array(runs),
         };
-        write_report("BENCH_control_plane.json", doc);
+        write_report(path, doc);
     }
 }
 
@@ -1361,7 +1274,7 @@ fn experiment_e8(Options { quick, emit_json }: Options) {
 /// pushdown over the encoded bytes (non-indexed finds), per engine.
 /// `--json` also writes the numbers to `BENCH_data_plane.json` for
 /// regression tracking.
-fn experiment_e9(Options { quick, emit_json }: Options) {
+fn experiment_e9(Options { quick, report }: Options) {
     use chronos_bench::data_plane::{self, load, run_finds_pushdown, run_scans_cursor};
 
     println!("== E9: data-plane read path (scans + non-indexed find) ==");
@@ -1395,7 +1308,7 @@ fn experiment_e9(Options { quick, emit_json }: Options) {
     }
     println!("shape: cursors skip per-row decode, pushdown decodes only matches\n");
 
-    if emit_json {
+    if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E9",
             "description" => "data-plane read path: engine cursors + predicate pushdown",
@@ -1408,7 +1321,7 @@ fn experiment_e9(Options { quick, emit_json }: Options) {
             },
             "runs" => Value::Array(results),
         };
-        write_report("BENCH_data_plane.json", doc);
+        write_report(path, doc);
     }
 }
 
@@ -1474,7 +1387,7 @@ fn experiment_e7(options: Options) {
 /// exactly-once ledger across the leader death, and (c) follower read
 /// scaling vs a single node at equal worker counts. `--json` also writes
 /// the numbers to `BENCH_cluster.json` for regression tracking.
-fn experiment_e14(Options { quick, emit_json }: Options) {
+fn experiment_e14(Options { quick, report }: Options) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
@@ -1782,7 +1695,7 @@ fn experiment_e14(Options { quick, emit_json }: Options) {
          replicated claim/result keys keep every job exactly-once through the kill\n"
     );
 
-    if emit_json {
+    if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E14",
             "description" => "replicated control plane: failover, exactly-once ledger, follower read scaling",
@@ -1812,7 +1725,7 @@ fn experiment_e14(Options { quick, emit_json }: Options) {
                 "floor_enforced" => scaling_enforced,
             },
         };
-        write_report("BENCH_cluster.json", doc);
+        write_report(path, doc);
     }
 
     for mut server in servers {
@@ -1824,19 +1737,23 @@ fn experiment_e14(Options { quick, emit_json }: Options) {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<(Options, Vec<&'static str>), String> {
+    fn parse(args: &[&str]) -> Result<Args, String> {
         parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn arguments_name_known_experiments_and_reject_everything_else() {
-        assert_eq!(parse(&[]), Ok((Options { quick: false, emit_json: false }, vec![])));
+        assert_eq!(parse(&[]), Ok(Args::default()));
         assert_eq!(
-            parse(&["E13", "--quick", "e8", "--json"]),
-            Ok((Options { quick: true, emit_json: true }, vec!["E13", "E8"])),
+            parse(&["E12", "--quick", "e8", "--json"]),
+            Ok(Args { quick: true, emit_json: true, list: false, named: vec!["E12", "E8"] }),
             "known subset, ids case-insensitive"
         );
-        for (args, culprit) in [(&["E99"][..], "E99"), (&["E8", "--jsno"], "--jsno")] {
+        assert!(parse(&["--list"]).unwrap().list);
+        // E13 is retired: an unknown id like any other.
+        for (args, culprit) in
+            [(&["E99"][..], "E99"), (&["E13"], "E13"), (&["E8", "--jsno"], "--jsno")]
+        {
             let message = parse(args).unwrap_err();
             assert!(message.contains(culprit) && message.contains("E1 E2 "), "{message}");
         }

@@ -6,6 +6,8 @@
 //! A tabular summary and cross-series comparisons (who wins, by what
 //! factor) are derived from the same data.
 
+use std::sync::Arc;
+
 use chronos_analytics::{
     detect_change_points, sum_count, Cell, ChangePoint, ChangePointConfig, ParamColumn,
     RegressionFlag, ResultTable,
@@ -103,7 +105,7 @@ fn sort_labels(labels: &mut Vec<String>) {
 fn columnar_rows(
     control: &ChronosControl,
     evaluation_id: Id,
-) -> CoreResult<(ResultTable, Vec<usize>)> {
+) -> CoreResult<(Arc<ResultTable>, Vec<usize>)> {
     let evaluation = control.get_evaluation(evaluation_id)?;
     let table = control.columnar_table(evaluation_id)?;
     let order = table.gather(evaluation.job_ids.iter().map(Id::as_u128));
@@ -120,8 +122,8 @@ fn column_label(column: Option<&ParamColumn>, row: usize) -> &str {
 ///
 /// Multiple points landing in the same (x, series) cell are averaged —
 /// repeated evaluations of the same experiment refine the measurement.
-/// Served from the columnar store: one table decode replaces the
-/// decode-every-job-and-result JSON scan.
+/// Served from the columnar store: the evaluation's live table replaces
+/// the decode-every-job-and-result JSON scan.
 pub fn chart_data(
     control: &ChronosControl,
     evaluation_id: Id,
@@ -655,7 +657,7 @@ mod tests {
         use crate::store::MetadataStore;
         use chronos_analytics::percentile_sorted;
         use chronos_json::obj;
-        use chronos_util::SystemClock;
+        use chronos_util::{SplitMix64, SystemClock};
         use std::sync::Arc;
 
         /// A finished evaluation with messy result documents: mixed
@@ -814,25 +816,18 @@ mod tests {
         /// that accumulates floats over physical rows `0..n` instead of
         /// `order` diverges from the oracle.
         fn permuted_sweep(n: usize) -> (ResultTable, Vec<usize>, Vec<ResultPoint>) {
-            let mut state = 0x1234_5678_9abc_def0u64;
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
+            let mut rng = SplitMix64::new(0x1234_5678_9abc_def0);
             let mut table = ResultTable::new();
             let mut points = Vec::new();
             for i in 0..n {
                 let threads = [1i64, 2, 4, 8][(i / 2) % 4];
-                let noise = (next() % 1_000) as f64 / 10.0;
+                let noise = rng.next_below(1_000) as f64 / 10.0;
                 let parameters = obj! {"engine" => ["a", "b"][i % 2], "threads" => threads};
                 let data = obj! {
                     "throughput_ops_per_sec" => 1_000.0 * threads as f64 + noise,
                     "operations" => obj! {
                         "read" => obj! {
-                            "latency_micros" => obj! {"p99" => 400 + (next() % 200) as i64},
+                            "latency_micros" => obj! {"p99" => 400 + rng.next_below(200) as i64},
                         },
                     },
                 };
@@ -843,7 +838,7 @@ mod tests {
             // Fisher-Yates over append order; gathering by the shuffled
             // points' ids permutes `order` the same way.
             for i in (1..n).rev() {
-                points.swap(i, (next() % (i as u64 + 1)) as usize);
+                points.swap(i, rng.next_below(i as u64 + 1) as usize);
             }
             let table = ResultTable::decode(&table.encode()).unwrap();
             let order = table.gather(points.iter().map(|p| p.job_id.as_u128()));

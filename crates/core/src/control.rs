@@ -1058,14 +1058,15 @@ impl ChronosControl {
 
     // ----- columnar analytics ------------------------------------------------
 
-    /// The columnar result table of an evaluation.
+    /// The columnar result table of an evaluation, shared with the
+    /// analytics store: a snapshot that later uploads do not show through.
     ///
     /// Tables are maintained incrementally by [`ChronosControl::finish_job`].
     /// Evaluations that predate the analytics store (a reopened metadata
     /// log) are lazily backfilled from the row store on first read; a
     /// backfill that races a concurrent upload serves its own consistent
     /// snapshot and leaves the rebuild to the next reader.
-    pub fn columnar_table(&self, evaluation_id: Id) -> CoreResult<ResultTable> {
+    pub fn columnar_table(&self, evaluation_id: Id) -> CoreResult<Arc<ResultTable>> {
         let key = evaluation_id.as_u128();
         let loaded = self.analytics.load(key);
         if loaded.backfilled {
@@ -1081,6 +1082,7 @@ impl ChronosControl {
                 &crate::analysis::STANDARD_METRIC_PATHS,
             );
         }
+        let table = Arc::new(table);
         self.analytics.install(key, &table, loaded.generation);
         Ok(table)
     }

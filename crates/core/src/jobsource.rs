@@ -25,7 +25,7 @@
 
 use chronos_api::v1 as dto;
 use chronos_json::{obj, Value};
-use chronos_util::Id;
+use chronos_util::{Id, SplitMix64};
 
 use crate::error::{CoreError, CoreResult};
 
@@ -325,7 +325,7 @@ pub fn sample_distinct(seed: u64, total: u64, k: u64) -> Vec<u64> {
     if k == total {
         return (0..total).collect();
     }
-    let mut rng = SplitMix::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut picked: Vec<u64>;
     if total <= 1 << 20 {
         let mut pool: Vec<u64> = (0..total).collect();
@@ -346,33 +346,6 @@ pub fn sample_distinct(seed: u64, total: u64, k: u64) -> Vec<u64> {
     }
     picked.sort_unstable();
     picked
-}
-
-/// Splitmix64: tiny, seedable, and already the workspace idiom for
-/// deterministic pseudo-randomness (cf. `chronos-workload`).
-struct SplitMix {
-    state: u64,
-}
-
-impl SplitMix {
-    fn new(seed: u64) -> SplitMix {
-        SplitMix { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_below(&mut self, bound: u64) -> u64 {
-        if bound <= 1 {
-            return 0;
-        }
-        self.next() % bound
-    }
 }
 
 #[cfg(test)]

@@ -5,52 +5,35 @@
 //! the decoded document.
 
 use chronos_json::{Map, Value};
+use chronos_util::SplitMix64;
 use minidoc::doc;
 use minidoc::Filter;
 use proptest::prelude::*;
 
-/// Splitmix64: a tiny deterministic generator so documents and filters are
-/// reproducible functions of one proptest-supplied seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 const FIELD_NAMES: [&str; 6] = ["a", "b", "c", "tags", "nested", "x"];
 const STRINGS: [&str; 5] = ["", "basel", "bern", "zürich", "aa"];
 
-fn scalar(rng: &mut Rng) -> Value {
-    match rng.below(7) {
+fn scalar(rng: &mut SplitMix64) -> Value {
+    match rng.next_below(7) {
         0 => Value::Null,
-        1 => Value::Bool(rng.below(2) == 1),
-        2 => Value::from(rng.below(10) as i64 - 5),
-        3 => Value::from((rng.below(9) as f64 - 4.0) / 2.0),
+        1 => Value::Bool(rng.next_below(2) == 1),
+        2 => Value::from(rng.next_below(10) as i64 - 5),
+        3 => Value::from((rng.next_below(9) as f64 - 4.0) / 2.0),
         // Past 2^53: distinguishes exact i64 equality from f64 equality.
-        4 => Value::from(i64::MAX - rng.below(3) as i64),
-        5 => Value::from(STRINGS[rng.below(STRINGS.len() as u64) as usize]),
-        _ => Value::from(rng.below(1000) as i64 * 10),
+        4 => Value::from(i64::MAX - rng.next_below(3) as i64),
+        5 => Value::from(STRINGS[rng.next_below(STRINGS.len() as u64) as usize]),
+        _ => Value::from(rng.next_below(1000) as i64 * 10),
     }
 }
 
-fn value(rng: &mut Rng, depth: u32) -> Value {
-    if depth == 0 || rng.below(3) > 0 {
+fn value(rng: &mut SplitMix64, depth: u32) -> Value {
+    if depth == 0 || rng.next_below(3) > 0 {
         return scalar(rng);
     }
-    if rng.below(2) == 0 {
-        Value::Array((0..rng.below(4)).map(|_| value(rng, depth - 1)).collect())
+    if rng.next_below(2) == 0 {
+        Value::Array((0..rng.next_below(4)).map(|_| value(rng, depth - 1)).collect())
     } else {
-        let n = rng.below(4);
+        let n = rng.next_below(4);
         let mut map = Map::with_capacity(n as usize);
         for i in 0..n {
             map.insert(FIELD_NAMES[(i % 6) as usize].to_string(), value(rng, depth - 1));
@@ -59,8 +42,8 @@ fn value(rng: &mut Rng, depth: u32) -> Value {
     }
 }
 
-fn document(rng: &mut Rng) -> Value {
-    let n = 1 + rng.below(5);
+fn document(rng: &mut SplitMix64) -> Value {
+    let n = 1 + rng.next_below(5);
     let mut map = Map::with_capacity(n as usize);
     for i in 0..n {
         map.insert(FIELD_NAMES[(i % 6) as usize].to_string(), value(rng, 2));
@@ -112,24 +95,24 @@ fn lookup<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
     Some(current)
 }
 
-fn pick_path(rng: &mut Rng, paths: &[String]) -> String {
+fn pick_path(rng: &mut SplitMix64, paths: &[String]) -> String {
     // Mostly real paths; sometimes a missing or non-sensical one.
-    if !paths.is_empty() && rng.below(4) > 0 {
-        paths[rng.below(paths.len() as u64) as usize].clone()
+    if !paths.is_empty() && rng.next_below(4) > 0 {
+        paths[rng.next_below(paths.len() as u64) as usize].clone()
     } else {
-        ["missing", "a.zz", "tags.9", "a.b.c.d", ""][rng.below(5) as usize].to_string()
+        ["missing", "a.zz", "tags.9", "a.b.c.d", ""][rng.next_below(5) as usize].to_string()
     }
 }
 
-fn operand(rng: &mut Rng, doc: &Value, path: &str) -> Value {
+fn operand(rng: &mut SplitMix64, doc: &Value, path: &str) -> Value {
     // Mostly the actual value at the path (or something near it), so
     // equality and range boundaries are actually exercised.
-    match rng.below(4) {
+    match rng.next_below(4) {
         0 => scalar(rng),
         1 => lookup(doc, path).cloned().unwrap_or(Value::Null),
         2 => match lookup(doc, path) {
             Some(v) => match v.as_f64() {
-                Some(f) => Value::from(f + ((rng.below(3) as f64) - 1.0)),
+                Some(f) => Value::from(f + ((rng.next_below(3) as f64) - 1.0)),
                 None => scalar(rng),
             },
             None => scalar(rng),
@@ -138,9 +121,9 @@ fn operand(rng: &mut Rng, doc: &Value, path: &str) -> Value {
     }
 }
 
-fn filter(rng: &mut Rng, doc: &Value, paths: &[String], depth: u32) -> Filter {
+fn filter(rng: &mut SplitMix64, doc: &Value, paths: &[String], depth: u32) -> Filter {
     let leaf_only = depth == 0;
-    match rng.below(if leaf_only { 7 } else { 10 }) {
+    match rng.next_below(if leaf_only { 7 } else { 10 }) {
         kind @ 0..=6 => {
             let path = pick_path(rng, paths);
             if kind == 6 {
@@ -156,12 +139,12 @@ fn filter(rng: &mut Rng, doc: &Value, paths: &[String], depth: u32) -> Filter {
                 _ => Filter::Lte(path, op),
             }
         }
-        7 => {
-            Filter::And((0..1 + rng.below(3)).map(|_| filter(rng, doc, paths, depth - 1)).collect())
-        }
-        8 => {
-            Filter::Or((0..1 + rng.below(3)).map(|_| filter(rng, doc, paths, depth - 1)).collect())
-        }
+        7 => Filter::And(
+            (0..1 + rng.next_below(3)).map(|_| filter(rng, doc, paths, depth - 1)).collect(),
+        ),
+        8 => Filter::Or(
+            (0..1 + rng.next_below(3)).map(|_| filter(rng, doc, paths, depth - 1)).collect(),
+        ),
         _ => Filter::Not(Box::new(filter(rng, doc, paths, depth - 1))),
     }
 }
@@ -173,7 +156,7 @@ proptest! {
     /// (document, filter) pairs.
     #[test]
     fn walker_agrees_with_decoded_matching(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let doc = document(&mut rng);
         let bytes = doc::encode(&doc).unwrap();
         prop_assert_eq!(doc::decode(&bytes).unwrap(), doc.clone());
@@ -190,7 +173,7 @@ proptest! {
     /// at that path, for both existing and missing paths.
     #[test]
     fn decode_path_agrees_with_navigation(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let doc = document(&mut rng);
         let bytes = doc::encode(&doc).unwrap();
         let paths = all_paths(&doc);

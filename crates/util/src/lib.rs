@@ -16,6 +16,8 @@
 //!   Chronos Control.
 //! * [`circuit`] — per-endpoint circuit breakers so a struggling control
 //!   plane is not hammered by its own agent fleet.
+//! * [`splitmix`] — the one seeded pseudo-random generator behind every
+//!   replayable decision and fixture in the workspace.
 //! * [`fail`] — deterministic fault injection: named failpoint sites armed
 //!   from tests or `CHRONOS_FAILPOINTS`, compiled out unless the
 //!   `failpoints` feature is enabled.
@@ -27,7 +29,9 @@ pub mod fail;
 pub mod id;
 pub mod pool;
 pub mod retry;
+pub mod splitmix;
 
 pub use clock::{Clock, MockClock, SystemClock};
 pub use id::Id;
 pub use pool::ThreadPool;
+pub use splitmix::SplitMix64;

@@ -25,7 +25,6 @@ pub mod runner;
 pub mod spec;
 pub mod surface;
 pub mod tpcc;
-pub mod trace;
 
 pub use generators::{
     ExponentialGenerator, Generator, HotspotGenerator, LatestGenerator, ScrambledZipfian,

@@ -4,20 +4,18 @@
 # end-to-end run of the repo benchmark (benchmark/ is its own workspace, so
 # nothing else compiles, tests or runs it).
 # Usage: scripts/check.sh [--bench] [--chaos] [--cluster]
-#   --bench    also regenerate BENCH_control_plane.json / BENCH_data_plane.json /
-#              BENCH_overload.json / BENCH_http_scale.json / BENCH_analytics.json /
-#              BENCH_cluster.json / BENCH_adaptive.json / BENCH_isolation.json at
-#              full scale via the E8, E9, E11, E12, E13, E14, E15 and E16
-#              experiments. This overwrites the committed files, which also
-#              hold rows no commit can regenerate any more (E8/E9/E13
-#              baselines, E11 unbounded, E12 threaded — see EXPERIMENTS.md).
+#   --bench    also regenerate, at full scale, the BENCH_*.json of every
+#              experiment `chronos-bench --list` names a report file for.
+#              This overwrites the committed files, which also hold rows no
+#              commit can regenerate any more (E8/E9 baselines, E11
+#              unbounded, E12 threaded — see EXPERIMENTS.md).
 #   --chaos    also run the fault-injection suites (torture + chaos) with
 #              --features failpoints under a fixed seed, and verify that the
 #              default release build carries zero failpoint overhead
 #   --cluster  also lint + run the replicated-control-plane suite: the
 #              cluster storms (leader death mid-evaluation: exactly-once, and
 #              mid-adaptive-evaluation: identical pruning decisions) at three
-#              pinned seeds, plus an E14 quick smoke
+#              pinned seeds
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,26 +38,29 @@ if ! cargo test -q --offline --test wire_compat; then
     exit 1
 fi
 
-echo "== chronos-bench smoke (E8 E9 E11 E12 E13 E15 E16, quick sizes) =="
-# Runs in a temp directory so the quick-size numbers don't clobber the
-# committed full-scale BENCH_*.json files. E8, E9 and E13 time the shipped
-# store, read path and columnar kernels only (no baseline arm, no ratio to
-# assert); an unknown id or flag exits 2. E15 also asserts the adaptive
-# invariants (budget <= 30% of the grid, deterministic replay, survivor
-# == sampled argmax), and E16 asserts the budget-watchdog invariants
-# (<=2% overhead on compliant work, typed kills on runaway work), so the
-# smoke doubles as a scheduling + isolation gate.
 cargo build --release -p chronos-bench --offline
 bench_bin="$PWD/target/release/chronos-bench"
+# The experiments that write a report, straight from the binary's own
+# table (`--list` prints "<id> [<report file>]" per experiment).
+report_ids="$("$bench_bin" --list | awk 'NF == 2 { print $1 }' | xargs)"
+report_files="$("$bench_bin" --list | awk 'NF == 2 { print $2 }' | xargs)"
+
+echo "== chronos-bench smoke ($report_ids, quick sizes) =="
+# Runs in a temp directory so the quick-size numbers don't clobber the
+# committed full-scale BENCH_*.json files. E8 and E9 time the shipped
+# store and read path only (no baseline arm, no ratio to assert); an
+# unknown id or flag exits 2. E14 asserts failover within two leases and
+# exactly-once results across it, E15 the adaptive invariants (budget
+# <= 30% of the grid, deterministic replay, survivor == sampled argmax),
+# and E16 the budget-watchdog invariants (<=2% overhead on compliant work,
+# typed kills on runaway work), so the smoke doubles as a cluster +
+# scheduling + isolation gate.
 smoke_dir="$(mktemp -d)"
-(cd "$smoke_dir" && "$bench_bin" E8 E9 E11 E12 E13 E15 E16 --quick --json)
-test -s "$smoke_dir/BENCH_control_plane.json"
-test -s "$smoke_dir/BENCH_data_plane.json"
-test -s "$smoke_dir/BENCH_overload.json"
-test -s "$smoke_dir/BENCH_http_scale.json"
-test -s "$smoke_dir/BENCH_analytics.json"
-test -s "$smoke_dir/BENCH_adaptive.json"
-test -s "$smoke_dir/BENCH_isolation.json"
+# shellcheck disable=SC2086  # word-split the id list on purpose
+(cd "$smoke_dir" && "$bench_bin" $report_ids --quick --json)
+for file in $report_files; do
+    test -s "$smoke_dir/$file"
+done
 rm -rf "$smoke_dir"
 
 echo "== overload protection gate (tests/overload.rs) =="
@@ -98,8 +99,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 for arg in "$@"; do
     case "$arg" in
     --bench)
-        echo "== full-scale E8 + E9 + E11 + E12 + E13 + E14 + E15 + E16 -> BENCH_*.json =="
-        ./target/release/chronos-bench E8 E9 E11 E12 E13 E14 E15 E16 --json
+        echo "== full-scale $report_ids -> BENCH_*.json =="
+        # shellcheck disable=SC2086
+        ./target/release/chronos-bench $report_ids --json
         ;;
     --chaos)
         echo "== fault injection: torture + chaos (--features failpoints) =="
@@ -133,11 +135,6 @@ for arg in "$@"; do
             CHRONOS_FAIL_SEED="$seed" \
                 cargo test -q --offline --features failpoints --test cluster
         done
-        echo "== E14 cluster smoke (quick sizes) =="
-        cluster_dir="$(mktemp -d)"
-        (cd "$cluster_dir" && "$bench_bin" E14 --quick --json)
-        test -s "$cluster_dir/BENCH_cluster.json"
-        rm -rf "$cluster_dir"
         ;;
     esac
 done
