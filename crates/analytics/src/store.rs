@@ -7,17 +7,16 @@
 //! its row in place (copy-on-write: a reader still holding a snapshot keeps
 //! a consistent one and the writer pays one clone only then); a load hands
 //! out the `Arc`. The chunk codecs of [`crate::encoding`] are what
-//! [`AnalyticsStore::encoded_size`] reports, computed on demand. Every
-//! entry carries:
+//! [`AnalyticsStore::encoded_size`] reports, computed on demand.
 //!
-//! * `backfilled` — whether the entry is known to contain *every*
-//!   finished result of its evaluation. Entries created lazily by upload
-//!   ingestion on a store that predates the cache start out
-//!   un-backfilled; the first reader rebuilds them from the row store
-//!   (lazy backfill) and installs the complete table.
-//! * `generation` — bumped by every ingest and every invalidation, so a
-//!   backfill computed from a snapshot is dropped instead of clobbering a
-//!   concurrent upload or outliving the rows it was built from.
+//! The store holds only *complete* tables, each with every finished result
+//! of its evaluation. An evaluation without one (it predates the process,
+//! or replication changed its rows) is rebuilt from the row store by its
+//! first reader (lazy backfill), which installs the complete table; until
+//! then an ingest has no table to append to, and the rebuild reads the row
+//! from the row store. The caller serializes backfills with ingests and
+//! invalidations (the control plane runs all of them under its write
+//! lock), so an install always stands.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,23 +26,14 @@ use parking_lot::RwLock;
 
 use crate::table::ResultTable;
 
-#[derive(Default)]
-struct TableEntry {
-    table: Arc<ResultTable>,
-    backfilled: bool,
-    generation: u64,
-}
-
-/// A freshness-tracked load result: a snapshot of the table, whether it is
-/// complete, and the generation to pass back to [`AnalyticsStore::install`].
+/// A freshness-tracked load result: a snapshot of the table and whether
+/// it is complete.
 pub struct LoadedTable {
-    /// The table as of the load (empty when the entry is missing); later
-    /// ingests do not show through it.
+    /// The table as of the load (empty when there is none); later ingests
+    /// do not show through it.
     pub table: Arc<ResultTable>,
     /// True when the entry is known complete (no backfill needed).
     pub backfilled: bool,
-    /// Entry generation at load time.
-    pub generation: u64,
 }
 
 /// The cached outcome of the last regression scan of one experiment —
@@ -66,26 +56,8 @@ pub struct RegressionFlag {
 /// experiment id (regression flags).
 #[derive(Default)]
 pub struct AnalyticsStore {
-    tables: RwLock<Tables>,
+    tables: RwLock<HashMap<u128, Arc<ResultTable>>>,
     flags: RwLock<HashMap<u128, RegressionFlag>>,
-}
-
-#[derive(Default)]
-struct Tables {
-    entries: HashMap<u128, TableEntry>,
-    /// The generation an entry that does not exist yet loads as and is
-    /// created with. Advanced by every invalidation, so a backfill that
-    /// found no entry before one cannot install after it either.
-    absent_generation: u64,
-}
-
-impl Tables {
-    fn entry(&mut self, evaluation: u128) -> &mut TableEntry {
-        let generation = self.absent_generation;
-        self.entries
-            .entry(evaluation)
-            .or_insert_with(|| TableEntry { generation, ..TableEntry::default() })
-    }
 }
 
 impl AnalyticsStore {
@@ -98,11 +70,11 @@ impl AnalyticsStore {
     /// result will flow through [`AnalyticsStore::ingest`], so readers
     /// never need a backfill pass.
     pub fn mark_fresh(&self, evaluation: u128) {
-        self.tables.write().entry(evaluation).backfilled = true;
+        self.tables.write().entry(evaluation).or_default();
     }
 
-    /// Columnarizes one uploaded result into the evaluation's table.
-    /// Idempotent per job: a duplicate appends nothing and bumps nothing.
+    /// Columnarizes one uploaded result into the evaluation's table, if it
+    /// has one. Idempotent per job: a duplicate appends nothing.
     pub fn ingest(
         &self,
         evaluation: u128,
@@ -112,69 +84,34 @@ impl AnalyticsStore {
         json_paths: &[&str],
     ) {
         let mut tables = self.tables.write();
-        let entry = tables.entry(evaluation);
-        if entry.table.contains(job) {
-            return;
+        match tables.get_mut(&evaluation) {
+            Some(table) if !table.contains(job) => {
+                Arc::make_mut(table).append(job, parameters, data, json_paths)
+            }
+            _ => {}
         }
-        Arc::make_mut(&mut entry.table).append(job, parameters, data, json_paths);
-        entry.generation += 1;
     }
 
-    /// Loads an evaluation's table (an empty, un-backfilled one when the
-    /// entry is missing).
+    /// Loads an evaluation's table (an empty, un-backfilled one when it has
+    /// none).
     pub fn load(&self, evaluation: u128) -> LoadedTable {
-        let tables = self.tables.read();
-        match tables.entries.get(&evaluation) {
-            None => LoadedTable {
-                table: Arc::default(),
-                backfilled: false,
-                generation: tables.absent_generation,
-            },
-            Some(entry) => LoadedTable {
-                table: Arc::clone(&entry.table),
-                backfilled: entry.backfilled,
-                generation: entry.generation,
-            },
-        }
+        let table = self.tables.read().get(&evaluation).cloned();
+        LoadedTable { backfilled: table.is_some(), table: table.unwrap_or_default() }
     }
 
-    /// Installs a backfilled table computed from generation
-    /// `loaded_generation`. Refuses (returns `false`) when an ingest
-    /// raced the backfill; the next reader simply rebuilds.
-    pub fn install(
-        &self,
-        evaluation: u128,
-        table: &Arc<ResultTable>,
-        loaded_generation: u64,
-    ) -> bool {
-        let mut tables = self.tables.write();
-        let entry = tables.entry(evaluation);
-        if entry.generation != loaded_generation {
-            return false;
-        }
-        entry.table = Arc::clone(table);
-        entry.backfilled = true;
-        entry.generation += 1;
-        true
+    /// Installs a backfilled table: the complete table of the evaluation.
+    pub fn install(&self, evaluation: u128, table: Arc<ResultTable>) {
+        self.tables.write().insert(evaluation, table);
     }
 
-    /// Drops every table back to empty and un-backfilled: the row store
-    /// changed underneath them (a replication install), so the next reader
-    /// of each rebuilds it. Every generation advances, the absent one
-    /// included — a backfill that loaded before the call must not install
-    /// after it.
+    /// Drops every table: the row store changed underneath them (a
+    /// replication install), so the next reader of each rebuilds it.
     pub fn invalidate_all(&self) {
-        let mut tables = self.tables.write();
-        tables.absent_generation += 1;
-        for entry in tables.entries.values_mut() {
-            entry.table = Arc::default();
-            entry.backfilled = false;
-            entry.generation += 1;
-        }
+        self.tables.write().clear();
     }
 
-    /// Size in bytes of an evaluation's table in the chunk encoding (0
-    /// when absent or empty). Encodes a snapshot, outside the lock.
+    /// Size in bytes of an evaluation's table in the chunk encoding (0 when
+    /// it has none or an empty one). Encodes a snapshot, outside the lock.
     pub fn encoded_size(&self, evaluation: u128) -> usize {
         let table = self.load(evaluation).table;
         if table.rows() == 0 {
@@ -221,42 +158,32 @@ mod tests {
     }
 
     #[test]
-    fn install_refuses_stale_generations() {
+    fn install_replaces_the_table_and_marks_it_complete() {
         let store = AnalyticsStore::new();
-        store.ingest(1, 10, &obj! {}, &obj! {"tp" => 1.0}, &[]);
-        let loaded = store.load(1);
-        // A concurrent upload bumps the generation…
         store.ingest(1, 11, &obj! {}, &obj! {"tp" => 2.0}, &[]);
-        // …so the backfill computed from the stale load must not clobber.
-        assert!(!store.install(1, &loaded.table, loaded.generation));
-        assert_eq!(store.load(1).table.rows(), 2);
-        // A fresh load installs fine.
-        let fresh = store.load(1);
-        assert!(store.install(1, &fresh.table, fresh.generation));
-        assert!(store.load(1).backfilled);
+        let loaded = store.load(1);
+        assert!(!loaded.backfilled, "an ingest alone does not make a table");
+        assert_eq!(loaded.table.rows(), 0, "the backfill will read the row from the row store");
+        let mut rebuilt = ResultTable::new();
+        rebuilt.append(10, &obj! {}, &obj! {"tp" => 1.0}, &[]);
+        rebuilt.append(11, &obj! {}, &obj! {"tp" => 2.0}, &[]);
+        let rebuilt = Arc::new(rebuilt);
+        store.install(1, Arc::clone(&rebuilt));
+        let loaded = store.load(1);
+        assert!(loaded.backfilled);
+        assert!(Arc::ptr_eq(&loaded.table, &rebuilt), "the installed table is the one handed in");
     }
 
     #[test]
-    fn invalidation_empties_tables_and_fences_out_older_backfills() {
+    fn invalidation_empties_tables() {
         let store = AnalyticsStore::new();
         store.mark_fresh(1);
         store.ingest(1, 10, &obj! {}, &obj! {"tp" => 1.0}, &[]);
-        let before = store.load(1);
-        assert!(before.backfilled);
+        assert!(store.load(1).backfilled);
         store.invalidate_all();
         let after = store.load(1);
         assert!(!after.backfilled, "the next reader must rebuild");
         assert_eq!((after.table.rows(), store.encoded_size(1)), (0, 0));
-        // A backfill that loaded before the invalidation is refused.
-        assert!(!store.install(1, &before.table, before.generation));
-        assert!(!store.load(1).backfilled);
-        assert!(store.install(1, &before.table, after.generation));
-        assert!(store.load(1).backfilled);
-        // So is one that found no entry at all before it.
-        let absent = store.load(2);
-        store.invalidate_all();
-        assert!(!store.install(2, &absent.table, absent.generation));
-        assert!(!store.load(2).backfilled);
     }
 
     #[test]
@@ -279,9 +206,6 @@ mod tests {
             after.table.data_column("/tp").unwrap().materialize(),
             [Cell::Float(100.0), Cell::Float(180.0)]
         );
-        // Holding the older table does not keep its generation installable.
-        assert!(!store.install(1, &before.table, before.generation));
-        assert_eq!(store.load(1).table.rows(), 2);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! Every state change runs inside [`ChronosControl::write`]: it takes the
 //! write lock, reads the clock once and hands its closure a [`Tx`] — the
 //! only writer of the metadata and analytics stores — so preconditions are
-//! checked under the lock they are written under. It then commits the
-//! versions once: after the closure, whatever it returned, still locked.
+//! checked under the lock they are written under. The closure's puts reach
+//! the store as one record after it returned `Ok`, and the versions move
+//! once, after that, still locked.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use chronos_analytics::{AnalyticsStore, RegressionFlag, ResultTable};
@@ -60,47 +60,60 @@ pub struct ChronosControl {
 }
 
 /// One state change in progress (see [`ChronosControl::write`]); holding
-/// one proves the write lock is held.
+/// one proves the write lock is held. Reads inside the write see the store
+/// as it was before it: the puts wait in `puts` until the commit.
 struct Tx<'a> {
     control: &'a ChronosControl,
     _lock: parking_lot::MutexGuard<'a, ()>,
     /// The clock, read once per write.
     now: u64,
+    /// The documents the write puts, the last one per `(kind, id)`.
+    puts: Vec<(&'static str, String, Value)>,
     /// What the commit moves: the evaluations touched, the store-wide
-    /// sequence if anything was written, the epoch if frames were installed.
+    /// sequence if anything reached memory, the epoch if frames were
+    /// installed.
     touched: Vec<u128>,
     wrote: bool,
     installed: bool,
 }
 
 impl Tx<'_> {
-    /// Puts a document that belongs to no evaluation.
+    /// Puts a document that belongs to no evaluation, replacing an earlier
+    /// put of the same `(kind, id)` in this write.
+    fn put(&mut self, kind: &'static str, id: Id, document: Value) {
+        let id = id.to_base32();
+        match self.puts.iter_mut().find(|(k, i, _)| *k == kind && *i == id) {
+            Some(put) => put.2 = document,
+            None => self.puts.push((kind, id, document)),
+        }
+    }
+
+    fn put_job(&mut self, job: &Job) {
+        self.touched.push(job.evaluation_id.as_u128());
+        self.put(KIND_JOB, job.id, job.to_json());
+    }
+
+    fn put_evaluation(&mut self, evaluation: &Evaluation) {
+        self.touched.push(evaluation.id.as_u128());
+        self.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
+    }
+
+    /// Hands the write's puts to the store as one record. The store applies
+    /// them to memory before its append can fail, so the write counts as
+    /// written either way.
     #[allow(clippy::disallowed_methods)]
-    fn put(&mut self, kind: &str, id: Id, document: Value) -> CoreResult<()> {
+    fn commit_puts(&mut self) -> CoreResult<()> {
+        if self.puts.is_empty() {
+            return Ok(());
+        }
         self.wrote = true;
-        self.control.store.put(kind, &id.to_base32(), document)
-    }
-
-    /// Marks `evaluation` for the commit before the write it covers: a put
-    /// that fails still moves it (the store writes memory before the flush).
-    fn touch(&mut self, evaluation: Id) {
-        self.wrote = true;
-        self.touched.push(evaluation.as_u128());
-    }
-
-    fn put_job(&mut self, job: &Job) -> CoreResult<()> {
-        self.touch(job.evaluation_id);
-        self.put(KIND_JOB, job.id, job.to_json())
-    }
-
-    fn put_evaluation(&mut self, evaluation: &Evaluation) -> CoreResult<()> {
-        self.touch(evaluation.id);
-        self.put(KIND_EVALUATION, evaluation.id, evaluation.to_json())
+        self.control.store.put_all(std::mem::take(&mut self.puts))
     }
 
     /// Columnarizes `job`'s uploaded result into its evaluation's table.
     fn ingest(&mut self, job: &Job, data: &Value) {
-        self.touch(job.evaluation_id);
+        self.wrote = true;
+        self.touched.push(job.evaluation_id.as_u128());
         let paths = &crate::analysis::STANDARD_METRIC_PATHS;
         let (evaluation, id) = (job.evaluation_id.as_u128(), job.id.as_u128());
         self.control.analytics.ingest(evaluation, id, &job.parameters, data, paths);
@@ -109,12 +122,33 @@ impl Tx<'_> {
     /// Born with the analytics store attached: every result is ingested
     /// at upload, so columnar reads never need a backfill pass.
     fn mark_fresh(&mut self, evaluation: Id) {
-        self.touch(evaluation);
+        self.wrote = true;
+        self.touched.push(evaluation.as_u128());
         self.control.analytics.mark_fresh(evaluation.as_u128());
     }
 
+    /// The evaluation's columnar table, rebuilt from the row store and
+    /// installed when it is not known complete. Under the write lock no
+    /// upload or install can land between the rebuild and its install.
+    /// Moves no version: the table says what the row store already said.
+    fn columnar_table(&self, evaluation: Id) -> CoreResult<Arc<ResultTable>> {
+        let key = evaluation.as_u128();
+        let loaded = self.control.analytics.load(key);
+        if loaded.backfilled {
+            return Ok(loaded.table);
+        }
+        let mut table = ResultTable::new();
+        let paths = &crate::analysis::STANDARD_METRIC_PATHS;
+        for point in crate::analysis::collect_points(self.control, evaluation)? {
+            table.append(point.job_id.as_u128(), &point.parameters, &point.data, paths);
+        }
+        let table = Arc::new(table);
+        self.control.analytics.install(key, Arc::clone(&table));
+        Ok(table)
+    }
+
     /// Installed frames bypass the lifecycle code, so every columnar table
-    /// drops back to un-backfilled and the commit advances the epoch — on
+    /// is dropped for a rebuild and the commit advances the epoch — on
     /// an error too (frames reach memory before the flush can fail), but
     /// not when no frame applied: the empty segments leaders ship as
     /// heartbeats must not cost a follower its tables.
@@ -166,19 +200,21 @@ impl ChronosControl {
     }
 
     /// Runs one state change: the only place the write lock is taken and
-    /// the only caller of [`Versions::commit`]. The commit follows the
-    /// closure, whatever it returned, so every version moves after the
-    /// last mutation it covers is visible.
+    /// the only caller of [`Versions::commit`]. When the closure returns
+    /// `Ok`, its puts go to the store as one record; an `Err` drops them.
+    /// The version commit follows, whatever the outcome, so every version
+    /// moves after the last mutation it covers is visible.
     fn write<R>(&self, f: impl FnOnce(&mut Tx<'_>) -> CoreResult<R>) -> CoreResult<R> {
         let mut tx = Tx {
             control: self,
             _lock: self.write_lock.lock(),
             now: self.now(),
+            puts: Vec::new(),
             touched: Vec::new(),
             wrote: false,
             installed: false,
         };
-        let result = f(&mut tx);
+        let result = f(&mut tx).and_then(|r| tx.commit_puts().map(|()| r));
         if tx.wrote {
             self.versions.commit(&tx.touched, tx.installed);
         }
@@ -252,7 +288,7 @@ impl ChronosControl {
                 return Err(CoreError::Conflict(format!("user {username:?} already exists")));
             }
             let user = User::new(username, password, role, tx.now);
-            tx.put(KIND_USER, user.id, user.to_json())?;
+            tx.put(KIND_USER, user.id, user.to_json());
             Ok(user)
         })
     }
@@ -315,7 +351,7 @@ impl ChronosControl {
                 charts,
                 created_at: tx.now,
             };
-            tx.put(KIND_SYSTEM, system.id, system.to_json())?;
+            tx.put(KIND_SYSTEM, system.id, system.to_json());
             Ok(system)
         })
     }
@@ -369,7 +405,7 @@ impl ChronosControl {
                 active: true,
                 created_at: tx.now,
             };
-            tx.put(KIND_DEPLOYMENT, deployment.id, deployment.to_json())?;
+            tx.put(KIND_DEPLOYMENT, deployment.id, deployment.to_json());
             Ok(deployment)
         })
     }
@@ -390,7 +426,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut deployment = self.get_deployment(id)?;
             deployment.active = active;
-            tx.put(KIND_DEPLOYMENT, id, deployment.to_json())?;
+            tx.put(KIND_DEPLOYMENT, id, deployment.to_json());
             Ok(deployment)
         })
     }
@@ -411,7 +447,7 @@ impl ChronosControl {
                 archived: false,
                 created_at: tx.now,
             };
-            tx.put(KIND_PROJECT, project.id, project.to_json())?;
+            tx.put(KIND_PROJECT, project.id, project.to_json());
             Ok(project)
         })
     }
@@ -433,7 +469,7 @@ impl ChronosControl {
             let mut project = self.get_project(project_id)?;
             if !project.members.contains(&user_id) {
                 project.members.push(user_id);
-                tx.put(KIND_PROJECT, project_id, project.to_json())?;
+                tx.put(KIND_PROJECT, project_id, project.to_json());
             }
             Ok(project)
         })
@@ -457,7 +493,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut project = self.get_project(project_id)?;
             project.archived = true;
-            tx.put(KIND_PROJECT, project_id, project.to_json())?;
+            tx.put(KIND_PROJECT, project_id, project.to_json());
             Ok(project)
         })
     }
@@ -540,7 +576,7 @@ impl ChronosControl {
                 created_at: tx.now,
                 budget: budget.filter(|b| !b.is_empty()),
             };
-            tx.put(KIND_EXPERIMENT, experiment.id, experiment.to_json())?;
+            tx.put(KIND_EXPERIMENT, experiment.id, experiment.to_json());
             Ok(experiment)
         })
     }
@@ -561,7 +597,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut experiment = self.get_experiment(id)?;
             experiment.archived = true;
-            tx.put(KIND_EXPERIMENT, id, experiment.to_json())?;
+            tx.put(KIND_EXPERIMENT, id, experiment.to_json());
             Ok(experiment)
         })
     }
@@ -589,7 +625,7 @@ impl ChronosControl {
                 created_at: tx.now,
                 source: Some(JobSourceState::plan(experiment.strategy, space.total())),
             };
-            tx.put_evaluation(&evaluation)?;
+            tx.put_evaluation(&evaluation);
             tx.mark_fresh(evaluation.id);
             Ok(evaluation)
         })
@@ -654,7 +690,7 @@ impl ChronosControl {
         job.heartbeat_at = Some(tx.now);
         job.attempts += 1;
         job.claim_key = key.map(str::to_string);
-        tx.put_job(&job)?;
+        tx.put_job(&job);
         Ok(job)
     }
 
@@ -691,48 +727,30 @@ impl ChronosControl {
                 }
             }
             // Pass 1: a job document already waiting (a rescheduled job, or a
-            // materialized point another agent abandoned). Lazily-materialized jobs
-            // not listed in their evaluation's job_ids are *orphans* — the crash
-            // window between "put job" and "put evaluation" — and must not be claimed
-            // directly: materialization below adopts them for the deterministic next
-            // index instead of duplicating the point.
-            let mut registered: HashMap<Id, HashSet<Id>> = HashMap::new();
-            let mut orphans: HashMap<(Id, u64), Job> = HashMap::new();
+            // materialized point another agent abandoned).
             for id in self.store.ids(KIND_JOB) {
                 let Some(doc) = self.store.get(KIND_JOB, &id) else { continue };
                 let Ok(job) = Job::from_json(&doc) else { continue };
-                if job.state != JobState::Scheduled || job.system_id != deployment.system_id {
-                    continue;
+                if job.state == JobState::Scheduled && job.system_id == deployment.system_id {
+                    return Self::claim(tx, job, &deployment, idempotency_key).map(Some);
                 }
-                if let Some(index) = job.point_index {
-                    let members = registered.entry(job.evaluation_id).or_insert_with(|| {
-                        self.get_evaluation(job.evaluation_id)
-                            .map(|e| e.job_ids.into_iter().collect())
-                            .unwrap_or_default()
-                    });
-                    if !members.contains(&job.id) {
-                        orphans.insert((job.evaluation_id, index), job);
-                        continue;
-                    }
-                }
-                return Self::claim(tx, job, &deployment, idempotency_key).map(Some);
             }
             // Pass 2: materialize the next point from the oldest evaluation
             // with remaining work for this system.
-            self.materialize_next(tx, &deployment, idempotency_key, &mut orphans)
+            self.materialize_next(tx, &deployment, idempotency_key)
         })
     }
 
     /// Walks evaluations in creation order and materializes the next point
     /// of the first one with available work for `deployment`'s system,
     /// returning it claimed. Settles adaptive rungs (scoring + pruning)
-    /// along the way.
+    /// along the way. The job and the evaluation's advanced cursor reach
+    /// the store in the claim's one record.
     fn materialize_next(
         &self,
         tx: &mut Tx,
         deployment: &Deployment,
         idempotency_key: Option<&str>,
-        orphans: &mut HashMap<(Id, u64), Job>,
     ) -> CoreResult<Option<Job>> {
         for key in self.store.ids(KIND_EVALUATION) {
             let Some(doc) = self.store.get(KIND_EVALUATION, &key) else { continue };
@@ -751,30 +769,21 @@ impl ChronosControl {
             };
             // Adaptive: a fully-issued rung blocks until every rung job
             // settles, then candidates are scored and pruned.
-            if source.peek().is_none() && !self.try_advance_rung(&mut source, &evaluation)? {
+            if source.peek().is_none() && !self.try_advance_rung(tx, &mut source, &evaluation)? {
                 continue;
             }
             let Some(index) = source.peek() else { continue };
             let Some(parameters) = space.point_at(index) else { continue };
-            // Job first, evaluation second: a crash in between leaves an
-            // orphan job that the next claim adopts right here.
-            let job = match orphans.remove(&(evaluation.id, index)) {
-                Some(orphan) => orphan,
-                None => {
-                    let mut job = Job::new(evaluation.id, experiment.system_id, parameters, tx.now);
-                    job.point_index = Some(index);
-                    job.budget = experiment.budget;
-                    tx.put_job(&job)?;
-                    job
-                }
-            };
+            let mut job = Job::new(evaluation.id, experiment.system_id, parameters, tx.now);
+            job.point_index = Some(index);
+            job.budget = experiment.budget;
             source.advance();
             if let Some(frontier) = &mut source.frontier {
                 frontier.job_ids.push(job.id);
             }
             evaluation.job_ids.push(job.id);
             evaluation.source = Some(source);
-            tx.put_evaluation(&evaluation)?;
+            tx.put_evaluation(&evaluation);
             return Self::claim(tx, job, deployment, idempotency_key).map(Some);
         }
         Ok(None)
@@ -788,6 +797,7 @@ impl ChronosControl {
     /// ids — so replays and failed-over leaders decide identically.
     fn try_advance_rung(
         &self,
+        tx: &Tx,
         source: &mut JobSourceState,
         evaluation: &Evaluation,
     ) -> CoreResult<bool> {
@@ -808,7 +818,7 @@ impl ChronosControl {
             }
             jobs.push(job);
         }
-        let table = self.columnar_table(evaluation.id)?;
+        let table = tx.columnar_table(evaluation.id)?;
         let cells = table.data_column(&cfg.metric).map(|c| c.materialize()).unwrap_or_default();
         let scored: Vec<(u64, Option<f64>)> = frontier
             .candidates
@@ -864,7 +874,7 @@ impl ChronosControl {
             if let Some(p) = progress {
                 job.progress = p.min(100);
             }
-            tx.put_job(&job)?;
+            tx.put_job(&job);
             Ok(job)
         })
     }
@@ -878,7 +888,8 @@ impl ChronosControl {
             if !text.ends_with('\n') {
                 job.log.push('\n');
             }
-            tx.put_job(&job)
+            tx.put_job(&job);
+            Ok(())
         })
     }
 
@@ -913,10 +924,10 @@ impl ChronosControl {
                 JobResult { id: Id::generate(), job_id, data, archive, created_at: tx.now };
             let mut stored = result.to_json();
             stored.set("archive_b64", chronos_util::encode::base64_encode(&result.archive));
-            tx.put(KIND_RESULT, result.id, stored)?;
+            tx.put(KIND_RESULT, result.id, stored);
             job.result_id = Some(result.id);
             job.result_key = idempotency_key.map(str::to_string);
-            tx.put_job(&job)?;
+            tx.put_job(&job);
             tx.ingest(&job, &result.data);
             Ok(result)
         })
@@ -969,7 +980,7 @@ impl ChronosControl {
                 ),
             )?;
         }
-        tx.put_job(&job)?;
+        tx.put_job(&job);
         Ok(job)
     }
 
@@ -978,7 +989,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut job = self.get_job(job_id)?;
             job.apply(JobEvent::Abort, tx.now, "aborted by user")?;
-            tx.put_job(&job)?;
+            tx.put_job(&job);
             Ok(job)
         })
     }
@@ -992,7 +1003,7 @@ impl ChronosControl {
             job.progress = 0;
             job.failure = None;
             job.claim_key = None;
-            tx.put_job(&job)?;
+            tx.put_job(&job);
             Ok(job)
         })
     }
@@ -1040,7 +1051,7 @@ impl ChronosControl {
     /// Total number of stored results. The chaos suite uses this to prove
     /// exactly-once semantics: one result per finished job, zero duplicates.
     pub fn count_results(&self) -> usize {
-        self.store.ids(KIND_RESULT).len()
+        self.store.count(KIND_RESULT)
     }
 
     /// The result of a job, if it has one.
@@ -1063,24 +1074,14 @@ impl ChronosControl {
     ///
     /// Tables are maintained incrementally by [`ChronosControl::finish_job`].
     /// Evaluations that predate the analytics store (a reopened metadata
-    /// log) are lazily backfilled from the row store on first read; a
-    /// backfill that races a concurrent upload serves its own consistent
-    /// snapshot and leaves the rebuild to the next reader.
+    /// log) or whose rows arrived by replication are backfilled from the
+    /// row store on first read, inside a write so nothing lands in between.
     pub fn columnar_table(&self, evaluation_id: Id) -> CoreResult<Arc<ResultTable>> {
-        let key = evaluation_id.as_u128();
-        let loaded = self.analytics.load(key);
+        let loaded = self.analytics.load(evaluation_id.as_u128());
         if loaded.backfilled {
             return Ok(loaded.table);
         }
-        let points = crate::analysis::collect_points(self, evaluation_id)?;
-        let mut table = ResultTable::new();
-        let paths = &crate::analysis::STANDARD_METRIC_PATHS;
-        for point in &points {
-            table.append(point.job_id.as_u128(), &point.parameters, &point.data, paths);
-        }
-        let table = Arc::new(table);
-        self.analytics.install(key, &table, loaded.generation);
-        Ok(table)
+        self.write(|tx| tx.columnar_table(evaluation_id))
     }
 
     /// Caches the outcome of a regression scan for the experiment status
@@ -1102,7 +1103,7 @@ fn stored_job_state(doc: &Value) -> Option<JobState> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // two tests plant documents the write path never writes
+#[allow(clippy::disallowed_methods)] // one test plants documents the write path never writes
 mod tests {
     use super::*;
     use crate::charts::ChartSpec;
@@ -1264,7 +1265,7 @@ mod tests {
         let before = versions();
         control
             .write(|tx| {
-                tx.put_job(&job)?;
+                tx.put_job(&job);
                 tx.ingest(&job, &obj! {"throughput_ops_per_sec" => 1.0});
                 assert_eq!(versions(), before, "a version moved before the write's last mutation");
                 Ok(())
@@ -1272,6 +1273,110 @@ mod tests {
             .unwrap();
         let after = versions();
         assert!(after.0 > before.0 && after.1 > before.1, "{before:?} -> {after:?}");
+    }
+
+    #[test]
+    fn a_write_puts_each_document_once_and_an_error_puts_nothing() {
+        let (control, _clock, _evaluation, deployment) = demo_evaluation();
+        let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+        let records = control.store.log_records();
+        control
+            .write(|tx| {
+                let mut later = job.clone();
+                later.progress = 7;
+                tx.put_job(&job);
+                tx.put_job(&later);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(control.store.log_records(), records + 1);
+        assert_eq!(control.get_job(job.id).unwrap().progress, 7, "the later put wins");
+        let feed = control.read_replication(0, usize::MAX).unwrap();
+        let last = feed[..feed.len() - 1].split(|&b| b == b'\n').next_back().unwrap();
+        assert!(last.starts_with(b"{\"op\":\"put\","), "one document, one put frame");
+        let failed = control.write(|tx| {
+            tx.put(KIND_USER, Id::generate(), obj! {"username" => "ghost"});
+            Err::<(), _>(CoreError::Invalid("rejected".into()))
+        });
+        assert!(failed.is_err());
+        assert_eq!(control.store.log_records(), records + 1, "a rejected write logged a record");
+        assert!(control.find_user("ghost").is_none());
+    }
+
+    /// One thread finishes jobs while another backfills the evaluation's
+    /// table right after it was dropped — by a replication install or by a
+    /// reopen. Once both stop, the table must be the one a rebuild from
+    /// scratch gives: an upload landing inside the backfill is neither
+    /// lost nor doubled.
+    #[test]
+    fn a_backfill_racing_uploads_ends_equal_to_a_rebuild() {
+        let path = std::env::temp_dir()
+            .join(format!("chronos-control-backfill-race-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let open = || {
+            let store = MetadataStore::open(&path).unwrap();
+            ChronosControl::new(store, Arc::new(SystemClock), SchedulerConfig::default())
+        };
+        let mut control = open();
+        let system = control
+            .register_system(
+                "grid",
+                "",
+                vec![ParamDef::new(
+                    "x",
+                    "",
+                    ParamType::Interval { min: 0, max: 999, step: 1 },
+                    Value::from(0),
+                )
+                .unwrap()],
+                vec![],
+            )
+            .unwrap();
+        let deployment = control.create_deployment(system.id, "node", "1").unwrap();
+        let owner = control.create_user("ada", "pw", Role::Member).unwrap();
+        let project = control.create_project("p", "", owner.id).unwrap();
+        let assignments = ParamAssignments::new().sweep_all("x");
+        let experiment =
+            control.create_experiment(project.id, system.id, "race", "", assignments).unwrap();
+        let evaluation = control.create_evaluation(experiment.id).unwrap().id;
+        // The first record re-installed: it changes no document, and it
+        // drops every table.
+        let system_frame = control.read_replication(0, 1).unwrap();
+        let finish = |control: &ChronosControl| {
+            let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+            let x = job.parameters.get("x").and_then(Value::as_f64).unwrap();
+            let data = obj! {"throughput_ops_per_sec" => x, "total_ops" => 10};
+            control.finish_job(job.id, data, vec![], Some(job.attempts), None).unwrap();
+        };
+        for round in 0..30 {
+            if round % 5 == 4 {
+                drop(control);
+                control = open();
+            } else {
+                control.install_replication(&system_frame).unwrap();
+            }
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..8 {
+                        finish(&control);
+                    }
+                });
+                barrier.wait();
+                control.columnar_table(evaluation).unwrap();
+            });
+            let mut rebuilt = ResultTable::new();
+            for point in crate::analysis::collect_points(&control, evaluation).unwrap() {
+                let paths = &crate::analysis::STANDARD_METRIC_PATHS;
+                rebuilt.append(point.job_id.as_u128(), &point.parameters, &point.data, paths);
+            }
+            assert_eq!(rebuilt.rows(), 8 * (round + 1));
+            let table = control.columnar_table(evaluation).unwrap();
+            assert_eq!(*table, rebuilt, "round {round}");
+        }
+        drop(control);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1292,15 +1397,29 @@ mod tests {
         let versions = |c: &ChronosControl| {
             (c.evaluation_version(evaluation.id), c.state_version(), c.evaluation_version(other.id))
         };
+        // Every document, for telling a write that wrote nothing.
+        let documents = |c: &ChronosControl| {
+            let kinds = [KIND_USER, KIND_SYSTEM, KIND_DEPLOYMENT, KIND_PROJECT, KIND_EXPERIMENT];
+            let kinds = kinds.into_iter().chain([KIND_EVALUATION, KIND_JOB, KIND_RESULT]);
+            kinds.map(|kind| c.store.list(kind)).collect::<Vec<_>>()
+        };
         let mut last = versions(&control);
-        // Every write moves the store-wide value, `ours` says whether it
-        // moves the evaluation's, and `other` is never touched. A rejected
-        // write moves nothing.
+        let (mut records, mut docs) = (control.store.log_records(), documents(&control));
+        // Every write moves the store-wide value and logs exactly one
+        // record, `ours` says whether it moves the evaluation's, and `other`
+        // is never touched. A rejected write moves nothing, logs nothing and
+        // leaves every document as it was.
         let mut moved = |what: &str, store: bool, ours: bool| {
             let now = versions(&control);
             let seen = (now.1 > last.1, now.0 > last.0, now.2);
             assert_eq!(seen, (store, ours, last.2), "{what}: {last:?} -> {now:?}");
             last = now;
+            let logged = control.store.log_records() - records;
+            assert_eq!(logged, u64::from(store), "{what}: records logged");
+            records += logged;
+            let now = documents(&control);
+            assert!(store || now == docs, "{what}: a write that wrote nothing changed a document");
+            docs = now;
         };
         // Entity writes.
         let bob = control.create_user("bob", "pw", Role::Viewer).unwrap();
@@ -1367,6 +1486,10 @@ mod tests {
         clock.advance_millis(10_001);
         assert_eq!(control.check_timeouts().unwrap(), vec![job.id]);
         moved("timeout", true, true);
+        // A backfill rebuilds what the row store says: nothing to move.
+        control.analytics.invalidate_all();
+        control.columnar_table(evaluation.id).unwrap();
+        moved("backfill", false, false);
         // An install on a follower moves every evaluation there.
         let (follower, _follower_clock) = control_with_clock();
         let before = versions(&follower);
@@ -1819,7 +1942,7 @@ mod tests {
             let job = control.get_job(job_id).unwrap();
             assert_eq!(job.state, JobState::Running);
             assert!(job.log.contains("halfway there"));
-            // The restarted control can fail the orphaned job via timeout.
+            // The restarted control can fail the abandoned job via timeout.
             let timed_out = control.check_timeouts().unwrap();
             assert!(timed_out.is_empty() || timed_out == vec![job_id]);
         }
@@ -1840,32 +1963,6 @@ mod tests {
             lazy.push(job.parameters.clone());
         }
         assert_eq!(lazy, eager);
-    }
-
-    #[test]
-    fn orphaned_materialization_is_adopted_not_duplicated() {
-        let (control, _clock, evaluation, deployment) = demo_evaluation();
-        // Simulate the crash window: the job document for point 0 landed
-        // but the evaluation update never did.
-        let experiment = control.get_experiment(evaluation.experiment_id).unwrap();
-        let system = control.get_system(experiment.system_id).unwrap();
-        let space = PointSpace::build(&experiment.assignments, &system.parameters).unwrap();
-        let mut orphan =
-            Job::new(evaluation.id, system.id, space.point_at(0).unwrap(), control.now());
-        orphan.point_index = Some(0);
-        control.store.put(KIND_JOB, &orphan.id.to_base32(), orphan.to_json()).unwrap();
-
-        let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
-        assert_eq!(job.id, orphan.id, "the orphan is adopted for point 0");
-        assert_eq!(job.point_index, Some(0));
-        assert_eq!(control.get_evaluation(evaluation.id).unwrap().job_ids, vec![orphan.id]);
-        // Drain the rest: exactly one job per point, no duplicates.
-        let mut total = 1;
-        while control.claim_next_job(deployment.id, None).unwrap().is_some() {
-            total += 1;
-        }
-        assert_eq!(total, 4);
-        assert_eq!(control.get_evaluation(evaluation.id).unwrap().job_ids.len(), 4);
     }
 
     /// Drives an adaptive evaluation over a 16-point 1-d space whose metric

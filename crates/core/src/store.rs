@@ -23,6 +23,12 @@
 //!   file. Memory, feed and file therefore see every key in one order, and
 //!   the file is byte-for-byte the feed until a compaction.
 //!
+//! One write is one record, one line: a put frame
+//! `{"op":"put","kind":…,"id":…,"doc":…}` for one document, a write frame
+//! `{"op":"write","puts":[<put frame>,…]}` for several
+//! ([`MetadataStore::put_all`]). Replay and replication work a line at a
+//! time, so a restart or a follower sees a write whole or not at all.
+//!
 //! A log write failure is sticky: the store keeps serving reads, but every
 //! subsequent mutation fails with the original error, so memory and log
 //! cannot silently diverge further than the write that broke.
@@ -153,12 +159,12 @@ impl MetadataStore {
                     }
                     match chronos_json::parse(line.trim_end_matches(['\n', '\r'])) {
                         Ok(value) => {
-                            let Some(frame) = decode_frame(value) else {
+                            let Some(puts) = decode_frame(value) else {
                                 return Err(corrupt(records + 1, &"not a store frame"));
                             };
                             records += 1;
                             valid_bytes += line.len() as u64;
-                            insert(&mut docs, &frame.kind, frame.id, Arc::new(frame.doc));
+                            insert(&mut docs, puts);
                         }
                         Err(parse_err) => {
                             if reader.fill_buf()?.is_empty() {
@@ -189,18 +195,41 @@ impl MetadataStore {
         Ok(Self::from_parts(docs, log))
     }
 
-    /// Stores (inserting or replacing) a document.
+    /// Stores (inserting or replacing) a document: a write of one.
     pub fn put(&self, kind: &str, id: &str, document: Value) -> CoreResult<()> {
+        self.write(vec![(kind, id.to_string(), document)])
+    }
+
+    /// Stores every document of one write as one record: memory takes them
+    /// in one document-lock hold and the log in one line, so a reader, a
+    /// restart and a follower see all of them or none. Puts apply in order;
+    /// an empty write writes nothing.
+    pub fn put_all(&self, puts: Vec<(&str, String, Value)>) -> CoreResult<()> {
+        self.write(puts)
+    }
+
+    /// [`put_all`](MetadataStore::put_all), which `put` shares.
+    fn write(&self, puts: Vec<(&str, String, Value)>) -> CoreResult<()> {
+        if puts.is_empty() {
+            return Ok(());
+        }
         // All serialization and allocation happen before any lock is taken.
-        let document = Arc::new(document);
-        let frame = frame_put(kind, id, &document);
-        let id = id.to_string();
+        let puts: Vec<_> =
+            puts.into_iter().map(|(kind, id, doc)| (kind, id, Arc::new(doc))).collect();
+        let frame = frame_write(&puts);
         let mut log = self.log.lock();
         log.check()?;
         // The document lock is released before the file write: readers
         // wait for the in-memory apply, never for the disk.
-        insert(&mut self.docs.write(), kind, id, document);
+        insert(&mut self.docs.write(), puts);
         self.append(&mut log, &frame, 1)
+    }
+
+    /// Records `detail` as the store's sticky failure and returns it.
+    fn poison(&self, log: &mut Log, detail: String) -> CoreError {
+        log.error = Some(detail.clone());
+        self.failed.store(true, Ordering::Release);
+        CoreError::Storage(detail)
     }
 
     /// Appends `bytes` — `frames` whole frames, already applied to memory —
@@ -223,9 +252,7 @@ impl MetadataStore {
                 None => file.write_all(bytes).map_err(|e| format!("log append failed: {e}")),
             };
             if let Err(detail) = written {
-                log.error = Some(detail.clone());
-                self.failed.store(true, Ordering::Release);
-                return Err(CoreError::Storage(detail));
+                return Err(self.poison(log, detail));
             }
         }
         // Counted only after the write succeeded, so a failed append can
@@ -254,7 +281,7 @@ impl MetadataStore {
         self.docs.read().get(kind).map_or(0, BTreeMap::len)
     }
 
-    /// Records in the log right now (for persistent stores), or mutations
+    /// Records in the log right now (for persistent stores), or writes
     /// accepted (for in-memory stores). Drops back to the live-document
     /// count after [`compact`](MetadataStore::compact).
     pub fn log_records(&self) -> u64 {
@@ -329,19 +356,14 @@ impl MetadataStore {
                         ))
                     })
             })
-            .collect::<CoreResult<Vec<Frame>>>()?;
+            .collect::<CoreResult<Vec<_>>>()?;
         let mut log = self.log.lock();
         log.check()?;
         if frames.is_empty() {
             return Ok(0);
         }
         let count = frames.len() as u64;
-        {
-            let mut docs = self.docs.write();
-            for frame in frames {
-                insert(&mut docs, &frame.kind, frame.id, Arc::new(frame.doc));
-            }
-        }
+        insert(&mut self.docs.write(), frames.into_iter().flatten());
         self.append(&mut log, &payload[..complete], count)?;
         Ok(complete as u64)
     }
@@ -365,7 +387,7 @@ impl MetadataStore {
     pub fn compact(&self) -> CoreResult<()> {
         let mut log = self.log.lock();
         log.check()?;
-        let Some((file, path)) = &mut log.file else { return Ok(()) };
+        let Some(path) = log.file.as_ref().map(|(_, path)| path.clone()) else { return Ok(()) };
         let tmp = path.with_extension("compact-tmp");
         let mut live = 0u64;
         {
@@ -374,7 +396,8 @@ impl MetadataStore {
             for (kind, docs) in self.docs.read().iter() {
                 for (id, doc) in docs {
                     frame.clear();
-                    frame_put_into(&mut frame, kind, id, doc);
+                    put_into(&mut frame, kind, id, doc);
+                    frame.push('\n');
                     out.write_all(frame.as_bytes())?;
                     live += 1;
                 }
@@ -388,13 +411,22 @@ impl MetadataStore {
         if let Some(inj) = chronos_util::fail_eval!("core.store.compact.rename") {
             return Err(CoreError::Storage(injected_io(inj, "compaction rename")));
         }
-        std::fs::rename(&tmp, &*path)?;
+        std::fs::rename(&tmp, &path)?;
         // The rename is only durable once the directory entry is synced; a
         // crash right after the rename could otherwise resurrect the old log.
-        sync_parent_dir(path)?;
-        *file = OpenOptions::new().append(true).open(&*path)?;
-        log.records = live;
-        Ok(())
+        // From here the open handle names the unlinked old file, so a
+        // failure is sticky like a failed append: no later write may land
+        // where a restart will not look.
+        match sync_parent_dir(&path).and_then(|()| OpenOptions::new().append(true).open(&path)) {
+            Ok(file) => {
+                log.file = Some((file, path));
+                log.records = live;
+                Ok(())
+            }
+            Err(e) => {
+                Err(self.poison(&mut log, format!("log compaction failed after rename: {e}")))
+            }
+        }
     }
 }
 
@@ -420,51 +452,74 @@ fn injected_io(inj: chronos_util::fail::Injected, what: &str) -> String {
     }
 }
 
-/// Serializes a put record (`{"op":"put",...}\n`) into `out` without
-/// cloning the document.
-fn frame_put_into(out: &mut String, kind: &str, id: &str, doc: &Value) {
+/// Serializes a put frame (`{"op":"put",...}`, no newline) into `out`
+/// without cloning the document.
+fn put_into(out: &mut String, kind: &str, id: &str, doc: &Value) {
     out.push_str("{\"op\":\"put\",\"kind\":");
     chronos_json::write_string(out, kind);
     out.push_str(",\"id\":");
     chronos_json::write_string(out, id);
     out.push_str(",\"doc\":");
     doc.write_into(out);
-    out.push_str("}\n");
+    out.push('}');
 }
 
-fn frame_put(kind: &str, id: &str, doc: &Value) -> Vec<u8> {
+/// The one line of a write: its put frame, or a write frame
+/// (`{"op":"write","puts":[…]}`) around its put frames.
+fn frame_write(puts: &[(&str, String, Arc<Value>)]) -> Vec<u8> {
     let mut out = String::with_capacity(64);
-    frame_put_into(&mut out, kind, id, doc);
+    let many = puts.len() > 1;
+    if many {
+        out.push_str("{\"op\":\"write\",\"puts\":[");
+    }
+    for (i, (kind, id, doc)) in puts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        put_into(&mut out, kind, id, doc);
+    }
+    out.push_str(if many { "]}\n" } else { "\n" });
     out.into_bytes()
 }
 
-/// One put, decoded from a log or replication line.
-struct Frame {
-    kind: String,
-    id: String,
-    doc: Value,
+/// One put, decoded from a log or replication line: kind, id, document.
+type Put = (String, String, Arc<Value>);
+
+/// Decodes a put frame, or a write frame into its put frames; anything
+/// else is not a frame.
+fn decode_frame(value: Value) -> Option<Vec<Put>> {
+    let Value::Object(mut map) = value else { return None };
+    if map.get("op").and_then(Value::as_str) == Some("write") {
+        let Value::Array(puts) = map.remove("puts")? else { return None };
+        return puts.into_iter().map(decode_put).collect();
+    }
+    Some(vec![decode_put(Value::Object(map))?])
 }
 
-/// Decodes `{"op":"put","kind":…,"id":…,"doc":…}`; anything else is not
-/// a frame.
-fn decode_frame(value: Value) -> Option<Frame> {
+/// Decodes `{"op":"put","kind":…,"id":…,"doc":…}`.
+fn decode_put(value: Value) -> Option<Put> {
     let Value::Object(mut map) = value else { return None };
     if map.get("op").and_then(Value::as_str) != Some("put") {
         return None;
     }
     let kind = map.get("kind").and_then(Value::as_str)?.to_string();
     let id = map.get("id").and_then(Value::as_str)?.to_string();
-    Some(Frame { kind, id, doc: map.remove("doc")? })
+    Some((kind, id, Arc::new(map.remove("doc")?)))
 }
 
-/// Applies a put to the documents; a kind's map is created on its first
-/// document.
-fn insert(docs: &mut BTreeMap<String, Docs>, kind: &str, id: String, doc: Arc<Value>) {
-    let of_kind = match docs.get_mut(kind) {
-        Some(of_kind) => of_kind,
-        None => docs.entry(kind.to_string()).or_default(),
-    };
-    of_kind.insert(id, doc);
+/// Applies puts to the documents in order; a kind's map is created on its
+/// first document.
+fn insert<K: AsRef<str>>(
+    docs: &mut BTreeMap<String, Docs>,
+    puts: impl IntoIterator<Item = (K, String, Arc<Value>)>,
+) {
+    for (kind, id, doc) in puts {
+        let of_kind = match docs.get_mut(kind.as_ref()) {
+            Some(of_kind) => of_kind,
+            None => docs.entry(kind.as_ref().to_string()).or_default(),
+        };
+        of_kind.insert(id, doc);
+    }
 }
 
 #[cfg(test)]
@@ -475,6 +530,20 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("chronos-store-{}-{name}.log", std::process::id()))
+    }
+
+    fn frame_put(kind: &str, id: &str, doc: Value) -> Vec<u8> {
+        frame_write(&[(kind, id.to_string(), Arc::new(doc))])
+    }
+
+    /// The documents of one three-document write: a new one, and a
+    /// replacement of `pre` in the same kind.
+    fn three_puts() -> Vec<(&'static str, String, Value)> {
+        vec![
+            ("job", "j1".into(), obj! {"state" => "running"}),
+            ("evaluation", "e1".into(), obj! {"job_ids" => chronos_json::arr!["j1"]}),
+            ("job", "pre".into(), obj! {"state" => "finished"}),
+        ]
     }
 
     #[test]
@@ -572,6 +641,8 @@ mod tests {
             (1, "{\"op\":\"put\",\"ki", 2),
             (1, "{\"op\":\"put\",\"kind\":\"job\"}", 2),
             (2, "{\"op\":\"drop\",\"kind\":\"k\",\"id\":\"c\"}", 3),
+            (1, "{\"op\":\"write\",\"puts\":[{\"kind\":\"k\",\"id\":\"b\",\"doc\":{}}]}", 2),
+            (2, "{\"op\":\"write\",\"puts\":{}}", 3),
         ];
         for (index, replacement, record) in cases {
             let _ = std::fs::remove_file(&path);
@@ -728,9 +799,9 @@ mod tests {
         // A complete (newline-terminated) but unparseable frame between
         // two good ones: nothing at all may apply.
         let mut segment = Vec::new();
-        segment.extend_from_slice(&frame_put("k", "x", &obj! {"v" => 1}));
+        segment.extend_from_slice(&frame_put("k", "x", obj! {"v" => 1}));
         segment.extend_from_slice(b"{\"op\":\"put\",\"ki\n");
-        segment.extend_from_slice(&frame_put("k", "y", &obj! {"v" => 2}));
+        segment.extend_from_slice(&frame_put("k", "y", obj! {"v" => 2}));
         let err = follower.install_replication(&segment).unwrap_err();
         assert!(err.to_string().contains("corrupt replicated frame 2"), "{err}");
         assert_eq!(follower.read_replication(0, usize::MAX).unwrap(), before);
@@ -762,6 +833,70 @@ mod tests {
             reopened.get("job", "j1").unwrap().get("state").and_then(Value::as_str),
             Some("finished")
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_write_is_one_record() {
+        let path = tmp("one-record");
+        let _ = std::fs::remove_file(&path);
+        {
+            let store = MetadataStore::open(&path).unwrap();
+            store.put("job", "pre", obj! {"state" => "running"}).unwrap();
+            store.put_all(three_puts()).unwrap();
+            store.put_all(Vec::new()).unwrap();
+            assert_eq!(store.log_records(), 2, "one record per write, none for an empty one");
+            assert_eq!(store.live_docs(), 3);
+            let log = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = log.lines().collect();
+            assert_eq!(lines.len(), 2);
+            assert!(lines[1].starts_with("{\"op\":\"write\",\"puts\":[{\"op\":\"put\","));
+            // A write of one document is a put frame, byte for byte.
+            store.put_all(vec![("k", "x".into(), obj! {"v" => 1})]).unwrap();
+            let log = std::fs::read(&path).unwrap();
+            assert!(log.ends_with(&frame_put("k", "x", obj! {"v" => 1})));
+        }
+        let store = MetadataStore::open(&path).unwrap();
+        assert_eq!(store.log_records(), 3);
+        assert_eq!(
+            store.get("job", "pre").unwrap().get("state").and_then(Value::as_str),
+            Some("finished")
+        );
+        assert!(store.get("evaluation", "e1").is_some());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_torn_write_frame_applies_all_of_its_documents_or_none() {
+        let leader = MetadataStore::in_memory();
+        leader.put("job", "pre", obj! {"state" => "running"}).unwrap();
+        let prefix = leader.read_replication(0, usize::MAX).unwrap();
+        leader.put_all(three_puts()).unwrap();
+        let whole = leader.read_replication(0, usize::MAX).unwrap();
+        let path = tmp("torn-write");
+        // What a store holds after replaying, or installing, a cut log.
+        let state = |store: &MetadataStore| {
+            let state = |kind, id| store.get(kind, id).map(|doc| doc.to_string());
+            (state("job", "pre"), state("job", "j1"), state("evaluation", "e1"))
+        };
+        let before = state(&{
+            let store = MetadataStore::in_memory();
+            store.install_replication(&prefix).unwrap();
+            store
+        });
+        let after = state(&leader);
+        for cut in prefix.len()..=whole.len() {
+            let expected = if cut == whole.len() { &after } else { &before };
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let replayed = MetadataStore::open(&path).unwrap();
+            assert_eq!(&state(&replayed), expected, "replay cut at byte {cut}");
+            drop(replayed);
+            let follower = MetadataStore::in_memory();
+            let applied = follower.install_replication(&whole[..cut]).unwrap();
+            assert_eq!(&state(&follower), expected, "install cut at byte {cut}");
+            let complete = if cut == whole.len() { whole.len() } else { prefix.len() };
+            assert_eq!(applied, complete as u64, "install cut at byte {cut}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

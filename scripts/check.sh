@@ -23,7 +23,8 @@ echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
-# Enforces crates/core/clippy.toml too: only Tx (ChronosControl::write) writes the store.
+# Enforces crates/core/clippy.toml too: only Tx (ChronosControl::write) writes the store
+# (MetadataStore::{put, put_all, install_replication}).
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test =="

@@ -18,11 +18,12 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use chronos::core::auth::Role;
-use chronos::core::params::ParamAssignments;
+use chronos::core::model::{Evaluation, Job, JobState};
+use chronos::core::params::{ParamAssignments, ParamDef, ParamType};
 use chronos::core::scheduler::SchedulerConfig;
 use chronos::core::store::MetadataStore;
 use chronos::core::ChronosControl;
-use chronos::json::obj;
+use chronos::json::{obj, Value};
 use chronos::util::fail::{self, Policy};
 use chronos::util::SystemClock;
 use minidoc::{Database, DbConfig, EngineKind};
@@ -177,13 +178,121 @@ fn store_survives_compaction_faults() {
         }));
     }
 
-    // With faults cleared the same store compacts fine and the result is
-    // durable across reopen.
+    // The directory fsync failed after the rename, which poisons the store:
+    // reopen, and with faults cleared that store compacts fine and the
+    // result is durable across reopen.
+    drop(store);
+    let store = MetadataStore::open(&path).unwrap();
     store.compact().expect("clean compaction");
     drop(store);
     let recovered = MetadataStore::open(&path).unwrap();
     assert_eq!(recovered.live_docs(), live, "docs lost across compaction + reopen {}", replay());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Once compaction has renamed the snapshot over the log, the open handle
+/// names the unlinked old file. A failure to sync the directory there must
+/// refuse every later write, as a failed append does, instead of
+/// acknowledging writes a restart will not find.
+#[test]
+fn a_failed_directory_sync_after_compaction_is_sticky() {
+    let _guard = serial();
+    let dir = tempdir("torture-compact-dirsync");
+    let path = dir.join("control.log");
+    let store = MetadataStore::open(&path).unwrap();
+    for i in 0..20 {
+        store.put("job", &format!("doc{}", i % 5), obj! {"i" => i as i64}).unwrap();
+    }
+    let acknowledged = store.list("job");
+    fail::arm("core.store.dir.fsync", Policy::ErrorTimes(1));
+    let compacted = store.compact();
+    fail::disarm("core.store.dir.fsync");
+    let compaction_error = compacted.expect_err("the injected fsync fault never fired").to_string();
+    let put = store.put("job", "after", obj! {"late" => true});
+    let refused = put.expect_err("a put after the failed compaction was acknowledged");
+    assert_eq!(refused.to_string(), compaction_error, "refused with the compaction's error");
+    assert!(!store.healthy(), "the store still reports healthy {}", replay());
+    drop(store);
+    let reopened = MetadataStore::open(&path).unwrap();
+    assert!(reopened.healthy());
+    assert_eq!(reopened.list("job"), acknowledged, "reopen lost or invented a doc {}", replay());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A claim and an upload are each one record. Cut either by failing its
+/// WAL append (every k-th), crash, reopen and retry with the same key and
+/// attempt: every materialized job is listed by its evaluation exactly
+/// once, and there is one result per finished job, named by that job.
+#[test]
+fn claims_and_uploads_survive_a_failed_append_exactly_once() {
+    let _guard = serial();
+    for k in 1..=3u64 {
+        let dir = tempdir(&format!("torture-atomic-{k}"));
+        let path = dir.join("control.log");
+        let open = || {
+            let store = MetadataStore::open(&path).unwrap();
+            ChronosControl::new(store, Arc::new(SystemClock), SchedulerConfig::default())
+        };
+        let mut control = open();
+        let x = ParamDef::new("x", "", ParamType::Interval { min: 0, max: 3, step: 1 }, 0.into());
+        let system = control.register_system("sys", "", vec![x.unwrap()], vec![]).unwrap();
+        let deployment = control.create_deployment(system.id, "node", "1").unwrap();
+        let owner = control.create_user("ada", "pw", Role::Member).unwrap();
+        let project = control.create_project("p", "", owner.id).unwrap();
+        let assignments = ParamAssignments::new().sweep_all("x");
+        let experiment =
+            control.create_experiment(project.id, system.id, "e", "", assignments).unwrap();
+        control.create_evaluation(experiment.id).unwrap();
+
+        fail::arm("core.store.wal.append", Policy::ErrorEveryNth(k));
+        let claimed = control.claim_next_job(deployment.id, Some("claim"));
+        fail::disarm("core.store.wal.append");
+        if claimed.is_err() {
+            drop(control); // crash
+            control = open();
+        }
+        let job = control
+            .claim_next_job(deployment.id, Some("claim"))
+            .unwrap_or_else(|e| panic!("k={k}: retried claim failed: {e} {}", replay()))
+            .expect("a job to claim");
+        let upload = |control: &ChronosControl| {
+            let data = obj! {"throughput_ops_per_sec" => 1.0};
+            control.finish_job(job.id, data, b"zip".to_vec(), Some(job.attempts), Some("upload"))
+        };
+        fail::arm("core.store.wal.append", Policy::ErrorEveryNth(k));
+        let _ = upload(&control);
+        fail::disarm("core.store.wal.append");
+        drop(control); // crash
+        let control = open();
+        upload(&control)
+            .unwrap_or_else(|e| panic!("k={k}: retried upload failed: {e} {}", replay()));
+        let results = control.count_results();
+        drop(control);
+
+        let store = MetadataStore::open(&path).unwrap();
+        let jobs: Vec<Job> = store.list("job").iter().map(|d| Job::from_json(d).unwrap()).collect();
+        let evaluations: Vec<Evaluation> =
+            store.list("evaluation").iter().map(|d| Evaluation::from_json(d).unwrap()).collect();
+        for job in jobs.iter().filter(|job| job.point_index.is_some()) {
+            let listed = evaluations
+                .iter()
+                .filter(|e| e.id == job.evaluation_id)
+                .map(|e| e.job_ids.iter().filter(|id| **id == job.id).count())
+                .sum::<usize>();
+            assert_eq!(listed, 1, "k={k}: job {} listed {listed} times {}", job.id, replay());
+        }
+        let finished = jobs.iter().filter(|job| job.state == JobState::Finished).count();
+        assert_eq!(results, finished, "k={k}: results vs finished jobs {}", replay());
+        for result in store.list("result") {
+            let field = |name| result.get(name).and_then(Value::as_str).unwrap().to_string();
+            let named = jobs.iter().any(|job| {
+                job.id.to_base32() == field("job_id")
+                    && job.result_id.map(|id| id.to_base32()) == Some(field("id"))
+            });
+            assert!(named, "k={k}: result {} is not named by its job {}", field("id"), replay());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// DESIGN §5i's writer rule on an error: a put whose WAL append fails has
