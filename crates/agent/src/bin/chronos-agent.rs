@@ -135,6 +135,7 @@ fn main() {
         return;
     }
     let mut completed: u64 = 0;
+    #[allow(clippy::disallowed_methods)] // idle poll and error back-off: no job to wake for
     loop {
         match agent.run_once() {
             Ok(true) => {

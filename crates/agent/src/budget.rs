@@ -27,13 +27,14 @@
 //! enforcement — the portable path is always sufficient for correctness.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use chronos_api::v1::JobBudget;
 
 use crate::context::JobContext;
 use crate::resources::{current_rss_kib, ResourceSample};
+use crate::runtime::StopSignal;
 
 /// A budget dimension measured over its limit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,16 +63,10 @@ impl BudgetBreach {
 /// The prefix every budget failure reason starts with.
 pub const BUDGET_EXCEEDED_PREFIX: &str = "budget_exceeded:";
 
-struct WatchdogShared {
-    stop: Mutex<bool>,
-    wake: Condvar,
-    breach: Mutex<Option<BudgetBreach>>,
-}
-
 /// A sampling thread enforcing a [`JobBudget`] over one job run.
 pub struct BudgetWatchdog {
-    shared: Arc<WatchdogShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    stop: Arc<StopSignal>,
+    handle: Option<std::thread::JoinHandle<Option<BudgetBreach>>>,
 }
 
 impl BudgetWatchdog {
@@ -80,62 +75,41 @@ impl BudgetWatchdog {
     /// On breach the job context is cancelled with the typed reason and
     /// the breach is kept for [`BudgetWatchdog::disarm`].
     pub fn arm(ctx: &JobContext, budget: JobBudget, interval: Duration) -> BudgetWatchdog {
-        let shared = Arc::new(WatchdogShared {
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-            breach: Mutex::new(None),
-        });
-        let thread_shared = Arc::clone(&shared);
+        let stop = Arc::new(StopSignal::default());
+        let thread_stop = Arc::clone(&stop);
         let ctx = ctx.clone();
         let baseline = ResourceSample::capture();
         let armed_at = Instant::now();
         let handle = std::thread::Builder::new()
             .name("chronos-agent-budget".into())
-            .spawn(move || loop {
-                let mut stop = thread_shared.stop.lock().expect("watchdog lock poisoned");
-                if !*stop {
-                    stop = thread_shared
-                        .wake
-                        .wait_timeout(stop, interval)
-                        .expect("watchdog lock poisoned")
-                        .0;
+            .spawn(move || {
+                while !thread_stop.wait(interval) {
+                    if let Some(breach) = check(&budget, baseline.as_ref(), armed_at) {
+                        ctx.log(format!("agent: budget watchdog: {}", breach.reason()));
+                        ctx.cancel(breach.reason());
+                        return Some(breach);
+                    }
                 }
-                if *stop {
-                    return;
-                }
-                drop(stop);
-                if let Some(breach) = check(&budget, baseline.as_ref(), armed_at) {
-                    ctx.log(format!("agent: budget watchdog: {}", breach.reason()));
-                    ctx.cancel(breach.reason());
-                    *thread_shared.breach.lock().expect("watchdog lock poisoned") = Some(breach);
-                    return;
-                }
+                None
             })
             .expect("failed to spawn budget watchdog thread");
-        BudgetWatchdog { shared, handle: Some(handle) }
+        BudgetWatchdog { stop, handle: Some(handle) }
     }
 
     /// Stops the sampling thread and returns the breach, if one fired.
     pub fn disarm(mut self) -> Option<BudgetBreach> {
-        self.signal_stop();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        self.shared.breach.lock().expect("watchdog lock poisoned").take()
+        self.stop_and_join()
     }
 
-    fn signal_stop(&self) {
-        *self.shared.stop.lock().expect("watchdog lock poisoned") = true;
-        self.shared.wake.notify_all();
+    fn stop_and_join(&mut self) -> Option<BudgetBreach> {
+        self.stop.stop();
+        self.handle.take()?.join().ok().flatten()
     }
 }
 
 impl Drop for BudgetWatchdog {
     fn drop(&mut self) {
-        self.signal_stop();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.stop_and_join();
     }
 }
 
@@ -236,6 +210,7 @@ impl Drop for CgroupScope {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests pace themselves with sleeps
 mod tests {
     use super::*;
     use chronos_json::obj;

@@ -1,8 +1,7 @@
 //! The agent runtime: claim → run lifecycle → upload, with heartbeats.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use chronos_json::{obj, Value};
@@ -105,6 +104,7 @@ impl<C: EvaluationClient> ChronosAgent<C> {
                 if idle_since.elapsed() >= idle_for {
                     return Ok(completed);
                 }
+                #[allow(clippy::disallowed_methods)] // nothing to wake for: the queue is empty
                 std::thread::sleep(self.config.poll_interval);
             }
         }
@@ -122,36 +122,38 @@ impl<C: EvaluationClient> ChronosAgent<C> {
         // Heartbeat thread: ships progress + buffered logs periodically.
         // A lost lease (job rescheduled, newer attempt running) cancels the
         // run; transient transport failures are tolerated — the next beat
-        // may get through before Chronos Control's timeout fires.
-        let stop = Arc::new(AtomicBool::new(false));
+        // may get through before Chronos Control's timeout fires. The
+        // thread sleeps on `stop`, so joining it waits for at most the
+        // beat in flight, never for the rest of an interval.
+        let stop = Arc::new(StopSignal::default());
         let attempt = job.attempts;
         let heartbeat = {
             let ctx = ctx.clone();
             let stop = Arc::clone(&stop);
-            let client = self.client_clone()?;
+            let client = self.client.shallow_clone();
             let interval = self.config.heartbeat_interval;
             std::thread::Builder::new()
                 .name("chronos-agent-heartbeat".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        match client.heartbeat(ctx.job_id, ctx.progress(), attempt) {
-                            Ok(()) => {}
-                            Err(AgentError::LeaseLost { message }) => {
-                                ctx.cancel(message);
-                                break;
-                            }
-                            Err(e) => {
-                                ctx.log(format!("agent: heartbeat failed (tolerated): {e}"));
-                            }
+                .spawn(move || loop {
+                    match client.heartbeat(ctx.job_id, ctx.progress(), attempt) {
+                        Ok(()) => {}
+                        Err(AgentError::LeaseLost { message }) => {
+                            ctx.cancel(message);
+                            break;
                         }
-                        let logs = ctx.take_logs();
-                        if !logs.is_empty() {
-                            // Log appends are not idempotent; a transit
-                            // failure drops this batch rather than risking
-                            // duplicated lines on a blind resend.
-                            let _ = client.append_log(ctx.job_id, &logs);
+                        Err(e) => {
+                            ctx.log(format!("agent: heartbeat failed (tolerated): {e}"));
                         }
-                        std::thread::sleep(interval);
+                    }
+                    let logs = ctx.take_logs();
+                    if !logs.is_empty() {
+                        // Log appends are not idempotent; a transit
+                        // failure drops this batch rather than risking
+                        // duplicated lines on a blind resend.
+                        let _ = client.append_log(ctx.job_id, &logs);
+                    }
+                    if stop.wait(interval) {
+                        break;
                     }
                 })
                 .expect("failed to spawn heartbeat thread")
@@ -172,7 +174,7 @@ impl<C: EvaluationClient> ChronosAgent<C> {
 
         let outcome = self.run_lifecycle(&ctx);
 
-        stop.store(true, Ordering::SeqCst);
+        stop.stop();
         let _ = heartbeat.join();
         let mut breach = watchdog.and_then(BudgetWatchdog::disarm);
         drop(cgroup);
@@ -281,12 +283,6 @@ impl<C: EvaluationClient> ChronosAgent<C> {
         self.evaluation_client.tear_down(ctx);
         result
     }
-
-    /// The heartbeat thread needs its own connection; tokens are reusable,
-    /// so we rebuild a client from the same transport settings.
-    fn client_clone(&self) -> Result<ControlClient, AgentError> {
-        Ok(self.client.shallow_clone())
-    }
 }
 
 /// Builds the result zip: every attachment plus a pretty-printed copy of the
@@ -307,5 +303,62 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "unknown panic".to_string()
+    }
+}
+
+/// The stop signal of a per-job worker thread (heartbeat, budget watchdog):
+/// a one-way flag the thread sleeps on between rounds of work, so that
+/// [`StopSignal::stop`] ends it with the run, not with its current sleep.
+#[derive(Default)]
+pub(crate) struct StopSignal {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    /// Sets the flag and wakes every waiter.
+    pub(crate) fn stop(&self) {
+        *self.stopped.lock().expect("stop signal poisoned") = true;
+        self.wake.notify_all();
+    }
+
+    /// Sleeps out `timeout` (spurious wake-ups sleep on) unless stopped
+    /// first. Returns whether the signal is stopped.
+    pub(crate) fn wait(&self, timeout: Duration) -> bool {
+        let stopped = self.stopped.lock().expect("stop signal poisoned");
+        let (stopped, _) = self
+            .wake
+            .wait_timeout_while(stopped, timeout, |stopped| !*stopped)
+            .expect("stop signal poisoned");
+        *stopped
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wait_sleeps_out_its_timeout_when_not_stopped() {
+        let start = Instant::now();
+        assert!(!StopSignal::default().wait(Duration::from_millis(20)));
+        assert!(start.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn stop_wakes_a_waiter_at_once_and_stays_set() {
+        let signal = Arc::new(StopSignal::default());
+        let waiter = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                (signal.wait(Duration::from_secs(30)), start.elapsed())
+            })
+        };
+        signal.stop();
+        let (stopped, waited) = waiter.join().unwrap();
+        assert!(stopped);
+        assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
+        assert!(signal.wait(Duration::from_secs(30)), "a stopped signal never sleeps");
     }
 }

@@ -24,7 +24,8 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
 # Enforces crates/core/clippy.toml too: only Tx (ChronosControl::write) writes the store
-# (MetadataStore::{put, put_all, install_replication}).
+# (MetadataStore::{put, put_all, install_replication}). And crates/agent/clippy.toml: no
+# std::thread::sleep in the agent, whose per-job threads wait on a StopSignal instead.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test =="
