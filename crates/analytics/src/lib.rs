@@ -27,5 +27,5 @@ pub use encoding::CodecError;
 pub use kernels::{
     downsample, filter_eq, group_sums, percentile_sorted, sum_count, Bucket, NumAgg,
 };
-pub use store::{AnalyticsStore, LoadedTable, RegressionFlag};
+pub use store::{AnalyticsStore, RegressionFlag};
 pub use table::ResultTable;

@@ -9,14 +9,12 @@
 //! out the `Arc`. The chunk codecs of [`crate::encoding`] are what
 //! [`AnalyticsStore::encoded_size`] reports, computed on demand.
 //!
-//! The store holds only *complete* tables, each with every finished result
-//! of its evaluation. An evaluation without one (it predates the process,
-//! or replication changed its rows) is rebuilt from the row store by its
-//! first reader (lazy backfill), which installs the complete table; until
-//! then an ingest has no table to append to, and the rebuild reads the row
-//! from the row store. The caller serializes backfills with ingests and
-//! invalidations (the control plane runs all of them under its write
-//! lock), so an install always stands.
+//! The caller derives every table from its own committed records: a
+//! table is made ([`AnalyticsStore::mark_fresh`]) before the first result
+//! of its evaluation is ingested, and an ingest into an evaluation without
+//! one appends nothing. The control plane runs both under its write lock,
+//! from one function fed by its commit, its replication install and its
+//! open.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,16 +23,6 @@ use chronos_json::Value;
 use parking_lot::RwLock;
 
 use crate::table::ResultTable;
-
-/// A freshness-tracked load result: a snapshot of the table and whether
-/// it is complete.
-pub struct LoadedTable {
-    /// The table as of the load (empty when there is none); later ingests
-    /// do not show through it.
-    pub table: Arc<ResultTable>,
-    /// True when the entry is known complete (no backfill needed).
-    pub backfilled: bool,
-}
 
 /// The cached outcome of the last regression scan of one experiment —
 /// what the experiment status body surfaces as its regression flag.
@@ -66,9 +54,8 @@ impl AnalyticsStore {
         Self::default()
     }
 
-    /// Marks a brand-new evaluation as complete-from-birth: every future
-    /// result will flow through [`AnalyticsStore::ingest`], so readers
-    /// never need a backfill pass.
+    /// Gives an evaluation an empty table, unless it has one: every result
+    /// of it then flows through [`AnalyticsStore::ingest`].
     pub fn mark_fresh(&self, evaluation: u128) {
         self.tables.write().entry(evaluation).or_default();
     }
@@ -92,28 +79,16 @@ impl AnalyticsStore {
         }
     }
 
-    /// Loads an evaluation's table (an empty, un-backfilled one when it has
-    /// none).
-    pub fn load(&self, evaluation: u128) -> LoadedTable {
-        let table = self.tables.read().get(&evaluation).cloned();
-        LoadedTable { backfilled: table.is_some(), table: table.unwrap_or_default() }
-    }
-
-    /// Installs a backfilled table: the complete table of the evaluation.
-    pub fn install(&self, evaluation: u128, table: Arc<ResultTable>) {
-        self.tables.write().insert(evaluation, table);
-    }
-
-    /// Drops every table: the row store changed underneath them (a
-    /// replication install), so the next reader of each rebuilds it.
-    pub fn invalidate_all(&self) {
-        self.tables.write().clear();
+    /// Loads an evaluation's table (an empty one when it has none): a
+    /// snapshot that later ingests do not show through.
+    pub fn load(&self, evaluation: u128) -> Arc<ResultTable> {
+        self.tables.read().get(&evaluation).cloned().unwrap_or_default()
     }
 
     /// Size in bytes of an evaluation's table in the chunk encoding (0 when
     /// it has none or an empty one). Encodes a snapshot, outside the lock.
     pub fn encoded_size(&self, evaluation: u128) -> usize {
-        let table = self.load(evaluation).table;
+        let table = self.load(evaluation);
         if table.rows() == 0 {
             return 0;
         }
@@ -143,47 +118,19 @@ mod tests {
         store.ingest(1, 10, &obj! {"threads" => 4}, &obj! {"tp" => 100.0}, &[]);
         store.ingest(1, 11, &obj! {"threads" => 8}, &obj! {"tp" => 180.0}, &[]);
         store.ingest(1, 11, &obj! {"threads" => 8}, &obj! {"tp" => 999.0}, &[]); // dup ignored
-        let loaded = store.load(1);
-        assert!(loaded.backfilled);
-        assert_eq!(loaded.table.rows(), 2);
+        assert_eq!(store.load(1).rows(), 2);
         assert!(store.encoded_size(1) > 0);
+        store.mark_fresh(1);
+        assert_eq!(store.load(1).rows(), 2, "marking an evaluation with a table keeps it");
     }
 
     #[test]
-    fn missing_evaluation_needs_backfill() {
-        let store = AnalyticsStore::new();
-        let loaded = store.load(99);
-        assert!(!loaded.backfilled);
-        assert_eq!(loaded.table.rows(), 0);
-    }
-
-    #[test]
-    fn install_replaces_the_table_and_marks_it_complete() {
+    fn an_ingest_without_a_table_appends_nothing() {
         let store = AnalyticsStore::new();
         store.ingest(1, 11, &obj! {}, &obj! {"tp" => 2.0}, &[]);
-        let loaded = store.load(1);
-        assert!(!loaded.backfilled, "an ingest alone does not make a table");
-        assert_eq!(loaded.table.rows(), 0, "the backfill will read the row from the row store");
-        let mut rebuilt = ResultTable::new();
-        rebuilt.append(10, &obj! {}, &obj! {"tp" => 1.0}, &[]);
-        rebuilt.append(11, &obj! {}, &obj! {"tp" => 2.0}, &[]);
-        let rebuilt = Arc::new(rebuilt);
-        store.install(1, Arc::clone(&rebuilt));
-        let loaded = store.load(1);
-        assert!(loaded.backfilled);
-        assert!(Arc::ptr_eq(&loaded.table, &rebuilt), "the installed table is the one handed in");
-    }
-
-    #[test]
-    fn invalidation_empties_tables() {
-        let store = AnalyticsStore::new();
+        assert_eq!(store.load(1).rows(), 0);
         store.mark_fresh(1);
-        store.ingest(1, 10, &obj! {}, &obj! {"tp" => 1.0}, &[]);
-        assert!(store.load(1).backfilled);
-        store.invalidate_all();
-        let after = store.load(1);
-        assert!(!after.backfilled, "the next reader must rebuild");
-        assert_eq!((after.table.rows(), store.encoded_size(1)), (0, 0));
+        assert_eq!(store.load(1).rows(), 0);
     }
 
     #[test]
@@ -196,14 +143,14 @@ mod tests {
         let before = store.load(1);
         // The upload lands while the reader still holds its table.
         store.ingest(1, 11, &obj! {"threads" => 8}, &obj! {"tp" => 180.0, "errors" => 2}, &[]);
-        assert_eq!(before.table.rows(), 1);
-        assert!(!before.table.contains(11));
-        assert!(before.table.data_column("/errors").is_none());
-        assert_eq!(before.table.data_column("/tp").unwrap().materialize(), [Cell::Float(100.0)]);
+        assert_eq!(before.rows(), 1);
+        assert!(!before.contains(11));
+        assert!(before.data_column("/errors").is_none());
+        assert_eq!(before.data_column("/tp").unwrap().materialize(), [Cell::Float(100.0)]);
         let after = store.load(1);
-        assert_eq!(after.table.rows(), 2);
+        assert_eq!(after.rows(), 2);
         assert_eq!(
-            after.table.data_column("/tp").unwrap().materialize(),
+            after.data_column("/tp").unwrap().materialize(),
             [Cell::Float(100.0), Cell::Float(180.0)]
         );
     }
@@ -217,9 +164,7 @@ mod tests {
         for job in 0..20u128 {
             store.ingest(1, job, &obj! {"threads" => 4}, &obj! {"tp" => job as f64}, &[]);
         }
-        assert_eq!(store.encoded_size(1), store.load(1).table.encode().len());
-        store.invalidate_all();
-        assert_eq!(store.encoded_size(1), 0, "emptied");
+        assert_eq!(store.encoded_size(1), store.load(1).encode().len());
     }
 
     #[test]

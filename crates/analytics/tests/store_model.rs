@@ -2,15 +2,14 @@
 //! nothing about shared tables or copy-on-write: it keeps each
 //! evaluation's rows in a `Vec` and rebuilds the expected table from
 //! scratch with [`ResultTable::append`] for every comparison. Seeded random
-//! sequences of ingest / load / install / invalidate_all / mark_fresh over
-//! a few evaluations, serialized as the control plane's write lock
-//! serializes them; every load (and every snapshot still held at the end)
-//! must match the model.
+//! sequences of ingest / load / mark_fresh over a few evaluations,
+//! serialized as the control plane's write lock serializes them; every load
+//! (and every snapshot still held at the end) must match the model.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use chronos_analytics::{AnalyticsStore, LoadedTable, ResultTable};
+use chronos_analytics::{AnalyticsStore, ResultTable};
 use chronos_json::{obj, Value};
 use chronos_util::SplitMix64;
 
@@ -42,84 +41,57 @@ fn build(rows: &[Row]) -> ResultTable {
     table
 }
 
-#[derive(Default)]
-struct ModelEntry {
-    /// The evaluation's complete table, if it has one.
-    table: Option<Vec<Row>>,
-    /// Every result ever uploaded — the row store a backfill reads, which
-    /// an invalidation does not empty.
-    row_store: Vec<Row>,
-}
-
 /// A load the test keeps holding, with what the model said at that moment.
 struct Held {
-    loaded: LoadedTable,
-    table: Vec<Row>,
+    table: Arc<ResultTable>,
+    rows: Vec<Row>,
 }
 
 fn run(seed: u64) {
     let mut rng = SplitMix64::new(seed);
     let store = AnalyticsStore::new();
-    let mut model: HashMap<u128, ModelEntry> = HashMap::new();
+    // Evaluation → its table's rows, for the evaluations that have one.
+    let mut model: HashMap<u128, Vec<Row>> = HashMap::new();
     let mut held: Vec<Held> = Vec::new();
-    let mut backfills = 0;
+    let mut tableless_ingests = 0;
 
     for step in 0..1500 {
         // Mostly a few busy evaluations; now and then one no step has
-        // touched, so absent entries keep being loaded and installed into.
+        // touched, so absent entries keep being ingested into and loaded.
         let evaluation = match rng.next_below(8) {
             0 => 100 + step as u128,
             _ => rng.next_below(EVALUATIONS) as u128 + 1,
         };
         match rng.next_below(10) {
-            0..=4 => {
+            0..=5 => {
                 let (job, parameters, data) = upload(evaluation, rng.next_below(JOBS) as u128);
                 store.ingest(evaluation, job, &parameters, &data, &["/ops"]);
-                let entry = model.entry(evaluation).or_default();
-                if !entry.row_store.iter().any(|(id, ..)| *id == job) {
-                    entry.row_store.push((job, parameters.clone(), data.clone()));
-                }
-                match &mut entry.table {
-                    Some(table) if !table.iter().any(|(id, ..)| *id == job) => {
-                        table.push((job, parameters, data))
+                match model.get_mut(&evaluation) {
+                    Some(rows) if !rows.iter().any(|(id, ..)| *id == job) => {
+                        rows.push((job, parameters, data))
                     }
-                    _ => {} // no table yet: the backfill reads the row store
+                    Some(_) => {} // a duplicate upload appends nothing
+                    None => tableless_ingests += 1,
                 }
             }
-            5 | 6 => {
-                let loaded = store.load(evaluation);
-                let expected = model.get(&evaluation).and_then(|e| e.table.clone());
-                assert_eq!(loaded.backfilled, expected.is_some(), "seed {seed} step {step}");
-                let rows = expected.unwrap_or_default();
-                assert_eq!(*loaded.table, build(&rows), "seed {seed} step {step}: table");
-                held.push(Held { loaded, table: rows });
-            }
-            7 => {
-                // A backfill: the row store rebuilt from scratch, installed
-                // with nothing in between — it always stands.
-                let entry = model.entry(evaluation).or_default();
-                store.install(evaluation, Arc::new(build(&entry.row_store)));
-                entry.table = Some(entry.row_store.clone());
-                backfills += 1;
-            }
-            8 => {
-                store.invalidate_all();
-                for entry in model.values_mut() {
-                    entry.table = None;
-                }
+            6..=8 => {
+                let table = store.load(evaluation);
+                let rows = model.get(&evaluation).cloned().unwrap_or_default();
+                assert_eq!(*table, build(&rows), "seed {seed} step {step}: table");
+                held.push(Held { table, rows });
             }
             _ => {
                 store.mark_fresh(evaluation);
-                model.entry(evaluation).or_default().table.get_or_insert_with(Vec::new);
+                model.entry(evaluation).or_default();
             }
         }
     }
 
     // Nothing that happened after a load shows through it.
     for (i, snapshot) in held.iter().enumerate() {
-        assert_eq!(*snapshot.loaded.table, build(&snapshot.table), "seed {seed} held load {i}");
+        assert_eq!(*snapshot.table, build(&snapshot.rows), "seed {seed} held load {i}");
     }
-    assert!(backfills > 0, "seed {seed}: no backfill ran");
+    assert!(tableless_ingests > 0, "seed {seed}: every ingest found a table");
 }
 
 #[test]

@@ -9,7 +9,6 @@ use chronos_agent::{DocstoreClient, EvaluationClient, JobContext};
 use chronos_json::{obj, Value};
 use chronos_util::Id;
 
-pub mod contention;
 pub mod data_plane;
 pub mod http_scale;
 pub mod overload;

@@ -18,7 +18,6 @@ use chronos_util::Id;
 use crate::charts::{ChartData, ChartSpec};
 use crate::control::ChronosControl;
 use crate::error::{CoreError, CoreResult};
-use crate::model::JobState;
 
 /// The standard metric columns (requirement *(vi)*): display label plus
 /// the JSON pointer into a result document. Shared by the summary
@@ -44,42 +43,6 @@ pub const STANDARD_METRIC_PATHS: [&str; 6] = [
     "/operations/update/latency_micros/p99",
 ];
 
-/// One finished job read back from the row store: its parameters and
-/// measurements. Input of the columnar backfill only — every read is
-/// served from the table.
-#[derive(Debug, Clone)]
-pub(crate) struct ResultPoint {
-    /// Job id.
-    pub job_id: Id,
-    /// The job's concrete parameters.
-    pub parameters: Value,
-    /// The uploaded measurement document.
-    pub data: Value,
-}
-
-/// Collects the finished jobs of an evaluation, in `job_ids` order, for
-/// [`ChronosControl::columnar_table`]'s backfill.
-pub(crate) fn collect_points(
-    control: &ChronosControl,
-    evaluation_id: Id,
-) -> CoreResult<Vec<ResultPoint>> {
-    let jobs = control.list_jobs(evaluation_id)?;
-    let mut points = Vec::new();
-    for job in jobs {
-        if job.state != JobState::Finished {
-            continue;
-        }
-        if let Some(result) = control.result_for_job(job.id)? {
-            points.push(ResultPoint {
-                job_id: job.id,
-                parameters: job.parameters.clone(),
-                data: result.data,
-            });
-        }
-    }
-    Ok(points)
-}
-
 /// Sorts labels numerically when they all parse as numbers, else
 /// lexicographically (thread counts must order 1, 2, 10 — not 1, 10, 2).
 fn sort_labels(labels: &mut Vec<String>) {
@@ -98,10 +61,9 @@ fn sort_labels(labels: &mut Vec<String>) {
 }
 
 /// An evaluation's columnar table plus its rows gathered in canonical
-/// `job_ids` order — the exact row set and iteration order of
-/// [`collect_points`], so every columnar aggregation below is
-/// bit-identical to the row path it replaced (kept as the oracle in this
-/// module's tests).
+/// `job_ids` order — the exact row set and iteration order of the row
+/// path it replaced, so every columnar aggregation below is bit-identical
+/// to it (kept as the oracle, `collect_points`, in this module's tests).
 fn columnar_rows(
     control: &ChronosControl,
     evaluation_id: Id,
@@ -477,9 +439,45 @@ pub fn experiment_regressions(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::model::JobState;
 
+    /// One finished job read back from the row store: its parameters and
+    /// measurements. The oracle's input — every read is served from the
+    /// table.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ResultPoint {
+        /// Job id.
+        pub job_id: Id,
+        /// The job's concrete parameters.
+        pub parameters: Value,
+        /// The uploaded measurement document.
+        pub data: Value,
+    }
+
+    /// Collects the finished jobs of an evaluation, in `job_ids` order: the
+    /// row path the columnar tables replaced, kept as their oracle.
+    pub(crate) fn collect_points(
+        control: &ChronosControl,
+        evaluation_id: Id,
+    ) -> CoreResult<Vec<ResultPoint>> {
+        let jobs = control.list_jobs(evaluation_id)?;
+        let mut points = Vec::new();
+        for job in jobs {
+            if job.state != JobState::Finished {
+                continue;
+            }
+            if let Some(result) = control.result_for_job(job.id)? {
+                points.push(ResultPoint {
+                    job_id: job.id,
+                    parameters: job.parameters.clone(),
+                    data: result.data,
+                });
+            }
+        }
+        Ok(points)
+    }
     /// Renders one parameter value as a stable label.
     fn param_label(value: Option<&Value>) -> String {
         match value {
@@ -650,7 +648,7 @@ mod tests {
 
     mod columnar {
         use super::super::*;
-        use super::{chart_data_from_points, standard_metrics};
+        use super::{chart_data_from_points, collect_points, standard_metrics, ResultPoint};
         use crate::auth::Role;
         use crate::params::{ParamAssignments, ParamDef, ParamType};
         use crate::scheduler::SchedulerConfig;
@@ -914,9 +912,9 @@ mod tests {
         }
 
         #[test]
-        fn reopened_store_is_lazily_backfilled() {
+        fn reopened_store_has_complete_tables_from_new() {
             let path = std::env::temp_dir()
-                .join(format!("chronos-analytics-backfill-{}.log", std::process::id()));
+                .join(format!("chronos-analytics-reopen-{}.log", std::process::id()));
             let _ = std::fs::remove_file(&path);
             let (summary, csv, chart, evaluation_id);
             {
@@ -926,19 +924,21 @@ mod tests {
                 csv = summary_csv(&control, eid).unwrap();
                 chart = chart_data(&control, eid, &spec()).unwrap();
             }
-            // A fresh control has an empty analytics store: the first read
-            // rebuilds the table from the row store, later reads hit the
-            // installed table. Both must serve the same bytes as before.
+            // `new` derives the tables from the replayed log: complete before
+            // the first read, which serves the same bytes as before.
             let control = ChronosControl::new(
                 MetadataStore::open(&path).unwrap(),
                 Arc::new(SystemClock),
                 SchedulerConfig::default(),
             );
+            let table = control.columnar_table(evaluation_id).unwrap();
+            assert_eq!(table.rows(), 3);
             for _ in 0..2 {
                 assert_eq!(summary_table(&control, evaluation_id).unwrap().to_string(), summary);
                 assert_eq!(summary_csv(&control, evaluation_id).unwrap(), csv);
                 assert_eq!(chart_data(&control, evaluation_id, &spec()).unwrap(), chart);
             }
+            assert!(Arc::ptr_eq(&control.columnar_table(evaluation_id).unwrap(), &table));
             std::fs::remove_file(&path).unwrap();
         }
     }

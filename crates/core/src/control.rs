@@ -9,10 +9,11 @@
 //!
 //! Every state change runs inside [`ChronosControl::write`]: it takes the
 //! write lock, reads the clock once and hands its closure a [`Tx`] — the
-//! only writer of the metadata and analytics stores — so preconditions are
-//! checked under the lock they are written under. The closure's puts reach
-//! the store as one record after it returned `Ok`, and the versions move
-//! once, after that, still locked.
+//! only writer of the metadata store — so preconditions are checked under
+//! the lock they are written under. The closure's puts reach the store as
+//! one record after it returned `Ok`. Everything else — the columnar
+//! tables and the versions — is derived from the documents that reached
+//! memory by one function, [`ChronosControl::apply`], still locked.
 
 use std::sync::Arc;
 
@@ -28,7 +29,7 @@ use crate::lifecycle::JobEvent;
 use crate::model::{Deployment, Evaluation, Experiment, Job, JobResult, JobState, Project, System};
 use crate::params::{ParamAssignments, ParamDef, PointSpace};
 use crate::scheduler::{EvaluationStatus, SchedulerConfig};
-use crate::store::MetadataStore;
+use crate::store::{MetadataStore, Put};
 use crate::versions::Versions;
 
 const KIND_USER: &str = "user";
@@ -49,7 +50,8 @@ pub struct ChronosControl {
     clock: Arc<dyn Clock>,
     config: SchedulerConfig,
     /// Columnar mirror of uploaded results (chart/summary/regression
-    /// queries run over this instead of re-decoding JSON rows).
+    /// queries run over this instead of re-decoding JSON rows). Written by
+    /// [`ChronosControl::apply`] only.
     analytics: AnalyticsStore,
     /// What version of an evaluation a derived read was computed from
     /// (see [`ChronosControl::evaluation_version`]).
@@ -69,17 +71,14 @@ struct Tx<'a> {
     now: u64,
     /// The documents the write puts, the last one per `(kind, id)`.
     puts: Vec<(&'static str, String, Value)>,
-    /// What the commit moves: the evaluations touched, the store-wide
-    /// sequence if anything reached memory, the epoch if frames were
-    /// installed.
-    touched: Vec<u128>,
-    wrote: bool,
-    installed: bool,
+    /// The documents that reached the store's memory: what the write
+    /// derives from.
+    applied: Vec<Put>,
 }
 
 impl Tx<'_> {
-    /// Puts a document that belongs to no evaluation, replacing an earlier
-    /// put of the same `(kind, id)` in this write.
+    /// Puts a document, replacing an earlier put of the same `(kind, id)`
+    /// in this write.
     fn put(&mut self, kind: &'static str, id: Id, document: Value) {
         let id = id.to_base32();
         match self.puts.iter_mut().find(|(k, i, _)| *k == kind && *i == id) {
@@ -88,77 +87,22 @@ impl Tx<'_> {
         }
     }
 
-    fn put_job(&mut self, job: &Job) {
-        self.touched.push(job.evaluation_id.as_u128());
-        self.put(KIND_JOB, job.id, job.to_json());
-    }
-
-    fn put_evaluation(&mut self, evaluation: &Evaluation) {
-        self.touched.push(evaluation.id.as_u128());
-        self.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
-    }
-
     /// Hands the write's puts to the store as one record. The store applies
-    /// them to memory before its append can fail, so the write counts as
-    /// written either way.
+    /// them to memory before its append can fail, so they count as written
+    /// either way.
     #[allow(clippy::disallowed_methods)]
     fn commit_puts(&mut self) -> CoreResult<()> {
-        if self.puts.is_empty() {
-            return Ok(());
-        }
-        self.wrote = true;
-        self.control.store.put_all(std::mem::take(&mut self.puts))
+        let (applied, stored) = self.control.store.put_all(std::mem::take(&mut self.puts));
+        self.applied.extend(applied);
+        stored
     }
 
-    /// Columnarizes `job`'s uploaded result into its evaluation's table.
-    fn ingest(&mut self, job: &Job, data: &Value) {
-        self.wrote = true;
-        self.touched.push(job.evaluation_id.as_u128());
-        let paths = &crate::analysis::STANDARD_METRIC_PATHS;
-        let (evaluation, id) = (job.evaluation_id.as_u128(), job.id.as_u128());
-        self.control.analytics.ingest(evaluation, id, &job.parameters, data, paths);
-    }
-
-    /// Born with the analytics store attached: every result is ingested
-    /// at upload, so columnar reads never need a backfill pass.
-    fn mark_fresh(&mut self, evaluation: Id) {
-        self.wrote = true;
-        self.touched.push(evaluation.as_u128());
-        self.control.analytics.mark_fresh(evaluation.as_u128());
-    }
-
-    /// The evaluation's columnar table, rebuilt from the row store and
-    /// installed when it is not known complete. Under the write lock no
-    /// upload or install can land between the rebuild and its install.
-    /// Moves no version: the table says what the row store already said.
-    fn columnar_table(&self, evaluation: Id) -> CoreResult<Arc<ResultTable>> {
-        let key = evaluation.as_u128();
-        let loaded = self.control.analytics.load(key);
-        if loaded.backfilled {
-            return Ok(loaded.table);
-        }
-        let mut table = ResultTable::new();
-        let paths = &crate::analysis::STANDARD_METRIC_PATHS;
-        for point in crate::analysis::collect_points(self.control, evaluation)? {
-            table.append(point.job_id.as_u128(), &point.parameters, &point.data, paths);
-        }
-        let table = Arc::new(table);
-        self.control.analytics.install(key, Arc::clone(&table));
-        Ok(table)
-    }
-
-    /// Installed frames bypass the lifecycle code, so every columnar table
-    /// is dropped for a rebuild and the commit advances the epoch — on
-    /// an error too (frames reach memory before the flush can fail), but
-    /// not when no frame applied: the empty segments leaders ship as
-    /// heartbeats must not cost a follower its tables.
+    /// Installs a shipped segment. Its frames reach memory before the
+    /// flush can fail, so they count as written on an error too.
     #[allow(clippy::disallowed_methods)]
     fn install_replication(&mut self, payload: &[u8]) -> CoreResult<u64> {
-        let installed = self.control.store.install_replication(payload);
-        if !matches!(installed, Ok(0)) {
-            self.control.analytics.invalidate_all();
-            (self.wrote, self.installed) = (true, true);
-        }
+        let (applied, installed) = self.control.store.install_replication(payload);
+        self.applied.extend(applied);
         installed
     }
 }
@@ -169,9 +113,11 @@ impl ChronosControl {
         Self::new(MetadataStore::in_memory(), Arc::new(SystemClock), SchedulerConfig::default())
     }
 
-    /// Full construction.
+    /// Full construction. Derives the columnar tables from the documents
+    /// `store` already holds (a reopened log), so every evaluation has a
+    /// complete table once this returns.
     pub fn new(store: MetadataStore, clock: Arc<dyn Clock>, config: SchedulerConfig) -> Self {
-        ChronosControl {
+        let control = ChronosControl {
             store,
             sessions: SessionManager::new(),
             clock,
@@ -179,7 +125,18 @@ impl ChronosControl {
             analytics: AnalyticsStore::new(),
             versions: Versions::default(),
             write_lock: parking_lot::Mutex::new(()),
-        }
+        };
+        // Evaluations first, so every result finds its table. Nothing else
+        // holds the store yet, so its ids and documents pair up.
+        let documents: Vec<Put> = [KIND_EVALUATION, KIND_JOB, KIND_RESULT]
+            .into_iter()
+            .flat_map(|kind| {
+                let ids = control.store.ids(kind).into_iter();
+                ids.zip(control.store.list(kind)).map(move |(id, doc)| (kind.to_string(), id, doc))
+            })
+            .collect();
+        control.apply(&documents);
+        control
     }
 
     /// The scheduling policy in force.
@@ -199,26 +156,64 @@ impl ChronosControl {
         self.store.healthy()
     }
 
-    /// Runs one state change: the only place the write lock is taken and
-    /// the only caller of [`Versions::commit`]. When the closure returns
-    /// `Ok`, its puts go to the store as one record; an `Err` drops them.
-    /// The version commit follows, whatever the outcome, so every version
-    /// moves after the last mutation it covers is visible.
+    /// Runs one state change: the only place the write lock is taken. When
+    /// the closure returns `Ok`, its puts go to the store as one record; an
+    /// `Err` drops them. Whatever reached memory is then derived from,
+    /// whatever the outcome, so every version moves after the last
+    /// mutation it covers is visible.
     fn write<R>(&self, f: impl FnOnce(&mut Tx<'_>) -> CoreResult<R>) -> CoreResult<R> {
         let mut tx = Tx {
             control: self,
             _lock: self.write_lock.lock(),
             now: self.now(),
             puts: Vec::new(),
-            touched: Vec::new(),
-            wrote: false,
-            installed: false,
+            applied: Vec::new(),
         };
         let result = f(&mut tx).and_then(|r| tx.commit_puts().map(|()| r));
-        if tx.wrote {
-            self.versions.commit(&tx.touched, tx.installed);
-        }
+        self.apply(&tx.applied);
         result
+    }
+
+    /// Derives everything that is not a document from the documents one
+    /// write put into memory — by a commit, an install or the open — and
+    /// commits the versions: the only writer of the analytics tables and
+    /// the only caller of [`Versions::commit`]. A job moves its
+    /// evaluation's version; an evaluation moves its own and gets a table;
+    /// a result is ingested into its job's evaluation table, and the job
+    /// is read from the store, which already holds it. Nothing applied,
+    /// nothing derived.
+    #[allow(clippy::disallowed_methods)]
+    fn apply(&self, puts: &[Put]) {
+        if puts.is_empty() {
+            return;
+        }
+        let mut touched = Vec::new();
+        for (kind, id, doc) in puts {
+            match kind.as_str() {
+                KIND_EVALUATION => {
+                    let Ok(evaluation) = Id::parse_base32(id) else { continue };
+                    self.analytics.mark_fresh(evaluation.as_u128());
+                    touched.push(evaluation.as_u128());
+                }
+                KIND_JOB => touched.extend(evaluation_of(doc)),
+                KIND_RESULT => {
+                    let Some(job_id) = doc.get("job_id").and_then(Value::as_str) else { continue };
+                    let (Ok(job), Some(stored)) =
+                        (Id::parse_base32(job_id), self.store.get(KIND_JOB, job_id))
+                    else {
+                        continue;
+                    };
+                    let Some(evaluation) = evaluation_of(&stored) else { continue };
+                    let parameters = stored.get("parameters").unwrap_or(&Value::Null);
+                    let data = doc.get("data").unwrap_or(&Value::Null);
+                    let paths = &crate::analysis::STANDARD_METRIC_PATHS;
+                    self.analytics.ingest(evaluation, job.as_u128(), parameters, data, paths);
+                    touched.push(evaluation);
+                }
+                _ => {}
+            }
+        }
+        self.versions.commit(&touched);
     }
 
     /// One document decoded; `NotFound` when it is missing or undecodable.
@@ -254,11 +249,10 @@ impl ChronosControl {
 
     // ----- versions (what a derived read was computed from) -----------------
 
-    /// A monotone per-evaluation counter, advanced by every write that can
-    /// change anything read about the evaluation — a put of one of its
-    /// jobs or of its document, an analytics ingest — and by every
-    /// replication install (which advances all evaluations at once).
-    /// Restarts at 0 with the process.
+    /// A monotone per-evaluation counter: the number of the last write
+    /// whose record touched the evaluation — a put of one of its jobs, of
+    /// its document or of a result of one of its jobs — committed here or
+    /// installed by replication. Restarts at 0 with the process.
     ///
     /// Reader ordering rule: load this *before* reading any state and tag
     /// what was derived with the pre-read value. [`ChronosControl::write`]
@@ -625,8 +619,7 @@ impl ChronosControl {
                 created_at: tx.now,
                 source: Some(JobSourceState::plan(experiment.strategy, space.total())),
             };
-            tx.put_evaluation(&evaluation);
-            tx.mark_fresh(evaluation.id);
+            tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
             Ok(evaluation)
         })
     }
@@ -690,7 +683,7 @@ impl ChronosControl {
         job.heartbeat_at = Some(tx.now);
         job.attempts += 1;
         job.claim_key = key.map(str::to_string);
-        tx.put_job(&job);
+        tx.put(KIND_JOB, job.id, job.to_json());
         Ok(job)
     }
 
@@ -769,7 +762,7 @@ impl ChronosControl {
             };
             // Adaptive: a fully-issued rung blocks until every rung job
             // settles, then candidates are scored and pruned.
-            if source.peek().is_none() && !self.try_advance_rung(tx, &mut source, &evaluation)? {
+            if source.peek().is_none() && !self.try_advance_rung(&mut source, &evaluation)? {
                 continue;
             }
             let Some(index) = source.peek() else { continue };
@@ -783,7 +776,7 @@ impl ChronosControl {
             }
             evaluation.job_ids.push(job.id);
             evaluation.source = Some(source);
-            tx.put_evaluation(&evaluation);
+            tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
             return Self::claim(tx, job, deployment, idempotency_key).map(Some);
         }
         Ok(None)
@@ -797,7 +790,6 @@ impl ChronosControl {
     /// ids — so replays and failed-over leaders decide identically.
     fn try_advance_rung(
         &self,
-        tx: &Tx,
         source: &mut JobSourceState,
         evaluation: &Evaluation,
     ) -> CoreResult<bool> {
@@ -818,7 +810,7 @@ impl ChronosControl {
             }
             jobs.push(job);
         }
-        let table = tx.columnar_table(evaluation.id)?;
+        let table = self.analytics.load(evaluation.id.as_u128());
         let cells = table.data_column(&cfg.metric).map(|c| c.materialize()).unwrap_or_default();
         let scored: Vec<(u64, Option<f64>)> = frontier
             .candidates
@@ -874,7 +866,7 @@ impl ChronosControl {
             if let Some(p) = progress {
                 job.progress = p.min(100);
             }
-            tx.put_job(&job);
+            tx.put(KIND_JOB, job.id, job.to_json());
             Ok(job)
         })
     }
@@ -888,7 +880,7 @@ impl ChronosControl {
             if !text.ends_with('\n') {
                 job.log.push('\n');
             }
-            tx.put_job(&job);
+            tx.put(KIND_JOB, job.id, job.to_json());
             Ok(())
         })
     }
@@ -927,8 +919,7 @@ impl ChronosControl {
             tx.put(KIND_RESULT, result.id, stored);
             job.result_id = Some(result.id);
             job.result_key = idempotency_key.map(str::to_string);
-            tx.put_job(&job);
-            tx.ingest(&job, &result.data);
+            tx.put(KIND_JOB, job.id, job.to_json());
             Ok(result)
         })
     }
@@ -980,7 +971,7 @@ impl ChronosControl {
                 ),
             )?;
         }
-        tx.put_job(&job);
+        tx.put(KIND_JOB, job.id, job.to_json());
         Ok(job)
     }
 
@@ -989,7 +980,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut job = self.get_job(job_id)?;
             job.apply(JobEvent::Abort, tx.now, "aborted by user")?;
-            tx.put_job(&job);
+            tx.put(KIND_JOB, job.id, job.to_json());
             Ok(job)
         })
     }
@@ -1003,7 +994,7 @@ impl ChronosControl {
             job.progress = 0;
             job.failure = None;
             job.claim_key = None;
-            tx.put_job(&job);
+            tx.put(KIND_JOB, job.id, job.to_json());
             Ok(job)
         })
     }
@@ -1069,19 +1060,11 @@ impl ChronosControl {
 
     // ----- columnar analytics ------------------------------------------------
 
-    /// The columnar result table of an evaluation, shared with the
-    /// analytics store: a snapshot that later uploads do not show through.
-    ///
-    /// Tables are maintained incrementally by [`ChronosControl::finish_job`].
-    /// Evaluations that predate the analytics store (a reopened metadata
-    /// log) or whose rows arrived by replication are backfilled from the
-    /// row store on first read, inside a write so nothing lands in between.
+    /// The columnar result table of an evaluation (empty for an unknown
+    /// one), shared with the analytics store: a snapshot that later uploads
+    /// do not show through. [`ChronosControl::apply`] keeps it complete.
     pub fn columnar_table(&self, evaluation_id: Id) -> CoreResult<Arc<ResultTable>> {
-        let loaded = self.analytics.load(evaluation_id.as_u128());
-        if loaded.backfilled {
-            return Ok(loaded.table);
-        }
-        self.write(|tx| tx.columnar_table(evaluation_id))
+        Ok(self.analytics.load(evaluation_id.as_u128()))
     }
 
     /// Caches the outcome of a regression scan for the experiment status
@@ -1100,6 +1083,13 @@ impl ChronosControl {
 /// the rest of it. `None` when the field is missing or not a known state.
 fn stored_job_state(doc: &Value) -> Option<JobState> {
     doc.get("state").and_then(Value::as_str).and_then(JobState::parse)
+}
+
+/// The evaluation a stored job document belongs to, read without decoding
+/// the rest of it.
+fn evaluation_of(job: &Value) -> Option<u128> {
+    let id = job.get("evaluation_id").and_then(Value::as_str)?;
+    Id::parse_base32(id).ok().map(|id| id.as_u128())
 }
 
 #[cfg(test)]
@@ -1236,17 +1226,17 @@ mod tests {
             replicate(&leader, &follower);
             assert!(follower.evaluation_version(evaluation.id) > version);
             assert!(follower.state_version() > state);
-            // The first read backfills and marks the follower's table
-            // complete; the next install must take that back.
-            assert_eq!(follower.columnar_table(evaluation.id).unwrap().rows(), finished);
+            // The installed result was ingested by the install itself.
+            let table = follower.columnar_table(evaluation.id).unwrap();
+            assert_eq!(table.rows(), finished);
             assert_eq!(leader.columnar_table(evaluation.id).unwrap().rows(), finished);
             assert_eq!(summary(&follower), summary(&leader));
-            // A heartbeat (an empty segment) installs nothing and must not
-            // cost the follower its rebuilt table or move a version.
+            // A heartbeat (an empty segment) installs nothing: no version
+            // moves and the table is the same one.
             let version = follower.evaluation_version(evaluation.id);
             replicate(&leader, &follower);
             assert_eq!(follower.evaluation_version(evaluation.id), version);
-            assert!(follower.analytics.load(evaluation.id.as_u128()).backfilled);
+            assert!(Arc::ptr_eq(&follower.columnar_table(evaluation.id).unwrap(), &table));
         }
         // Promotion: the follower takes writes, and its ingest lands in a
         // table that holds every replicated row.
@@ -1262,17 +1252,56 @@ mod tests {
         let (control, _clock, evaluation, deployment) = demo_evaluation();
         let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
         let versions = || (control.evaluation_version(evaluation.id), control.state_version());
+        let rows = || control.columnar_table(evaluation.id).unwrap().rows();
         let before = versions();
         control
             .write(|tx| {
-                tx.put_job(&job);
-                tx.ingest(&job, &obj! {"throughput_ops_per_sec" => 1.0});
+                tx.put(KIND_JOB, job.id, job.to_json());
+                let result = obj! {"job_id" => job.id.to_base32(), "data" => obj! {"ok" => 1}};
+                tx.put(KIND_RESULT, Id::generate(), result);
                 assert_eq!(versions(), before, "a version moved before the write's last mutation");
+                assert_eq!(rows(), 0, "a row was derived before the write's commit");
                 Ok(())
             })
             .unwrap();
         let after = versions();
         assert!(after.0 > before.0 && after.1 > before.1, "{before:?} -> {after:?}");
+        assert_eq!(rows(), 1);
+    }
+
+    /// A follower holding two evaluations installs a segment whose records
+    /// touch only one: the other keeps its version and its very table.
+    #[test]
+    fn an_install_derives_only_what_its_records_touch() {
+        let (leader, _clock, touched, deployment) = demo_evaluation();
+        let (follower, _follower_clock) = control_with_clock();
+        let project = leader.list_projects()[0].id;
+        let other = leader.register_system("otherdb", "", vec![], vec![]).unwrap();
+        let other_deployment = leader.create_deployment(other.id, "node-b", "1").unwrap();
+        let experiment =
+            leader.create_experiment(project, other.id, "x", "", ParamAssignments::new()).unwrap();
+        let untouched = leader.create_evaluation(experiment.id).unwrap();
+        let finish = |deployment: Id| {
+            let job = leader.claim_next_job(deployment, None).unwrap().unwrap();
+            let data = obj! {"throughput_ops_per_sec" => 1.0};
+            leader.finish_job(job.id, data, vec![], None, None).unwrap();
+        };
+        finish(other_deployment.id);
+        finish(deployment.id);
+        replicate(&leader, &follower);
+        let seen = |evaluation: Id| {
+            let table = follower.columnar_table(evaluation).unwrap();
+            (follower.evaluation_version(evaluation), table)
+        };
+        let (touched_before, untouched_before) = (seen(touched.id), seen(untouched.id));
+        assert_eq!((touched_before.1.rows(), untouched_before.1.rows()), (1, 1));
+        finish(deployment.id);
+        replicate(&leader, &follower);
+        let (touched_after, untouched_after) = (seen(touched.id), seen(untouched.id));
+        assert!(touched_after.0 > touched_before.0);
+        assert_eq!(touched_after.1.rows(), 2);
+        assert_eq!(untouched_after.0, untouched_before.0, "an untouched version moved");
+        assert!(Arc::ptr_eq(&untouched_after.1, &untouched_before.1), "an untouched table changed");
     }
 
     #[test]
@@ -1284,8 +1313,8 @@ mod tests {
             .write(|tx| {
                 let mut later = job.clone();
                 later.progress = 7;
-                tx.put_job(&job);
-                tx.put_job(&later);
+                tx.put(KIND_JOB, job.id, job.to_json());
+                tx.put(KIND_JOB, later.id, later.to_json());
                 Ok(())
             })
             .unwrap();
@@ -1303,80 +1332,130 @@ mod tests {
         assert!(control.find_user("ghost").is_none());
     }
 
-    /// One thread finishes jobs while another backfills the evaluation's
-    /// table right after it was dropped — by a replication install or by a
-    /// reopen. Once both stop, the table must be the one a rebuild from
-    /// scratch gives: an upload landing inside the backfill is neither
-    /// lost nor doubled.
-    #[test]
-    fn a_backfill_racing_uploads_ends_equal_to_a_rebuild() {
-        let path = std::env::temp_dir()
-            .join(format!("chronos-control-backfill-race-{}.log", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let open = || {
-            let store = MetadataStore::open(&path).unwrap();
-            ChronosControl::new(store, Arc::new(SystemClock), SchedulerConfig::default())
-        };
-        let mut control = open();
-        let system = control
-            .register_system(
-                "grid",
-                "",
-                vec![ParamDef::new(
-                    "x",
-                    "",
-                    ParamType::Interval { min: 0, max: 999, step: 1 },
-                    Value::from(0),
-                )
-                .unwrap()],
-                vec![],
-            )
-            .unwrap();
-        let deployment = control.create_deployment(system.id, "node", "1").unwrap();
-        let owner = control.create_user("ada", "pw", Role::Member).unwrap();
-        let project = control.create_project("p", "", owner.id).unwrap();
-        let assignments = ParamAssignments::new().sweep_all("x");
-        let experiment =
-            control.create_experiment(project.id, system.id, "race", "", assignments).unwrap();
-        let evaluation = control.create_evaluation(experiment.id).unwrap().id;
-        // The first record re-installed: it changes no document, and it
-        // drops every table.
-        let system_frame = control.read_replication(0, 1).unwrap();
-        let finish = |control: &ChronosControl| {
-            let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
-            let x = job.parameters.get("x").and_then(Value::as_f64).unwrap();
-            let data = obj! {"throughput_ops_per_sec" => x, "total_ops" => 10};
-            control.finish_job(job.id, data, vec![], Some(job.attempts), None).unwrap();
-        };
-        for round in 0..30 {
-            if round % 5 == 4 {
-                drop(control);
-                control = open();
-            } else {
-                control.install_replication(&system_frame).unwrap();
-            }
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    barrier.wait();
-                    for _ in 0..8 {
-                        finish(&control);
-                    }
-                });
-                barrier.wait();
-                control.columnar_table(evaluation).unwrap();
-            });
-            let mut rebuilt = ResultTable::new();
-            for point in crate::analysis::collect_points(&control, evaluation).unwrap() {
-                let paths = &crate::analysis::STANDARD_METRIC_PATHS;
-                rebuilt.append(point.job_id.as_u128(), &point.parameters, &point.data, paths);
-            }
-            assert_eq!(rebuilt.rows(), 8 * (round + 1));
-            let table = control.columnar_table(evaluation).unwrap();
-            assert_eq!(*table, rebuilt, "round {round}");
+    /// An evaluation's table as rows keyed by job: the parameters and the
+    /// cells at every pointer [`differential_upload`] writes.
+    fn rows_by_job(table: &ResultTable) -> std::collections::BTreeMap<u128, String> {
+        let pointers = ["/throughput_ops_per_sec", "/total_ops", "/extra/nested"];
+        let columns: Vec<_> = pointers
+            .iter()
+            .map(|p| table.data_column(p).map(|c| c.materialize()).unwrap_or_default())
+            .collect();
+        (0..table.rows())
+            .map(|row| {
+                let cells: Vec<_> = columns.iter().map(|c| c.get(row).copied()).collect();
+                (table.row_id(row), format!("{:?} {cells:?}", table.params_json(row)))
+            })
+            .collect()
+    }
+
+    /// The result a differential step uploads: its shape varies by job, so
+    /// columns appear late and go missing.
+    fn differential_upload(x: f64, salt: u64) -> Value {
+        match salt % 3 {
+            0 => obj! {"throughput_ops_per_sec" => x},
+            1 => obj! {"throughput_ops_per_sec" => x, "total_ops" => salt as i64},
+            _ => obj! {"total_ops" => 7, "extra" => obj! {"nested" => x}},
         }
-        drop(control);
-        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Seeded random mutators on a durable leader. After every step the
+    /// leader's tables, those of `new` over the reopened log and those of a
+    /// follower fed the feed in random cuts (torn tails included) are
+    /// equal, row for row by job, to a rebuild from the row store.
+    #[test]
+    fn live_reopened_and_follower_tables_equal_a_rebuild() {
+        for seed in [1u64, 20_261_017] {
+            let path = std::env::temp_dir()
+                .join(format!("chronos-control-fold-{seed}-{}.log", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let clock = MockClock::new(1_000_000);
+            let config = SchedulerConfig {
+                heartbeat_timeout_millis: 10_000,
+                max_attempts: 3,
+                auto_reschedule: seed % 2 == 1,
+            };
+            let open = || MetadataStore::open(&path).unwrap();
+            let leader = ChronosControl::new(open(), Arc::new(clock.clone()), config.clone());
+            let follower = ChronosControl::new(
+                MetadataStore::in_memory(),
+                Arc::new(clock.clone()),
+                config.clone(),
+            );
+            let system = demo_system(&leader);
+            let deployment = leader.create_deployment(system.id, "node", "1").unwrap();
+            let owner = leader.create_user("ada", "pw", Role::Member).unwrap();
+            let project = leader.create_project("p", "", owner.id).unwrap();
+            let assignments = ParamAssignments::new()
+                .sweep_all("engine")
+                .sweep("threads", (1..=6).map(Value::from).collect());
+            let experiment =
+                leader.create_experiment(project.id, system.id, "e", "", assignments).unwrap();
+            let mut evaluations = vec![leader.create_evaluation(experiment.id).unwrap().id];
+            let mut rng = chronos_util::SplitMix64::new(seed);
+            let mut jobs: Vec<Id> = Vec::new();
+            for step in 0..160 {
+                let job =
+                    (!jobs.is_empty()).then(|| jobs[rng.next_below(jobs.len() as u64) as usize]);
+                match (rng.next_below(12), job) {
+                    (0..=2, _) => {
+                        let claimed = leader.claim_next_job(deployment.id, None).unwrap();
+                        jobs.extend(claimed.map(|j| j.id));
+                    }
+                    (3, Some(job)) => drop(leader.heartbeat(job, Some(50), None)),
+                    (4, Some(job)) => drop(leader.append_log(job, "line")),
+                    (5..=6, Some(job)) => {
+                        let data = differential_upload(step as f64, rng.next_below(1_000));
+                        drop(leader.finish_job(job, data, vec![], None, None));
+                    }
+                    (7, Some(job)) => drop(leader.fail_job(job, "boom", None)),
+                    (8, Some(job)) => drop(leader.abort_job(job)),
+                    (9, Some(job)) => drop(leader.reschedule_job(job)),
+                    (10, _) => {
+                        clock.advance_millis(rng.next_below(12_000));
+                        leader.check_timeouts().unwrap();
+                    }
+                    (11, _) if evaluations.len() < 4 => {
+                        evaluations.push(leader.create_evaluation(experiment.id).unwrap().id);
+                    }
+                    _ => continue,
+                }
+                while follower.replication_offset() < leader.replication_offset() {
+                    let segment =
+                        leader.read_replication(follower.replication_offset(), usize::MAX).unwrap();
+                    let cut = rng.next_below(segment.len() as u64 + 1) as usize;
+                    follower.install_replication(&segment[..cut]).unwrap();
+                }
+                let reopened = ChronosControl::new(open(), Arc::new(clock.clone()), config.clone());
+                for &evaluation in &evaluations {
+                    let mut rebuilt = ResultTable::new();
+                    for point in
+                        crate::analysis::tests::collect_points(&leader, evaluation).unwrap()
+                    {
+                        let paths = &crate::analysis::STANDARD_METRIC_PATHS;
+                        rebuilt.append(
+                            point.job_id.as_u128(),
+                            &point.parameters,
+                            &point.data,
+                            paths,
+                        );
+                    }
+                    let expected = rows_by_job(&rebuilt);
+                    for (source, control) in
+                        [("leader", &leader), ("reopened", &reopened), ("follower", &follower)]
+                    {
+                        let table = control.columnar_table(evaluation).unwrap();
+                        assert_eq!(
+                            rows_by_job(&table),
+                            expected,
+                            "seed {seed} step {step}: {source}"
+                        );
+                    }
+                }
+            }
+            assert!(jobs.len() > 10, "seed {seed}: only {} jobs", jobs.len());
+            drop(leader);
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -1486,11 +1565,8 @@ mod tests {
         clock.advance_millis(10_001);
         assert_eq!(control.check_timeouts().unwrap(), vec![job.id]);
         moved("timeout", true, true);
-        // A backfill rebuilds what the row store says: nothing to move.
-        control.analytics.invalidate_all();
-        control.columnar_table(evaluation.id).unwrap();
-        moved("backfill", false, false);
-        // An install on a follower moves every evaluation there.
+        // An install moves, on a follower, what the records it installs
+        // touched: here the whole history, so both evaluations.
         let (follower, _follower_clock) = control_with_clock();
         let before = versions(&follower);
         replicate(&control, &follower);

@@ -48,6 +48,10 @@ use crate::error::{CoreError, CoreResult};
 
 type Docs = BTreeMap<String, Arc<Value>>;
 
+/// One document put into memory, by a write or a replayed or installed
+/// frame: kind, id, document.
+pub type Put = (String, String, Arc<Value>);
+
 /// The in-memory replication feed: every committed frame, in commit
 /// order, addressed by a monotone byte offset. Leaders read contiguous
 /// ranges out of it to ship to followers; followers append the exact
@@ -197,32 +201,39 @@ impl MetadataStore {
 
     /// Stores (inserting or replacing) a document: a write of one.
     pub fn put(&self, kind: &str, id: &str, document: Value) -> CoreResult<()> {
-        self.write(vec![(kind, id.to_string(), document)])
+        self.write(vec![(kind, id.to_string(), document)]).1
     }
 
     /// Stores every document of one write as one record: memory takes them
     /// in one document-lock hold and the log in one line, so a reader, a
     /// restart and a follower see all of them or none. Puts apply in order;
     /// an empty write writes nothing.
-    pub fn put_all(&self, puts: Vec<(&str, String, Value)>) -> CoreResult<()> {
+    ///
+    /// Returns the puts that reached memory beside the outcome: all of them
+    /// when the append fails after the apply, none when a failed store
+    /// refuses the write.
+    pub fn put_all(&self, puts: Vec<(&str, String, Value)>) -> (Vec<Put>, CoreResult<()>) {
         self.write(puts)
     }
 
     /// [`put_all`](MetadataStore::put_all), which `put` shares.
-    fn write(&self, puts: Vec<(&str, String, Value)>) -> CoreResult<()> {
+    fn write(&self, puts: Vec<(&str, String, Value)>) -> (Vec<Put>, CoreResult<()>) {
         if puts.is_empty() {
-            return Ok(());
+            return (Vec::new(), Ok(()));
         }
         // All serialization and allocation happen before any lock is taken.
-        let puts: Vec<_> =
-            puts.into_iter().map(|(kind, id, doc)| (kind, id, Arc::new(doc))).collect();
+        let puts: Vec<Put> =
+            puts.into_iter().map(|(kind, id, doc)| (kind.to_string(), id, Arc::new(doc))).collect();
         let frame = frame_write(&puts);
         let mut log = self.log.lock();
-        log.check()?;
+        if let Err(refused) = log.check() {
+            return (Vec::new(), Err(refused));
+        }
         // The document lock is released before the file write: readers
         // wait for the in-memory apply, never for the disk.
-        insert(&mut self.docs.write(), puts);
-        self.append(&mut log, &frame, 1)
+        insert(&mut self.docs.write(), puts.iter().cloned());
+        let appended = self.append(&mut log, &frame, 1);
+        (puts, appended)
     }
 
     /// Records `detail` as the store's sticky failure and returns it.
@@ -339,7 +350,9 @@ impl MetadataStore {
     /// returned count excludes the tail, which the leader re-ships.
     /// Applied frames are re-appended, byte for byte, to this node's own
     /// log and replication feed, so a promoted follower can ship onward.
-    pub fn install_replication(&self, payload: &[u8]) -> CoreResult<u64> {
+    /// Like [`put_all`](MetadataStore::put_all), also returns the puts that
+    /// reached memory, on an error too.
+    pub fn install_replication(&self, payload: &[u8]) -> (Vec<Put>, CoreResult<u64>) {
         let complete = payload.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         let frames = payload[..complete]
             .split_inclusive(|&b| b == b'\n')
@@ -356,16 +369,17 @@ impl MetadataStore {
                         ))
                     })
             })
-            .collect::<CoreResult<Vec<_>>>()?;
+            .collect::<CoreResult<Vec<_>>>();
         let mut log = self.log.lock();
-        log.check()?;
-        if frames.is_empty() {
-            return Ok(0);
-        }
+        let frames = match frames.and_then(|frames| log.check().map(|()| frames)) {
+            Ok(frames) if !frames.is_empty() => frames,
+            refused => return (Vec::new(), refused.map(|_| 0)),
+        };
         let count = frames.len() as u64;
-        insert(&mut self.docs.write(), frames.into_iter().flatten());
-        self.append(&mut log, &payload[..complete], count)?;
-        Ok(complete as u64)
+        let puts: Vec<Put> = frames.into_iter().flatten().collect();
+        insert(&mut self.docs.write(), puts.iter().cloned());
+        let appended = self.append(&mut log, &payload[..complete], count);
+        (puts, appended.map(|()| complete as u64))
     }
 
     /// Whether the store can still accept writes: `false` once the log has
@@ -466,7 +480,7 @@ fn put_into(out: &mut String, kind: &str, id: &str, doc: &Value) {
 
 /// The one line of a write: its put frame, or a write frame
 /// (`{"op":"write","puts":[…]}`) around its put frames.
-fn frame_write(puts: &[(&str, String, Arc<Value>)]) -> Vec<u8> {
+fn frame_write(puts: &[Put]) -> Vec<u8> {
     let mut out = String::with_capacity(64);
     let many = puts.len() > 1;
     if many {
@@ -481,9 +495,6 @@ fn frame_write(puts: &[(&str, String, Arc<Value>)]) -> Vec<u8> {
     out.push_str(if many { "]}\n" } else { "\n" });
     out.into_bytes()
 }
-
-/// One put, decoded from a log or replication line: kind, id, document.
-type Put = (String, String, Arc<Value>);
 
 /// Decodes a put frame, or a write frame into its put frames; anything
 /// else is not a frame.
@@ -509,16 +520,9 @@ fn decode_put(value: Value) -> Option<Put> {
 
 /// Applies puts to the documents in order; a kind's map is created on its
 /// first document.
-fn insert<K: AsRef<str>>(
-    docs: &mut BTreeMap<String, Docs>,
-    puts: impl IntoIterator<Item = (K, String, Arc<Value>)>,
-) {
+fn insert(docs: &mut BTreeMap<String, Docs>, puts: impl IntoIterator<Item = Put>) {
     for (kind, id, doc) in puts {
-        let of_kind = match docs.get_mut(kind.as_ref()) {
-            Some(of_kind) => of_kind,
-            None => docs.entry(kind.as_ref().to_string()).or_default(),
-        };
-        of_kind.insert(id, doc);
+        docs.entry(kind).or_default().insert(id, doc);
     }
 }
 
@@ -533,7 +537,7 @@ mod tests {
     }
 
     fn frame_put(kind: &str, id: &str, doc: Value) -> Vec<u8> {
-        frame_write(&[(kind, id.to_string(), Arc::new(doc))])
+        frame_write(&[(kind.to_string(), id.to_string(), Arc::new(doc))])
     }
 
     /// The documents of one three-document write: a new one, and a
@@ -740,7 +744,7 @@ mod tests {
         leader.put("job", "j1", obj! {"state" => "scheduled"}).unwrap();
         leader.put("job", "j2", obj! {"state" => "running"}).unwrap();
         let segment = leader.read_replication(0, usize::MAX).unwrap();
-        let applied = follower.install_replication(&segment).unwrap();
+        let applied = follower.install_replication(&segment).1.unwrap();
         assert_eq!(applied, segment.len() as u64);
         assert_eq!(follower.replication_offset(), leader.replication_offset());
         assert_eq!(follower.count("job"), 2);
@@ -780,13 +784,13 @@ mod tests {
         let follower = MetadataStore::in_memory();
         // Tear mid-way through the second frame: only the first applies.
         let torn = &segment[..segment.len() - 5];
-        let applied = follower.install_replication(torn).unwrap();
+        let applied = follower.install_replication(torn).1.unwrap();
         assert!(applied < torn.len() as u64);
         assert_eq!(follower.count("k"), 1);
         // The leader re-ships from the applied offset and the follower
         // converges.
         let rest = leader.read_replication(applied, usize::MAX).unwrap();
-        follower.install_replication(&rest).unwrap();
+        follower.install_replication(&rest).1.unwrap();
         assert_eq!(follower.count("k"), 2);
         assert_eq!(follower.replication_offset(), leader.replication_offset());
     }
@@ -802,7 +806,7 @@ mod tests {
         segment.extend_from_slice(&frame_put("k", "x", obj! {"v" => 1}));
         segment.extend_from_slice(b"{\"op\":\"put\",\"ki\n");
         segment.extend_from_slice(&frame_put("k", "y", obj! {"v" => 2}));
-        let err = follower.install_replication(&segment).unwrap_err();
+        let err = follower.install_replication(&segment).1.unwrap_err();
         assert!(err.to_string().contains("corrupt replicated frame 2"), "{err}");
         assert_eq!(follower.read_replication(0, usize::MAX).unwrap(), before);
         assert!(follower.get("k", "x").is_none());
@@ -818,10 +822,10 @@ mod tests {
         let segment = leader.read_replication(0, usize::MAX).unwrap();
         {
             let follower = MetadataStore::open(&path).unwrap();
-            follower.install_replication(&segment).unwrap();
+            follower.install_replication(&segment).1.unwrap();
             leader.put("job", "j2", obj! {"state" => "running"}).unwrap();
             let rest = leader.read_replication(segment.len() as u64, usize::MAX).unwrap();
-            follower.install_replication(&rest).unwrap();
+            follower.install_replication(&rest).1.unwrap();
             // The follower's log file is its replication feed, byte for byte.
             let feed = follower.read_replication(0, usize::MAX).unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), feed);
@@ -843,8 +847,11 @@ mod tests {
         {
             let store = MetadataStore::open(&path).unwrap();
             store.put("job", "pre", obj! {"state" => "running"}).unwrap();
-            store.put_all(three_puts()).unwrap();
-            store.put_all(Vec::new()).unwrap();
+            let (applied, stored) = store.put_all(three_puts());
+            stored.unwrap();
+            let keys: Vec<_> = applied.iter().map(|(kind, id, _)| format!("{kind}/{id}")).collect();
+            assert_eq!(keys, ["job/j1", "evaluation/e1", "job/pre"], "it reports what it put");
+            assert!(store.put_all(Vec::new()).0.is_empty());
             assert_eq!(store.log_records(), 2, "one record per write, none for an empty one");
             assert_eq!(store.live_docs(), 3);
             let log = std::fs::read_to_string(&path).unwrap();
@@ -852,7 +859,7 @@ mod tests {
             assert_eq!(lines.len(), 2);
             assert!(lines[1].starts_with("{\"op\":\"write\",\"puts\":[{\"op\":\"put\","));
             // A write of one document is a put frame, byte for byte.
-            store.put_all(vec![("k", "x".into(), obj! {"v" => 1})]).unwrap();
+            store.put_all(vec![("k", "x".into(), obj! {"v" => 1})]).1.unwrap();
             let log = std::fs::read(&path).unwrap();
             assert!(log.ends_with(&frame_put("k", "x", obj! {"v" => 1})));
         }
@@ -871,7 +878,7 @@ mod tests {
         let leader = MetadataStore::in_memory();
         leader.put("job", "pre", obj! {"state" => "running"}).unwrap();
         let prefix = leader.read_replication(0, usize::MAX).unwrap();
-        leader.put_all(three_puts()).unwrap();
+        leader.put_all(three_puts()).1.unwrap();
         let whole = leader.read_replication(0, usize::MAX).unwrap();
         let path = tmp("torn-write");
         // What a store holds after replaying, or installing, a cut log.
@@ -881,7 +888,7 @@ mod tests {
         };
         let before = state(&{
             let store = MetadataStore::in_memory();
-            store.install_replication(&prefix).unwrap();
+            store.install_replication(&prefix).1.unwrap();
             store
         });
         let after = state(&leader);
@@ -892,10 +899,12 @@ mod tests {
             assert_eq!(&state(&replayed), expected, "replay cut at byte {cut}");
             drop(replayed);
             let follower = MetadataStore::in_memory();
-            let applied = follower.install_replication(&whole[..cut]).unwrap();
+            let (puts, applied) = follower.install_replication(&whole[..cut]);
             assert_eq!(&state(&follower), expected, "install cut at byte {cut}");
             let complete = if cut == whole.len() { whole.len() } else { prefix.len() };
-            assert_eq!(applied, complete as u64, "install cut at byte {cut}");
+            assert_eq!(applied.unwrap(), complete as u64, "install cut at byte {cut}");
+            let reported = if cut == whole.len() { 4 } else { 1 };
+            assert_eq!(puts.len(), reported, "puts reported for cut at byte {cut}");
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -8,11 +8,9 @@
 //! recomputed by the next reader — never served stale.
 //!
 //! One sequence numbers every committed write. An evaluation's version is
-//! the number of the last write that touched it, or of the last
-//! replication install (the *epoch*) when that is newer: an install
-//! bypasses the lifecycle code, so it cannot say which evaluations it
-//! touched and advances all of them at once. Versions restart at 0 with
-//! the process; whoever hands them to a client pairs them with a boot
+//! the number of the last write whose record touched it — on a leader and
+//! on a follower installing the same records alike. Versions restart at 0
+//! with the process; whoever hands them to a client pairs them with a boot
 //! nonce.
 
 use std::collections::HashMap;
@@ -24,17 +22,14 @@ use parking_lot::RwLock;
 pub(crate) struct Versions {
     /// Number of the last committed write.
     seq: AtomicU64,
-    /// Number of the last write that installed replicated frames.
-    epoch: AtomicU64,
     /// Evaluation → number of the last write that touched it.
     evaluations: RwLock<HashMap<u128, u64>>,
 }
 
 impl Versions {
     /// Numbers one committed write: every evaluation in `touched` moves to
-    /// the new number, and so does the epoch when the write was an
-    /// install. Call after the write's last mutation is visible.
-    pub(crate) fn commit(&self, touched: &[u128], install: bool) {
+    /// the new number. Call after the write's last mutation is visible.
+    pub(crate) fn commit(&self, touched: &[u128]) {
         // Numbered under the map lock, so two commits cannot store their
         // numbers out of order.
         let mut evaluations = self.evaluations.write();
@@ -42,15 +37,11 @@ impl Versions {
         for &evaluation in touched {
             evaluations.insert(evaluation, next);
         }
-        if install {
-            self.epoch.store(next, Ordering::SeqCst);
-        }
     }
 
     /// The version of one evaluation. Load before reading its state.
     pub(crate) fn evaluation(&self, evaluation: u128) -> u64 {
-        let touched = self.evaluations.read().get(&evaluation).copied().unwrap_or(0);
-        touched.max(self.epoch.load(Ordering::SeqCst))
+        self.evaluations.read().get(&evaluation).copied().unwrap_or(0)
     }
 
     /// Number of the last committed write: moves with every write.
@@ -64,21 +55,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bumps_are_per_evaluation_and_epochs_are_not() {
+    fn bumps_are_per_evaluation() {
         let versions = Versions::default();
         assert_eq!((versions.evaluation(1), versions.evaluation(2), versions.last()), (0, 0, 0));
-        versions.commit(&[1], false);
-        let (one, two) = (versions.evaluation(1), versions.evaluation(2));
-        assert!(one > 0 && two == 0, "a commit moves the evaluations it touched only");
-        versions.commit(&[], true);
-        assert!(versions.evaluation(1) > one && versions.evaluation(2) > two);
-        assert_eq!(versions.evaluation(1), versions.evaluation(3), "unknown ones sit at the epoch");
-        let epoch = versions.evaluation(2);
-        versions.commit(&[2, 2], false);
-        assert!(versions.evaluation(2) > epoch && versions.evaluation(1) == epoch);
-        versions.commit(&[], false);
-        assert_eq!(versions.evaluation(2), 3, "a write touching nothing moves no evaluation");
-        assert_eq!(versions.last(), 4, "one number per write, however much it touched");
+        versions.commit(&[1]);
+        assert_eq!((versions.evaluation(1), versions.evaluation(2)), (1, 0), "touched ones only");
+        versions.commit(&[2, 2]);
+        assert_eq!((versions.evaluation(1), versions.evaluation(2)), (1, 2));
+        versions.commit(&[]);
+        assert_eq!(versions.evaluation(2), 2, "a write touching nothing moves no evaluation");
+        assert_eq!(versions.evaluation(3), 0, "an untouched evaluation sits at 0");
+        assert_eq!(versions.last(), 3, "one number per write, however much it touched");
     }
 
     #[test]
@@ -89,7 +76,7 @@ mod tests {
                 scope.spawn(|| {
                     let mut last = 0;
                     for _ in 0..2_000 {
-                        versions.commit(&[7], false);
+                        versions.commit(&[7]);
                         let seen = versions.evaluation(7);
                         assert!(seen > last, "version went from {last} to {seen}");
                         last = seen;

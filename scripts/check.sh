@@ -7,7 +7,7 @@
 #   --bench    also regenerate, at full scale, the BENCH_*.json of every
 #              experiment `chronos-bench --list` names a report file for.
 #              This overwrites the committed files, which also hold rows no
-#              commit can regenerate any more (E8/E9 baselines, E11
+#              commit can regenerate any more (E9 baselines, E11
 #              unbounded, E12 threaded — see EXPERIMENTS.md).
 #   --chaos    also run the fault-injection suites (torture + chaos) with
 #              --features failpoints under a fixed seed, and verify that the
@@ -24,7 +24,9 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
 # Enforces crates/core/clippy.toml too: only Tx (ChronosControl::write) writes the store
-# (MetadataStore::{put, put_all, install_replication}). And crates/agent/clippy.toml: no
+# (MetadataStore::{put, put_all, install_replication}), and only ChronosControl::apply,
+# fed what a commit, an install or the open put into memory, writes the columnar tables
+# (AnalyticsStore::{ingest, mark_fresh}). And crates/agent/clippy.toml: no
 # std::thread::sleep in the agent, whose per-job threads wait on a StopSignal instead.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -50,9 +52,9 @@ report_files="$("$bench_bin" --list | awk 'NF == 2 { print $2 }' | xargs)"
 
 echo "== chronos-bench smoke ($report_ids, quick sizes) =="
 # Runs in a temp directory so the quick-size numbers don't clobber the
-# committed full-scale BENCH_*.json files. E8 and E9 time the shipped
-# store and read path only (no baseline arm, no ratio to assert); an
-# unknown id or flag exits 2. E14 asserts failover within two leases and
+# committed full-scale BENCH_*.json files. E9 times the shipped read
+# path only (no baseline arm, no ratio to assert); an unknown id or flag
+# (E8 and E13 are retired) exits 2. E14 asserts failover within two leases and
 # exactly-once results across it, E15 the adaptive invariants (budget
 # <= 30% of the grid, deterministic replay, survivor == sampled argmax),
 # and E16 the budget-watchdog invariants (<=2% overhead on compliant work,

@@ -17,6 +17,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use chronos::core::analysis;
 use chronos::core::auth::Role;
 use chronos::core::model::{Evaluation, Job, JobState};
 use chronos::core::params::{ParamAssignments, ParamDef, ParamType};
@@ -327,6 +328,44 @@ fn failed_put_still_moves_its_evaluation_version() {
         "a failed put moved no version: {before:?} -> {after:?} {}",
         replay()
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The other half of the writer rule: a write refused by a store that has
+/// already failed put nothing into memory, so it derives nothing either —
+/// no columnar row and no summary entry for a job the store still holds
+/// running without a result.
+#[test]
+fn a_refused_write_derives_nothing() {
+    let _guard = serial();
+    let dir = tempdir("torture-control-refused");
+    let store = MetadataStore::open(&dir.join("control.log")).unwrap();
+    let control = ChronosControl::new(store, Arc::new(SystemClock), SchedulerConfig::default());
+    let system = control.register_system("sys", "", vec![], vec![]).unwrap();
+    let deployment = control.create_deployment(system.id, "node", "1").unwrap();
+    let owner = control.create_user("ada", "pw", Role::Member).unwrap();
+    let project = control.create_project("p", "", owner.id).unwrap();
+    let assignments = ParamAssignments::new();
+    let experiment =
+        control.create_experiment(project.id, system.id, "e", "", assignments).unwrap();
+    let evaluation = control.create_evaluation(experiment.id).unwrap();
+    let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+
+    fail::arm("core.store.wal.append", Policy::ErrorTimes(1));
+    let poisoning = control.heartbeat(job.id, Some(40), None);
+    fail::disarm("core.store.wal.append");
+    assert!(poisoning.is_err(), "the injected append fault never fired {}", replay());
+    let data = obj! {"throughput_ops_per_sec" => 1.0};
+    let refused = control.finish_job(job.id, data, vec![], None, None);
+    assert!(refused.is_err(), "a failed store accepted a write {}", replay());
+
+    assert_eq!(control.get_job(job.id).unwrap().state, JobState::Running);
+    assert_eq!(control.count_results(), 0);
+    let rows = control.columnar_table(evaluation.id).unwrap().rows();
+    assert_eq!(rows, control.count_results(), "rows for results the store never took {}", replay());
+    let summary = analysis::summary_table(&control, evaluation.id).unwrap();
+    let listed = summary.pointer("/rows").and_then(Value::as_array).map_or(0, Vec::len);
+    assert_eq!(listed, 0, "the summary lists a job with no result: {summary} {}", replay());
     std::fs::remove_dir_all(&dir).ok();
 }
 
