@@ -12,7 +12,7 @@ use chronos_analytics::{
     detect_change_points, sum_count, Cell, ChangePoint, ChangePointConfig, ParamColumn,
     RegressionFlag, ResultTable,
 };
-use chronos_json::{obj, Value};
+use chronos_json::{obj, write_string, Value};
 use chronos_util::Id;
 
 use crate::charts::{ChartData, ChartSpec};
@@ -43,23 +43,6 @@ pub const STANDARD_METRIC_PATHS: [&str; 6] = [
     "/operations/update/latency_micros/p99",
 ];
 
-/// Sorts labels numerically when they all parse as numbers, else
-/// lexicographically (thread counts must order 1, 2, 10 — not 1, 10, 2).
-fn sort_labels(labels: &mut Vec<String>) {
-    let all_numeric = labels.iter().all(|l| l.parse::<f64>().is_ok());
-    if all_numeric {
-        labels.sort_by(|a, b| {
-            a.parse::<f64>()
-                .unwrap_or(0.0)
-                .partial_cmp(&b.parse::<f64>().unwrap_or(0.0))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-    } else {
-        labels.sort();
-    }
-    labels.dedup();
-}
-
 /// An evaluation's columnar table plus its rows gathered in canonical
 /// `job_ids` order — the exact row set and iteration order of the row
 /// path it replaced, so every columnar aggregation below is bit-identical
@@ -68,16 +51,57 @@ fn columnar_rows(
     control: &ChronosControl,
     evaluation_id: Id,
 ) -> CoreResult<(Arc<ResultTable>, Vec<usize>)> {
-    let evaluation = control.get_evaluation(evaluation_id)?;
+    let jobs = control.job_order(evaluation_id)?;
     let table = control.columnar_table(evaluation_id)?;
-    let order = table.gather(evaluation.job_ids.iter().map(Id::as_u128));
+    let order = table.gather(jobs);
     Ok((table, order))
 }
 
-/// The display label of `row` in a parameter column — `"-"` for an
-/// absent/null parameter.
-fn column_label(column: Option<&ParamColumn>, row: usize) -> &str {
-    column.and_then(|c| c.label_at(row)).unwrap_or("-")
+/// A parameter column's display labels as small integers: the labels by
+/// id, and the id of every row of `order`. A row's id is its dictionary
+/// code; absent rows — every row, when the table has no such column —
+/// take the id of `"-"`, the label they display as. Two rows share an id
+/// exactly when they share a label.
+fn label_ids<'a>(column: Option<&'a ParamColumn>, order: &[usize]) -> (Vec<&'a str>, Vec<usize>) {
+    let mut labels: Vec<&str> =
+        column.map_or(&[][..], ParamColumn::dict).iter().map(|l| l.as_str()).collect();
+    let dash = labels.iter().position(|&l| l == "-").unwrap_or_else(|| {
+        labels.push("-");
+        labels.len() - 1
+    });
+    let codes = column.map_or(&[][..], ParamColumn::codes);
+    let ids = order
+        .iter()
+        .map(|&row| match codes.get(row) {
+            Some(&code) if code != ParamColumn::MISSING => code as usize,
+            _ => dash,
+        })
+        .collect();
+    (labels, ids)
+}
+
+/// The ids of `ids` sorted as their labels sort — numerically when
+/// `numeric` is set and every label parses as a number (thread counts
+/// must order 1, 2, 10 — not 1, 10, 2), else lexicographically — with
+/// adjacent repeats dropped; and, by id, the position of its first
+/// occurrence there.
+fn sort_label_ids(labels: &[&str], ids: &[usize], numeric: bool) -> (Vec<usize>, Vec<usize>) {
+    let numbers: Vec<Option<f64>> = labels.iter().map(|l| l.parse::<f64>().ok()).collect();
+    let mut sorted = ids.to_vec();
+    if numeric && sorted.iter().all(|&id| numbers[id].is_some()) {
+        sorted.sort_by(|&a, &b| {
+            let (a, b) = (numbers[a].unwrap_or(0.0), numbers[b].unwrap_or(0.0));
+            a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
+        });
+    } else {
+        sorted.sort_by(|&a, &b| labels[a].cmp(labels[b]));
+    }
+    sorted.dedup();
+    let mut position = vec![usize::MAX; labels.len()];
+    for (i, &id) in sorted.iter().enumerate().rev() {
+        position[id] = i;
+    }
+    (sorted, position)
 }
 
 /// Builds the [`ChartData`] for `spec` from an evaluation's results.
@@ -100,48 +124,36 @@ pub fn chart_data(
 /// output is bit-identical to the row-at-a-time oracle in this module's
 /// tests.
 pub fn chart_data_from_table(table: &ResultTable, order: &[usize], spec: &ChartSpec) -> ChartData {
-    let x_col = table.param_column(&spec.x_param);
-    let mut x_labels: Vec<String> =
-        order.iter().map(|&row| column_label(x_col, row).to_string()).collect();
-    sort_labels(&mut x_labels);
-    let series_col = spec.series_param.as_ref().and_then(|p| table.param_column(p));
-    let mut series_names: Vec<String> = match &spec.series_param {
-        Some(_) => {
-            let mut names: Vec<String> =
-                order.iter().map(|&row| column_label(series_col, row).to_string()).collect();
-            names.sort();
-            names.dedup();
-            names
+    let (x_names, x_ids) = label_ids(table.param_column(&spec.x_param), order);
+    let (x_sorted, x_position) = sort_label_ids(&x_names, &x_ids, true);
+    let x_labels: Vec<String> = x_sorted.iter().map(|&id| x_names[id].to_string()).collect();
+    // Without a series parameter every row lands in the one series.
+    let (series_names, series_of) = match &spec.series_param {
+        Some(param) => {
+            let (names, ids) = label_ids(table.param_column(param), order);
+            let (sorted, position) = sort_label_ids(&names, &ids, false);
+            let named: Vec<String> = sorted.iter().map(|&id| names[id].to_string()).collect();
+            (named, ids.iter().map(|&id| position[id]).collect())
         }
-        None => vec![spec.y_label.clone()],
+        None => (Vec::new(), vec![0; order.len()]),
     };
-    if series_names.is_empty() {
-        series_names.push(spec.y_label.clone());
-    }
+    let series_names =
+        if series_names.is_empty() { vec![spec.y_label.clone()] } else { series_names };
     // One dense numeric vector per physical row; the accumulation loop
-    // below never touches a JSON value.
+    // below never touches a JSON value or a label.
     let values: Vec<Option<f64>> = match table.data_column(&spec.value_path) {
         Some(column) => column.materialize().iter().map(Cell::as_f64).collect(),
         None => Vec::new(),
     };
     // (series, x) -> (sum, count)
     let mut cells: Vec<Vec<(f64, u32)>> = vec![vec![(0.0, 0); x_labels.len()]; series_names.len()];
-    for &row in order {
+    for (i, &row) in order.iter().enumerate() {
         let Some(value) = values.get(row).copied().flatten() else {
             continue;
         };
-        let x = column_label(x_col, row);
-        let series = match &spec.series_param {
-            Some(_) => column_label(series_col, row),
-            None => spec.y_label.as_str(),
-        };
-        let (Some(xi), Some(si)) =
-            (x_labels.iter().position(|l| l == x), series_names.iter().position(|s| s == series))
-        else {
-            continue;
-        };
-        cells[si][xi].0 += value;
-        cells[si][xi].1 += 1;
+        let cell = &mut cells[series_of[i]][x_position[x_ids[i]]];
+        cell.0 += value;
+        cell.1 += 1;
     }
     let series = series_names
         .into_iter()
@@ -157,41 +169,69 @@ pub fn chart_data_from_table(table: &ResultTable, order: &[usize], spec: &ChartS
     ChartData { x_labels, series }
 }
 
-/// A tabular summary of an evaluation: one row per finished job with its
-/// parameters and the standard metrics found in the result document.
-/// Served from the columnar store (parameter documents round-trip through
-/// their canonical serialization, so the body is byte-identical to the
-/// old row scan).
-pub fn summary_table(control: &ChronosControl, evaluation_id: Id) -> CoreResult<Value> {
+/// A tabular summary of an evaluation, as its JSON body: one row per
+/// finished job with its parameters and the standard metrics found in the
+/// result document. Written straight from the columnar table: each row's
+/// stored parameter document and captured containers are spliced verbatim
+/// and only scalar metric cells are formatted, so the body costs what it
+/// weighs — byte-identical to serializing the row store's documents.
+pub fn summary_table(control: &ChronosControl, evaluation_id: Id) -> CoreResult<String> {
     let (table, order) = columnar_rows(control, evaluation_id)?;
-    let metric_cells: Vec<(&str, Option<Vec<Cell<'_>>>)> = STANDARD_METRIC_COLUMNS
+    Ok(summary_from_table(evaluation_id, &table, &order))
+}
+
+/// [`summary_table`] over a columnar table and the physical rows to
+/// serve, in order.
+fn summary_from_table(evaluation_id: Id, table: &ResultTable, order: &[usize]) -> String {
+    // Each present metric column with its key written out once.
+    let metric_cells: Vec<(String, Vec<Cell<'_>>)> = STANDARD_METRIC_COLUMNS
         .iter()
-        .map(|&(label, pointer)| (label, table.data_column(pointer).map(|c| c.materialize())))
-        .collect();
-    let rows: Vec<Value> = order
-        .iter()
-        .map(|&row| {
-            let parameters = table
-                .params_json(row)
-                .and_then(|s| chronos_json::parse(s).ok())
-                .unwrap_or(Value::Null);
-            let mut metrics = obj! {};
-            for (label, cells) in &metric_cells {
-                if let Some(v) = cells.as_ref().and_then(|c| c[row].to_value()) {
-                    metrics.set(label, v);
-                }
-            }
-            obj! {
-                "job_id" => Id::from_u128(table.row_id(row)).to_base32(),
-                "parameters" => parameters,
-                "metrics" => metrics,
-            }
+        .filter_map(|&(label, pointer)| {
+            let mut key = String::new();
+            write_string(&mut key, label);
+            key.push(':');
+            Some((key, table.data_column(pointer)?.materialize()))
         })
         .collect();
-    Ok(obj! {
-        "evaluation_id" => evaluation_id.to_base32(),
-        "rows" => Value::Array(rows),
-    })
+    let mut out = String::from("{\"evaluation_id\":");
+    write_string(&mut out, &evaluation_id.to_base32());
+    out.push_str(",\"rows\":[");
+    for (i, &row) in order.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"job_id\":\"");
+        Id::from_u128(table.row_id(row)).push_base32(&mut out);
+        out.push_str("\",\"parameters\":");
+        out.push_str(table.params_json(row).unwrap_or("null"));
+        out.push_str(",\"metrics\":{");
+        let present = metric_cells.iter().filter(|(_, cells)| cells[row] != Cell::Missing);
+        for (j, (key, cells)) in present.enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str(key);
+            write_cell(&mut out, cells[row]);
+        }
+        out.push_str("}}");
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Appends one cell as the JSON of the value it was ingested from: a
+/// captured container verbatim, a scalar as [`Value`] writes it, nothing
+/// for a missing cell.
+fn write_cell(out: &mut String, cell: Cell<'_>) {
+    match cell {
+        Cell::Json(text) => out.push_str(text),
+        Cell::Str(text) => write_string(out, text),
+        scalar => {
+            if let Some(value) = scalar.to_value() {
+                value.write_into(out);
+            }
+        }
+    }
 }
 
 /// Compares two series of a chart: per-x ratio `a / b` and the overall
@@ -247,6 +287,12 @@ fn csv_cell(s: &str) -> String {
 /// metrics. The export analysts pull into spreadsheets/R.
 pub fn summary_csv(control: &ChronosControl, evaluation_id: Id) -> CoreResult<String> {
     let (table, order) = columnar_rows(control, evaluation_id)?;
+    Ok(csv_from_table(&table, &order))
+}
+
+/// [`summary_csv`] over a columnar table and the physical rows to serve,
+/// in order.
+fn csv_from_table(table: &ResultTable, order: &[usize]) -> String {
     // Column union over parameters (the table already holds the union of
     // keys that appeared in any row).
     let mut param_names: Vec<&str> = table.param_names().collect();
@@ -267,8 +313,8 @@ pub fn summary_csv(control: &ChronosControl, evaluation_id: Id) -> CoreResult<St
         out.push_str(label);
     }
     out.push('\n');
-    for &row in &order {
-        out.push_str(&Id::from_u128(table.row_id(row)).to_base32());
+    for &row in order {
+        Id::from_u128(table.row_id(row)).push_base32(&mut out);
         for column in &param_columns {
             out.push(',');
             let cell = column.and_then(|c| c.label_at(row)).unwrap_or("");
@@ -277,18 +323,14 @@ pub fn summary_csv(control: &ChronosControl, evaluation_id: Id) -> CoreResult<St
         for cells in &metric_cells {
             out.push(',');
             match cells.as_ref().map(|c| c[row]) {
-                None | Some(Cell::Missing) => {}
+                None => {}
                 Some(Cell::Str(s)) => out.push_str(&csv_cell(s)),
-                Some(other) => {
-                    if let Some(v) = other.to_value() {
-                        out.push_str(&v.to_string());
-                    }
-                }
+                Some(cell) => write_cell(&mut out, cell),
             }
         }
         out.push('\n');
     }
-    Ok(out)
+    out
 }
 
 /// Performance trend of an experiment across its successive evaluations
@@ -478,6 +520,23 @@ pub(crate) mod tests {
         }
         Ok(points)
     }
+    /// Sorts labels numerically when they all parse as numbers, else
+    /// lexicographically: the label order the oracle charts with.
+    fn sort_labels(labels: &mut Vec<String>) {
+        let all_numeric = labels.iter().all(|l| l.parse::<f64>().is_ok());
+        if all_numeric {
+            labels.sort_by(|a, b| {
+                a.parse::<f64>()
+                    .unwrap_or(0.0)
+                    .partial_cmp(&b.parse::<f64>().unwrap_or(0.0))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        } else {
+            labels.sort();
+        }
+        labels.dedup();
+    }
+
     /// Renders one parameter value as a stable label.
     fn param_label(value: Option<&Value>) -> String {
         match value {
@@ -739,9 +798,9 @@ pub(crate) mod tests {
             }
         }
 
-        /// The pre-columnar row scan, kept verbatim as the oracle.
-        fn row_path_summary(control: &ChronosControl, evaluation_id: Id) -> Value {
-            let points = collect_points(control, evaluation_id).unwrap();
+        /// The pre-columnar row scan over an evaluation's points, kept as
+        /// the oracle.
+        fn row_path_summary(evaluation_id: Id, points: &[ResultPoint]) -> Value {
             let rows: Vec<Value> = points
                 .iter()
                 .map(|p| {
@@ -758,11 +817,11 @@ pub(crate) mod tests {
             }
         }
 
-        /// The pre-columnar CSV renderer, kept verbatim as the oracle.
-        fn row_path_csv(control: &ChronosControl, evaluation_id: Id) -> String {
-            let points = collect_points(control, evaluation_id).unwrap();
+        /// The pre-columnar CSV renderer over an evaluation's points, kept
+        /// as the oracle.
+        fn row_path_csv(points: &[ResultPoint]) -> String {
             let mut param_columns: Vec<String> = Vec::new();
-            for point in &points {
+            for point in points {
                 if let Some(map) = point.parameters.as_object() {
                     for key in map.keys() {
                         if !param_columns.iter().any(|c| c == key) {
@@ -782,7 +841,7 @@ pub(crate) mod tests {
                 out.push_str(label);
             }
             out.push('\n');
-            for point in &points {
+            for point in points {
                 out.push_str(&point.job_id.to_base32());
                 for column in &param_columns {
                     out.push(',');
@@ -887,9 +946,11 @@ pub(crate) mod tests {
         #[test]
         fn summary_matches_row_path_byte_for_byte() {
             let (control, evaluation_id) = fixture(MetadataStore::in_memory());
+            let points = collect_points(&control, evaluation_id).unwrap();
             let columnar = summary_table(&control, evaluation_id).unwrap();
-            assert_eq!(columnar.to_string(), row_path_summary(&control, evaluation_id).to_string());
+            assert_eq!(columnar, row_path_summary(evaluation_id, &points).to_string());
             // Spot-check the tricky cells survived columnarization.
+            let columnar = chronos_json::parse(&columnar).unwrap();
             assert_eq!(
                 columnar.pointer("/rows/0/metrics/total_ops/x").and_then(Value::as_i64),
                 Some(1),
@@ -905,10 +966,149 @@ pub(crate) mod tests {
         #[test]
         fn csv_matches_row_path_byte_for_byte() {
             let (control, evaluation_id) = fixture(MetadataStore::in_memory());
-            assert_eq!(
-                summary_csv(&control, evaluation_id).unwrap(),
-                row_path_csv(&control, evaluation_id)
-            );
+            let points = collect_points(&control, evaluation_id).unwrap();
+            assert_eq!(summary_csv(&control, evaluation_id).unwrap(), row_path_csv(&points));
+        }
+
+        /// One value drawn from the cases an encoder can get wrong: strings
+        /// needing escapes, non-ASCII text, floats with exponents, negative
+        /// numbers, the ends of `i64`, a `u64` above `i64::MAX`, labels that
+        /// collide with the absent marker or with each other as numbers,
+        /// and, while `depth` allows, arrays and objects of them.
+        fn random_value(rng: &mut SplitMix64, depth: u32) -> Value {
+            const STRINGS: [&str; 9] = [
+                "wiredtiger",
+                "quo\"te",
+                "back\\slash",
+                "line\nbreak\t\u{1}",
+                "comma,cell",
+                "héllo wörld",
+                "日本語 🚀",
+                "-",
+                "",
+            ];
+            const FLOATS: [f64; 8] =
+                [0.5, -2.25, 1e300, -1.5e-7, 5e-324, 6.02214076e23, 1e21, 2000.0];
+            match rng.next_below(if depth == 0 { 7 } else { 9 }) {
+                0 => Value::Null,
+                1 => Value::from(rng.next_below(2) == 0),
+                2 => Value::from([1, 2, 10, -7, i64::MIN, i64::MAX][rng.next_below(6) as usize]),
+                3 => Value::from(u64::MAX - rng.next_below(1_000)),
+                4 => Value::from(FLOATS[rng.next_below(FLOATS.len() as u64) as usize]),
+                5 => Value::from(["1", "1.0", "10", "2"][rng.next_below(4) as usize]),
+                6 => Value::from(STRINGS[rng.next_below(STRINGS.len() as u64) as usize]),
+                7 => Value::Array(
+                    (0..rng.next_below(3)).map(|_| random_value(rng, depth - 1)).collect(),
+                ),
+                _ => {
+                    let mut object = obj! {};
+                    for _ in 0..rng.next_below(3) {
+                        let key = ["k", "é", "a\"b", "p99"][rng.next_below(4) as usize];
+                        object.set(key, random_value(rng, depth - 1));
+                    }
+                    object
+                }
+            }
+        }
+
+        /// Seeded random parameter and result documents through the
+        /// columnar table: the summary and CSV bytes and the charts equal
+        /// the row path's, read in a permuted order. Every document
+        /// survives serialize → parse → serialize unchanged (what a
+        /// reopened log does to it), so the table stores each parameter
+        /// document as it serializes and the summary splices it as is.
+        #[test]
+        fn encoders_match_row_path_over_random_documents() {
+            for seed in [7u64, 20_261_017, 0xdead_beef] {
+                let mut rng = SplitMix64::new(seed);
+                let (mut table, mut points) = (ResultTable::new(), Vec::new());
+                for i in 0..120u128 {
+                    // `n` is always a number or a numeric string, so a
+                    // chart over it sorts numerically, "1" and "1.0" tied.
+                    let numeric: [Value; 8] = [
+                        1.into(),
+                        "1".into(),
+                        "1.0".into(),
+                        10.into(),
+                        (-7).into(),
+                        0.5.into(),
+                        1e21.into(),
+                        i64::MAX.into(),
+                    ];
+                    let n = numeric[rng.next_below(numeric.len() as u64) as usize].clone();
+                    let mut parameters = obj! {"n" => n};
+                    for key in ["engine", "threads", "x,y", "n\"ame"] {
+                        if rng.next_below(4) > 0 {
+                            parameters.set(key, random_value(&mut rng, 1));
+                        }
+                    }
+                    // Every standard metric pointer, each present two
+                    // times in three; `operations` is sometimes itself a
+                    // random value.
+                    let mut data = obj! {};
+                    for key in
+                        ["wall_millis", "throughput_ops_per_sec", "total_ops", "total_errors"]
+                    {
+                        if rng.next_below(3) > 0 {
+                            data.set(key, random_value(&mut rng, 2));
+                        }
+                    }
+                    let mut operations = obj! {};
+                    for op in ["read", "update"] {
+                        if rng.next_below(3) > 0 {
+                            let p99 = random_value(&mut rng, 2);
+                            operations.set(op, obj! {"latency_micros" => obj! {"p99" => p99}});
+                        }
+                    }
+                    if rng.next_below(5) == 0 {
+                        operations = random_value(&mut rng, 2);
+                    }
+                    data.set("operations", operations);
+                    for document in [&parameters, &data] {
+                        let text = document.to_string();
+                        let reparsed = chronos_json::parse(&text).unwrap().to_string();
+                        assert_eq!(reparsed, text, "seed {seed}: a document changed on reparse");
+                    }
+                    let job_id = Id::from_u128(i + 1);
+                    table.append(job_id.as_u128(), &parameters, &data, &STANDARD_METRIC_PATHS);
+                    points.push(ResultPoint { job_id, parameters, data });
+                }
+                for i in (1..points.len()).rev() {
+                    points.swap(i, rng.next_below(i as u64 + 1) as usize);
+                }
+                let table = ResultTable::decode(&table.encode()).unwrap();
+                let order = table.gather(points.iter().map(|p| p.job_id.as_u128()));
+                let evaluation_id = Id::from_u128(u128::from(seed));
+                assert_eq!(
+                    summary_from_table(evaluation_id, &table, &order),
+                    row_path_summary(evaluation_id, &points).to_string(),
+                    "seed {seed}: summary"
+                );
+                assert_eq!(
+                    csv_from_table(&table, &order),
+                    row_path_csv(&points),
+                    "seed {seed}: csv"
+                );
+                let charts = [
+                    ("threads", Some("engine")),
+                    ("engine", None),
+                    ("x,y", Some("absent")),
+                    ("n", Some("threads")),
+                ];
+                for (x, series) in charts {
+                    let mut chart = spec();
+                    chart.x_param = x.into();
+                    chart.series_param = series.map(str::to_string);
+                    for (_, pointer) in STANDARD_METRIC_COLUMNS {
+                        chart.value_path = pointer.into();
+                        assert_eq!(
+                            chart_data_from_table(&table, &order, &chart),
+                            chart_data_from_points(&points, &chart).unwrap(),
+                            "seed {seed}: chart of {pointer} by {x}"
+                        );
+                    }
+                }
+            }
         }
 
         #[test]
@@ -920,7 +1120,7 @@ pub(crate) mod tests {
             {
                 let (control, eid) = fixture(MetadataStore::open(&path).unwrap());
                 evaluation_id = eid;
-                summary = summary_table(&control, eid).unwrap().to_string();
+                summary = summary_table(&control, eid).unwrap();
                 csv = summary_csv(&control, eid).unwrap();
                 chart = chart_data(&control, eid, &spec()).unwrap();
             }
@@ -934,7 +1134,7 @@ pub(crate) mod tests {
             let table = control.columnar_table(evaluation_id).unwrap();
             assert_eq!(table.rows(), 3);
             for _ in 0..2 {
-                assert_eq!(summary_table(&control, evaluation_id).unwrap().to_string(), summary);
+                assert_eq!(summary_table(&control, evaluation_id).unwrap(), summary);
                 assert_eq!(summary_csv(&control, evaluation_id).unwrap(), csv);
                 assert_eq!(chart_data(&control, evaluation_id, &spec()).unwrap(), chart);
             }

@@ -12,8 +12,9 @@
 //! only writer of the metadata store — so preconditions are checked under
 //! the lock they are written under. The closure's puts reach the store as
 //! one record after it returned `Ok`. Everything else — the columnar
-//! tables and the versions — is derived from the documents that reached
-//! memory by one function, [`ChronosControl::apply`], still locked.
+//! tables, the job membership and state counters and the versions — is
+//! derived from the documents that reached memory by one function,
+//! [`ChronosControl::apply`], still locked.
 
 use std::sync::Arc;
 
@@ -23,6 +24,7 @@ use chronos_util::{Clock, Id, SystemClock};
 
 use crate::auth::{Role, SessionManager, User};
 use crate::charts::ChartSpec;
+use crate::derived::{Change, Derived};
 use crate::error::{CoreError, CoreResult};
 use crate::jobsource::{prune_rung, JobSourceState, Strategy};
 use crate::lifecycle::JobEvent;
@@ -53,6 +55,10 @@ pub struct ChronosControl {
     /// queries run over this instead of re-decoding JSON rows). Written by
     /// [`ChronosControl::apply`] only.
     analytics: AnalyticsStore,
+    /// Every evaluation's jobs and job-state roll-up (see
+    /// [`ChronosControl::evaluation_status`]). Written by
+    /// [`ChronosControl::apply`] only.
+    derived: Derived,
     /// What version of an evaluation a derived read was computed from
     /// (see [`ChronosControl::evaluation_version`]).
     versions: Versions,
@@ -123,6 +129,7 @@ impl ChronosControl {
             clock,
             config,
             analytics: AnalyticsStore::new(),
+            derived: Derived::default(),
             versions: Versions::default(),
             write_lock: parking_lot::Mutex::new(()),
         };
@@ -177,25 +184,38 @@ impl ChronosControl {
     /// Derives everything that is not a document from the documents one
     /// write put into memory — by a commit, an install or the open — and
     /// commits the versions: the only writer of the analytics tables and
-    /// the only caller of [`Versions::commit`]. A job moves its
-    /// evaluation's version; an evaluation moves its own and gets a table;
-    /// a result is ingested into its job's evaluation table, and the job
-    /// is read from the store, which already holds it. Nothing applied,
-    /// nothing derived.
+    /// of the job membership and state counters, and the only caller of
+    /// [`Versions::commit`]. A job moves its evaluation's version and one
+    /// counter; an evaluation moves its own version, records its source's
+    /// remainder and its new `job_ids`, and gets a table; a result is
+    /// ingested into its job's evaluation table, and the job is read from
+    /// the store, which already holds it. Nothing applied, nothing derived.
     #[allow(clippy::disallowed_methods)]
     fn apply(&self, puts: &[Put]) {
         if puts.is_empty() {
             return;
         }
-        let mut touched = Vec::new();
+        let (mut touched, mut changes) = (Vec::new(), Vec::new());
         for (kind, id, doc) in puts {
             match kind.as_str() {
                 KIND_EVALUATION => {
                     let Ok(evaluation) = Id::parse_base32(id) else { continue };
-                    self.analytics.mark_fresh(evaluation.as_u128());
-                    touched.push(evaluation.as_u128());
+                    let id = evaluation.as_u128();
+                    self.analytics.mark_fresh(id);
+                    touched.push(id);
+                    let source = JobSourceState::of_document(doc);
+                    let remaining = source.map(|s| s.remaining() as usize);
+                    let job_ids = doc.get("job_ids").and_then(Value::as_array);
+                    let job_ids = job_ids.map_or(&[][..], Vec::as_slice);
+                    changes.push(Change::Evaluation { id, remaining, job_ids });
                 }
-                KIND_JOB => touched.extend(evaluation_of(doc)),
+                KIND_JOB => {
+                    let Ok(job) = Id::parse_base32(id) else { continue };
+                    let evaluation = evaluation_of(doc);
+                    touched.extend(evaluation);
+                    let placed = evaluation.zip(stored_job_state(doc));
+                    changes.push(Change::Job { id: job.as_u128(), placed });
+                }
                 KIND_RESULT => {
                     let Some(job_id) = doc.get("job_id").and_then(Value::as_str) else { continue };
                     let (Ok(job), Some(stored)) =
@@ -213,6 +233,7 @@ impl ChronosControl {
                 _ => {}
             }
         }
+        self.derived.fold(&changes);
         self.versions.commit(&touched);
     }
 
@@ -629,6 +650,34 @@ impl ChronosControl {
         self.fetch(KIND_EVALUATION, id, Evaluation::from_json)
     }
 
+    /// An evaluation's stored document, not decoded: its `job_ids` grow
+    /// with every claim, and the reads below need none of them.
+    fn evaluation_document(&self, id: Id) -> CoreResult<Arc<Value>> {
+        let document = self.store.get(KIND_EVALUATION, &id.to_base32());
+        document.ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
+    }
+
+    /// The `GET /evaluations/:id` body: the evaluation's stored document
+    /// with its status roll-up under `"status"`. The document is the one
+    /// [`Evaluation::to_json`] wrote, served as stored rather than decoded
+    /// and encoded again, so the read costs a copy of what it answers with.
+    pub fn evaluation_detail(&self, id: Id) -> CoreResult<Value> {
+        let status = self.evaluation_status(id)?;
+        let document = self.evaluation_document(id)?;
+        let mut detail = Value::clone(&document);
+        detail.set("status", status.to_json());
+        Ok(detail)
+    }
+
+    /// The system an evaluation's experiment runs on (whose chart specs a
+    /// chart read renders), found through the stored `experiment_id`.
+    pub fn evaluation_system(&self, id: Id) -> CoreResult<System> {
+        let document = self.evaluation_document(id)?;
+        let experiment = crate::model::parse_id(&document, "experiment_id")
+            .map_err(|_| CoreError::not_found(KIND_EVALUATION, id))?;
+        self.get_system(self.get_experiment(experiment)?.system_id)
+    }
+
     /// Evaluations of an experiment (all when `None`).
     pub fn list_evaluations(&self, experiment_id: Option<Id>) -> Vec<Evaluation> {
         let all = self.decode_all(KIND_EVALUATION, Evaluation::from_json);
@@ -639,29 +688,24 @@ impl ChronosControl {
     /// also report their unmaterialized remainder, so a fresh evaluation
     /// with zero job documents reads as 0 % complete, not 100 %.
     ///
-    /// Reads only the `state` field of each stored job document — a status
-    /// poll never decodes logs, timelines or parameters.
+    /// Read from the counters [`ChronosControl::apply`] keeps: no document
+    /// is decoded and no job visited. `NotFound` for an unknown evaluation.
     pub fn evaluation_status(&self, id: Id) -> CoreResult<EvaluationStatus> {
-        let evaluation = self.get_evaluation(id)?;
-        let mut status = EvaluationStatus::default();
-        for job_id in &evaluation.job_ids {
-            let state = self
-                .store
-                .get(KIND_JOB, &job_id.to_base32())
-                .as_deref()
-                .and_then(stored_job_state)
-                .ok_or_else(|| CoreError::not_found("job", job_id))?;
-            match state {
-                JobState::Scheduled => status.scheduled += 1,
-                JobState::Running => status.running += 1,
-                JobState::Finished => status.finished += 1,
-                JobState::Aborted => status.aborted += 1,
-                JobState::Failed => status.failed += 1,
-                JobState::Quarantined => status.quarantined += 1,
-            }
-        }
-        status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
-        Ok(status)
+        self.derived.status(id.as_u128()).ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
+    }
+
+    /// The roll-ups of every evaluation summed (the `/api/v1/stats` job
+    /// counts), from the same counters; `remaining` sums every lazy
+    /// evaluation's unmaterialized points.
+    pub fn job_totals(&self) -> EvaluationStatus {
+        self.derived.totals()
+    }
+
+    /// The jobs of an evaluation in `job_ids` (creation) order, from the
+    /// membership [`ChronosControl::apply`] keeps. `NotFound` for an
+    /// unknown evaluation.
+    pub(crate) fn job_order(&self, id: Id) -> CoreResult<Vec<u128>> {
+        self.derived.members(id.as_u128()).ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
     }
 
     /// Fetches a job.
@@ -1093,7 +1137,6 @@ fn evaluation_of(job: &Value) -> Option<u128> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // one test plants documents the write path never writes
 mod tests {
     use super::*;
     use crate::charts::ChartSpec;
@@ -1197,6 +1240,62 @@ mod tests {
         assert_eq!(control.evaluation_status(evaluation_id).unwrap(), decoded);
     }
 
+    /// The roll-up the counters replaced, kept as their oracle: the
+    /// evaluation document's `job_ids` walked, one store read per job.
+    fn walked_status(control: &ChronosControl, id: Id) -> CoreResult<EvaluationStatus> {
+        let evaluation = control.get_evaluation(id)?;
+        let mut status = EvaluationStatus::default();
+        for job_id in &evaluation.job_ids {
+            let state = control
+                .store
+                .get(KIND_JOB, &job_id.to_base32())
+                .as_deref()
+                .and_then(stored_job_state)
+                .ok_or_else(|| CoreError::not_found("job", job_id))?;
+            match state {
+                JobState::Scheduled => status.scheduled += 1,
+                JobState::Running => status.running += 1,
+                JobState::Finished => status.finished += 1,
+                JobState::Aborted => status.aborted += 1,
+                JobState::Failed => status.failed += 1,
+                JobState::Quarantined => status.quarantined += 1,
+            }
+        }
+        status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
+        Ok(status)
+    }
+
+    /// Every evaluation's counters equal the walk, its membership its
+    /// `job_ids` and its detail body the decoded document's, the counters'
+    /// sums (`/stats`) equal the walks summed, and an unknown evaluation is
+    /// `NotFound`.
+    fn assert_derived_matches_walk(control: &ChronosControl, what: &str) {
+        let mut sums = EvaluationStatus { remaining: Some(0), ..EvaluationStatus::default() };
+        for evaluation in control.list_evaluations(None) {
+            let walked = walked_status(control, evaluation.id).unwrap();
+            let counted = control.evaluation_status(evaluation.id).unwrap();
+            assert_eq!(counted, walked, "{what}: evaluation {}", evaluation.id);
+            let members: Vec<u128> = evaluation.job_ids.iter().map(Id::as_u128).collect();
+            assert_eq!(control.job_order(evaluation.id).unwrap(), members, "{what}: members");
+            // The detail body serves the stored document: the bytes of
+            // the decoded evaluation encoded again.
+            let mut detail = evaluation.to_json();
+            detail.set("status", walked.to_json());
+            let served = control.evaluation_detail(evaluation.id).unwrap();
+            assert_eq!(served.to_string(), detail.to_string(), "{what}: detail");
+            sums.scheduled += walked.scheduled;
+            sums.running += walked.running;
+            sums.finished += walked.finished;
+            sums.aborted += walked.aborted;
+            sums.failed += walked.failed;
+            sums.quarantined += walked.quarantined;
+            sums.remaining = sums.remaining.map(|sum| sum + walked.remaining.unwrap_or(0));
+        }
+        assert_eq!(control.job_totals(), sums, "{what}: /stats sums");
+        let unknown = control.evaluation_status(Id::generate());
+        assert!(matches!(unknown, Err(CoreError::NotFound { .. })), "{what}: {unknown:?}");
+    }
+
     /// Ships everything `leader` has committed beyond `follower`'s offset.
     fn replicate(leader: &ChronosControl, follower: &ChronosControl) {
         let segment = leader.read_replication(follower.replication_offset(), usize::MAX).unwrap();
@@ -1208,7 +1307,7 @@ mod tests {
         let (leader, _clock, evaluation, deployment) = demo_evaluation();
         let (follower, _follower_clock) = control_with_clock();
         let summary = |control: &ChronosControl| {
-            crate::analysis::summary_table(control, evaluation.id).unwrap().to_string()
+            crate::analysis::summary_table(control, evaluation.id).unwrap()
         };
         for finished in 1..=3 {
             let job = leader.claim_next_job(deployment.id, None).unwrap().unwrap();
@@ -1361,7 +1460,10 @@ mod tests {
     /// Seeded random mutators on a durable leader. After every step the
     /// leader's tables, those of `new` over the reopened log and those of a
     /// follower fed the feed in random cuts (torn tails included) are
-    /// equal, row for row by job, to a rebuild from the row store.
+    /// equal, row for row by job, to a rebuild from the row store, and
+    /// each side's job membership and job-state counters equal a walk of
+    /// its own documents — the follower's after every cut that installed
+    /// a frame.
     #[test]
     fn live_reopened_and_follower_tables_equal_a_rebuild() {
         for seed in [1u64, 20_261_017] {
@@ -1423,9 +1525,18 @@ mod tests {
                     let segment =
                         leader.read_replication(follower.replication_offset(), usize::MAX).unwrap();
                     let cut = rng.next_below(segment.len() as u64 + 1) as usize;
-                    follower.install_replication(&segment[..cut]).unwrap();
+                    if follower.install_replication(&segment[..cut]).unwrap() > 0 {
+                        let what = format!("seed {seed} step {step}: cut");
+                        assert_derived_matches_walk(&follower, &what);
+                    }
                 }
                 let reopened = ChronosControl::new(open(), Arc::new(clock.clone()), config.clone());
+                for (source, control) in [("leader", &leader), ("reopened", &reopened)] {
+                    assert_derived_matches_walk(
+                        control,
+                        &format!("seed {seed} step {step}: {source}"),
+                    );
+                }
                 for &evaluation in &evaluations {
                     let mut rebuilt = ResultTable::new();
                     for point in
@@ -1797,18 +1908,9 @@ mod tests {
         assert!(matches!(control.abort_job(next.id), Err(CoreError::Conflict(_))));
         // Heartbeat on an aborted job fails.
         assert!(control.heartbeat(running.id, None, None).is_err());
-        // The roll-up peeks at each stored state; it agrees with a full
-        // decode, and a state it cannot read is an error, not a zero.
+        // The counted roll-up agrees with a full decode and with the walk.
         assert_status_matches_full_decode(&control, next.evaluation_id);
-        for state in [Value::from("paused"), Value::Null] {
-            let mut doc = next.to_json();
-            doc.set("state", state);
-            control.store.put(KIND_JOB, &next.id.to_base32(), doc).unwrap();
-            assert!(matches!(
-                control.evaluation_status(next.evaluation_id),
-                Err(CoreError::NotFound { .. })
-            ));
-        }
+        assert_derived_matches_walk(&control, "abort");
     }
 
     #[test]
@@ -2091,6 +2193,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
+            assert_derived_matches_walk(control, "adaptive");
         }
         let evaluation = control.get_evaluation(evaluation.id).unwrap();
         let frontier = evaluation.source.unwrap().frontier.unwrap();

@@ -265,13 +265,38 @@ impl JobSourceState {
     /// Decodes from an evaluation DTO; `None` when the document predates
     /// lazy evaluations (such evaluations are fully materialized).
     pub fn from_dto(doc: &dto::EvaluationDto) -> Option<JobSourceState> {
-        let total_points = doc.total_points?;
-        let strategy = doc.strategy.as_ref().map(Strategy::from_dto).unwrap_or(Strategy::Grid);
+        let (strategy, frontier) = (doc.strategy.as_ref(), doc.frontier.as_ref());
+        let jobs = doc.job_ids.len() as u64;
+        Self::from_fields(doc.total_points, doc.materialized, jobs, strategy, frontier)
+    }
+
+    /// The source of a stored evaluation document, decoded without its
+    /// `job_ids` (which grow with every claim): what the fold reads on
+    /// every put of an evaluation. `None` as for
+    /// [`JobSourceState::from_dto`], and when a source field does not
+    /// decode.
+    pub(crate) fn of_document(doc: &Value) -> Option<JobSourceState> {
+        use chronos_api::{codec::lenient_u64, WireDecode};
+        let strategy = doc.get("strategy").map(dto::StrategyDto::decode).transpose().ok()?;
+        let frontier = doc.get("frontier").map(dto::FrontierDto::decode).transpose().ok()?;
+        let jobs = doc.get("job_ids").and_then(Value::as_array).map_or(0, Vec::len) as u64;
+        let (total_points, materialized) =
+            (lenient_u64(doc, "total_points"), lenient_u64(doc, "materialized"));
+        Self::from_fields(total_points, materialized, jobs, strategy.as_ref(), frontier.as_ref())
+    }
+
+    fn from_fields(
+        total_points: Option<u64>,
+        materialized: Option<u64>,
+        jobs: u64,
+        strategy: Option<&dto::StrategyDto>,
+        frontier: Option<&dto::FrontierDto>,
+    ) -> Option<JobSourceState> {
         Some(JobSourceState {
-            strategy,
-            total_points,
-            materialized: doc.materialized.unwrap_or(doc.job_ids.len() as u64),
-            frontier: doc.frontier.as_ref().map(Frontier::from_dto),
+            strategy: strategy.map(Strategy::from_dto).unwrap_or(Strategy::Grid),
+            total_points: total_points?,
+            materialized: materialized.unwrap_or(jobs),
+            frontier: frontier.map(Frontier::from_dto),
         })
     }
 }

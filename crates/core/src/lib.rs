@@ -33,6 +33,7 @@ pub mod auth;
 pub mod charts;
 pub mod cluster;
 pub mod control;
+mod derived;
 pub mod error;
 pub mod jobsource;
 pub mod lifecycle;

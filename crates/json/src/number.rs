@@ -73,15 +73,35 @@ impl PartialOrd for Number {
 }
 
 impl Number {
-    /// Renders the canonical JSON form into a stack buffer — the
-    /// serializer hot path, with no heap allocation.
-    pub(crate) fn render(&self, buf: &mut ShortBuf) {
+    /// Hands the canonical JSON form, rendered on the stack, to `emit` —
+    /// the serializer hot path, with no heap allocation.
+    pub(crate) fn with_text<R>(&self, emit: impl FnOnce(&str) -> R) -> R {
         use fmt::Write;
         match *self {
             Number::Int(i) => {
-                let _ = write!(buf, "{i}");
+                // Digits right to left into a stack array: integers are
+                // most numbers written, and `write!` costs several times
+                // this through the formatting machinery. 20 bytes hold
+                // `i64::MIN`.
+                let mut text = [0u8; 20];
+                let mut start = text.len();
+                let mut rest = i.unsigned_abs();
+                loop {
+                    start -= 1;
+                    text[start] = b'0' + (rest % 10) as u8;
+                    rest /= 10;
+                    if rest == 0 {
+                        break;
+                    }
+                }
+                if i < 0 {
+                    start -= 1;
+                    text[start] = b'-';
+                }
+                emit(std::str::from_utf8(&text[start..]).expect("digits are ascii"))
             }
             Number::Float(v) => {
+                let mut buf = ShortBuf::new();
                 // `{}` on f64 never prints NaN/inf here (constructors
                 // forbid them) and prints shortest round-trip form.
                 let _ = write!(buf, "{v}");
@@ -91,19 +111,18 @@ impl Number {
                 if needs_marker {
                     let _ = buf.write_str(".0");
                 }
+                emit(buf.as_str())
             }
         }
     }
 
     /// Appends the canonical JSON rendering to `out` without allocating.
     pub fn write_into(&self, out: &mut String) {
-        let mut buf = ShortBuf::new();
-        self.render(&mut buf);
-        out.push_str(buf.as_str());
+        self.with_text(|text| out.push_str(text));
     }
 }
 
-/// A stack buffer for number rendering. `f64`'s `Display` never uses
+/// A stack buffer for float rendering. `f64`'s `Display` never uses
 /// scientific notation, so the longest output is a subnormal's full
 /// decimal expansion (sign + `0.` + 307 leading zeros + 17 significant
 /// digits = 327 bytes); the capacity leaves headroom beyond that.
@@ -138,9 +157,7 @@ impl fmt::Write for ShortBuf {
 
 impl fmt::Display for Number {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut buf = ShortBuf::new();
-        self.render(&mut buf);
-        f.write_str(buf.as_str())
+        self.with_text(|text| f.write_str(text))
     }
 }
 
@@ -180,6 +197,19 @@ mod tests {
         assert_eq!(Number::Float(7.0).as_i64(), Some(7));
         assert_eq!(Number::Float(7.5).as_i64(), None);
         assert_eq!(Number::Float(1e30).as_i64(), None);
+    }
+
+    #[test]
+    fn ints_render_as_display_does() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let edges = [0, 1, -1, 9, 10, -10, 99, 100, i64::MAX, i64::MIN, i64::MIN + 1];
+        let random = (0..1_000).map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (x as i64) >> (x % 64)
+        });
+        for i in edges.into_iter().chain(random) {
+            assert_eq!(Number::Int(i).to_string(), format!("{i}"));
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use std::io;
 
-use crate::number::ShortBuf;
 use crate::value::Value;
 
 /// Serializes `value` as compact JSON (no whitespace).
@@ -117,11 +116,7 @@ fn write_value<S: Sink>(
         Value::Null => sink.put_str("null"),
         Value::Bool(true) => sink.put_str("true"),
         Value::Bool(false) => sink.put_str("false"),
-        Value::Number(n) => {
-            let mut buf = ShortBuf::new();
-            n.render(&mut buf);
-            sink.put_str(buf.as_str())
-        }
+        Value::Number(n) => n.with_text(|text| sink.put_str(text)),
         Value::String(s) => write_json_string(sink, s),
         Value::Array(items) => {
             if items.is_empty() {

@@ -475,11 +475,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
             reads_.serve(req, Scope::Evaluation(id), || {
-                let evaluation = control_.get_evaluation(id)?;
-                let status = control_.evaluation_status(id)?;
-                let mut detail = evaluation.to_json();
-                detail.set("status", status.to_json());
-                Ok(Response::json(&detail))
+                Ok(Response::json(&control_.evaluation_detail(id)?))
             })
         })())
     });
@@ -510,7 +506,8 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
             reads_.serve(req, Scope::Evaluation(id), || {
-                Ok(Response::json(&analysis::summary_table(&control_, id)?))
+                let summary = analysis::summary_table(&control_, id)?;
+                Ok(Response::bytes(Status::OK, "application/json", summary.into_bytes()))
             })
         })())
     });
@@ -552,9 +549,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             // The experiment's system and the system's chart specs never
             // change once created, so the evaluation's version covers them.
             reads_.serve(req, Scope::Evaluation(evaluation_id), || {
-                let evaluation = control_.get_evaluation(evaluation_id)?;
-                let experiment = control_.get_experiment(evaluation.experiment_id)?;
-                let system = control_.get_system(experiment.system_id)?;
+                let system = control_.evaluation_system(evaluation_id)?;
                 let spec =
                     system.charts.get(index).ok_or_else(|| CoreError::not_found("chart", index))?;
                 let data = analysis::chart_data(&control_, evaluation_id, spec)?;
@@ -723,34 +718,26 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     let metrics_ = Arc::clone(m);
     let reads_ = Arc::clone(&reads);
     router.get("/api/v1/stats", move |req, _p| {
-        // A miss walks every evaluation in the installation.
+        // A miss sums the job-state counters the control keeps and counts
+        // the systems and projects; no evaluation is decoded, no job read.
         if let Some(busy) = deadline_guard(req, &metrics_) {
             return busy;
         }
         respond((|| {
             authed(&control_, req)?;
             reads_.serve(req, Scope::State, || {
-                let mut stats = v1::StatsResponse {
-                    scheduled: 0,
-                    running: 0,
-                    finished: 0,
-                    aborted: 0,
-                    failed: 0,
-                    quarantined: 0,
-                    remaining_space: 0,
+                let totals = control_.job_totals();
+                let stats = v1::StatsResponse {
+                    scheduled: totals.scheduled,
+                    running: totals.running,
+                    finished: totals.finished,
+                    aborted: totals.aborted,
+                    failed: totals.failed,
+                    quarantined: totals.quarantined,
+                    remaining_space: totals.remaining.unwrap_or(0) as u64,
                     systems: control_.list_systems().len(),
                     projects: control_.list_projects().len(),
                 };
-                for evaluation in control_.list_evaluations(None) {
-                    let status = control_.evaluation_status(evaluation.id)?;
-                    stats.scheduled += status.scheduled;
-                    stats.running += status.running;
-                    stats.finished += status.finished;
-                    stats.aborted += status.aborted;
-                    stats.failed += status.failed;
-                    stats.quarantined += status.quarantined;
-                    stats.remaining_space += status.remaining.unwrap_or(0) as u64;
-                }
                 Ok(Response::json(&stats.to_value()))
             })
         })())

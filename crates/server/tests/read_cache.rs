@@ -223,7 +223,7 @@ fn differential(seed: u64, auto_reschedule: bool) {
     }
     replicate();
     let summary = |control: &ChronosControl, evaluation: Id| {
-        chronos_core::analysis::summary_table(control, evaluation).unwrap().to_string()
+        chronos_core::analysis::summary_table(control, evaluation).unwrap()
     };
     for evaluation in &evaluations {
         assert_eq!(summary(&follower, *evaluation), summary(&leader, *evaluation));

@@ -58,15 +58,23 @@ impl Id {
 
     /// Renders the canonical 26-character Crockford Base32 form.
     pub fn to_base32(&self) -> String {
-        let mut out = [0u8; 26];
+        let mut out = String::with_capacity(26);
+        self.push_base32(&mut out);
+        out
+    }
+
+    /// Appends [`Id::to_base32`]'s form to `out`, with no intermediate
+    /// `String`.
+    pub fn push_base32(&self, out: &mut String) {
+        let mut text = [0u8; 26];
         let mut v = self.0;
-        for slot in out.iter_mut().rev() {
+        for slot in text.iter_mut().rev() {
             *slot = ALPHABET[(v & 0x1F) as usize];
             v >>= 5;
         }
         // 26 * 5 = 130 bits; the top 2 bits are always zero for a 128-bit
         // value, so the first character is in '0'..='7'.
-        String::from_utf8_lossy(&out).into_owned()
+        out.push_str(std::str::from_utf8(&text).expect("the alphabet is ascii"));
     }
 
     /// Parses the canonical form produced by [`Id::to_base32`].

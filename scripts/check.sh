@@ -26,7 +26,8 @@ echo "== cargo clippy (deny warnings) =="
 # Enforces crates/core/clippy.toml too: only Tx (ChronosControl::write) writes the store
 # (MetadataStore::{put, put_all, install_replication}), and only ChronosControl::apply,
 # fed what a commit, an install or the open put into memory, writes the columnar tables
-# (AnalyticsStore::{ingest, mark_fresh}). And crates/agent/clippy.toml: no
+# (AnalyticsStore::{ingest, mark_fresh}) and the job membership and state counters
+# (Derived::fold). And crates/agent/clippy.toml: no
 # std::thread::sleep in the agent, whose per-job threads wait on a StopSignal instead.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
