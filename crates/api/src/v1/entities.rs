@@ -402,6 +402,13 @@ pub struct EvaluationDto {
     pub job_ids: Vec<Id>,
     pub swept_params: Vec<String>,
     pub created_at: u64,
+    pub source: EvaluationSourceDto,
+}
+
+/// The job-source fields of an evaluation document, each optional and
+/// omitted when absent.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EvaluationSourceDto {
     pub strategy: Option<StrategyDto>,
     pub total_points: Option<u64>,
     pub materialized: Option<u64>,
@@ -416,6 +423,17 @@ impl EvaluationDto {
         doc.set("status", status.to_value());
         doc
     }
+
+    /// Decodes only the job-source fields of an evaluation document,
+    /// leaving its `job_ids` (which grow with every claim) unparsed.
+    pub fn decode_source(value: &Value) -> Result<EvaluationSourceDto, WireError> {
+        Ok(EvaluationSourceDto {
+            strategy: value.get("strategy").map(StrategyDto::decode).transpose()?,
+            total_points: codec::lenient_u64(value, "total_points"),
+            materialized: codec::lenient_u64(value, "materialized"),
+            frontier: value.get("frontier").map(FrontierDto::decode).transpose()?,
+        })
+    }
 }
 
 impl WireEncode for EvaluationDto {
@@ -427,16 +445,17 @@ impl WireEncode for EvaluationDto {
             "swept_params" => Value::Array(self.swept_params.iter().map(|s| Value::from(s.as_str())).collect()),
             "created_at" => self.created_at,
         };
-        if let Some(strategy) = &self.strategy {
+        let source = &self.source;
+        if let Some(strategy) = &source.strategy {
             doc.set("strategy", strategy.to_value());
         }
-        if let Some(total_points) = self.total_points {
+        if let Some(total_points) = source.total_points {
             doc.set("total_points", total_points);
         }
-        if let Some(materialized) = self.materialized {
+        if let Some(materialized) = source.materialized {
             doc.set("materialized", materialized);
         }
-        if let Some(frontier) = &self.frontier {
+        if let Some(frontier) = &source.frontier {
             doc.set("frontier", frontier.to_value());
         }
         doc
@@ -470,10 +489,7 @@ impl WireDecode for EvaluationDto {
                 .map(|items| items.iter().filter_map(Value::as_str).map(str::to_string).collect())
                 .unwrap_or_default(),
             created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
-            strategy: value.get("strategy").map(StrategyDto::decode).transpose()?,
-            total_points: codec::lenient_u64(value, "total_points"),
-            materialized: codec::lenient_u64(value, "materialized"),
-            frontier: value.get("frontier").map(FrontierDto::decode).transpose()?,
+            source: Self::decode_source(value)?,
         })
     }
 }

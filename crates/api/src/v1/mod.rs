@@ -21,8 +21,9 @@ pub use analytics::{
 };
 pub use cluster::{ClusterStatusDto, ReplicateAck, ReplicateRequest, VoteRequest, VoteResponse};
 pub use entities::{
-    DeploymentDto, EvaluationDto, EvaluationStatusDto, ExperimentDto, FrontierDto, JobBudget,
-    JobDto, JobResultDto, ProjectDto, StrategyDto, SystemDto, TimelineEventDto, UserPublic,
+    DeploymentDto, EvaluationDto, EvaluationSourceDto, EvaluationStatusDto, ExperimentDto,
+    FrontierDto, JobBudget, JobDto, JobResultDto, ProjectDto, StrategyDto, SystemDto,
+    TimelineEventDto, UserPublic,
 };
 pub use requests::{
     AddProjectMemberRequest, CreateDeploymentRequest, CreateExperimentRequest,

@@ -215,10 +215,7 @@ proptest! {
             job_ids: members,
             swept_params: swept,
             created_at,
-            strategy,
-            total_points,
-            materialized,
-            frontier,
+            source: v1::EvaluationSourceDto { strategy, total_points, materialized, frontier },
         });
         roundtrip(&v1::JobResultDto {
             id,

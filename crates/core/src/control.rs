@@ -24,7 +24,7 @@ use chronos_util::{Clock, Id, SystemClock};
 
 use crate::auth::{Role, SessionManager, User};
 use crate::charts::ChartSpec;
-use crate::derived::{Change, Derived};
+use crate::derived::{Change, Derived, Uncounted};
 use crate::error::{CoreError, CoreResult};
 use crate::jobsource::{prune_rung, JobSourceState, Strategy};
 use crate::lifecycle::JobEvent;
@@ -213,7 +213,7 @@ impl ChronosControl {
                     let Ok(job) = Id::parse_base32(id) else { continue };
                     let evaluation = evaluation_of(doc);
                     touched.extend(evaluation);
-                    let placed = evaluation.zip(stored_job_state(doc));
+                    let placed = evaluation.map(|evaluation| (evaluation, stored_job_state(doc)));
                     changes.push(Change::Job { id: job.as_u128(), placed });
                 }
                 KIND_RESULT => {
@@ -689,23 +689,64 @@ impl ChronosControl {
     /// with zero job documents reads as 0 % complete, not 100 %.
     ///
     /// Read from the counters [`ChronosControl::apply`] keeps: no document
-    /// is decoded and no job visited. `NotFound` for an unknown evaluation.
+    /// is decoded and no job visited. `NotFound` for an unknown evaluation,
+    /// and, naming the job, while one of its jobs is in a state the roll-up
+    /// cannot count — a state it cannot read is an error, not a zero.
+    ///
+    /// The store shows a write's documents before its append returns, the
+    /// fold only after: an evaluation whose creating write is still in
+    /// flight is rolled up from its documents instead.
     pub fn evaluation_status(&self, id: Id) -> CoreResult<EvaluationStatus> {
-        self.derived.status(id.as_u128()).ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
+        match self.derived.status(id.as_u128()) {
+            Ok(status) => Ok(status),
+            Err(Uncounted::Job(job)) => Err(CoreError::not_found(KIND_JOB, Id::from_u128(job))),
+            Err(Uncounted::Evaluation) => self.walked_status(id),
+        }
     }
 
-    /// The roll-ups of every evaluation summed (the `/api/v1/stats` job
-    /// counts), from the same counters; `remaining` sums every lazy
-    /// evaluation's unmaterialized points.
-    pub fn job_totals(&self) -> EvaluationStatus {
-        self.derived.totals()
+    /// The roll-up from the documents: the evaluation's `job_ids` walked,
+    /// one store read per job. `NotFound` as for
+    /// [`ChronosControl::evaluation_status`].
+    fn walked_status(&self, id: Id) -> CoreResult<EvaluationStatus> {
+        let evaluation = self.get_evaluation(id)?;
+        let mut status = EvaluationStatus::default();
+        for job_id in &evaluation.job_ids {
+            let state = self
+                .store
+                .get(KIND_JOB, &job_id.to_base32())
+                .as_deref()
+                .and_then(stored_job_state)
+                .ok_or_else(|| CoreError::not_found(KIND_JOB, job_id))?;
+            match state {
+                JobState::Scheduled => status.scheduled += 1,
+                JobState::Running => status.running += 1,
+                JobState::Finished => status.finished += 1,
+                JobState::Aborted => status.aborted += 1,
+                JobState::Failed => status.failed += 1,
+                JobState::Quarantined => status.quarantined += 1,
+            }
+        }
+        status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
+        Ok(status)
+    }
+
+    /// The roll-ups of every evaluation the fold has reached summed (the
+    /// `/api/v1/stats` job counts), from the same counters; `remaining`
+    /// sums every lazy evaluation's unmaterialized points. `NotFound`,
+    /// naming the job, while a job is in a state the roll-up cannot count.
+    pub fn job_totals(&self) -> CoreResult<EvaluationStatus> {
+        self.derived.totals().map_err(|job| CoreError::not_found(KIND_JOB, Id::from_u128(job)))
     }
 
     /// The jobs of an evaluation in `job_ids` (creation) order, from the
-    /// membership [`ChronosControl::apply`] keeps. `NotFound` for an
-    /// unknown evaluation.
+    /// membership [`ChronosControl::apply`] keeps — or, while the write
+    /// that created the evaluation is in flight, from its document.
+    /// `NotFound` for an unknown evaluation.
     pub(crate) fn job_order(&self, id: Id) -> CoreResult<Vec<u128>> {
-        self.derived.members(id.as_u128()).ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
+        match self.derived.members(id.as_u128()) {
+            Some(members) => Ok(members),
+            None => Ok(self.get_evaluation(id)?.job_ids.iter().map(Id::as_u128).collect()),
+        }
     }
 
     /// Fetches a job.
@@ -1240,39 +1281,15 @@ mod tests {
         assert_eq!(control.evaluation_status(evaluation_id).unwrap(), decoded);
     }
 
-    /// The roll-up the counters replaced, kept as their oracle: the
-    /// evaluation document's `job_ids` walked, one store read per job.
-    fn walked_status(control: &ChronosControl, id: Id) -> CoreResult<EvaluationStatus> {
-        let evaluation = control.get_evaluation(id)?;
-        let mut status = EvaluationStatus::default();
-        for job_id in &evaluation.job_ids {
-            let state = control
-                .store
-                .get(KIND_JOB, &job_id.to_base32())
-                .as_deref()
-                .and_then(stored_job_state)
-                .ok_or_else(|| CoreError::not_found("job", job_id))?;
-            match state {
-                JobState::Scheduled => status.scheduled += 1,
-                JobState::Running => status.running += 1,
-                JobState::Finished => status.finished += 1,
-                JobState::Aborted => status.aborted += 1,
-                JobState::Failed => status.failed += 1,
-                JobState::Quarantined => status.quarantined += 1,
-            }
-        }
-        status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
-        Ok(status)
-    }
-
-    /// Every evaluation's counters equal the walk, its membership its
+    /// Every evaluation's counters equal the walk of its `job_ids` (the
+    /// roll-up the counters replaced, their oracle), its membership its
     /// `job_ids` and its detail body the decoded document's, the counters'
     /// sums (`/stats`) equal the walks summed, and an unknown evaluation is
     /// `NotFound`.
     fn assert_derived_matches_walk(control: &ChronosControl, what: &str) {
         let mut sums = EvaluationStatus { remaining: Some(0), ..EvaluationStatus::default() };
         for evaluation in control.list_evaluations(None) {
-            let walked = walked_status(control, evaluation.id).unwrap();
+            let walked = control.walked_status(evaluation.id).unwrap();
             let counted = control.evaluation_status(evaluation.id).unwrap();
             assert_eq!(counted, walked, "{what}: evaluation {}", evaluation.id);
             let members: Vec<u128> = evaluation.job_ids.iter().map(Id::as_u128).collect();
@@ -1291,7 +1308,7 @@ mod tests {
             sums.quarantined += walked.quarantined;
             sums.remaining = sums.remaining.map(|sum| sum + walked.remaining.unwrap_or(0));
         }
-        assert_eq!(control.job_totals(), sums, "{what}: /stats sums");
+        assert_eq!(control.job_totals().unwrap(), sums, "{what}: /stats sums");
         let unknown = control.evaluation_status(Id::generate());
         assert!(matches!(unknown, Err(CoreError::NotFound { .. })), "{what}: {unknown:?}");
     }
@@ -1911,6 +1928,63 @@ mod tests {
         // The counted roll-up agrees with a full decode and with the walk.
         assert_status_matches_full_decode(&control, next.evaluation_id);
         assert_derived_matches_walk(&control, "abort");
+    }
+
+    /// A job document in a state the roll-up cannot read — damaged, or
+    /// written by a newer leader — makes its evaluation's roll-up and the
+    /// `/stats` sums an error naming it, not a smaller evaluation, on the
+    /// side that folds it in: here a follower it is shipped to.
+    #[test]
+    #[allow(clippy::disallowed_methods)] // plants a document the write path never writes
+    fn a_job_state_the_roll_up_cannot_read_is_an_error_not_a_zero() {
+        let (control, _clock, evaluation, deployment) = demo_evaluation();
+        let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+        for state in [Value::from("paused"), Value::Null] {
+            let mut doc = job.to_json();
+            doc.set("state", state);
+            control.store.put(KIND_JOB, &job.id.to_base32(), doc).unwrap();
+            let (follower, _follower_clock) = control_with_clock();
+            replicate(&control, &follower);
+            let named = |result: CoreResult<EvaluationStatus>| match result {
+                Err(CoreError::NotFound { kind, id }) => {
+                    kind == KIND_JOB && id == job.id.to_base32()
+                }
+                _ => false,
+            };
+            assert!(named(follower.evaluation_status(evaluation.id)));
+            assert!(named(follower.job_totals()));
+            assert!(named(follower.walked_status(evaluation.id)), "the walk agrees");
+        }
+    }
+
+    /// The store shows a write's documents before its append returns, the
+    /// fold only after. A reader in between finds an evaluation the
+    /// counters do not know yet: it reads the evaluation from its
+    /// documents, as listing it does, instead of `NotFound`.
+    #[test]
+    #[allow(clippy::disallowed_methods)] // plants documents the fold has not reached
+    fn an_evaluation_whose_write_is_in_flight_reads_from_its_documents() {
+        let (control, _clock, evaluation, deployment) = demo_evaluation();
+        let finished = control.claim_next_job(deployment.id, None).unwrap().unwrap();
+        control.finish_job(finished.id, obj! { "total_ops" => 7 }, vec![], None, None).unwrap();
+        control.claim_next_job(deployment.id, None).unwrap().unwrap();
+        // The evaluation's document under a fresh id, in memory only.
+        let mut planted = control.get_evaluation(evaluation.id).unwrap();
+        planted.id = Id::generate();
+        control.store.put(KIND_EVALUATION, &planted.id.to_base32(), planted.to_json()).unwrap();
+        assert!(control.list_evaluations(None).iter().any(|listed| listed.id == planted.id));
+        let status = control.evaluation_status(evaluation.id).unwrap();
+        assert_eq!((status.finished, status.running), (1, 1));
+        assert_eq!(control.evaluation_status(planted.id).unwrap(), status);
+        assert_eq!(
+            control.job_order(planted.id).unwrap(),
+            control.job_order(evaluation.id).unwrap()
+        );
+        let detail = control.evaluation_detail(planted.id).unwrap();
+        assert_eq!(detail.get("status"), Some(&status.to_json()));
+        crate::analysis::summary_table(&control, planted.id).unwrap();
+        // The sums cover the evaluations the fold has reached.
+        assert_eq!(control.job_totals().unwrap().running, 1);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! is decoded and no job is visited. One lock covers a whole write's
 //! changes, so a reader never sees a claim's job counted without its
 //! evaluation's cursor advanced.
+//!
+//! A job whose stored state is not one the roll-up knows (a damaged
+//! document, or one written by a newer leader) is counted apart, and its
+//! evaluation's roll-up and the sums are unreadable while it stays so: an
+//! error, never a smaller evaluation.
 
 use std::collections::HashMap;
 
@@ -28,10 +33,23 @@ pub(crate) enum Change<'a> {
     /// An evaluation document: its source's unmaterialized points (`None`
     /// for a fully-materialized evaluation) and its `job_ids`.
     Evaluation { id: u128, remaining: Option<usize>, job_ids: &'a [Value] },
-    /// A job document, with its evaluation and state (`None` when the
-    /// document names neither, which removes the job from the counts).
-    Job { id: u128, placed: Option<(u128, JobState)> },
+    /// A job document, with its evaluation and its state (`None` when it
+    /// is not one the roll-up knows). `placed` is `None` when the document
+    /// names no evaluation, which removes the job from the counts.
+    Job { id: u128, placed: Option<(u128, Option<JobState>)> },
 }
+
+/// Why an evaluation has no roll-up.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Uncounted {
+    /// No document of the evaluation has been folded in.
+    Evaluation,
+    /// This job of it is in a state the roll-up cannot count.
+    Job(u128),
+}
+
+/// The counter slot of jobs in a state the roll-up cannot count.
+const UNREADABLE: usize = 6;
 
 #[derive(Default)]
 pub(crate) struct Derived(RwLock<Maps>);
@@ -39,9 +57,10 @@ pub(crate) struct Derived(RwLock<Maps>);
 #[derive(Default)]
 struct Maps {
     /// Job → its evaluation and state, as its last put left them.
-    jobs: HashMap<u128, (u128, JobState)>,
-    /// Evaluation → its jobs per state, indexed by `JobState as usize`.
-    states: HashMap<u128, [usize; 6]>,
+    jobs: HashMap<u128, (u128, Option<JobState>)>,
+    /// Evaluation → its jobs per state, indexed by `JobState as usize`,
+    /// then those in [`UNREADABLE`] states.
+    states: HashMap<u128, [usize; 7]>,
     /// Evaluation → what its document says. Holds a key for every
     /// evaluation whose document was put: the known evaluations.
     evaluations: HashMap<u128, Evaluation>,
@@ -57,11 +76,30 @@ struct Evaluation {
     members: Vec<u128>,
 }
 
+fn slot(state: Option<JobState>) -> usize {
+    state.map_or(UNREADABLE, |state| state as usize)
+}
+
 impl Maps {
-    fn status(&self, id: u128, remaining: Option<usize>) -> EvaluationStatus {
-        let [scheduled, running, finished, aborted, failed, quarantined] =
+    /// One evaluation's roll-up, or the first of its jobs that cannot be
+    /// counted.
+    fn status(&self, id: u128, evaluation: &Evaluation) -> Result<EvaluationStatus, u128> {
+        let [scheduled, running, finished, aborted, failed, quarantined, unreadable] =
             self.states.get(&id).copied().unwrap_or_default();
-        EvaluationStatus { scheduled, running, finished, aborted, failed, quarantined, remaining }
+        if unreadable > 0 {
+            let job = self.jobs.iter().find(|(_, &placed)| placed == (id, None));
+            return Err(job.map_or(0, |(&job, _)| job));
+        }
+        let remaining = evaluation.remaining;
+        Ok(EvaluationStatus {
+            scheduled,
+            running,
+            finished,
+            aborted,
+            failed,
+            quarantined,
+            remaining,
+        })
     }
 }
 
@@ -91,30 +129,32 @@ impl Derived {
                         None => maps.jobs.remove(&id),
                     };
                     if let Some((evaluation, state)) = before {
-                        maps.states.entry(evaluation).or_default()[state as usize] -= 1;
+                        maps.states.entry(evaluation).or_default()[slot(state)] -= 1;
                     }
                     if let Some((evaluation, state)) = placed {
-                        maps.states.entry(evaluation).or_default()[state as usize] += 1;
+                        maps.states.entry(evaluation).or_default()[slot(state)] += 1;
                     }
                 }
             }
         }
     }
 
-    /// The roll-up of one evaluation; `None` for an unknown one.
-    pub(crate) fn status(&self, id: u128) -> Option<EvaluationStatus> {
+    /// The roll-up of one evaluation.
+    pub(crate) fn status(&self, id: u128) -> Result<EvaluationStatus, Uncounted> {
         let maps = self.0.read();
-        maps.evaluations.get(&id).map(|evaluation| maps.status(id, evaluation.remaining))
+        let evaluation = maps.evaluations.get(&id).ok_or(Uncounted::Evaluation)?;
+        maps.status(id, evaluation).map_err(Uncounted::Job)
     }
 
     /// The roll-ups of every known evaluation summed, `remaining` included
-    /// (as `Some`, zero when no source has points left).
-    pub(crate) fn totals(&self) -> EvaluationStatus {
+    /// (as `Some`, zero when no source has points left); the first job
+    /// that cannot be counted when there is one.
+    pub(crate) fn totals(&self) -> Result<EvaluationStatus, u128> {
         let maps = self.0.read();
         let mut total = EvaluationStatus::default();
         let mut remaining = 0;
         for (&id, evaluation) in &maps.evaluations {
-            let status = maps.status(id, evaluation.remaining);
+            let status = maps.status(id, evaluation)?;
             total.scheduled += status.scheduled;
             total.running += status.running;
             total.finished += status.finished;
@@ -123,7 +163,7 @@ impl Derived {
             total.quarantined += status.quarantined;
             remaining += status.remaining.unwrap_or(0);
         }
-        EvaluationStatus { remaining: Some(remaining), ..total }
+        Ok(EvaluationStatus { remaining: Some(remaining), ..total })
     }
 
     /// The jobs of one evaluation in `job_ids` order; `None` for an
@@ -139,7 +179,7 @@ mod tests {
     use super::*;
 
     fn job(id: u128, evaluation: u128, state: JobState) -> Change<'static> {
-        Change::Job { id, placed: Some((evaluation, state)) }
+        Change::Job { id, placed: Some((evaluation, Some(state))) }
     }
 
     fn evaluation(id: u128, remaining: usize, job_ids: &[Value]) -> Change<'_> {
@@ -147,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn a_job_put_moves_one_counter_and_unknown_evaluations_read_none() {
+    fn a_job_put_moves_one_counter_and_unknown_evaluations_are_uncounted() {
         let derived = Derived::default();
         derived.fold(&[evaluation(1, 3, &[]), job(10, 1, JobState::Running)]);
         let status = derived.status(1).unwrap();
@@ -160,9 +200,21 @@ mod tests {
         // Jobs of an evaluation whose document was never put are counted
         // but neither read nor summed.
         derived.fold(&[job(12, 2, JobState::Running)]);
-        assert_eq!((derived.status(2), derived.members(2)), (None, None));
-        let totals = derived.totals();
+        assert_eq!((derived.status(2), derived.members(2)), (Err(Uncounted::Evaluation), None));
+        let totals = derived.totals().unwrap();
         assert_eq!((totals.running, totals.finished, totals.remaining), (0, 1, Some(3)));
+    }
+
+    #[test]
+    fn a_job_in_an_unknown_state_makes_its_roll_up_and_the_sums_unreadable() {
+        let derived = Derived::default();
+        derived.fold(&[evaluation(1, 0, &[]), job(10, 1, JobState::Finished)]);
+        derived.fold(&[Change::Job { id: 10, placed: Some((1, None)) }]);
+        assert_eq!(derived.status(1), Err(Uncounted::Job(10)));
+        assert_eq!(derived.totals(), Err(10));
+        derived.fold(&[job(10, 1, JobState::Finished)]);
+        assert_eq!(derived.status(1).unwrap().finished, 1, "a readable put counts it again");
+        assert_eq!(derived.totals().unwrap().finished, 1);
     }
 
     #[test]

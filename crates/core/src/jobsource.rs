@@ -256,18 +256,18 @@ impl JobSourceState {
     /// Encodes onto an evaluation DTO (flat fields, appended after the
     /// frozen evaluation keys).
     pub fn apply_to_dto(&self, doc: &mut dto::EvaluationDto) {
-        doc.strategy = Some(self.strategy.dto());
-        doc.total_points = Some(self.total_points);
-        doc.materialized = Some(self.materialized);
-        doc.frontier = self.frontier.as_ref().map(Frontier::dto);
+        doc.source = dto::EvaluationSourceDto {
+            strategy: Some(self.strategy.dto()),
+            total_points: Some(self.total_points),
+            materialized: Some(self.materialized),
+            frontier: self.frontier.as_ref().map(Frontier::dto),
+        };
     }
 
     /// Decodes from an evaluation DTO; `None` when the document predates
     /// lazy evaluations (such evaluations are fully materialized).
     pub fn from_dto(doc: &dto::EvaluationDto) -> Option<JobSourceState> {
-        let (strategy, frontier) = (doc.strategy.as_ref(), doc.frontier.as_ref());
-        let jobs = doc.job_ids.len() as u64;
-        Self::from_fields(doc.total_points, doc.materialized, jobs, strategy, frontier)
+        Self::from_source(&doc.source, doc.job_ids.len())
     }
 
     /// The source of a stored evaluation document, decoded without its
@@ -276,27 +276,19 @@ impl JobSourceState {
     /// [`JobSourceState::from_dto`], and when a source field does not
     /// decode.
     pub(crate) fn of_document(doc: &Value) -> Option<JobSourceState> {
-        use chronos_api::{codec::lenient_u64, WireDecode};
-        let strategy = doc.get("strategy").map(dto::StrategyDto::decode).transpose().ok()?;
-        let frontier = doc.get("frontier").map(dto::FrontierDto::decode).transpose().ok()?;
-        let jobs = doc.get("job_ids").and_then(Value::as_array).map_or(0, Vec::len) as u64;
-        let (total_points, materialized) =
-            (lenient_u64(doc, "total_points"), lenient_u64(doc, "materialized"));
-        Self::from_fields(total_points, materialized, jobs, strategy.as_ref(), frontier.as_ref())
+        let source = dto::EvaluationDto::decode_source(doc).ok()?;
+        let jobs = doc.get("job_ids").and_then(Value::as_array).map_or(0, Vec::len);
+        Self::from_source(&source, jobs)
     }
 
-    fn from_fields(
-        total_points: Option<u64>,
-        materialized: Option<u64>,
-        jobs: u64,
-        strategy: Option<&dto::StrategyDto>,
-        frontier: Option<&dto::FrontierDto>,
-    ) -> Option<JobSourceState> {
+    /// The source the decoded fields describe; an evaluation of `jobs`
+    /// jobs and no `materialized` count has materialized them all.
+    fn from_source(source: &dto::EvaluationSourceDto, jobs: usize) -> Option<JobSourceState> {
         Some(JobSourceState {
-            strategy: strategy.map(Strategy::from_dto).unwrap_or(Strategy::Grid),
-            total_points: total_points?,
-            materialized: materialized.unwrap_or(jobs),
-            frontier: frontier.map(Frontier::from_dto),
+            strategy: source.strategy.as_ref().map(Strategy::from_dto).unwrap_or(Strategy::Grid),
+            total_points: source.total_points?,
+            materialized: source.materialized.unwrap_or(jobs as u64),
+            frontier: source.frontier.as_ref().map(Frontier::from_dto),
         })
     }
 }

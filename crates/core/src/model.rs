@@ -302,10 +302,7 @@ impl Evaluation {
             job_ids: self.job_ids.clone(),
             swept_params: self.swept_params.clone(),
             created_at: self.created_at,
-            strategy: None,
-            total_points: None,
-            materialized: None,
-            frontier: None,
+            source: dto::EvaluationSourceDto::default(),
         };
         if let Some(source) = &self.source {
             source.apply_to_dto(&mut doc);

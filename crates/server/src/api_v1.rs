@@ -726,7 +726,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             authed(&control_, req)?;
             reads_.serve(req, Scope::State, || {
-                let totals = control_.job_totals();
+                let totals = control_.job_totals()?;
                 let stats = v1::StatsResponse {
                     scheduled: totals.scheduled,
                     running: totals.running,
