@@ -44,6 +44,18 @@ if ! cargo test -q --offline --test wire_compat; then
     exit 1
 fi
 
+echo "== generator determinism: golden op streams and draw sequences =="
+# FNV-1a digests of every YCSB op stream (workloads a-f, threads 1 and 2,
+# four field lengths, four record counts, three seeds, plus the load phase)
+# and the first draws of every gen_range shape the generators use. A
+# benchmark run is comparable with another commit's only while the same
+# seed produces the same operations; a diff here means it no longer does.
+if ! cargo test -q --offline -p chronos-workload --test golden_streams \
+    || ! cargo test -q --offline -p rand --test golden_sequences; then
+    echo "FAIL: generator output moved: results across commits are no longer comparable" >&2
+    exit 1
+fi
+
 cargo build --release -p chronos-bench --offline
 bench_bin="$PWD/target/release/chronos-bench"
 # The experiments that write a report, straight from the binary's own
