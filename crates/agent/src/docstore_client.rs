@@ -21,12 +21,18 @@
 //! drives the operation mix from `threads` client threads, recording
 //! latencies per operation type; the result document carries the merged
 //! [`chronos_metrics::RunSummary`] plus engine statistics.
+//!
+//! As in YCSB, each client thread generates its operations as it runs
+//! them: an operation's latency covers only its call into the store, but
+//! `wall_millis`, the denominator of `throughput_ops_per_sec`, also spans
+//! the client-side generation of every operation. Generated field names
+//! and values are moved into the documents, not copied.
 
 use chronos_json::Value;
 use chronos_metrics::{Recorder, RunSummary};
 use chronos_util::pool::scoped_indexed;
 use chronos_workload::{CoreWorkload, Operation, WorkloadRunner, WorkloadSpec};
-use minidoc::{Database, DbConfig, EngineKind};
+use minidoc::{Collection, Database, DbConfig, EngineKind};
 
 use crate::context::JobContext;
 use crate::runtime::EvaluationClient;
@@ -104,49 +110,50 @@ impl DocstoreClient {
     }
 }
 
-/// Converts workload field lists into a minidoc document.
-fn fields_to_doc(fields: &[(String, String)]) -> Value {
+/// Moves workload field lists into a minidoc document.
+fn fields_to_doc(fields: Vec<(String, String)>) -> Value {
     let mut map = chronos_json::Map::with_capacity(fields.len());
     for (name, value) in fields {
-        map.insert(name.clone(), Value::from(value.as_str()));
+        map.insert(name, Value::from(value));
     }
     Value::Object(map)
 }
 
 /// Executes one operation against the store, returning an error string on
 /// unexpected outcomes (read of a loaded key returning nothing, etc.).
-fn apply(db: &Database, op: &Operation) -> Result<(), String> {
-    let coll = db.collection(COLLECTION);
+fn apply(coll: &Collection, op: Operation) -> Result<(), String> {
     match op {
-        Operation::Read { key } => match coll.get(key) {
+        Operation::Read { key } => match coll.get(&key) {
             Ok(Some(_)) => Ok(()),
             Ok(None) => Err(format!("read miss for {key}")),
             Err(e) => Err(e.to_string()),
         },
         Operation::Update { key, fields } => {
-            coll.update(key, &fields_to_doc(fields)).map_err(|e| e.to_string())
+            coll.update(&key, &fields_to_doc(fields)).map_err(|e| e.to_string())
         }
         Operation::Insert { key, fields } => {
-            coll.insert(key, &fields_to_doc(fields)).map_err(|e| e.to_string())
+            coll.insert(&key, &fields_to_doc(fields)).map_err(|e| e.to_string())
         }
         Operation::Scan { start_key, count } => {
             // YCSB scans read and discard; stream the raw records off the
             // engine cursor instead of decoding every document.
-            let mut cursor = coll.cursor(start_key).map_err(|e| e.to_string())?;
-            let mut remaining = *count as usize;
+            let mut cursor = coll.cursor(&start_key).map_err(|e| e.to_string())?;
+            let mut remaining = count as usize;
             while remaining > 0 && cursor.next().is_some() {
                 remaining -= 1;
             }
             Ok(())
         }
         Operation::ReadModifyWrite { key, fields } => {
-            let current = coll.get(key).map_err(|e| e.to_string())?;
+            let current = coll.get(&key).map_err(|e| e.to_string())?;
             match current {
                 Some(mut doc) => {
-                    for (name, value) in fields {
-                        doc.set(name.as_str(), value.as_str());
+                    if let Value::Object(map) = &mut doc {
+                        for (name, value) in fields {
+                            map.insert(name, Value::from(value));
+                        }
                     }
-                    coll.update(key, &doc).map_err(|e| e.to_string())
+                    coll.update(&key, &doc).map_err(|e| e.to_string())
                 }
                 None => Err(format!("rmw miss for {key}")),
             }
@@ -169,15 +176,15 @@ impl EvaluationClient for DocstoreClient {
         let data_dir = db_config.data_dir.clone();
         let db = Database::open(db_config).map_err(|e| e.to_string())?;
         let runner = WorkloadRunner::new(spec)?;
-        // Load phase: bulk-ingest the benchmark data from all threads.
+        // Load phase: bulk-ingest the benchmark data from all threads, each
+        // record generated as its thread gets to it.
+        let coll = db.collection(COLLECTION);
         let load_errors: usize = scoped_indexed(threads, |t| {
-            let mut errors = 0;
-            for op in runner.load_partition(t, threads) {
-                if apply(&db, &op).is_err() {
-                    errors += 1;
-                }
-            }
-            errors
+            runner
+                .load_partition(t, threads)
+                .map(|op| apply(&coll, op))
+                .filter(Result::is_err)
+                .count()
         })
         .into_iter()
         .sum();
@@ -212,12 +219,13 @@ impl EvaluationClient for DocstoreClient {
         let state = self.state.as_ref().ok_or("execute before set_up")?;
         let threads = state.threads;
         let total_ops = state.runner.spec().operation_count.max(1);
+        let coll = state.db.collection(COLLECTION);
         let summaries: Vec<RunSummary> = scoped_indexed(threads, |t| {
             let mut recorder = Recorder::new();
             let mut done = 0u64;
             for op in state.runner.stream(t, threads) {
                 let kind = op.kind();
-                let _ = recorder.time(kind, || apply(&state.db, &op));
+                let _ = recorder.time(kind, || apply(&coll, op));
                 done += 1;
                 if done.is_multiple_of(512) && t == 0 {
                     // Progress: 15% after warm-up, 100% at completion.
@@ -329,6 +337,94 @@ mod tests {
             data.pointer("/operations/scan/latency_micros/count").and_then(Value::as_u64).unwrap()
                 > 0
         );
+    }
+
+    #[test]
+    fn latest_reads_under_concurrent_inserts_never_miss() {
+        // Workload D reads skew toward the newest insert; with 4 threads a
+        // read must never pick a key whose insert has been handed out but
+        // not yet run.
+        let mut client = DocstoreClient::new();
+        let ctx = ctx(obj! {
+            "engine" => "wiredtiger",
+            "threads" => 4,
+            "workload" => "d",
+            "record_count" => 1000,
+            "operation_count" => 20_000,
+        });
+        client.set_up(&ctx).unwrap();
+        let data = client.execute(&ctx).unwrap();
+        assert!(
+            data.pointer("/operations/insert/latency_micros/count")
+                .and_then(Value::as_u64)
+                .unwrap()
+                > 500
+        );
+        assert_eq!(data.pointer("/total_errors").and_then(Value::as_u64), Some(0));
+        client.tear_down(&ctx);
+    }
+
+    /// The conversion the client used before it moved the generated
+    /// strings: every field name and value cloned into the document.
+    fn cloned_fields_to_doc(fields: &[(String, String)]) -> Value {
+        let mut map = chronos_json::Map::with_capacity(fields.len());
+        for (name, value) in fields {
+            map.insert(name.clone(), Value::from(value.as_str()));
+        }
+        Value::Object(map)
+    }
+
+    /// Applies the writes of `op` the way the clone-based client did.
+    fn apply_cloned(coll: &Collection, op: &Operation) {
+        match op {
+            Operation::Insert { key, fields } => coll.insert(key, &cloned_fields_to_doc(fields)),
+            Operation::Update { key, fields } => coll.update(key, &cloned_fields_to_doc(fields)),
+            Operation::ReadModifyWrite { key, fields } => {
+                let mut doc = coll.get(key).unwrap().expect("rmw of a loaded key");
+                for (name, value) in fields {
+                    doc.set(name.as_str(), value.as_str());
+                }
+                coll.update(key, &doc)
+            }
+            Operation::Read { .. } | Operation::Scan { .. } => Ok(()),
+        }
+        .unwrap();
+    }
+
+    fn documents(coll: &Collection) -> Vec<(String, Value)> {
+        coll.scan("", usize::MAX).unwrap()
+    }
+
+    #[test]
+    fn moved_fields_write_what_cloned_fields_wrote() {
+        for workload in ["a", "f"] {
+            let ctx = ctx(obj! {
+                "engine" => "wiredtiger",
+                "threads" => 1,
+                "workload" => workload,
+                "record_count" => 200,
+                "operation_count" => 400,
+                "seed" => 7,
+            });
+            let mut client = DocstoreClient::new();
+            client.set_up(&ctx).unwrap();
+            let (config, spec, _) = DocstoreClient::parse_config(&ctx).unwrap();
+            let reference = Database::open(config).unwrap();
+            let expected = reference.collection(COLLECTION);
+            let runner = WorkloadRunner::new(spec).unwrap();
+            runner.load_partition(0, 1).for_each(|op| apply_cloned(&expected, &op));
+            let actual = client.state.as_ref().unwrap().db.collection(COLLECTION);
+            let loaded = documents(&actual);
+            assert_eq!(loaded.len(), 200);
+            assert_eq!(loaded, documents(&expected), "workload {workload}: loaded documents");
+
+            client.execute(&ctx).unwrap();
+            runner.stream(0, 1).for_each(|op| apply_cloned(&expected, &op));
+            let updated = documents(&actual);
+            assert_ne!(updated, loaded, "workload {workload}: the run must write");
+            assert_eq!(updated, documents(&expected), "workload {workload}: updated documents");
+            client.tear_down(&ctx);
+        }
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub struct ZipfianGenerator {
     theta: f64,
     zetan: f64,
     zeta2theta: f64,
+    /// `1 + 0.5^theta`: draws with `u * zetan` below it pick item 1.
+    second_item_bound: f64,
     alpha: f64,
     eta: f64,
 }
@@ -68,7 +70,8 @@ impl ZipfianGenerator {
         let zeta2theta = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
-        ZipfianGenerator { items, theta, zetan, zeta2theta, alpha, eta }
+        let second_item_bound = 1.0 + 0.5f64.powf(theta);
+        ZipfianGenerator { items, theta, zetan, zeta2theta, second_item_bound, alpha, eta }
     }
 
     /// Harmonic-like normalization constant `zeta(n, theta)`.
@@ -81,7 +84,8 @@ impl ZipfianGenerator {
     }
 
     /// Extends the keyspace (used by `latest` when records are inserted).
-    /// Recomputes the normalization incrementally.
+    /// Adds the new terms to the normalization in the order [`Self::zeta`]
+    /// sums them, so a grown generator is bit-identical to a fresh one.
     pub fn grow_to(&mut self, items: u64) {
         if items <= self.items {
             return;
@@ -102,7 +106,7 @@ impl Generator for ZipfianGenerator {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.second_item_bound {
             return 1;
         }
         let idx = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -167,7 +171,7 @@ impl LatestGenerator {
         LatestGenerator { zipf: ZipfianGenerator::new(items.max(1)) }
     }
 
-    /// Advances the insert frontier.
+    /// Advances the insert frontier in place (O(new items)).
     pub fn grow_to(&mut self, items: u64) {
         self.zipf.grow_to(items);
     }
@@ -414,7 +418,26 @@ mod tests {
         let mut grown = ZipfianGenerator::new(100);
         grown.grow_to(200);
         let fresh = ZipfianGenerator::new(200);
-        assert!((grown.zetan - fresh.zetan).abs() < 1e-9);
-        assert!((grown.eta - fresh.eta).abs() < 1e-9);
+        assert_eq!(grown.zetan.to_bits(), fresh.zetan.to_bits());
+        assert_eq!(grown.eta.to_bits(), fresh.eta.to_bits());
+    }
+
+    #[test]
+    fn latest_grown_in_place_matches_a_rebuild() {
+        // One insert at a time, the way a workload D stream advances.
+        let mut grown = LatestGenerator::new(1000);
+        for frontier in 1001..=1050 {
+            grown.grow_to(frontier);
+        }
+        let mut rebuilt = LatestGenerator::new(1020);
+        rebuilt.grow_to(1050);
+        for other in [&rebuilt.zipf, &ZipfianGenerator::new(1050)] {
+            assert_eq!(grown.zipf.zetan.to_bits(), other.zetan.to_bits());
+            assert_eq!(grown.zipf.eta.to_bits(), other.eta.to_bits());
+        }
+        let (mut a, mut b) = (seeded_rng(11), seeded_rng(11));
+        for _ in 0..1000 {
+            assert_eq!(grown.next(&mut a), rebuilt.next(&mut b));
+        }
     }
 }

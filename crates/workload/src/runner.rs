@@ -3,11 +3,18 @@
 //! One [`WorkloadRunner`] is shared by all client threads of a benchmark
 //! run; each thread creates its own [`OpStream`](WorkloadRunner::stream) with
 //! a thread-specific seed. The only shared mutable state is the insert
-//! frontier (an atomic counter), exactly like the YCSB client's
-//! `transactioninsertkeysequence`.
+//! frontier: the next key an insert takes, exactly like the YCSB client's
+//! `transactioninsertkeysequence`, and the keys reads may pick, those below
+//! the highest insert up to which every insert is acknowledged (YCSB's
+//! `AcknowledgedCounterGenerator`).
+//!
+//! Generating an operation costs its random draws and the allocations of
+//! the strings it carries: field names are built once per runner, keys and
+//! values are written byte by byte.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -50,16 +57,21 @@ impl Operation {
 #[derive(Debug)]
 pub struct WorkloadRunner {
     spec: WorkloadSpec,
-    /// Next key index to hand to an insert (starts at `record_count`).
-    insert_frontier: Arc<AtomicU64>,
+    payload: Payload,
+    insert_frontier: Arc<InsertFrontier>,
 }
 
 impl WorkloadRunner {
     /// Creates a runner. Fails if the spec is invalid.
     pub fn new(spec: WorkloadSpec) -> Result<Self, String> {
         spec.validate()?;
-        let frontier = Arc::new(AtomicU64::new(spec.record_count));
-        Ok(WorkloadRunner { spec, insert_frontier: frontier })
+        let payload = Payload {
+            names: spec.field_names(),
+            field_length: spec.field_length,
+            compressibility: spec.compressibility,
+        };
+        let insert_frontier = Arc::new(InsertFrontier::new(spec.record_count));
+        Ok(WorkloadRunner { spec, payload, insert_frontier })
     }
 
     /// The underlying spec.
@@ -69,16 +81,20 @@ impl WorkloadRunner {
 
     /// Keys (with generated documents) for the load phase, partitioned for
     /// `thread` of `threads` (round-robin so all partitions are equal ±1).
-    pub fn load_partition(&self, thread: usize, threads: usize) -> Vec<Operation> {
+    /// Records are generated as the iterator is drained.
+    pub fn load_partition(
+        &self,
+        thread: usize,
+        threads: usize,
+    ) -> impl Iterator<Item = Operation> + '_ {
         let threads = threads.max(1);
         let mut rng = seeded_rng(self.spec.thread_seed(thread) ^ 0x10AD);
-        (0..self.spec.record_count)
-            .filter(|i| (*i as usize) % threads == thread)
-            .map(|i| Operation::Insert {
+        (0..self.spec.record_count).filter(move |i| (*i as usize) % threads == thread).map(
+            move |i| Operation::Insert {
                 key: self.spec.key_for(i),
-                fields: self.generate_fields(&mut rng),
-            })
-            .collect()
+                fields: self.payload.fields(&mut rng),
+            },
+        )
     }
 
     /// Creates the transaction-phase operation stream for one thread.
@@ -92,116 +108,196 @@ impl WorkloadRunner {
         } else {
             per_thread
         };
-        let selector: Box<dyn Generator> = match self.spec.distribution {
-            Distribution::Uniform => Box::new(UniformGenerator::new(self.spec.record_count)),
-            Distribution::Zipfian => Box::new(ScrambledZipfian::new(self.spec.record_count)),
-            Distribution::Latest => Box::new(LatestGenerator::new(self.spec.record_count)),
+        let records = self.spec.record_count;
+        let chooser = match self.spec.distribution {
+            Distribution::Latest => KeyChooser::Latest(LatestGenerator::new(records)),
+            Distribution::Uniform => KeyChooser::Loaded(Box::new(UniformGenerator::new(records))),
+            Distribution::Zipfian => KeyChooser::Loaded(Box::new(ScrambledZipfian::new(records))),
             Distribution::Hotspot => {
-                Box::new(HotspotGenerator::new(self.spec.record_count, 0.1, 0.9))
+                KeyChooser::Loaded(Box::new(HotspotGenerator::new(records, 0.1, 0.9)))
             }
             Distribution::Exponential => {
-                Box::new(ExponentialGenerator::new(self.spec.record_count))
+                KeyChooser::Loaded(Box::new(ExponentialGenerator::new(records)))
             }
         };
         OpStream {
             spec: self.spec.clone(),
+            payload: self.payload.clone(),
             rng: seeded_rng(self.spec.thread_seed(thread)),
-            selector,
+            chooser,
             frontier: Arc::clone(&self.insert_frontier),
+            unacknowledged: None,
             remaining: count,
         }
     }
 
-    /// Current size of the keyspace (records loaded + inserted so far).
+    /// Current size of the keyspace reads see: records loaded plus the
+    /// inserts acknowledged without a gap below them.
     pub fn keyspace_size(&self) -> u64 {
-        self.insert_frontier.load(Ordering::Relaxed)
+        self.insert_frontier.readable()
+    }
+}
+
+/// The insert keys handed out and the ones reads may pick. An insert is
+/// acknowledged when the stream that issued it is asked for its next
+/// operation (or dropped), that is, once its client has run it.
+#[derive(Debug)]
+struct InsertFrontier {
+    /// Next key index an insert takes (starts at `record_count`).
+    next: AtomicU64,
+    /// Every index below this one is loaded or acknowledged.
+    readable: AtomicU64,
+    /// Acknowledged indexes above `readable`, waiting for the inserts
+    /// below them.
+    ahead: Mutex<BTreeSet<u64>>,
+}
+
+impl InsertFrontier {
+    fn new(record_count: u64) -> Self {
+        InsertFrontier {
+            next: AtomicU64::new(record_count),
+            readable: AtomicU64::new(record_count),
+            ahead: Mutex::new(BTreeSet::new()),
+        }
     }
 
-    fn generate_fields(&self, rng: &mut StdRng) -> Vec<(String, String)> {
-        generate_fields(&self.spec, rng)
+    fn issue(&self) -> u64 {
+        self.next.fetch_add(1, Ordering::Relaxed)
     }
+
+    fn readable(&self) -> u64 {
+        self.readable.load(Ordering::Acquire)
+    }
+
+    fn acknowledge(&self, index: u64) {
+        let mut ahead = self.ahead.lock().unwrap_or_else(|p| p.into_inner());
+        let mut readable = self.readable.load(Ordering::Relaxed);
+        if index != readable {
+            ahead.insert(index);
+            return;
+        }
+        readable += 1;
+        while ahead.remove(&readable) {
+            readable += 1;
+        }
+        self.readable.store(readable, Ordering::Release);
+    }
+}
+
+/// Picks the record a read, update, scan or read-modify-write targets.
+enum KeyChooser {
+    /// Skewed toward the newest readable insert; grows in place with the
+    /// readable frontier.
+    Latest(LatestGenerator),
+    /// A distribution over the loaded records.
+    Loaded(Box<dyn Generator>),
 }
 
 /// Word dictionary for partially redundant field values: sixteen 16-byte
 /// tokens, drawn with a skew (80% of draws from the first four) so values
 /// repeat the way real-world document fields do, giving block compressors
 /// long matches within each document.
-const WORDS: [&str; 16] = [
-    "account_balance_",
-    "customer_record_",
-    "delivery_status_",
-    "transaction_ref_",
-    "envelope_digest_",
-    "fragment_offset_",
-    "gateway_routing_",
-    "horizon_scanner_",
-    "industry_sector_",
-    "junction_signal_",
-    "keyboard_layout_",
-    "latitude_degree_",
-    "merchant_ledger_",
-    "notebook_margin_",
-    "operator_handle_",
-    "pipeline_stages_",
+const WORDS: [&[u8; 16]; 16] = [
+    b"account_balance_",
+    b"customer_record_",
+    b"delivery_status_",
+    b"transaction_ref_",
+    b"envelope_digest_",
+    b"fragment_offset_",
+    b"gateway_routing_",
+    b"horizon_scanner_",
+    b"industry_sector_",
+    b"junction_signal_",
+    b"keyboard_layout_",
+    b"latitude_degree_",
+    b"merchant_ledger_",
+    b"notebook_margin_",
+    b"operator_handle_",
+    b"pipeline_stages_",
 ];
 
 /// Deterministic printable field payloads. A `compressibility` fraction of
 /// the bytes come from a small word dictionary (redundant, compressible);
 /// the rest are uniform lowercase noise (incompressible) — see
 /// [`WorkloadSpec::compressibility`].
-fn generate_fields(spec: &WorkloadSpec, rng: &mut StdRng) -> Vec<(String, String)> {
-    (0..spec.field_count)
-        .map(|f| {
-            let mut value = String::with_capacity(spec.field_length + 8);
-            while value.len() < spec.field_length {
-                if rng.gen::<f64>() < spec.compressibility {
-                    let idx = if rng.gen::<f64>() < 0.8 {
-                        rng.gen_range(0..4)
-                    } else {
-                        rng.gen_range(0..WORDS.len())
-                    };
-                    value.push_str(WORDS[idx]);
+#[derive(Debug, Clone)]
+struct Payload {
+    names: Vec<String>,
+    field_length: usize,
+    compressibility: f64,
+}
+
+impl Payload {
+    fn fields(&self, rng: &mut StdRng) -> Vec<(String, String)> {
+        self.names.iter().map(|name| (name.clone(), self.value(rng))).collect()
+    }
+
+    /// One value: 16-byte words and 8-byte noise runs until it is long
+    /// enough, cut to `field_length` (the draws of the cut bytes still run).
+    fn value(&self, rng: &mut StdRng) -> String {
+        let mut value = Vec::with_capacity(self.field_length + 15);
+        while value.len() < self.field_length {
+            if rng.gen::<f64>() < self.compressibility {
+                let idx = if rng.gen::<f64>() < 0.8 {
+                    rng.gen_range(0..4)
                 } else {
-                    for _ in 0..8 {
-                        value.push((b'a' + rng.gen_range(0..26u8)) as char);
-                    }
+                    rng.gen_range(0..WORDS.len())
+                };
+                value.extend_from_slice(WORDS[idx]);
+            } else {
+                for _ in 0..8 {
+                    value.push(b'a' + rng.gen_range(0..26u8));
                 }
             }
-            value.truncate(spec.field_length);
-            (format!("field{f}"), value)
-        })
-        .collect()
+        }
+        value.truncate(self.field_length);
+        String::from_utf8(value).expect("payload bytes are ASCII")
+    }
 }
 
 /// The per-thread operation stream (an iterator).
 pub struct OpStream {
     spec: WorkloadSpec,
+    payload: Payload,
     rng: StdRng,
-    selector: Box<dyn Generator>,
-    frontier: Arc<AtomicU64>,
+    chooser: KeyChooser,
+    frontier: Arc<InsertFrontier>,
+    /// The insert this stream yielded last, until its client asks for the
+    /// next operation.
+    unacknowledged: Option<u64>,
     remaining: u64,
 }
 
 impl OpStream {
     fn pick_key(&mut self) -> String {
-        // For `latest`, track the shared frontier so recency follows inserts.
-        let frontier = self.frontier.load(Ordering::Relaxed);
-        if self.spec.distribution == Distribution::Latest {
-            // Safe: LatestGenerator only ever grows.
-            if frontier > self.selector.cardinality() {
-                // Downcast-free growth: recreate cheaply when behind.
-                let mut g = LatestGenerator::new(self.selector.cardinality());
-                g.grow_to(frontier);
-                self.selector = Box::new(g);
+        let readable = self.frontier.readable();
+        let chooser: &mut dyn Generator = match &mut self.chooser {
+            KeyChooser::Latest(latest) => {
+                // Recency follows the acknowledged inserts.
+                latest.grow_to(readable);
+                latest
             }
-        }
+            KeyChooser::Loaded(loaded) => loaded.as_mut(),
+        };
         let idx = loop {
-            let idx = self.selector.next(&mut self.rng);
-            if idx < frontier.max(1) {
+            let idx = chooser.next(&mut self.rng);
+            if idx < readable.max(1) {
                 break idx;
             }
         };
         self.spec.key_for(idx)
+    }
+
+    fn acknowledge(&mut self) {
+        if let Some(index) = self.unacknowledged.take() {
+            self.frontier.acknowledge(index);
+        }
+    }
+}
+
+impl Drop for OpStream {
+    fn drop(&mut self) {
+        self.acknowledge();
     }
 }
 
@@ -209,6 +305,7 @@ impl Iterator for OpStream {
     type Item = Operation;
 
     fn next(&mut self) -> Option<Operation> {
+        self.acknowledge();
         if self.remaining == 0 {
             return None;
         }
@@ -219,20 +316,21 @@ impl Iterator for OpStream {
             Operation::Read { key: self.pick_key() }
         } else if roll < m.read + m.update {
             let key = self.pick_key();
-            let fields = generate_fields(&self.spec, &mut self.rng);
+            let fields = self.payload.fields(&mut self.rng);
             Operation::Update { key, fields }
         } else if roll < m.read + m.update + m.insert {
-            let idx = self.frontier.fetch_add(1, Ordering::Relaxed);
+            let idx = self.frontier.issue();
+            self.unacknowledged = Some(idx);
             Operation::Insert {
                 key: self.spec.key_for(idx),
-                fields: generate_fields(&self.spec, &mut self.rng),
+                fields: self.payload.fields(&mut self.rng),
             }
         } else if roll < m.read + m.update + m.insert + m.scan {
             let count = self.rng.gen_range(1..=self.spec.max_scan_length);
             Operation::Scan { start_key: self.pick_key(), count }
         } else {
             let key = self.pick_key();
-            let fields = generate_fields(&self.spec, &mut self.rng);
+            let fields = self.payload.fields(&mut self.rng);
             Operation::ReadModifyWrite { key, fields }
         };
         Some(op)

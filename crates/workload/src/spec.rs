@@ -235,9 +235,31 @@ impl WorkloadSpec {
         self.mix.validate()
     }
 
-    /// The key string for record index `i` (zero-padded, YCSB-style).
+    /// The key string for record index `i` (zero-padded, YCSB-style):
+    /// `user` and at least 12 decimal digits, the same bytes as
+    /// `format!("user{i:012}")` without the formatting machinery.
     pub fn key_for(&self, i: u64) -> String {
-        format!("user{i:012}")
+        const PADDED: usize = 12;
+        let mut digits = [b'0'; 20];
+        let (mut rest, mut start) = (i, digits.len());
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let digits = &digits[start.min(digits.len() - PADDED)..];
+        let mut key = String::with_capacity(4 + digits.len());
+        key.push_str("user");
+        key.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
+        key
+    }
+
+    /// The document field names, `field0` to `field{field_count - 1}`.
+    pub fn field_names(&self) -> Vec<String> {
+        (0..self.field_count).map(|f| format!("field{f}")).collect()
     }
 
     /// Derives a fresh seed for worker thread `thread` of `threads`.
@@ -364,6 +386,9 @@ mod tests {
         assert_eq!(spec.key_for(0), "user000000000000");
         assert_eq!(spec.key_for(42), "user000000000042");
         assert!(spec.key_for(9) < spec.key_for(10), "lexicographic = numeric order");
+        for i in [1, 999_999_999_999, 1_000_000_000_000, 123_456_789_012_345, u64::MAX] {
+            assert_eq!(spec.key_for(i), format!("user{i:012}"));
+        }
     }
 
     #[test]

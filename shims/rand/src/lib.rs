@@ -55,6 +55,7 @@ impl Standard for bool {
 }
 
 impl Standard for f64 {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 uniform bits into [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -70,20 +71,24 @@ pub trait SampleUniform: Copy + PartialOrd {
 macro_rules! impl_sample_uniform_int {
     ($($t:ty => $wide:ty),* $(,)?) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
                 assert!(low <= high, "gen_range: empty range");
                 let span = (high as $wide).wrapping_sub(low as $wide) as u64;
                 if span == u64::MAX {
                     return rng.next_u64() as $t;
                 }
-                // Debiased multiply-shift (Lemire); the retry loop is rarely
-                // taken for the small spans Chronos samples.
+                // Rejection and modulo: a draw is kept when it falls in one
+                // of the complete blocks of `span + 1` values below 2^64,
+                // which is when its block's last value does not overflow.
+                // One divide per draw, none once inlining makes the bound a
+                // constant; the retry is rarely taken for small spans.
                 let bound = span + 1;
-                let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
                 loop {
                     let v = rng.next_u64();
-                    if v <= zone {
-                        return ((low as $wide).wrapping_add((v % bound) as $wide)) as $t;
+                    let offset = v % bound;
+                    if v - offset <= u64::MAX - span {
+                        return ((low as $wide).wrapping_add(offset as $wide)) as $t;
                     }
                 }
             }
@@ -109,12 +114,14 @@ pub trait SampleRange<T> {
 }
 
 impl<T: SampleUniform + HalfOpen> SampleRange<T> for Range<T> {
+    #[inline]
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         T::sample_inclusive(rng, self.start, self.end.one_less())
     }
 }
 
 impl<T: SampleUniform> SampleRange<T> for RangeInclusive<T> {
+    #[inline]
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         T::sample_inclusive(rng, *self.start(), *self.end())
     }
@@ -129,6 +136,7 @@ pub trait HalfOpen {
 macro_rules! impl_half_open {
     ($($t:ty),* $(,)?) => {$(
         impl HalfOpen for $t {
+            #[inline]
             fn one_less(self) -> Self {
                 self.checked_sub(1).expect("gen_range: empty range")
             }
@@ -141,6 +149,7 @@ impl_half_open!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 /// The user-facing RNG trait (rand 0.8 subset).
 pub trait Rng: RngCore {
     /// A uniformly random value of `T`.
+    #[inline]
     fn gen<T: Standard>(&mut self) -> T
     where
         Self: Sized,
@@ -149,6 +158,7 @@ pub trait Rng: RngCore {
     }
 
     /// A uniform draw from `range` (`low..high` or `low..=high`).
+    #[inline]
     fn gen_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T
     where
         Self: Sized,
@@ -208,6 +218,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
             let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
