@@ -25,8 +25,7 @@
 //! As in YCSB, each client thread generates its operations as it runs
 //! them: an operation's latency covers only its call into the store, but
 //! `wall_millis`, the denominator of `throughput_ops_per_sec`, also spans
-//! the client-side generation of every operation. Generated field names
-//! and values are moved into the documents, not copied.
+//! the client-side generation of every operation.
 
 use chronos_json::Value;
 use chronos_metrics::{Recorder, RunSummary};
@@ -176,15 +175,16 @@ impl EvaluationClient for DocstoreClient {
         let data_dir = db_config.data_dir.clone();
         let db = Database::open(db_config).map_err(|e| e.to_string())?;
         let runner = WorkloadRunner::new(spec)?;
-        // Load phase: bulk-ingest the benchmark data from all threads, each
-        // record generated as its thread gets to it.
+        // Load phase: bulk-ingest the benchmark data from all threads.
         let coll = db.collection(COLLECTION);
         let load_errors: usize = scoped_indexed(threads, |t| {
-            runner
-                .load_partition(t, threads)
-                .map(|op| apply(&coll, op))
-                .filter(Result::is_err)
-                .count()
+            let mut errors = 0;
+            for op in runner.load_partition(t, threads) {
+                if apply(&coll, op).is_err() {
+                    errors += 1;
+                }
+            }
+            errors
         })
         .into_iter()
         .sum();

@@ -93,7 +93,12 @@ impl Default for Recorder {
 /// The merged, finalized measurements of a benchmark run.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
-    /// Wall-clock duration of the run in milliseconds.
+    /// Wall-clock duration of the run in milliseconds, from the
+    /// [`Recorder`]'s creation to [`Recorder::into_summary`]: the
+    /// denominator of [`RunSummary::throughput_ops_per_sec`]. A client
+    /// that generates its operations while it runs them (the YCSB client
+    /// and Chronos' workload runner do) spends that generation inside this
+    /// window, while each operation's latency times only the operation.
     pub wall_millis: u64,
     ops: Vec<(String, OpStats)>,
     throughput: Timeseries,

@@ -422,6 +422,29 @@ mod tests {
     }
 
     #[test]
+    fn reads_see_inserts_once_every_insert_below_is_acknowledged() {
+        let mut s = spec();
+        s.mix = OpMix { read: 0.0, update: 0.0, insert: 1.0, scan: 0.0, read_modify_write: 0.0 };
+        let runner = WorkloadRunner::new(s).unwrap();
+        let (mut first, mut second) = (runner.stream(0, 2), runner.stream(1, 2));
+        let key = |op: Option<Operation>| match op {
+            Some(Operation::Insert { key, .. }) => key,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(key(first.next()), runner.spec().key_for(100));
+        assert_eq!(runner.keyspace_size(), 100, "handed out, not yet run");
+        assert_eq!(key(second.next()), runner.spec().key_for(101));
+        assert_eq!(key(second.next()), runner.spec().key_for(102));
+        assert_eq!(runner.keyspace_size(), 100, "101 is acknowledged, 100 is not");
+        assert_eq!(key(first.next()), runner.spec().key_for(103));
+        assert_eq!(runner.keyspace_size(), 102, "100 and 101 are acknowledged");
+        drop(second);
+        assert_eq!(runner.keyspace_size(), 103, "a dropped stream acknowledges its last insert");
+        drop(first);
+        assert_eq!(runner.keyspace_size(), 104);
+    }
+
+    #[test]
     fn concurrent_inserts_never_collide() {
         let mut s = spec();
         s.mix = OpMix { read: 0.0, update: 0.0, insert: 1.0, scan: 0.0, read_modify_write: 0.0 };
