@@ -14,7 +14,7 @@
 //! * [`runner`] — turns a spec into a deterministic stream of
 //!   [`Operation`](runner::Operation)s for the load and transaction phases,
 //!   with a thread-safe insert frontier so concurrent clients never collide
-//!   on generated keys.
+//!   on generated keys and never read a key whose insert has not run.
 //!
 //! Everything is deterministic given a seed, which is what makes Chronos
 //! evaluations repeatable across re-runs of the same experiment.
