@@ -4,8 +4,8 @@
 //!
 //! * `row_ids` — the job id of each row (insertion = upload order; query
 //!   paths re-order rows via [`ResultTable::gather`] so aggregation runs
-//!   in the evaluation's canonical `job_ids` order, which keeps float
-//!   accumulation bit-identical to the row-at-a-time JSON path).
+//!   in the evaluation's canonical job-id (creation) order, which keeps
+//!   float accumulation bit-identical to the row-at-a-time JSON path).
 //! * `params_json` — each row's full parameter document, serialized and
 //!   dictionary-encoded (grid evaluations repeat parameter sets heavily).
 //! * one [`ParamColumn`] per parameter key, holding the display label the

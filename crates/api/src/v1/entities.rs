@@ -425,7 +425,7 @@ impl EvaluationDto {
     }
 
     /// Decodes only the job-source fields of an evaluation document,
-    /// leaving its `job_ids` (which grow with every claim) unparsed.
+    /// leaving its `job_ids` unparsed.
     pub fn decode_source(value: &Value) -> Result<EvaluationSourceDto, WireError> {
         Ok(EvaluationSourceDto {
             strategy: value.get("strategy").map(StrategyDto::decode).transpose()?,

@@ -43,8 +43,8 @@ pub const STANDARD_METRIC_PATHS: [&str; 6] = [
     "/operations/update/latency_micros/p99",
 ];
 
-/// An evaluation's columnar table plus its rows gathered in canonical
-/// `job_ids` order — the exact row set and iteration order of the row
+/// An evaluation's columnar table plus its rows gathered in job-id
+/// (creation) order — the exact row set and iteration order of the row
 /// path it replaced, so every columnar aggregation below is bit-identical
 /// to it (kept as the oracle, `collect_points`, in this module's tests).
 fn columnar_rows(
@@ -381,8 +381,8 @@ pub fn experiment_trend(
 }
 
 /// The mean of `value_path` over an evaluation's finished jobs, served
-/// from the columnar store (left-to-right accumulation in `job_ids`
-/// order, bit-identical to the row scan). `None` when no finished job
+/// from the columnar store (left-to-right accumulation in job order,
+/// bit-identical to the row scan). `None` when no finished job
 /// carries a numeric value at the pointer.
 fn evaluation_mean(
     control: &ChronosControl,
@@ -498,8 +498,8 @@ pub(crate) mod tests {
         pub data: Value,
     }
 
-    /// Collects the finished jobs of an evaluation, in `job_ids` order: the
-    /// row path the columnar tables replaced, kept as their oracle.
+    /// Collects the finished jobs of an evaluation, in job order: the row
+    /// path the columnar tables replaced, kept as their oracle.
     pub(crate) fn collect_points(
         control: &ChronosControl,
         evaluation_id: Id,

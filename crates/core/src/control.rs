@@ -12,9 +12,11 @@
 //! only writer of the metadata store — so preconditions are checked under
 //! the lock they are written under. The closure's puts reach the store as
 //! one record after it returned `Ok`. Everything else — the columnar
-//! tables, the job membership and state counters and the versions — is
-//! derived from the documents that reached memory by one function,
-//! [`ChronosControl::apply`], still locked.
+//! tables, each evaluation's jobs and their state counters, and the
+//! versions — is derived from the documents that reached memory by one
+//! function, [`ChronosControl::apply`], still locked. An evaluation's jobs
+//! are the job documents that name it, in id order; its own document lists
+//! none.
 
 use std::sync::Arc;
 
@@ -24,7 +26,7 @@ use chronos_util::{Clock, Id, SystemClock};
 
 use crate::auth::{Role, SessionManager, User};
 use crate::charts::ChartSpec;
-use crate::derived::{Change, Derived, Uncounted};
+use crate::derived::{Change, Derived};
 use crate::error::{CoreError, CoreResult};
 use crate::jobsource::{prune_rung, JobSourceState, Strategy};
 use crate::lifecycle::JobEvent;
@@ -44,6 +46,11 @@ const KIND_JOB: &str = "job";
 const KIND_RESULT: &str = "result";
 
 type Decode<T> = fn(&Value) -> CoreResult<T>;
+
+thread_local! {
+    /// Whether this thread holds the write lock: a [`Tx`] is alive on it.
+    static WRITING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 /// The Chronos Control core.
 pub struct ChronosControl {
@@ -80,6 +87,12 @@ struct Tx<'a> {
     /// The documents that reached the store's memory: what the write
     /// derives from.
     applied: Vec<Put>,
+}
+
+impl Drop for Tx<'_> {
+    fn drop(&mut self) {
+        WRITING.set(false);
+    }
 }
 
 impl Tx<'_> {
@@ -169,13 +182,10 @@ impl ChronosControl {
     /// whatever the outcome, so every version moves after the last
     /// mutation it covers is visible.
     fn write<R>(&self, f: impl FnOnce(&mut Tx<'_>) -> CoreResult<R>) -> CoreResult<R> {
-        let mut tx = Tx {
-            control: self,
-            _lock: self.write_lock.lock(),
-            now: self.now(),
-            puts: Vec::new(),
-            applied: Vec::new(),
-        };
+        let _lock = self.write_lock.lock();
+        WRITING.set(true);
+        let mut tx =
+            Tx { control: self, _lock, now: self.now(), puts: Vec::new(), applied: Vec::new() };
         let result = f(&mut tx).and_then(|r| tx.commit_puts().map(|()| r));
         self.apply(&tx.applied);
         result
@@ -186,8 +196,8 @@ impl ChronosControl {
     /// commits the versions: the only writer of the analytics tables and
     /// of the job membership and state counters, and the only caller of
     /// [`Versions::commit`]. A job moves its evaluation's version and one
-    /// counter; an evaluation moves its own version, records its source's
-    /// remainder and its new `job_ids`, and gets a table; a result is
+    /// counter, and joins its members; an evaluation moves its own version,
+    /// records its source's remainder and gets a table; a result is
     /// ingested into its job's evaluation table, and the job is read from
     /// the store, which already holds it. Nothing applied, nothing derived.
     #[allow(clippy::disallowed_methods)]
@@ -205,9 +215,7 @@ impl ChronosControl {
                     touched.push(id);
                     let source = JobSourceState::of_document(doc);
                     let remaining = source.map(|s| s.remaining() as usize);
-                    let job_ids = doc.get("job_ids").and_then(Value::as_array);
-                    let job_ids = job_ids.map_or(&[][..], Vec::as_slice);
-                    changes.push(Change::Evaluation { id, remaining, job_ids });
+                    changes.push(Change::Evaluation { id, remaining });
                 }
                 KIND_JOB => {
                     let Ok(job) = Id::parse_base32(id) else { continue };
@@ -647,24 +655,34 @@ impl ChronosControl {
 
     /// Fetches an evaluation.
     pub fn get_evaluation(&self, id: Id) -> CoreResult<Evaluation> {
-        self.fetch(KIND_EVALUATION, id, Evaluation::from_json)
+        self.with_members(self.fetch(KIND_EVALUATION, id, Evaluation::from_json)?)
     }
 
-    /// An evaluation's stored document, not decoded: its `job_ids` grow
-    /// with every claim, and the reads below need none of them.
+    /// `evaluation` with its members as its `job_ids`.
+    fn with_members(&self, mut evaluation: Evaluation) -> CoreResult<Evaluation> {
+        evaluation.job_ids =
+            self.job_order(evaluation.id)?.into_iter().map(Id::from_u128).collect();
+        Ok(evaluation)
+    }
+
+    /// An evaluation's stored document, not decoded: the reads below need
+    /// none of its fields but the ones they name.
     fn evaluation_document(&self, id: Id) -> CoreResult<Arc<Value>> {
         let document = self.store.get(KIND_EVALUATION, &id.to_base32());
         document.ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
     }
 
     /// The `GET /evaluations/:id` body: the evaluation's stored document
-    /// with its status roll-up under `"status"`. The document is the one
-    /// [`Evaluation::to_json`] wrote, served as stored rather than decoded
-    /// and encoded again, so the read costs a copy of what it answers with.
+    /// with its members under `"job_ids"` and its status roll-up under
+    /// `"status"`. The document is the one [`Evaluation::to_json`] wrote,
+    /// served as stored rather than decoded and encoded again, so the read
+    /// costs a copy of what it answers with.
     pub fn evaluation_detail(&self, id: Id) -> CoreResult<Value> {
         let status = self.evaluation_status(id)?;
-        let document = self.evaluation_document(id)?;
-        let mut detail = Value::clone(&document);
+        let members = self.job_order(id)?;
+        let mut detail = Value::clone(&*self.evaluation_document(id)?);
+        let members = members.into_iter().map(|job| Value::from(Id::from_u128(job).to_base32()));
+        detail.set("job_ids", Value::Array(members.collect()));
         detail.set("status", status.to_json());
         Ok(detail)
     }
@@ -681,7 +699,8 @@ impl ChronosControl {
     /// Evaluations of an experiment (all when `None`).
     pub fn list_evaluations(&self, experiment_id: Option<Id>) -> Vec<Evaluation> {
         let all = self.decode_all(KIND_EVALUATION, Evaluation::from_json);
-        all.filter(|e| experiment_id.is_none_or(|x| e.experiment_id == x)).collect()
+        let all = all.filter(|e| experiment_id.is_none_or(|x| e.experiment_id == x));
+        all.filter_map(|evaluation| self.with_members(evaluation).ok()).collect()
     }
 
     /// The state roll-up of an evaluation (paper Fig. 3b). Lazy evaluations
@@ -692,42 +711,9 @@ impl ChronosControl {
     /// is decoded and no job visited. `NotFound` for an unknown evaluation,
     /// and, naming the job, while one of its jobs is in a state the roll-up
     /// cannot count — a state it cannot read is an error, not a zero.
-    ///
-    /// The store shows a write's documents before its append returns, the
-    /// fold only after: an evaluation whose creating write is still in
-    /// flight is rolled up from its documents instead.
     pub fn evaluation_status(&self, id: Id) -> CoreResult<EvaluationStatus> {
-        match self.derived.status(id.as_u128()) {
-            Ok(status) => Ok(status),
-            Err(Uncounted::Job(job)) => Err(CoreError::not_found(KIND_JOB, Id::from_u128(job))),
-            Err(Uncounted::Evaluation) => self.walked_status(id),
-        }
-    }
-
-    /// The roll-up from the documents: the evaluation's `job_ids` walked,
-    /// one store read per job. `NotFound` as for
-    /// [`ChronosControl::evaluation_status`].
-    fn walked_status(&self, id: Id) -> CoreResult<EvaluationStatus> {
-        let evaluation = self.get_evaluation(id)?;
-        let mut status = EvaluationStatus::default();
-        for job_id in &evaluation.job_ids {
-            let state = self
-                .store
-                .get(KIND_JOB, &job_id.to_base32())
-                .as_deref()
-                .and_then(stored_job_state)
-                .ok_or_else(|| CoreError::not_found(KIND_JOB, job_id))?;
-            match state {
-                JobState::Scheduled => status.scheduled += 1,
-                JobState::Running => status.running += 1,
-                JobState::Finished => status.finished += 1,
-                JobState::Aborted => status.aborted += 1,
-                JobState::Failed => status.failed += 1,
-                JobState::Quarantined => status.quarantined += 1,
-            }
-        }
-        status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
-        Ok(status)
+        let status = self.folded(id, |derived| derived.status(id.as_u128()))?;
+        status.map_err(|job| CoreError::not_found(KIND_JOB, Id::from_u128(job)))
     }
 
     /// The roll-ups of every evaluation the fold has reached summed (the
@@ -738,15 +724,28 @@ impl ChronosControl {
         self.derived.totals().map_err(|job| CoreError::not_found(KIND_JOB, Id::from_u128(job)))
     }
 
-    /// The jobs of an evaluation in `job_ids` (creation) order, from the
-    /// membership [`ChronosControl::apply`] keeps — or, while the write
-    /// that created the evaluation is in flight, from its document.
-    /// `NotFound` for an unknown evaluation.
+    /// The jobs of an evaluation — those whose documents name it — in id
+    /// (creation) order, from the membership [`ChronosControl::apply`]
+    /// keeps. `NotFound` for an unknown evaluation.
     pub(crate) fn job_order(&self, id: Id) -> CoreResult<Vec<u128>> {
-        match self.derived.members(id.as_u128()) {
-            Some(members) => Ok(members),
-            None => Ok(self.get_evaluation(id)?.job_ids.iter().map(Id::as_u128).collect()),
+        self.folded(id, |derived| derived.members(id.as_u128()))
+    }
+
+    /// What `read` finds in the fold about an evaluation. The store shows a
+    /// write's documents before its append returns, the fold only after: an
+    /// evaluation only the store shows is one whose creating write is in
+    /// flight, so the read waits for it through an empty write and reads
+    /// the fold again. `NotFound` for an evaluation neither shows.
+    fn folded<T>(&self, id: Id, read: impl Fn(&Derived) -> Option<T>) -> CoreResult<T> {
+        let mut found = read(&self.derived);
+        if found.is_none() && self.store.get(KIND_EVALUATION, &id.to_base32()).is_some() {
+            // Never inside a write, where it would deadlock: every document
+            // visible there was folded before the last write's unlock.
+            debug_assert!(!WRITING.get(), "evaluation {id} is stored but not folded in a write");
+            self.write(|_| Ok(()))?;
+            found = read(&self.derived);
         }
+        found.ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
     }
 
     /// Fetches a job.
@@ -756,8 +755,8 @@ impl ChronosControl {
 
     /// Jobs of an evaluation, in creation order.
     pub fn list_jobs(&self, evaluation_id: Id) -> CoreResult<Vec<Job>> {
-        let evaluation = self.get_evaluation(evaluation_id)?;
-        evaluation.job_ids.iter().map(|id| self.get_job(*id)).collect()
+        let jobs = self.job_order(evaluation_id)?.into_iter();
+        jobs.map(|id| self.get_job(Id::from_u128(id))).collect()
     }
 
     /// Marks `job` claimed by deployment `by` and persists it.
@@ -859,7 +858,7 @@ impl ChronosControl {
             if let Some(frontier) = &mut source.frontier {
                 frontier.job_ids.push(job.id);
             }
-            evaluation.job_ids.push(job.id);
+            evaluation.job_ids.clear(); // the job names it; an older log's list goes
             evaluation.source = Some(source);
             tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
             return Self::claim(tx, job, deployment, idempotency_key).map(Some);
@@ -1139,7 +1138,17 @@ impl ChronosControl {
     }
 
     /// Compacts the metadata log (jobs accumulate log/timeline rewrites).
+    /// An evaluation document from an older log, which still lists its
+    /// jobs, is put again without them first.
     pub fn compact_store(&self) -> CoreResult<()> {
+        self.write(|tx| {
+            for mut evaluation in self.decode_all(KIND_EVALUATION, Evaluation::from_json) {
+                if !std::mem::take(&mut evaluation.job_ids).is_empty() {
+                    tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
+                }
+            }
+            Ok(())
+        })?;
         self.store.compact()
     }
 
@@ -1185,6 +1194,7 @@ mod tests {
     use crate::params::{ParamDef, ParamType};
     use chronos_json::obj;
     use chronos_util::MockClock;
+    use std::collections::BTreeMap;
 
     fn control_with_clock() -> (ChronosControl, MockClock) {
         let clock = MockClock::new(1_000_000);
@@ -1262,53 +1272,89 @@ mod tests {
         (control.create_evaluation(experiment.id).unwrap(), deployment)
     }
 
+    /// The roll-up of jobs in `states`, without a remainder.
+    fn tally(states: impl IntoIterator<Item = JobState>) -> EvaluationStatus {
+        let mut status = EvaluationStatus::default();
+        for state in states {
+            match state {
+                JobState::Scheduled => status.scheduled += 1,
+                JobState::Running => status.running += 1,
+                JobState::Finished => status.finished += 1,
+                JobState::Aborted => status.aborted += 1,
+                JobState::Failed => status.failed += 1,
+                JobState::Quarantined => status.quarantined += 1,
+            }
+        }
+        status
+    }
+
     /// The state peek of `evaluation_status` against the count a full
     /// decode of every job gives.
     fn assert_status_matches_full_decode(control: &ChronosControl, evaluation_id: Id) {
-        let mut decoded = EvaluationStatus::default();
-        for job in control.list_jobs(evaluation_id).unwrap() {
-            match job.state {
-                JobState::Scheduled => decoded.scheduled += 1,
-                JobState::Running => decoded.running += 1,
-                JobState::Finished => decoded.finished += 1,
-                JobState::Aborted => decoded.aborted += 1,
-                JobState::Failed => decoded.failed += 1,
-                JobState::Quarantined => decoded.quarantined += 1,
-            }
-        }
+        let jobs = control.list_jobs(evaluation_id).unwrap();
+        let mut decoded = tally(jobs.iter().map(|job| job.state));
         decoded.remaining =
             control.get_evaluation(evaluation_id).unwrap().source.map(|s| s.remaining() as usize);
         assert_eq!(control.evaluation_status(evaluation_id).unwrap(), decoded);
     }
 
-    /// Every evaluation's counters equal the walk of its `job_ids` (the
-    /// roll-up the counters replaced, their oracle), its membership its
-    /// `job_ids` and its detail body the decoded document's, the counters'
-    /// sums (`/stats`) equal the walks summed, and an unknown evaluation is
-    /// `NotFound`.
-    fn assert_derived_matches_walk(control: &ChronosControl, what: &str) {
+    /// Roll-ups summed as `/stats` sums them.
+    fn summed(statuses: impl IntoIterator<Item = EvaluationStatus>) -> EvaluationStatus {
         let mut sums = EvaluationStatus { remaining: Some(0), ..EvaluationStatus::default() };
-        for evaluation in control.list_evaluations(None) {
-            let walked = control.walked_status(evaluation.id).unwrap();
+        for status in statuses {
+            sums.scheduled += status.scheduled;
+            sums.running += status.running;
+            sums.finished += status.finished;
+            sums.aborted += status.aborted;
+            sums.failed += status.failed;
+            sums.quarantined += status.quarantined;
+            sums.remaining = sums.remaining.map(|sum| sum + status.remaining.unwrap_or(0));
+        }
+        sums
+    }
+
+    /// Every job document's id and state, grouped by the evaluation it
+    /// names, in id order: a scan of the store, the fold's oracle.
+    fn scanned_jobs(control: &ChronosControl) -> BTreeMap<Id, Vec<(Id, JobState)>> {
+        let mut scanned: BTreeMap<Id, Vec<(Id, JobState)>> = BTreeMap::new();
+        for (id, doc) in control.store.ids(KIND_JOB).iter().zip(control.store.list(KIND_JOB)) {
+            let Some(evaluation) = evaluation_of(&doc) else { continue };
+            let state = stored_job_state(&doc).expect("a readable state");
+            let job = (Id::parse_base32(id).unwrap(), state);
+            scanned.entry(Id::from_u128(evaluation)).or_default().push(job);
+        }
+        scanned
+    }
+
+    /// Every evaluation's membership equals the scan of the job documents
+    /// naming it, its counters their states and its detail body its
+    /// decoded document with the scanned ids; the counters' sums
+    /// (`/stats`) equal the scanned sums, no stored evaluation document
+    /// lists jobs, and an unknown evaluation is `NotFound`.
+    fn assert_derived_matches_scan(control: &ChronosControl, what: &str) {
+        let scanned = scanned_jobs(control);
+        let mut statuses = Vec::new();
+        for document in control.store.list(KIND_EVALUATION) {
+            assert_eq!(document.get("job_ids"), Some(&Value::Array(Vec::new())), "{what}");
+            let mut evaluation = Evaluation::from_json(&document).unwrap();
+            let jobs = scanned.get(&evaluation.id).map_or(&[][..], Vec::as_slice);
+            let mut status = tally(jobs.iter().map(|&(_, state)| state));
+            status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
             let counted = control.evaluation_status(evaluation.id).unwrap();
-            assert_eq!(counted, walked, "{what}: evaluation {}", evaluation.id);
+            assert_eq!(counted, status, "{what}: evaluation {}", evaluation.id);
+            evaluation.job_ids = jobs.iter().map(|&(job, _)| job).collect();
             let members: Vec<u128> = evaluation.job_ids.iter().map(Id::as_u128).collect();
             assert_eq!(control.job_order(evaluation.id).unwrap(), members, "{what}: members");
-            // The detail body serves the stored document: the bytes of
-            // the decoded evaluation encoded again.
+            assert_eq!(control.get_evaluation(evaluation.id).unwrap(), evaluation, "{what}");
+            // The detail body serves the stored document with the members
+            // in place: the bytes of the evaluation encoded again.
             let mut detail = evaluation.to_json();
-            detail.set("status", walked.to_json());
+            detail.set("status", status.to_json());
             let served = control.evaluation_detail(evaluation.id).unwrap();
             assert_eq!(served.to_string(), detail.to_string(), "{what}: detail");
-            sums.scheduled += walked.scheduled;
-            sums.running += walked.running;
-            sums.finished += walked.finished;
-            sums.aborted += walked.aborted;
-            sums.failed += walked.failed;
-            sums.quarantined += walked.quarantined;
-            sums.remaining = sums.remaining.map(|sum| sum + walked.remaining.unwrap_or(0));
+            statuses.push(status);
         }
-        assert_eq!(control.job_totals().unwrap(), sums, "{what}: /stats sums");
+        assert_eq!(control.job_totals().unwrap(), summed(statuses), "{what}: /stats sums");
         let unknown = control.evaluation_status(Id::generate());
         assert!(matches!(unknown, Err(CoreError::NotFound { .. })), "{what}: {unknown:?}");
     }
@@ -1478,9 +1524,9 @@ mod tests {
     /// leader's tables, those of `new` over the reopened log and those of a
     /// follower fed the feed in random cuts (torn tails included) are
     /// equal, row for row by job, to a rebuild from the row store, and
-    /// each side's job membership and job-state counters equal a walk of
-    /// its own documents — the follower's after every cut that installed
-    /// a frame.
+    /// each side's job membership and job-state counters equal a scan of
+    /// its own job documents — the follower's after every cut that
+    /// installed a frame.
     #[test]
     fn live_reopened_and_follower_tables_equal_a_rebuild() {
         for seed in [1u64, 20_261_017] {
@@ -1544,12 +1590,12 @@ mod tests {
                     let cut = rng.next_below(segment.len() as u64 + 1) as usize;
                     if follower.install_replication(&segment[..cut]).unwrap() > 0 {
                         let what = format!("seed {seed} step {step}: cut");
-                        assert_derived_matches_walk(&follower, &what);
+                        assert_derived_matches_scan(&follower, &what);
                     }
                 }
                 let reopened = ChronosControl::new(open(), Arc::new(clock.clone()), config.clone());
                 for (source, control) in [("leader", &leader), ("reopened", &reopened)] {
-                    assert_derived_matches_walk(
+                    assert_derived_matches_scan(
                         control,
                         &format!("seed {seed} step {step}: {source}"),
                     );
@@ -1925,9 +1971,9 @@ mod tests {
         assert!(matches!(control.abort_job(next.id), Err(CoreError::Conflict(_))));
         // Heartbeat on an aborted job fails.
         assert!(control.heartbeat(running.id, None, None).is_err());
-        // The counted roll-up agrees with a full decode and with the walk.
+        // The counted roll-up agrees with a full decode and with the scan.
         assert_status_matches_full_decode(&control, next.evaluation_id);
-        assert_derived_matches_walk(&control, "abort");
+        assert_derived_matches_scan(&control, "abort");
     }
 
     /// A job document in a state the roll-up cannot read — damaged, or
@@ -1953,38 +1999,273 @@ mod tests {
             };
             assert!(named(follower.evaluation_status(evaluation.id)));
             assert!(named(follower.job_totals()));
-            assert!(named(follower.walked_status(evaluation.id)), "the walk agrees");
         }
     }
 
     /// The store shows a write's documents before its append returns, the
-    /// fold only after. A reader in between finds an evaluation the
-    /// counters do not know yet: it reads the evaluation from its
-    /// documents, as listing it does, instead of `NotFound`.
+    /// fold only after. Readers racing a writer on a durable leader, and on
+    /// a follower installing its segments, list evaluations while their
+    /// creating writes are in flight: every evaluation the store shows
+    /// reads — status, detail, job order, summary — and is listed, never
+    /// `NotFound`.
     #[test]
-    #[allow(clippy::disallowed_methods)] // plants documents the fold has not reached
-    fn an_evaluation_whose_write_is_in_flight_reads_from_its_documents() {
-        let (control, _clock, evaluation, deployment) = demo_evaluation();
-        let finished = control.claim_next_job(deployment.id, None).unwrap().unwrap();
-        control.finish_job(finished.id, obj! { "total_ops" => 7 }, vec![], None, None).unwrap();
-        control.claim_next_job(deployment.id, None).unwrap().unwrap();
-        // The evaluation's document under a fresh id, in memory only.
-        let mut planted = control.get_evaluation(evaluation.id).unwrap();
-        planted.id = Id::generate();
-        control.store.put(KIND_EVALUATION, &planted.id.to_base32(), planted.to_json()).unwrap();
-        assert!(control.list_evaluations(None).iter().any(|listed| listed.id == planted.id));
-        let status = control.evaluation_status(evaluation.id).unwrap();
-        assert_eq!((status.finished, status.running), (1, 1));
-        assert_eq!(control.evaluation_status(planted.id).unwrap(), status);
-        assert_eq!(
-            control.job_order(planted.id).unwrap(),
-            control.job_order(evaluation.id).unwrap()
-        );
-        let detail = control.evaluation_detail(planted.id).unwrap();
-        assert_eq!(detail.get("status"), Some(&status.to_json()));
-        crate::analysis::summary_table(&control, planted.id).unwrap();
-        // The sums cover the evaluations the fold has reached.
-        assert_eq!(control.job_totals().unwrap().running, 1);
+    fn an_evaluation_read_while_its_write_is_in_flight_waits_for_it() {
+        let dir = std::env::temp_dir().join(format!("chronos-in-flight-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let open = |name: &str| {
+            let store = MetadataStore::open(&dir.join(name)).unwrap();
+            ChronosControl::new(store, Arc::new(SystemClock), SchedulerConfig::default())
+        };
+        let (leader, follower) = (open("leader.log"), open("follower.log"));
+        let system = demo_system(&leader);
+        let deployment = leader.create_deployment(system.id, "node", "1").unwrap();
+        let owner = leader.create_user("ada", "pw", Role::Member).unwrap();
+        let project = leader.create_project("p", "", owner.id).unwrap();
+        let assignments = ParamAssignments::new().sweep_all("engine");
+        let experiment =
+            leader.create_experiment(project.id, system.id, "e", "", assignments).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let read = |node: &ChronosControl| {
+            let mut reads = 0;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                // Newest first: the one whose write may still be in flight.
+                let shown: Vec<Id> = node
+                    .store
+                    .ids(KIND_EVALUATION)
+                    .iter()
+                    .rev()
+                    .map(|id| Id::parse_base32(id).unwrap())
+                    .collect();
+                for &id in &shown {
+                    node.evaluation_status(id).unwrap();
+                    node.evaluation_detail(id).unwrap();
+                    node.job_order(id).unwrap();
+                    crate::analysis::summary_table(node, id).unwrap();
+                    reads += 1;
+                }
+                let listed: Vec<Id> = node.list_evaluations(None).iter().map(|e| e.id).collect();
+                assert!(shown.iter().all(|id| listed.contains(id)), "{shown:?} vs {listed:?}");
+            }
+            reads
+        };
+        std::thread::scope(|scope| {
+            let readers = [scope.spawn(|| read(&leader)), scope.spawn(|| read(&follower))];
+            let shipper = scope.spawn(|| {
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    replicate(&leader, &follower);
+                }
+            });
+            for _ in 0..150 {
+                leader.create_evaluation(experiment.id).unwrap();
+                for _ in 0..2 {
+                    let job = leader.claim_next_job(deployment.id, None).unwrap().unwrap();
+                    let data = obj! {"throughput_ops_per_sec" => 1.0};
+                    leader.finish_job(job.id, data, vec![], None, None).unwrap();
+                }
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+            shipper.join().unwrap();
+            for reader in readers {
+                assert!(reader.join().unwrap() > 0, "a reader never read");
+            }
+        });
+        replicate(&leader, &follower);
+        assert_derived_matches_scan(&follower, "follower");
+        assert_eq!(follower.list_evaluations(None).len(), 150);
+        drop((leader, follower));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a log in the format that listed every evaluation's jobs in
+    /// its document: one lazy evaluation with points left and one eager
+    /// one, written before lazy evaluations and so without source fields,
+    /// over jobs in several states and the results of the finished ones.
+    /// Returns both evaluations as stored and a deployment that can claim.
+    #[allow(clippy::disallowed_methods)] // plants documents in the older format
+    fn plant_listed_log(path: &std::path::Path) -> (Evaluation, Evaluation, Id) {
+        let clock = Arc::new(MockClock::new(1_000_000));
+        let config = SchedulerConfig::default();
+        let control = ChronosControl::new(MetadataStore::open(path).unwrap(), clock, config);
+        let system = demo_system(&control);
+        let deployment = control.create_deployment(system.id, "node", "1").unwrap();
+        let owner = control.create_user("ada", "pw", Role::Member).unwrap();
+        let project = control.create_project("p", "", owner.id).unwrap();
+        let threads = (1..=3).map(Value::from).collect();
+        let assignments = ParamAssignments::new().sweep_all("engine").sweep("threads", threads);
+        let space = PointSpace::build(&assignments, &system.parameters).unwrap();
+        let experiment =
+            control.create_experiment(project.id, system.id, "e", "", assignments).unwrap();
+        let evaluation = |id: u128, jobs: [u128; 3], source| Evaluation {
+            id: Id::from_u128(id),
+            experiment_id: experiment.id,
+            job_ids: jobs.into_iter().map(Id::from_u128).collect(),
+            swept_params: vec!["engine".into(), "threads".into()],
+            created_at: 1_000_000,
+            source,
+        };
+        let source = JobSourceState::plan(Strategy::Grid, space.total());
+        let lazy = evaluation(100, [1, 3, 5], Some(JobSourceState { materialized: 3, ..source }));
+        let eager = evaluation(101, [2, 4, 6], None);
+        let states = [
+            JobState::Finished,
+            JobState::Finished,
+            JobState::Failed,
+            JobState::Aborted,
+            JobState::Running,
+            JobState::Finished,
+        ];
+        for (id, state) in (1..=6u128).zip(states) {
+            let (evaluation, point) =
+                ([&lazy, &eager][(id % 2 == 0) as usize], (id as u64 - 1) / 2);
+            let parameters = space.point_at(point).unwrap();
+            let mut job = Job::new(evaluation.id, system.id, parameters, 1_000_000);
+            (job.id, job.state) = (Id::from_u128(id), state);
+            job.point_index = evaluation.source.as_ref().map(|_| point);
+            if state == JobState::Finished {
+                let result = JobResult {
+                    id: Id::from_u128(1_000 + id),
+                    job_id: job.id,
+                    data: obj! {"throughput_ops_per_sec" => 10.5 * id as f64, "total_ops" => 7},
+                    archive: Vec::new(),
+                    created_at: 1_000_000,
+                };
+                job.result_id = Some(result.id);
+                control.store.put(KIND_RESULT, &result.id.to_base32(), result.to_json()).unwrap();
+            }
+            control.store.put(KIND_JOB, &job.id.to_base32(), job.to_json()).unwrap();
+        }
+        for evaluation in [&lazy, &eager] {
+            let id = evaluation.id.to_base32();
+            control.store.put(KIND_EVALUATION, &id, evaluation.to_json()).unwrap();
+        }
+        control.store.compact().unwrap();
+        (lazy, eager, deployment.id)
+    }
+
+    /// A log whose evaluation documents list their jobs reads as it did
+    /// when they were read from the lists — membership and its order,
+    /// status, detail bytes, `/stats` sums and the summary CSV — after a
+    /// reopen, after one more claim and after a compaction, which leaves
+    /// no evaluation document listing jobs.
+    #[test]
+    fn a_log_whose_evaluations_list_their_jobs_reads_as_before() {
+        let path =
+            std::env::temp_dir().join(format!("chronos-control-listed-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (lazy, eager, deployment) = plant_listed_log(&path);
+        let open = || {
+            let clock = Arc::new(MockClock::new(2_000_000));
+            ChronosControl::new(MetadataStore::open(&path).unwrap(), clock, Default::default())
+        };
+        // The reads from the lists: members as listed, the roll-up a walk
+        // of them and the detail body the listing document with it.
+        let assert_read_as_listed = |control: &ChronosControl, listed: [&Evaluation; 2]| {
+            let mut statuses = Vec::new();
+            for evaluation in listed {
+                let jobs = evaluation.job_ids.iter().map(|&job| control.get_job(job).unwrap());
+                let mut status = tally(jobs.map(|job| job.state));
+                status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
+                assert_eq!(control.evaluation_status(evaluation.id).unwrap(), status);
+                assert_eq!(control.get_evaluation(evaluation.id).unwrap(), *evaluation);
+                let jobs = control.list_jobs(evaluation.id).unwrap();
+                assert_eq!(jobs.iter().map(|job| job.id).collect::<Vec<_>>(), evaluation.job_ids);
+                let mut detail = evaluation.to_json();
+                detail.set("status", status.to_json());
+                let served = control.evaluation_detail(evaluation.id).unwrap();
+                assert_eq!(served.to_string(), detail.to_string());
+                statuses.push(status);
+            }
+            assert_eq!(control.job_totals().unwrap(), summed(statuses));
+            let csv = |id| crate::analysis::summary_csv(control, id).unwrap();
+            assert_eq!(csv(lazy.id), LISTED_LAZY_CSV);
+            assert_eq!(csv(eager.id), LISTED_EAGER_CSV);
+        };
+        let listed_jobs = |control: &ChronosControl| {
+            let documents = control.store.list(KIND_EVALUATION);
+            documents.iter().map(|doc| doc.get("job_ids").unwrap().to_string().len()).sum::<usize>()
+        };
+        let control = open();
+        assert_read_as_listed(&control, [&lazy, &eager]);
+        let job = control.claim_next_job(deployment, None).unwrap().unwrap();
+        assert_eq!(job.evaluation_id, lazy.id);
+        // What the list became: the claimed job at its end, one more point
+        // materialized.
+        let mut claimed = lazy.clone();
+        claimed.job_ids.push(job.id);
+        claimed.source.as_mut().unwrap().advance();
+        assert_read_as_listed(&control, [&claimed, &eager]);
+        let eager_list = eager.to_json().get("job_ids").unwrap().to_string();
+        assert_eq!(listed_jobs(&control), "[]".len() + eager_list.len(), "a claim listed jobs");
+        control.compact_store().unwrap();
+        assert_read_as_listed(&control, [&claimed, &eager]);
+        assert_eq!(listed_jobs(&control), 2 * "[]".len(), "a compacted document lists jobs");
+        drop(control);
+        let reopened = open();
+        assert_read_as_listed(&reopened, [&claimed, &eager]);
+        assert_derived_matches_scan(&reopened, "compacted");
+        drop(reopened);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The summary CSVs of [`plant_listed_log`]'s evaluations, as served
+    /// while membership was read from the lists.
+    const LISTED_LAZY_CSV: &str = "job_id,engine,threads,execution_time_millis,\
+        throughput_ops_per_sec,total_ops,total_errors,read_latency_p99_micros,\
+        update_latency_p99_micros\n00000000000000000000000001,wiredtiger,1,,10.5,7,,,\n";
+    const LISTED_EAGER_CSV: &str = "job_id,engine,threads,execution_time_millis,\
+        throughput_ops_per_sec,total_ops,total_errors,read_latency_p99_micros,\
+        update_latency_p99_micros\n00000000000000000000000002,wiredtiger,1,,21.0,7,,,\n\
+        00000000000000000000000006,wiredtiger,3,,63.0,7,,,\n";
+
+    /// A claim logs what it changes, not what its evaluation holds: over
+    /// 1 000 claims of one lazy evaluation, the evaluation document a claim
+    /// logs does not grow but for the digits of its `materialized` count,
+    /// and neither do the bytes a claim appends.
+    #[test]
+    fn a_claim_logs_the_same_bytes_however_many_jobs_came_before() {
+        let path = std::env::temp_dir()
+            .join(format!("chronos-control-claim-bytes-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let clock = Arc::new(MockClock::new(1_000_000));
+        let store = MetadataStore::open(&path).unwrap();
+        let control = ChronosControl::new(store, clock, SchedulerConfig::default());
+        let n = ParamType::Interval { min: 1, max: 1_000, step: 1 };
+        let n = ParamDef::new("n", "points", n, Value::from(1)).unwrap();
+        let system = control.register_system("wide", "", vec![n], vec![]).unwrap();
+        let deployment = control.create_deployment(system.id, "node", "1").unwrap();
+        let owner = control.create_user("ada", "pw", Role::Member).unwrap();
+        let project = control.create_project("p", "", owner.id).unwrap();
+        let assignments =
+            ParamAssignments::new().sweep("n", (1..=1_000).map(Value::from).collect());
+        let experiment =
+            control.create_experiment(project.id, system.id, "e", "", assignments).unwrap();
+        control.create_evaluation(experiment.id).unwrap();
+        let log_bytes = || std::fs::metadata(&path).unwrap().len();
+        // The evaluation document in the log's last record: a claim's.
+        let evaluation_logged = || {
+            let log = std::fs::read_to_string(&path).unwrap();
+            let frame = chronos_json::parse(log.lines().next_back().unwrap()).unwrap();
+            let puts = frame.get("puts").and_then(Value::as_array).unwrap();
+            let kind = |put: &&Value| put.get("kind").and_then(Value::as_str) == Some("evaluation");
+            puts.iter().find(kind).and_then(|put| put.get("doc")).unwrap().to_string().len()
+        };
+        let (mut appended, mut end) = (Vec::new(), log_bytes());
+        let mut first = 0;
+        for claim in 1..=1_000 {
+            control.claim_next_job(deployment.id, None).unwrap().unwrap();
+            appended.push(log_bytes() - end);
+            end = log_bytes();
+            if claim == 1 {
+                first = evaluation_logged();
+            }
+        }
+        let last = evaluation_logged();
+        assert!(last <= first + "1000".len() - "1".len(), "{first} -> {last} bytes");
+        let mean = |claims: &[u64]| claims.iter().sum::<u64>() as f64 / claims.len() as f64;
+        let (early, late) = (mean(&appended[..100]), mean(&appended[900..]));
+        assert!(late <= early * 1.05, "a claim appends {early} then {late} bytes");
+        drop(control);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2267,7 +2548,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            assert_derived_matches_walk(control, "adaptive");
+            assert_derived_matches_scan(control, "adaptive");
         }
         let evaluation = control.get_evaluation(evaluation.id).unwrap();
         let frontier = evaluation.source.unwrap().frontier.unwrap();

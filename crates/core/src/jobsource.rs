@@ -271,10 +271,10 @@ impl JobSourceState {
     }
 
     /// The source of a stored evaluation document, decoded without its
-    /// `job_ids` (which grow with every claim): what the fold reads on
-    /// every put of an evaluation. `None` as for
-    /// [`JobSourceState::from_dto`], and when a source field does not
-    /// decode.
+    /// `job_ids`: what the fold reads on every put of an evaluation. `None`
+    /// as for [`JobSourceState::from_dto`], and when a source field does
+    /// not decode. Counting `job_ids` for a missing `materialized` serves
+    /// only documents from older logs: no write lists jobs any more.
     pub(crate) fn of_document(doc: &Value) -> Option<JobSourceState> {
         let source = dto::EvaluationDto::decode_source(doc).ok()?;
         let jobs = doc.get("job_ids").and_then(Value::as_array).map_or(0, Vec::len);
