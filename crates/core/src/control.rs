@@ -12,11 +12,9 @@
 //! only writer of the metadata store — so preconditions are checked under
 //! the lock they are written under. The closure's puts reach the store as
 //! one record after it returned `Ok`. Everything else — the columnar
-//! tables, each evaluation's jobs and their state counters, and the
-//! versions — is derived from the documents that reached memory by one
-//! function, [`ChronosControl::apply`], still locked. An evaluation's jobs
-//! are the job documents that name it, in id order; its own document lists
-//! none.
+//! tables, each evaluation's jobs (the job documents that name it) and
+//! state counters, and the versions — is derived from the documents that
+//! reached memory by one function, [`ChronosControl::apply`], still locked.
 
 use std::sync::Arc;
 
@@ -659,30 +657,26 @@ impl ChronosControl {
     }
 
     /// `evaluation` with its members as its `job_ids`.
-    fn with_members(&self, mut evaluation: Evaluation) -> CoreResult<Evaluation> {
-        evaluation.job_ids =
-            self.job_order(evaluation.id)?.into_iter().map(Id::from_u128).collect();
-        Ok(evaluation)
+    fn with_members(&self, evaluation: Evaluation) -> CoreResult<Evaluation> {
+        let job_ids = self.job_order(evaluation.id)?.into_iter().map(Id::from_u128).collect();
+        Ok(Evaluation { job_ids, ..evaluation })
     }
 
-    /// An evaluation's stored document, not decoded: the reads below need
-    /// none of its fields but the ones they name.
+    /// An evaluation's stored document, not decoded.
     fn evaluation_document(&self, id: Id) -> CoreResult<Arc<Value>> {
         let document = self.store.get(KIND_EVALUATION, &id.to_base32());
         document.ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
     }
 
-    /// The `GET /evaluations/:id` body: the evaluation's stored document
-    /// with its members under `"job_ids"` and its status roll-up under
-    /// `"status"`. The document is the one [`Evaluation::to_json`] wrote,
-    /// served as stored rather than decoded and encoded again, so the read
-    /// costs a copy of what it answers with.
+    /// The `GET /evaluations/:id` body: the stored document — the one
+    /// [`Evaluation::to_json`] wrote, copied rather than decoded and encoded
+    /// again — with its members under `"job_ids"` and its status roll-up
+    /// under `"status"`.
     pub fn evaluation_detail(&self, id: Id) -> CoreResult<Value> {
         let status = self.evaluation_status(id)?;
-        let members = self.job_order(id)?;
+        let ids = self.folded(id, |fold| fold.members(id.as_u128(), |_, text| text.into()))?;
         let mut detail = Value::clone(&*self.evaluation_document(id)?);
-        let members = members.into_iter().map(|job| Value::from(Id::from_u128(job).to_base32()));
-        detail.set("job_ids", Value::Array(members.collect()));
+        detail.set("job_ids", Value::Array(ids));
         detail.set("status", status.to_json());
         Ok(detail)
     }
@@ -724,18 +718,15 @@ impl ChronosControl {
         self.derived.totals().map_err(|job| CoreError::not_found(KIND_JOB, Id::from_u128(job)))
     }
 
-    /// The jobs of an evaluation — those whose documents name it — in id
-    /// (creation) order, from the membership [`ChronosControl::apply`]
-    /// keeps. `NotFound` for an unknown evaluation.
+    /// The jobs naming an evaluation, in id (creation) order, from the
+    /// membership [`ChronosControl::apply`] keeps; `NotFound` if unknown.
     pub(crate) fn job_order(&self, id: Id) -> CoreResult<Vec<u128>> {
-        self.folded(id, |derived| derived.members(id.as_u128()))
+        self.folded(id, |derived| derived.members(id.as_u128(), |job, _| job))
     }
 
-    /// What `read` finds in the fold about an evaluation. The store shows a
-    /// write's documents before its append returns, the fold only after: an
-    /// evaluation only the store shows is one whose creating write is in
-    /// flight, so the read waits for it through an empty write and reads
-    /// the fold again. `NotFound` for an evaluation neither shows.
+    /// What `read` finds in the fold about an evaluation. One only the store
+    /// shows (which it does before the fold) has its creating write in
+    /// flight: an empty write waits that out. `NotFound` if neither shows.
     fn folded<T>(&self, id: Id, read: impl Fn(&Derived) -> Option<T>) -> CoreResult<T> {
         let mut found = read(&self.derived);
         if found.is_none() && self.store.get(KIND_EVALUATION, &id.to_base32()).is_some() {
@@ -1137,9 +1128,8 @@ impl ChronosControl {
         }
     }
 
-    /// Compacts the metadata log (jobs accumulate log/timeline rewrites).
-    /// An evaluation document from an older log, which still lists its
-    /// jobs, is put again without them first.
+    /// Compacts the metadata log (jobs accumulate log/timeline rewrites),
+    /// first putting an older log's evaluation documents without job ids.
     pub fn compact_store(&self) -> CoreResult<()> {
         self.write(|tx| {
             for mut evaluation in self.decode_all(KIND_EVALUATION, Evaluation::from_json) {

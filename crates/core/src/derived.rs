@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 
+use chronos_util::Id;
 use parking_lot::RwLock;
 
 use crate::model::JobState;
@@ -36,6 +37,9 @@ pub(crate) enum Change {
     /// names no evaluation, which removes the job from the counts.
     Job { id: u128, placed: Option<(u128, Option<JobState>)> },
 }
+
+/// The length of an id's base32 form.
+const BASE32: usize = 26;
 
 /// The counter slot of jobs in a state the roll-up cannot count.
 const UNREADABLE: usize = 6;
@@ -62,6 +66,8 @@ struct Members {
     states: [usize; 7],
     /// Their ids, in order.
     ids: Vec<u128>,
+    /// Their base32 forms, [`BASE32`] bytes each, for detail reads to copy.
+    text: String,
 }
 
 fn slot(state: Option<JobState>) -> usize {
@@ -110,8 +116,10 @@ impl Derived {
                     if let Some((evaluation, state)) = before {
                         let members = maps.members.entry(evaluation).or_default();
                         members.states[slot(state)] -= 1;
-                        if placed.is_none_or(|(to, _)| to != evaluation) {
-                            members.ids.retain(|&job| job != id);
+                        let moved = placed.is_none_or(|(to, _)| to != evaluation);
+                        if let (true, Ok(at)) = (moved, members.ids.binary_search(&id)) {
+                            members.ids.remove(at);
+                            members.text.replace_range(at * BASE32..(at + 1) * BASE32, "");
                         }
                     }
                     if let Some((evaluation, state)) = placed {
@@ -119,6 +127,7 @@ impl Derived {
                         members.states[slot(state)] += 1;
                         if let Err(at) = members.ids.binary_search(&id) {
                             members.ids.insert(at, id);
+                            members.text.insert_str(at * BASE32, &Id::from_u128(id).to_base32());
                         }
                     }
                 }
@@ -154,12 +163,14 @@ impl Derived {
         Ok(EvaluationStatus { remaining: Some(remaining), ..total })
     }
 
-    /// The jobs of one evaluation in id (creation) order; `None` for an
-    /// unknown one.
-    pub(crate) fn members(&self, id: u128) -> Option<Vec<u128>> {
+    /// `each` of the jobs of one evaluation, given its id and its base32
+    /// form, in id (creation) order; `None` for an unknown evaluation.
+    pub(crate) fn members<T>(&self, id: u128, each: impl Fn(u128, &str) -> T) -> Option<Vec<T>> {
         let maps = self.0.read();
         maps.evaluations.get(&id)?;
-        Some(maps.members.get(&id).map_or_else(Vec::new, |members| members.ids.clone()))
+        let (ids, text) = maps.members.get(&id).map_or((&[][..], ""), |m| (&m.ids[..], &m.text));
+        let texts = (0..).map(|i| &text[i * BASE32..][..BASE32]);
+        Some(ids.iter().zip(texts).map(|(&job, text)| each(job, text)).collect())
     }
 }
 
@@ -174,6 +185,10 @@ mod tests {
 
     fn evaluation(id: u128, remaining: usize) -> Change {
         Change::Evaluation { id, remaining: Some(remaining) }
+    }
+
+    fn ids(derived: &Derived, evaluation: u128) -> Option<Vec<u128>> {
+        derived.members(evaluation, |job, _| job)
     }
 
     #[test]
@@ -194,7 +209,7 @@ mod tests {
         // Jobs of an evaluation whose document was never put are counted
         // but neither read nor summed.
         derived.fold(&[job(12, 2, JobState::Running)]);
-        assert_eq!((derived.status(2), derived.members(2)), (None, None));
+        assert_eq!((derived.status(2), ids(&derived, 2)), (None, None));
         let totals = derived.totals().unwrap();
         assert_eq!((totals.running, totals.finished, totals.remaining), (0, 1, Some(3)));
     }
@@ -220,16 +235,19 @@ mod tests {
         let derived = Derived::default();
         derived.fold(&[job(3, 1, JobState::Running), evaluation(1, 0)]);
         derived.fold(&[job(1, 1, JobState::Scheduled), job(2, 1, JobState::Scheduled)]);
-        assert_eq!(derived.members(1), Some(vec![1, 2, 3]), "id order, not put order");
+        assert_eq!(ids(&derived, 1), Some(vec![1, 2, 3]), "id order, not put order");
+        let texts =
+            derived.members(1, |job, text| Id::parse_base32(text).unwrap().as_u128() == job);
+        assert_eq!(texts, Some(vec![true; 3]), "each beside its base32 form");
         derived.fold(&[job(2, 1, JobState::Running), job(2, 1, JobState::Finished)]);
-        assert_eq!(derived.members(1), Some(vec![1, 2, 3]), "a later put adds nothing");
+        assert_eq!(ids(&derived, 1), Some(vec![1, 2, 3]), "a later put adds nothing");
         derived.fold(&[job(1, 2, JobState::Scheduled), Change::Job { id: 3, placed: None }]);
-        assert_eq!(derived.members(1), Some(vec![2]), "moved and unplaced jobs leave");
-        assert_eq!(derived.members(2), None, "an unknown evaluation has no members");
+        assert_eq!(ids(&derived, 1), Some(vec![2]), "moved and unplaced jobs leave");
+        assert_eq!(ids(&derived, 2), None, "an unknown evaluation has no members");
         derived.fold(&[evaluation(2, 0)]);
-        assert_eq!(derived.members(2), Some(vec![1]), "jobs put before their evaluation count");
+        assert_eq!(ids(&derived, 2), Some(vec![1]), "jobs put before their evaluation count");
         derived.fold(&[evaluation(3, 5)]);
-        assert_eq!(derived.members(3), Some(vec![]));
+        assert_eq!(ids(&derived, 3), Some(vec![]));
         assert_eq!(derived.status(3).unwrap().unwrap().remaining, Some(5));
     }
 }
