@@ -16,6 +16,7 @@ use parking_lot::Mutex;
 
 use chronos_json::Value;
 
+use crate::server::MAX_BODY_BYTES;
 use crate::types::{Headers, Method, Request, Response, Status};
 
 /// Errors produced by the HTTP client.
@@ -209,7 +210,7 @@ impl Client {
         if let Some(inj) = chronos_util::fail_eval!("http.client.recv") {
             return Err(ClientError::Io(std::io::Error::other(injected_msg(inj, "recv"))));
         }
-        let (response, keep_alive) = read_response(&mut conn)?;
+        let (response, keep_alive) = read_response(&mut conn, request.method)?;
         Ok((response, if keep_alive { Some(conn) } else { None }))
     }
 }
@@ -225,7 +226,13 @@ fn injected_msg(inj: chronos_util::fail::Injected, what: &str) -> String {
     }
 }
 
-fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(Response, bool), ClientError> {
+/// Reads one response to a `method` request. A response to `HEAD`, and a
+/// 1xx, 204 or 304 one, ends at its header block whatever its
+/// `Content-Length` says (RFC 9112 §6.3); any other body must arrive whole.
+fn read_response(
+    reader: &mut BufReader<TcpStream>,
+    method: Method,
+) -> Result<(Response, bool), ClientError> {
     let mut status_line = String::new();
     let n = reader.read_line(&mut status_line)?;
     if n == 0 {
@@ -252,11 +259,20 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(Response, bool), 
             headers.add(name.trim(), value.trim());
         }
     }
-    let content_length: usize =
-        headers.get("content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body)?;
+    let bodiless = method == Method::Head || matches!(code, 100..=199 | 204 | 304);
+    let content_length: usize = match headers.get("content-length") {
+        Some(v) if !bodiless => v.parse().unwrap_or(0),
+        _ => 0,
+    };
+    // The declared length comes from the peer: it sizes the first
+    // allocation only up to the largest body the server accepts.
+    let mut body = Vec::with_capacity(content_length.min(MAX_BODY_BYTES));
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("response body ended after {} of {content_length} bytes", body.len()),
+        )));
     }
     let keep_alive = !headers.get("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
     Ok((Response { status: Status(code), headers, body }, keep_alive))
@@ -471,6 +487,51 @@ mod tests {
             "idle cache exceeded its cap: {}",
             client.idle_connections()
         );
+    }
+
+    #[test]
+    fn head_reads_no_body_and_the_connection_serves_on() {
+        // A router-style handler: GET only, so HEAD gets a 405 whose
+        // Content-Length counts an error body the server never sends.
+        let server = Server::new()
+            .workers(2)
+            .serve("127.0.0.1:0", |req| match req.method {
+                Method::Get => Response::text(Status::OK, "version 1"),
+                _ => Response::error(Status::METHOD_NOT_ALLOWED, "method not allowed"),
+            })
+            .unwrap();
+        let client = Client::new(&server.base_url()).with_timeout(Duration::from_secs(5));
+        let start = std::time::Instant::now();
+        let head = client.send(Request::new(Method::Head, "/version")).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(2), "HEAD took {:?}", start.elapsed());
+        assert_eq!(head.status, Status::METHOD_NOT_ALLOWED);
+        assert!(head.body.is_empty());
+        assert_ne!(head.headers.get("content-length"), Some("0"), "the length is the GET's");
+        assert_eq!(client.get("/version").unwrap().body, b"version 1");
+        assert_eq!(server.metrics().accepted.get(), 1, "HEAD and GET share one connection");
+    }
+
+    #[test]
+    fn short_body_is_an_error() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = std::thread::spawn(move || {
+            use std::io::Write as _;
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 2 {
+                line.clear();
+            }
+            let reply = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort";
+            reader.get_mut().write_all(reply).unwrap();
+        });
+        let client = Client::new(&format!("http://{addr}"));
+        match client.get("/x") {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("a 5-byte body declared as 10 read as {other:?}"),
+        }
+        stub.join().unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! [`TICK_MS`] and drains the completion queue on every iteration, so a
 //! lost wakeup costs latency, never a stuck response.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
@@ -39,9 +39,7 @@ use chronos_util::ThreadPool;
 use parking_lot::Mutex;
 
 use crate::parser::{ParseError, ParsedRequest, RequestParser};
-use crate::server::{
-    serialize_response, ServerMetrics, Shared, PHASE_DRAINING, PHASE_RUNNING, PHASE_STOPPED,
-};
+use crate::server::{ServerMetrics, Shared, PHASE_DRAINING, PHASE_RUNNING, PHASE_STOPPED};
 use crate::sys::linux::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::types::{Method, Request, Response, Status};
 use crate::types::{CODE_DRAINING, CODE_OVERLOADED, CODE_REQUEST_TIMEOUT};
@@ -90,7 +88,7 @@ enum ConnState {
     ReadingBody,
     /// A complete request is on the worker pool; socket interest is off.
     Dispatched,
-    /// Serialized response partially written; resumes on `EPOLLOUT`.
+    /// Response partially written; resumes on `EPOLLOUT`.
     WritingResponse,
     /// Between requests on a keep-alive connection.
     KeepAliveIdle,
@@ -100,8 +98,11 @@ struct Conn {
     stream: TcpStream,
     state: ConnState,
     parser: RequestParser,
-    /// Serialized response being written, and how much of it already went out.
-    out: Vec<u8>,
+    /// Response being written: the serialized head, the handler's body
+    /// (moved, not copied; empty for `HEAD`), and how many bytes of the
+    /// two together already went out.
+    head: Vec<u8>,
+    body: Vec<u8>,
     out_pos: usize,
     /// Current epoll interest set (to skip redundant `EPOLL_CTL_MOD`s).
     interest: u32,
@@ -360,13 +361,13 @@ where
     fn shed(&mut self, stream: TcpStream, status: Status, code: &str, message: &str) {
         let response =
             Response::error_named(status, code, message).with_retry_after(self.cfg.retry_after);
-        let bytes = serialize_response(&response, false, Method::Get);
         // Interest starts empty: a shed connection's inbound bytes are
         // irrelevant and must not busy-loop the level-triggered poll.
         let Some(slot) = self.register(stream, 0) else { return };
         {
             let conn = self.conns[slot].as_mut().expect("slot just registered");
-            conn.out = bytes;
+            conn.head = serialize_head(&response, false);
+            conn.body = response.body;
             conn.state = ConnState::WritingResponse;
             conn.close_after_write = true;
         }
@@ -396,7 +397,8 @@ where
             stream,
             state: ConnState::ReadingHeaders,
             parser: RequestParser::new(),
-            out: Vec::new(),
+            head: Vec::new(),
+            body: Vec::new(),
             out_pos: 0,
             interest,
             admitted: false,
@@ -532,7 +534,7 @@ where
             ParseError::BadRequest(msg) => Response::error(Status::BAD_REQUEST, msg),
             ParseError::TooLarge => Response::error(Status::PAYLOAD_TOO_LARGE, "request too large"),
         };
-        self.start_write(slot, &response, Method::Get, false);
+        self.start_write(slot, response, Method::Get, false);
     }
 
     /// Hands a complete request to the worker pool. The connection's socket
@@ -593,15 +595,19 @@ where
         )
         .with_retry_after(self.cfg.retry_after);
         let keep = keep_alive && self.shared.phase() == PHASE_RUNNING;
-        self.start_write(slot, &response, method, keep);
+        self.start_write(slot, response, method, keep);
     }
 
-    /// Serializes `response` and begins (or finishes) writing it out.
-    fn start_write(&mut self, slot: usize, response: &Response, method: Method, keep_alive: bool) {
-        let bytes = serialize_response(response, keep_alive, method);
+    /// Serializes the head of `response`, moves its body into the
+    /// connection (a `HEAD` response advertises the length but sends no
+    /// body), and begins (or finishes) writing them out.
+    fn start_write(&mut self, slot: usize, response: Response, method: Method, keep_alive: bool) {
+        let head = serialize_head(&response, keep_alive);
+        let body = if method == Method::Head { Vec::new() } else { response.body };
         {
             let Some(conn) = self.conns[slot].as_mut() else { return };
-            conn.out = bytes;
+            conn.head = head;
+            conn.body = body;
             conn.out_pos = 0;
             conn.state = ConnState::WritingResponse;
             conn.close_after_write = !keep_alive;
@@ -613,8 +619,10 @@ where
         self.try_write(slot);
     }
 
-    /// Writes as much pending output as the socket accepts; on `WouldBlock`
-    /// subscribes to `EPOLLOUT` and resumes when the peer drains its side.
+    /// Writes as much pending output as the socket accepts, head and body
+    /// in one vectored write; on `WouldBlock` subscribes to `EPOLLOUT` and
+    /// resumes when the peer drains its side, at whatever offset the last
+    /// write stopped (inside the head or the body).
     fn try_write(&mut self, slot: usize) {
         enum Outcome {
             Done,
@@ -624,19 +632,27 @@ where
         loop {
             let outcome = {
                 let Some(conn) = self.conns[slot].as_mut() else { return };
-                if conn.out_pos >= conn.out.len() {
+                let (head, body) = pending(&conn.head, &conn.body, conn.out_pos);
+                if head.is_empty() && body.is_empty() {
                     Outcome::Done
                 } else {
                     match chronos_util::fail_eval!("http.reactor.write") {
                         Some(Injected::Torn { keep }) => {
-                            // Torn write: part of the response escapes, then
-                            // the connection dies.
-                            let end = (conn.out_pos + keep).min(conn.out.len());
-                            let _ = conn.stream.write(&conn.out[conn.out_pos..end]);
+                            // Torn write: the next `keep` bytes of the
+                            // response (head, then body) escape, then the
+                            // connection dies.
+                            let head = &head[..keep.min(head.len())];
+                            let body = &body[..(keep - head.len()).min(body.len())];
+                            let _ = conn
+                                .stream
+                                .write_vectored(&[IoSlice::new(head), IoSlice::new(body)]);
                             Outcome::Fatal
                         }
                         Some(_) => Outcome::Fatal,
-                        None => match conn.stream.write(&conn.out[conn.out_pos..]) {
+                        None => match conn
+                            .stream
+                            .write_vectored(&[IoSlice::new(head), IoSlice::new(body)])
+                        {
                             Ok(0) => Outcome::Fatal,
                             Ok(n) => {
                                 conn.out_pos += n;
@@ -681,7 +697,9 @@ where
     fn finish_write(&mut self, slot: usize) {
         let close_now = {
             let Some(conn) = self.conns[slot].as_mut() else { return };
-            conn.out = Vec::new(); // release a possibly large response buffer
+            // Release a possibly large response body.
+            conn.head = Vec::new();
+            conn.body = Vec::new();
             conn.out_pos = 0;
             conn.deadline = None;
             conn.close_after_write
@@ -749,7 +767,7 @@ where
             // drain that began while the handler ran turns into a polite
             // `Connection: close`.
             let keep = completion.keep_alive && self.shared.phase() == PHASE_RUNNING;
-            self.start_write(slot, &response, completion.method, keep);
+            self.start_write(slot, response, completion.method, keep);
         }
     }
 
@@ -787,7 +805,7 @@ where
                         CODE_REQUEST_TIMEOUT,
                         "request header or body not completed in time",
                     );
-                    self.start_write(slot, &response, Method::Get, false);
+                    self.start_write(slot, response, Method::Get, false);
                 } else {
                     // Never sent a byte: nothing useful to say.
                     self.close(slot);
@@ -819,5 +837,75 @@ where
                 self.close(slot);
             }
         }
+    }
+}
+
+/// Serializes the status line and headers of `response`, through the blank
+/// line that ends them. `Content-Length` counts the body even where none
+/// follows (`HEAD`).
+fn serialize_head(response: &Response, keep_alive: bool) -> Vec<u8> {
+    let headers: usize =
+        response.headers.iter().map(|(name, value)| name.len() + value.len() + 4).sum();
+    let mut head = Vec::with_capacity(headers + 112);
+    write!(head, "HTTP/1.1 {} {}\r\n", response.status.0, response.status.reason())
+        .expect("writing to a Vec cannot fail");
+    for (name, value) in response.headers.iter() {
+        head.extend_from_slice(name.as_bytes());
+        head.extend_from_slice(b": ");
+        head.extend_from_slice(value.as_bytes());
+        head.extend_from_slice(b"\r\n");
+    }
+    write!(head, "Content-Length: {}\r\n", response.body.len())
+        .expect("writing to a Vec cannot fail");
+    head.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n\r\n"
+    } else {
+        b"Connection: close\r\n\r\n"
+    });
+    head
+}
+
+/// What is left to send of a response written as `head` then `body`, once
+/// `sent` bytes of the two together went out.
+fn pending<'a>(head: &'a [u8], body: &'a [u8], sent: usize) -> (&'a [u8], &'a [u8]) {
+    match head.get(sent..) {
+        Some(rest) => (rest, body),
+        None => (&[], body.get(sent - head.len()..).unwrap_or_default()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pending_resumes_at_every_offset_across_head_and_body() {
+        let head = b"HTTP/1.1 200 OK\r\n\r\n";
+        for body in [&b""[..], b"x", b"hello"] {
+            let whole = [&head[..], body].concat();
+            for sent in 0..=whole.len() {
+                let (h, b) = pending(head, body, sent);
+                assert_eq!([h, b].concat(), &whole[sent..], "sent {sent} of {}", whole.len());
+                // The head goes out before any body byte.
+                assert!(h.is_empty() || b == body, "sent {sent}");
+            }
+        }
+    }
+
+    #[test]
+    fn head_counts_the_body_and_ends_the_header_block() {
+        let mut response = Response::text(Status::OK, "hello");
+        response.headers.set("ETag", "\"v1\"");
+        let head = serialize_head(&response, true);
+        assert_eq!(
+            String::from_utf8(head).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nETag: \"v1\"\r\n\
+             Content-Length: 5\r\nConnection: keep-alive\r\n\r\n"
+        );
+        let head = serialize_head(&Response::status(Status::NOT_MODIFIED), false);
+        assert_eq!(
+            String::from_utf8(head).unwrap(),
+            "HTTP/1.1 304 Not Modified\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        );
     }
 }

@@ -41,7 +41,7 @@ use chronos_json::{obj, Value};
 use chronos_metrics::{Counter, Gauge};
 use chronos_util::ThreadPool;
 
-use crate::types::{Method, Request, Response};
+use crate::types::{Request, Response};
 
 /// Maximum accepted request body (64 MiB — result zips can be large).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
@@ -385,23 +385,6 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Serializes a response to the exact bytes that go on the wire (HEAD
-/// responses advertise the length but carry no body).
-pub(crate) fn serialize_response(response: &Response, keep_alive: bool, method: Method) -> Vec<u8> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", response.status.0, response.status.reason());
-    for (name, value) in response.headers.iter() {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n", response.body.len()));
-    head.push_str(if keep_alive { "Connection: keep-alive\r\n" } else { "Connection: close\r\n" });
-    head.push_str("\r\n");
-    let mut bytes = head.into_bytes();
-    if method != Method::Head {
-        bytes.extend_from_slice(&response.body);
-    }
-    bytes
 }
 
 #[cfg(test)]

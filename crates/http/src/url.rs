@@ -1,5 +1,7 @@
 //! Percent-encoding and query-string handling.
 
+use std::borrow::Cow;
+
 /// Percent-encodes a path segment or query component (RFC 3986 unreserved
 /// characters pass through; everything else is `%XX`-encoded).
 pub fn encode_component(s: &str) -> String {
@@ -19,6 +21,32 @@ pub fn encode_component(s: &str) -> String {
 /// Malformed escapes pass through literally rather than erroring — the REST
 /// API treats them as opaque text.
 pub fn decode_component(s: &str) -> String {
+    percent_decode(s, true)
+}
+
+/// Percent-decodes a single path segment, exactly once. Unlike
+/// [`decode_component`], `+` stays literal — plus-as-space applies only to
+/// form-encoded query strings, never to paths. An encoded `%2F` decodes to
+/// a literal `/` *inside* the segment without becoming a path separator,
+/// because segmentation happens before this runs. The returned `String`
+/// is the one allocation.
+pub fn decode_segment(s: &str) -> String {
+    decode_segment_cow(s).into_owned()
+}
+
+/// [`decode_segment`] that borrows `s` when it holds no `%` (nothing to
+/// decode), so routing a plain path allocates nothing per segment.
+pub(crate) fn decode_segment_cow(s: &str) -> Cow<'_, str> {
+    if s.contains('%') {
+        Cow::Owned(percent_decode(s, false))
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// Decodes `%XX` escapes (and `+` as a space when `plus_as_space`) into one
+/// buffer; bytes that are not valid UTF-8 after decoding become U+FFFD.
+fn percent_decode(s: &str, plus_as_space: bool) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -41,7 +69,7 @@ pub fn decode_component(s: &str) -> String {
                     }
                 }
             }
-            b'+' => {
+            b'+' if plus_as_space => {
                 out.push(b' ');
                 i += 1;
             }
@@ -51,16 +79,8 @@ pub fn decode_component(s: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-/// Percent-decodes a single path segment, exactly once. Unlike
-/// [`decode_component`], `+` stays literal — plus-as-space applies only to
-/// form-encoded query strings, never to paths. An encoded `%2F` decodes to
-/// a literal `/` *inside* the segment without becoming a path separator,
-/// because segmentation happens before this runs.
-pub fn decode_segment(s: &str) -> String {
-    decode_component(&s.replace('+', "%2B"))
+    String::from_utf8(out)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 /// Parses `a=1&b=two` into decoded pairs. Keys without `=` get empty values.
@@ -131,6 +151,18 @@ mod tests {
         // An encoded slash decodes inside the segment; it can no longer
         // change path segmentation at this point.
         assert_eq!(decode_segment("a%2Fb"), "a/b");
+        // Malformed escapes and bytes that are not UTF-8 after decoding
+        // read as they do through `decode_component`.
+        assert_eq!(decode_segment("100%"), "100%");
+        assert_eq!(decode_segment("%G1"), "%G1");
+        assert_eq!(decode_segment("%FF"), "\u{FFFD}");
+        assert_eq!(decode_segment("%C3%A9+"), "é+");
+    }
+
+    #[test]
+    fn segments_without_escapes_are_borrowed() {
+        assert!(matches!(decode_segment_cow("a+b"), Cow::Borrowed("a+b")));
+        assert!(matches!(decode_segment_cow("a%20b"), Cow::Owned(ref s) if s == "a b"));
     }
 
     #[test]

@@ -153,6 +153,37 @@ fn large_response_survives_slow_reader_partial_writes() {
 }
 
 #[test]
+fn head_response_keeps_the_length_and_sends_no_body() {
+    let server = Server::new()
+        .workers(2)
+        .serve("127.0.0.1:0", |_| Response::text(Status::OK, "hello"))
+        .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(b"GET /v HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let (status, body, _) = read_one_response(&mut stream);
+    assert_eq!((status, body.as_slice()), (200, b"hello".as_slice()));
+    // HEAD then GET on the same connection: the byte after the HEAD
+    // response's blank line must start the GET's status line.
+    stream
+        .write_all(b"HEAD /v HTTP/1.1\r\nHost: t\r\n\r\nGET /v HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let mut wire = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while wire.windows(5).filter(|w| w == b"hello").count() == 0 {
+        let n = stream.read(&mut chunk).expect("read HEAD + GET responses");
+        assert!(n > 0, "connection closed after {:?}", String::from_utf8_lossy(&wire));
+        wire.extend_from_slice(&chunk[..n]);
+    }
+    let text = String::from_utf8(wire).unwrap();
+    let (head, get) = text.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head:?}");
+    assert!(head.contains("\r\nContent-Length: 5\r\n"), "HEAD keeps the GET's length: {head:?}");
+    assert!(get.starts_with("HTTP/1.1 200 OK\r\n"), "a body byte followed HEAD: {get:?}");
+    assert!(get.ends_with("\r\n\r\nhello"), "{get:?}");
+}
+
+#[test]
 fn slowloris_header_dribble_gets_408_and_is_counted() {
     let server = echo_server(Duration::from_millis(200), Duration::from_secs(30));
     let metrics = server.metrics();
