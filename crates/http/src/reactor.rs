@@ -846,6 +846,8 @@ where
 fn serialize_head(response: &Response, keep_alive: bool) -> Vec<u8> {
     let headers: usize =
         response.headers.iter().map(|(name, value)| name.len() + value.len() + 4).sum();
+    // 112 bytes hold the longest status line, `Content-Length` and
+    // `Connection` lines the server writes.
     let mut head = Vec::with_capacity(headers + 112);
     write!(head, "HTTP/1.1 {} {}\r\n", response.status.0, response.status.reason())
         .expect("writing to a Vec cannot fail");

@@ -1,5 +1,6 @@
 //! Wire-level tests for the reactor core: fragmented request delivery,
-//! pipelining, partial-write resumption, and slow-client hardening.
+//! pipelining, partial-write resumption, `HEAD` framing, and slow-client
+//! hardening.
 //!
 //! These tests speak raw TCP so they can control exactly how request bytes
 //! are segmented on the wire — the reactor must reassemble a request no

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use chronos::core::analysis;
 use chronos::core::auth::Role;
-use chronos::core::model::{Evaluation, Job, JobState};
+use chronos::core::model::{Job, JobState};
 use chronos::core::params::{ParamAssignments, ParamDef, ParamType};
 use chronos::core::scheduler::SchedulerConfig;
 use chronos::core::store::MetadataStore;
@@ -223,7 +223,9 @@ fn a_failed_directory_sync_after_compaction_is_sticky() {
 /// A claim and an upload are each one record. Cut either by failing its
 /// WAL append (every k-th), crash, reopen and retry with the same key and
 /// attempt: every materialized job is listed by its evaluation exactly
-/// once, and there is one result per finished job, named by that job.
+/// once (the membership the reopened control serves: the stored
+/// evaluation document carries no ids), and there is one result per
+/// finished job, named by that job.
 #[test]
 fn claims_and_uploads_survive_a_failed_append_exactly_once() {
     let _guard = serial();
@@ -243,7 +245,7 @@ fn claims_and_uploads_survive_a_failed_append_exactly_once() {
         let assignments = ParamAssignments::new().sweep_all("x");
         let experiment =
             control.create_experiment(project.id, system.id, "e", "", assignments).unwrap();
-        control.create_evaluation(experiment.id).unwrap();
+        let evaluation = control.create_evaluation(experiment.id).unwrap();
 
         fail::arm("core.store.wal.append", Policy::ErrorEveryNth(k));
         let claimed = control.claim_next_job(deployment.id, Some("claim"));
@@ -268,18 +270,14 @@ fn claims_and_uploads_survive_a_failed_append_exactly_once() {
         upload(&control)
             .unwrap_or_else(|e| panic!("k={k}: retried upload failed: {e} {}", replay()));
         let results = control.count_results();
+        let members = control.get_evaluation(evaluation.id).unwrap().job_ids;
         drop(control);
 
         let store = MetadataStore::open(&path).unwrap();
         let jobs: Vec<Job> = store.list("job").iter().map(|d| Job::from_json(d).unwrap()).collect();
-        let evaluations: Vec<Evaluation> =
-            store.list("evaluation").iter().map(|d| Evaluation::from_json(d).unwrap()).collect();
         for job in jobs.iter().filter(|job| job.point_index.is_some()) {
-            let listed = evaluations
-                .iter()
-                .filter(|e| e.id == job.evaluation_id)
-                .map(|e| e.job_ids.iter().filter(|id| **id == job.id).count())
-                .sum::<usize>();
+            assert_eq!(job.evaluation_id, evaluation.id, "k={k}: job {} {}", job.id, replay());
+            let listed = members.iter().filter(|id| **id == job.id).count();
             assert_eq!(listed, 1, "k={k}: job {} listed {listed} times {}", job.id, replay());
         }
         let finished = jobs.iter().filter(|job| job.state == JobState::Finished).count();
