@@ -52,7 +52,31 @@ fn read_response(stream: &mut TcpStream) -> RawResponse {
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
     assert!(!raw.is_empty(), "server closed the connection without a response");
-    let text = String::from_utf8_lossy(&raw).into_owned();
+    parse_response(&raw)
+}
+
+/// Reads one response off a connection that stays open: the head, then
+/// exactly `Content-Length` body bytes.
+fn read_keep_alive_response(stream: &mut TcpStream) -> RawResponse {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
+        assert!(n > 0, "server closed the connection inside a response head");
+        raw.push(byte[0]);
+    }
+    let length = parse_response(&raw)
+        .header("content-length")
+        .and_then(|v| v.parse::<usize>().ok())
+        .expect("content-length");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("read response body");
+    raw.extend_from_slice(&body);
+    parse_response(&raw)
+}
+
+fn parse_response(raw: &[u8]) -> RawResponse {
+    let text = String::from_utf8_lossy(raw).into_owned();
     let (head, body) = text.split_once("\r\n\r\n").expect("response head");
     let mut lines = head.lines();
     let status = lines
@@ -182,6 +206,83 @@ fn shed_connection_gets_typed_overloaded_envelope_with_retry_hints() {
     };
     assert_eq!(after.status, 200, "after release: {}", after.body);
     server.shutdown();
+}
+
+#[test]
+fn excess_requests_are_shed_per_request_and_their_connections_stay_open() {
+    // The shape E12 relies on: a connection cap far above workers + queue
+    // depth, so every connection is admitted and admission happens per
+    // request. One handler runs, one request waits, the rest are shed on
+    // the spot with the typed 429 and keep their connections.
+    const HOLD: Duration = Duration::from_millis(200);
+    const CONNECTIONS: usize = 16;
+    let queue_depth = 1;
+    let server = Server::new()
+        .workers(1)
+        .queue_depth(queue_depth)
+        .max_inflight(64)
+        .retry_after(Duration::from_millis(250))
+        .serve("127.0.0.1:0", |_req| {
+            std::thread::sleep(HOLD);
+            chronos::http::Response::text(chronos::http::Status::OK, "held")
+        })
+        .unwrap();
+    let metrics = server.metrics();
+    let mut streams: Vec<TcpStream> = (0..CONNECTIONS)
+        .map(|_| {
+            let stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+        })
+        .collect();
+    wait_for("every connection admitted", || metrics.inflight.get() == CONNECTIONS as u64);
+
+    let request = b"GET /held HTTP/1.1\r\nHost: test\r\n\r\n";
+    let sent = Instant::now();
+    for stream in &mut streams {
+        stream.write_all(request).expect("write request");
+    }
+    let answers: Vec<(RawResponse, Duration)> = std::thread::scope(|scope| {
+        let readers: Vec<_> = streams
+            .iter_mut()
+            .map(|stream| {
+                scope.spawn(move || {
+                    let response = read_keep_alive_response(stream);
+                    (response, sent.elapsed())
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().expect("reader")).collect()
+    });
+
+    let served = answers.iter().filter(|(r, _)| r.status == 200).count();
+    assert!(served >= 1, "no request was served");
+    assert!(served <= 1 + queue_depth, "{served} served: more than workers + queue depth");
+    for (response, waited) in &answers {
+        assert_ne!(response.header("connection"), Some("close"), "connection closed");
+        if response.status == 200 {
+            assert!(
+                *waited <= HOLD * (1 + queue_depth as u32) + Duration::from_millis(150),
+                "a served request waited {waited:?}, longer than its place in the queue"
+            );
+            continue;
+        }
+        assert_eq!(response.status, 429, "neither served nor shed: {}", response.body);
+        assert!(response.envelope().is_retryable_overload(), "body: {}", response.body);
+        assert_eq!(response.header("retry-after"), Some("1"));
+        assert_eq!(response.header("x-chronos-retry-after-ms"), Some("250"));
+    }
+    assert_eq!(metrics.shed_overload.get() as usize, CONNECTIONS - served);
+
+    // Every shed connection is still open and serves its next request.
+    for (stream, (response, _)) in streams.iter_mut().zip(&answers) {
+        if response.status == 429 {
+            stream.write_all(request).expect("write retry");
+            assert_eq!(read_keep_alive_response(stream).status, 200, "retry on a shed connection");
+        }
+    }
+    assert_eq!(metrics.inflight.get(), CONNECTIONS as u64);
 }
 
 #[test]
