@@ -1,63 +1,80 @@
-//! Event-driven reactor: one epoll loop owning every connection.
+//! Event-driven core: worker threads sharing one epoll, each serving a
+//! request start to finish.
 //!
-//! A single reactor thread multiplexes all sockets through epoll; an idle
-//! keep-alive connection costs a slab slot and a (shrunk) parse buffer — a
-//! few hundred bytes — not a thread. Handler CPU runs on the bounded worker
-//! pool: the reactor parses complete requests, dispatches them, and workers
-//! hand the finished response back through a completion queue plus an
-//! eventfd wakeup.
+//! Every connection lives in one slab and is registered with one epoll; an
+//! idle keep-alive connection costs a slab slot and a (shrunk) parse buffer
+//! — a few hundred bytes — not a thread. The server's threads all wait on
+//! that epoll. Each connection is armed `EPOLLONESHOT`, so exactly one
+//! thread sees its readiness and owns it until it re-arms: that thread
+//! takes the connection out of the slab, reads and parses the request,
+//! runs the handler inline, writes the response and parks the connection
+//! again. Nothing is handed between threads on the way.
 //!
 //! Per-connection state machine:
 //!
 //! ```text
-//! accept → ReadingHeaders → ReadingBody → Dispatched → WritingResponse
-//!              ↑  ↑                                        │
-//!              │  └────────── KeepAliveIdle ←──────────────┤
-//!              └───────────── (pipelined request) ←────────┘
+//! accept → ReadingHeaders → ReadingBody → (handler, inline) → WritingResponse
+//!              ↑  ↑                                                │
+//!              │  └────────── KeepAliveIdle ←──────────────────────┤
+//!              └───────────── (pipelined request) ←────────────────┘
 //! ```
 //!
 //! Admission invariants: `max_inflight` caps *open admitted connections*,
 //! idle keep-alive ones included (shed at accept with the typed
-//! `429 overloaded` envelope); drain closes idle connections immediately
-//! and lets in-flight requests finish with a polite `Connection: close`;
-//! and `accepted + shed == total connections` holds exactly.
+//! `429 overloaded` envelope); at most `workers` requests run inside
+//! handlers and at most `queue_depth` parsed requests wait beyond them —
+//! the server runs `workers + 1` threads, so one is always free to shed the
+//! excess with the same `429` while every handler slot is taken; drain
+//! closes idle connections immediately and lets in-flight requests finish
+//! with a polite `Connection: close`; and `accepted + shed == total
+//! connections` holds exactly.
 //!
-//! Liveness note: a worker's wakeup write can be lost (that is literally a
-//! failpoint below). The loop therefore never sleeps longer than
-//! [`TICK_MS`] and drains the completion queue on every iteration, so a
-//! lost wakeup costs latency, never a stuck response.
+//! Whichever thread wakes also does the shared chores: the accept burst
+//! (the listener is armed one-shot too), the timer wheel (408 slowloris,
+//! idle reap, write stall — connections a thread owns are skipped) and the
+//! drain sweep. No thread sleeps longer than [`TICK_MS`], so the chores
+//! run even when no socket is ready.
 
+use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use chronos_util::fail::Injected;
-use chronos_util::ThreadPool;
 use parking_lot::Mutex;
 
 use crate::parser::{ParseError, ParsedRequest, RequestParser};
 use crate::server::{ServerMetrics, Shared, PHASE_DRAINING, PHASE_RUNNING, PHASE_STOPPED};
-use crate::sys::linux::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use crate::sys::linux::{Epoll, EpollEvent, EventFd};
+use crate::sys::linux::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use crate::types::{Method, Request, Response, Status};
 use crate::types::{CODE_DRAINING, CODE_OVERLOADED, CODE_REQUEST_TIMEOUT};
 
 /// Epoll token reserved for the listening socket.
 const TOKEN_LISTENER: u64 = u64::MAX;
-/// Epoll token reserved for the completion-queue eventfd.
+/// Epoll token reserved for the drain/shutdown eventfd.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
-/// Upper bound on one `epoll_wait` sleep — the completion-drain heartbeat.
+/// Upper bound on one `epoll_wait` sleep — the timer and drain heartbeat.
 const TICK_MS: i32 = 100;
-/// Read chunk size (stack buffer; bytes are copied into the parser).
+/// Size of each worker's read buffer (bytes are copied into the parser).
 const READ_CHUNK: usize = 16 * 1024;
-/// How many consecutive reads one connection may monopolize the loop with
-/// before yielding to the other ready connections.
+/// How many consecutive reads one connection may take before its thread
+/// re-arms it and serves whatever else is ready.
 const MAX_READS_PER_EVENT: usize = 16;
+/// Named error code of the `500` a panicking handler's request gets.
+const CODE_INTERNAL: &str = "internal";
 
 /// Admission and timeout knobs, fixed at `serve` time.
 pub(crate) struct ReactorConfig {
+    /// Requests that may run inside handlers at once.
+    pub workers: usize,
+    /// Parsed requests that may wait for a handler slot beyond those.
+    pub queue_depth: usize,
     /// Cap on open admitted connections, idle keep-alive ones included.
     pub max_inflight: usize,
     /// `Retry-After` hint attached to shed responses.
@@ -68,17 +85,6 @@ pub(crate) struct ReactorConfig {
     pub idle_timeout: Duration,
 }
 
-/// A finished handler invocation traveling back to the reactor thread.
-struct Completion {
-    slot: usize,
-    generation: u64,
-    /// `None` models the dropped-response fault (`http.server.drop_response`):
-    /// effects committed, client never hears back.
-    response: Option<Response>,
-    method: Method,
-    keep_alive: bool,
-}
-
 /// Where a connection currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
@@ -86,8 +92,6 @@ enum ConnState {
     ReadingHeaders,
     /// Head parsed; body bytes still arriving.
     ReadingBody,
-    /// A complete request is on the worker pool; socket interest is off.
-    Dispatched,
     /// Response partially written; resumes on `EPOLLOUT`.
     WritingResponse,
     /// Between requests on a keep-alive connection.
@@ -96,6 +100,10 @@ enum ConnState {
 
 struct Conn {
     stream: TcpStream,
+    /// Slab slot and the generation it had at registration: together they
+    /// are the connection's epoll token.
+    slot: usize,
+    generation: u32,
     state: ConnState,
     parser: RequestParser,
     /// Response being written: the serialized head, the handler's body
@@ -104,24 +112,56 @@ struct Conn {
     head: Vec<u8>,
     body: Vec<u8>,
     out_pos: usize,
-    /// Current epoll interest set (to skip redundant `EPOLL_CTL_MOD`s).
-    interest: u32,
+    /// In the epoll interest list yet (added on first park).
+    registered: bool,
     /// Counted against `max_inflight` / the `inflight` gauge. Shed
     /// connections (typed refusal being written) are tracked but not
     /// admitted.
     admitted: bool,
     /// Counted in the `accepted` counter — set when the connection's first
-    /// request reaches the worker pool, so `accepted + shed == total
-    /// connections`.
+    /// request gets a handler slot or a queue place, so `accepted + shed ==
+    /// total connections`.
     accepted: bool,
     close_after_write: bool,
-    /// Active timeout, if any; the wheel entry re-checks this on expiry.
+    /// Active timeout, if any; scheduled on the wheel when the connection
+    /// is parked, re-checked when the wheel entry fires.
     deadline: Option<Instant>,
-    /// Wheel slot the connection is currently scheduled in (dedupes
-    /// re-arms that land in the same slot).
-    sched_slot: Option<usize>,
     /// Counted in the `idle_keepalive` gauge.
     idle: bool,
+}
+
+impl Conn {
+    fn new(stream: TcpStream, slot: usize, generation: u32, admitted: bool) -> Conn {
+        Conn {
+            stream,
+            slot,
+            generation,
+            state: ConnState::ReadingHeaders,
+            parser: RequestParser::new(),
+            head: Vec::new(),
+            body: Vec::new(),
+            out_pos: 0,
+            registered: false,
+            admitted,
+            accepted: false,
+            close_after_write: false,
+            deadline: None,
+            idle: false,
+        }
+    }
+
+    fn token(&self) -> u64 {
+        (u64::from(self.generation) << 32) | self.slot as u64
+    }
+
+    /// The reading state the parser is in.
+    fn reading(&self) -> ConnState {
+        if self.parser.reading_body() {
+            ConnState::ReadingBody
+        } else {
+            ConnState::ReadingHeaders
+        }
+    }
 }
 
 /// Hashed timer wheel: 512 slots × 128 ms ≈ 65 s horizon, O(1) schedule,
@@ -130,7 +170,7 @@ struct Conn {
 /// or connection close are dropped on expiry by generation / deadline
 /// re-checks.
 struct TimerWheel {
-    slots: Vec<Vec<(usize, u64)>>,
+    slots: Vec<Vec<(usize, u32)>>,
     cursor: usize,
     anchor: Instant,
 }
@@ -150,13 +190,9 @@ impl TimerWheel {
         (self.cursor + ticks.min(Self::SLOTS - 1)) % Self::SLOTS
     }
 
-    fn schedule(&mut self, slot: usize, conn: usize, generation: u64) {
-        self.slots[slot].push((conn, generation));
-    }
-
     /// Moves the cursor up to `now`, collecting entries from every slot
     /// passed.
-    fn advance(&mut self, now: Instant, expired: &mut Vec<(usize, u64)>) {
+    fn advance(&mut self, now: Instant, expired: &mut Vec<(usize, u32)>) {
         while self.anchor + Self::GRANULARITY <= now {
             self.cursor = (self.cursor + 1) % Self::SLOTS;
             self.anchor += Self::GRANULARITY;
@@ -165,138 +201,282 @@ impl TimerWheel {
     }
 }
 
-/// Arms (or re-arms) a connection's timeout. Written as a free function so
-/// callers holding a `&mut Conn` borrow can still reach the wheel.
-fn arm_timer(
-    wheel: &mut TimerWheel,
-    conn: &mut Conn,
-    slot: usize,
-    generation: u64,
-    now: Instant,
-    deadline: Instant,
-) {
-    conn.deadline = Some(deadline);
-    let wheel_slot = wheel.slot_for(now, deadline);
-    if conn.sched_slot != Some(wheel_slot) {
-        wheel.schedule(wheel_slot, slot, generation);
-        conn.sched_slot = Some(wheel_slot);
-    }
-}
-
-struct Reactor<F> {
-    epoll: Epoll,
-    listener: TcpListener,
-    wake: Arc<EventFd>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    shared: Arc<Shared>,
-    metrics: Arc<ServerMetrics>,
-    pool: Arc<ThreadPool>,
-    handler: Arc<F>,
-    cfg: ReactorConfig,
-    conns: Vec<Option<Conn>>,
-    /// Per-slot generation counter, bumped on close; defends completions and
-    /// timer entries against slot reuse.
-    generations: Vec<u64>,
+/// Every connection no thread owns, plus the bookkeeping that must change
+/// with the slab in one step.
+struct Slab {
+    /// A parked connection, or `None`: the slot is free, or the thread that
+    /// owns its connection right now took it out.
+    entries: Vec<Option<Conn>>,
+    /// Per-slot generation, bumped on close; a stale epoll event or timer
+    /// entry carrying an old generation cannot touch a reused slot.
+    generations: Vec<u32>,
+    /// Wheel slot each connection's timer entry sits in (dedupes re-arms
+    /// that land in the same slot).
+    scheduled: Vec<Option<usize>>,
     free: Vec<usize>,
-    /// Slots freed during the current iteration; merged into `free` only at
-    /// the end so a stale readiness event in the same batch cannot hit a
-    /// freshly reused slot.
-    pending_free: Vec<usize>,
     /// Open admitted connections (the value `max_inflight` caps).
     admitted: usize,
     wheel: TimerWheel,
 }
 
-/// Spawns the reactor thread. Returns the join handle and the eventfd used
-/// to nudge the loop (drain/shutdown, worker completions).
+impl Slab {
+    /// A slot for a new connection, owned by the caller.
+    fn allocate(&mut self) -> (usize, u32) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            self.generations.push(0);
+            self.scheduled.push(None);
+            self.entries.len() - 1
+        });
+        (slot, self.generations[slot])
+    }
+
+    /// Takes the connection `token` names out of the slab, if it is parked
+    /// there under that generation.
+    fn take(&mut self, slot: usize, generation: u32) -> Option<Conn> {
+        if self.generations.get(slot) != Some(&generation) {
+            return None;
+        }
+        self.entries[slot].take()
+    }
+
+    fn schedule(&mut self, slot: usize, generation: u32, now: Instant, deadline: Instant) {
+        let wheel_slot = self.wheel.slot_for(now, deadline);
+        if self.scheduled[slot] != Some(wheel_slot) {
+            self.wheel.slots[wheel_slot].push((slot, generation));
+            self.scheduled[slot] = Some(wheel_slot);
+        }
+    }
+}
+
+/// Request-level admission: handler slots in use and the requests waiting
+/// for one. Invariant: `waiting` is non-empty only while every slot is
+/// taken, so some thread finishing a handler always picks it up.
+struct Admission {
+    running: usize,
+    waiting: VecDeque<(Conn, ParsedRequest)>,
+}
+
+/// What admission decided for a parsed request.
+enum Admitted {
+    /// A handler slot is the caller's: run it now.
+    Run(Conn, ParsedRequest),
+    /// Every slot is taken; the request waits for the next one to free.
+    Queued,
+    /// Slots and queue are full: answer `429` on the spot.
+    Shed(Conn, ParsedRequest),
+}
+
+/// The next thing to do with a connection its thread owns.
+enum Step {
+    /// Readable: read and parse.
+    Read,
+    /// Output pending: write it.
+    Write,
+    /// A complete request: ask admission for a handler slot.
+    Dispatch(ParsedRequest),
+    /// Holding a handler slot: run the handler.
+    Run(ParsedRequest),
+    /// Hand it back to the slab and re-arm for these events.
+    Park(u32),
+    Close,
+}
+
+/// What one thread keeps between events.
+struct Worker {
+    /// Read buffer, allocated (and zeroed) once per thread.
+    buf: Vec<u8>,
+    /// Queued requests this thread took over with a handler slot when its
+    /// own handler returned; served before it waits again.
+    owed: Vec<(Conn, ParsedRequest)>,
+}
+
+/// State every worker thread shares.
+struct Core<F> {
+    epoll: Epoll,
+    listener: TcpListener,
+    wake: Arc<EventFd>,
+    shared: Arc<Shared>,
+    metrics: Arc<ServerMetrics>,
+    handler: F,
+    cfg: ReactorConfig,
+    slab: Mutex<Slab>,
+    admission: Mutex<Admission>,
+    started: Instant,
+    /// Milliseconds since `started` at which the timer wheel is next due;
+    /// the thread that moves it forward runs the timers.
+    next_tick_ms: AtomicU64,
+}
+
+/// The running workers, as the server handle sees them.
+pub(crate) struct Workers {
+    threads: Vec<JoinHandle<()>>,
+    wake: Arc<EventFd>,
+}
+
+impl Workers {
+    /// Nudges the workers to re-read the lifecycle phase now.
+    pub(crate) fn wake(&self) {
+        self.wake.wake();
+    }
+
+    /// Joins every worker. The last one out drops the shared core, which
+    /// closes the listener and every remaining connection.
+    pub(crate) fn join(self) {
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Starts `workers + 1` threads on one epoll: up to `workers` of them run
+/// handlers, and one more is always free to accept, shed and run timers.
 pub(crate) fn spawn<F>(
     listener: TcpListener,
     shared: Arc<Shared>,
-    pool: Arc<ThreadPool>,
-    handler: Arc<F>,
+    handler: F,
     cfg: ReactorConfig,
-) -> std::io::Result<(JoinHandle<()>, Arc<EventFd>)>
+) -> std::io::Result<Workers>
 where
     F: Fn(Request) -> Response + Send + Sync + 'static,
 {
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
     let wake = Arc::new(EventFd::new()?);
-    epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
+    epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLONESHOT)?;
+    // Level-triggered and shared: once shutdown writes it and nobody reads
+    // it back, every worker sees it.
     epoll.add(wake.fd(), TOKEN_WAKE, EPOLLIN)?;
-    let metrics = Arc::clone(&shared.metrics);
-    let reactor = Reactor {
+    let now = Instant::now();
+    let threads = cfg.workers + 1;
+    let core = Arc::new(Core {
         epoll,
         listener,
         wake: Arc::clone(&wake),
-        completions: Arc::new(Mutex::new(Vec::new())),
+        metrics: Arc::clone(&shared.metrics),
         shared,
-        metrics,
-        pool,
         handler,
         cfg,
-        conns: Vec::new(),
-        generations: Vec::new(),
-        free: Vec::new(),
-        pending_free: Vec::new(),
-        admitted: 0,
-        wheel: TimerWheel::new(Instant::now()),
-    };
-    let thread = std::thread::Builder::new()
-        .name("chronos-http-reactor".to_string())
-        .spawn(move || reactor.run())?;
-    Ok((thread, wake))
+        slab: Mutex::new(Slab {
+            entries: Vec::new(),
+            generations: Vec::new(),
+            scheduled: Vec::new(),
+            free: Vec::new(),
+            admitted: 0,
+            wheel: TimerWheel::new(now),
+        }),
+        admission: Mutex::new(Admission { running: 0, waiting: VecDeque::new() }),
+        started: now,
+        next_tick_ms: AtomicU64::new(0),
+    });
+    let threads = (0..threads)
+        .map(|i| {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new().name(format!("chronos-http-{i}")).spawn(move || core.run())
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
+    Ok(Workers { threads, wake })
 }
 
-impl<F> Reactor<F>
+impl<F> Core<F>
 where
     F: Fn(Request) -> Response + Send + Sync + 'static,
 {
-    fn run(mut self) {
-        let mut events = vec![EpollEvent::empty(); 256];
-        let mut expired = Vec::new();
-        loop {
-            if self.shared.phase() == PHASE_STOPPED {
-                break;
-            }
+    fn run(&self) {
+        let mut worker = Worker { buf: vec![0u8; READ_CHUNK], owed: Vec::new() };
+        // One event per wait: a connection this thread does not take stays
+        // ready for the next free thread instead of queueing behind a
+        // handler running here.
+        let mut events = [EpollEvent::empty(); 1];
+        while self.shared.phase() != PHASE_STOPPED {
             let ready = self.epoll.wait(&mut events, TICK_MS).unwrap_or(0);
             self.metrics.reactor_loops.inc();
             for event in events.iter().take(ready) {
-                let (token, readiness) = (event.token(), event.readiness());
-                match token {
-                    TOKEN_LISTENER => self.accept_burst(),
+                match event.token() {
+                    TOKEN_LISTENER => self.accept_burst(&mut worker),
                     TOKEN_WAKE => {
-                        self.wake.drain();
+                        // Shutdown leaves the counter set so every worker
+                        // wakes; a drain nudge needs only one.
+                        if self.shared.phase() != PHASE_STOPPED {
+                            self.wake.drain();
+                        }
                         self.metrics.wakeups.inc();
                     }
-                    slot => self.conn_event(slot as usize, readiness),
+                    token => {
+                        let (slot, generation) = ((token & 0xFFFF_FFFF) as usize, token >> 32);
+                        let taken = self.slab.lock().take(slot, generation as u32);
+                        if let Some(conn) = taken {
+                            let step = if event.readiness() & (EPOLLERR | EPOLLHUP) != 0 {
+                                Step::Close
+                            } else if conn.state == ConnState::WritingResponse {
+                                Step::Write
+                            } else {
+                                Step::Read
+                            };
+                            self.serve(conn, step, &mut worker);
+                        }
+                    }
                 }
             }
-            self.drain_completions();
-            let now = Instant::now();
-            self.wheel.advance(now, &mut expired);
-            for (slot, generation) in expired.drain(..) {
-                self.fire_timer(slot, generation, now);
-            }
-            if self.shared.phase() == PHASE_DRAINING {
-                self.close_idle_for_drain();
-            }
-            self.free.append(&mut self.pending_free);
-        }
-        // Teardown: close every remaining connection (gauges go to zero),
-        // then drop the listener, pool handle and queues with `self`.
-        for slot in 0..self.conns.len() {
-            if self.conns[slot].is_some() {
-                self.close(slot);
-            }
+            self.chores(&mut worker);
         }
     }
 
-    /// Accepts until the backlog is empty. Each connection is admitted, or
-    /// refused with `503 draining` / `429 overloaded` (in-flight cap hit);
-    /// refusals are written asynchronously, so a slow shed peer cannot
-    /// stall accepting.
-    fn accept_burst(&mut self) {
+    /// Drives `conn` from `step` until it is parked, queued or closed, then
+    /// serves the queued requests this thread took over meanwhile.
+    fn serve(&self, conn: Conn, step: Step, worker: &mut Worker) {
+        self.drive(conn, step, worker);
+        while let Some((conn, parsed)) = worker.owed.pop() {
+            self.drive(conn, Step::Run(parsed), worker);
+        }
+    }
+
+    fn drive(&self, mut conn: Conn, mut step: Step, worker: &mut Worker) {
+        loop {
+            step = match step {
+                Step::Read => self.read(&mut conn, &mut worker.buf),
+                Step::Write => self.write(&mut conn),
+                Step::Dispatch(parsed) => match self.admit_request(conn, parsed) {
+                    Admitted::Run(admitted, parsed) => {
+                        conn = admitted;
+                        Step::Run(parsed)
+                    }
+                    Admitted::Queued => return,
+                    Admitted::Shed(shed, parsed) => {
+                        conn = shed;
+                        // A request shed here is counted in `shed_overload`
+                        // but never `accepted` — a connection whose requests
+                        // only ever shed is never accepted, so `accepted +
+                        // shed == total connections` stays an identity for
+                        // one-request (`Connection: close`) clients. A shed
+                        // keep-alive connection stays open: an idle
+                        // connection costs bytes, and a backed-off agent
+                        // retrying on the same socket beats a reconnect
+                        // storm.
+                        self.metrics.shed_overload.inc();
+                        let response = Response::error_named(
+                            Status::TOO_MANY_REQUESTS,
+                            CODE_OVERLOADED,
+                            "request queue full; retry later",
+                        )
+                        .with_retry_after(self.cfg.retry_after);
+                        let keep = parsed.keep_alive && self.shared.phase() == PHASE_RUNNING;
+                        self.respond(&mut conn, response, parsed.request.method, keep)
+                    }
+                },
+                Step::Run(parsed) => self.run_handler(&mut conn, parsed, worker),
+                Step::Park(interest) => return self.park(conn, interest),
+                Step::Close => return self.close(conn),
+            };
+        }
+    }
+
+    /// Accepts until the backlog is empty, then re-arms the listener. Each
+    /// connection is admitted, or refused with `503 draining` / `429
+    /// overloaded` (in-flight cap hit); a refusal the peer does not take at
+    /// once is parked for `EPOLLOUT`, so a slow shed peer cannot stall
+    /// accepting.
+    fn accept_burst(&self, worker: &mut Worker) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -315,527 +495,430 @@ where
                                 Status::SERVICE_UNAVAILABLE,
                                 CODE_DRAINING,
                                 "server is draining; connection not accepted",
+                                worker,
                             );
-                            continue;
                         }
-                        _ => {}
+                        _ => self.admit(stream, worker),
                     }
-                    if self.admitted >= self.cfg.max_inflight {
-                        self.metrics.shed_overload.inc();
-                        self.shed(
-                            stream,
-                            Status::TOO_MANY_REQUESTS,
-                            CODE_OVERLOADED,
-                            "connection limit reached; retry later",
-                        );
-                        continue;
-                    }
-                    self.admit(stream);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Transient per-connection accept errors (e.g. the peer
-                // reset before we got to it): keep accepting.
-                Err(_) => return,
+                // Drained (`WouldBlock`), or a transient per-connection
+                // accept error (e.g. the peer reset before we got to it):
+                // the re-armed listener reports what is still pending.
+                Err(_) => break,
             }
         }
+        let _ =
+            self.epoll.modify(self.listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLONESHOT);
     }
 
-    /// Registers an admitted connection and starts its header-read clock.
-    fn admit(&mut self, stream: TcpStream) {
-        let Some(slot) = self.register(stream, EPOLLIN) else { return };
-        self.admitted += 1;
-        self.metrics.inflight.inc();
-        let now = Instant::now();
-        let generation = self.generations[slot];
-        let deadline = now + self.cfg.header_read_timeout;
-        let conn = self.conns[slot].as_mut().expect("slot just registered");
-        conn.admitted = true;
-        arm_timer(&mut self.wheel, conn, slot, generation, now, deadline);
+    /// Parks an admitted connection for its first request and starts its
+    /// header-read clock, or sheds it when the in-flight cap is reached.
+    fn admit(&self, stream: TcpStream, worker: &mut Worker) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let conn = {
+            let mut slab = self.slab.lock();
+            if slab.admitted < self.cfg.max_inflight {
+                slab.admitted += 1;
+                self.metrics.inflight.inc();
+                self.metrics.open_connections.inc();
+                let (slot, generation) = slab.allocate();
+                Some(Conn::new(stream, slot, generation, true))
+            } else {
+                drop(slab);
+                self.metrics.shed_overload.inc();
+                self.shed(
+                    stream,
+                    Status::TOO_MANY_REQUESTS,
+                    CODE_OVERLOADED,
+                    "connection limit reached; retry later",
+                    worker,
+                );
+                None
+            }
+        };
+        if let Some(mut conn) = conn {
+            conn.deadline = Some(Instant::now() + self.cfg.header_read_timeout);
+            self.park(conn, EPOLLIN);
+        }
     }
 
     /// Writes a typed refusal on a connection the server will not admit.
-    /// Backpressure from the peer parks the refusal in the event loop
-    /// instead of stalling accepts — under overload every connection still
-    /// gets its envelope.
-    fn shed(&mut self, stream: TcpStream, status: Status, code: &str, message: &str) {
-        let response =
-            Response::error_named(status, code, message).with_retry_after(self.cfg.retry_after);
-        // Interest starts empty: a shed connection's inbound bytes are
-        // irrelevant and must not busy-loop the level-triggered poll.
-        let Some(slot) = self.register(stream, 0) else { return };
-        {
-            let conn = self.conns[slot].as_mut().expect("slot just registered");
-            conn.head = serialize_head(&response, false);
-            conn.body = response.body;
-            conn.state = ConnState::WritingResponse;
-            conn.close_after_write = true;
-        }
-        self.try_write(slot);
-    }
-
-    /// Puts a fresh socket into the slab + epoll. Returns its slot, or
-    /// `None` if registration failed (the socket is dropped).
-    fn register(&mut self, stream: TcpStream, interest: u32) -> Option<usize> {
+    fn shed(&self, stream: TcpStream, status: Status, code: &str, message: &str, w: &mut Worker) {
         if stream.set_nonblocking(true).is_err() {
-            return None;
+            return;
         }
         let _ = stream.set_nodelay(true);
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.conns.push(None);
-                self.generations.push(0);
-                self.conns.len() - 1
-            }
-        };
-        if self.epoll.add(stream.as_raw_fd(), slot as u64, interest).is_err() {
-            self.free.push(slot);
-            return None;
-        }
-        self.conns[slot] = Some(Conn {
-            stream,
-            state: ConnState::ReadingHeaders,
-            parser: RequestParser::new(),
-            head: Vec::new(),
-            body: Vec::new(),
-            out_pos: 0,
-            interest,
-            admitted: false,
-            accepted: false,
-            close_after_write: false,
-            deadline: None,
-            sched_slot: None,
-            idle: false,
-        });
+        let (slot, generation) = self.slab.lock().allocate();
         self.metrics.open_connections.inc();
-        Some(slot)
+        let mut conn = Conn::new(stream, slot, generation, false);
+        let response =
+            Response::error_named(status, code, message).with_retry_after(self.cfg.retry_after);
+        let step = self.respond(&mut conn, response, Method::Get, false);
+        self.serve(conn, step, w);
     }
 
-    fn close(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].take() else { return };
-        let _ = self.epoll.delete(conn.stream.as_raw_fd());
+    /// Returns `conn` to the slab, schedules its deadline and re-arms it for
+    /// `interest`. The re-arm happens under the slab lock: while the lock is
+    /// held nobody can close the socket, so its fd number cannot have been
+    /// reused by a newer connection.
+    fn park(&self, mut conn: Conn, interest: u32) {
+        let now = Instant::now();
+        let (slot, generation, token) = (conn.slot, conn.generation, conn.token());
+        let fd = conn.stream.as_raw_fd();
+        let add = !conn.registered;
+        conn.registered = true;
+        let deadline = conn.deadline;
+        let mut slab = self.slab.lock();
+        if let Some(deadline) = deadline {
+            slab.schedule(slot, generation, now, deadline);
+        }
+        slab.entries[slot] = Some(conn);
+        let armed = if add {
+            self.epoll.add(fd, token, interest | EPOLLONESHOT)
+        } else {
+            self.epoll.modify(fd, token, interest | EPOLLONESHOT)
+        };
+        if armed.is_err() {
+            let conn = slab.take(slot, generation);
+            drop(slab);
+            if let Some(conn) = conn {
+                self.close(conn);
+            }
+        }
+    }
+
+    /// Frees the connection's slot and closes its socket (which also takes
+    /// it out of the epoll interest list).
+    fn close(&self, conn: Conn) {
         let _ = conn.stream.shutdown(Shutdown::Both);
-        self.generations[slot] = self.generations[slot].wrapping_add(1);
+        {
+            let mut slab = self.slab.lock();
+            slab.generations[conn.slot] = conn.generation.wrapping_add(1);
+            slab.scheduled[conn.slot] = None;
+            slab.free.push(conn.slot);
+            if conn.admitted {
+                slab.admitted -= 1;
+                self.metrics.inflight.dec();
+            }
+        }
         if conn.idle {
             self.metrics.idle_keepalive.dec();
         }
-        if conn.admitted {
-            self.admitted -= 1;
-            self.metrics.inflight.dec();
-        }
         self.metrics.open_connections.dec();
-        self.pending_free.push(slot);
     }
 
-    fn set_interest(&mut self, slot: usize, events: u32) {
-        let Some(conn) = self.conns[slot].as_mut() else { return };
-        if conn.interest != events
-            && self.epoll.modify(conn.stream.as_raw_fd(), slot as u64, events).is_ok()
-        {
-            conn.interest = events;
-        }
-    }
-
-    fn conn_event(&mut self, slot: usize, readiness: u32) {
-        let Some(conn) = self.conns[slot].as_ref() else { return };
-        if readiness & (EPOLLERR | EPOLLHUP) != 0 {
-            self.close(slot);
-            return;
-        }
-        if readiness & EPOLLOUT != 0 && conn.state == ConnState::WritingResponse {
-            self.try_write(slot);
-        }
-        let Some(conn) = self.conns[slot].as_ref() else { return };
-        if readiness & EPOLLIN != 0
-            && matches!(
-                conn.state,
-                ConnState::ReadingHeaders | ConnState::ReadingBody | ConnState::KeepAliveIdle
-            )
-        {
-            self.do_read(slot);
-        }
-    }
-
-    /// Reads available bytes into the parser; dispatches when a request
-    /// completes. Level-triggered epoll re-fires if the kernel buffer is
-    /// not drained, so bounded batches per event are safe and keep one
-    /// chatty peer from starving the loop.
-    fn do_read(&mut self, slot: usize) {
-        let mut chunk = [0u8; READ_CHUNK];
+    /// Reads available bytes into the parser. Level-triggered epoll reports
+    /// the socket again after the re-arm if the kernel buffer is not
+    /// drained, so bounded batches per event are safe and keep one chatty
+    /// peer from holding its thread.
+    fn read(&self, conn: &mut Conn, buf: &mut [u8]) -> Step {
         for _ in 0..MAX_READS_PER_EVENT {
-            let read = match self.conns[slot].as_mut() {
-                Some(conn) => conn.stream.read(&mut chunk),
-                None => return,
-            };
-            match read {
-                Ok(0) => {
-                    self.close(slot);
-                    return;
-                }
+            match conn.stream.read(buf) {
+                Ok(0) => return Step::Close,
                 Ok(n) => {
                     if chronos_util::fail_eval!("http.reactor.read").is_some() {
                         // Fault: the socket dies mid-read.
-                        self.close(slot);
-                        return;
+                        return Step::Close;
                     }
-                    let now = Instant::now();
-                    let generation = self.generations[slot];
-                    let polled = {
-                        let conn = self.conns[slot].as_mut().expect("checked above");
-                        if conn.idle {
-                            conn.idle = false;
-                            conn.state = ConnState::ReadingHeaders;
-                            self.metrics.idle_keepalive.dec();
-                        }
-                        conn.parser.feed(&chunk[..n]);
-                        let polled = conn.parser.poll();
-                        if matches!(polled, Ok(None)) {
-                            conn.state = if conn.parser.reading_body() {
-                                ConnState::ReadingBody
-                            } else {
-                                ConnState::ReadingHeaders
-                            };
+                    if conn.idle {
+                        conn.idle = false;
+                        self.metrics.idle_keepalive.dec();
+                    }
+                    conn.parser.feed(&buf[..n]);
+                    match conn.parser.poll() {
+                        Ok(Some(parsed)) => return Step::Dispatch(parsed),
+                        Ok(None) => {
+                            conn.state = conn.reading();
                             // The stall budget is per read, not per
                             // request: any progress resets it.
-                            let deadline = now + self.cfg.header_read_timeout;
-                            arm_timer(&mut self.wheel, conn, slot, generation, now, deadline);
-                        }
-                        polled
-                    };
-                    match polled {
-                        Ok(Some(parsed)) => {
-                            self.dispatch(slot, parsed);
-                            return;
-                        }
-                        Ok(None) => {
-                            if n < chunk.len() {
-                                return; // kernel buffer drained (almost surely)
+                            conn.deadline = Some(Instant::now() + self.cfg.header_read_timeout);
+                            if n < buf.len() {
+                                return Step::Park(EPOLLIN); // drained (almost surely)
                             }
                         }
-                        Err(error) => {
-                            self.respond_parse_error(slot, error);
-                            return;
-                        }
+                        Err(error) => return self.respond_parse_error(conn, error),
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Step::Park(EPOLLIN),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot);
-                    return;
-                }
+                Err(_) => return Step::Close,
             }
         }
+        Step::Park(EPOLLIN)
     }
 
-    fn respond_parse_error(&mut self, slot: usize, error: ParseError) {
+    fn respond_parse_error(&self, conn: &mut Conn, error: ParseError) -> Step {
         let response = match error {
             ParseError::BadRequest(msg) => Response::error(Status::BAD_REQUEST, msg),
             ParseError::TooLarge => Response::error(Status::PAYLOAD_TOO_LARGE, "request too large"),
         };
-        self.start_write(slot, response, Method::Get, false);
+        self.respond(conn, response, Method::Get, false)
     }
 
-    /// Hands a complete request to the worker pool. The connection's socket
-    /// interest drops to zero until the response comes back.
-    fn dispatch(&mut self, slot: usize, parsed: ParsedRequest) {
+    /// Gives a parsed request a handler slot, a queue place, or a shed.
+    fn admit_request(&self, mut conn: Conn, parsed: ParsedRequest) -> Admitted {
+        let mut admission = self.admission.lock();
+        let run = admission.running < self.cfg.workers;
+        if !run && admission.waiting.len() >= self.cfg.queue_depth {
+            return Admitted::Shed(conn, parsed);
+        }
+        self.metrics.requests.inc();
+        if !conn.accepted {
+            // First request got a handler: the connection now counts as
+            // accepted.
+            conn.accepted = true;
+            self.metrics.accepted.inc();
+        }
+        conn.deadline = None; // handler time is not read-stall time
+        if run {
+            admission.running += 1;
+            Admitted::Run(conn, parsed)
+        } else {
+            admission.waiting.push_back((conn, parsed));
+            Admitted::Queued
+        }
+    }
+
+    /// Runs the handler on this thread. A panic is answered with a typed
+    /// `500` and `Connection: close`. The handler slot passes to the oldest
+    /// waiting request, which this thread then owes, or is freed.
+    fn run_handler(&self, conn: &mut Conn, parsed: ParsedRequest, worker: &mut Worker) -> Step {
         let ParsedRequest { request, keep_alive } = parsed;
         let method = request.method;
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| (self.handler)(request)));
         {
-            let conn = self.conns[slot].as_mut().expect("dispatch on live conn");
-            conn.state = ConnState::Dispatched;
-            conn.deadline = None; // handler time is not read-stall time
-        }
-        self.set_interest(slot, 0);
-        let generation = self.generations[slot];
-        let completions = Arc::clone(&self.completions);
-        let wake = Arc::clone(&self.wake);
-        let handler = Arc::clone(&self.handler);
-        let dispatched = self.pool.try_execute(move || {
-            let response = handler(request);
-            // Dropped-response fault: the handler has fully committed its
-            // effects, but the client never hears back. This is the case
-            // idempotency keys exist for.
-            let response = if chronos_util::fail_eval!("http.server.drop_response").is_some() {
-                None
-            } else {
-                Some(response)
-            };
-            completions.lock().push(Completion { slot, generation, response, method, keep_alive });
-            // Fault: the wakeup is lost. The reactor's tick still drains
-            // the queue, so the response is delayed, not dropped.
-            if chronos_util::fail_eval!("http.reactor.wakeup").is_none() {
-                wake.wake();
+            let mut admission = self.admission.lock();
+            match admission.waiting.pop_front() {
+                Some(next) => worker.owed.push(next),
+                None => admission.running -= 1,
             }
-        });
-        if dispatched {
-            self.metrics.requests.inc();
-            let conn = self.conns[slot].as_mut().expect("dispatch on live conn");
-            if !conn.accepted {
-                // First request reached the pool: the connection now
-                // counts as accepted.
-                conn.accepted = true;
-                self.metrics.accepted.inc();
-            }
-            return;
         }
-        // Bounded queue full at dispatch time: typed 429, counted in
-        // `shed_overload` but never `accepted` — a connection whose
-        // requests only ever shed is never accepted, so `accepted + shed
-        // == total connections` stays an identity for one-request
-        // (`Connection: close`) clients. A shed keep-alive connection
-        // stays open: an idle connection costs bytes, and a backed-off
-        // agent retrying on the same socket beats a reconnect storm.
-        self.metrics.shed_overload.inc();
-        let response = Response::error_named(
-            Status::TOO_MANY_REQUESTS,
-            CODE_OVERLOADED,
-            "request queue full; retry later",
-        )
-        .with_retry_after(self.cfg.retry_after);
+        let Ok(response) = outcome else {
+            self.shared.panics.fetch_add(1, Ordering::Relaxed);
+            let response = Response::error_named(
+                Status::INTERNAL_ERROR,
+                CODE_INTERNAL,
+                "the request handler failed",
+            );
+            return self.respond(conn, response, method, false);
+        };
+        // Dropped-response fault: the handler has fully committed its
+        // effects, but the client never hears back. This is the case
+        // idempotency keys exist for.
+        if chronos_util::fail_eval!("http.server.drop_response").is_some() {
+            return Step::Close;
+        }
+        // The keep-alive decision is taken after the handler: a drain that
+        // began while it ran turns into a polite `Connection: close`.
         let keep = keep_alive && self.shared.phase() == PHASE_RUNNING;
-        self.start_write(slot, response, method, keep);
+        self.respond(conn, response, method, keep)
     }
 
-    /// Serializes the head of `response`, moves its body into the
+    /// Serializes the head of `response` and moves its body into the
     /// connection (a `HEAD` response advertises the length but sends no
-    /// body), and begins (or finishes) writing them out.
-    fn start_write(&mut self, slot: usize, response: Response, method: Method, keep_alive: bool) {
-        let head = serialize_head(&response, keep_alive);
-        let body = if method == Method::Head { Vec::new() } else { response.body };
-        {
-            let Some(conn) = self.conns[slot].as_mut() else { return };
-            conn.head = head;
-            conn.body = body;
-            conn.out_pos = 0;
-            conn.state = ConnState::WritingResponse;
-            conn.close_after_write = !keep_alive;
-            if conn.idle {
-                conn.idle = false;
-                self.metrics.idle_keepalive.dec();
-            }
+    /// body), ready to write.
+    fn respond(&self, conn: &mut Conn, response: Response, method: Method, keep: bool) -> Step {
+        conn.head = serialize_head(&response, keep);
+        conn.body = if method == Method::Head { Vec::new() } else { response.body };
+        conn.out_pos = 0;
+        conn.state = ConnState::WritingResponse;
+        conn.close_after_write = !keep;
+        if conn.idle {
+            conn.idle = false;
+            self.metrics.idle_keepalive.dec();
         }
-        self.try_write(slot);
+        Step::Write
     }
 
     /// Writes as much pending output as the socket accepts, head and body
-    /// in one vectored write; on `WouldBlock` subscribes to `EPOLLOUT` and
-    /// resumes when the peer drains its side, at whatever offset the last
-    /// write stopped (inside the head or the body).
-    fn try_write(&mut self, slot: usize) {
-        enum Outcome {
-            Done,
-            Blocked,
-            Fatal,
-        }
+    /// in one vectored write; on `WouldBlock` parks the connection for
+    /// `EPOLLOUT`, to resume when the peer drains its side at whatever
+    /// offset the last write stopped (inside the head or the body).
+    fn write(&self, conn: &mut Conn) -> Step {
         loop {
-            let outcome = {
-                let Some(conn) = self.conns[slot].as_mut() else { return };
-                let (head, body) = pending(&conn.head, &conn.body, conn.out_pos);
-                if head.is_empty() && body.is_empty() {
-                    Outcome::Done
-                } else {
-                    match chronos_util::fail_eval!("http.reactor.write") {
-                        Some(Injected::Torn { keep }) => {
-                            // Torn write: the next `keep` bytes of the
-                            // response (head, then body) escape, then the
-                            // connection dies.
-                            let head = &head[..keep.min(head.len())];
-                            let body = &body[..(keep - head.len()).min(body.len())];
-                            let _ = conn
-                                .stream
-                                .write_vectored(&[IoSlice::new(head), IoSlice::new(body)]);
-                            Outcome::Fatal
-                        }
-                        Some(_) => Outcome::Fatal,
-                        None => match conn
-                            .stream
-                            .write_vectored(&[IoSlice::new(head), IoSlice::new(body)])
-                        {
-                            Ok(0) => Outcome::Fatal,
-                            Ok(n) => {
-                                conn.out_pos += n;
-                                continue;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                Outcome::Blocked
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => Outcome::Fatal,
-                        },
-                    }
+            let (head, body) = pending(&conn.head, &conn.body, conn.out_pos);
+            if head.is_empty() && body.is_empty() {
+                return self.finish_write(conn);
+            }
+            match chronos_util::fail_eval!("http.reactor.write") {
+                Some(Injected::Torn { keep }) => {
+                    // Torn write: the next `keep` bytes of the response
+                    // (head, then body) escape, then the connection dies.
+                    let head = &head[..keep.min(head.len())];
+                    let body = &body[..(keep - head.len()).min(body.len())];
+                    let _ = conn.stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]);
+                    return Step::Close;
                 }
-            };
-            match outcome {
-                Outcome::Fatal => {
-                    self.close(slot);
-                    return;
-                }
-                Outcome::Blocked => {
-                    self.set_interest(slot, EPOLLOUT);
+                Some(_) => return Step::Close,
+                None => {}
+            }
+            match conn.stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+                Ok(0) => return Step::Close,
+                Ok(n) => conn.out_pos += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // A peer that never reads must not pin the connection
                     // forever: reuse the stall budget as a write deadline.
-                    let now = Instant::now();
-                    let generation = self.generations[slot];
-                    let deadline = now + self.cfg.header_read_timeout;
-                    if let Some(conn) = self.conns[slot].as_mut() {
-                        arm_timer(&mut self.wheel, conn, slot, generation, now, deadline);
-                    }
-                    return;
+                    conn.deadline = Some(Instant::now() + self.cfg.header_read_timeout);
+                    return Step::Park(EPOLLOUT);
                 }
-                Outcome::Done => {
-                    self.finish_write(slot);
-                    return;
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Step::Close,
             }
         }
     }
 
     /// The response is fully out: close, serve a pipelined request, or go
     /// keep-alive idle.
-    fn finish_write(&mut self, slot: usize) {
-        let close_now = {
-            let Some(conn) = self.conns[slot].as_mut() else { return };
-            // Release a possibly large response body.
-            conn.head = Vec::new();
-            conn.body = Vec::new();
-            conn.out_pos = 0;
-            conn.deadline = None;
-            conn.close_after_write
-        };
-        if close_now {
-            self.close(slot);
-            return;
+    fn finish_write(&self, conn: &mut Conn) -> Step {
+        // Release a possibly large response body.
+        conn.head = Vec::new();
+        conn.body = Vec::new();
+        conn.out_pos = 0;
+        if conn.close_after_write {
+            return Step::Close;
         }
-        let polled = {
-            let conn = self.conns[slot].as_mut().expect("checked above");
-            conn.parser.poll()
-        };
-        match polled {
-            Ok(Some(parsed)) => self.dispatch(slot, parsed),
+        match conn.parser.poll() {
+            Ok(Some(parsed)) => Step::Dispatch(parsed),
             Ok(None) => {
                 let now = Instant::now();
-                let generation = self.generations[slot];
-                let stall = self.cfg.header_read_timeout;
-                let idle_after = self.cfg.idle_timeout;
-                let mut became_idle = false;
-                {
-                    let conn = self.conns[slot].as_mut().expect("checked above");
-                    if conn.parser.has_partial() {
-                        // The next (pipelined) request is partially here.
-                        conn.state = if conn.parser.reading_body() {
-                            ConnState::ReadingBody
-                        } else {
-                            ConnState::ReadingHeaders
-                        };
-                        arm_timer(&mut self.wheel, conn, slot, generation, now, now + stall);
-                    } else {
-                        conn.state = ConnState::KeepAliveIdle;
-                        conn.idle = true;
-                        became_idle = true;
-                        arm_timer(&mut self.wheel, conn, slot, generation, now, now + idle_after);
+                if conn.parser.has_partial() {
+                    // The next (pipelined) request is partially here.
+                    conn.state = conn.reading();
+                    conn.deadline = Some(now + self.cfg.header_read_timeout);
+                } else {
+                    conn.state = ConnState::KeepAliveIdle;
+                    conn.idle = true;
+                    self.metrics.idle_keepalive.inc();
+                    conn.deadline = Some(now + self.cfg.idle_timeout);
+                }
+                Step::Park(EPOLLIN)
+            }
+            Err(error) => self.respond_parse_error(conn, error),
+        }
+    }
+
+    /// The chores whichever thread wakes does: fire the timers that came
+    /// due (once per wheel tick, by the thread that claims the tick) and,
+    /// while draining, close connections with no request in progress.
+    fn chores(&self, worker: &mut Worker) {
+        let now = Instant::now();
+        let draining = self.shared.phase() == PHASE_DRAINING;
+        let now_ms = now.duration_since(self.started).as_millis() as u64;
+        let due_ms = self.next_tick_ms.load(Ordering::Relaxed);
+        let tick = now_ms >= due_ms
+            && self
+                .next_tick_ms
+                .compare_exchange(
+                    due_ms,
+                    now_ms + TimerWheel::GRANULARITY.as_millis() as u64,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_ok();
+        if !tick && !draining {
+            return;
+        }
+        let (mut due, mut idle) = (Vec::new(), Vec::new());
+        {
+            let mut slab = self.slab.lock();
+            if tick {
+                let mut expired = Vec::new();
+                slab.wheel.advance(now, &mut expired);
+                for (slot, generation) in expired {
+                    if slab.generations[slot] != generation {
+                        continue; // closed since scheduling
+                    }
+                    slab.scheduled[slot] = None;
+                    // A connection a thread owns right now is skipped: its
+                    // owner schedules its deadline again when it parks it.
+                    let Some(conn) = &slab.entries[slot] else { continue };
+                    let deadline = conn.deadline;
+                    match deadline {
+                        None => {}
+                        // Re-arm: the entry was clamped to the wheel horizon,
+                        // or the deadline moved since scheduling.
+                        Some(deadline) if deadline > now => {
+                            slab.schedule(slot, generation, now, deadline)
+                        }
+                        Some(_) => due.extend(slab.take(slot, generation)),
                     }
                 }
-                if became_idle {
-                    self.metrics.idle_keepalive.inc();
+            }
+            if draining {
+                for slot in 0..slab.entries.len() {
+                    let Some(conn) = &slab.entries[slot] else { continue };
+                    let quiet = match conn.state {
+                        ConnState::KeepAliveIdle => true,
+                        ConnState::ReadingHeaders | ConnState::ReadingBody => {
+                            conn.admitted && !conn.parser.has_partial()
+                        }
+                        ConnState::WritingResponse => false,
+                    };
+                    if quiet {
+                        let generation = slab.generations[slot];
+                        idle.extend(slab.take(slot, generation));
+                    }
                 }
-                self.set_interest(slot, EPOLLIN);
             }
-            Err(error) => self.respond_parse_error(slot, error),
+        }
+        for mut conn in due {
+            let step = self.expire(&mut conn);
+            self.serve(conn, step, worker);
+        }
+        for conn in idle {
+            self.close(conn);
         }
     }
 
-    /// Hands worker results back to their connections. Stale completions
-    /// (connection closed and slot reused since dispatch) are dropped by the
-    /// generation check.
-    fn drain_completions(&mut self) {
-        let batch = std::mem::take(&mut *self.completions.lock());
-        for completion in batch {
-            let slot = completion.slot;
-            let live =
-                self.conns[slot].is_some() && self.generations[slot] == completion.generation;
-            if !live {
-                continue;
-            }
-            let Some(response) = completion.response else {
-                // Dropped-response fault: cut the connection without a reply.
-                self.close(slot);
-                continue;
-            };
-            // The keep-alive decision is re-taken at completion time: a
-            // drain that began while the handler ran turns into a polite
-            // `Connection: close`.
-            let keep = completion.keep_alive && self.shared.phase() == PHASE_RUNNING;
-            self.start_write(slot, response, completion.method, keep);
-        }
-    }
-
-    /// A timer entry came due. Generation and deadline re-checks make stale
-    /// entries (slot reused, deadline reset or pushed out) harmless.
-    fn fire_timer(&mut self, slot: usize, generation: u64, now: Instant) {
-        let (state, has_partial) = {
-            let Some(conn) = self.conns[slot].as_mut() else { return };
-            if self.generations[slot] != generation {
-                return;
-            }
-            conn.sched_slot = None;
-            let Some(deadline) = conn.deadline else { return };
-            if deadline > now {
-                // Re-arm: the entry was clamped to the wheel horizon, or the
-                // deadline moved since scheduling.
-                arm_timer(&mut self.wheel, conn, slot, generation, now, deadline);
-                return;
-            }
-            (conn.state, conn.parser.has_partial())
-        };
-        match state {
+    /// A connection's deadline passed while it was parked.
+    fn expire(&self, conn: &mut Conn) -> Step {
+        match conn.state {
             ConnState::KeepAliveIdle => {
                 // Keep-alive cap reached with no request in sight.
                 self.metrics.shed_idle.inc();
-                self.close(slot);
+                Step::Close
             }
             ConnState::ReadingHeaders | ConnState::ReadingBody => {
                 self.metrics.shed_idle.inc();
-                if has_partial {
-                    // Slowloris: a half-sent request stalled out. Typed 408
-                    // so a sluggish-but-honest client knows what happened.
-                    let response = Response::error_named(
-                        Status::REQUEST_TIMEOUT,
-                        CODE_REQUEST_TIMEOUT,
-                        "request header or body not completed in time",
-                    );
-                    self.start_write(slot, response, Method::Get, false);
-                } else {
+                if !conn.parser.has_partial() {
                     // Never sent a byte: nothing useful to say.
-                    self.close(slot);
+                    return Step::Close;
                 }
+                // Slowloris: a half-sent request stalled out. Typed 408 so
+                // a sluggish-but-honest client knows what happened.
+                let response = Response::error_named(
+                    Status::REQUEST_TIMEOUT,
+                    CODE_REQUEST_TIMEOUT,
+                    "request header or body not completed in time",
+                );
+                self.respond(conn, response, Method::Get, false)
             }
-            ConnState::WritingResponse => {
-                // Peer stopped reading its response.
-                self.close(slot);
-            }
-            ConnState::Dispatched => {} // no deadline while the handler runs
+            // Peer stopped reading its response.
+            ConnState::WritingResponse => Step::Close,
         }
     }
+}
 
-    /// During drain, connections with no request in progress close
-    /// immediately; in-flight ones finish and close via the completion path.
-    fn close_idle_for_drain(&mut self) {
-        for slot in 0..self.conns.len() {
-            let drop_now = match &self.conns[slot] {
-                Some(conn) => match conn.state {
-                    ConnState::KeepAliveIdle => true,
-                    ConnState::ReadingHeaders | ConnState::ReadingBody => {
-                        conn.admitted && !conn.parser.has_partial()
-                    }
-                    _ => false,
-                },
-                None => false,
-            };
-            if drop_now {
-                self.close(slot);
+impl<F> Drop for Core<F> {
+    /// Runs once every worker has exited: closes what is left (gauges go to
+    /// zero) before the listener and the epoll close with `self`.
+    fn drop(&mut self) {
+        let slab = self.slab.get_mut();
+        let mut left: Vec<Conn> = slab.entries.iter_mut().filter_map(Option::take).collect();
+        left.extend(self.admission.get_mut().waiting.drain(..).map(|(conn, _)| conn));
+        for conn in left {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            if conn.admitted {
+                self.metrics.inflight.dec();
             }
+            if conn.idle {
+                self.metrics.idle_keepalive.dec();
+            }
+            self.metrics.open_connections.dec();
         }
     }
 }

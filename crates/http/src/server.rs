@@ -1,24 +1,27 @@
-//! HTTP/1.1 server: one epoll reactor in front of a bounded worker pool.
+//! HTTP/1.1 server: worker threads sharing one epoll, each request served
+//! start to finish by the thread that reads it.
 //!
 //! Handles exactly what the Chronos REST API needs: persistent connections,
 //! `Content-Length` bodies (both directions), a body size cap for untrusted
 //! uploads, and graceful shutdown so integration tests can tear servers
 //! down deterministically.
 //!
-//! A single event-loop thread owns every socket (see [`crate::reactor`]):
-//! it reads and parses requests incrementally ([`crate::parser`]), hands
-//! each complete request to the worker pool, and writes the serialized
-//! response when the worker passes it back through a completion queue +
-//! eventfd. An idle keep-alive connection costs a few hundred bytes of
-//! state, not a thread, so one box holds tens of thousands of polling
-//! agents. The reactor is built on epoll, so [`Server::serve`] works on
-//! Linux only and returns [`std::io::ErrorKind::Unsupported`] elsewhere.
+//! Every socket is registered with one epoll that all worker threads wait
+//! on (see [`crate::reactor`]). Each connection is armed one-shot, so the
+//! one thread that sees it ready owns it: it reads and parses the request
+//! incrementally ([`crate::parser`]), runs the handler inline and writes
+//! the response, then re-arms the connection. An idle keep-alive connection
+//! costs a few hundred bytes of state, not a thread, so one box holds tens
+//! of thousands of polling agents. The core is built on epoll, so
+//! [`Server::serve`] works on Linux only and returns
+//! [`std::io::ErrorKind::Unsupported`] elsewhere.
 //!
 //! # Overload protection
 //!
-//! Admission is *bounded*: a fixed worker pool, a bounded job queue, and a
-//! cap on open admitted connections. When either limit is hit the server
-//! sheds cheaply on the event loop — a typed `429`
+//! Admission is *bounded*: at most `workers` requests inside handlers, at
+//! most `queue_depth` parsed requests waiting beyond them, and a cap on open
+//! admitted connections. When a limit is hit the server sheds cheaply — a
+//! typed `429`
 //! `{"error":{"code":"overloaded",...}}` body with `Retry-After` hints —
 //! instead of queueing work until collapse. `accepted + shed == total
 //! connections` holds exactly.
@@ -28,18 +31,17 @@
 //! [`ServerHandle::drain`] runs a two-phase shutdown: first *draining* —
 //! new connections get `503 draining`, in-flight requests finish and their
 //! keep-alive connections are closed politely with `Connection: close` —
-//! then, once no connection is in flight, *stopped*: the listener closes
-//! and the pool joins. [`ServerHandle::shutdown`] is drain followed by
+//! then, once no connection is in flight, *stopped*: the workers exit and
+//! the listener closes. [`ServerHandle::shutdown`] is drain followed by
 //! teardown, so no accepted request is ever silently dropped.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chronos_json::{obj, Value};
 use chronos_metrics::{Counter, Gauge};
-use chronos_util::ThreadPool;
 
 use crate::types::{Request, Response};
 
@@ -69,7 +71,7 @@ const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 /// `deadline_exceeded` count) and the status UI.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// Connections whose first request reached the worker pool.
+    /// Connections whose first request got a handler slot or a queue place.
     pub accepted: Counter,
     /// Requests fully parsed and handed to the handler.
     pub requests: Counter,
@@ -90,9 +92,12 @@ pub struct ServerMetrics {
     pub open_connections: Gauge,
     /// Keep-alive connections currently idle between requests.
     pub idle_keepalive: Gauge,
-    /// Reactor event-loop iterations (epoll wakeups + ticks).
+    /// Returns from `epoll_wait`, summed over the worker threads (ready
+    /// events and timer ticks).
     pub reactor_loops: Counter,
-    /// Worker→reactor completion wakeups observed on the eventfd.
+    /// Eventfd nudges the workers observed. Only a drain or a shutdown
+    /// writes the eventfd — a request is served by the thread that reads
+    /// it, so serving never adds to this count.
     pub wakeups: Counter,
     /// Cluster role of this node: 0 follower, 1 candidate, 2 leader
     /// (single-node deployments stay 2, the write-accepting role).
@@ -146,11 +151,13 @@ impl ServerMetrics {
     }
 }
 
-/// Lifecycle + metrics state shared between the event loop and the
+/// Lifecycle + metrics state shared between the workers and the
 /// [`ServerHandle`].
 pub(crate) struct Shared {
     pub(crate) phase: AtomicU8,
     pub(crate) metrics: Arc<ServerMetrics>,
+    /// Handler panics caught (each answered with a typed `500`).
+    pub(crate) panics: AtomicUsize,
 }
 
 impl Shared {
@@ -175,11 +182,9 @@ pub struct Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    pool: Option<Arc<ThreadPool>>,
-    /// The reactor thread; `None` once drained.
-    thread: Option<std::thread::JoinHandle<()>>,
+    /// The worker threads; `None` once drained.
     #[cfg(target_os = "linux")]
-    wake: Arc<crate::sys::EventFd>,
+    workers: Option<crate::reactor::Workers>,
 }
 
 impl Default for Server {
@@ -220,14 +225,16 @@ impl Server {
         self
     }
 
-    /// Overrides the worker thread count.
+    /// Overrides how many requests may run inside handlers at once. The
+    /// server runs one thread more than this, so a thread is always free
+    /// to accept and shed while every handler slot is taken.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
     }
 
-    /// Overrides the bounded queue depth (requests waiting for a worker
-    /// beyond the ones being served). Default: 2× workers.
+    /// Overrides the bounded queue depth (parsed requests waiting for a
+    /// handler slot beyond the ones being served). Default: 2× workers.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = Some(depth);
         self
@@ -274,29 +281,21 @@ impl Server {
             let local_addr = listener.local_addr()?;
             let queue_depth = self.queue_depth.unwrap_or(self.workers * 2);
             let cfg = crate::reactor::ReactorConfig {
+                workers: self.workers,
+                queue_depth,
                 max_inflight: self.max_inflight.unwrap_or(self.workers + queue_depth),
                 retry_after: self.retry_after,
                 header_read_timeout: self.header_read_timeout,
                 idle_timeout: self.idle_timeout,
             };
-            let pool =
-                Arc::new(ThreadPool::bounded_with_name(self.workers, queue_depth, "chronos-http"));
             let metrics = self.metrics.unwrap_or_else(ServerMetrics::shared);
-            let shared = Arc::new(Shared { phase: AtomicU8::new(PHASE_RUNNING), metrics });
-            let (thread, wake) = crate::reactor::spawn(
-                listener,
-                Arc::clone(&shared),
-                Arc::clone(&pool),
-                Arc::new(handler),
-                cfg,
-            )?;
-            Ok(ServerHandle {
-                addr: local_addr,
-                shared,
-                pool: Some(pool),
-                thread: Some(thread),
-                wake,
-            })
+            let shared = Arc::new(Shared {
+                phase: AtomicU8::new(PHASE_RUNNING),
+                metrics,
+                panics: AtomicUsize::new(0),
+            });
+            let workers = crate::reactor::spawn(listener, Arc::clone(&shared), handler, cfg)?;
+            Ok(ServerHandle { addr: local_addr, shared, workers: Some(workers) })
         }
     }
 }
@@ -323,17 +322,18 @@ impl ServerHandle {
         self.shared.phase() != PHASE_RUNNING
     }
 
-    /// Number of handler jobs that panicked (the pool catches them; the
-    /// worker survives).
+    /// Number of handler calls that panicked. The worker catches each one,
+    /// answers its request with a typed `500 internal` and `Connection:
+    /// close`, and serves on.
     pub fn pool_panics(&self) -> usize {
-        self.pool.as_ref().map(|p| p.panics()).unwrap_or(0)
+        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Two-phase graceful drain. Phase one: stop admitting work — new
     /// connections get `503 draining`, in-flight requests finish and their
     /// keep-alive connections close politely (`Connection: close`). Phase
-    /// two, once nothing is in flight: close the listener and join the
-    /// pool. Idempotent. Returns `true` when every in-flight request
+    /// two, once nothing is in flight: join the workers and close the
+    /// listener. Idempotent. Returns `true` when every in-flight request
     /// completed before teardown (`false` only if [`DRAIN_TIMEOUT`]
     /// expired).
     pub fn drain(&mut self) -> bool {
@@ -343,28 +343,22 @@ impl ServerHandle {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
-        if was.is_err() && self.thread.is_none() {
+        if was.is_err() && !self.running() {
             return true; // already drained
         }
-        // Nudge the loop so it sweeps idle keep-alive connections now
-        // instead of on its next tick.
-        self.wake_reactor();
+        // Nudge the workers so they sweep idle keep-alive connections now
+        // instead of on their next tick.
+        self.wake_workers();
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.shared.metrics.inflight.get() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         let clean = self.shared.metrics.inflight.get() == 0;
         self.shared.phase.store(PHASE_STOPPED, Ordering::SeqCst);
-        self.wake_reactor();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            // The reactor thread has exited and dropped its handle, so this
-            // unwrap succeeds and dropping the pool joins every worker.
-            if let Ok(pool) = Arc::try_unwrap(pool) {
-                drop(pool);
-            }
+        self.wake_workers();
+        #[cfg(target_os = "linux")]
+        if let Some(workers) = self.workers.take() {
+            workers.join();
         }
         clean
     }
@@ -374,10 +368,20 @@ impl ServerHandle {
         let _ = self.drain();
     }
 
-    /// Wakes the event loop so it re-reads the lifecycle phase now.
-    fn wake_reactor(&self) {
+    /// Whether the worker threads are still there to join.
+    fn running(&self) -> bool {
         #[cfg(target_os = "linux")]
-        self.wake.wake();
+        return self.workers.is_some();
+        #[cfg(not(target_os = "linux"))]
+        false
+    }
+
+    /// Wakes the workers so they re-read the lifecycle phase now.
+    fn wake_workers(&self) {
+        #[cfg(target_os = "linux")]
+        if let Some(workers) = &self.workers {
+            workers.wake();
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! `libc` crate this module declares the handful of symbols it needs as
 //! `extern "C"` — std already links the platform C library, the loader
 //! resolves them for free. Everything here is a minimal, safe-ish facade:
-//! [`Epoll`] (readiness queue), [`EventFd`] (cross-thread wakeup), and
+//! [`Epoll`] (readiness queue), [`EventFd`] (drain and shutdown nudge), and
 //! [`raise_nofile_limit`] (so fleet-scale experiments can actually open
 //! tens of thousands of sockets).
 
@@ -27,6 +27,9 @@ pub mod linux {
     pub const EPOLLOUT: u32 = 0x004;
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
+    /// Disarms the fd after one event until `EPOLL_CTL_MOD` re-arms it, so
+    /// of the threads sharing one epoll exactly one sees each readiness.
+    pub const EPOLLONESHOT: u32 = 1 << 30;
 
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_DEL: c_int = 2;
@@ -83,7 +86,7 @@ pub mod linux {
         fn close(fd: c_int) -> c_int;
     }
 
-    /// An epoll instance: the readiness queue behind the reactor.
+    /// An epoll instance: the readiness queue the server's workers share.
     pub struct Epoll {
         fd: c_int,
     }
@@ -146,8 +149,8 @@ pub mod linux {
         }
     }
 
-    /// A non-blocking eventfd: worker threads write to it to wake the
-    /// reactor out of `epoll_wait` when a response is ready.
+    /// A non-blocking eventfd: the server handle writes to it to wake its
+    /// workers out of `epoll_wait` when a drain or shutdown begins.
     pub struct EventFd {
         fd: c_int,
     }
@@ -168,8 +171,9 @@ pub mod linux {
         }
 
         /// Adds 1 to the counter, making the fd readable. Failures are
-        /// ignored deliberately: the reactor also drains completions on its
-        /// timer tick, so a lost wakeup costs latency, never correctness.
+        /// ignored deliberately: the workers also re-read the lifecycle
+        /// phase on their timer tick, so a lost wakeup costs latency, never
+        /// correctness.
         pub fn wake(&self) {
             let one: u64 = 1;
             let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };

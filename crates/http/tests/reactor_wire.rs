@@ -225,3 +225,58 @@ fn idle_keepalive_connection_is_reaped_silently() {
     assert_eq!(metrics.shed_idle.get(), 1);
     assert_eq!(metrics.accepted.get(), 1, "a served-then-reaped conn still counts accepted");
 }
+
+#[test]
+fn panicking_handler_answers_500_and_frees_its_connection() {
+    let mut server = Server::new()
+        .workers(2)
+        .serve("127.0.0.1:0", |req| {
+            if req.path == "/boom" {
+                panic!("handler bug");
+            }
+            Response::text(Status::OK, "ok")
+        })
+        .unwrap();
+    let metrics = server.metrics();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    stream.write_all(b"GET /boom HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let (status, body, close) = read_one_response(&mut stream);
+    assert_eq!(status, 500, "a panicking handler must still answer");
+    let text = String::from_utf8_lossy(&body).to_string();
+    assert!(text.contains("\"internal\""), "typed error code missing from {text:?}");
+    assert!(close, "the connection of a panicked handler must close");
+    let mut rest = Vec::new();
+    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while metrics.inflight.get() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(metrics.inflight.get(), 0, "the panicked request still holds its slot");
+    assert_eq!(server.pool_panics(), 1);
+    // Other requests are unaffected, and the drain finds nothing in flight.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    stream.write_all(b"GET /fine HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+    assert_eq!(read_one_response(&mut stream).0, 200);
+    let started = Instant::now();
+    assert!(server.drain(), "drain timed out with the panicked request in flight");
+    assert!(started.elapsed() < Duration::from_secs(2), "drain took {:?}", started.elapsed());
+}
+
+#[test]
+fn sequential_keep_alive_requests_take_no_wakeup() {
+    // A request runs on the thread that read it: nothing hands it to
+    // another thread, so nothing has to be woken to write the response.
+    let server = echo_server(Duration::from_secs(30), Duration::from_secs(30));
+    let metrics = server.metrics();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for _ in 0..1000 {
+        stream.write_all(b"GET /v HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        assert_eq!(read_one_response(&mut stream).0, 200);
+    }
+    assert_eq!(metrics.requests.get(), 1000);
+    assert_eq!(metrics.wakeups.get(), 0, "a request was handed between threads");
+}

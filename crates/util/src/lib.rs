@@ -10,8 +10,7 @@
 //!   schedulers and lease expiry can be tested deterministically.
 //! * [`encode`] — CRC-32, hexadecimal and Base64 codecs used by the ZIP
 //!   substrate and by HTTP basic authentication.
-//! * [`pool`] — the bounded worker pool behind the HTTP reactor's handler
-//!   dispatch, and the scoped fork/join helper of multi-threaded clients.
+//! * [`pool`] — the scoped fork/join helper of multi-threaded clients.
 //! * [`retry`] — bounded exponential backoff used by agents talking to
 //!   Chronos Control.
 //! * [`circuit`] — per-endpoint circuit breakers so a struggling control
@@ -33,5 +32,4 @@ pub mod splitmix;
 
 pub use clock::{Clock, MockClock, SystemClock};
 pub use id::Id;
-pub use pool::ThreadPool;
 pub use splitmix::SplitMix64;

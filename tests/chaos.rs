@@ -119,14 +119,12 @@ fn chaos_storm_every_job_finishes_exactly_once() {
     // re-runs the job, and with max_attempts=12 the storm still must end
     // with every job *finished* — breaches only delay, never lose work.
     fail::arm("agent.budget.breach", Policy::ErrorProb(0.10));
-    // The reactor core (the default transport under this storm) takes its
-    // own faults: accepts that die before admission, sockets that fail
-    // mid-read or mid-write (including after the server committed), and
-    // lost completion wakeups that the tick has to absorb.
+    // The server core takes its own faults: accepts that die before
+    // admission, and sockets that fail mid-read or mid-write (including
+    // after the server committed).
     fail::arm("http.reactor.accept", Policy::ErrorProb(0.01));
     fail::arm("http.reactor.read", Policy::ErrorProb(0.01));
     fail::arm("http.reactor.write", Policy::ErrorProb(0.01));
-    fail::arm("http.reactor.wakeup", Policy::ErrorProb(0.05));
 
     let deadline = Instant::now() + Duration::from_secs(90);
     let base_url = env.server.base_url();
@@ -464,7 +462,9 @@ fn swarm_client(addr: std::net::SocketAddr, done: &AtomicBool) -> (u64, u64, u64
 /// storm *and* a health-check swarm at the same time. Admission control
 /// sheds the excess with typed 429s, the agents retry through it, and at
 /// the end a graceful drain completes cleanly with every accepted job
-/// finished exactly once.
+/// finished exactly once. The swarm starts against a server whose every
+/// connection slot is held by an idle socket, so it is shed whatever the
+/// timing; the holders let go before the agents start.
 #[test]
 fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
     let _guard = serial();
@@ -490,23 +490,46 @@ fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
     let job_count = expected_jobs(&evaluation);
     assert_eq!(job_count, 2);
 
+    // Fill every connection slot (the cap is workers + queue depth = 5)
+    // with idle sockets before any fault is armed, so none of them is lost
+    // to an injected accept failure.
+    let addr = env.server.addr();
+    let metrics = env.server.metrics();
+    let holders: Vec<std::net::TcpStream> =
+        (0..5).map(|_| std::net::TcpStream::connect(addr).expect("connect holder")).collect();
+    let full = Instant::now() + Duration::from_secs(5);
+    while metrics.inflight.get() < 5 {
+        assert!(Instant::now() < full, "holders never filled the server {}", replay());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     fail::arm("agent.heartbeat", Policy::ErrorProb(0.10));
     fail::arm("http.server.drop_response", Policy::ErrorProb(0.03));
-    // Transport-level faults on the reactor core: the accounting identity
+    // Transport-level faults on the server core: the accounting identity
     // (`accepted == completed + shed` at drain) must hold even when accepts
-    // die pre-admission, sockets break mid-read/mid-write, and completion
-    // wakeups are lost (the tick heartbeat has to absorb those).
+    // die pre-admission and sockets break mid-read/mid-write.
     fail::arm("http.reactor.accept", Policy::ErrorProb(0.01));
     fail::arm("http.reactor.read", Policy::ErrorProb(0.01));
     fail::arm("http.reactor.write", Policy::ErrorProb(0.01));
-    fail::arm("http.reactor.wakeup", Policy::ErrorProb(0.05));
 
     let deadline = Instant::now() + Duration::from_secs(90);
     let base_url = env.server.base_url();
-    let addr = env.server.addr();
     let token = env.admin_token.clone();
     let deployment = Id::parse_base32(&deployment_id).unwrap();
     let done = Arc::new(AtomicBool::new(false));
+    let swarm: Vec<_> = (0..2)
+        .map(|i| {
+            let done = Arc::clone(&done);
+            std::thread::Builder::new()
+                .name(format!("overload-swarm-{i}"))
+                .spawn(move || swarm_client(addr, &done))
+                .unwrap()
+        })
+        .collect();
+    // A fixed window in which the full server sheds every swarm connect,
+    // then the holders let go before the agents need capacity.
+    std::thread::sleep(Duration::from_millis(300));
+    drop(holders);
     let agents: Vec<_> = (0..2)
         .map(|i| {
             let base_url = base_url.clone();
@@ -515,15 +538,6 @@ fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
             std::thread::Builder::new()
                 .name(format!("overload-agent-{i}"))
                 .spawn(move || storm_agent(&base_url, &token, deployment, &done, deadline))
-                .unwrap()
-        })
-        .collect();
-    let swarm: Vec<_> = (0..2)
-        .map(|i| {
-            let done = Arc::clone(&done);
-            std::thread::Builder::new()
-                .name(format!("overload-swarm-{i}"))
-                .spawn(move || swarm_client(addr, &done))
                 .unwrap()
         })
         .collect();
@@ -571,7 +585,6 @@ fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
 
     // The storm really overloaded admission (the swarm got typed sheds,
     // not hangs or resets), and some health checks still got through.
-    let metrics = env.server.metrics();
     assert!(swarm_shed >= 1, "swarm was never shed — server not overloaded {}", replay());
     assert!(swarm_ok >= 1, "no health check ever admitted during the storm {}", replay());
     assert!(metrics.shed_overload.get() >= swarm_shed, "server-side shed accounting {}", replay());

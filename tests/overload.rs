@@ -192,18 +192,11 @@ fn shed_connection_gets_typed_overloaded_envelope_with_retry_hints() {
     // Releasing the held request frees the capacity again.
     let held = holder.finish();
     assert_eq!(held.status, 200);
+    // The handler slot is freed before the response is written, and the
+    // connection's admission before `inflight` reads 0: the next request
+    // is served at once.
     wait_for("capacity release", || metrics.inflight.get() == 0);
-    // The worker decrements `inflight` just before it re-polls the queue, so
-    // with queue_depth(0) a request landing in that sliver can still be shed;
-    // retry briefly until the worker is parked on the queue again.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let after = loop {
-        let response = raw_get(server.addr(), "/healthz", "");
-        if response.status != 429 || Instant::now() >= deadline {
-            break response;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let after = raw_get(server.addr(), "/healthz", "");
     assert_eq!(after.status, 200, "after release: {}", after.body);
     server.shutdown();
 }
