@@ -6,11 +6,11 @@
 //! dependency-free HTTP/1.1 implementation with exactly the features the
 //! REST API needs —
 //!
-//! * [`Server`] — HTTP/1.1 server: one epoll reactor event loop (idle
-//!   keep-alive connections cost bytes, not threads) in front of a bounded
-//!   worker pool, with keep-alive, `Content-Length` bodies, admission
-//!   control and graceful shutdown. Serving is Linux-only; everything else
-//!   in the crate is portable;
+//! * [`Server`] — HTTP/1.1 server: worker threads sharing one epoll (idle
+//!   keep-alive connections cost bytes, not threads), each request served
+//!   start to finish by the thread that reads it, with keep-alive,
+//!   `Content-Length` bodies, admission control and graceful shutdown.
+//!   Serving is Linux-only; everything else in the crate is portable;
 //! * [`Router`] — method + path-pattern dispatch with `:param` captures,
 //!   the backbone of the versioned API;
 //! * [`Client`] — a blocking client with a keep-alive connection cache,

@@ -369,13 +369,24 @@ where
         started: now,
         next_tick_ms: AtomicU64::new(0),
     });
-    let threads = (0..threads)
-        .map(|i| {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new().name(format!("chronos-http-{i}")).spawn(move || core.run())
-        })
-        .collect::<std::io::Result<Vec<_>>>()?;
-    Ok(Workers { threads, wake })
+    let mut workers = Workers { threads: Vec::with_capacity(threads), wake };
+    for i in 0..threads {
+        let worker = Arc::clone(&core);
+        let spawned = std::thread::Builder::new()
+            .name(format!("chronos-http-{i}"))
+            .spawn(move || worker.run());
+        match spawned {
+            Ok(thread) => workers.threads.push(thread),
+            Err(error) => {
+                // Stop the threads already running before reporting.
+                core.shared.phase.store(PHASE_STOPPED, Ordering::SeqCst);
+                workers.wake();
+                workers.join();
+                return Err(error);
+            }
+        }
+    }
+    Ok(workers)
 }
 
 impl<F> Core<F>
@@ -486,6 +497,10 @@ where
                         drop(stream);
                         continue;
                     }
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
                     match self.shared.phase() {
                         PHASE_STOPPED => return,
                         PHASE_DRAINING => {
@@ -515,43 +530,25 @@ where
     /// Parks an admitted connection for its first request and starts its
     /// header-read clock, or sheds it when the in-flight cap is reached.
     fn admit(&self, stream: TcpStream, worker: &mut Worker) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
+        let mut slab = self.slab.lock();
+        if slab.admitted >= self.cfg.max_inflight {
+            drop(slab);
+            self.metrics.shed_overload.inc();
+            let message = "connection limit reached; retry later";
+            return self.shed(stream, Status::TOO_MANY_REQUESTS, CODE_OVERLOADED, message, worker);
         }
-        let _ = stream.set_nodelay(true);
-        let conn = {
-            let mut slab = self.slab.lock();
-            if slab.admitted < self.cfg.max_inflight {
-                slab.admitted += 1;
-                self.metrics.inflight.inc();
-                self.metrics.open_connections.inc();
-                let (slot, generation) = slab.allocate();
-                Some(Conn::new(stream, slot, generation, true))
-            } else {
-                drop(slab);
-                self.metrics.shed_overload.inc();
-                self.shed(
-                    stream,
-                    Status::TOO_MANY_REQUESTS,
-                    CODE_OVERLOADED,
-                    "connection limit reached; retry later",
-                    worker,
-                );
-                None
-            }
-        };
-        if let Some(mut conn) = conn {
-            conn.deadline = Some(Instant::now() + self.cfg.header_read_timeout);
-            self.park(conn, EPOLLIN);
-        }
+        slab.admitted += 1;
+        self.metrics.inflight.inc();
+        self.metrics.open_connections.inc();
+        let (slot, generation) = slab.allocate();
+        drop(slab);
+        let mut conn = Conn::new(stream, slot, generation, true);
+        conn.deadline = Some(Instant::now() + self.cfg.header_read_timeout);
+        self.park(conn, EPOLLIN);
     }
 
     /// Writes a typed refusal on a connection the server will not admit.
     fn shed(&self, stream: TcpStream, status: Status, code: &str, message: &str, w: &mut Worker) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
         let (slot, generation) = self.slab.lock().allocate();
         self.metrics.open_connections.inc();
         let mut conn = Conn::new(stream, slot, generation, false);

@@ -14,10 +14,11 @@
 //!
 //! ## Overload protection and graceful degradation
 //!
-//! The HTTP front end runs with bounded admission by default: a fixed
-//! worker pool, a bounded accept queue, and an in-flight connection cap.
-//! Excess load is shed cheaply from the accept thread with typed
-//! `429 {"error":{"code":"overloaded"}}` envelopes carrying `Retry-After`.
+//! The HTTP front end runs with bounded admission by default: a cap on
+//! requests inside handlers, a bounded queue of parsed requests beyond
+//! them, and an in-flight connection cap. Excess load is shed cheaply with
+//! typed `429 {"error":{"code":"overloaded"}}` envelopes carrying
+//! `Retry-After`.
 //! Callers can bound their wait with the `X-Chronos-Deadline-Ms` header;
 //! an exhausted budget is answered with `504 deadline_exceeded` before
 //! any expensive work runs. `/healthz` (liveness) and `/readyz`
@@ -245,7 +246,7 @@ impl ChronosServer {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Worker-pool panics observed so far (0 on a healthy server).
+    /// Handler panics caught so far (0 on a healthy server).
     pub fn pool_panics(&self) -> usize {
         self.http.as_ref().map(|h| h.pool_panics()).unwrap_or(0)
     }
@@ -253,7 +254,7 @@ impl ChronosServer {
     /// Two-phase graceful drain: flips `/readyz` to unready, stops
     /// accepting new connections (they are refused with a typed
     /// `503 draining` envelope), lets every in-flight request finish with
-    /// `Connection: close`, and joins the worker pool. Returns `true` if
+    /// `Connection: close`, and joins the HTTP workers. Returns `true` if
     /// all in-flight work completed within the drain window. The sweeper
     /// keeps running until [`ChronosServer::shutdown`].
     pub fn drain(&mut self) -> bool {

@@ -589,9 +589,9 @@ fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
     assert!(swarm_ok >= 1, "no health check ever admitted during the storm {}", replay());
     assert!(metrics.shed_overload.get() >= swarm_shed, "server-side shed accounting {}", replay());
 
-    // Graceful drain after the storm: no in-flight request is dropped, the
-    // pool never panicked, and teardown completes inside the drain window.
+    // Graceful drain after the storm: no in-flight request is dropped, no
+    // handler panicked, and teardown completes inside the drain window.
     assert!(env.server.drain(), "drain timed out with requests in flight {}", replay());
     assert!(env.server.is_draining());
-    assert_eq!(env.server.pool_panics(), 0, "worker pool panicked during the storm {}", replay());
+    assert_eq!(env.server.pool_panics(), 0, "a handler panicked during the storm {}", replay());
 }
