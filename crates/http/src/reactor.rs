@@ -23,8 +23,9 @@
 //! idle keep-alive ones included (shed at accept with the typed
 //! `429 overloaded` envelope); at most `workers` requests run inside
 //! handlers and at most `queue_depth` parsed requests wait beyond them —
-//! the server runs `workers + 1` threads, so one is always free to shed the
-//! excess with the same `429` while every handler slot is taken; drain
+//! beside the `workers` threads runs one spare thread that polls only while
+//! every handler slot is taken, and reads, queues or sheds the excess (the
+//! same `429`) at once; drain
 //! closes idle connections immediately and lets in-flight requests finish
 //! with a polite `Connection: close`; and `accepted + shed == total
 //! connections` holds exactly.
@@ -41,7 +42,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -301,7 +302,10 @@ struct Core<F> {
     handler: F,
     cfg: ReactorConfig,
     slab: Mutex<Slab>,
-    admission: Mutex<Admission>,
+    admission: std::sync::Mutex<Admission>,
+    /// Signalled when the last handler slot is taken: wakes the spare
+    /// thread.
+    saturated: Condvar,
     started: Instant,
     /// Milliseconds since `started` at which the timer wheel is next due;
     /// the thread that moves it forward runs the timers.
@@ -329,8 +333,9 @@ impl Workers {
     }
 }
 
-/// Starts `workers + 1` threads on one epoll: up to `workers` of them run
-/// handlers, and one more is always free to accept, shed and run timers.
+/// Starts `workers` threads on one epoll, each serving requests start to
+/// finish, and the spare thread that takes over the epoll while all of
+/// them are in handlers.
 pub(crate) fn spawn<F>(
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -365,7 +370,8 @@ where
             admitted: 0,
             wheel: TimerWheel::new(now),
         }),
-        admission: Mutex::new(Admission { running: 0, waiting: VecDeque::new() }),
+        admission: std::sync::Mutex::new(Admission { running: 0, waiting: VecDeque::new() }),
+        saturated: Condvar::new(),
         started: now,
         next_tick_ms: AtomicU64::new(0),
     });
@@ -374,7 +380,7 @@ where
         let worker = Arc::clone(&core);
         let spawned = std::thread::Builder::new()
             .name(format!("chronos-http-{i}"))
-            .spawn(move || worker.run());
+            .spawn(move || if i == 0 { worker.run_spare() } else { worker.run() });
         match spawned {
             Ok(thread) => workers.threads.push(thread),
             Err(error) => {
@@ -395,16 +401,45 @@ where
 {
     fn run(&self) {
         let mut worker = Worker { buf: vec![0u8; READ_CHUNK], owed: Vec::new() };
+        while self.shared.phase() != PHASE_STOPPED {
+            self.poll(&mut worker);
+        }
+    }
+
+    /// The spare thread: polls only while every handler slot is taken, so
+    /// the excess is read and queued or shed at once. Idle otherwise, it is
+    /// the thread the scheduler lets run first when it is needed — a worker
+    /// that just ran handlers would wait its turn behind the others.
+    fn run_spare(&self) {
+        let mut worker = Worker { buf: vec![0u8; READ_CHUNK], owed: Vec::new() };
+        while self.shared.phase() != PHASE_STOPPED {
+            let admission = self.admission();
+            if admission.running < self.cfg.workers {
+                let tick = Duration::from_millis(TICK_MS as u64);
+                drop(self.saturated.wait_timeout(admission, tick));
+                continue;
+            }
+            drop(admission);
+            self.poll(&mut worker);
+        }
+    }
+
+    fn admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().expect("no code panics while holding the admission lock")
+    }
+
+    /// Waits for one event, serves it, and does the chores.
+    fn poll(&self, worker: &mut Worker) {
         // One event per wait: a connection this thread does not take stays
         // ready for the next free thread instead of queueing behind a
         // handler running here.
         let mut events = [EpollEvent::empty(); 1];
-        while self.shared.phase() != PHASE_STOPPED {
+        {
             let ready = self.epoll.wait(&mut events, TICK_MS).unwrap_or(0);
             self.metrics.reactor_loops.inc();
             for event in events.iter().take(ready) {
                 match event.token() {
-                    TOKEN_LISTENER => self.accept_burst(&mut worker),
+                    TOKEN_LISTENER => self.accept_burst(worker),
                     TOKEN_WAKE => {
                         // Shutdown leaves the counter set so every worker
                         // wakes; a drain nudge needs only one.
@@ -424,12 +459,12 @@ where
                             } else {
                                 Step::Read
                             };
-                            self.serve(conn, step, &mut worker);
+                            self.serve(conn, step, worker);
                         }
                     }
                 }
             }
-            self.chores(&mut worker);
+            self.chores(worker);
         }
     }
 
@@ -658,7 +693,7 @@ where
 
     /// Gives a parsed request a handler slot, a queue place, or a shed.
     fn admit_request(&self, mut conn: Conn, parsed: ParsedRequest) -> Admitted {
-        let mut admission = self.admission.lock();
+        let mut admission = self.admission();
         let run = admission.running < self.cfg.workers;
         if !run && admission.waiting.len() >= self.cfg.queue_depth {
             return Admitted::Shed(conn, parsed);
@@ -673,6 +708,9 @@ where
         conn.deadline = None; // handler time is not read-stall time
         if run {
             admission.running += 1;
+            if admission.running == self.cfg.workers {
+                self.saturated.notify_one();
+            }
             Admitted::Run(conn, parsed)
         } else {
             admission.waiting.push_back((conn, parsed));
@@ -688,7 +726,7 @@ where
         let method = request.method;
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| (self.handler)(request)));
         {
-            let mut admission = self.admission.lock();
+            let mut admission = self.admission();
             match admission.waiting.pop_front() {
                 Some(next) => worker.owed.push(next),
                 None => admission.running -= 1,
@@ -906,7 +944,8 @@ impl<F> Drop for Core<F> {
     fn drop(&mut self) {
         let slab = self.slab.get_mut();
         let mut left: Vec<Conn> = slab.entries.iter_mut().filter_map(Option::take).collect();
-        left.extend(self.admission.get_mut().waiting.drain(..).map(|(conn, _)| conn));
+        let admission = self.admission.get_mut().unwrap_or_else(PoisonError::into_inner);
+        left.extend(admission.waiting.drain(..).map(|(conn, _)| conn));
         for conn in left {
             let _ = conn.stream.shutdown(Shutdown::Both);
             if conn.admitted {
