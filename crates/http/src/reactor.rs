@@ -25,10 +25,9 @@
 //! handlers and at most `queue_depth` parsed requests wait beyond them —
 //! beside the `workers` threads runs one spare thread that polls only while
 //! every handler slot is taken, and reads, queues or sheds the excess (the
-//! same `429`) at once; drain
-//! closes idle connections immediately and lets in-flight requests finish
-//! with a polite `Connection: close`; and `accepted + shed == total
-//! connections` holds exactly.
+//! same `429`) at once; drain closes idle connections immediately and lets
+//! in-flight requests finish with a polite `Connection: close`; and
+//! `accepted + shed == total connections` holds exactly.
 //!
 //! Whichever thread wakes also does the shared chores: the accept burst
 //! (the listener is armed one-shot too), the timer wheel (408 slowloris,
@@ -292,6 +291,12 @@ struct Worker {
     owed: Vec<(Conn, ParsedRequest)>,
 }
 
+impl Worker {
+    fn new() -> Worker {
+        Worker { buf: vec![0u8; READ_CHUNK], owed: Vec::new() }
+    }
+}
+
 /// State every worker thread shares.
 struct Core<F> {
     epoll: Epoll,
@@ -400,7 +405,7 @@ where
     F: Fn(Request) -> Response + Send + Sync + 'static,
 {
     fn run(&self) {
-        let mut worker = Worker { buf: vec![0u8; READ_CHUNK], owed: Vec::new() };
+        let mut worker = Worker::new();
         while self.shared.phase() != PHASE_STOPPED {
             self.poll(&mut worker);
         }
@@ -411,7 +416,7 @@ where
     /// the thread the scheduler lets run first when it is needed — a worker
     /// that just ran handlers would wait its turn behind the others.
     fn run_spare(&self) {
-        let mut worker = Worker { buf: vec![0u8; READ_CHUNK], owed: Vec::new() };
+        let mut worker = Worker::new();
         while self.shared.phase() != PHASE_STOPPED {
             let admission = self.admission();
             if admission.running < self.cfg.workers {
@@ -434,38 +439,36 @@ where
         // ready for the next free thread instead of queueing behind a
         // handler running here.
         let mut events = [EpollEvent::empty(); 1];
-        {
-            let ready = self.epoll.wait(&mut events, TICK_MS).unwrap_or(0);
-            self.metrics.reactor_loops.inc();
-            for event in events.iter().take(ready) {
-                match event.token() {
-                    TOKEN_LISTENER => self.accept_burst(worker),
-                    TOKEN_WAKE => {
-                        // Shutdown leaves the counter set so every worker
-                        // wakes; a drain nudge needs only one.
-                        if self.shared.phase() != PHASE_STOPPED {
-                            self.wake.drain();
-                        }
-                        self.metrics.wakeups.inc();
+        let ready = self.epoll.wait(&mut events, TICK_MS).unwrap_or(0);
+        self.metrics.reactor_loops.inc();
+        for event in events.iter().take(ready) {
+            match event.token() {
+                TOKEN_LISTENER => self.accept_burst(worker),
+                TOKEN_WAKE => {
+                    // Shutdown leaves the counter set so every thread
+                    // wakes; a drain nudge needs only one.
+                    if self.shared.phase() != PHASE_STOPPED {
+                        self.wake.drain();
                     }
-                    token => {
-                        let (slot, generation) = ((token & 0xFFFF_FFFF) as usize, token >> 32);
-                        let taken = self.slab.lock().take(slot, generation as u32);
-                        if let Some(conn) = taken {
-                            let step = if event.readiness() & (EPOLLERR | EPOLLHUP) != 0 {
-                                Step::Close
-                            } else if conn.state == ConnState::WritingResponse {
-                                Step::Write
-                            } else {
-                                Step::Read
-                            };
-                            self.serve(conn, step, worker);
-                        }
+                    self.metrics.wakeups.inc();
+                }
+                token => {
+                    let (slot, generation) = ((token & 0xFFFF_FFFF) as usize, token >> 32);
+                    let taken = self.slab.lock().take(slot, generation as u32);
+                    if let Some(conn) = taken {
+                        let step = if event.readiness() & (EPOLLERR | EPOLLHUP) != 0 {
+                            Step::Close
+                        } else if conn.state == ConnState::WritingResponse {
+                            Step::Write
+                        } else {
+                            Step::Read
+                        };
+                        self.serve(conn, step, worker);
                     }
                 }
             }
-            self.chores(worker);
         }
+        self.chores(worker);
     }
 
     /// Drives `conn` from `step` until it is parked, queued or closed, then

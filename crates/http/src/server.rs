@@ -225,9 +225,9 @@ impl Server {
         self
     }
 
-    /// Overrides how many requests may run inside handlers at once. The
-    /// server runs one thread more than this, so a thread is always free
-    /// to accept and shed while every handler slot is taken.
+    /// Overrides how many requests may run inside handlers at once (one
+    /// worker thread each). A spare thread beside them accepts, queues and
+    /// sheds while every handler slot is taken.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
