@@ -25,9 +25,14 @@
 //! handlers and at most `queue_depth` parsed requests wait beyond them —
 //! beside the `workers` threads runs one spare thread that polls only while
 //! every handler slot is taken, and reads, queues or sheds the excess (the
-//! same `429`) at once; drain closes idle connections immediately and lets
-//! in-flight requests finish with a polite `Connection: close`; and
-//! `accepted + shed == total connections` holds exactly.
+//! same `429`) at once; a waiting request gets the next slot to free and
+//! runs on the thread that freed it before anything else that thread
+//! does; drain closes idle connections immediately and lets in-flight
+//! requests finish with a polite `Connection: close`; and `accepted + shed
+//! == total connections` holds exactly.
+//!
+//! A thread yields the CPU each time it has parked a connection, so the
+//! peer its response woke runs before the thread takes on more work.
 //!
 //! Whichever thread wakes also does the shared chores: the accept burst
 //! (the listener is armed one-shot too), the timer wheel (408 slowloris,
@@ -273,6 +278,8 @@ enum Step {
     Read,
     /// Output pending: write it.
     Write,
+    /// Bytes already buffered: parse them before reading more.
+    Parse,
     /// A complete request: ask admission for a handler slot.
     Dispatch(ParsedRequest),
     /// Holding a handler slot: run the handler.
@@ -286,14 +293,14 @@ enum Step {
 struct Worker {
     /// Read buffer, allocated (and zeroed) once per thread.
     buf: Vec<u8>,
-    /// Queued requests this thread took over with a handler slot when its
-    /// own handler returned; served before it waits again.
-    owed: Vec<(Conn, ParsedRequest)>,
+    /// The queued request this thread took over with a handler slot when
+    /// its own handler returned; served before anything else.
+    owed: Option<(Conn, ParsedRequest)>,
 }
 
 impl Worker {
     fn new() -> Worker {
-        Worker { buf: vec![0u8; READ_CHUNK], owed: Vec::new() }
+        Worker { buf: vec![0u8; READ_CHUNK], owed: None }
     }
 }
 
@@ -460,6 +467,8 @@ where
                             Step::Close
                         } else if conn.state == ConnState::WritingResponse {
                             Step::Write
+                        } else if conn.parser.has_partial() {
+                            Step::Parse
                         } else {
                             Step::Read
                         };
@@ -472,11 +481,20 @@ where
     }
 
     /// Drives `conn` from `step` until it is parked, queued or closed, then
-    /// serves the queued requests this thread took over meanwhile.
+    /// serves the queued request this thread took over meanwhile, if any.
+    ///
+    /// After each connection is parked the thread yields: a thread going
+    /// from one request straight to the next was otherwise preempted inside
+    /// handlers, and the peers its responses woke waited behind it. The
+    /// yield comes after the park, so the connection's next request is free
+    /// for any thread meanwhile; with nothing else runnable it costs one
+    /// system call.
     fn serve(&self, conn: Conn, step: Step, worker: &mut Worker) {
         self.drive(conn, step, worker);
-        while let Some((conn, parsed)) = worker.owed.pop() {
+        std::thread::yield_now();
+        while let Some((conn, parsed)) = worker.owed.take() {
             self.drive(conn, Step::Run(parsed), worker);
+            std::thread::yield_now();
         }
     }
 
@@ -484,7 +502,12 @@ where
         loop {
             step = match step {
                 Step::Read => self.read(&mut conn, &mut worker.buf),
-                Step::Write => self.write(&mut conn),
+                Step::Write => self.write(&mut conn, worker.owed.is_some()),
+                Step::Parse => match conn.parser.poll() {
+                    Ok(Some(parsed)) => Step::Dispatch(parsed),
+                    Ok(None) => Step::Read,
+                    Err(error) => self.respond_parse_error(&mut conn, error),
+                },
                 Step::Dispatch(parsed) => match self.admit_request(conn, parsed) {
                     Admitted::Run(admitted, parsed) => {
                         conn = admitted;
@@ -731,7 +754,7 @@ where
         {
             let mut admission = self.admission();
             match admission.waiting.pop_front() {
-                Some(next) => worker.owed.push(next),
+                Some(next) => worker.owed = Some(next),
                 None => admission.running -= 1,
             }
         }
@@ -775,12 +798,13 @@ where
     /// Writes as much pending output as the socket accepts, head and body
     /// in one vectored write; on `WouldBlock` parks the connection for
     /// `EPOLLOUT`, to resume when the peer drains its side at whatever
-    /// offset the last write stopped (inside the head or the body).
-    fn write(&self, conn: &mut Conn) -> Step {
+    /// offset the last write stopped (inside the head or the body). `owes`:
+    /// this thread holds a handler slot for a queued request.
+    fn write(&self, conn: &mut Conn, owes: bool) -> Step {
         loop {
             let (head, body) = pending(&conn.head, &conn.body, conn.out_pos);
             if head.is_empty() && body.is_empty() {
-                return self.finish_write(conn);
+                return self.finish_write(conn, owes);
             }
             match chronos_util::fail_eval!("http.reactor.write") {
                 Some(Injected::Torn { keep }) => {
@@ -809,9 +833,9 @@ where
         }
     }
 
-    /// The response is fully out: close, serve a pipelined request, or go
-    /// keep-alive idle.
-    fn finish_write(&self, conn: &mut Conn) -> Step {
+    /// The response is fully out: close, go on to a pipelined request, or
+    /// go keep-alive idle.
+    fn finish_write(&self, conn: &mut Conn, owes: bool) -> Step {
         // Release a possibly large response body.
         conn.head = Vec::new();
         conn.body = Vec::new();
@@ -819,24 +843,24 @@ where
         if conn.close_after_write {
             return Step::Close;
         }
-        match conn.parser.poll() {
-            Ok(Some(parsed)) => Step::Dispatch(parsed),
-            Ok(None) => {
-                let now = Instant::now();
-                if conn.parser.has_partial() {
-                    // The next (pipelined) request is partially here.
-                    conn.state = conn.reading();
-                    conn.deadline = Some(now + self.cfg.header_read_timeout);
-                } else {
-                    conn.state = ConnState::KeepAliveIdle;
-                    conn.idle = true;
-                    self.metrics.idle_keepalive.inc();
-                    conn.deadline = Some(now + self.cfg.idle_timeout);
-                }
-                Step::Park(EPOLLIN)
+        let now = Instant::now();
+        if conn.parser.has_partial() {
+            // The next (pipelined) request is at least partly here.
+            conn.state = conn.reading();
+            conn.deadline = Some(now + self.cfg.header_read_timeout);
+            if owes {
+                // The queued request this thread owes is older: leave this
+                // one to the next free thread. The socket is writable, so
+                // `EPOLLOUT` reports it at once.
+                return Step::Park(EPOLLIN | EPOLLOUT);
             }
-            Err(error) => self.respond_parse_error(conn, error),
+            return Step::Parse;
         }
+        conn.state = ConnState::KeepAliveIdle;
+        conn.idle = true;
+        self.metrics.idle_keepalive.inc();
+        conn.deadline = Some(now + self.cfg.idle_timeout);
+        Step::Park(EPOLLIN)
     }
 
     /// The chores whichever thread wakes does: fire the timers that came

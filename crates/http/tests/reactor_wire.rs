@@ -280,3 +280,44 @@ fn sequential_keep_alive_requests_take_no_wakeup() {
     assert_eq!(metrics.requests.get(), 1000);
     assert_eq!(metrics.wakeups.get(), 0, "a request was handed between threads");
 }
+
+#[test]
+fn queued_request_runs_before_a_pipelined_one_behind_it() {
+    // One handler slot, one queue place. `/a1` holds the slot while `/b1`
+    // waits in the queue; `/a2` is pipelined behind `/a1` on the same
+    // connection, so it is parsed only once `/a1`'s response is out. The
+    // slot `/a1` frees belongs to `/b1`, the older request: `/a2` runs
+    // after it, and nothing is shed.
+    use std::sync::{Arc, Mutex};
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&order);
+    let server = Server::new()
+        .workers(1)
+        .queue_depth(1)
+        .serve("127.0.0.1:0", move |req| {
+            seen.lock().unwrap().push(req.path.clone());
+            std::thread::sleep(Duration::from_millis(100));
+            Response::text(Status::OK, req.path)
+        })
+        .unwrap();
+    let metrics = server.metrics();
+    let mut a = TcpStream::connect(server.addr()).unwrap();
+    a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    a.write_all(b"GET /a1 HTTP/1.1\r\nHost: t\r\n\r\nGET /a2 HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while order.lock().unwrap().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mut b = TcpStream::connect(server.addr()).unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    b.write_all(b"GET /b1 HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let mut carry = Vec::new();
+    for path in ["/a1", "/a2"] {
+        let (status, body, _) = read_one_response_buffered(&mut a, &mut carry);
+        assert_eq!((status, body.as_slice()), (200, path.as_bytes()));
+    }
+    let (status, body, _) = read_one_response(&mut b);
+    assert_eq!((status, body.as_slice()), (200, b"/b1".as_slice()));
+    assert_eq!(*order.lock().unwrap(), ["/a1", "/b1", "/a2"]);
+    assert_eq!(metrics.shed_overload.get(), 0);
+}
