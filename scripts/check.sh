@@ -44,14 +44,20 @@ if ! cargo test -q --offline --test wire_compat; then
     exit 1
 fi
 
-echo "== generator determinism: golden op streams and draw sequences =="
+echo "== generator determinism: golden op streams, draw sequences and SuE bytes =="
 # FNV-1a digests of every YCSB op stream (workloads a-f, threads 1 and 2,
 # four field lengths, four record counts, three seeds, plus the load phase)
 # and the first draws of every gen_range shape the generators use. A
 # benchmark run is comparable with another commit's only while the same
 # seed produces the same operations; a diff here means it no longer does.
+# The same holds for what minidoc writes for those operations: the
+# compressed blocks, log frames and CRCs (minidoc golden_blocks), the
+# durable engines' log and checkpoint files, and the engine_stats of a
+# seeded job per engine x workload (chronos-agent docstore_engine_stats).
 if ! cargo test -q --offline -p chronos-workload --test golden_streams \
-    || ! cargo test -q --offline -p rand --test golden_sequences; then
+    || ! cargo test -q --offline -p rand --test golden_sequences \
+    || ! cargo test -q --offline -p minidoc --test golden_blocks \
+    || ! cargo test -q --offline -p chronos-agent --test docstore_engine_stats; then
     echo "FAIL: generator output moved: results across commits are no longer comparable" >&2
     exit 1
 fi
