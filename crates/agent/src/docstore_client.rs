@@ -48,8 +48,20 @@ struct RunState {
     db: Database,
     runner: WorkloadRunner,
     threads: usize,
-    /// Temp data directory for durable runs (removed on tear-down).
-    data_dir: Option<std::path::PathBuf>,
+    /// Temp data directory for durable runs. Declared after `db`, so the
+    /// database is closed before its directory goes.
+    _data_dir: Option<DataDir>,
+}
+
+/// A durable job's data directory, removed when dropped. `set_up` owns it
+/// from before the database creates it, so every exit — an error, a
+/// panicking load, or tear-down after a successful run — removes it.
+struct DataDir(std::path::PathBuf);
+
+impl Drop for DataDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl DocstoreClient {
@@ -135,12 +147,10 @@ fn apply(coll: &Collection, op: Operation) -> Result<(), String> {
         }
         Operation::Scan { start_key, count } => {
             // YCSB scans read and discard; stream the raw records off the
-            // engine cursor instead of decoding every document.
-            let mut cursor = coll.cursor(&start_key).map_err(|e| e.to_string())?;
-            let mut remaining = count as usize;
-            while remaining > 0 && cursor.next().is_some() {
-                remaining -= 1;
-            }
+            // engine cursor instead of decoding every document. The cursor
+            // fetches at most `count` records.
+            let cursor = coll.cursor(&start_key, count as usize).map_err(|e| e.to_string())?;
+            cursor.for_each(drop);
             Ok(())
         }
         Operation::ReadModifyWrite { key, fields } => {
@@ -172,7 +182,7 @@ impl EvaluationClient for DocstoreClient {
             "set_up: engine={engine} threads={threads} records={} ops={}",
             spec.record_count, spec.operation_count
         ));
-        let data_dir = db_config.data_dir.clone();
+        let data_dir = db_config.data_dir.clone().map(DataDir);
         let db = Database::open(db_config).map_err(|e| e.to_string())?;
         let runner = WorkloadRunner::new(spec)?;
         // Load phase: bulk-ingest the benchmark data from all threads.
@@ -196,7 +206,7 @@ impl EvaluationClient for DocstoreClient {
             db.collection(COLLECTION).count()
         ));
         ctx.set_progress(10);
-        self.state = Some(RunState { db, runner, threads, data_dir });
+        self.state = Some(RunState { db, runner, threads, _data_dir: data_dir });
         Ok(())
     }
 
@@ -257,12 +267,7 @@ impl EvaluationClient for DocstoreClient {
     }
 
     fn tear_down(&mut self, ctx: &JobContext) {
-        if let Some(state) = self.state.take() {
-            let data_dir = state.data_dir.clone();
-            drop(state);
-            if let Some(dir) = data_dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
+        if self.state.take().is_some() {
             ctx.log("tear_down: dropped database");
         }
     }

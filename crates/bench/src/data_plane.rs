@@ -77,7 +77,7 @@ pub fn run_scans_cursor(coll: &Collection, scans: usize) -> Report {
     let start = Instant::now();
     for _ in 0..scans {
         let first = (next_rand(&mut state) as usize) % records.max(1);
-        rows += coll.cursor(&key_for(first)).unwrap().take(SCAN_LEN).count() as u64;
+        rows += coll.cursor(&key_for(first), SCAN_LEN).unwrap().count() as u64;
     }
     Report { ops: scans as u64, rows, secs: start.elapsed().as_secs_f64() }
 }

@@ -98,46 +98,43 @@ impl MmapCollection {
         &extent[start + 4..start + 4 + len]
     }
 
-    fn read_record(&self, loc: RecordLoc) -> Vec<u8> {
-        self.record_slice(loc).to_vec()
-    }
-
     fn free(&mut self, loc: RecordLoc) {
         self.free_lists.entry(loc.slot_size).or_default().push(loc);
     }
 }
 
-/// First cursor refill size; chunks double per refill up to
-/// [`MAX_CURSOR_CHUNK`], so short scans don't overfetch and long scans
-/// amortize the lock acquisitions.
-const FIRST_CURSOR_CHUNK: usize = 32;
 /// Largest refill; bounds the collection read-lock hold.
 const MAX_CURSOR_CHUNK: usize = 256;
 
 /// Streaming cursor: snapshots a chunk of keys in key order, copies the
 /// payloads out of the extents in (extent, offset) order — sequential
-/// memory reads — then emits them back in key order.
+/// memory reads — then emits them back in key order. Each refill takes at
+/// most the records still owed to its `limit`, so a short scan copies only
+/// what it yields.
 struct MmapCursor {
     coll: Arc<RwLock<MmapCollection>>,
     buf: std::vec::IntoIter<(Vec<u8>, SharedBytes)>,
     resume: Option<Bound<Vec<u8>>>,
-    chunk: usize,
+    /// Records the cursor may still yield.
+    remaining: usize,
 }
 
 impl MmapCursor {
-    fn new(coll: Arc<RwLock<MmapCollection>>, start_key: &[u8]) -> Self {
+    fn new(coll: Arc<RwLock<MmapCollection>>, start_key: &[u8], limit: usize) -> Self {
         MmapCursor {
             coll,
             buf: Vec::new().into_iter(),
             resume: Some(Bound::Included(start_key.to_vec())),
-            chunk: FIRST_CURSOR_CHUNK,
+            remaining: limit,
         }
     }
 
     fn refill(&mut self) -> bool {
+        let chunk = self.remaining.min(MAX_CURSOR_CHUNK);
+        if chunk == 0 {
+            return false;
+        }
         let Some(low) = self.resume.take() else { return false };
-        let chunk = self.chunk;
-        self.chunk = (chunk * 2).min(MAX_CURSOR_CHUNK);
         let coll = Arc::clone(&self.coll);
         let c = coll.read();
         let entries: Vec<(Vec<u8>, RecordLoc)> = c
@@ -152,6 +149,7 @@ impl MmapCursor {
         if entries.len() == chunk {
             self.resume = Some(Bound::Excluded(entries[entries.len() - 1].0.clone()));
         }
+        self.remaining -= entries.len();
         let mut order: Vec<usize> = (0..entries.len()).collect();
         order.sort_unstable_by_key(|&i| (entries[i].1.extent, entries[i].1.offset));
         let mut values: Vec<Option<SharedBytes>> = vec![None; entries.len()];
@@ -255,7 +253,7 @@ impl MmapV1Engine {
         if let Some(coll) = self.coll(collection) {
             let mut c = coll.write();
             if let Some(loc) = c.index.remove(key) {
-                let len = c.read_record(loc).len();
+                let len = c.record_slice(loc).len();
                 c.free(loc);
                 StatCounters::sub(&self.stats.documents, 1);
                 StatCounters::sub(&self.stats.logical_bytes, len as u64);
@@ -286,7 +284,7 @@ impl MmapV1Engine {
             if !allow_replace {
                 return Err(DbError::duplicate(key));
             }
-            let old_len = c.read_record(loc).len() as u64;
+            let old_len = c.record_slice(loc).len() as u64;
             let replaced = self.update_in_slot(c, key.to_vec(), loc, value);
             StatCounters::sub(&self.stats.logical_bytes, old_len);
             StatCounters::add(&self.stats.logical_bytes, value.len() as u64);
@@ -331,14 +329,11 @@ impl MmapV1Engine {
         }
     }
 
-    /// Journal append performed **while the collection write lock is held**
-    /// (the defining serialization cost of this engine).
+    /// Journal framing and append performed **while the collection write
+    /// lock is held** (the defining serialization cost of this engine).
     fn journal_put(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        self.journal.lock().append(&WalOp::Put {
-            collection: collection.to_string(),
-            key: key.to_vec(),
-            value: value.to_vec(),
-        })
+        let mut journal = self.journal.lock();
+        journal.append_framed(&Wal::frame_put(collection, key, value))
     }
 }
 
@@ -386,7 +381,7 @@ impl StorageEngine for MmapV1Engine {
         let coll = self.coll(collection).ok_or_else(|| DbError::not_found(key))?;
         let mut c = coll.write();
         let &loc = c.index.get(key).ok_or_else(|| DbError::not_found(key))?;
-        let old_len = c.read_record(loc).len() as u64;
+        let old_len = c.record_slice(loc).len() as u64;
         self.update_in_slot(&mut c, key.to_vec(), loc, value);
         StatCounters::sub(&self.stats.logical_bytes, old_len);
         StatCounters::add(&self.stats.logical_bytes, value.len() as u64);
@@ -410,7 +405,7 @@ impl StorageEngine for MmapV1Engine {
         let Some(coll) = self.coll(collection) else { return Ok(false) };
         let mut c = coll.write();
         let Some(loc) = c.index.remove(key) else { return Ok(false) };
-        let len = c.read_record(loc).len();
+        let len = c.record_slice(loc).len();
         c.free(loc);
         self.journal
             .lock()
@@ -423,10 +418,10 @@ impl StorageEngine for MmapV1Engine {
         Ok(true)
     }
 
-    fn cursor(&self, collection: &str, start_key: &[u8]) -> DbResult<RecordCursor> {
+    fn cursor(&self, collection: &str, start_key: &[u8], limit: usize) -> DbResult<RecordCursor> {
         StatCounters::add(&self.stats.scans, 1);
         let Some(coll) = self.coll(collection) else { return Ok(RecordCursor::empty()) };
-        Ok(RecordCursor::new(MmapCursor::new(coll, start_key)))
+        Ok(RecordCursor::new(MmapCursor::new(coll, start_key, limit)))
     }
 
     fn count(&self, collection: &str) -> u64 {
@@ -446,7 +441,7 @@ impl StorageEngine for MmapV1Engine {
             let mut stored = 0u64;
             for (_, &loc) in c.index.iter() {
                 docs += 1;
-                logical += c.read_record(loc).len() as u64;
+                logical += c.record_slice(loc).len() as u64;
                 stored += loc.slot_size as u64;
             }
             StatCounters::sub(&self.stats.documents, docs);
@@ -478,11 +473,7 @@ impl StorageEngine for MmapV1Engine {
             for (name, coll) in collections.iter() {
                 let c = coll.read();
                 for (key, &loc) in c.index.iter() {
-                    snapshot.append(&WalOp::Put {
-                        collection: name.clone(),
-                        key: key.clone(),
-                        value: c.read_record(loc),
-                    })?;
+                    snapshot.append_framed(&Wal::frame_put(name, key, c.record_slice(loc)))?;
                 }
             }
         }
@@ -600,11 +591,42 @@ mod tests {
         for i in 0..600u32 {
             e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
-        let rows: Vec<(Vec<u8>, SharedBytes)> = e.cursor("c", b"k0003").unwrap().collect();
+        let rows: Vec<(Vec<u8>, SharedBytes)> =
+            e.cursor("c", b"k0003", usize::MAX).unwrap().collect();
         assert_eq!(rows.len(), 597, "cursor crosses the {MAX_CURSOR_CHUNK}-entry refill boundary");
         assert_eq!(rows[0].0, b"k0003");
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
         assert_eq!(&*rows[596].1, b"v599");
+    }
+
+    #[test]
+    fn cursor_limit_equals_take_of_an_unbounded_cursor() {
+        let e = engine();
+        for i in 0..600u32 {
+            e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+        }
+        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
+            let remaining = e.cursor("c", start, usize::MAX).unwrap().count();
+            for limit in [0, 1, 31, 32, 33, 256, 257, remaining + 1, 10_000, usize::MAX] {
+                let unbounded: Vec<(Vec<u8>, SharedBytes)> =
+                    e.cursor("c", start, usize::MAX).unwrap().take(limit).collect();
+                let limited: Vec<(Vec<u8>, SharedBytes)> =
+                    e.cursor("c", start, limit).unwrap().collect();
+                assert_eq!(limited, unbounded, "start {start:?}, limit {limit}");
+                // Nothing past the limit is fetched: the refills together
+                // hold exactly the records yielded, each at most
+                // MAX_CURSOR_CHUNK of them.
+                let coll = e.coll("c").unwrap();
+                let mut cursor = MmapCursor::new(coll, start, limit);
+                let mut fetched = Vec::new();
+                while cursor.refill() {
+                    fetched.push(cursor.buf.len());
+                }
+                assert_eq!(fetched.iter().sum::<usize>(), unbounded.len(), "limit {limit}");
+                assert!(fetched.iter().all(|&n| n <= MAX_CURSOR_CHUNK.min(limit)));
+            }
+        }
+        assert_eq!(e.cursor("absent", b"", 10).unwrap().count(), 0);
     }
 
     #[test]

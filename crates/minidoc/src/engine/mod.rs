@@ -4,6 +4,15 @@
 //! (same database, two engines, one flag); [`StorageEngine`] plays that role
 //! here. Engines store opaque record bytes under binary keys, per named
 //! collection, with ordered scans.
+//!
+//! What the engines model, they pay on every operation: wiredTiger
+//! compresses each write and accounts the compressed size, both engines
+//! frame, checksum and append each mutation to their log (the in-memory
+//! sink included), and mmapv1 copies each record a read or a cursor yields
+//! out of its extents. What they do not model they do not pay: a write
+//! frames the log record straight from the borrowed key and value, and a
+//! cursor is opened with a record limit ([`StorageEngine::cursor`]), so a
+//! scan fetches, clones and copies only the records it yields.
 
 pub mod mmapv1;
 pub mod wiredtiger;
@@ -26,9 +35,12 @@ pub type SharedBytes = Arc<[u8]>;
 /// Cursors replace the old copy-per-batch `scan` loop: the engine refills an
 /// internal chunk under its own short-lived locks and yields `Arc`-shared
 /// value bytes, so iterating a collection never copies record payloads and
-/// never re-enters the engine with cloned sentinel resume keys. Records
-/// inserted or deleted while the cursor is open may or may not be observed
-/// (same snapshot semantics the batched `scan` had).
+/// never re-enters the engine with cloned sentinel resume keys. A cursor is
+/// opened with a record limit and no refill reaches past it: a YCSB scan of
+/// 50 records fetches 50, not the 32 + 64 of two doubling chunks. What the
+/// engines model is kept — mmapv1 still copies every record it yields out
+/// of its extents. Records inserted or deleted while the cursor is open may
+/// or may not be observed (same snapshot semantics the batched `scan` had).
 pub struct RecordCursor {
     inner: Box<dyn Iterator<Item = (Vec<u8>, SharedBytes)> + Send>,
 }
@@ -221,8 +233,11 @@ pub trait StorageEngine: Send + Sync {
     /// Removes a record; returns whether it existed.
     fn delete(&self, collection: &str, key: &[u8]) -> DbResult<bool>;
 
-    /// Streaming cursor positioned at the first key ≥ `start_key`.
-    fn cursor(&self, collection: &str, start_key: &[u8]) -> DbResult<RecordCursor>;
+    /// Streaming cursor over at most `limit` records, from the first key
+    /// ≥ `start_key`. It yields what `.take(limit)` of an unbounded cursor
+    /// would, and fetches nothing past `limit`: no index entry, no record
+    /// clone, no extent copy. Full walks pass `usize::MAX`.
+    fn cursor(&self, collection: &str, start_key: &[u8], limit: usize) -> DbResult<RecordCursor>;
 
     /// Up to `limit` records with key ≥ `start_key`, in key order.
     ///
@@ -234,7 +249,7 @@ pub trait StorageEngine: Send + Sync {
         start_key: &[u8],
         limit: usize,
     ) -> DbResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        Ok(self.cursor(collection, start_key)?.take(limit).map(|(k, v)| (k, v.to_vec())).collect())
+        Ok(self.cursor(collection, start_key, limit)?.map(|(k, v)| (k, v.to_vec())).collect())
     }
 
     /// Number of records in `collection` (0 if it does not exist).

@@ -108,38 +108,40 @@ impl WtCollection {
     }
 }
 
-/// First cursor refill size; chunks double per refill up to
-/// [`MAX_CURSOR_CHUNK`], so short scans don't overfetch and long scans
-/// amortize the lock acquisitions.
-const FIRST_CURSOR_CHUNK: usize = 32;
 /// Largest refill; bounds how long the index read lock is held.
 const MAX_CURSOR_CHUNK: usize = 256;
 
 /// Streaming cursor: refills a chunk of (key, record) pairs under short
 /// index/shard lock holds and resumes from the last key it handed out.
+/// Each refill takes at most the records still owed to its `limit`, so a
+/// short scan reads only what it yields.
 struct WtCursor {
     coll: Arc<WtCollection>,
     buf: std::vec::IntoIter<(Vec<u8>, SharedBytes)>,
     resume: Option<Bound<Vec<u8>>>,
-    chunk: usize,
+    /// Records the cursor may still yield.
+    remaining: usize,
 }
 
 impl WtCursor {
-    fn new(coll: Arc<WtCollection>, start_key: &[u8]) -> Self {
+    fn new(coll: Arc<WtCollection>, start_key: &[u8], limit: usize) -> Self {
         WtCursor {
             coll,
             buf: Vec::new().into_iter(),
             resume: Some(Bound::Included(start_key.to_vec())),
-            chunk: FIRST_CURSOR_CHUNK,
+            remaining: limit,
         }
     }
 
     /// Snapshots the next chunk of index entries, then reads each record
-    /// from its shard. Returns false once the index range is exhausted.
+    /// from its shard. Returns false once the index range or the limit is
+    /// exhausted.
     fn refill(&mut self) -> bool {
+        let chunk = self.remaining.min(MAX_CURSOR_CHUNK);
+        if chunk == 0 {
+            return false;
+        }
         let Some(low) = self.resume.take() else { return false };
-        let chunk = self.chunk;
-        self.chunk = (chunk * 2).min(MAX_CURSOR_CHUNK);
         let ids: Vec<(Vec<u8>, RecordId)> = {
             let index = self.coll.index.read();
             index
@@ -162,6 +164,9 @@ impl WtCursor {
                 records.push((key, record.raw));
             }
         }
+        // Only yielded records count against the limit, so a skipped one
+        // is made up by the next refill.
+        self.remaining -= records.len();
         self.buf = records.into_iter();
         true
     }
@@ -262,14 +267,13 @@ impl WiredTigerEngine {
         Record { raw: SharedBytes::from(value), stored_size }
     }
 
-    /// WAL append with the framing done before taking the log lock and the
+    /// WAL append of a record framed before taking the log lock, with the
     /// group-commit fsync performed after releasing it, so the log lock is
     /// only ever held for a buffered write.
-    fn log_append(&self, op: &WalOp) -> DbResult<()> {
-        let framed = Wal::frame(op);
+    fn log_append(&self, framed: &[u8]) -> DbResult<()> {
         let sync_handle = {
             let mut wal = self.wal.lock();
-            wal.append_framed(&framed)?;
+            wal.append_framed(framed)?;
             wal.take_sync_handle()?
         };
         if let Some(file) = sync_handle {
@@ -285,14 +289,6 @@ impl WiredTigerEngine {
             file.sync_data()?;
         }
         Ok(())
-    }
-
-    fn log_put(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        self.log_append(&WalOp::Put {
-            collection: collection.to_string(),
-            key: key.to_vec(),
-            value: value.to_vec(),
-        })
     }
 
     /// Core insert/replace. `allow_replace` selects upsert semantics, `log`
@@ -364,7 +360,7 @@ impl WiredTigerEngine {
             }
         };
         if log {
-            self.log_put(collection, key, value)?;
+            self.log_append(&Wal::frame_put(collection, key, value))?;
         }
         Ok(replaced)
     }
@@ -388,10 +384,10 @@ impl WiredTigerEngine {
             StatCounters::sub(&self.stats.logical_bytes, record.raw.len() as u64);
         }
         if log {
-            self.log_append(&WalOp::Delete {
+            self.log_append(&Wal::frame(&WalOp::Delete {
                 collection: collection.to_string(),
                 key: key.to_vec(),
-            })?;
+            }))?;
         }
         Ok(true)
     }
@@ -464,10 +460,10 @@ impl StorageEngine for WiredTigerEngine {
         Ok(existed)
     }
 
-    fn cursor(&self, collection: &str, start_key: &[u8]) -> DbResult<RecordCursor> {
+    fn cursor(&self, collection: &str, start_key: &[u8], limit: usize) -> DbResult<RecordCursor> {
         StatCounters::add(&self.stats.scans, 1);
         let Some(coll) = self.coll(collection) else { return Ok(RecordCursor::empty()) };
-        Ok(RecordCursor::new(WtCursor::new(coll, start_key)))
+        Ok(RecordCursor::new(WtCursor::new(coll, start_key, limit)))
     }
 
     fn count(&self, collection: &str) -> u64 {
@@ -495,7 +491,9 @@ impl StorageEngine for WiredTigerEngine {
             StatCounters::sub(&self.stats.documents, docs);
             StatCounters::sub(&self.stats.stored_bytes, stored);
             StatCounters::sub(&self.stats.logical_bytes, logical);
-            self.log_append(&WalOp::DropCollection { collection: collection.to_string() })?;
+            self.log_append(&Wal::frame(&WalOp::DropCollection {
+                collection: collection.to_string(),
+            }))?;
         }
         Ok(())
     }
@@ -519,11 +517,7 @@ impl StorageEngine for WiredTigerEngine {
                 };
                 for (key, id) in entries {
                     if let Some(record) = coll.read_record(id) {
-                        snapshot.append(&WalOp::Put {
-                            collection: name.clone(),
-                            key,
-                            value: record.raw.to_vec(),
-                        })?;
+                        snapshot.append_framed(&Wal::frame_put(name, &key, &record.raw))?;
                     }
                 }
             }
@@ -657,11 +651,41 @@ mod tests {
             e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
         let rows: Vec<(Vec<u8>, crate::engine::SharedBytes)> =
-            e.cursor("c", b"k0003").unwrap().collect();
+            e.cursor("c", b"k0003", usize::MAX).unwrap().collect();
         assert_eq!(rows.len(), 597, "cursor crosses the {MAX_CURSOR_CHUNK}-entry refill boundary");
         assert_eq!(rows[0].0, b"k0003");
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
         assert_eq!(&*rows[596].1, b"v599");
+    }
+
+    #[test]
+    fn cursor_limit_equals_take_of_an_unbounded_cursor() {
+        let e = engine();
+        for i in 0..600u32 {
+            e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+        }
+        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
+            let remaining = e.cursor("c", start, usize::MAX).unwrap().count();
+            for limit in [0, 1, 31, 32, 33, 256, 257, remaining + 1, 10_000, usize::MAX] {
+                let unbounded: Vec<(Vec<u8>, SharedBytes)> =
+                    e.cursor("c", start, usize::MAX).unwrap().take(limit).collect();
+                let limited: Vec<(Vec<u8>, SharedBytes)> =
+                    e.cursor("c", start, limit).unwrap().collect();
+                assert_eq!(limited, unbounded, "start {start:?}, limit {limit}");
+                // Nothing past the limit is fetched: the refills together
+                // hold exactly the records yielded, each at most
+                // MAX_CURSOR_CHUNK of them.
+                let coll = e.coll("c").unwrap();
+                let mut cursor = WtCursor::new(coll, start, limit);
+                let mut fetched = Vec::new();
+                while cursor.refill() {
+                    fetched.push(cursor.buf.len());
+                }
+                assert_eq!(fetched.iter().sum::<usize>(), unbounded.len(), "limit {limit}");
+                assert!(fetched.iter().all(|&n| n <= MAX_CURSOR_CHUNK.min(limit)));
+            }
+        }
+        assert_eq!(e.cursor("absent", b"", 10).unwrap().count(), 0);
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl Collection {
             return Ok(());
         }
         let mut index = FieldIndex::new();
-        for (key, bytes) in self.engine.cursor(&self.name, &[])? {
+        for (key, bytes) in self.engine.cursor(&self.name, &[], usize::MAX)? {
             // Extract just the indexed field from the encoded bytes; the
             // rest of the document is never materialized.
             if let Some(value) = doc::decode_path(&bytes, field)? {
@@ -323,19 +323,19 @@ impl Collection {
 
     /// Ordered scan: up to `limit` documents with keys ≥ `start_key`.
     pub fn scan(&self, start_key: &str, limit: usize) -> DbResult<Vec<(String, Value)>> {
-        self.cursor(start_key)?
-            .take(limit)
+        self.cursor(start_key, limit)?
             .map(|(k, v)| Ok((decode_key(k)?, doc::decode(&v)?)))
             .collect()
     }
 
-    /// Streaming cursor over the raw `(key, encoded document)` records with
-    /// keys ≥ `start_key`, in key order. Yields the engine's `Arc`-shared
-    /// value bytes without decoding — pair with
+    /// Streaming cursor over at most `limit` raw `(key, encoded document)`
+    /// records with keys ≥ `start_key`, in key order; the engine fetches
+    /// nothing past `limit` (`usize::MAX` walks the collection). Yields the
+    /// engine's `Arc`-shared value bytes without decoding — pair with
     /// [`doc::matches_encoded`]/[`doc::decode_path`] to inspect them, or
     /// [`doc::decode`] to materialize.
-    pub fn cursor(&self, start_key: &str) -> DbResult<RecordCursor> {
-        self.engine.cursor(&self.name, start_key.as_bytes())
+    pub fn cursor(&self, start_key: &str, limit: usize) -> DbResult<RecordCursor> {
+        self.engine.cursor(&self.name, start_key.as_bytes(), limit)
     }
 
     /// Number of documents.
@@ -367,7 +367,7 @@ impl Collection {
         // directly on each record's encoded bytes as the cursor streams
         // them; non-matching documents are never materialized.
         let mut out = Vec::new();
-        for (key_bytes, bytes) in self.cursor("")? {
+        for (key_bytes, bytes) in self.cursor("", usize::MAX)? {
             if doc::matches_encoded(&bytes, filter)? {
                 out.push((decode_key(key_bytes)?, doc::decode(&bytes)?));
             }
@@ -495,7 +495,7 @@ mod tests {
             assert!(matches!(coll.scan("", 10), Err(DbError::Corrupt(_))));
             assert!(matches!(coll.find(&Filter::exists("v")), Err(DbError::Corrupt(_))));
             // The raw cursor still exposes the record for repair tooling.
-            assert_eq!(coll.cursor("").unwrap().count(), 2);
+            assert_eq!(coll.cursor("", usize::MAX).unwrap().count(), 2);
         }
     }
 

@@ -5,6 +5,13 @@
 //! docs). A log record is `[u32 len][u32 crc32][payload]`; replay stops at
 //! the first truncated or corrupt record, which models recovery after a
 //! crash mid-append.
+//!
+//! Every mutation is framed, checksummed and appended, the in-memory sink
+//! included: that is the modelled cost. One encoder writes each frame into
+//! one buffer of exact size, straight from borrowed fields, and checksums
+//! the payload in place: [`Wal::frame_put`] frames a put from the caller's
+//! collection, key and value (the engines' write path), [`Wal::frame`] an
+//! owned [`WalOp`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -27,47 +34,24 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// Serializes the operation payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        match self {
-            WalOp::Put { collection, key, value } => {
-                out.push(0);
-                put_bytes(&mut out, collection.as_bytes());
-                put_bytes(&mut out, key);
-                put_bytes(&mut out, value);
-            }
-            WalOp::Delete { collection, key } => {
-                out.push(1);
-                put_bytes(&mut out, collection.as_bytes());
-                put_bytes(&mut out, key);
-            }
-            WalOp::DropCollection { collection } => {
-                out.push(2);
-                put_bytes(&mut out, collection.as_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parses a payload produced by [`WalOp::encode`].
+    /// Parses the payload of a frame produced by [`Wal::frame`].
     pub fn decode(bytes: &[u8]) -> DbResult<WalOp> {
         let mut pos = 0;
         let tag = *bytes.first().ok_or_else(|| DbError::Corrupt("empty wal op".into()))?;
         pos += 1;
         let op = match tag {
-            0 => {
+            OP_PUT => {
                 let collection = get_string(bytes, &mut pos)?;
                 let key = get_bytes(bytes, &mut pos)?;
                 let value = get_bytes(bytes, &mut pos)?;
                 WalOp::Put { collection, key, value }
             }
-            1 => {
+            OP_DELETE => {
                 let collection = get_string(bytes, &mut pos)?;
                 let key = get_bytes(bytes, &mut pos)?;
                 WalOp::Delete { collection, key }
             }
-            2 => WalOp::DropCollection { collection: get_string(bytes, &mut pos)? },
+            OP_DROP => WalOp::DropCollection { collection: get_string(bytes, &mut pos)? },
             other => return Err(DbError::Corrupt(format!("bad wal op tag {other}"))),
         };
         if pos != bytes.len() {
@@ -75,11 +59,6 @@ impl WalOp {
         }
         Ok(op)
     }
-}
-
-fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
-    encode_varint(data.len() as u64, out);
-    out.extend_from_slice(data);
 }
 
 fn get_bytes(bytes: &[u8], pos: &mut usize) -> DbResult<Vec<u8>> {
@@ -94,6 +73,33 @@ fn get_bytes(bytes: &[u8], pos: &mut usize) -> DbResult<Vec<u8>> {
 fn get_string(bytes: &[u8], pos: &mut usize) -> DbResult<String> {
     String::from_utf8(get_bytes(bytes, pos)?)
         .map_err(|_| DbError::Corrupt("non-UTF-8 collection name".into()))
+}
+
+const OP_PUT: u8 = 0;
+const OP_DELETE: u8 = 1;
+const OP_DROP: u8 = 2;
+
+/// Bytes `encode_varint(n)` writes.
+fn varint_len(n: usize) -> usize {
+    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// `[len][crc][tag, (varint len, bytes) per field]` in one buffer of exact
+/// size; the CRC covers the payload where it was written.
+fn frame_fields(tag: u8, fields: &[&[u8]]) -> Vec<u8> {
+    let payload_len = 1 + fields.iter().map(|f| varint_len(f.len()) + f.len()).sum::<usize>();
+    let mut record = Vec::with_capacity(8 + payload_len);
+    record.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    record.extend_from_slice(&[0; 4]);
+    record.push(tag);
+    for field in fields {
+        encode_varint(field.len() as u64, &mut record);
+        record.extend_from_slice(field);
+    }
+    debug_assert_eq!(record.len(), 8 + payload_len);
+    let crc = crc32(&record[8..]);
+    record[4..8].copy_from_slice(&crc.to_le_bytes());
+    record
 }
 
 /// When appended records are forced to stable storage.
@@ -191,12 +197,19 @@ impl Wal {
     /// — the wiredTiger-like engine does, the mmapv1-like engine does not;
     /// that difference is part of the engines' contrasting write paths.
     pub fn frame(op: &WalOp) -> Vec<u8> {
-        let payload = op.encode();
-        let mut record = Vec::with_capacity(payload.len() + 8);
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record
+        match op {
+            WalOp::Put { collection, key, value } => Self::frame_put(collection, key, value),
+            WalOp::Delete { collection, key } => {
+                frame_fields(OP_DELETE, &[collection.as_bytes(), key])
+            }
+            WalOp::DropCollection { collection } => frame_fields(OP_DROP, &[collection.as_bytes()]),
+        }
+    }
+
+    /// The frame of `WalOp::Put { collection, key, value }`, built from the
+    /// borrowed parts.
+    pub fn frame_put(collection: &str, key: &[u8], value: &[u8]) -> Vec<u8> {
+        frame_fields(OP_PUT, &[collection.as_bytes(), key, value])
     }
 
     /// Appends one operation record (framing inline).
@@ -337,9 +350,18 @@ mod tests {
     }
 
     #[test]
-    fn op_encode_roundtrip() {
+    fn frame_roundtrip() {
         for op in ops() {
-            assert_eq!(WalOp::decode(&op.encode()).unwrap(), op);
+            let record = Wal::frame(&op);
+            let len = u32::from_le_bytes(record[..4].try_into().unwrap()) as usize;
+            assert_eq!(record.len(), 8 + len, "exact size");
+            assert_eq!(u32::from_le_bytes(record[4..8].try_into().unwrap()), crc32(&record[8..]));
+            assert_eq!(WalOp::decode(&record[8..]).unwrap(), op);
+        }
+        for n in [0usize, 1, 127, 128, 16_383, 16_384, 1 << 21, (1 << 28) + 5] {
+            let mut v = Vec::new();
+            encode_varint(n as u64, &mut v);
+            assert_eq!(varint_len(n), v.len(), "{n}");
         }
     }
 

@@ -25,7 +25,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u8>(), 0..512usize).prop_map(|(k, n)| Op::Upsert(k, n)),
         any::<u8>().prop_map(Op::Delete),
         any::<u8>().prop_map(Op::Get),
-        (any::<u8>(), 1..20usize).prop_map(|(k, n)| Op::Scan(k, n)),
+        (any::<u8>(), 0..300usize).prop_map(|(k, n)| Op::Scan(k, n)),
     ]
 }
 
@@ -92,6 +92,51 @@ fn run_against_model(db: &Database, ops: &[Op]) {
     }
     assert_eq!(coll.count(), model.len() as u64, "{engine}: final count");
     assert_eq!(db.stats().documents, model.len() as u64, "{engine}: stats documents");
+}
+
+/// Limits around the cursors' 256-record refill, and past the end.
+const LIMITS: [usize; 10] = [0, 1, 31, 32, 33, 50, 256, 257, 1000, usize::MAX];
+
+#[test]
+fn limited_scans_agree_across_engines() {
+    let dbs = [
+        Database::open(DbConfig::in_memory(EngineKind::WiredTiger)).unwrap(),
+        Database::open(DbConfig::in_memory(EngineKind::MmapV1)).unwrap(),
+    ];
+    let mut model = BTreeMap::new();
+    for i in 0..700usize {
+        let key = format!("key{i:04}");
+        for db in &dbs {
+            db.collection("t").insert(&key, &payload(i % 97)).unwrap();
+        }
+        model.insert(key, i % 97);
+    }
+    // Holes, so that a limit counts records, not keys.
+    for i in (0..700usize).step_by(9) {
+        let key = format!("key{i:04}");
+        for db in &dbs {
+            assert!(db.collection("t").delete(&key).unwrap());
+        }
+        model.remove(&key);
+    }
+    for start in ["", "key0000", "key0005", "key0300", "key0450", "key0699", "key9"] {
+        for limit in LIMITS {
+            let expected: Vec<(String, chronos_json::Value)> = model
+                .range(start.to_string()..)
+                .take(limit)
+                .map(|(k, &n)| (k.clone(), payload(n)))
+                .collect();
+            for db in &dbs {
+                let engine = db.engine_kind();
+                let coll = db.collection("t");
+                assert_eq!(coll.scan(start, limit).unwrap(), expected, "{engine}: {start} {limit}");
+                let unbounded: Vec<_> =
+                    coll.cursor(start, usize::MAX).unwrap().take(limit).collect();
+                let limited: Vec<_> = coll.cursor(start, limit).unwrap().collect();
+                assert_eq!(limited, unbounded, "{engine}: cursor {start} {limit}");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -6,7 +6,7 @@
 //! digests in archive manifests).
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum ZIP
-/// stores per entry.
+/// stores per entry and minidoc's log frames carry.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut hasher = Crc32::new();
     hasher.update(data);
@@ -19,20 +19,35 @@ pub struct Crc32 {
     state: u32,
 }
 
-static CRC_TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes, so
+/// eight table lookups fold eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-fn crc_table() -> &'static [u32; 256] {
-    CRC_TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 impl Crc32 {
@@ -43,10 +58,25 @@ impl Crc32 {
 
     /// Feeds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
-        let table = crc_table();
-        for &b in data {
-            self.state = table[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Returns the final checksum value.
