@@ -3,8 +3,13 @@
 //! [`WireEncode`] renders a DTO through the allocation-free `write_into`
 //! path; [`WireDecode`] parses one out of a `Value` with typed errors.
 //! The field accessors at the bottom are the **only** place in the
-//! workspace where raw `Value::get`/`as_str` pointer-chasing on wire
-//! documents is allowed — handlers and clients go through DTOs.
+//! workspace where raw `Value::get`/`as_str` pointer-chasing on entity
+//! documents (system, deployment, project, experiment, evaluation, job,
+//! result, user) happens: each document's fields are read by its DTO's
+//! decoder, or by the accessors directly for what no DTO carries (a user's
+//! password hash, a stored result's archive). The parameter definitions,
+//! chart specs and assignments that DTOs carry verbatim are parsed by
+//! their `chronos-core` types.
 
 use crate::error::WireError;
 use chronos_json::Value;
@@ -50,12 +55,22 @@ pub trait WireDecode: Sized {
 
 /// Required string field.
 pub fn req_str(value: &Value, field: &'static str) -> Result<String, WireError> {
-    value.get(field).and_then(Value::as_str).map(str::to_string).ok_or(WireError::Missing(field))
+    opt_str(value, field).ok_or(WireError::Missing(field))
+}
+
+/// Optional field, borrowed; `null` reads as absent.
+pub fn field<'a>(value: &'a Value, field: &str) -> Option<&'a Value> {
+    value.get(field).filter(|v| !v.is_null())
+}
+
+/// Optional string field, borrowed (`null`, absent and ill-typed are `None`).
+pub fn str_ref<'a>(value: &'a Value, field: &str) -> Option<&'a str> {
+    value.get(field).and_then(Value::as_str)
 }
 
 /// Optional string field (`null` and absent are both `None`).
 pub fn opt_str(value: &Value, field: &str) -> Option<String> {
-    value.get(field).and_then(Value::as_str).map(str::to_string)
+    str_ref(value, field).map(str::to_string)
 }
 
 /// Optional string field with a default for absent/`null`.
@@ -65,20 +80,23 @@ pub fn str_or(value: &Value, field: &str, default: &str) -> String {
 
 /// Required id field; absent renders `missing field`, unparsable `bad <field>`.
 pub fn req_id(value: &Value, field: &'static str) -> Result<Id, WireError> {
-    let raw = value.get(field).and_then(Value::as_str).ok_or(WireError::Missing(field))?;
+    let raw = str_ref(value, field).ok_or(WireError::Missing(field))?;
     Id::parse_base32(raw).map_err(|_| WireError::BadField(field))
 }
 
 /// Optional id field; present-but-unparsable is an error.
 pub fn opt_id(value: &Value, field: &'static str) -> Result<Option<Id>, WireError> {
-    match value.get(field) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => {
-            let raw = v.as_str().ok_or(WireError::BadField(field))?;
-            Id::parse_base32(raw).map(Some).map_err(|_| WireError::BadField(field))
-        }
-    }
+    let Some(v) = self::field(value, field) else { return Ok(None) };
+    let raw = v.as_str().ok_or(WireError::BadField(field))?;
+    Id::parse_base32(raw).map(Some).map_err(|_| WireError::BadField(field))
+}
+
+/// Optional array of ids; absent/`null` → empty, any unparsable element
+/// fails with `bad` as the message.
+pub fn ids_or_empty(value: &Value, field: &str, bad: &'static str) -> Result<Vec<Id>, WireError> {
+    let Some(items) = value.get(field).and_then(Value::as_array) else { return Ok(Vec::new()) };
+    let id = |item: &Value| item.as_str().and_then(|raw| Id::parse_base32(raw).ok());
+    items.iter().map(|item| id(item).ok_or_else(|| WireError::Invalid(bad.into()))).collect()
 }
 
 /// Required boolean field; renders `missing boolean "<field>"` when absent
@@ -92,14 +110,8 @@ pub fn req_bool(value: &Value, field: &'static str) -> Result<bool, WireError> {
 
 /// Optional unsigned integer; present-but-ill-typed is an error.
 pub fn opt_u64(value: &Value, field: &'static str) -> Result<Option<u64>, WireError> {
-    match value.get(field) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or(WireError::OutOfRange { field, expected: "an unsigned integer" }),
-    }
+    let Some(v) = self::field(value, field) else { return Ok(None) };
+    v.as_u64().map(Some).ok_or(WireError::OutOfRange { field, expected: "an unsigned integer" })
 }
 
 /// Optional unsigned integer clamped to `u64` with absent/`null` → `None`,
@@ -110,12 +122,12 @@ pub fn lenient_u64(value: &Value, field: &str) -> Option<u64> {
 
 /// Optional field cloned out of the document.
 pub fn opt_value(value: &Value, field: &str) -> Option<Value> {
-    value.get(field).filter(|v| !v.is_null()).cloned()
+    self::field(value, field).cloned()
 }
 
 /// Required field cloned out of the document.
 pub fn req_value(value: &Value, field: &'static str) -> Result<Value, WireError> {
-    value.get(field).filter(|v| !v.is_null()).cloned().ok_or(WireError::Missing(field))
+    opt_value(value, field).ok_or(WireError::Missing(field))
 }
 
 /// Optional array field, cloned element-wise; absent/`null` → empty.

@@ -78,7 +78,7 @@ impl WireDecode for ClaimedJob {
             parameters: value.get("parameters").cloned().unwrap_or(Value::Null),
             attempts: u32::try_from(codec::lenient_u64(value, "attempts").unwrap_or(1))
                 .unwrap_or(u32::MAX),
-            budget: value.get("budget").map(crate::v1::JobBudget::decode).transpose()?,
+            budget: codec::field(value, "budget").map(crate::v1::JobBudget::decode).transpose()?,
         })
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Key order in every `to_value` is the frozen wire contract; the golden
 //! fixtures under `tests/fixtures/api_v1/` pin it byte-for-byte. Decoders
-//! are lenient (absent optionals default) because clients and the store
-//! have always read these documents tolerantly.
+//! are lenient (absent or `null` optionals default) because clients and the
+//! store have always read these documents tolerantly; `chronos-core` reads
+//! every stored entity document through them.
 
 use crate::codec::{self, WireDecode, WireEncode};
 use crate::error::WireError;
@@ -58,8 +59,11 @@ impl WireDecode for SystemDto {
 pub struct DeploymentDto {
     pub id: Id,
     pub system_id: Id,
+    /// Environment label (e.g. `"node-a"`, `"staging"`).
     pub environment: String,
+    /// Version of the deployed system.
     pub version: String,
+    /// Whether the deployment currently accepts jobs.
     pub active: bool,
     pub created_at: u64,
 }
@@ -96,7 +100,9 @@ pub struct ProjectDto {
     pub id: Id,
     pub name: String,
     pub description: String,
+    /// Member user ids; members see all experiments and results.
     pub members: Vec<Id>,
+    /// Archived projects are read-only.
     pub archived: bool,
     pub created_at: u64,
 }
@@ -116,26 +122,11 @@ impl WireEncode for ProjectDto {
 
 impl WireDecode for ProjectDto {
     fn decode(value: &Value) -> Result<Self, WireError> {
-        let members = value
-            .get("members")
-            .and_then(Value::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|m| {
-                        m.as_str()
-                            .and_then(|s| Id::parse_base32(s).ok())
-                            .ok_or_else(|| WireError::Invalid("bad member id".into()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .transpose()?
-            .unwrap_or_default();
         Ok(Self {
             id: codec::req_id(value, "id")?,
             name: codec::req_str(value, "name")?,
             description: codec::str_or(value, "description", ""),
-            members,
+            members: codec::ids_or_empty(value, "members", "bad member id")?,
             archived: value.get("archived").and_then(Value::as_bool).unwrap_or(false),
             created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
         })
@@ -237,21 +228,6 @@ impl WireEncode for FrontierDto {
 
 impl WireDecode for FrontierDto {
     fn decode(value: &Value) -> Result<Self, WireError> {
-        let job_ids = value
-            .get("job_ids")
-            .and_then(Value::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|j| {
-                        j.as_str()
-                            .and_then(|s| Id::parse_base32(s).ok())
-                            .ok_or_else(|| WireError::Invalid("bad frontier job id".into()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .transpose()?
-            .unwrap_or_default();
         Ok(Self {
             rung: req_u32(codec::lenient_u64(value, "rung").unwrap_or(0)),
             candidates: value
@@ -260,7 +236,7 @@ impl WireDecode for FrontierDto {
                 .map(|items| items.iter().filter_map(Value::as_u64).collect())
                 .unwrap_or_default(),
             issued: codec::lenient_u64(value, "issued").unwrap_or(0),
-            job_ids,
+            job_ids: codec::ids_or_empty(value, "job_ids", "bad frontier job id")?,
             decisions: codec::arr_or_empty(value, "decisions"),
         })
     }
@@ -377,14 +353,12 @@ impl WireDecode for ExperimentDto {
             system_id: codec::req_id(value, "system_id")?,
             name: codec::req_str(value, "name")?,
             description: codec::str_or(value, "description", ""),
-            parameters: value
-                .get("parameters")
-                .cloned()
+            parameters: codec::opt_value(value, "parameters")
                 .unwrap_or_else(|| Value::Object(Map::new())),
             archived: value.get("archived").and_then(Value::as_bool).unwrap_or(false),
             created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
-            strategy: value.get("strategy").map(StrategyDto::decode).transpose()?,
-            budget: value.get("budget").map(JobBudget::decode).transpose()?,
+            strategy: codec::field(value, "strategy").map(StrategyDto::decode).transpose()?,
+            budget: codec::field(value, "budget").map(JobBudget::decode).transpose()?,
         })
     }
 }
@@ -428,10 +402,10 @@ impl EvaluationDto {
     /// leaving its `job_ids` unparsed.
     pub fn decode_source(value: &Value) -> Result<EvaluationSourceDto, WireError> {
         Ok(EvaluationSourceDto {
-            strategy: value.get("strategy").map(StrategyDto::decode).transpose()?,
+            strategy: codec::field(value, "strategy").map(StrategyDto::decode).transpose()?,
             total_points: codec::lenient_u64(value, "total_points"),
             materialized: codec::lenient_u64(value, "materialized"),
-            frontier: value.get("frontier").map(FrontierDto::decode).transpose()?,
+            frontier: codec::field(value, "frontier").map(FrontierDto::decode).transpose()?,
         })
     }
 }
@@ -464,25 +438,10 @@ impl WireEncode for EvaluationDto {
 
 impl WireDecode for EvaluationDto {
     fn decode(value: &Value) -> Result<Self, WireError> {
-        let job_ids = value
-            .get("job_ids")
-            .and_then(Value::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|j| {
-                        j.as_str()
-                            .and_then(|s| Id::parse_base32(s).ok())
-                            .ok_or_else(|| WireError::Invalid("bad job id".into()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .transpose()?
-            .unwrap_or_default();
         Ok(Self {
             id: codec::req_id(value, "id")?,
             experiment_id: codec::req_id(value, "experiment_id")?,
-            job_ids,
+            job_ids: codec::ids_or_empty(value, "job_ids", "bad job id")?,
             swept_params: value
                 .get("swept_params")
                 .and_then(Value::as_array)
@@ -601,6 +560,7 @@ pub struct JobDto {
     pub log: String,
     pub timeline: Vec<TimelineEventDto>,
     pub heartbeat_at: Option<u64>,
+    /// Claims so far; absent reads as 0, a job never claimed.
     pub attempts: u32,
     pub claim_key: Option<String>,
     pub result_key: Option<String>,
@@ -664,13 +624,13 @@ impl WireEncode for JobDto {
 
 impl WireDecode for JobDto {
     fn decode(value: &Value) -> Result<Self, WireError> {
-        let state_name = codec::req_str(value, "state")?;
+        let state = codec::str_ref(value, "state").ok_or(WireError::Missing("state"))?;
         Ok(Self {
             id: codec::req_id(value, "id")?,
             evaluation_id: codec::req_id(value, "evaluation_id")?,
             system_id: codec::req_id(value, "system_id")?,
             parameters: value.get("parameters").cloned().unwrap_or(Value::Null),
-            state: JobState::parse(&state_name).ok_or(WireError::BadField("state"))?,
+            state: JobState::parse(state).ok_or(WireError::BadField("state"))?,
             deployment_id: codec::opt_id(value, "deployment_id")?,
             progress: codec::lenient_u64(value, "progress").unwrap_or(0).min(100) as u8,
             log: codec::str_or(value, "log", ""),
@@ -681,14 +641,14 @@ impl WireDecode for JobDto {
                 .transpose()?
                 .unwrap_or_default(),
             heartbeat_at: codec::lenient_u64(value, "heartbeat_at"),
-            attempts: req_u32(codec::lenient_u64(value, "attempts").unwrap_or(1)),
+            attempts: req_u32(codec::lenient_u64(value, "attempts").unwrap_or(0)),
             claim_key: codec::opt_str(value, "claim_key"),
             result_key: codec::opt_str(value, "result_key"),
             result_id: codec::opt_id(value, "result_id")?,
             failure: codec::opt_str(value, "failure"),
             created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
             point_index: codec::lenient_u64(value, "point_index"),
-            budget: value.get("budget").map(JobBudget::decode).transpose()?,
+            budget: codec::field(value, "budget").map(JobBudget::decode).transpose()?,
         })
     }
 }

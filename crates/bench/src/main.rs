@@ -44,13 +44,11 @@ impl Options {
 /// full run executes them. `--list` prints the first two columns, which is
 /// where `scripts/check.sh` gets its smoke and `--bench` lists from.
 type Experiment = (&'static str, Option<&'static str>, fn(Options));
-const EXPERIMENTS: [Experiment; 13] = [
+const EXPERIMENTS: [Experiment; 11] = [
     ("E1", None, experiment_e1),
     ("E2", None, experiment_e2),
     ("E3", None, experiment_e3),
     ("E4", None, experiment_e4),
-    ("E5", None, experiment_e5),
-    ("E6", None, experiment_e6),
     ("E7", None, experiment_e7),
     ("E9", Some("BENCH_data_plane.json"), experiment_e9),
     ("E11", Some("BENCH_overload.json"), experiment_e11),
@@ -1042,185 +1040,6 @@ fn experiment_e4(options: Options) {
         "shape: mmapv1's power-of-2 padding amplifies storage as documents grow; \
               wiredtiger pays compression CPU but stores far less\n"
     );
-}
-
-/// E5 — control plane: evaluation-space expansion, claim throughput,
-/// store recovery.
-fn experiment_e5(_: Options) {
-    println!("== E5: Chronos Control plane ==");
-    let control = ChronosControl::in_memory();
-    let owner = control.create_user("bench", "pw", Role::Member).unwrap();
-    let system = control
-        .register_system(
-            "sut",
-            "",
-            vec![
-                ParamDef::new(
-                    "a",
-                    "",
-                    ParamType::Interval { min: 1, max: 20, step: 1 },
-                    Value::from(1),
-                )
-                .unwrap(),
-                ParamDef::new(
-                    "b",
-                    "",
-                    ParamType::Interval { min: 1, max: 50, step: 1 },
-                    Value::from(1),
-                )
-                .unwrap(),
-            ],
-            vec![],
-        )
-        .unwrap();
-    let deployment = control.create_deployment(system.id, "bench", "1").unwrap();
-    let project = control.create_project("bench", "", owner.id).unwrap();
-    let experiment = control
-        .create_experiment(
-            project.id,
-            system.id,
-            "expansion",
-            "",
-            ParamAssignments::new().sweep_all("a").sweep_all("b"),
-        )
-        .unwrap();
-
-    let start = Instant::now();
-    let evaluation = control.create_evaluation(experiment.id).unwrap();
-    let planning = start.elapsed();
-    let planned = evaluation.source.as_ref().map(|s| s.total_points).unwrap_or(0);
-    println!(
-        "evaluation planning: {} points in {:.2} ms (jobs materialize lazily on claim)",
-        planned,
-        planning.as_secs_f64() * 1e3,
-    );
-
-    let start = Instant::now();
-    let mut claimed = 0;
-    while control.claim_next_job(deployment.id, None).unwrap().is_some() {
-        claimed += 1;
-    }
-    let claims = start.elapsed();
-    println!(
-        "job claims (incl. lazy materialization): {} in {:.1} ms ({:.0} claims/s)",
-        claimed,
-        claims.as_secs_f64() * 1e3,
-        claimed as f64 / claims.as_secs_f64()
-    );
-
-    // Recovery: rebuild a durable store holding all those jobs.
-    let path = std::env::temp_dir().join(format!("chronos-bench-store-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    {
-        let store = MetadataStore::open(&path).unwrap();
-        let durable =
-            ChronosControl::new(store, Arc::new(chronos_util::SystemClock), Default::default());
-        let owner = durable.create_user("bench", "pw", Role::Member).unwrap();
-        let system = durable.register_system("sut", "", vec![], vec![]).unwrap();
-        let deployment = durable.create_deployment(system.id, "bench", "1").unwrap();
-        let project = durable.create_project("bench", "", owner.id).unwrap();
-        let experiment = durable
-            .create_experiment(project.id, system.id, "x", "", ParamAssignments::new())
-            .unwrap();
-        for _ in 0..200 {
-            durable.create_evaluation(experiment.id).unwrap();
-        }
-        // Materialize every planned point so recovery replays job documents.
-        while durable.claim_next_job(deployment.id, None).unwrap().is_some() {}
-    }
-    let start = Instant::now();
-    let store = MetadataStore::open(&path).unwrap();
-    let recovery = start.elapsed();
-    println!(
-        "store recovery: {} jobs replayed in {:.1} ms",
-        store.count("job"),
-        recovery.as_secs_f64() * 1e3
-    );
-    let _ = std::fs::remove_file(&path);
-    println!();
-}
-
-/// E6 — the result pipeline: JSON encode/parse, zip pack/unpack, base64.
-fn experiment_e6(_: Options) {
-    println!("== E6: result pipeline (JSON + zip, per paper §2.1) ==");
-    // A realistic result document: a merged RunSummary.
-    let outcome = run_docstore(&RunConfig {
-        record_count: 500,
-        operation_count: 2_000,
-        ..RunConfig::default()
-    });
-    let _ = outcome;
-    let mut client = chronos_agent::DocstoreClient::new();
-    let ctx = chronos_agent::JobContext::new(
-        chronos_util::Id::generate(),
-        RunConfig { record_count: 500, operation_count: 2_000, ..RunConfig::default() }.to_params(),
-    );
-    use chronos_agent::EvaluationClient;
-    client.set_up(&ctx).unwrap();
-    let data = client.execute(&ctx).unwrap();
-    client.tear_down(&ctx);
-
-    let text = data.to_string();
-    println!("result document: {} bytes of JSON", text.len());
-    let bench = |label: &str, mut f: Box<dyn FnMut()>| {
-        let iters = 2_000;
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per = start.elapsed().as_secs_f64() / iters as f64;
-        println!("  {label:<28} {:.1} µs/op", per * 1e6);
-    };
-    let text2 = text.clone();
-    bench(
-        "json serialize",
-        Box::new(move || {
-            let _ = data.to_string();
-        }),
-    );
-    bench(
-        "json parse",
-        Box::new(move || {
-            let _ = chronos_json::parse(&text2).unwrap();
-        }),
-    );
-    let payload: Vec<u8> = text.clone().into_bytes();
-    let payload2 = payload.clone();
-    bench(
-        "zip pack (1 entry)",
-        Box::new(move || {
-            let mut w = chronos_zip::ZipWriter::new();
-            w.add_file("result.json", &payload).unwrap();
-            let _ = w.finish();
-        }),
-    );
-    let archive = {
-        let mut w = chronos_zip::ZipWriter::new();
-        w.add_file("result.json", &payload2).unwrap();
-        w.finish()
-    };
-    bench(
-        "zip parse+extract",
-        Box::new(move || {
-            let a = chronos_zip::ZipArchive::parse(&archive).unwrap();
-            let _ = a.read("result.json").unwrap();
-        }),
-    );
-    let bytes = text.into_bytes();
-    let encoded = chronos_util::encode::base64_encode(&bytes);
-    bench(
-        "base64 encode",
-        Box::new(move || {
-            let _ = chronos_util::encode::base64_encode(&bytes);
-        }),
-    );
-    bench(
-        "base64 decode",
-        Box::new(move || {
-            let _ = chronos_util::encode::base64_decode(&encoded).unwrap();
-        }),
-    );
-    println!();
 }
 
 /// E9 — data-plane read path: engine cursors (scans) and predicate

@@ -8,6 +8,7 @@
 //! timeline) and each job's result JSON + uploaded zip, plus a manifest
 //! with SHA-256 fingerprints so archives are verifiable years later.
 
+use chronos_api::WireEncode;
 use chronos_json::{obj, Value};
 use chronos_util::encode::{hex_encode, sha256};
 use chronos_util::Id;
@@ -31,7 +32,7 @@ pub fn archive_project(control: &ChronosControl, project_id: Id) -> CoreResult<V
         Ok(())
     };
 
-    add(&mut zip, "project.json".into(), project.to_json().to_pretty_string().as_bytes())?;
+    add(&mut zip, "project.json".into(), project.to_value().to_pretty_string().as_bytes())?;
 
     for experiment in control.list_experiments(Some(project_id)) {
         let exp_dir = format!("experiments/{}", experiment.id);

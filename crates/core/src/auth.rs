@@ -6,6 +6,7 @@
 //! (§2.1): every member of a project sees all of its experiments,
 //! evaluations and results.
 
+use chronos_api::codec;
 use chronos_json::{obj, Value};
 use chronos_util::encode::{hex_encode, sha256};
 use chronos_util::{Clock, Id};
@@ -13,7 +14,6 @@ use chronos_util::{Clock, Id};
 use parking_lot::Mutex;
 
 use crate::error::{CoreError, CoreResult};
-use crate::model::{opt_str, parse_id, require_str};
 
 /// Global roles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +124,13 @@ impl User {
     /// Parses [`User::to_json`] output.
     pub fn from_json(value: &Value) -> CoreResult<User> {
         Ok(User {
-            id: parse_id(value, "id")?,
-            username: require_str(value, "username")?,
-            password_hash: opt_str(value, "password_hash"),
-            role: value
-                .get("role")
-                .and_then(Value::as_str)
+            id: codec::req_id(value, "id")?,
+            username: codec::req_str(value, "username")?,
+            password_hash: codec::str_or(value, "password_hash", ""),
+            role: codec::str_ref(value, "role")
                 .and_then(Role::parse)
                 .ok_or_else(|| CoreError::Invalid("user needs a valid role".into()))?,
-            created_at: value.get("created_at").and_then(Value::as_u64).unwrap_or(0),
+            created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
         })
     }
 }

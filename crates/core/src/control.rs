@@ -19,6 +19,7 @@
 use std::sync::Arc;
 
 use chronos_analytics::{AnalyticsStore, RegressionFlag, ResultTable};
+use chronos_api::{codec, WireDecode, WireEncode};
 use chronos_json::Value;
 use chronos_util::{Clock, Id, SystemClock};
 
@@ -43,7 +44,7 @@ const KIND_EVALUATION: &str = "evaluation";
 const KIND_JOB: &str = "job";
 const KIND_RESULT: &str = "result";
 
-type Decode<T> = fn(&Value) -> CoreResult<T>;
+type Decode<T, E> = fn(&Value) -> Result<T, E>;
 
 thread_local! {
     /// Whether this thread holds the write lock: a [`Tx`] is alive on it.
@@ -223,15 +224,15 @@ impl ChronosControl {
                     changes.push(Change::Job { id: job.as_u128(), placed });
                 }
                 KIND_RESULT => {
-                    let Some(job_id) = doc.get("job_id").and_then(Value::as_str) else { continue };
+                    let Some(job_id) = codec::str_ref(doc, "job_id") else { continue };
                     let (Ok(job), Some(stored)) =
                         (Id::parse_base32(job_id), self.store.get(KIND_JOB, job_id))
                     else {
                         continue;
                     };
                     let Some(evaluation) = evaluation_of(&stored) else { continue };
-                    let parameters = stored.get("parameters").unwrap_or(&Value::Null);
-                    let data = doc.get("data").unwrap_or(&Value::Null);
+                    let parameters = codec::field(&stored, "parameters").unwrap_or(&Value::Null);
+                    let data = codec::field(doc, "data").unwrap_or(&Value::Null);
                     let paths = &crate::analysis::STANDARD_METRIC_PATHS;
                     self.analytics.ingest(evaluation, job.as_u128(), parameters, data, paths);
                     touched.push(evaluation);
@@ -244,13 +245,13 @@ impl ChronosControl {
     }
 
     /// One document decoded; `NotFound` when it is missing or undecodable.
-    fn fetch<T>(&self, kind: &'static str, id: Id, decode: Decode<T>) -> CoreResult<T> {
+    fn fetch<T, E>(&self, kind: &'static str, id: Id, decode: Decode<T, E>) -> CoreResult<T> {
         let doc = self.store.get(kind, &id.to_base32());
         doc.and_then(|v| decode(&v).ok()).ok_or_else(|| CoreError::not_found(kind, id))
     }
 
     /// Every decodable document of a kind, in id order.
-    fn decode_all<T>(&self, kind: &str, decode: Decode<T>) -> impl Iterator<Item = T> {
+    fn decode_all<T, E>(&self, kind: &str, decode: Decode<T, E>) -> impl Iterator<Item = T> {
         self.store.list(kind).into_iter().filter_map(move |v| decode(&v).ok())
     }
 
@@ -426,19 +427,19 @@ impl ChronosControl {
                 active: true,
                 created_at: tx.now,
             };
-            tx.put(KIND_DEPLOYMENT, deployment.id, deployment.to_json());
+            tx.put(KIND_DEPLOYMENT, deployment.id, deployment.to_value());
             Ok(deployment)
         })
     }
 
     /// Fetches a deployment.
     pub fn get_deployment(&self, id: Id) -> CoreResult<Deployment> {
-        self.fetch(KIND_DEPLOYMENT, id, Deployment::from_json)
+        self.fetch(KIND_DEPLOYMENT, id, Deployment::decode)
     }
 
     /// Deployments of a system (all systems when `system_id` is `None`).
     pub fn list_deployments(&self, system_id: Option<Id>) -> Vec<Deployment> {
-        let all = self.decode_all(KIND_DEPLOYMENT, Deployment::from_json);
+        let all = self.decode_all(KIND_DEPLOYMENT, Deployment::decode);
         all.filter(|d| system_id.is_none_or(|x| d.system_id == x)).collect()
     }
 
@@ -447,7 +448,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut deployment = self.get_deployment(id)?;
             deployment.active = active;
-            tx.put(KIND_DEPLOYMENT, id, deployment.to_json());
+            tx.put(KIND_DEPLOYMENT, id, deployment.to_value());
             Ok(deployment)
         })
     }
@@ -468,19 +469,19 @@ impl ChronosControl {
                 archived: false,
                 created_at: tx.now,
             };
-            tx.put(KIND_PROJECT, project.id, project.to_json());
+            tx.put(KIND_PROJECT, project.id, project.to_value());
             Ok(project)
         })
     }
 
     /// Fetches a project.
     pub fn get_project(&self, id: Id) -> CoreResult<Project> {
-        self.fetch(KIND_PROJECT, id, Project::from_json)
+        self.fetch(KIND_PROJECT, id, Project::decode)
     }
 
     /// All projects (the API layer filters by membership).
     pub fn list_projects(&self) -> Vec<Project> {
-        self.decode_all(KIND_PROJECT, Project::from_json).collect()
+        self.decode_all(KIND_PROJECT, Project::decode).collect()
     }
 
     /// Adds a member to a project.
@@ -490,7 +491,7 @@ impl ChronosControl {
             let mut project = self.get_project(project_id)?;
             if !project.members.contains(&user_id) {
                 project.members.push(user_id);
-                tx.put(KIND_PROJECT, project_id, project.to_json());
+                tx.put(KIND_PROJECT, project_id, project.to_value());
             }
             Ok(project)
         })
@@ -514,7 +515,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut project = self.get_project(project_id)?;
             project.archived = true;
-            tx.put(KIND_PROJECT, project_id, project.to_json());
+            tx.put(KIND_PROJECT, project_id, project.to_value());
             Ok(project)
         })
     }
@@ -685,7 +686,7 @@ impl ChronosControl {
     /// chart read renders), found through the stored `experiment_id`.
     pub fn evaluation_system(&self, id: Id) -> CoreResult<System> {
         let document = self.evaluation_document(id)?;
-        let experiment = crate::model::parse_id(&document, "experiment_id")
+        let experiment = codec::req_id(&document, "experiment_id")
             .map_err(|_| CoreError::not_found(KIND_EVALUATION, id))?;
         self.get_system(self.get_experiment(experiment)?.system_id)
     }
@@ -1100,17 +1101,14 @@ impl ChronosControl {
             .store
             .get(KIND_RESULT, &id.to_base32())
             .ok_or_else(|| CoreError::not_found("result", id))?;
-        let archive = doc
-            .get("archive_b64")
-            .and_then(Value::as_str)
-            .and_then(chronos_util::encode::base64_decode)
-            .unwrap_or_default();
+        let archive =
+            codec::str_ref(&doc, "archive_b64").and_then(chronos_util::encode::base64_decode);
         Ok(JobResult {
             id,
-            job_id: crate::model::parse_id(&doc, "job_id")?,
-            data: doc.get("data").cloned().unwrap_or(Value::Null),
-            archive,
-            created_at: doc.get("created_at").and_then(Value::as_u64).unwrap_or(0),
+            job_id: codec::req_id(&doc, "job_id")?,
+            data: codec::opt_value(&doc, "data").unwrap_or(Value::Null),
+            archive: archive.unwrap_or_default(),
+            created_at: codec::lenient_u64(&doc, "created_at").unwrap_or(0),
         })
     }
 
@@ -1166,13 +1164,13 @@ impl ChronosControl {
 /// The lifecycle state of a stored job document, read without decoding
 /// the rest of it. `None` when the field is missing or not a known state.
 fn stored_job_state(doc: &Value) -> Option<JobState> {
-    doc.get("state").and_then(Value::as_str).and_then(JobState::parse)
+    codec::str_ref(doc, "state").and_then(JobState::parse)
 }
 
 /// The evaluation a stored job document belongs to, read without decoding
 /// the rest of it.
 fn evaluation_of(job: &Value) -> Option<u128> {
-    let id = job.get("evaluation_id").and_then(Value::as_str)?;
+    let id = codec::str_ref(job, "evaluation_id")?;
     Id::parse_base32(id).ok().map(|id| id.as_u128())
 }
 

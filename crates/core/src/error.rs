@@ -56,6 +56,14 @@ impl From<std::io::Error> for CoreError {
     }
 }
 
+/// A body or document that does not decode is invalid; the decoder's
+/// message is kept.
+impl From<chronos_api::WireError> for CoreError {
+    fn from(e: chronos_api::WireError) -> Self {
+        CoreError::Invalid(e.to_string())
+    }
+}
+
 impl From<chronos_zip::ZipError> for CoreError {
     fn from(e: chronos_zip::ZipError) -> Self {
         CoreError::Archive(e.to_string())

@@ -23,7 +23,7 @@
 //!   appended to a decision log, so replaying the same seed — on one node
 //!   or across a leader failover — yields identical decisions.
 
-use chronos_api::v1 as dto;
+use chronos_api::{codec, v1 as dto};
 use chronos_json::{obj, Value};
 use chronos_util::{Id, SplitMix64};
 
@@ -277,7 +277,7 @@ impl JobSourceState {
     /// only documents from older logs: no write lists jobs any more.
     pub(crate) fn of_document(doc: &Value) -> Option<JobSourceState> {
         let source = dto::EvaluationDto::decode_source(doc).ok()?;
-        let jobs = doc.get("job_ids").and_then(Value::as_array).map_or(0, Vec::len);
+        let jobs = codec::field(doc, "job_ids").and_then(Value::as_array).map_or(0, Vec::len);
         Self::from_source(&source, jobs)
     }
 

@@ -5,13 +5,25 @@
 //!
 //! Every entity carries a sortable [`Id`], timestamps, and a JSON
 //! round-trip so the [`store`](crate::store) can persist it and the REST
-//! API can serve it.
+//! API can serve it. Each entity document has one decoder: its
+//! `chronos-api` DTO's [`WireDecode`], proptested there.
+//!
+//! - [`Deployment`], [`Project`] and [`TimelineEvent`] hold exactly what
+//!   their documents hold, so they *are* the DTOs, re-exported.
+//! - [`System`], [`Experiment`], [`Evaluation`], [`Job`] and [`JobResult`]
+//!   stay core types, each decoded through its DTO and converted by value.
+//!   A system holds typed parameter definitions and chart specs, an
+//!   experiment typed assignments and a [`Strategy`], and an evaluation
+//!   its job-source state, where the DTOs carry those documents verbatim.
+//!   A job carries the lifecycle methods. A result holds the archive
+//!   bytes, which its document reports only by size.
 
 use chronos_api::v1 as dto;
-use chronos_api::WireEncode;
+use chronos_api::{WireDecode, WireEncode};
 use chronos_json::Value;
 use chronos_util::Id;
 
+use crate::charts::ChartSpec;
 use crate::error::{CoreError, CoreResult};
 use crate::jobsource::{JobSourceState, Strategy};
 use crate::lifecycle::{self, JobEvent};
@@ -22,6 +34,15 @@ use crate::params::{ParamAssignments, ParamDef};
 // working across the workspace.
 pub use crate::lifecycle::JobStateExt;
 pub use chronos_api::JobState;
+
+/// A deployment: one reachable instance of a system in an environment
+/// (paper §2.1 — parallelism comes from multiple identical deployments).
+pub use chronos_api::v1::DeploymentDto as Deployment;
+/// A project: the collaboration and access-control unit.
+pub use chronos_api::v1::ProjectDto as Project;
+/// A timeline event on a job (paper Fig. 3c: "The timeline shows all events
+/// associated with this job").
+pub use chronos_api::v1::TimelineEventDto as TimelineEvent;
 
 /// A system under evaluation, with its parameter schema and chart config
 /// (paper Fig. 2: "Configuration of a System").
@@ -37,7 +58,7 @@ pub struct System {
     pub parameters: Vec<ParamDef>,
     /// Chart definitions rendered on the result page (see
     /// [`charts`](crate::charts)).
-    pub charts: Vec<crate::charts::ChartSpec>,
+    pub charts: Vec<ChartSpec>,
     /// Creation time (unix millis).
     pub created_at: u64,
 }
@@ -50,7 +71,7 @@ impl System {
             name: self.name.clone(),
             description: self.description.clone(),
             parameters: self.parameters.iter().map(ParamDef::to_json).collect(),
-            charts: self.charts.iter().map(|c| c.to_json()).collect(),
+            charts: self.charts.iter().map(ChartSpec::to_json).collect(),
             created_at: self.created_at,
         }
         .to_value()
@@ -58,127 +79,18 @@ impl System {
 
     /// Parses [`System::to_json`] output.
     pub fn from_json(value: &Value) -> CoreResult<System> {
+        let doc = dto::SystemDto::decode(value)?;
         Ok(System {
-            id: parse_id(value, "id")?,
-            name: require_str(value, "name")?,
-            description: opt_str(value, "description"),
-            parameters: value
-                .get("parameters")
-                .and_then(Value::as_array)
-                .map(|items| items.iter().map(ParamDef::from_json).collect())
-                .transpose()?
-                .unwrap_or_default(),
-            charts: value
-                .get("charts")
-                .and_then(Value::as_array)
-                .map(|items| items.iter().map(crate::charts::ChartSpec::from_json).collect())
-                .transpose()?
-                .unwrap_or_default(),
-            created_at: value.get("created_at").and_then(Value::as_u64).unwrap_or(0),
-        })
-    }
-}
-
-/// A deployment: one reachable instance of a system in an environment
-/// (paper §2.1 — parallelism comes from multiple identical deployments).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Deployment {
-    /// Unique id.
-    pub id: Id,
-    /// The system this deploys.
-    pub system_id: Id,
-    /// Environment label (e.g. `"node-a"`, `"staging"`).
-    pub environment: String,
-    /// Version of the deployed system.
-    pub version: String,
-    /// Whether the deployment currently accepts jobs.
-    pub active: bool,
-    /// Creation time.
-    pub created_at: u64,
-}
-
-impl Deployment {
-    /// JSON shape.
-    pub fn to_json(&self) -> Value {
-        dto::DeploymentDto {
-            id: self.id,
-            system_id: self.system_id,
-            environment: self.environment.clone(),
-            version: self.version.clone(),
-            active: self.active,
-            created_at: self.created_at,
-        }
-        .to_value()
-    }
-
-    /// Parses [`Deployment::to_json`] output.
-    pub fn from_json(value: &Value) -> CoreResult<Deployment> {
-        Ok(Deployment {
-            id: parse_id(value, "id")?,
-            system_id: parse_id(value, "system_id")?,
-            environment: opt_str(value, "environment"),
-            version: opt_str(value, "version"),
-            active: value.get("active").and_then(Value::as_bool).unwrap_or(true),
-            created_at: value.get("created_at").and_then(Value::as_u64).unwrap_or(0),
-        })
-    }
-}
-
-/// A project: the collaboration and access-control unit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Project {
-    /// Unique id.
-    pub id: Id,
-    /// Project name.
-    pub name: String,
-    /// Description.
-    pub description: String,
-    /// Member user ids; members see all experiments and results.
-    pub members: Vec<Id>,
-    /// Archived projects are read-only.
-    pub archived: bool,
-    /// Creation time.
-    pub created_at: u64,
-}
-
-impl Project {
-    /// JSON shape.
-    pub fn to_json(&self) -> Value {
-        dto::ProjectDto {
-            id: self.id,
-            name: self.name.clone(),
-            description: self.description.clone(),
-            members: self.members.clone(),
-            archived: self.archived,
-            created_at: self.created_at,
-        }
-        .to_value()
-    }
-
-    /// Parses [`Project::to_json`] output.
-    pub fn from_json(value: &Value) -> CoreResult<Project> {
-        let members = value
-            .get("members")
-            .and_then(Value::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|m| {
-                        m.as_str()
-                            .and_then(|s| Id::parse_base32(s).ok())
-                            .ok_or_else(|| CoreError::Invalid("bad member id".into()))
-                    })
-                    .collect::<CoreResult<Vec<_>>>()
-            })
-            .transpose()?
-            .unwrap_or_default();
-        Ok(Project {
-            id: parse_id(value, "id")?,
-            name: require_str(value, "name")?,
-            description: opt_str(value, "description"),
-            members,
-            archived: value.get("archived").and_then(Value::as_bool).unwrap_or(false),
-            created_at: value.get("created_at").and_then(Value::as_u64).unwrap_or(0),
+            id: doc.id,
+            name: doc.name,
+            description: doc.description,
+            parameters: doc
+                .parameters
+                .iter()
+                .map(ParamDef::from_json)
+                .collect::<CoreResult<_>>()?,
+            charts: doc.charts.iter().map(ChartSpec::from_json).collect::<CoreResult<_>>()?,
+            created_at: doc.created_at,
         })
     }
 }
@@ -234,36 +146,18 @@ impl Experiment {
 
     /// Parses [`Experiment::to_json`] output.
     pub fn from_json(value: &Value) -> CoreResult<Experiment> {
-        use chronos_api::WireDecode;
-        let strategy = match value.get("strategy") {
-            None | Some(Value::Null) => Strategy::Grid,
-            Some(v) => Strategy::from_dto(
-                &dto::StrategyDto::decode(v)
-                    .map_err(|e| CoreError::Invalid(format!("bad strategy: {e}")))?,
-            ),
-        };
-        let budget = match value.get("budget") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                dto::JobBudget::decode(v)
-                    .map_err(|e| CoreError::Invalid(format!("bad budget: {e}")))?,
-            ),
-        };
+        let doc = dto::ExperimentDto::decode(value)?;
         Ok(Experiment {
-            id: parse_id(value, "id")?,
-            project_id: parse_id(value, "project_id")?,
-            system_id: parse_id(value, "system_id")?,
-            name: require_str(value, "name")?,
-            description: opt_str(value, "description"),
-            assignments: value
-                .get("parameters")
-                .map(ParamAssignments::from_json)
-                .transpose()?
-                .unwrap_or_default(),
-            archived: value.get("archived").and_then(Value::as_bool).unwrap_or(false),
-            created_at: value.get("created_at").and_then(Value::as_u64).unwrap_or(0),
-            strategy,
-            budget,
+            id: doc.id,
+            project_id: doc.project_id,
+            system_id: doc.system_id,
+            name: doc.name,
+            description: doc.description,
+            assignments: ParamAssignments::from_json(&doc.parameters)?,
+            archived: doc.archived,
+            created_at: doc.created_at,
+            strategy: doc.strategy.as_ref().map_or(Strategy::Grid, Strategy::from_dto),
+            budget: doc.budget,
         })
     }
 }
@@ -312,48 +206,16 @@ impl Evaluation {
 
     /// Parses [`Evaluation::to_json`] output.
     pub fn from_json(value: &Value) -> CoreResult<Evaluation> {
-        use chronos_api::WireDecode;
-        let doc = dto::EvaluationDto::decode(value)
-            .map_err(|e| CoreError::Invalid(format!("bad evaluation: {e}")))?;
+        let doc = dto::EvaluationDto::decode(value)?;
+        let source = JobSourceState::from_dto(&doc);
         Ok(Evaluation {
             id: doc.id,
             experiment_id: doc.experiment_id,
-            job_ids: doc.job_ids.clone(),
-            swept_params: doc.swept_params.clone(),
+            job_ids: doc.job_ids,
+            swept_params: doc.swept_params,
             created_at: doc.created_at,
-            source: JobSourceState::from_dto(&doc),
+            source,
         })
-    }
-}
-
-// `JobState` itself is defined in `chronos-api` (it is wire vocabulary)
-// and re-exported at the top of this module; `JobStateExt` supplies the
-// legality queries backed by `lifecycle::transition`.
-
-/// A timeline event on a job (paper Fig. 3c: "The timeline shows all events
-/// associated with this job").
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineEvent {
-    /// When it happened (unix millis).
-    pub at: u64,
-    /// Short machine-readable kind (`created`, `claimed`, `finished`, ...).
-    pub kind: String,
-    /// Human-readable detail.
-    pub message: String,
-}
-
-impl TimelineEvent {
-    fn dto(&self) -> dto::TimelineEventDto {
-        dto::TimelineEventDto {
-            at: self.at,
-            kind: self.kind.clone(),
-            message: self.message.clone(),
-        }
-    }
-
-    /// JSON shape (the rendered `time` string is derived from `at`).
-    pub fn to_json(&self) -> Value {
-        self.dto().to_value()
     }
 }
 
@@ -469,7 +331,7 @@ impl Job {
             deployment_id: self.deployment_id,
             progress: self.progress,
             log: self.log.clone(),
-            timeline: self.timeline.iter().map(TimelineEvent::dto).collect(),
+            timeline: self.timeline.clone(),
             heartbeat_at: self.heartbeat_at,
             attempts: self.attempts,
             claim_key: self.claim_key.clone(),
@@ -495,51 +357,26 @@ impl Job {
     /// Parses [`Job::to_json`] output (timeline event times only; the
     /// rendered `time` strings are ignored).
     pub fn from_json(value: &Value) -> CoreResult<Job> {
-        let state = value
-            .get("state")
-            .and_then(Value::as_str)
-            .and_then(JobState::parse)
-            .ok_or_else(|| CoreError::Invalid("job needs a valid state".into()))?;
-        let timeline = value
-            .get("timeline")
-            .and_then(Value::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|e| TimelineEvent {
-                        at: e.get("at").and_then(Value::as_u64).unwrap_or(0),
-                        kind: opt_str(e, "kind"),
-                        message: opt_str(e, "message"),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let doc = dto::JobDto::decode(value)?;
         Ok(Job {
-            id: parse_id(value, "id")?,
-            evaluation_id: parse_id(value, "evaluation_id")?,
-            system_id: parse_id(value, "system_id")?,
-            parameters: value.get("parameters").cloned().unwrap_or(Value::Null),
-            state,
-            deployment_id: opt_id(value, "deployment_id")?,
-            progress: value.get("progress").and_then(Value::as_u64).unwrap_or(0) as u8,
-            log: opt_str(value, "log"),
-            timeline,
-            heartbeat_at: value.get("heartbeat_at").and_then(Value::as_u64),
-            attempts: value.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32,
-            claim_key: value.get("claim_key").and_then(Value::as_str).map(str::to_string),
-            result_key: value.get("result_key").and_then(Value::as_str).map(str::to_string),
-            result_id: opt_id(value, "result_id")?,
-            failure: value.get("failure").and_then(Value::as_str).map(str::to_string),
-            created_at: value.get("created_at").and_then(Value::as_u64).unwrap_or(0),
-            point_index: value.get("point_index").and_then(Value::as_u64),
-            budget: value
-                .get("budget")
-                .map(|v| {
-                    use chronos_api::WireDecode;
-                    dto::JobBudget::decode(v)
-                        .map_err(|e| CoreError::Invalid(format!("bad budget: {e}")))
-                })
-                .transpose()?,
+            id: doc.id,
+            evaluation_id: doc.evaluation_id,
+            system_id: doc.system_id,
+            parameters: doc.parameters,
+            state: doc.state,
+            deployment_id: doc.deployment_id,
+            progress: doc.progress,
+            log: doc.log,
+            timeline: doc.timeline,
+            heartbeat_at: doc.heartbeat_at,
+            attempts: doc.attempts,
+            claim_key: doc.claim_key,
+            result_key: doc.result_key,
+            result_id: doc.result_id,
+            failure: doc.failure,
+            created_at: doc.created_at,
+            point_index: doc.point_index,
+            budget: doc.budget,
         })
     }
 }
@@ -572,40 +409,6 @@ impl JobResult {
         }
         .to_value()
     }
-}
-
-pub(crate) fn parse_id(value: &Value, field: &str) -> CoreResult<Id> {
-    value
-        .get(field)
-        .and_then(Value::as_str)
-        .and_then(|s| Id::parse_base32(s).ok())
-        .ok_or_else(|| CoreError::Invalid(format!("missing or invalid id field {field:?}")))
-}
-
-pub(crate) fn opt_id(value: &Value, field: &str) -> CoreResult<Option<Id>> {
-    match value.get(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| CoreError::Invalid(format!("field {field:?} must be a string")))?;
-            Id::parse_base32(s)
-                .map(Some)
-                .map_err(|_| CoreError::Invalid(format!("bad id in {field:?}")))
-        }
-    }
-}
-
-pub(crate) fn require_str(value: &Value, field: &str) -> CoreResult<String> {
-    value
-        .get(field)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| CoreError::Invalid(format!("missing field {field:?}")))
-}
-
-pub(crate) fn opt_str(value: &Value, field: &str) -> String {
-    value.get(field).and_then(Value::as_str).unwrap_or("").to_string()
 }
 
 #[cfg(test)]
@@ -736,7 +539,7 @@ mod tests {
             archived: true,
             created_at: 9,
         };
-        assert_eq!(Project::from_json(&project.to_json()).unwrap(), project);
+        assert_eq!(Project::decode(&project.to_value()).unwrap(), project);
         let deployment = Deployment {
             id: Id::generate(),
             system_id: Id::generate(),
@@ -745,7 +548,49 @@ mod tests {
             active: true,
             created_at: 8,
         };
-        assert_eq!(Deployment::from_json(&deployment.to_json()).unwrap(), deployment);
+        assert_eq!(Deployment::decode(&deployment.to_value()).unwrap(), deployment);
+    }
+
+    /// Documents the control plane's decoders and the wire DTOs once read
+    /// differently: a job without `attempts` (0 against 1), a `progress`
+    /// past 100 (truncated to 44 against clamped) and an experiment whose
+    /// `strategy` and `budget` are `null` (accepted against rejected).
+    #[test]
+    fn control_plane_and_wire_decode_drifted_documents_alike() {
+        let mut job = Job::new(Id::generate(), Id::generate(), obj! {"threads" => 4}, 1000);
+        job.progress = 7;
+        let mut document = job.to_json();
+        document.as_object_mut().unwrap().remove("attempts");
+        let (core, wire) = (Job::from_json(&document).unwrap(), dto::JobDto::decode(&document));
+        assert_eq!(
+            (core.attempts, wire.unwrap().attempts),
+            (0, 0),
+            "absent attempts: never claimed"
+        );
+        document.set("progress", 300);
+        let (core, wire) = (Job::from_json(&document).unwrap(), dto::JobDto::decode(&document));
+        assert_eq!((core.progress, wire.unwrap().progress), (100, 100), "progress clamps to 100");
+        document.set("budget", Value::Null);
+        assert_eq!(Job::from_json(&document).unwrap().budget, None, "null budget is no budget");
+
+        let experiment = Experiment {
+            id: Id::generate(),
+            project_id: Id::generate(),
+            system_id: Id::generate(),
+            name: "nulls".into(),
+            description: "".into(),
+            assignments: ParamAssignments::new().fix("threads", 4),
+            archived: false,
+            created_at: 5,
+            strategy: Strategy::Grid,
+            budget: None,
+        };
+        let mut document = experiment.to_json();
+        document.set("strategy", Value::Null);
+        document.set("budget", Value::Null);
+        assert_eq!(Experiment::from_json(&document).unwrap(), experiment);
+        let wire = dto::ExperimentDto::decode(&document).unwrap();
+        assert_eq!((wire.strategy, wire.budget), (None, None), "null reads as absent");
     }
 
     #[test]

@@ -226,7 +226,17 @@ impl Collection {
 
     /// Applies an index delta for one document: removes `old`'s entries and
     /// adds `new`'s, for every indexed field of this collection.
+    ///
+    /// Runs after the engine write, and takes the database-wide write lock
+    /// only when the read lock shows an index on this collection. Nothing
+    /// is lost by looking first: [`Collection::create_index`] holds the
+    /// write lock for its whole backfill, so a writer that finds no index
+    /// either checked before the build began, and the build's scan sees
+    /// its engine write, or waited the build out and finds the index.
     fn index_document(&self, key: &str, old: Option<&Value>, new: Option<&Value>) {
+        if !self.has_indexes() {
+            return;
+        }
         let mut indexes = self.indexes.write();
         let Some(fields) = indexes.get_mut(&self.name) else { return };
         for (field, index) in fields.iter_mut() {

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use chronos_api::{extract, v1, ApiVersion, WireEncode, WireError};
+use chronos_api::{extract, v1, ApiVersion, WireEncode};
 use chronos_core::analysis;
 use chronos_core::archive::archive_project;
 use chronos_core::auth::{Role, User};
@@ -27,20 +27,15 @@ fn respond(result: CoreResult<Response>) -> Response {
     result.unwrap_or_else(error_response)
 }
 
-/// Maps a contract violation to the 400 error path.
-fn invalid(error: WireError) -> CoreError {
-    CoreError::Invalid(error.to_string())
-}
-
 /// Decodes the request body as a typed DTO (400 on malformed JSON or a
 /// missing/ill-typed required field).
 fn body<T: chronos_api::WireDecode>(req: &Request) -> CoreResult<T> {
-    extract::body(req).map_err(invalid)
+    extract::body(req).map_err(CoreError::from)
 }
 
 /// A path parameter that must be an entity id.
 fn param_id(params: &RouteParams, name: &'static str) -> CoreResult<Id> {
-    extract::path_id(params, name).map_err(invalid)
+    extract::path_id(params, name).map_err(CoreError::from)
 }
 
 fn authed(control: &ChronosControl, req: &Request) -> CoreResult<User> {
@@ -135,7 +130,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             admin(&control_, req)?;
             // The system definition document is owned by the params/charts
             // layer; it is forwarded verbatim rather than decoded here.
-            let definition = extract::json_body(req).map_err(invalid)?;
+            let definition = extract::json_body(req).map_err(CoreError::from)?;
             let system = control_.register_system_from_definition(&definition)?;
             Ok(Response::json_status(Status::CREATED, &system.to_json()))
         })())
@@ -157,7 +152,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             let deployments: Vec<_> = control_
                 .list_deployments(Some(param_id(p, "id")?))
                 .iter()
-                .map(|d| d.to_json())
+                .map(WireEncode::to_value)
                 .collect();
             Ok(Response::json(&chronos_json::Value::Array(deployments)))
         })())
@@ -173,7 +168,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
                 &create.environment,
                 &create.version,
             )?;
-            Ok(Response::json_status(Status::CREATED, &deployment.to_json()))
+            Ok(Response::json_status(Status::CREATED, &deployment.to_value()))
         })())
     });
 
@@ -183,7 +178,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             admin(&control_, req)?;
             let set: v1::SetDeploymentActiveRequest = body(req)?;
             let deployment = control_.set_deployment_active(param_id(p, "id")?, set.active)?;
-            Ok(Response::json(&deployment.to_json()))
+            Ok(Response::json(&deployment.to_value()))
         })())
     });
 
@@ -196,7 +191,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
                 .list_projects()
                 .iter()
                 .filter(|p| user.role.can_admin() || p.members.contains(&user.id))
-                .map(|p| p.to_json())
+                .map(WireEncode::to_value)
                 .collect();
             Ok(Response::json(&chronos_json::Value::Array(projects)))
         })())
@@ -208,7 +203,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             let user = writer(&control_, req)?;
             let create: v1::CreateProjectRequest = body(req)?;
             let project = control_.create_project(&create.name, &create.description, user.id)?;
-            Ok(Response::json_status(Status::CREATED, &project.to_json()))
+            Ok(Response::json_status(Status::CREATED, &project.to_value()))
         })())
     });
 
@@ -217,7 +212,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             let user = authed(&control_, req)?;
             let project = control_.require_project_access(param_id(p, "id")?, &user)?;
-            Ok(Response::json(&project.to_json()))
+            Ok(Response::json(&project.to_value()))
         })())
     });
 
@@ -229,7 +224,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             control_.require_project_access(project_id, &user)?;
             let add: v1::AddProjectMemberRequest = body(req)?;
             let project = control_.add_project_member(project_id, add.user_id)?;
-            Ok(Response::json(&project.to_json()))
+            Ok(Response::json(&project.to_value()))
         })())
     });
 
@@ -240,7 +235,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             let project_id = param_id(p, "id")?;
             control_.require_project_access(project_id, &user)?;
             let project = control_.archive_project(project_id)?;
-            Ok(Response::json(&project.to_json()))
+            Ok(Response::json(&project.to_value()))
         })())
     });
 
@@ -540,7 +535,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             authed(&control_, req)?;
             let evaluation_id = param_id(p, "id")?;
-            let chart_ref = extract::path_str(p, "chart").map_err(invalid)?;
+            let chart_ref = extract::path_str(p, "chart").map_err(CoreError::from)?;
             let (index_str, format) = chart_ref
                 .rsplit_once('.')
                 .ok_or_else(|| CoreError::Invalid("chart ref must be <index>.<svg|txt>".into()))?;

@@ -34,13 +34,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
-echo "== wire compatibility: golden fixtures =="
+echo "== wire compatibility: golden fixtures, encoders and decoders =="
 # Byte-for-byte check of every frozen request/response body against the
-# typed chronos-api encoders. A diff here means the wire contract moved;
-# if that is intentional, re-bless with CHRONOS_BLESS=1 and say so in the
-# changelog.
+# typed chronos-api encoders, and of every entity fixture read back through
+# the decoder the control plane stores and fetches it with, then encoded
+# again. A diff here means the wire contract moved; if that is
+# intentional, re-bless with CHRONOS_BLESS=1 and say so in the changelog.
 if ! cargo test -q --offline --test wire_compat; then
-    echo "FAIL: wire contract drifted from tests/fixtures/api_v1/ (see above)" >&2
+    echo "FAIL: wire contract drifted from tests/fixtures/api_v1/ (encoders or decoders; see above)" >&2
     exit 1
 fi
 

@@ -6,7 +6,8 @@
 //! *before* the typed `chronos-api` contract layer existed; every body below
 //! is now produced by that layer (DTO encoders, the error envelope, version
 //! negotiation), so these tests prove the refactor changed zero bytes on the
-//! wire.
+//! wire. Every entity fixture is also read back through the decoder the
+//! control plane reads its stored documents with and encoded again.
 //!
 //! Regenerating (only when the contract intentionally changes):
 //! `CHRONOS_BLESS=1 cargo test --test wire_compat`.
@@ -323,8 +324,8 @@ fn auth_bodies() {
 #[test]
 fn entity_bodies() {
     golden("system.json", &fixture_system().to_json().to_string());
-    golden("deployment.json", &fixture_deployment().to_json().to_string());
-    golden("project.json", &fixture_project().to_json().to_string());
+    golden("deployment.json", &fixture_deployment().to_value().to_string());
+    golden("project.json", &fixture_project().to_value().to_string());
     golden("experiment.json", &fixture_experiment().to_json().to_string());
     golden("evaluation.json", &fixture_evaluation().to_json().to_string());
     golden("evaluation_status.json", &fixture_status().to_json().to_string());
@@ -336,6 +337,39 @@ fn entity_bodies() {
     // Listing view: the log and timeline are omitted.
     golden("job_listing_item.json", &fixture_job().to_json_summary().to_string());
     golden("job_result.json", &fixture_result().to_json().to_string());
+}
+
+/// Parses a frozen entity fixture, decodes it with the decoder the control
+/// plane reads that kind of stored document with, encodes it again and
+/// requires the very bytes it was read from.
+fn reencodes<T, E: std::fmt::Debug>(
+    name: &str,
+    decode: fn(&Value) -> Result<T, E>,
+    encode: fn(&T) -> Value,
+) {
+    let text = std::fs::read_to_string(fixture_dir().join(name))
+        .unwrap_or_else(|e| panic!("missing fixture {name}: {e}"));
+    let document = chronos::json::parse(&text).unwrap();
+    let decoded = decode(&document).unwrap_or_else(|e| panic!("{name} does not decode: {e:?}"));
+    assert_eq!(encode(&decoded).to_string(), text, "{name} does not survive decode + encode");
+}
+
+/// The decode half of the contract: every entity fixture reads back through
+/// the same decoder `ChronosControl` uses on its stored documents.
+#[test]
+fn entity_fixtures_decode_and_reencode() {
+    reencodes("system.json", System::from_json, System::to_json);
+    reencodes("deployment.json", Deployment::decode, Deployment::to_value);
+    reencodes("project.json", Project::decode, Project::to_value);
+    for name in ["experiment.json", "experiment_adaptive.json", "experiment_budgeted.json"] {
+        reencodes(name, Experiment::from_json, Experiment::to_json);
+    }
+    for name in ["evaluation.json", "evaluation_lazy_grid.json", "evaluation_adaptive.json"] {
+        reencodes(name, Evaluation::from_json, Evaluation::to_json);
+    }
+    for name in ["job.json", "job_point_index.json", "job_budgeted.json", "job_quarantined.json"] {
+        reencodes(name, Job::from_json, Job::to_json);
+    }
 }
 
 #[test]
