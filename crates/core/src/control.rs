@@ -1095,19 +1095,21 @@ impl ChronosControl {
         })
     }
 
-    /// Fetches a result by id, decoding the stored archive.
+    /// Fetches a result by id, decoding the stored archive. A stored
+    /// archive that is missing or not base64 is a storage fault.
     pub fn get_result(&self, id: Id) -> CoreResult<JobResult> {
         let doc = self
             .store
             .get(KIND_RESULT, &id.to_base32())
             .ok_or_else(|| CoreError::not_found("result", id))?;
-        let archive =
-            codec::str_ref(&doc, "archive_b64").and_then(chronos_util::encode::base64_decode);
+        let archive = codec::str_ref(&doc, "archive_b64")
+            .and_then(chronos_util::encode::base64_decode)
+            .ok_or_else(|| CoreError::Storage(format!("result {id} has no readable archive")))?;
         Ok(JobResult {
             id,
             job_id: codec::req_id(&doc, "job_id")?,
             data: codec::opt_value(&doc, "data").unwrap_or(Value::Null),
-            archive: archive.unwrap_or_default(),
+            archive,
             created_at: codec::lenient_u64(&doc, "created_at").unwrap_or(0),
         })
     }

@@ -235,3 +235,51 @@ fn csv_export_has_parameter_and_metric_columns() {
         assert_eq!(row.split(',').count(), columns, "{row}");
     }
 }
+
+/// A stored result whose archive does not decode is a storage fault the
+/// archive route reports, not an empty zip; an empty archive is still one.
+#[test]
+fn damaged_result_archive_answers_500_and_an_empty_one_200() {
+    let store_path =
+        std::env::temp_dir().join(format!("chronos-damaged-archive-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&store_path);
+    let results = [("!!not base64", 500), ("", 200), ("AAEC", 200)];
+    let ids: Vec<Id> = results.iter().map(|_| Id::generate()).collect();
+    {
+        let store = MetadataStore::open(&store_path).unwrap();
+        for (id, (archive, _)) in ids.iter().zip(results) {
+            let document = obj! {
+                "id" => id.to_base32(),
+                "job_id" => Id::generate().to_base32(),
+                "data" => obj! {},
+                "archive_bytes" => 0,
+                "created_at" => 1,
+                "archive_b64" => archive,
+            };
+            store.put("result", &id.to_base32(), document).unwrap();
+        }
+    }
+    let control = Arc::new(ChronosControl::new(
+        MetadataStore::open(&store_path).unwrap(),
+        Arc::new(SystemClock),
+        Default::default(),
+    ));
+    control.create_user("admin", "pw", Role::Admin).unwrap();
+    let mut server = ChronosServer::start(control, "127.0.0.1:0").unwrap();
+    let http = chronos::http::Client::new(&server.base_url());
+    let login =
+        http.post_json("/api/v1/login", &obj! {"username" => "admin", "password" => "pw"}).unwrap();
+    let token =
+        login.json_body().unwrap().get("token").and_then(Value::as_str).unwrap().to_string();
+    http.set_default_header("X-Chronos-Token", &token);
+    for (id, (archive, status)) in ids.iter().zip(results) {
+        let response = http.get(&format!("/api/v1/results/{id}/archive.zip")).unwrap();
+        assert_eq!(response.status.0, status, "archive_b64 {archive:?}");
+        if status == 200 {
+            let expected = chronos::util::encode::base64_decode(archive).unwrap();
+            assert_eq!(response.body, expected, "archive_b64 {archive:?}");
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_file(&store_path);
+}
