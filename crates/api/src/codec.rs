@@ -7,9 +7,11 @@
 //! documents (system, deployment, project, experiment, evaluation, job,
 //! result, user) happens: each document's fields are read by its DTO's
 //! decoder, or by the accessors directly for what no DTO carries (a user's
-//! password hash, a stored result's archive). The parameter definitions,
-//! chart specs and assignments that DTOs carry verbatim are parsed by
-//! their `chronos-core` types.
+//! password hash, a stored result's archive). What the documents nest is
+//! typed as well: a system's parameter definitions and chart specs, an
+//! experiment's assignments and strategy and an evaluation's frontier
+//! each have one type in [`crate::v1`], decoded once, with its
+//! validation, by that type's [`WireDecode`].
 
 use crate::error::WireError;
 use chronos_json::Value;
@@ -128,6 +130,17 @@ pub fn opt_value(value: &Value, field: &str) -> Option<Value> {
 /// Required field cloned out of the document.
 pub fn req_value(value: &Value, field: &'static str) -> Result<Value, WireError> {
     opt_value(value, field).ok_or(WireError::Missing(field))
+}
+
+/// Optional array field decoded element-wise; absent, `null` or not an
+/// array → empty, and the first element that fails fails the field.
+pub fn list_or_empty<T>(
+    value: &Value,
+    field: &str,
+    decode: fn(&Value) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let Some(items) = value.get(field).and_then(Value::as_array) else { return Ok(Vec::new()) };
+    items.iter().map(decode).collect()
 }
 
 /// Optional array field, cloned element-wise; absent/`null` → empty.

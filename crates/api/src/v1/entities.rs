@@ -4,11 +4,15 @@
 //! fixtures under `tests/fixtures/api_v1/` pin it byte-for-byte. Decoders
 //! are lenient (absent or `null` optionals default) because clients and the
 //! store have always read these documents tolerantly; `chronos-core` reads
-//! every stored entity document through them.
+//! every stored entity document through them. What a system, experiment or
+//! evaluation nests (parameter definitions, chart specs, assignments,
+//! strategies, frontiers) is typed here too and validated while it is
+//! decoded, so no caller parses it a second time.
 
 use crate::codec::{self, WireDecode, WireEncode};
 use crate::error::WireError;
 use crate::state::JobState;
+use crate::v1::params::{ParamAssignments, ParamDef};
 use chronos_json::{obj, Map, Value};
 use chronos_util::Id;
 
@@ -16,16 +20,37 @@ fn req_u32(raw: u64) -> u32 {
     u32::try_from(raw).unwrap_or(u32::MAX)
 }
 
-/// A system under evaluation. `parameters` and `charts` carry the
-/// definition documents verbatim (`ParamDef`/`ChartSpec` own their shape).
+fn array<T: WireEncode>(items: &[T]) -> Value {
+    Value::Array(items.iter().map(WireEncode::to_value).collect())
+}
+
+/// A system under evaluation, with its parameter schema and chart config
+/// (paper Fig. 2: "Configuration of a System").
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemDto {
     pub id: Id,
+    /// Unique human-readable name (e.g. `"minidoc"`).
     pub name: String,
     pub description: String,
-    pub parameters: Vec<Value>,
-    pub charts: Vec<Value>,
+    /// Declared parameters.
+    pub parameters: Vec<ParamDef>,
+    /// Charts rendered on the result page.
+    pub charts: Vec<ChartSpec>,
     pub created_at: u64,
+}
+
+impl SystemDto {
+    /// The `parameters` of a system document or definition; absent or not
+    /// an array reads as none.
+    pub fn decode_parameters(value: &Value) -> Result<Vec<ParamDef>, WireError> {
+        codec::list_or_empty(value, "parameters", ParamDef::decode)
+    }
+
+    /// The `charts` of a system document or definition, read like
+    /// [`SystemDto::decode_parameters`].
+    pub fn decode_charts(value: &Value) -> Result<Vec<ChartSpec>, WireError> {
+        codec::list_or_empty(value, "charts", ChartSpec::decode)
+    }
 }
 
 impl WireEncode for SystemDto {
@@ -34,8 +59,8 @@ impl WireEncode for SystemDto {
             "id" => self.id.to_base32(),
             "name" => self.name.as_str(),
             "description" => self.description.as_str(),
-            "parameters" => Value::Array(self.parameters.clone()),
-            "charts" => Value::Array(self.charts.clone()),
+            "parameters" => array(&self.parameters),
+            "charts" => array(&self.charts),
             "created_at" => self.created_at,
         }
     }
@@ -47,9 +72,60 @@ impl WireDecode for SystemDto {
             id: codec::req_id(value, "id")?,
             name: codec::req_str(value, "name")?,
             description: codec::str_or(value, "description", ""),
-            parameters: codec::arr_or_empty(value, "parameters"),
-            charts: codec::arr_or_empty(value, "charts"),
+            parameters: Self::decode_parameters(value)?,
+            charts: Self::decode_charts(value)?,
             created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
+        })
+    }
+}
+
+/// A chart declared on a system: "Chronos provides bar, line, and pie
+/// diagrams" (paper §2.2), extensible by kind.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChartSpec {
+    /// Chart kind: `"bar"`, `"line"`, `"pie"`, or a custom registered kind.
+    pub kind: String,
+    /// Chart title.
+    pub title: String,
+    /// The swept parameter providing the x axis (bar/line) or slice labels
+    /// (pie).
+    pub x_param: String,
+    /// Optional swept parameter splitting the data into series
+    /// (e.g. `"engine"` → one line per engine); encoded as `null` when
+    /// absent.
+    pub series_param: Option<String>,
+    /// JSON pointer into each job's result document selecting the plotted
+    /// value (e.g. `"/throughput_ops_per_sec"`).
+    pub value_path: String,
+    /// Y-axis label.
+    pub y_label: String,
+}
+
+impl WireEncode for ChartSpec {
+    fn to_value(&self) -> Value {
+        obj! {
+            "kind" => self.kind.as_str(),
+            "title" => self.title.as_str(),
+            "x_param" => self.x_param.as_str(),
+            "series_param" => Value::from(self.series_param.clone()),
+            "value_path" => self.value_path.as_str(),
+            "y_label" => self.y_label.as_str(),
+        }
+    }
+}
+
+impl WireDecode for ChartSpec {
+    fn decode(value: &Value) -> Result<Self, WireError> {
+        let get = |f: &str| {
+            codec::opt_str(value, f).ok_or_else(|| WireError::Invalid(format!("chart needs {f:?}")))
+        };
+        Ok(Self {
+            kind: get("kind")?,
+            title: get("title")?,
+            x_param: get("x_param")?,
+            series_param: codec::opt_str(value, "series_param"),
+            value_path: get("value_path")?,
+            y_label: codec::str_or(value, "y_label", ""),
         })
     }
 }
@@ -137,46 +213,88 @@ impl WireDecode for ProjectDto {
 /// behavior) encodes as a bare string so pre-strategy documents and
 /// fixtures stay byte-identical; adaptive strategies encode as an object.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StrategyDto {
-    /// Exhaustive sweep, index order.
+pub enum Strategy {
+    /// Every point of the space, in index order (the paper's behavior).
     Grid,
-    /// Successive-halving exploration.
-    Adaptive {
-        /// Candidate-sampling seed.
-        seed: u64,
-        /// Rung-0 size; `None` lets the scheduler derive it from the
-        /// space size.
-        initial: Option<u64>,
-        /// Halving factor (keep `ceil(k/eta)` per rung).
-        eta: u64,
-        /// JSON pointer into result documents that scores a candidate.
-        metric: String,
-        /// Whether a larger metric is better.
-        maximize: bool,
-    },
+    /// Successive-halving exploration driven by uploaded results.
+    Adaptive(AdaptiveConfig),
 }
 
-impl WireEncode for StrategyDto {
-    fn to_value(&self) -> Value {
-        match self {
-            StrategyDto::Grid => Value::from("grid"),
-            StrategyDto::Adaptive { seed, initial, eta, metric, maximize } => {
-                let mut map = Map::new();
-                map.insert("kind".into(), Value::from("adaptive"));
-                map.insert("seed".into(), Value::from(*seed));
-                if let Some(initial) = initial {
-                    map.insert("initial".into(), Value::from(*initial));
-                }
-                map.insert("eta".into(), Value::from(*eta));
-                map.insert("metric".into(), Value::from(metric.as_str()));
-                map.insert("maximize".into(), Value::from(*maximize));
-                Value::Object(map)
-            }
+impl Strategy {
+    /// Validates strategy parameters at experiment creation.
+    pub fn validate(&self) -> Result<(), WireError> {
+        let Strategy::Adaptive(cfg) = self else { return Ok(()) };
+        if cfg.eta < 2 {
+            return Err(WireError::Invalid("adaptive eta must be ≥ 2".into()));
+        }
+        if cfg.initial == Some(0) {
+            return Err(WireError::Invalid("adaptive initial must be ≥ 1".into()));
+        }
+        if !cfg.metric.starts_with('/') {
+            return Err(WireError::Invalid(format!(
+                "adaptive metric must be a JSON pointer (got {:?})",
+                cfg.metric
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Tunables of the adaptive (successive-halving) strategy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AdaptiveConfig {
+    /// Seed of the rung-0 candidate sample. Same seed ⇒ same candidates ⇒
+    /// same pruning decisions (given the same uploaded results).
+    pub seed: u64,
+    /// Rung-0 size. `None` ⇒ `ceil(total / 5)` — with the default `eta` of
+    /// 4 the whole run then spends ≈ 26.7 % of a full grid.
+    pub initial: Option<u64>,
+    /// Fraction kept per rung: `ceil(k / eta)` candidates are promoted.
+    pub eta: u64,
+    /// JSON pointer into the uploaded result document that scores a
+    /// candidate (must be one of the columnar standard metric paths to be
+    /// served from the analytics store).
+    pub metric: String,
+    /// Whether a higher metric is better.
+    pub maximize: bool,
+}
+
+impl Default for AdaptiveConfig {
+    fn default() -> Self {
+        AdaptiveConfig {
+            seed: 0,
+            initial: None,
+            eta: 4,
+            metric: "/throughput_ops_per_sec".into(),
+            maximize: true,
         }
     }
 }
 
-impl WireDecode for StrategyDto {
+impl AdaptiveConfig {
+    /// The rung-0 candidate count for a space of `total` points.
+    pub fn rung0_size(&self, total: u64) -> u64 {
+        self.initial.unwrap_or_else(|| total.div_ceil(5)).clamp(1, total)
+    }
+}
+
+impl WireEncode for Strategy {
+    fn to_value(&self) -> Value {
+        let Strategy::Adaptive(cfg) = self else { return Value::from("grid") };
+        let mut map = Map::new();
+        map.insert("kind".into(), Value::from("adaptive"));
+        map.insert("seed".into(), Value::from(cfg.seed));
+        if let Some(initial) = cfg.initial {
+            map.insert("initial".into(), Value::from(initial));
+        }
+        map.insert("eta".into(), Value::from(cfg.eta));
+        map.insert("metric".into(), Value::from(cfg.metric.as_str()));
+        map.insert("maximize".into(), Value::from(cfg.maximize));
+        Value::Object(map)
+    }
+}
+
+impl WireDecode for Strategy {
     fn decode(value: &Value) -> Result<Self, WireError> {
         let kind = match value {
             Value::String(s) => s.as_str(),
@@ -187,30 +305,41 @@ impl WireDecode for StrategyDto {
             _ => return Err(WireError::BadField("strategy")),
         };
         match kind {
-            "grid" => Ok(StrategyDto::Grid),
-            "adaptive" => Ok(StrategyDto::Adaptive {
-                seed: codec::lenient_u64(value, "seed").unwrap_or(0),
-                initial: codec::lenient_u64(value, "initial"),
-                eta: codec::lenient_u64(value, "eta").unwrap_or(4),
-                metric: codec::str_or(value, "metric", "/throughput_ops_per_sec"),
-                maximize: value.get("maximize").and_then(Value::as_bool).unwrap_or(true),
-            }),
+            "grid" => Ok(Strategy::Grid),
+            "adaptive" => {
+                let default = AdaptiveConfig::default();
+                Ok(Strategy::Adaptive(AdaptiveConfig {
+                    seed: codec::lenient_u64(value, "seed").unwrap_or(default.seed),
+                    initial: codec::lenient_u64(value, "initial"),
+                    eta: codec::lenient_u64(value, "eta").unwrap_or(default.eta),
+                    metric: codec::opt_str(value, "metric").unwrap_or(default.metric),
+                    maximize: value
+                        .get("maximize")
+                        .and_then(Value::as_bool)
+                        .unwrap_or(default.maximize),
+                }))
+            }
             _ => Err(WireError::BadField("strategy")),
         }
     }
 }
 
-/// The live rung of an adaptive evaluation.
+/// The live frontier of an adaptive evaluation: the current rung.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierDto {
+    /// Rung number, starting at 0.
     pub rung: u32,
-    /// Point indices competing in this rung.
+    /// Point indices competing in this rung (ascending).
     pub candidates: Vec<u64>,
-    /// Materialized prefix of `candidates`.
+    /// How many of `candidates` have been materialized as jobs (a prefix).
     pub issued: u64,
-    /// Jobs of this rung, in issue order.
+    /// Job ids of this rung, in issue order (`job_ids[i]` runs
+    /// `candidates[i]`).
     pub job_ids: Vec<Id>,
-    /// Per-completed-rung pruning records (opaque documents).
+    /// One record per completed rung: candidates, scores, survivors.
+    /// Contains only point indices and scores — never job ids or
+    /// timestamps — so logs from a replay or a failed-over leader compare
+    /// equal.
     pub decisions: Vec<Value>,
 }
 
@@ -303,8 +432,8 @@ impl WireDecode for JobBudget {
     }
 }
 
-/// An experiment: a parameterised evaluation template. `parameters` holds
-/// the `ParamAssignments` document verbatim.
+/// An experiment: "the definition of an evaluation with all its
+/// parameters; when executed, it results in the creation of an evaluation."
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentDto {
     pub id: Id,
@@ -312,14 +441,18 @@ pub struct ExperimentDto {
     pub system_id: Id,
     pub name: String,
     pub description: String,
-    pub parameters: Value,
+    /// Parameter assignments (fixed values and sweeps); absent or `null`
+    /// reads as none.
+    pub parameters: ParamAssignments,
+    /// Archived experiments cannot spawn new evaluations.
     pub archived: bool,
     pub created_at: u64,
-    /// Exploration strategy. `None` means grid and is omitted on the wire,
-    /// keeping pre-strategy documents byte-identical.
-    pub strategy: Option<StrategyDto>,
-    /// Per-job resource budget; omitted on the wire when unset so
-    /// pre-budget documents stay byte-identical.
+    /// Exploration strategy. Grid is omitted on the wire, keeping
+    /// pre-strategy documents byte-identical; absent or `null` reads as
+    /// grid.
+    pub strategy: Strategy,
+    /// Per-job resource budget copied onto every materialized job; omitted
+    /// on the wire when unset so pre-budget documents stay byte-identical.
     pub budget: Option<JobBudget>,
 }
 
@@ -331,12 +464,12 @@ impl WireEncode for ExperimentDto {
             "system_id" => self.system_id.to_base32(),
             "name" => self.name.as_str(),
             "description" => self.description.as_str(),
-            "parameters" => self.parameters.clone(),
+            "parameters" => self.parameters.to_value(),
             "archived" => self.archived,
             "created_at" => self.created_at,
         };
-        if let Some(strategy) = &self.strategy {
-            doc.set("strategy", strategy.to_value());
+        if self.strategy != Strategy::Grid {
+            doc.set("strategy", self.strategy.to_value());
         }
         if let Some(budget) = &self.budget {
             doc.set("budget", budget.to_value());
@@ -353,11 +486,16 @@ impl WireDecode for ExperimentDto {
             system_id: codec::req_id(value, "system_id")?,
             name: codec::req_str(value, "name")?,
             description: codec::str_or(value, "description", ""),
-            parameters: codec::opt_value(value, "parameters")
-                .unwrap_or_else(|| Value::Object(Map::new())),
+            parameters: codec::field(value, "parameters")
+                .map(ParamAssignments::decode)
+                .transpose()?
+                .unwrap_or_default(),
             archived: value.get("archived").and_then(Value::as_bool).unwrap_or(false),
             created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
-            strategy: codec::field(value, "strategy").map(StrategyDto::decode).transpose()?,
+            strategy: codec::field(value, "strategy")
+                .map(Strategy::decode)
+                .transpose()?
+                .unwrap_or(Strategy::Grid),
             budget: codec::field(value, "budget").map(JobBudget::decode).transpose()?,
         })
     }
@@ -383,7 +521,7 @@ pub struct EvaluationDto {
 /// omitted when absent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvaluationSourceDto {
-    pub strategy: Option<StrategyDto>,
+    pub strategy: Option<Strategy>,
     pub total_points: Option<u64>,
     pub materialized: Option<u64>,
     pub frontier: Option<FrontierDto>,
@@ -402,7 +540,7 @@ impl EvaluationDto {
     /// leaving its `job_ids` unparsed.
     pub fn decode_source(value: &Value) -> Result<EvaluationSourceDto, WireError> {
         Ok(EvaluationSourceDto {
-            strategy: codec::field(value, "strategy").map(StrategyDto::decode).transpose()?,
+            strategy: codec::field(value, "strategy").map(Strategy::decode).transpose()?,
             total_points: codec::lenient_u64(value, "total_points"),
             materialized: codec::lenient_u64(value, "materialized"),
             frontier: codec::field(value, "frontier").map(FrontierDto::decode).transpose()?,

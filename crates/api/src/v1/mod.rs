@@ -10,6 +10,7 @@ mod agent;
 mod analytics;
 mod cluster;
 mod entities;
+mod params;
 mod requests;
 
 pub use agent::{
@@ -21,10 +22,11 @@ pub use analytics::{
 };
 pub use cluster::{ClusterStatusDto, ReplicateAck, ReplicateRequest, VoteRequest, VoteResponse};
 pub use entities::{
-    DeploymentDto, EvaluationDto, EvaluationSourceDto, EvaluationStatusDto, ExperimentDto,
-    FrontierDto, JobBudget, JobDto, JobResultDto, ProjectDto, StrategyDto, SystemDto,
-    TimelineEventDto, UserPublic,
+    AdaptiveConfig, ChartSpec, DeploymentDto, EvaluationDto, EvaluationSourceDto,
+    EvaluationStatusDto, ExperimentDto, FrontierDto, JobBudget, JobDto, JobResultDto, ProjectDto,
+    Strategy, SystemDto, TimelineEventDto, UserPublic,
 };
+pub use params::{Assignment, ParamAssignments, ParamDef, ParamType};
 pub use requests::{
     AddProjectMemberRequest, CreateDeploymentRequest, CreateExperimentRequest,
     CreateProjectRequest, CreateUserRequest, LoginRequest, LoginResponse, LogoutResponse,

@@ -7,6 +7,7 @@
 
 use crate::codec::{self, WireDecode, WireEncode};
 use crate::error::WireError;
+use crate::v1::{JobBudget, ParamAssignments, Strategy};
 use chronos_json::{obj, Map, Value};
 use chronos_util::Id;
 
@@ -195,19 +196,19 @@ impl WireDecode for AddProjectMemberRequest {
     }
 }
 
-/// `POST /api/v1/projects/:id/experiments`. `parameters` carries the
-/// `ParamAssignments` document verbatim (the core layer validates it
-/// against the system's parameter space). An absent `strategy` means grid.
+/// `POST /api/v1/projects/:id/experiments`. The core layer validates
+/// `parameters` against the system's parameter space. An absent `strategy`
+/// means grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CreateExperimentRequest {
     pub name: String,
     pub system_id: Id,
     pub description: String,
-    pub parameters: Option<Value>,
-    pub strategy: Option<crate::v1::StrategyDto>,
+    pub parameters: Option<ParamAssignments>,
+    pub strategy: Option<Strategy>,
     /// Per-job resource budget applied to every job of every evaluation of
     /// this experiment. Absent (or empty) means unbudgeted.
-    pub budget: Option<crate::v1::JobBudget>,
+    pub budget: Option<JobBudget>,
 }
 
 impl WireEncode for CreateExperimentRequest {
@@ -219,7 +220,7 @@ impl WireEncode for CreateExperimentRequest {
             map.insert("description".into(), Value::from(self.description.as_str()));
         }
         if let Some(parameters) = &self.parameters {
-            map.insert("parameters".into(), parameters.clone());
+            map.insert("parameters".into(), parameters.to_value());
         }
         if let Some(strategy) = &self.strategy {
             map.insert("strategy".into(), strategy.to_value());
@@ -233,21 +234,15 @@ impl WireEncode for CreateExperimentRequest {
 
 impl WireDecode for CreateExperimentRequest {
     fn decode(value: &Value) -> Result<Self, WireError> {
-        let strategy = match value.get("strategy") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => Some(crate::v1::StrategyDto::decode(v)?),
-        };
-        let budget = match value.get("budget") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => Some(crate::v1::JobBudget::decode(v)?),
-        };
+        let strategy = codec::field(value, "strategy").map(Strategy::decode).transpose()?;
+        let budget = codec::field(value, "budget").map(JobBudget::decode).transpose()?;
         Ok(Self {
             name: codec::req_str(value, "name")?,
             system_id: codec::req_id(value, "system_id")?,
             description: codec::str_or(value, "description", ""),
-            parameters: codec::opt_value(value, "parameters"),
+            parameters: codec::field(value, "parameters")
+                .map(ParamAssignments::decode)
+                .transpose()?,
             strategy,
             budget,
         })

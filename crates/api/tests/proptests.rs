@@ -51,19 +51,94 @@ fn arb_u64() -> impl Strategy<Value = u64> {
     any::<u64>().prop_map(|x| x >> 1)
 }
 
-fn arb_strategy() -> impl Strategy<Value = v1::StrategyDto> {
+fn arb_strategy() -> impl Strategy<Value = v1::Strategy> {
     prop_oneof![
-        Just(v1::StrategyDto::Grid),
+        Just(v1::Strategy::Grid),
         (arb_u64(), opt(1u64..1_000_000), 2u64..16, arb_text(), any::<bool>()).prop_map(
-            |(seed, initial, eta, metric, maximize)| v1::StrategyDto::Adaptive {
+            |(seed, initial, eta, metric, maximize)| v1::Strategy::Adaptive(v1::AdaptiveConfig {
                 seed,
                 initial,
                 eta,
                 metric: format!("/{metric}"),
                 maximize,
-            }
+            })
         ),
     ]
+}
+
+/// A value a parameter can be fixed to or swept over.
+fn arb_scalar() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        any::<i64>().prop_map(Value::from),
+        arb_text().prop_map(Value::from),
+        any::<bool>().prop_map(Value::from),
+    ]
+}
+
+/// Every parameter type; intervals stay small so their sweeps do too.
+fn arb_param_type() -> impl Strategy<Value = v1::ParamType> {
+    prop_oneof![
+        Just(v1::ParamType::Boolean),
+        prop::collection::vec(arb_text(), 1..4)
+            .prop_map(|options| v1::ParamType::Checkbox { options }),
+        Just(v1::ParamType::Value),
+        (-1000i64..1000, 0i64..100, 1i64..10)
+            .prop_map(|(min, span, step)| v1::ParamType::Interval { min, max: min + span, step }),
+        Just(v1::ParamType::Ratio),
+    ]
+}
+
+/// A definition whose default is one `pick` of the values its type
+/// accepts (ratios stay exact binary fractions).
+fn arb_param_def() -> impl Strategy<Value = v1::ParamDef> {
+    (arb_text(), arb_text(), arb_param_type(), any::<u64>(), arb_scalar()).prop_map(
+        |(name, description, param_type, pick, scalar)| {
+            let default = match &param_type {
+                v1::ParamType::Boolean => Value::Bool(pick % 2 == 0),
+                v1::ParamType::Checkbox { options } => {
+                    Value::from(options[(pick % options.len() as u64) as usize].as_str())
+                }
+                v1::ParamType::Value => scalar,
+                v1::ParamType::Interval { min, max, .. } => {
+                    Value::from(min + (pick % (max - min + 1) as u64) as i64)
+                }
+                v1::ParamType::Ratio => Value::from([0.25, 0.5, 0.75][(pick % 3) as usize]),
+            };
+            v1::ParamDef::new(name, description, param_type, default).expect("default fits")
+        },
+    )
+}
+
+fn arb_chart() -> impl Strategy<Value = v1::ChartSpec> {
+    (arb_text(), arb_text(), arb_text(), opt(arb_text()), arb_text(), arb_text()).prop_map(
+        |(kind, title, x_param, series_param, value_path, y_label)| v1::ChartSpec {
+            kind,
+            title,
+            x_param,
+            series_param,
+            value_path,
+            y_label,
+        },
+    )
+}
+
+/// Every assignment kind, one per uniquely named parameter.
+fn arb_assignments() -> impl Strategy<Value = v1::ParamAssignments> {
+    let assignment = prop_oneof![
+        arb_scalar().prop_map(v1::Assignment::Fixed),
+        prop::collection::vec(arb_scalar(), 1..4).prop_map(v1::Assignment::Sweep),
+        Just(v1::Assignment::SweepAll),
+    ];
+    prop::collection::vec(assignment, 0..4).prop_map(|kinds| {
+        kinds.into_iter().enumerate().fold(v1::ParamAssignments::new(), |all, (i, kind)| {
+            let name = format!("p{i}");
+            match kind {
+                v1::Assignment::Fixed(value) => all.fix(&name, value),
+                v1::Assignment::Sweep(values) => all.sweep(&name, values),
+                v1::Assignment::SweepAll => all.sweep_all(&name),
+            }
+        })
+    })
 }
 
 fn arb_frontier() -> impl Strategy<Value = v1::FrontierDto> {
@@ -140,7 +215,7 @@ proptest! {
         (environment, version, active) in (arb_text(), arb_text(), any::<bool>()),
         (name, description, build) in (arb_text(), arb_text(), arb_text()),
         (user_id, system_id, experiment_id) in (arb_id(), arb_id(), arb_id()),
-        parameters in opt(arb_doc()),
+        parameters in opt(arb_assignments()),
         strategy in opt(arb_strategy()),
         budget in opt(arb_budget()),
     ) {
@@ -162,8 +237,8 @@ proptest! {
         (id, other, third) in (arb_id(), arb_id(), arb_id()),
         (name, description) in (arb_text(), arb_text()),
         (flag, created_at) in (any::<bool>(), arb_ts()),
-        members in prop::collection::vec(arb_id(), 0..4),
-        swept in prop::collection::vec("[a-z]{1,6}", 0..3),
+        (members, swept) in
+            (prop::collection::vec(arb_id(), 0..4), prop::collection::vec("[a-z]{1,6}", 0..3)),
         (doc, strategy, frontier, total_points, materialized, budget) in (
             arb_doc(),
             opt(arb_strategy()),
@@ -172,13 +247,19 @@ proptest! {
             opt(arb_u64()),
             opt(arb_budget()),
         ),
+        (parameters, charts, assignments, experiment_strategy) in (
+            prop::collection::vec(arb_param_def(), 0..4),
+            prop::collection::vec(arb_chart(), 0..3),
+            arb_assignments(),
+            arb_strategy(),
+        ),
     ) {
         roundtrip(&v1::SystemDto {
             id,
             name: name.clone(),
             description: description.clone(),
-            parameters: vec![doc.clone()],
-            charts: vec![],
+            parameters,
+            charts,
             created_at,
         });
         roundtrip(&v1::DeploymentDto {
@@ -203,10 +284,10 @@ proptest! {
             system_id: third,
             name,
             description,
-            parameters: doc.clone(),
+            parameters: assignments,
             archived: flag,
             created_at,
-            strategy: strategy.clone(),
+            strategy: experiment_strategy,
             budget,
         });
         roundtrip(&v1::EvaluationDto {
@@ -389,6 +470,88 @@ fn strings_with_escapes_roundtrip() {
         roundtrip(&v1::LoginRequest { username: tricky.into(), password: tricky.into() });
         roundtrip(&v1::FailRequest { reason: tricky.into(), attempt: None });
         roundtrip(&ErrorEnvelope::status(400, tricky));
+    }
+}
+
+/// Each parameter type, chart shape, assignment kind and strategy at least
+/// once, whatever the generators above happen to draw.
+#[test]
+fn every_vocabulary_variant_roundtrips() {
+    let types = [
+        v1::ParamType::Boolean,
+        v1::ParamType::Checkbox { options: vec!["a".into(), "b".into()] },
+        v1::ParamType::Value,
+        v1::ParamType::Interval { min: -3, max: 9, step: 4 },
+        v1::ParamType::Ratio,
+    ];
+    let defaults =
+        [Value::Bool(true), Value::from("b"), Value::from("x"), Value::from(5), Value::from(0.5)];
+    let parameters: Vec<_> = types
+        .into_iter()
+        .zip(defaults)
+        .map(|(t, default)| {
+            let def = v1::ParamDef::new(t.tag(), "d", t, default).unwrap();
+            roundtrip(&def.param_type);
+            roundtrip(&def);
+            def
+        })
+        .collect();
+    let chart = |series_param: Option<&str>| v1::ChartSpec {
+        kind: "line".into(),
+        title: "t".into(),
+        x_param: "x".into(),
+        series_param: series_param.map(str::to_string),
+        value_path: "/v".into(),
+        y_label: "".into(),
+    };
+    let charts = vec![chart(Some("engine")), chart(None)];
+    for chart in &charts {
+        roundtrip(chart);
+    }
+    roundtrip(&v1::SystemDto {
+        id: Id::from_u128(1),
+        name: "s".into(),
+        description: "".into(),
+        parameters,
+        charts,
+        created_at: 1,
+    });
+    let assignments = v1::ParamAssignments::new()
+        .fix("a", 1)
+        .sweep("b", vec![Value::from(1), Value::from("two")])
+        .sweep_all("c");
+    roundtrip(&assignments);
+    for assignment in [
+        v1::Assignment::Fixed(Value::from(1)),
+        v1::Assignment::Sweep(vec![Value::from(1)]),
+        v1::Assignment::SweepAll,
+    ] {
+        roundtrip(&assignment);
+    }
+    let adaptive =
+        v1::Strategy::Adaptive(v1::AdaptiveConfig { initial: Some(3), ..Default::default() });
+    for strategy in [v1::Strategy::Grid, adaptive] {
+        roundtrip(&strategy);
+        roundtrip(&v1::ExperimentDto {
+            id: Id::from_u128(2),
+            project_id: Id::from_u128(3),
+            system_id: Id::from_u128(1),
+            name: "e".into(),
+            description: "".into(),
+            parameters: assignments.clone(),
+            archived: false,
+            created_at: 1,
+            strategy: strategy.clone(),
+            budget: None,
+        });
+        roundtrip(&v1::CreateExperimentRequest {
+            name: "e".into(),
+            system_id: Id::from_u128(1),
+            description: "".into(),
+            parameters: Some(assignments.clone()),
+            strategy: Some(strategy),
+            budget: None,
+        });
     }
 }
 

@@ -39,7 +39,7 @@ pub fn archive_project(control: &ChronosControl, project_id: Id) -> CoreResult<V
         add(
             &mut zip,
             format!("{exp_dir}/experiment.json"),
-            experiment.to_json().to_pretty_string().as_bytes(),
+            experiment.to_value().to_pretty_string().as_bytes(),
         )?;
         // The system definition the experiment ran against is part of the
         // settings that produced the results.
@@ -47,7 +47,7 @@ pub fn archive_project(control: &ChronosControl, project_id: Id) -> CoreResult<V
             add(
                 &mut zip,
                 format!("{exp_dir}/system.json"),
-                system.to_json().to_pretty_string().as_bytes(),
+                system.to_value().to_pretty_string().as_bytes(),
             )?;
         }
         for evaluation in control.list_evaluations(Some(experiment.id)) {

@@ -11,62 +11,9 @@
 //! Two renderers ship for every kind: SVG (the web UI artifact) and ASCII
 //! (for terminals and logs).
 
-use chronos_json::{obj, Value};
+pub use chronos_api::v1::ChartSpec;
 
 use crate::error::{CoreError, CoreResult};
-
-/// A chart declaration attached to a system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChartSpec {
-    /// Chart kind: `"bar"`, `"line"`, `"pie"`, or a custom registered kind.
-    pub kind: String,
-    /// Chart title.
-    pub title: String,
-    /// The swept parameter providing the x axis (bar/line) or slice labels
-    /// (pie).
-    pub x_param: String,
-    /// Optional swept parameter splitting the data into series
-    /// (e.g. `"engine"` → one line per engine).
-    pub series_param: Option<String>,
-    /// JSON pointer into each job's result document selecting the plotted
-    /// value (e.g. `"/throughput_ops_per_sec"`).
-    pub value_path: String,
-    /// Y-axis label.
-    pub y_label: String,
-}
-
-impl ChartSpec {
-    /// JSON shape used in system definitions.
-    pub fn to_json(&self) -> Value {
-        obj! {
-            "kind" => self.kind.as_str(),
-            "title" => self.title.as_str(),
-            "x_param" => self.x_param.as_str(),
-            "series_param" => self.series_param.clone().map(Value::from).unwrap_or(Value::Null),
-            "value_path" => self.value_path.as_str(),
-            "y_label" => self.y_label.as_str(),
-        }
-    }
-
-    /// Parses [`ChartSpec::to_json`] output.
-    pub fn from_json(value: &Value) -> CoreResult<ChartSpec> {
-        let get = |f: &str| {
-            value
-                .get(f)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| CoreError::Invalid(format!("chart needs {f:?}")))
-        };
-        Ok(ChartSpec {
-            kind: get("kind")?,
-            title: get("title")?,
-            x_param: get("x_param")?,
-            series_param: value.get("series_param").and_then(Value::as_str).map(str::to_string),
-            value_path: get("value_path")?,
-            y_label: value.get("y_label").and_then(Value::as_str).unwrap_or("").to_string(),
-        })
-    }
-}
 
 /// Data ready to plot: x categories and one or more named series.
 #[derive(Debug, Clone, PartialEq)]
@@ -455,11 +402,12 @@ mod tests {
 
     #[test]
     fn spec_json_roundtrip() {
+        use chronos_api::{WireDecode, WireEncode};
         let s = spec("bar");
-        assert_eq!(ChartSpec::from_json(&s.to_json()).unwrap(), s);
+        assert_eq!(ChartSpec::decode(&s.to_value()).unwrap(), s);
         let mut no_series = spec("line");
         no_series.series_param = None;
-        assert_eq!(ChartSpec::from_json(&no_series.to_json()).unwrap(), no_series);
+        assert_eq!(ChartSpec::decode(&no_series.to_value()).unwrap(), no_series);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::jobsource::{prune_rung, JobSourceState, Strategy};
 use crate::lifecycle::JobEvent;
 use crate::model::{Deployment, Evaluation, Experiment, Job, JobResult, JobState, Project, System};
-use crate::params::{ParamAssignments, ParamDef, PointSpace};
+use crate::params::{self, ParamAssignments, ParamDef, PointSpace};
 use crate::scheduler::{EvaluationStatus, SchedulerConfig};
 use crate::store::{MetadataStore, Put};
 use crate::versions::Versions;
@@ -373,7 +373,7 @@ impl ChronosControl {
                 charts,
                 created_at: tx.now,
             };
-            tx.put(KIND_SYSTEM, system.id, system.to_json());
+            tx.put(KIND_SYSTEM, system.id, system.to_value());
             Ok(system)
         })
     }
@@ -382,32 +382,27 @@ impl ChronosControl {
     /// "provide a path to a git or mercurial repository" workflow (§3),
     /// with the repository's definition file supplied directly.
     pub fn register_system_from_definition(&self, definition: &Value) -> CoreResult<System> {
-        let name = definition
-            .get("name")
-            .and_then(Value::as_str)
+        let name = codec::str_ref(definition, "name")
             .ok_or_else(|| CoreError::Invalid("system definition needs a name".into()))?;
-        let description = definition.get("description").and_then(Value::as_str).unwrap_or("");
-        let list =
-            |key| definition.get(key).and_then(Value::as_array).map_or(&[][..], Vec::as_slice);
-        let parameters =
-            list("parameters").iter().map(ParamDef::from_json).collect::<CoreResult<_>>()?;
-        let charts = list("charts").iter().map(ChartSpec::from_json).collect::<CoreResult<_>>()?;
+        let description = codec::str_ref(definition, "description").unwrap_or("");
+        let parameters = System::decode_parameters(definition)?;
+        let charts = System::decode_charts(definition)?;
         self.register_system(name, description, parameters, charts)
     }
 
     /// Looks a system up by name.
     pub fn find_system(&self, name: &str) -> Option<System> {
-        self.decode_all(KIND_SYSTEM, System::from_json).find(|s| s.name == name)
+        self.decode_all(KIND_SYSTEM, System::decode).find(|s| s.name == name)
     }
 
     /// Fetches a system by id.
     pub fn get_system(&self, id: Id) -> CoreResult<System> {
-        self.fetch(KIND_SYSTEM, id, System::from_json)
+        self.fetch(KIND_SYSTEM, id, System::decode)
     }
 
     /// All systems.
     pub fn list_systems(&self) -> Vec<System> {
-        self.decode_all(KIND_SYSTEM, System::from_json).collect()
+        self.decode_all(KIND_SYSTEM, System::decode).collect()
     }
 
     /// Creates a deployment of a system.
@@ -592,25 +587,25 @@ impl ChronosControl {
                 system_id,
                 name: name.to_string(),
                 description: description.to_string(),
-                assignments,
+                parameters: assignments,
                 strategy,
                 archived: false,
                 created_at: tx.now,
                 budget: budget.filter(|b| !b.is_empty()),
             };
-            tx.put(KIND_EXPERIMENT, experiment.id, experiment.to_json());
+            tx.put(KIND_EXPERIMENT, experiment.id, experiment.to_value());
             Ok(experiment)
         })
     }
 
     /// Fetches an experiment.
     pub fn get_experiment(&self, id: Id) -> CoreResult<Experiment> {
-        self.fetch(KIND_EXPERIMENT, id, Experiment::from_json)
+        self.fetch(KIND_EXPERIMENT, id, Experiment::decode)
     }
 
     /// Experiments of a project (all when `None`).
     pub fn list_experiments(&self, project_id: Option<Id>) -> Vec<Experiment> {
-        let all = self.decode_all(KIND_EXPERIMENT, Experiment::from_json);
+        let all = self.decode_all(KIND_EXPERIMENT, Experiment::decode);
         all.filter(|e| project_id.is_none_or(|x| e.project_id == x)).collect()
     }
 
@@ -619,7 +614,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut experiment = self.get_experiment(id)?;
             experiment.archived = true;
-            tx.put(KIND_EXPERIMENT, id, experiment.to_json());
+            tx.put(KIND_EXPERIMENT, id, experiment.to_value());
             Ok(experiment)
         })
     }
@@ -638,12 +633,12 @@ impl ChronosControl {
                 return Err(CoreError::Conflict("experiment is archived".into()));
             }
             let system = self.get_system(experiment.system_id)?;
-            let space = PointSpace::build(&experiment.assignments, &system.parameters)?;
+            let space = PointSpace::build(&experiment.parameters, &system.parameters)?;
             let evaluation = Evaluation {
                 id: Id::generate(),
                 experiment_id,
                 job_ids: Vec::new(),
-                swept_params: experiment.assignments.swept_names(&system.parameters),
+                swept_params: params::swept_names(&experiment.parameters, &system.parameters),
                 created_at: tx.now,
                 source: Some(JobSourceState::plan(experiment.strategy, space.total())),
             };
@@ -833,7 +828,7 @@ impl ChronosControl {
                 continue;
             }
             let Ok(system) = self.get_system(experiment.system_id) else { continue };
-            let Ok(space) = PointSpace::build(&experiment.assignments, &system.parameters) else {
+            let Ok(space) = PointSpace::build(&experiment.parameters, &system.parameters) else {
                 continue;
             };
             // Adaptive: a fully-issued rung blocks until every rung job
@@ -2480,7 +2475,7 @@ mod tests {
         let (control, _clock, evaluation, deployment) = demo_evaluation();
         let experiment = control.get_experiment(evaluation.experiment_id).unwrap();
         let system = control.get_system(experiment.system_id).unwrap();
-        let eager = experiment.assignments.expand(&system.parameters).unwrap();
+        let eager = params::expand(&experiment.parameters, &system.parameters).unwrap();
         let mut lazy = Vec::new();
         while let Some(job) = control.claim_next_job(deployment.id, None).unwrap() {
             lazy.push(job.parameters.clone());

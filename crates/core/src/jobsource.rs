@@ -25,110 +25,13 @@
 
 use chronos_api::{codec, v1 as dto};
 use chronos_json::{obj, Value};
-use chronos_util::{Id, SplitMix64};
+use chronos_util::SplitMix64;
 
-use crate::error::{CoreError, CoreResult};
-
-/// How an experiment explores its parameter space.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Strategy {
-    /// Every point of the space, in index order (the paper's behavior).
-    Grid,
-    /// Successive-halving exploration driven by uploaded results.
-    Adaptive(AdaptiveConfig),
-}
-
-impl Strategy {
-    /// Validates strategy parameters at experiment creation.
-    pub fn validate(&self) -> CoreResult<()> {
-        match self {
-            Strategy::Grid => Ok(()),
-            Strategy::Adaptive(cfg) => {
-                if cfg.eta < 2 {
-                    return Err(CoreError::Invalid("adaptive eta must be ≥ 2".into()));
-                }
-                if cfg.initial == Some(0) {
-                    return Err(CoreError::Invalid("adaptive initial must be ≥ 1".into()));
-                }
-                if !cfg.metric.starts_with('/') {
-                    return Err(CoreError::Invalid(format!(
-                        "adaptive metric must be a JSON pointer (got {:?})",
-                        cfg.metric
-                    )));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// The wire DTO.
-    pub fn dto(&self) -> dto::StrategyDto {
-        match self {
-            Strategy::Grid => dto::StrategyDto::Grid,
-            Strategy::Adaptive(cfg) => dto::StrategyDto::Adaptive {
-                seed: cfg.seed,
-                initial: cfg.initial,
-                eta: cfg.eta,
-                metric: cfg.metric.clone(),
-                maximize: cfg.maximize,
-            },
-        }
-    }
-
-    /// From the wire DTO.
-    pub fn from_dto(value: &dto::StrategyDto) -> Strategy {
-        match value {
-            dto::StrategyDto::Grid => Strategy::Grid,
-            dto::StrategyDto::Adaptive { seed, initial, eta, metric, maximize } => {
-                Strategy::Adaptive(AdaptiveConfig {
-                    seed: *seed,
-                    initial: *initial,
-                    eta: *eta,
-                    metric: metric.clone(),
-                    maximize: *maximize,
-                })
-            }
-        }
-    }
-}
-
-/// Tunables of the adaptive (successive-halving) strategy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Seed of the rung-0 candidate sample. Same seed ⇒ same candidates ⇒
-    /// same pruning decisions (given the same uploaded results).
-    pub seed: u64,
-    /// Rung-0 size. `None` ⇒ `ceil(total / 5)` — with the default `eta` of
-    /// 4 the whole run then spends ≈ 26.7 % of a full grid.
-    pub initial: Option<u64>,
-    /// Fraction kept per rung: `ceil(k / eta)` candidates are promoted.
-    pub eta: u64,
-    /// JSON pointer into the uploaded result document that scores a
-    /// candidate (must be one of the columnar standard metric paths to be
-    /// served from the analytics store).
-    pub metric: String,
-    /// Whether a higher metric is better.
-    pub maximize: bool,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            seed: 0,
-            initial: None,
-            eta: 4,
-            metric: "/throughput_ops_per_sec".into(),
-            maximize: true,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// The rung-0 candidate count for a space of `total` points.
-    pub fn rung0_size(&self, total: u64) -> u64 {
-        self.initial.unwrap_or_else(|| total.div_ceil(5)).clamp(1, total)
-    }
-}
+/// The live frontier of an adaptive evaluation: the current rung.
+pub use chronos_api::v1::FrontierDto as Frontier;
+/// How an experiment explores its parameter space, and the tunables of its
+/// adaptive strategy: `chronos-api` types, re-exported.
+pub use chronos_api::v1::{AdaptiveConfig, Strategy};
 
 /// Sizes of every rung of a successive-halving run that starts with `k0`
 /// candidates: `k0, ceil(k0/eta), ...` down to a single survivor.
@@ -140,47 +43,6 @@ pub fn rung_sizes(k0: u64, eta: u64) -> Vec<u64> {
         sizes.push(k);
     }
     sizes
-}
-
-/// The live frontier of an adaptive evaluation: the current rung.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frontier {
-    /// Rung number, starting at 0.
-    pub rung: u32,
-    /// Point indices competing in this rung (ascending).
-    pub candidates: Vec<u64>,
-    /// How many of `candidates` have been materialized as jobs (a prefix).
-    pub issued: u64,
-    /// Job ids of this rung, in issue order (`job_ids[i]` runs
-    /// `candidates[i]`).
-    pub job_ids: Vec<Id>,
-    /// One record per completed rung: candidates, scores, survivors.
-    /// Contains only point indices and scores — never job ids or
-    /// timestamps — so logs from a replay or a failed-over leader compare
-    /// equal.
-    pub decisions: Vec<Value>,
-}
-
-impl Frontier {
-    fn dto(&self) -> dto::FrontierDto {
-        dto::FrontierDto {
-            rung: self.rung,
-            candidates: self.candidates.clone(),
-            issued: self.issued,
-            job_ids: self.job_ids.clone(),
-            decisions: self.decisions.clone(),
-        }
-    }
-
-    fn from_dto(value: &dto::FrontierDto) -> Frontier {
-        Frontier {
-            rung: value.rung,
-            candidates: value.candidates.clone(),
-            issued: value.issued,
-            job_ids: value.job_ids.clone(),
-            decisions: value.decisions.clone(),
-        }
-    }
 }
 
 /// The persisted iteration state of a lazy evaluation. Stored inside the
@@ -253,42 +115,38 @@ impl JobSourceState {
         }
     }
 
-    /// Encodes onto an evaluation DTO (flat fields, appended after the
+    /// The evaluation document's source fields (flat, appended after the
     /// frozen evaluation keys).
-    pub fn apply_to_dto(&self, doc: &mut dto::EvaluationDto) {
-        doc.source = dto::EvaluationSourceDto {
-            strategy: Some(self.strategy.dto()),
+    pub fn to_source(&self) -> dto::EvaluationSourceDto {
+        dto::EvaluationSourceDto {
+            strategy: Some(self.strategy.clone()),
             total_points: Some(self.total_points),
             materialized: Some(self.materialized),
-            frontier: self.frontier.as_ref().map(Frontier::dto),
-        };
-    }
-
-    /// Decodes from an evaluation DTO; `None` when the document predates
-    /// lazy evaluations (such evaluations are fully materialized).
-    pub fn from_dto(doc: &dto::EvaluationDto) -> Option<JobSourceState> {
-        Self::from_source(&doc.source, doc.job_ids.len())
+            frontier: self.frontier.clone(),
+        }
     }
 
     /// The source of a stored evaluation document, decoded without its
     /// `job_ids`: what the fold reads on every put of an evaluation. `None`
-    /// as for [`JobSourceState::from_dto`], and when a source field does
+    /// as for [`JobSourceState::from_source`], and when a source field does
     /// not decode. Counting `job_ids` for a missing `materialized` serves
     /// only documents from older logs: no write lists jobs any more.
     pub(crate) fn of_document(doc: &Value) -> Option<JobSourceState> {
         let source = dto::EvaluationDto::decode_source(doc).ok()?;
         let jobs = codec::field(doc, "job_ids").and_then(Value::as_array).map_or(0, Vec::len);
-        Self::from_source(&source, jobs)
+        Self::from_source(source, jobs)
     }
 
-    /// The source the decoded fields describe; an evaluation of `jobs`
-    /// jobs and no `materialized` count has materialized them all.
-    fn from_source(source: &dto::EvaluationSourceDto, jobs: usize) -> Option<JobSourceState> {
+    /// The source the decoded fields describe; `None` when the document
+    /// predates lazy evaluations (such evaluations are fully materialized).
+    /// An evaluation of `jobs` jobs and no `materialized` count has
+    /// materialized them all.
+    pub fn from_source(source: dto::EvaluationSourceDto, jobs: usize) -> Option<JobSourceState> {
         Some(JobSourceState {
-            strategy: source.strategy.as_ref().map(Strategy::from_dto).unwrap_or(Strategy::Grid),
+            strategy: source.strategy.unwrap_or(Strategy::Grid),
             total_points: source.total_points?,
             materialized: source.materialized.unwrap_or(jobs as u64),
-            frontier: source.frontier.as_ref().map(Frontier::from_dto),
+            frontier: source.frontier,
         })
     }
 }
@@ -368,6 +226,7 @@ pub fn sample_distinct(seed: u64, total: u64, k: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chronos_util::Id;
 
     #[test]
     fn rung_sizes_sum_under_budget() {

@@ -5,29 +5,31 @@
 //!
 //! Every entity carries a sortable [`Id`], timestamps, and a JSON
 //! round-trip so the [`store`](crate::store) can persist it and the REST
-//! API can serve it. Each entity document has one decoder: its
-//! `chronos-api` DTO's [`WireDecode`], proptested there.
+//! API can serve it. Each entity document has one type and one decoder:
+//! its `chronos-api` DTO's [`WireDecode`], proptested there.
 //!
-//! - [`Deployment`], [`Project`] and [`TimelineEvent`] hold exactly what
-//!   their documents hold, so they *are* the DTOs, re-exported.
-//! - [`System`], [`Experiment`], [`Evaluation`], [`Job`] and [`JobResult`]
-//!   stay core types, each decoded through its DTO and converted by value.
-//!   A system holds typed parameter definitions and chart specs, an
-//!   experiment typed assignments and a [`Strategy`], and an evaluation
-//!   its job-source state, where the DTOs carry those documents verbatim.
-//!   A job carries the lifecycle methods. A result holds the archive
-//!   bytes, which its document reports only by size.
+//! - [`System`], [`Deployment`], [`Project`], [`Experiment`] and
+//!   [`TimelineEvent`] hold exactly what their documents hold, so they
+//!   *are* the DTOs, re-exported. What they nest is typed in `chronos-api`
+//!   too: a system's [`ParamDef`](crate::params::ParamDef)s and
+//!   [`ChartSpec`](crate::charts::ChartSpec)s, an experiment's
+//!   [`ParamAssignments`](crate::params::ParamAssignments) and
+//!   [`Strategy`](crate::jobsource::Strategy), each decoded once with its
+//!   validation.
+//! - [`Evaluation`], [`Job`] and [`JobResult`] stay core types, each
+//!   decoded through its DTO and converted by value. An evaluation holds
+//!   its job-source state, a job carries the lifecycle methods, and a
+//!   result holds the archive bytes, which its document reports only by
+//!   size.
 
 use chronos_api::v1 as dto;
 use chronos_api::{WireDecode, WireEncode};
 use chronos_json::Value;
 use chronos_util::Id;
 
-use crate::charts::ChartSpec;
 use crate::error::{CoreError, CoreResult};
-use crate::jobsource::{JobSourceState, Strategy};
+use crate::jobsource::JobSourceState;
 use crate::lifecycle::{self, JobEvent};
-use crate::params::{ParamAssignments, ParamDef};
 
 // The wire vocabulary lives in `chronos-api`; legality queries come from
 // the lifecycle state machine. Re-exported so `model::JobState` keeps
@@ -38,129 +40,17 @@ pub use chronos_api::JobState;
 /// A deployment: one reachable instance of a system in an environment
 /// (paper §2.1 — parallelism comes from multiple identical deployments).
 pub use chronos_api::v1::DeploymentDto as Deployment;
+/// An experiment: "the definition of an evaluation with all its parameters;
+/// when executed, it results in the creation of an evaluation."
+pub use chronos_api::v1::ExperimentDto as Experiment;
 /// A project: the collaboration and access-control unit.
 pub use chronos_api::v1::ProjectDto as Project;
+/// A system under evaluation, with its parameter schema and chart config
+/// (paper Fig. 2: "Configuration of a System").
+pub use chronos_api::v1::SystemDto as System;
 /// A timeline event on a job (paper Fig. 3c: "The timeline shows all events
 /// associated with this job").
 pub use chronos_api::v1::TimelineEventDto as TimelineEvent;
-
-/// A system under evaluation, with its parameter schema and chart config
-/// (paper Fig. 2: "Configuration of a System").
-#[derive(Debug, Clone, PartialEq)]
-pub struct System {
-    /// Unique id.
-    pub id: Id,
-    /// Unique human-readable name (e.g. `"minidoc"`).
-    pub name: String,
-    /// Free-form description.
-    pub description: String,
-    /// Declared parameters.
-    pub parameters: Vec<ParamDef>,
-    /// Chart definitions rendered on the result page (see
-    /// [`charts`](crate::charts)).
-    pub charts: Vec<ChartSpec>,
-    /// Creation time (unix millis).
-    pub created_at: u64,
-}
-
-impl System {
-    /// JSON shape served by `GET /systems/:id` and accepted on registration.
-    pub fn to_json(&self) -> Value {
-        dto::SystemDto {
-            id: self.id,
-            name: self.name.clone(),
-            description: self.description.clone(),
-            parameters: self.parameters.iter().map(ParamDef::to_json).collect(),
-            charts: self.charts.iter().map(ChartSpec::to_json).collect(),
-            created_at: self.created_at,
-        }
-        .to_value()
-    }
-
-    /// Parses [`System::to_json`] output.
-    pub fn from_json(value: &Value) -> CoreResult<System> {
-        let doc = dto::SystemDto::decode(value)?;
-        Ok(System {
-            id: doc.id,
-            name: doc.name,
-            description: doc.description,
-            parameters: doc
-                .parameters
-                .iter()
-                .map(ParamDef::from_json)
-                .collect::<CoreResult<_>>()?,
-            charts: doc.charts.iter().map(ChartSpec::from_json).collect::<CoreResult<_>>()?,
-            created_at: doc.created_at,
-        })
-    }
-}
-
-/// An experiment: "the definition of an evaluation with all its parameters;
-/// when executed, it results in the creation of an evaluation."
-#[derive(Debug, Clone, PartialEq)]
-pub struct Experiment {
-    /// Unique id.
-    pub id: Id,
-    /// Owning project.
-    pub project_id: Id,
-    /// System under evaluation.
-    pub system_id: Id,
-    /// Experiment name.
-    pub name: String,
-    /// Description.
-    pub description: String,
-    /// Parameter assignments (fixed values and sweeps).
-    pub assignments: ParamAssignments,
-    /// Archived experiments cannot spawn new evaluations.
-    pub archived: bool,
-    /// Creation time.
-    pub created_at: u64,
-    /// How evaluations of this experiment explore the parameter space.
-    pub strategy: Strategy,
-    /// Per-job resource budget copied onto every materialized job. `None`
-    /// means unbudgeted (the historic behavior).
-    pub budget: Option<dto::JobBudget>,
-}
-
-impl Experiment {
-    /// JSON shape. Grid strategy (the historic default) is omitted so
-    /// pre-strategy documents stay byte-identical.
-    pub fn to_json(&self) -> Value {
-        dto::ExperimentDto {
-            id: self.id,
-            project_id: self.project_id,
-            system_id: self.system_id,
-            name: self.name.clone(),
-            description: self.description.clone(),
-            parameters: self.assignments.to_json(),
-            archived: self.archived,
-            created_at: self.created_at,
-            strategy: match &self.strategy {
-                Strategy::Grid => None,
-                adaptive => Some(adaptive.dto()),
-            },
-            budget: self.budget,
-        }
-        .to_value()
-    }
-
-    /// Parses [`Experiment::to_json`] output.
-    pub fn from_json(value: &Value) -> CoreResult<Experiment> {
-        let doc = dto::ExperimentDto::decode(value)?;
-        Ok(Experiment {
-            id: doc.id,
-            project_id: doc.project_id,
-            system_id: doc.system_id,
-            name: doc.name,
-            description: doc.description,
-            assignments: ParamAssignments::from_json(&doc.parameters)?,
-            archived: doc.archived,
-            created_at: doc.created_at,
-            strategy: doc.strategy.as_ref().map_or(Strategy::Grid, Strategy::from_dto),
-            budget: doc.budget,
-        })
-    }
-}
 
 /// An evaluation: one run of an experiment, consisting of jobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,24 +80,20 @@ impl Evaluation {
     }
 
     pub(crate) fn dto(&self) -> dto::EvaluationDto {
-        let mut doc = dto::EvaluationDto {
+        dto::EvaluationDto {
             id: self.id,
             experiment_id: self.experiment_id,
             job_ids: self.job_ids.clone(),
             swept_params: self.swept_params.clone(),
             created_at: self.created_at,
-            source: dto::EvaluationSourceDto::default(),
-        };
-        if let Some(source) = &self.source {
-            source.apply_to_dto(&mut doc);
+            source: self.source.as_ref().map(JobSourceState::to_source).unwrap_or_default(),
         }
-        doc
     }
 
     /// Parses [`Evaluation::to_json`] output.
     pub fn from_json(value: &Value) -> CoreResult<Evaluation> {
         let doc = dto::EvaluationDto::decode(value)?;
-        let source = JobSourceState::from_dto(&doc);
+        let source = JobSourceState::from_source(doc.source, doc.job_ids.len());
         Ok(Evaluation {
             id: doc.id,
             experiment_id: doc.experiment_id,
@@ -414,6 +300,7 @@ impl JobResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobsource::Strategy;
     use crate::params::{ParamAssignments, ParamType};
     use chronos_json::obj;
 
@@ -482,7 +369,7 @@ mod tests {
             charts: vec![],
             created_at: 1234,
         };
-        assert_eq!(System::from_json(&system.to_json()).unwrap(), system);
+        assert_eq!(System::decode(&system.to_value()).unwrap(), system);
     }
 
     #[test]
@@ -493,16 +380,16 @@ mod tests {
             system_id: Id::generate(),
             name: "engine shootout".into(),
             description: "".into(),
-            assignments: ParamAssignments::new().fix("threads", 4),
+            parameters: ParamAssignments::new().fix("threads", 4),
             archived: false,
             created_at: 5,
             strategy: Strategy::Grid,
             budget: None,
         };
-        let encoded = experiment.to_json();
+        let encoded = experiment.to_value();
         assert!(encoded.get("strategy").is_none(), "grid is the implicit default");
         assert!(encoded.get("budget").is_none(), "unbudgeted is the implicit default");
-        assert_eq!(Experiment::from_json(&encoded).unwrap(), experiment);
+        assert_eq!(Experiment::decode(&encoded).unwrap(), experiment);
 
         let budgeted = Experiment {
             budget: Some(dto::JobBudget {
@@ -512,10 +399,10 @@ mod tests {
             }),
             ..experiment.clone()
         };
-        let encoded = budgeted.to_json();
+        let encoded = budgeted.to_value();
         assert_eq!(encoded.pointer("/budget/cpu_millis").and_then(Value::as_u64), Some(2_000));
         assert!(encoded.pointer("/budget/io_bytes").is_none(), "absent dimensions are omitted");
-        assert_eq!(Experiment::from_json(&encoded).unwrap(), budgeted);
+        assert_eq!(Experiment::decode(&encoded).unwrap(), budgeted);
         let adaptive = Experiment {
             strategy: Strategy::Adaptive(crate::jobsource::AdaptiveConfig {
                 seed: 9,
@@ -524,9 +411,9 @@ mod tests {
             }),
             ..experiment
         };
-        let encoded = adaptive.to_json();
+        let encoded = adaptive.to_value();
         assert_eq!(encoded.pointer("/strategy/kind").and_then(Value::as_str), Some("adaptive"));
-        assert_eq!(Experiment::from_json(&encoded).unwrap(), adaptive);
+        assert_eq!(Experiment::decode(&encoded).unwrap(), adaptive);
     }
 
     #[test]
@@ -551,25 +438,24 @@ mod tests {
         assert_eq!(Deployment::decode(&deployment.to_value()).unwrap(), deployment);
     }
 
-    /// Documents the control plane's decoders and the wire DTOs once read
-    /// differently: a job without `attempts` (0 against 1), a `progress`
-    /// past 100 (truncated to 44 against clamped) and an experiment whose
-    /// `strategy` and `budget` are `null` (accepted against rejected).
+    /// Documents that were once read two ways, read the one way the
+    /// control plane reads them: a job without `attempts` was never
+    /// claimed, a `progress` past 100 clamps, and `null` reads as absent
+    /// for a job's `budget` and an experiment's `strategy`, `budget` and
+    /// `parameters`.
     #[test]
-    fn control_plane_and_wire_decode_drifted_documents_alike() {
+    fn drifted_documents_decode_leniently() {
         let mut job = Job::new(Id::generate(), Id::generate(), obj! {"threads" => 4}, 1000);
         job.progress = 7;
         let mut document = job.to_json();
         document.as_object_mut().unwrap().remove("attempts");
-        let (core, wire) = (Job::from_json(&document).unwrap(), dto::JobDto::decode(&document));
         assert_eq!(
-            (core.attempts, wire.unwrap().attempts),
-            (0, 0),
+            Job::from_json(&document).unwrap().attempts,
+            0,
             "absent attempts: never claimed"
         );
         document.set("progress", 300);
-        let (core, wire) = (Job::from_json(&document).unwrap(), dto::JobDto::decode(&document));
-        assert_eq!((core.progress, wire.unwrap().progress), (100, 100), "progress clamps to 100");
+        assert_eq!(Job::from_json(&document).unwrap().progress, 100, "progress clamps to 100");
         document.set("budget", Value::Null);
         assert_eq!(Job::from_json(&document).unwrap().budget, None, "null budget is no budget");
 
@@ -579,18 +465,19 @@ mod tests {
             system_id: Id::generate(),
             name: "nulls".into(),
             description: "".into(),
-            assignments: ParamAssignments::new().fix("threads", 4),
+            parameters: ParamAssignments::new().fix("threads", 4),
             archived: false,
             created_at: 5,
             strategy: Strategy::Grid,
             budget: None,
         };
-        let mut document = experiment.to_json();
+        let mut document = experiment.to_value();
         document.set("strategy", Value::Null);
         document.set("budget", Value::Null);
-        assert_eq!(Experiment::from_json(&document).unwrap(), experiment);
-        let wire = dto::ExperimentDto::decode(&document).unwrap();
-        assert_eq!((wire.strategy, wire.budget), (None, None), "null reads as absent");
+        assert_eq!(Experiment::decode(&document).unwrap(), experiment, "null reads as absent");
+        document.set("parameters", Value::Null);
+        let decoded = Experiment::decode(&document).unwrap();
+        assert_eq!(decoded.parameters, ParamAssignments::new(), "null parameters are none");
     }
 
     #[test]

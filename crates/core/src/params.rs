@@ -8,369 +8,79 @@
 //! product of all sweeps into one job per point — the paper's running
 //! example ("every job would execute the benchmark for a specific number of
 //! threads for each engine") is exactly a 2-parameter expansion.
+//!
+//! The parameter documents are `chronos-api` types, re-exported here; this
+//! module owns what the control plane does with them: the [`PointSpace`]
+//! and its eager oracle [`expand`], and the analysis axes
+//! ([`swept_names`]).
 
-use chronos_json::{obj, Map, Value};
+use chronos_json::{Map, Value};
+
+pub use chronos_api::v1::{Assignment, ParamAssignments, ParamDef, ParamType};
 
 use crate::error::{CoreError, CoreResult};
 
-/// The type of a system parameter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParamType {
-    /// `true` / `false`.
-    Boolean,
-    /// One or more choices from a fixed option list.
-    Checkbox {
-        /// The selectable options.
-        options: Vec<String>,
-    },
-    /// A free-form scalar (string or number).
-    Value,
-    /// An integer range with a step; sweeping it yields every point.
-    Interval {
-        /// Inclusive lower bound.
-        min: i64,
-        /// Inclusive upper bound.
-        max: i64,
-        /// Step between points (≥ 1).
-        step: i64,
-    },
-    /// A fraction in `[0, 1]` (e.g. a read/write ratio).
-    Ratio,
-}
-
-impl ParamType {
-    /// The lowercase type tag used in JSON definitions.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ParamType::Boolean => "boolean",
-            ParamType::Checkbox { .. } => "checkbox",
-            ParamType::Value => "value",
-            ParamType::Interval { .. } => "interval",
-            ParamType::Ratio => "ratio",
+/// Eagerly expands the assignments against a system's parameter schema
+/// into the **evaluation space**: one concrete parameter object per job.
+///
+/// Kept as the reference enumeration (and oracle in tests): the lazy
+/// [`PointSpace`] used by the scheduler must produce the identical
+/// sequence via `point_at(0..total)`. The eager path keeps the historic
+/// 100 000-point materialization cap.
+pub fn expand(assignments: &ParamAssignments, schema: &[ParamDef]) -> CoreResult<Vec<Value>> {
+    let space = PointSpace::build(assignments, schema)?;
+    const MAX_JOBS: u64 = 100_000;
+    let total = space.total();
+    if total > MAX_JOBS {
+        return Err(CoreError::Invalid(format!(
+            "evaluation space has {total} points (limit {MAX_JOBS})"
+        )));
+    }
+    let mut points = Vec::with_capacity(total as usize);
+    let mut indexes = vec![0usize; space.axes.len()];
+    loop {
+        let mut map = Map::with_capacity(space.axes.len());
+        for (axis, &i) in space.axes.iter().zip(&indexes) {
+            map.insert(axis.0.clone(), axis.1[i].clone());
         }
-    }
-
-    /// Serializes to the system-definition JSON shape.
-    pub fn to_json(&self) -> Value {
-        match self {
-            ParamType::Checkbox { options } => obj! {
-                "type" => "checkbox",
-                "options" => Value::Array(options.iter().map(|o| Value::from(o.as_str())).collect()),
-            },
-            ParamType::Interval { min, max, step } => obj! {
-                "type" => "interval",
-                "min" => *min,
-                "max" => *max,
-                "step" => *step,
-            },
-            other => obj! { "type" => other.tag() },
-        }
-    }
-
-    /// Parses the shape produced by [`ParamType::to_json`].
-    pub fn from_json(value: &Value) -> CoreResult<ParamType> {
-        let tag = value
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| CoreError::Invalid("parameter type missing \"type\"".into()))?;
-        match tag {
-            "boolean" => Ok(ParamType::Boolean),
-            "value" => Ok(ParamType::Value),
-            "ratio" => Ok(ParamType::Ratio),
-            "checkbox" => {
-                let options = value
-                    .get("options")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| CoreError::Invalid("checkbox needs \"options\"".into()))?
-                    .iter()
-                    .map(|o| {
-                        o.as_str().map(str::to_string).ok_or_else(|| {
-                            CoreError::Invalid("checkbox options must be strings".into())
-                        })
-                    })
-                    .collect::<CoreResult<Vec<_>>>()?;
-                if options.is_empty() {
-                    return Err(CoreError::Invalid("checkbox needs at least one option".into()));
-                }
-                Ok(ParamType::Checkbox { options })
-            }
-            "interval" => {
-                let get = |k: &str| {
-                    value.get(k).and_then(Value::as_i64).ok_or_else(|| {
-                        CoreError::Invalid(format!("interval needs integer \"{k}\""))
-                    })
-                };
-                let (min, max) = (get("min")?, get("max")?);
-                let step = value.get("step").and_then(Value::as_i64).unwrap_or(1);
-                if step < 1 {
-                    return Err(CoreError::Invalid("interval step must be ≥ 1".into()));
-                }
-                if max < min {
-                    return Err(CoreError::Invalid("interval max must be ≥ min".into()));
-                }
-                Ok(ParamType::Interval { min, max, step })
-            }
-            other => Err(CoreError::Invalid(format!("unknown parameter type {other:?}"))),
-        }
-    }
-
-    /// Checks a single assigned value against this type.
-    pub fn validate_value(&self, value: &Value) -> CoreResult<()> {
-        let ok = match self {
-            ParamType::Boolean => value.as_bool().is_some(),
-            ParamType::Checkbox { options } => {
-                value.as_str().map(|s| options.iter().any(|o| o == s)).unwrap_or(false)
-            }
-            ParamType::Value => {
-                matches!(value, Value::String(_) | Value::Number(_) | Value::Bool(_))
-            }
-            ParamType::Interval { min, max, .. } => {
-                value.as_i64().map(|v| v >= *min && v <= *max).unwrap_or(false)
-            }
-            ParamType::Ratio => value.as_f64().map(|v| (0.0..=1.0).contains(&v)).unwrap_or(false),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(CoreError::Invalid(format!("value {value} is not a valid {}", self.tag())))
-        }
-    }
-
-    /// All points of a full sweep over this type (used when an experiment
-    /// assigns `{"sweep": "all"}`). Only finite types can be fully swept.
-    pub fn sweep_all(&self) -> CoreResult<Vec<Value>> {
-        match self {
-            ParamType::Boolean => Ok(vec![Value::Bool(false), Value::Bool(true)]),
-            ParamType::Checkbox { options } => {
-                Ok(options.iter().map(|o| Value::from(o.as_str())).collect())
-            }
-            ParamType::Interval { min, max, step } => {
-                let mut points = Vec::new();
-                let mut v = *min;
-                while v <= *max {
-                    points.push(Value::from(v));
-                    v += step;
-                }
-                Ok(points)
-            }
-            other => Err(CoreError::Invalid(format!(
-                "parameter type {} cannot be fully swept; list explicit values",
-                other.tag()
-            ))),
-        }
-    }
-}
-
-/// A named parameter a system accepts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParamDef {
-    /// Parameter name (unique within a system).
-    pub name: String,
-    /// Human-readable description shown in the experiment form.
-    pub description: String,
-    /// The type.
-    pub param_type: ParamType,
-    /// Default value when an experiment leaves it unassigned.
-    pub default: Value,
-}
-
-impl ParamDef {
-    /// Creates a definition, validating the default against the type.
-    pub fn new(
-        name: impl Into<String>,
-        description: impl Into<String>,
-        param_type: ParamType,
-        default: Value,
-    ) -> CoreResult<Self> {
-        param_type.validate_value(&default)?;
-        Ok(ParamDef { name: name.into(), description: description.into(), param_type, default })
-    }
-
-    /// Serializes to the system-definition JSON shape.
-    pub fn to_json(&self) -> Value {
-        let mut j = self.param_type.to_json();
-        j.set("name", self.name.as_str());
-        j.set("description", self.description.as_str());
-        j.set("default", self.default.clone());
-        j
-    }
-
-    /// Parses the shape produced by [`ParamDef::to_json`].
-    pub fn from_json(value: &Value) -> CoreResult<ParamDef> {
-        let name = value
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| CoreError::Invalid("parameter needs a \"name\"".into()))?;
-        let description =
-            value.get("description").and_then(Value::as_str).unwrap_or("").to_string();
-        let param_type = ParamType::from_json(value)?;
-        let default = value
-            .get("default")
-            .cloned()
-            .ok_or_else(|| CoreError::Invalid(format!("parameter {name} needs a default")))?;
-        ParamDef::new(name, description, param_type, default)
-    }
-}
-
-/// How an experiment assigns one parameter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Assignment {
-    /// A single fixed value for all jobs.
-    Fixed(Value),
-    /// An explicit list of values to sweep.
-    Sweep(Vec<Value>),
-    /// Sweep every point the type allows (finite types only).
-    SweepAll,
-}
-
-impl Assignment {
-    /// Parses the experiment-JSON shape: a bare value is `Fixed`, an object
-    /// `{"sweep": [...]}` or `{"sweep": "all"}` selects a sweep.
-    pub fn from_json(value: &Value) -> CoreResult<Assignment> {
-        if let Some(sweep) = value.get("sweep") {
-            return match sweep {
-                Value::String(s) if s == "all" => Ok(Assignment::SweepAll),
-                Value::Array(items) => {
-                    if items.is_empty() {
-                        Err(CoreError::Invalid("sweep list cannot be empty".into()))
-                    } else {
-                        Ok(Assignment::Sweep(items.clone()))
-                    }
-                }
-                _ => Err(CoreError::Invalid("\"sweep\" must be a value list or \"all\"".into())),
-            };
-        }
-        Ok(Assignment::Fixed(value.clone()))
-    }
-
-    /// Serializes to the experiment-JSON shape.
-    pub fn to_json(&self) -> Value {
-        match self {
-            Assignment::Fixed(v) => v.clone(),
-            Assignment::Sweep(values) => obj! { "sweep" => Value::Array(values.clone()) },
-            Assignment::SweepAll => obj! { "sweep" => "all" },
-        }
-    }
-}
-
-/// The full parameter assignment of an experiment.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParamAssignments {
-    entries: Vec<(String, Assignment)>,
-}
-
-impl ParamAssignments {
-    /// Creates an empty assignment set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Assigns a fixed value.
-    pub fn fix(mut self, name: &str, value: impl Into<Value>) -> Self {
-        self.entries.push((name.to_string(), Assignment::Fixed(value.into())));
-        self
-    }
-
-    /// Assigns an explicit sweep.
-    pub fn sweep(mut self, name: &str, values: Vec<Value>) -> Self {
-        self.entries.push((name.to_string(), Assignment::Sweep(values)));
-        self
-    }
-
-    /// Assigns a full sweep.
-    pub fn sweep_all(mut self, name: &str) -> Self {
-        self.entries.push((name.to_string(), Assignment::SweepAll));
-        self
-    }
-
-    /// Looks up an assignment.
-    pub fn get(&self, name: &str) -> Option<&Assignment> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, a)| a)
-    }
-
-    /// Parses the experiment-JSON object `{param: assignment, ...}`.
-    pub fn from_json(value: &Value) -> CoreResult<Self> {
-        let map = value
-            .as_object()
-            .ok_or_else(|| CoreError::Invalid("parameters must be an object".into()))?;
-        let mut entries = Vec::with_capacity(map.len());
-        for (name, v) in map.iter() {
-            entries.push((name.to_string(), Assignment::from_json(v)?));
-        }
-        Ok(ParamAssignments { entries })
-    }
-
-    /// Serializes to the experiment-JSON object.
-    pub fn to_json(&self) -> Value {
-        let mut map = Map::with_capacity(self.entries.len());
-        for (name, a) in &self.entries {
-            map.insert(name.clone(), a.to_json());
-        }
-        Value::Object(map)
-    }
-
-    /// Eagerly expands the assignments against a system's parameter schema
-    /// into the **evaluation space**: one concrete parameter object per job.
-    ///
-    /// Kept as the reference enumeration (and oracle in tests): the lazy
-    /// [`PointSpace`] used by the scheduler must produce the identical
-    /// sequence via `point_at(0..total)`. The eager path keeps the historic
-    /// 100 000-point materialization cap.
-    pub fn expand(&self, schema: &[ParamDef]) -> CoreResult<Vec<Value>> {
-        let space = PointSpace::build(self, schema)?;
-        const MAX_JOBS: u64 = 100_000;
-        let total = space.total();
-        if total > MAX_JOBS {
-            return Err(CoreError::Invalid(format!(
-                "evaluation space has {total} points (limit {MAX_JOBS})"
-            )));
-        }
-        let mut points = Vec::with_capacity(total as usize);
-        let mut indexes = vec![0usize; space.axes.len()];
+        points.push(Value::Object(map));
+        // Odometer increment, last axis fastest.
+        let mut pos = space.axes.len();
         loop {
-            let mut map = Map::with_capacity(space.axes.len());
-            for (axis, &i) in space.axes.iter().zip(&indexes) {
-                map.insert(axis.0.clone(), axis.1[i].clone());
+            if pos == 0 {
+                return Ok(points);
             }
-            points.push(Value::Object(map));
-            // Odometer increment, last axis fastest.
-            let mut pos = space.axes.len();
-            loop {
-                if pos == 0 {
-                    return Ok(points);
-                }
-                pos -= 1;
-                indexes[pos] += 1;
-                if indexes[pos] < space.axes[pos].1.len() {
-                    break;
-                }
-                indexes[pos] = 0;
+            pos -= 1;
+            indexes[pos] += 1;
+            if indexes[pos] < space.axes[pos].1.len() {
+                break;
             }
+            indexes[pos] = 0;
         }
     }
+}
 
-    /// The names of swept (multi-valued) parameters, in assignment order —
-    /// these become the x-axis / series keys during analysis.
-    pub fn swept_names(&self, schema: &[ParamDef]) -> Vec<String> {
-        self.entries
-            .iter()
-            .filter(|(name, a)| match a {
-                Assignment::Fixed(_) => false,
-                Assignment::Sweep(vs) => vs.len() > 1,
-                Assignment::SweepAll => schema
-                    .iter()
-                    .find(|d| &d.name == name)
-                    .and_then(|d| d.param_type.sweep_all().ok())
-                    .map(|vs| vs.len() > 1)
-                    .unwrap_or(false),
-            })
-            .map(|(name, _)| name.clone())
-            .collect()
-    }
+/// The names of swept (multi-valued) parameters, in assignment order —
+/// these become the x-axis / series keys during analysis.
+pub fn swept_names(assignments: &ParamAssignments, schema: &[ParamDef]) -> Vec<String> {
+    assignments
+        .iter()
+        .filter(|(name, a)| match a {
+            Assignment::Fixed(_) => false,
+            Assignment::Sweep(vs) => vs.len() > 1,
+            Assignment::SweepAll => schema
+                .iter()
+                .find(|d| d.name == *name)
+                .and_then(|d| d.param_type.sweep_all().ok())
+                .map(|vs| vs.len() > 1)
+                .unwrap_or(false),
+        })
+        .map(|(name, _)| name.to_string())
+        .collect()
 }
 
 /// The evaluation space as an **indexed point codec**: the same axes the
-/// eager [`ParamAssignments::expand`] builds, but points are decoded on
+/// eager [`expand`] builds, but points are decoded on
 /// demand by index instead of being materialized up front.
 ///
 /// Point `i` is the mixed-radix decomposition of `i` over the axis sizes,
@@ -396,8 +106,8 @@ impl PointSpace {
     /// Performs the same checks the eager expansion always did (unknown
     /// parameters, per-value type validation) without materializing points.
     pub fn build(assignments: &ParamAssignments, schema: &[ParamDef]) -> CoreResult<PointSpace> {
-        for (name, _) in &assignments.entries {
-            if !schema.iter().any(|d| &d.name == name) {
+        for (name, _) in assignments.iter() {
+            if !schema.iter().any(|d| d.name == name) {
                 return Err(CoreError::Invalid(format!("unknown parameter {name:?}")));
             }
         }
@@ -411,9 +121,10 @@ impl PointSpace {
                 Some(Assignment::SweepAll) => def.param_type.sweep_all()?,
             };
             for v in &values {
-                def.param_type
-                    .validate_value(v)
-                    .map_err(|e| CoreError::Invalid(format!("parameter {:?}: {e}", def.name)))?;
+                def.param_type.validate_value(v).map_err(|e| {
+                    let e = CoreError::from(e);
+                    CoreError::Invalid(format!("parameter {:?}: {e}", def.name))
+                })?;
             }
             total = total
                 .checked_mul(values.len() as u64)
@@ -485,43 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn type_json_roundtrip() {
-        for t in [
-            ParamType::Boolean,
-            ParamType::Value,
-            ParamType::Ratio,
-            ParamType::Checkbox { options: vec!["a".into(), "b".into()] },
-            ParamType::Interval { min: 1, max: 10, step: 2 },
-        ] {
-            assert_eq!(ParamType::from_json(&t.to_json()).unwrap(), t);
-        }
-    }
-
-    #[test]
-    fn bad_type_json_rejected() {
-        assert!(ParamType::from_json(&obj! {"type" => "alien"}).is_err());
-        assert!(ParamType::from_json(&obj! {"type" => "checkbox"}).is_err());
-        assert!(ParamType::from_json(&obj! {"type" => "interval", "min" => 5, "max" => 1}).is_err());
-        assert!(ParamType::from_json(
-            &obj! {"type" => "interval", "min" => 1, "max" => 5, "step" => 0}
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn value_validation() {
-        let schema = demo_schema();
-        assert!(schema[0].param_type.validate_value(&Value::from("mmapv1")).is_ok());
-        assert!(schema[0].param_type.validate_value(&Value::from("rocksdb")).is_err());
-        assert!(schema[1].param_type.validate_value(&Value::from(64)).is_ok());
-        assert!(schema[1].param_type.validate_value(&Value::from(65)).is_err());
-        assert!(schema[2].param_type.validate_value(&Value::Bool(false)).is_ok());
-        assert!(schema[2].param_type.validate_value(&Value::from(1)).is_err());
-        assert!(schema[3].param_type.validate_value(&Value::from(0.75)).is_ok());
-        assert!(schema[3].param_type.validate_value(&Value::from(1.5)).is_err());
-    }
-
-    #[test]
     fn paper_example_expansion() {
         // "compare the performance of two storage engines [...] for
         // different numbers of threads; every job would execute the
@@ -530,7 +204,7 @@ mod tests {
         let assignments = ParamAssignments::new()
             .sweep_all("engine")
             .sweep("threads", vec![Value::from(1), Value::from(2), Value::from(4)]);
-        let points = assignments.expand(&schema).unwrap();
+        let points = expand(&assignments, &schema).unwrap();
         assert_eq!(points.len(), 6); // 2 engines x 3 thread counts
                                      // Defaults filled in:
         assert_eq!(points[0].get("compression"), Some(&Value::Bool(true)));
@@ -541,17 +215,14 @@ mod tests {
         assert_eq!(points[1].get("threads").unwrap().as_i64(), Some(2));
         assert_eq!(points[3].get("engine").unwrap().as_str(), Some("mmapv1"));
         // Swept names:
-        assert_eq!(assignments.swept_names(&schema), vec!["engine", "threads"]);
+        assert_eq!(swept_names(&assignments, &schema), vec!["engine", "threads"]);
     }
 
     #[test]
     fn single_point_when_everything_fixed() {
         let schema = demo_schema();
-        let points = ParamAssignments::new()
-            .fix("engine", "mmapv1")
-            .fix("threads", 8)
-            .expand(&schema)
-            .unwrap();
+        let assignments = ParamAssignments::new().fix("engine", "mmapv1").fix("threads", 8);
+        let points = expand(&assignments, &schema).unwrap();
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].get("engine").unwrap().as_str(), Some("mmapv1"));
         assert_eq!(points[0].get("threads").unwrap().as_i64(), Some(8));
@@ -566,7 +237,7 @@ mod tests {
             Value::from(2),
         )
         .unwrap();
-        let points = ParamAssignments::new().sweep_all("n").expand(&[def]).unwrap();
+        let points = expand(&ParamAssignments::new().sweep_all("n"), &[def]).unwrap();
         let values: Vec<i64> =
             points.iter().map(|p| p.get("n").unwrap().as_i64().unwrap()).collect();
         assert_eq!(values, vec![2, 5, 8]);
@@ -575,23 +246,23 @@ mod tests {
     #[test]
     fn unknown_parameter_rejected() {
         let schema = demo_schema();
-        let err = ParamAssignments::new().fix("warp", 9).expand(&schema);
+        let err = expand(&ParamAssignments::new().fix("warp", 9), &schema);
         assert!(matches!(err, Err(CoreError::Invalid(_))));
     }
 
     #[test]
     fn invalid_sweep_value_rejected() {
         let schema = demo_schema();
-        let err = ParamAssignments::new()
-            .sweep("threads", vec![Value::from(1), Value::from(9999)])
-            .expand(&schema);
+        let assignments =
+            ParamAssignments::new().sweep("threads", vec![Value::from(1), Value::from(9999)]);
+        let err = expand(&assignments, &schema);
         assert!(matches!(err, Err(CoreError::Invalid(_))));
     }
 
     #[test]
     fn sweep_all_on_unbounded_type_rejected() {
         let def = ParamDef::new("name", "", ParamType::Value, Value::from("x")).unwrap();
-        let err = ParamAssignments::new().sweep_all("name").expand(&[def]);
+        let err = expand(&ParamAssignments::new().sweep_all("name"), &[def]);
         assert!(matches!(err, Err(CoreError::Invalid(_))));
     }
 
@@ -612,29 +283,7 @@ mod tests {
         for i in 0..4 {
             a = a.sweep_all(&format!("p{i}"));
         }
-        assert!(matches!(a.expand(&defs), Err(CoreError::Invalid(_)))); // 100^4 points
-    }
-
-    #[test]
-    fn assignment_json_roundtrip() {
-        let a = ParamAssignments::new()
-            .fix("engine", "mmapv1")
-            .sweep("threads", vec![Value::from(1), Value::from(2)])
-            .sweep_all("compression");
-        let parsed = ParamAssignments::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed, a);
-    }
-
-    #[test]
-    fn param_def_json_roundtrip() {
-        for def in demo_schema() {
-            assert_eq!(ParamDef::from_json(&def.to_json()).unwrap(), def);
-        }
-    }
-
-    #[test]
-    fn default_must_match_type() {
-        assert!(ParamDef::new("x", "", ParamType::Boolean, Value::from(3)).is_err());
+        assert!(matches!(expand(&a, &defs), Err(CoreError::Invalid(_)))); // 100^4 points
     }
 
     #[test]
@@ -653,7 +302,7 @@ mod tests {
                 .sweep("read_ratio", vec![Value::from(0.1), Value::from(0.9)]),
             ParamAssignments::new(),
         ] {
-            let eager = assignments.expand(&schema).unwrap();
+            let eager = expand(&assignments, &schema).unwrap();
             let space = PointSpace::build(&assignments, &schema).unwrap();
             assert_eq!(space.total() as usize, eager.len());
             let lazy: Vec<Value> = (0..space.total()).map(|i| space.point_at(i).unwrap()).collect();
@@ -681,7 +330,7 @@ mod tests {
         for i in 0..4 {
             a = a.sweep_all(&format!("p{i}"));
         }
-        assert!(a.expand(&defs).is_err(), "eager path keeps its cap");
+        assert!(expand(&a, &defs).is_err(), "eager path keeps its cap");
         let space = PointSpace::build(&a, &defs).unwrap();
         assert_eq!(space.total(), 50u64.pow(4));
         // Last axis fastest: index 51 = [0, 0, 1, 1].

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use chronos_core::model::{Job, JobState, JobStateExt};
-use chronos_core::params::{ParamAssignments, ParamDef, ParamType};
+use chronos_core::params::{self, ParamAssignments, ParamDef, ParamType};
 use chronos_core::store::MetadataStore;
 use chronos_json::{obj, Value};
 use chronos_util::Id;
@@ -44,7 +44,7 @@ proptest! {
         if sweep_bool {
             assignments = assignments.sweep_all("flag");
         }
-        let points = assignments.expand(&schema).unwrap();
+        let points = params::expand(&assignments, &schema).unwrap();
         let interval_points = (max - min) / step + 1;
         let expected = interval_points as usize
             * options.len()

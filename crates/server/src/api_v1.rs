@@ -12,7 +12,6 @@ use chronos_api::{extract, v1, ApiVersion, WireEncode};
 use chronos_core::analysis;
 use chronos_core::archive::archive_project;
 use chronos_core::auth::{Role, User};
-use chronos_core::params::ParamAssignments;
 use chronos_core::{ChronosControl, CoreError, CoreResult};
 use chronos_http::{Request, Response, RouteParams, Router, ServerMetrics, Status};
 use chronos_util::Id;
@@ -119,7 +118,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     router.get("/api/v1/systems", move |req, _p| {
         respond((|| {
             authed(&control_, req)?;
-            let systems: Vec<_> = control_.list_systems().iter().map(|s| s.to_json()).collect();
+            let systems: Vec<_> = control_.list_systems().iter().map(|s| s.to_value()).collect();
             Ok(Response::json(&chronos_json::Value::Array(systems)))
         })())
     });
@@ -128,11 +127,11 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     router.post("/api/v1/systems", move |req, _p| {
         respond((|| {
             admin(&control_, req)?;
-            // The system definition document is owned by the params/charts
-            // layer; it is forwarded verbatim rather than decoded here.
+            // A definition is a system document without id and creation
+            // time; the control plane reads it with the system's decoders.
             let definition = extract::json_body(req).map_err(CoreError::from)?;
             let system = control_.register_system_from_definition(&definition)?;
-            Ok(Response::json_status(Status::CREATED, &system.to_json()))
+            Ok(Response::json_status(Status::CREATED, &system.to_value()))
         })())
     });
 
@@ -141,7 +140,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             authed(&control_, req)?;
             let system = control_.get_system(param_id(p, "id")?)?;
-            Ok(Response::json(&system.to_json()))
+            Ok(Response::json(&system.to_value()))
         })())
     });
 
@@ -264,7 +263,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             let project_id = param_id(p, "id")?;
             control_.require_project_access(project_id, &user)?;
             let experiments: Vec<_> =
-                control_.list_experiments(Some(project_id)).iter().map(|e| e.to_json()).collect();
+                control_.list_experiments(Some(project_id)).iter().map(|e| e.to_value()).collect();
             Ok(Response::json(&chronos_json::Value::Array(experiments)))
         })())
     });
@@ -276,27 +275,16 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             let project_id = param_id(p, "id")?;
             control_.require_project_access(project_id, &user)?;
             let create: v1::CreateExperimentRequest = body(req)?;
-            let assignments = create
-                .parameters
-                .as_ref()
-                .map(ParamAssignments::from_json)
-                .transpose()?
-                .unwrap_or_default();
-            let strategy = create
-                .strategy
-                .as_ref()
-                .map(chronos_core::Strategy::from_dto)
-                .unwrap_or(chronos_core::Strategy::Grid);
             let experiment = control_.create_experiment_with_options(
                 project_id,
                 create.system_id,
                 &create.name,
                 &create.description,
-                assignments,
-                strategy,
+                create.parameters.unwrap_or_default(),
+                create.strategy.unwrap_or(v1::Strategy::Grid),
                 create.budget,
             )?;
-            Ok(Response::json_status(Status::CREATED, &experiment.to_json()))
+            Ok(Response::json_status(Status::CREATED, &experiment.to_value()))
         })())
     });
 
@@ -306,7 +294,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
             let experiment = control_.get_experiment(id)?;
-            let mut detail = experiment.to_json();
+            let mut detail = experiment.to_value();
             // Appended only once a regression scan has run, so bodies of
             // never-scanned experiments stay byte-identical to before the
             // field existed.
@@ -332,7 +320,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             writer(&control_, req)?;
             let experiment = control_.archive_experiment(param_id(p, "id")?)?;
-            Ok(Response::json(&experiment.to_json()))
+            Ok(Response::json(&experiment.to_value()))
         })())
     });
 

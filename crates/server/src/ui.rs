@@ -21,6 +21,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use chronos_api::WireEncode;
 use chronos_core::charts::ChartRegistry;
 use chronos_core::model::JobState;
 use chronos_core::{analysis, ChronosControl, CoreError, CoreResult};
@@ -271,7 +272,7 @@ pub fn mount(
                 "<h1>Experiment: {}</h1><p>{}</p><h2>Parameter assignment</h2><pre>{}</pre>",
                 esc(&experiment.name),
                 esc(&experiment.description),
-                esc(&experiment.assignments.to_json().to_pretty_string()),
+                esc(&experiment.parameters.to_value().to_pretty_string()),
             );
             body.push_str("<h2>Evaluations</h2><table><tr><th>created</th><th>jobs</th><th>progress</th></tr>");
             for evaluation in control_.list_evaluations(Some(experiment.id)) {

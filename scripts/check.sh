@@ -34,14 +34,18 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
-echo "== wire compatibility: golden fixtures, encoders and decoders =="
+echo "== wire compatibility: golden fixtures, encoders, decoders and the decoder fuzz wall =="
 # Byte-for-byte check of every frozen request/response body against the
 # typed chronos-api encoders, and of every entity fixture read back through
 # the decoder the control plane stores and fetches it with, then encoded
 # again. A diff here means the wire contract moved; if that is
 # intentional, re-bless with CHRONOS_BLESS=1 and say so in the changelog.
+# The same run holds the decoder fuzz wall
+# (decoders_survive_mutated_fixtures): a fixed seed and budget of byte
+# mutants of every fixture, which no decoder may panic on and which must
+# re-encode byte-stably wherever they decode.
 if ! cargo test -q --offline --test wire_compat; then
-    echo "FAIL: wire contract drifted from tests/fixtures/api_v1/ (encoders or decoders; see above)" >&2
+    echo "FAIL: wire contract drifted from tests/fixtures/api_v1/, or a decoder panicked on or re-encoded unstably a fuzz-wall mutant (see above)" >&2
     exit 1
 fi
 

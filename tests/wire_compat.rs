@@ -83,15 +83,14 @@ fn fixture_system() -> System {
             Value::from(1),
         )
         .unwrap()],
-        charts: vec![ChartSpec::from_json(&obj! {
-            "kind" => "line",
-            "title" => "Throughput by thread count",
-            "x_param" => "threads",
-            "series_param" => "engine",
-            "value_path" => "/throughput_ops_per_sec",
-            "y_label" => "ops/s",
-        })
-        .unwrap()],
+        charts: vec![ChartSpec {
+            kind: "line".into(),
+            title: "Throughput by thread count".into(),
+            x_param: "threads".into(),
+            series_param: Some("engine".into()),
+            value_path: "/throughput_ops_per_sec".into(),
+            y_label: "ops/s".into(),
+        }],
         created_at: T0,
     }
 }
@@ -125,7 +124,7 @@ fn fixture_experiment() -> Experiment {
         system_id: id(2),
         name: "engine comparison".into(),
         description: "".into(),
-        assignments: ParamAssignments::new().fix("threads", 4),
+        parameters: ParamAssignments::new().fix("threads", 4),
         archived: false,
         created_at: T1,
         strategy: Strategy::Grid,
@@ -323,10 +322,10 @@ fn auth_bodies() {
 
 #[test]
 fn entity_bodies() {
-    golden("system.json", &fixture_system().to_json().to_string());
+    golden("system.json", &fixture_system().to_value().to_string());
     golden("deployment.json", &fixture_deployment().to_value().to_string());
     golden("project.json", &fixture_project().to_value().to_string());
-    golden("experiment.json", &fixture_experiment().to_json().to_string());
+    golden("experiment.json", &fixture_experiment().to_value().to_string());
     golden("evaluation.json", &fixture_evaluation().to_json().to_string());
     golden("evaluation_status.json", &fixture_status().to_json().to_string());
     // GET /api/v1/evaluations/:id — the evaluation with its status roll-up.
@@ -358,11 +357,11 @@ fn reencodes<T, E: std::fmt::Debug>(
 /// the same decoder `ChronosControl` uses on its stored documents.
 #[test]
 fn entity_fixtures_decode_and_reencode() {
-    reencodes("system.json", System::from_json, System::to_json);
+    reencodes("system.json", System::decode, System::to_value);
     reencodes("deployment.json", Deployment::decode, Deployment::to_value);
     reencodes("project.json", Project::decode, Project::to_value);
     for name in ["experiment.json", "experiment_adaptive.json", "experiment_budgeted.json"] {
-        reencodes(name, Experiment::from_json, Experiment::to_json);
+        reencodes(name, Experiment::decode, Experiment::to_value);
     }
     for name in ["evaluation.json", "evaluation_lazy_grid.json", "evaluation_adaptive.json"] {
         reencodes(name, Evaluation::from_json, Evaluation::to_json);
@@ -386,7 +385,7 @@ fn request_bodies() {
         name: "engine comparison".into(),
         system_id: id(2),
         description: "".into(),
-        parameters: Some(fixture_experiment().assignments.to_json()),
+        parameters: Some(fixture_experiment().parameters),
         strategy: None,
         budget: None,
     };
@@ -442,7 +441,7 @@ fn lazy_and_adaptive_bodies() {
     // An experiment that selected the adaptive strategy.
     let mut experiment = fixture_experiment();
     experiment.strategy = fixture_adaptive();
-    golden("experiment_adaptive.json", &experiment.to_json().to_string());
+    golden("experiment_adaptive.json", &experiment.to_value().to_string());
 
     // Status roll-up of a lazy evaluation: unmaterialized points appear as
     // `remaining_space`, count into `total`, and hold back `settled`.
@@ -468,8 +467,8 @@ fn lazy_and_adaptive_bodies() {
         name: "engine comparison".into(),
         system_id: id(2),
         description: "".into(),
-        parameters: Some(fixture_experiment().assignments.to_json()),
-        strategy: Some(fixture_adaptive().dto()),
+        parameters: Some(fixture_experiment().parameters),
+        strategy: Some(fixture_adaptive()),
         budget: None,
     };
     golden("create_experiment_adaptive_request.json", &request.encode());
@@ -546,9 +545,9 @@ fn budget_and_quarantine_bodies() {
     // what keeps the pre-budget fixtures byte-identical).
     let mut experiment = fixture_experiment();
     experiment.budget = Some(budget);
-    let body = experiment.to_json().to_string();
+    let body = experiment.to_value().to_string();
     golden("experiment_budgeted.json", &body);
-    assert_eq!(Experiment::from_json(&chronos::json::parse(&body).unwrap()).unwrap(), experiment);
+    assert_eq!(Experiment::decode(&chronos::json::parse(&body).unwrap()).unwrap(), experiment);
 
     // The budget rides each materialized job — and therefore the claim
     // response, which returns the full job document to the agent.
@@ -592,7 +591,7 @@ fn budget_and_quarantine_bodies() {
         name: "engine comparison".into(),
         system_id: id(2),
         description: "".into(),
-        parameters: Some(fixture_experiment().assignments.to_json()),
+        parameters: Some(fixture_experiment().parameters),
         strategy: None,
         budget: Some(budget),
     };
@@ -702,4 +701,200 @@ fn v0_bodies() {
     let status =
         chronos::api::v0::EvaluationStatusV0 { id: id(6), open: 3, closed: 4, percent: 57 };
     golden("v0_evaluation_status.json", &status.encode());
+}
+
+// ---------------------------------------------------------------------------
+// Decoder fuzz wall
+// ---------------------------------------------------------------------------
+
+/// Mutants per fixture. Fixed, like the seed, so every run checks the same
+/// inputs; sized to keep the test around a second in a debug build.
+const MUTANTS_PER_FIXTURE: u64 = 1000;
+
+/// Seed of the mutation stream.
+const FUZZ_SEED: u64 = 0x5eed_f022;
+
+/// Fixtures no DTO decodes: the version bodies are built, never read.
+const UNDECODED_FIXTURES: [&str; 2] = ["version_v0.json", "version_v1.json"];
+
+/// Byte strings that turn a mutant into other valid JSON more often than a
+/// random byte does.
+const TOKENS: [&str; 16] = [
+    "null",
+    "true",
+    "false",
+    "0",
+    "-1",
+    "1e999",
+    "0.5",
+    "\"\"",
+    "\"all\"",
+    "[]",
+    "{}",
+    "{\"sweep\":[]}",
+    "\"grid\"",
+    "18446744073709551616",
+    ",",
+    ":",
+];
+
+/// One mutation of `bytes`: a bit flip, an insert (a random byte or a
+/// token), a deleted run, or a splice of a run of `donor` over a run of
+/// `bytes`.
+fn mutate(bytes: &mut Vec<u8>, donor: &[u8], rng: &mut chronos::util::SplitMix64) {
+    let at =
+        |rng: &mut chronos::util::SplitMix64, len: usize| rng.next_below(len as u64 + 1) as usize;
+    match rng.next_below(5) {
+        0 if !bytes.is_empty() => {
+            let i = at(rng, bytes.len() - 1);
+            bytes[i] ^= 1 << rng.next_below(8);
+        }
+        1 => {
+            let i = at(rng, bytes.len());
+            bytes.insert(i, rng.next_below(256) as u8);
+        }
+        2 => {
+            let i = at(rng, bytes.len());
+            let token = TOKENS[rng.next_below(TOKENS.len() as u64) as usize].as_bytes();
+            bytes.splice(i..i, token.iter().copied());
+        }
+        3 if !bytes.is_empty() => {
+            let i = at(rng, bytes.len() - 1);
+            let end = (i + 1 + rng.next_below(8) as usize).min(bytes.len());
+            bytes.drain(i..end);
+        }
+        _ => {
+            let from = at(rng, donor.len());
+            let run = &donor[from..(from + 1 + rng.next_below(24) as usize).min(donor.len())];
+            let i = at(rng, bytes.len());
+            let end = (i + rng.next_below(24) as usize).min(bytes.len());
+            bytes.splice(i..end, run.iter().copied());
+        }
+    }
+}
+
+/// What the wall saw for one fixture: mutants that parsed, and of those,
+/// how many decoded.
+#[derive(Default)]
+struct FuzzTally {
+    parsed: u64,
+    decoded: u64,
+}
+
+/// Feeds `MUTANTS_PER_FIXTURE` mutants of `name` to `T`'s decoder. A
+/// mutant that parses must decode or fail without panicking; one that
+/// decodes must re-encode stably: `encode(decode(encode(d))) == encode(d)`.
+fn fuzz_decoder<T: WireEncode + WireDecode>(
+    name: &str,
+    donors: &[Vec<u8>],
+    rng: &mut chronos::util::SplitMix64,
+) -> FuzzTally {
+    let original = std::fs::read(fixture_dir().join(name)).unwrap();
+    let mut tally = FuzzTally::default();
+    for _ in 0..MUTANTS_PER_FIXTURE {
+        let mut mutant = original.clone();
+        for _ in 0..=rng.next_below(3) {
+            let donor = &donors[rng.next_below(donors.len() as u64) as usize];
+            mutate(&mut mutant, donor, rng);
+        }
+        let text = String::from_utf8_lossy(&mutant);
+        let Ok(document) = chronos::json::parse(&text) else { continue };
+        tally.parsed += 1;
+        let decoded = std::panic::catch_unwind(|| T::decode(&document))
+            .unwrap_or_else(|_| panic!("{name}: decode panicked on mutant {text}"));
+        let Ok(decoded) = decoded else { continue };
+        tally.decoded += 1;
+        let encoded = decoded.encode();
+        let again = T::decode_slice(encoded.as_bytes())
+            .unwrap_or_else(|e| panic!("{name}: own encoding {encoded} does not decode: {e}"));
+        assert_eq!(again.encode(), encoded, "{name}: mutant {text} does not re-encode stably");
+    }
+    tally
+}
+
+/// Mutation fuzzing of every decoder a fixture exercises, the nested
+/// parameter, chart, assignment and strategy decoders included.
+#[test]
+fn decoders_survive_mutated_fixtures() {
+    type Fuzz = fn(&str, &[Vec<u8>], &mut chronos::util::SplitMix64) -> FuzzTally;
+    let table: Vec<(&str, Fuzz)> = vec![
+        ("api_index.json", fuzz_decoder::<ApiIndex>),
+        ("claim_request.json", fuzz_decoder::<v1::ClaimRequest>),
+        ("cluster_replicate_ack.json", fuzz_decoder::<v1::ReplicateAck>),
+        ("cluster_replicate_request.json", fuzz_decoder::<v1::ReplicateRequest>),
+        ("cluster_status.json", fuzz_decoder::<v1::ClusterStatusDto>),
+        ("cluster_status_candidate.json", fuzz_decoder::<v1::ClusterStatusDto>),
+        ("cluster_vote_request.json", fuzz_decoder::<v1::VoteRequest>),
+        ("cluster_vote_response.json", fuzz_decoder::<v1::VoteResponse>),
+        ("create_deployment_request.json", fuzz_decoder::<v1::CreateDeploymentRequest>),
+        ("create_experiment_adaptive_request.json", fuzz_decoder::<v1::CreateExperimentRequest>),
+        ("create_experiment_budgeted_request.json", fuzz_decoder::<v1::CreateExperimentRequest>),
+        ("create_experiment_request.json", fuzz_decoder::<v1::CreateExperimentRequest>),
+        ("create_project_request.json", fuzz_decoder::<v1::CreateProjectRequest>),
+        ("deployment.json", fuzz_decoder::<v1::DeploymentDto>),
+        ("error_invalid.json", fuzz_decoder::<ErrorEnvelope>),
+        ("error_lease_lost.json", fuzz_decoder::<ErrorEnvelope>),
+        ("error_not_leader.json", fuzz_decoder::<ErrorEnvelope>),
+        ("error_not_leader_no_hint.json", fuzz_decoder::<ErrorEnvelope>),
+        ("evaluation.json", fuzz_decoder::<v1::EvaluationDto>),
+        ("evaluation_adaptive.json", fuzz_decoder::<v1::EvaluationDto>),
+        ("evaluation_detail.json", fuzz_decoder::<v1::EvaluationDto>),
+        ("evaluation_lazy_grid.json", fuzz_decoder::<v1::EvaluationDto>),
+        ("evaluation_status.json", fuzz_decoder::<v1::EvaluationStatusDto>),
+        ("evaluation_status_lazy.json", fuzz_decoder::<v1::EvaluationStatusDto>),
+        ("evaluation_status_quarantined.json", fuzz_decoder::<v1::EvaluationStatusDto>),
+        ("experiment.json", fuzz_decoder::<v1::ExperimentDto>),
+        ("experiment_adaptive.json", fuzz_decoder::<v1::ExperimentDto>),
+        ("experiment_budgeted.json", fuzz_decoder::<v1::ExperimentDto>),
+        ("experiment_regression_flag.json", fuzz_decoder::<v1::ExperimentRegressionFlag>),
+        ("fail_request.json", fuzz_decoder::<v1::FailRequest>),
+        ("heartbeat_ack.json", fuzz_decoder::<v1::HeartbeatAck>),
+        ("heartbeat_request.json", fuzz_decoder::<v1::HeartbeatRequest>),
+        ("job.json", fuzz_decoder::<v1::JobDto>),
+        ("job.json", fuzz_decoder::<v1::ClaimedJob>),
+        ("job_budgeted.json", fuzz_decoder::<v1::JobDto>),
+        ("job_budgeted.json", fuzz_decoder::<v1::ClaimedJob>),
+        ("job_listing_item.json", fuzz_decoder::<v1::JobDto>),
+        ("job_point_index.json", fuzz_decoder::<v1::JobDto>),
+        ("job_point_index_listing_item.json", fuzz_decoder::<v1::JobDto>),
+        ("job_quarantined.json", fuzz_decoder::<v1::JobDto>),
+        ("job_result.json", fuzz_decoder::<v1::JobResultDto>),
+        ("login_request.json", fuzz_decoder::<v1::LoginRequest>),
+        ("login_response.json", fuzz_decoder::<v1::LoginResponse>),
+        ("logout_response.json", fuzz_decoder::<v1::LogoutResponse>),
+        ("project.json", fuzz_decoder::<v1::ProjectDto>),
+        ("regression_change_point.json", fuzz_decoder::<v1::RegressionChangePointDto>),
+        ("regression_run.json", fuzz_decoder::<v1::RegressionRunDto>),
+        ("regressions_response.json", fuzz_decoder::<v1::RegressionsResponse>),
+        ("stats.json", fuzz_decoder::<v1::StatsResponse>),
+        ("stats_lazy.json", fuzz_decoder::<v1::StatsResponse>),
+        ("system.json", fuzz_decoder::<v1::SystemDto>),
+        ("trigger_build_request.json", fuzz_decoder::<v1::TriggerBuildRequest>),
+        ("trigger_build_response.json", fuzz_decoder::<v1::TriggerBuildResponse>),
+        ("upload_result_request.json", fuzz_decoder::<v1::UploadResultRequest>),
+        ("user.json", fuzz_decoder::<v1::UserPublic>),
+        ("v0_evaluation_status.json", fuzz_decoder::<chronos::api::v0::EvaluationStatusV0>),
+        ("v0_job_status.json", fuzz_decoder::<chronos::api::v0::JobStatusV0>),
+    ];
+    let mut names: Vec<String> = std::fs::read_dir(fixture_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    for name in &names {
+        let covered = table.iter().any(|(fuzzed, _)| fuzzed == name);
+        assert!(covered || UNDECODED_FIXTURES.contains(&name.as_str()), "{name} is not fuzzed");
+    }
+    let donors: Vec<Vec<u8>> =
+        names.iter().map(|name| std::fs::read(fixture_dir().join(name)).unwrap()).collect();
+    let mut rng = chronos::util::SplitMix64::new(FUZZ_SEED);
+    let (mut parsed, mut decoded) = (0, 0);
+    for (name, fuzz) in &table {
+        let tally = fuzz(name, &donors, &mut rng);
+        assert!(tally.parsed > 0, "{name}: no mutant parsed, so its decoder was not fuzzed");
+        (parsed, decoded) = (parsed + tally.parsed, decoded + tally.decoded);
+    }
+    // The wall is only a wall if mutants reach the decoders and some of
+    // them get through.
+    assert!(decoded > 0 && decoded < parsed, "{decoded} of {parsed} parsed mutants decoded");
 }
