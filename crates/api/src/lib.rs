@@ -13,6 +13,11 @@
 //!   generations.
 //! - The wire vocabulary for **job lifecycle states** ([`JobState`]);
 //!   transition legality lives in `chronos-core::lifecycle`.
+//! - The **data-model vocabulary** a system and an experiment are made
+//!   of: parameter types, definitions and assignments, chart specs and
+//!   exploration strategies ([`v1::ParamDef`], [`v1::ParamAssignments`],
+//!   [`v1::ChartSpec`], [`v1::Strategy`]), typed fields of the DTOs and
+//!   validated while they decode.
 //!
 //! Server handlers and client code never touch raw `Value` field access
 //! for contract documents — the accessors in [`codec`] are the only

@@ -117,7 +117,7 @@ impl JobSourceState {
 
     /// The evaluation document's source fields (flat, appended after the
     /// frozen evaluation keys).
-    pub fn to_source(&self) -> dto::EvaluationSourceDto {
+    pub(crate) fn to_source(&self) -> dto::EvaluationSourceDto {
         dto::EvaluationSourceDto {
             strategy: Some(self.strategy.clone()),
             total_points: Some(self.total_points),
@@ -141,7 +141,10 @@ impl JobSourceState {
     /// predates lazy evaluations (such evaluations are fully materialized).
     /// An evaluation of `jobs` jobs and no `materialized` count has
     /// materialized them all.
-    pub fn from_source(source: dto::EvaluationSourceDto, jobs: usize) -> Option<JobSourceState> {
+    pub(crate) fn from_source(
+        source: dto::EvaluationSourceDto,
+        jobs: usize,
+    ) -> Option<JobSourceState> {
         Some(JobSourceState {
             strategy: source.strategy.unwrap_or(Strategy::Grid),
             total_points: source.total_points?,
