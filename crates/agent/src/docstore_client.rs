@@ -16,11 +16,26 @@
 //! | `field_length` | value | bytes per document field |
 //! | `compression` | boolean | block compression (wiredTiger only) |
 //!
-//! Lifecycle mapping (paper §1): *set-up* opens the database and bulk-loads
-//! the benchmark data; *warm-up* runs a read pass to fill caches; *execute*
-//! drives the operation mix from `threads` client threads, recording
-//! latencies per operation type; the result document carries the merged
-//! [`chronos_metrics::RunSummary`] plus engine statistics.
+//! Lifecycle mapping (paper §1): *set-up* loads or copies the benchmark
+//! data; *warm-up* runs a read pass to fill caches; *execute* drives the
+//! operation mix from `threads` client threads, recording latencies per
+//! operation type; the result document carries the merged
+//! [`chronos_metrics::RunSummary`], the engine statistics, and `"set_up"`:
+//! `"load"` or `"clone"`, how set-up got its data.
+//!
+//! Load once, branch per job: a seeded load writes the same records byte
+//! for byte every time ([`chronos_workload::LoadKey`]), so the client keeps
+//! the pristine databases of its last two loads and runs every job on an
+//! in-memory copy ([`minidoc::Database::clone_in_memory`]): of a kept
+//! database whose load key, engine and compression match the job's, or
+//! else of the one it loads for the job and keeps. A copy reports the same
+//! documents and `engine_stats` a load would; it costs memcpy and
+//! allocation, not the engine's write path. No job writes a kept database,
+//! so no job sees another's writes. Two kinds of job run on their own load
+//! and keep nothing: durable ones, whose database lives in the job's own
+//! directory, and ones with `threads > 1`, whose interleaved load is a
+//! per-run sample that repetitions should keep sampling. A load that fails
+//! or reports errors keeps nothing either.
 //!
 //! As in YCSB, each client thread generates its operations as it runs
 //! them: an operation's latency covers only its call into the store, but
@@ -30,7 +45,7 @@
 use chronos_json::Value;
 use chronos_metrics::{Recorder, RunSummary};
 use chronos_util::pool::scoped_indexed;
-use chronos_workload::{CoreWorkload, Operation, WorkloadRunner, WorkloadSpec};
+use chronos_workload::{CoreWorkload, LoadKey, Operation, WorkloadRunner, WorkloadSpec};
 use minidoc::{Collection, Database, DbConfig, EngineKind};
 
 use crate::context::JobContext;
@@ -38,16 +53,55 @@ use crate::runtime::EvaluationClient;
 
 const COLLECTION: &str = "usertable";
 
+/// Loaded images a client keeps. A benchmark grid varies the engine
+/// fastest, so with two an agent keeps both engines of a cell and loads
+/// only its first job of each.
+const IMAGES: usize = 2;
+
 /// The bundled minidoc evaluation client.
 #[derive(Default)]
 pub struct DocstoreClient {
     state: Option<RunState>,
+    /// Pristine loaded databases, least recently used first; at most
+    /// `IMAGES`. Jobs get copies, so none of them is ever written.
+    images: Vec<Image>,
+}
+
+/// What a load writes: the records of a load key, in one engine with one
+/// compression setting.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ImageKey {
+    load: LoadKey,
+    engine: EngineKind,
+    compression: bool,
+}
+
+struct Image {
+    key: ImageKey,
+    db: Database,
+}
+
+/// How a job's set-up got its data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SetUp {
+    Load,
+    Clone,
+}
+
+impl SetUp {
+    fn as_str(self) -> &'static str {
+        match self {
+            SetUp::Load => "load",
+            SetUp::Clone => "clone",
+        }
+    }
 }
 
 struct RunState {
     db: Database,
     runner: WorkloadRunner,
     threads: usize,
+    set_up: SetUp,
     /// Temp data directory for durable runs. Declared after `db`, so the
     /// database is closed before its directory goes.
     _data_dir: Option<DataDir>,
@@ -65,7 +119,8 @@ impl Drop for DataDir {
 }
 
 impl DocstoreClient {
-    /// Creates an idle client (state is built per job in `set_up`).
+    /// Creates an idle client with no kept images (a job's state is built
+    /// in `set_up`).
     pub fn new() -> Self {
         DocstoreClient::default()
     }
@@ -119,6 +174,44 @@ impl DocstoreClient {
         let threads = ctx.param_i64("threads").unwrap_or(1).max(1) as usize;
         Ok((db_config, spec, threads))
     }
+
+    /// A copy of the image kept under `key`, which becomes the most
+    /// recently used; `None` when no image has that key.
+    fn copy_image(&mut self, key: &ImageKey) -> Option<Result<Database, String>> {
+        let at = self.images.iter().position(|image| image.key == *key)?;
+        self.images[at..].rotate_left(1);
+        let image = self.images.last()?;
+        Some(image.db.clone_in_memory().map_err(|e| e.to_string()))
+    }
+
+    /// Keeps `db` as the image of `key`, dropping the least recently used
+    /// image past `IMAGES`.
+    fn keep_image(&mut self, key: ImageKey, db: Database) {
+        if self.images.len() == IMAGES {
+            self.images.remove(0);
+        }
+        self.images.push(Image { key, db });
+    }
+}
+
+/// Bulk-loads the benchmark data into `db` from `threads` threads.
+fn load(db: &Database, runner: &WorkloadRunner, threads: usize) -> Result<(), String> {
+    let coll = db.collection(COLLECTION);
+    let load_errors: usize = scoped_indexed(threads, |t| {
+        let mut errors = 0;
+        for op in runner.load_partition(t, threads) {
+            if apply(&coll, op).is_err() {
+                errors += 1;
+            }
+        }
+        errors
+    })
+    .into_iter()
+    .sum();
+    if load_errors > 0 {
+        return Err(format!("{load_errors} errors during data load"));
+    }
+    Ok(())
 }
 
 /// Moves workload field lists into a minidoc document.
@@ -182,31 +275,38 @@ impl EvaluationClient for DocstoreClient {
             "set_up: engine={engine} threads={threads} records={} ops={}",
             spec.record_count, spec.operation_count
         ));
+        let key = (db_config.data_dir.is_none() && threads == 1).then(|| ImageKey {
+            load: spec.load_key(),
+            engine,
+            compression: db_config.compression,
+        });
         let data_dir = db_config.data_dir.clone().map(DataDir);
-        let db = Database::open(db_config).map_err(|e| e.to_string())?;
-        let runner = WorkloadRunner::new(spec)?;
-        // Load phase: bulk-ingest the benchmark data from all threads.
-        let coll = db.collection(COLLECTION);
-        let load_errors: usize = scoped_indexed(threads, |t| {
-            let mut errors = 0;
-            for op in runner.load_partition(t, threads) {
-                if apply(&coll, op).is_err() {
-                    errors += 1;
-                }
+        let (db, runner, set_up) = match key.and_then(|key| self.copy_image(&key)) {
+            Some(copy) => (copy?, WorkloadRunner::new(spec)?, SetUp::Clone),
+            None => {
+                let db = Database::open(db_config).map_err(|e| e.to_string())?;
+                let runner = WorkloadRunner::new(spec)?;
+                load(&db, &runner, threads)?;
+                let db = match key {
+                    Some(key) => {
+                        let copy = db.clone_in_memory().map_err(|e| e.to_string())?;
+                        self.keep_image(key, db);
+                        copy
+                    }
+                    None => db,
+                };
+                (db, runner, SetUp::Load)
             }
-            errors
-        })
-        .into_iter()
-        .sum();
-        if load_errors > 0 {
-            return Err(format!("{load_errors} errors during data load"));
-        }
-        ctx.log(format!(
-            "set_up: loaded {} records into '{COLLECTION}'",
-            db.collection(COLLECTION).count()
-        ));
+        };
+        let records = db.collection(COLLECTION).count();
+        ctx.log(match set_up {
+            SetUp::Load => format!("set_up: loaded {records} records into '{COLLECTION}'"),
+            SetUp::Clone => {
+                format!("set_up: copied {records} records into '{COLLECTION}' from a loaded image")
+            }
+        });
         ctx.set_progress(10);
-        self.state = Some(RunState { db, runner, threads, _data_dir: data_dir });
+        self.state = Some(RunState { db, runner, threads, set_up, _data_dir: data_dir });
         Ok(())
     }
 
@@ -256,6 +356,7 @@ impl EvaluationClient for DocstoreClient {
         let mut data = merged.to_json();
         data.set("engine_stats", state.db.stats().to_json());
         data.set("threads", threads as i64);
+        data.set("set_up", state.set_up.as_str());
         // Attach the raw per-second series as a CSV for offline analysis.
         let series = merged.throughput_series();
         let mut csv = String::from("second,ops\n");
@@ -430,6 +531,83 @@ mod tests {
             assert_eq!(updated, documents(&expected), "workload {workload}: updated documents");
             client.tear_down(&ctx);
         }
+    }
+
+    /// Runs one whole job on `client`; how its set-up got its data.
+    fn set_up_of(client: &mut DocstoreClient, params: Value) -> String {
+        let ctx = ctx(params);
+        client.set_up(&ctx).unwrap();
+        let data = client.execute(&ctx).unwrap();
+        client.tear_down(&ctx);
+        assert_eq!(data.pointer("/total_errors").and_then(Value::as_u64), Some(0));
+        data.get("set_up").and_then(Value::as_str).unwrap().to_string()
+    }
+
+    fn job(engine: &str, records: i64, threads: i64) -> Value {
+        obj! {
+            "engine" => engine,
+            "threads" => threads,
+            "workload" => "a",
+            "record_count" => records,
+            "operation_count" => 100,
+        }
+    }
+
+    #[test]
+    fn a_kept_image_serves_its_load_key_and_the_least_recently_used_goes() {
+        let mut client = DocstoreClient::new();
+        let mut run = |engine: &str, records: i64| set_up_of(&mut client, job(engine, records, 1));
+        assert_eq!(run("wiredtiger", 50), "load");
+        assert_eq!(run("mmapv1", 50), "load");
+        assert_eq!(run("wiredtiger", 50), "clone");
+        assert_eq!(run("mmapv1", 50), "clone");
+        // A third key pushes out the least recently used, wiredtiger/50.
+        assert_eq!(run("wiredtiger", 60), "load");
+        assert_eq!(run("mmapv1", 50), "clone");
+        assert_eq!(run("wiredtiger", 50), "load");
+        // Another workload or operation count of the same load key is
+        // served from the image; another field length is not.
+        let mut other = job("mmapv1", 50, 1);
+        other.set("workload", "e");
+        other.set("operation_count", 300);
+        assert_eq!(set_up_of(&mut client, other.clone()), "clone");
+        other.set("field_length", 20);
+        assert_eq!(set_up_of(&mut client, other), "load");
+        assert_eq!(client.images.len(), IMAGES);
+    }
+
+    #[test]
+    fn durable_and_multi_threaded_jobs_always_load() {
+        let mut client = DocstoreClient::new();
+        for _ in 0..3 {
+            assert_eq!(set_up_of(&mut client, job("wiredtiger", 50, 2)), "load");
+            let mut durable = job("mmapv1", 50, 1);
+            durable.set("durability", true);
+            assert_eq!(set_up_of(&mut client, durable), "load");
+        }
+        assert!(client.images.is_empty(), "neither kind is kept");
+    }
+
+    #[test]
+    fn a_copy_leaves_the_image_pristine() {
+        let mut client = DocstoreClient::new();
+        let params = obj! {
+            "engine" => "wiredtiger", "threads" => 1, "workload" => "a",
+            "record_count" => 100, "operation_count" => 400, "seed" => 3,
+        };
+        let first = ctx(params.clone());
+        client.set_up(&first).unwrap();
+        let image = &client.images[0].db;
+        let mut stats = image.stats();
+        let loaded = documents(&image.collection(COLLECTION));
+        // That scan is the only operation the image ever sees.
+        stats.scans += 1;
+        client.execute(&first).unwrap();
+        client.tear_down(&first);
+        assert_eq!(set_up_of(&mut client, params), "clone");
+        let image = &client.images[0].db;
+        assert_eq!(image.stats(), stats);
+        assert_eq!(documents(&image.collection(COLLECTION)), loaded);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! blocks, mmapv1's padded slots), the log bytes, and mmapv1's in-place
 //! updates and record moves — are part of what the paper's demo compares.
 //! One single-threaded job per engine × YCSB workload a–f, with a fixed
-//! seed, must report the same figures on every commit.
+//! seed, must report the same figures on every commit. A client keeps the
+//! loads it ran and hands later jobs of the same load a copy, and a copy
+//! must report what a load reports: the pinned table holds for twelve jobs
+//! on fresh clients and for the same twelve run through one client, ten of
+//! them on copies.
 
 use chronos_agent::{DocstoreClient, EvaluationClient, JobContext};
 use chronos_json::{obj, Value};
@@ -14,7 +18,9 @@ use chronos_util::Id;
 const FIELDS: [&str; 6] =
     ["documents", "logical_bytes", "stored_bytes", "wal_bytes", "inplace_updates", "record_moves"];
 
-fn engine_stats(engine: &str, workload: &str) -> [u64; 6] {
+/// Runs one seeded job on `client`; its `engine_stats` and how its set-up
+/// got its data.
+fn engine_stats(client: &mut DocstoreClient, engine: &str, workload: &str) -> ([u64; 6], String) {
     let ctx = JobContext::new(
         Id::generate(),
         obj! {
@@ -27,21 +33,39 @@ fn engine_stats(engine: &str, workload: &str) -> [u64; 6] {
             "seed" => 7,
         },
     );
-    let mut client = DocstoreClient::new();
     client.set_up(&ctx).unwrap();
     client.warm_up(&ctx).unwrap();
     let data = client.execute(&ctx).unwrap();
     client.tear_down(&ctx);
     assert_eq!(data.pointer("/total_errors").and_then(Value::as_u64), Some(0));
-    FIELDS.map(|field| {
+    let stats = FIELDS.map(|field| {
         data.pointer(&format!("/engine_stats/{field}"))
             .and_then(Value::as_u64)
             .unwrap_or_else(|| panic!("engine_stats/{field} missing"))
-    })
+    });
+    let set_up = data.get("set_up").and_then(Value::as_str).expect("set_up").to_string();
+    (stats, set_up)
 }
 
-#[test]
-fn engine_stats_of_seeded_jobs_are_pinned() {
+/// The twelve jobs, engine-major like the pinned table, each on a fresh
+/// client or all on one; their stats and set-ups.
+fn run_all(one_client: bool) -> Vec<(String, [u64; 6], String)> {
+    let mut out = Vec::new();
+    let mut client = DocstoreClient::new();
+    for engine in ["wiredtiger", "mmapv1"] {
+        for workload in ["a", "b", "c", "d", "e", "f"] {
+            if !one_client {
+                client = DocstoreClient::new();
+            }
+            let (stats, set_up) = engine_stats(&mut client, engine, workload);
+            out.push((format!("{engine}/{workload}"), stats, set_up));
+        }
+    }
+    out
+}
+
+/// Checks `actual` against the pinned table, printing the table it reads.
+fn assert_pinned(pass: &str, actual: &[(String, [u64; 6], String)]) {
     let expected: &[(&str, [u64; 6])] = &[
         ("wiredtiger/a", [300, 327600, 220510, 1024910, 607, 0]),
         ("wiredtiger/b", [300, 327600, 220739, 402280, 56, 0]),
@@ -56,22 +80,37 @@ fn engine_stats_of_seeded_jobs_are_pinned() {
         ("mmapv1/e", [352, 384384, 720896, 397760, 0, 0]),
         ("mmapv1/f", [300, 327600, 614400, 1024910, 607, 0]),
     ];
-    let mut actual = Vec::new();
-    for engine in ["wiredtiger", "mmapv1"] {
-        for workload in ["a", "b", "c", "d", "e", "f"] {
-            actual.push((format!("{engine}/{workload}"), engine_stats(engine, workload)));
-        }
-    }
-    let table: String =
-        actual.iter().map(|(name, stats)| format!("        (\"{name}\", {stats:?}),\n")).collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, stats, _)| format!("        (\"{name}\", {stats:?}),\n"))
+        .collect();
     let moved: Vec<&str> = actual
         .iter()
         .zip(expected)
-        .filter(|((name, stats), (want_name, want))| name != want_name || stats != want)
-        .map(|((name, _), _)| name.as_str())
+        .filter(|((name, stats, _), (want_name, want))| name != want_name || stats != want)
+        .map(|((name, _, _), _)| name.as_str())
         .collect();
     assert!(
         actual.len() == expected.len() && moved.is_empty(),
-        "engine_stats {FIELDS:?} moved for {moved:?}; they now read:\n{table}"
+        "{pass}: engine_stats {FIELDS:?} moved for {moved:?}; they now read:\n{table}"
     );
+}
+
+#[test]
+fn engine_stats_of_seeded_jobs_are_pinned() {
+    let actual = run_all(false);
+    assert_pinned("fresh clients", &actual);
+    assert!(actual.iter().all(|(_, _, set_up)| set_up == "load"), "a fresh client loads");
+}
+
+#[test]
+fn engine_stats_of_seeded_jobs_on_copies_are_pinned() {
+    // One client for all twelve: each engine's first job loads, the
+    // other five of that engine get copies of its image.
+    let actual = run_all(true);
+    assert_pinned("one client", &actual);
+    let set_ups: Vec<&str> = actual.iter().map(|(_, _, set_up)| set_up.as_str()).collect();
+    let copies = set_ups.iter().filter(|&&s| s == "clone").count();
+    assert_eq!(copies, 10, "set-ups {set_ups:?}");
+    assert_eq!((set_ups[0], set_ups[6]), ("load", "load"), "set-ups {set_ups:?}");
 }

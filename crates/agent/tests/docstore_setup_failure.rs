@@ -4,7 +4,8 @@
 //! when it opens the database. The runtime calls `tear_down` after a failed
 //! set-up, but a set-up that fails has no state to tear down, so the
 //! directory must be removed on every exit from `set_up` itself: a load
-//! that returns errors and a load that panics alike.
+//! that returns errors and a load that panics alike. A client keeps the
+//! databases it loads for later jobs to copy; a failed load keeps nothing.
 
 #![cfg(feature = "failpoints")]
 
@@ -12,6 +13,9 @@ use chronos_agent::{DocstoreClient, EvaluationClient, JobContext};
 use chronos_json::obj;
 use chronos_util::fail::{self, Policy};
 use chronos_util::Id;
+
+/// Failpoints are process-wide: the tests arm them one at a time.
+static FAILPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn durable_ctx(engine: &str) -> (JobContext, std::path::PathBuf) {
     let job_id = Id::generate();
@@ -31,6 +35,7 @@ fn durable_ctx(engine: &str) -> (JobContext, std::path::PathBuf) {
 
 #[test]
 fn failed_durable_set_up_removes_its_data_directory() {
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|p| p.into_inner());
     for engine in ["wiredtiger", "mmapv1"] {
         // A load whose log appends fail: set_up returns the error.
         fail::arm("minidoc.wal.append", Policy::ErrorTimes(1));
@@ -61,4 +66,36 @@ fn failed_durable_set_up_removes_its_data_directory() {
         client.tear_down(&ctx);
         assert!(!dir.exists(), "{engine}: tear_down removes the directory");
     }
+}
+
+#[test]
+fn a_failed_load_keeps_no_image() {
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|p| p.into_inner());
+    let ctx = || {
+        JobContext::new(
+            Id::generate(),
+            obj! {
+                "engine" => "mmapv1",
+                "threads" => 1,
+                "record_count" => 200,
+                "operation_count" => 100,
+            },
+        )
+    };
+    let set_up = |client: &mut DocstoreClient| {
+        let ctx = ctx();
+        client.set_up(&ctx).unwrap();
+        let data = client.execute(&ctx).unwrap();
+        client.tear_down(&ctx);
+        data.get("set_up").and_then(chronos_json::Value::as_str).unwrap().to_string()
+    };
+    let mut client = DocstoreClient::new();
+    fail::arm("minidoc.extent.write", Policy::ErrorTimes(1));
+    let failed = ctx();
+    let err = client.set_up(&failed).unwrap_err();
+    fail::reset();
+    assert!(err.contains("errors during data load"), "{err}");
+    client.tear_down(&failed);
+    assert_eq!(set_up(&mut client), "load", "the failed load left no image to copy");
+    assert_eq!(set_up(&mut client), "clone");
 }

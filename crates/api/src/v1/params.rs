@@ -64,9 +64,14 @@ impl ParamType {
             ParamType::Value => {
                 matches!(value, Value::String(_) | Value::Number(_) | Value::Bool(_))
             }
-            ParamType::Interval { min, max, .. } => {
-                value.as_i64().map(|v| v >= *min && v <= *max).unwrap_or(false)
-            }
+            ParamType::Interval { min, max, step } => value
+                .as_i64()
+                .map(|v| {
+                    v >= *min
+                        && v <= *max
+                        && (i128::from(v) - i128::from(*min)) % step_of(*step) == 0
+                })
+                .unwrap_or(false),
             ParamType::Ratio => value.as_f64().map(|v| (0.0..=1.0).contains(&v)).unwrap_or(false),
         };
         if ok {
@@ -76,29 +81,56 @@ impl ParamType {
         }
     }
 
-    /// All points of a full sweep over this type (used when an experiment
-    /// assigns `{"sweep": "all"}`). Only finite types can be fully swept.
-    pub fn sweep_all(&self) -> Result<Vec<Value>, WireError> {
+    /// How many points a full sweep over this type has; `None` for types
+    /// that cannot be fully swept. Counted, not walked: no bounds or step
+    /// overflow it.
+    pub fn sweep_len(&self) -> Option<u128> {
         match self {
-            ParamType::Boolean => Ok(vec![Value::Bool(false), Value::Bool(true)]),
-            ParamType::Checkbox { options } => {
-                Ok(options.iter().map(|o| Value::from(o.as_str())).collect())
-            }
+            ParamType::Boolean => Some(2),
+            ParamType::Checkbox { options } => Some(options.len() as u128),
             ParamType::Interval { min, max, step } => {
-                let mut points = Vec::new();
-                let mut v = *min;
-                while v <= *max {
-                    points.push(Value::from(v));
-                    v += step;
-                }
-                Ok(points)
+                let span = i128::from(*max) - i128::from(*min);
+                Some(if span < 0 { 0 } else { (span / step_of(*step)) as u128 + 1 })
             }
-            other => Err(invalid(format!(
-                "parameter type {} cannot be fully swept; list explicit values",
-                other.tag()
-            ))),
+            ParamType::Value | ParamType::Ratio => None,
         }
     }
+
+    /// All points of a full sweep over this type (used when an experiment
+    /// assigns `{"sweep": "all"}`). Only finite types can be fully swept,
+    /// and only into at most `max_points` points: the count is checked
+    /// before a single point is built.
+    pub fn sweep_all(&self, max_points: u64) -> Result<Vec<Value>, WireError> {
+        let Some(len) = self.sweep_len() else {
+            return Err(invalid(format!(
+                "parameter type {} cannot be fully swept; list explicit values",
+                self.tag()
+            )));
+        };
+        if len > u128::from(max_points) {
+            return Err(invalid(format!("evaluation space exceeds {max_points} points")));
+        }
+        Ok(match self {
+            ParamType::Boolean => vec![Value::Bool(false), Value::Bool(true)],
+            ParamType::Checkbox { options } => {
+                options.iter().map(|o| Value::from(o.as_str())).collect()
+            }
+            ParamType::Interval { min, step, .. } => (0..len)
+                .map(|i| {
+                    let point = i128::from(*min) + i as i128 * step_of(*step);
+                    Value::from(point as i64)
+                })
+                .collect(),
+            ParamType::Value | ParamType::Ratio => unreachable!("sweep_len refused it"),
+        })
+    }
+}
+
+/// An interval's step as the divisor of its point arithmetic. Decoding
+/// refuses a step below 1; a type built in code with one counts as step 1
+/// instead of dividing by zero.
+fn step_of(step: i64) -> i128 {
+    i128::from(step.max(1))
 }
 
 impl WireEncode for ParamType {
@@ -388,6 +420,42 @@ mod tests {
         assert!(schema[2].param_type.validate_value(&Value::from(1)).is_err());
         assert!(schema[3].param_type.validate_value(&Value::from(0.75)).is_ok());
         assert!(schema[3].param_type.validate_value(&Value::from(1.5)).is_err());
+    }
+
+    #[test]
+    fn interval_values_must_be_on_step() {
+        let odd = ParamType::Interval { min: 1, max: 7, step: 2 };
+        for v in [1, 3, 7] {
+            assert!(odd.validate_value(&Value::from(v)).is_ok(), "{v}");
+        }
+        for v in [2, 4, 8, -1] {
+            assert!(odd.validate_value(&Value::from(v)).is_err(), "{v}");
+        }
+        let wide = ParamType::Interval { min: i64::MIN, max: i64::MAX, step: 3 };
+        assert!(wide.validate_value(&Value::from(i64::MIN + 3)).is_ok());
+        assert!(wide.validate_value(&Value::from(i64::MAX)).is_ok(), "2^64 - 1 is a multiple of 3");
+        assert!(wide.validate_value(&Value::from(i64::MAX - 1)).is_err());
+    }
+
+    #[test]
+    fn full_sweeps_are_counted_before_they_are_built() {
+        let odd = ParamType::Interval { min: 1, max: 7, step: 2 };
+        assert_eq!(odd.sweep_len(), Some(4));
+        let points: Vec<Value> = [1, 3, 5, 7].into_iter().map(Value::from).collect();
+        assert_eq!(odd.sweep_all(4).unwrap(), points);
+        assert!(odd.sweep_all(3).is_err(), "four points exceed a cap of three");
+        // A walk of `v += step` overflows past 2^62; the count does not.
+        let coarse = ParamType::Interval { min: 0, max: i64::MAX, step: 1 << 62 };
+        assert_eq!(coarse.sweep_all(10).unwrap(), vec![Value::from(0), Value::from(1i64 << 62)]);
+        let every = ParamType::Interval { min: i64::MIN, max: i64::MAX, step: 1 };
+        assert_eq!(every.sweep_len(), Some(1 << 64));
+        assert!(every.sweep_all(u64::MAX).is_err());
+        let huge = ParamType::Interval { min: 0, max: 1_000_000_000_000, step: 1 };
+        let refused = huge.sweep_all(10_000_000).unwrap_err();
+        assert_eq!(refused.to_string(), "evaluation space exceeds 10000000 points");
+        assert_eq!(ParamType::Boolean.sweep_len(), Some(2));
+        assert_eq!(ParamType::Ratio.sweep_len(), None);
+        assert!(ParamType::Value.sweep_all(10).is_err());
     }
 
     #[test]

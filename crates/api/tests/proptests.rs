@@ -99,8 +99,8 @@ fn arb_param_def() -> impl Strategy<Value = v1::ParamDef> {
                     Value::from(options[(pick % options.len() as u64) as usize].as_str())
                 }
                 v1::ParamType::Value => scalar,
-                v1::ParamType::Interval { min, max, .. } => {
-                    Value::from(min + (pick % (max - min + 1) as u64) as i64)
+                v1::ParamType::Interval { min, max, step } => {
+                    Value::from(min + (pick % ((max - min) / step + 1) as u64) as i64 * step)
                 }
                 v1::ParamType::Ratio => Value::from([0.25, 0.5, 0.75][(pick % 3) as usize]),
             };

@@ -71,8 +71,8 @@ pub fn swept_names(assignments: &ParamAssignments, schema: &[ParamDef]) -> Vec<S
             Assignment::SweepAll => schema
                 .iter()
                 .find(|d| d.name == *name)
-                .and_then(|d| d.param_type.sweep_all().ok())
-                .map(|vs| vs.len() > 1)
+                .and_then(|d| d.param_type.sweep_len())
+                .map(|len| len > 1)
                 .unwrap_or(false),
         })
         .map(|(name, _)| name.to_string())
@@ -118,13 +118,12 @@ impl PointSpace {
                 None => vec![def.default.clone()],
                 Some(Assignment::Fixed(v)) => vec![v.clone()],
                 Some(Assignment::Sweep(vs)) => vs.clone(),
-                Some(Assignment::SweepAll) => def.param_type.sweep_all()?,
+                Some(Assignment::SweepAll) => def.param_type.sweep_all(Self::MAX_POINTS)?,
             };
             for v in &values {
-                def.param_type.validate_value(v).map_err(|e| {
-                    let e = CoreError::from(e);
-                    CoreError::Invalid(format!("parameter {:?}: {e}", def.name))
-                })?;
+                def.param_type
+                    .validate_value(v)
+                    .map_err(|e| CoreError::Invalid(format!("parameter {:?}: {e}", def.name)))?;
             }
             total = total
                 .checked_mul(values.len() as u64)

@@ -15,6 +15,10 @@
 //!   moves the record (tracked in the stats as `record_moves`).
 //! * **No compression.** Stored bytes ≈ padded record bytes, which is why
 //!   this engine's storage footprint exceeds wiredTiger's.
+//!
+//! An in-memory copy ([`StorageEngine::clone_in_memory`]) copies each
+//! collection's extents, index, free lists and tail pointer, so the copy
+//! places, pads and moves records exactly as the original would.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -42,7 +46,7 @@ struct RecordLoc {
 }
 
 /// One collection's memory-mapped-style storage.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct MmapCollection {
     extents: Vec<Vec<u8>>,
     index: BTreeMap<Vec<u8>, RecordLoc>,
@@ -489,6 +493,21 @@ impl StorageEngine for MmapV1Engine {
         std::fs::rename(&tmp, &path)?;
         journal.truncate()?;
         Ok(())
+    }
+
+    fn clone_in_memory(&self) -> DbResult<Arc<dyn StorageEngine>> {
+        let journal = self.journal.lock().clone_in_memory().ok_or_else(DbError::durable_copy)?;
+        let collections = self
+            .collections
+            .read()
+            .iter()
+            .map(|(name, coll)| (name.clone(), Arc::new(RwLock::new(coll.read().clone()))))
+            .collect();
+        Ok(Arc::new(MmapV1Engine {
+            collections: RwLock::new(collections),
+            journal: Mutex::new(journal),
+            stats: self.stats.copy(),
+        }))
     }
 }
 

@@ -13,6 +13,12 @@
 //! frames the log record straight from the borrowed key and value, and a
 //! cursor is opened with a record limit ([`StorageEngine::cursor`]), so a
 //! scan fetches, clones and copies only the records it yields.
+//!
+//! An in-memory engine can also be copied whole
+//! ([`StorageEngine::clone_in_memory`]): its record layout, log state and
+//! counters, at the cost of memcpy and allocation. Nothing is recompressed
+//! or re-framed, so a copy does not pay the modelled write path a load
+//! pays, and it reports exactly what the original reports.
 
 pub mod mmapv1;
 pub mod wiredtiger;
@@ -198,6 +204,23 @@ impl StatCounters {
         }
     }
 
+    /// A copy holding every counter's current value.
+    pub(crate) fn copy(&self) -> StatCounters {
+        let copy = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
+        StatCounters {
+            documents: copy(&self.documents),
+            logical_bytes: copy(&self.logical_bytes),
+            stored_bytes: copy(&self.stored_bytes),
+            inserts: copy(&self.inserts),
+            updates: copy(&self.updates),
+            deletes: copy(&self.deletes),
+            reads: copy(&self.reads),
+            scans: copy(&self.scans),
+            inplace_updates: copy(&self.inplace_updates),
+            record_moves: copy(&self.record_moves),
+        }
+    }
+
     pub(crate) fn add(counter: &AtomicU64, delta: u64) {
         counter.fetch_add(delta, Ordering::Relaxed);
     }
@@ -266,6 +289,15 @@ pub trait StorageEngine: Send + Sync {
 
     /// Flushes state so a re-open recovers without the log.
     fn checkpoint(&self) -> DbResult<()>;
+
+    /// An independent in-memory copy: the same records in the same layout,
+    /// the same log state and the same counters, so every later operation
+    /// does and reports on the copy what it would on the original. Writes
+    /// to either leave the other unchanged. Refuses a file-backed engine
+    /// ([`DbError::Unsupported`](crate::DbError::Unsupported)). A write in
+    /// flight on another thread may or may not be in the copy; copy a
+    /// database no one is writing.
+    fn clone_in_memory(&self) -> DbResult<Arc<dyn StorageEngine>>;
 }
 
 #[cfg(test)]

@@ -20,6 +20,12 @@
 //!   records are framed (serialized + checksummed) *outside* the log lock
 //!   — only the buffer append is serialized — so the log does not become
 //!   the scaling bottleneck the mmapv1 journal is.
+//!
+//! An in-memory copy ([`StorageEngine::clone_in_memory`]) copies each
+//! collection's key index, its shards' slots and free lists and its next
+//! placement. Records are shared through their `Arc`: a write replaces a
+//! slot's [`Record`] and never writes into one, so neither copy sees the
+//! other's writes.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -51,7 +57,7 @@ struct Record {
 }
 
 /// One latch shard: an independently locked slab of records.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Shard {
     slots: Vec<Option<Record>>,
     free: Vec<u32>,
@@ -100,6 +106,16 @@ impl WtCollection {
     /// distribution (zipfian included).
     fn place(&self) -> u32 {
         (self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len() as u64) as u32
+    }
+
+    /// A copy with the same index, slots, free lists and next placement.
+    fn copy(&self) -> WtCollection {
+        let index = self.index.read();
+        WtCollection {
+            index: RwLock::new(index.clone()),
+            shards: self.shards.iter().map(|shard| Mutex::new(shard.lock().clone())).collect(),
+            next_shard: AtomicU64::new(self.next_shard.load(Ordering::Relaxed)),
+        }
     }
 
     fn read_record(&self, id: RecordId) -> Option<Record> {
@@ -534,6 +550,24 @@ impl StorageEngine for WiredTigerEngine {
         std::fs::rename(&tmp, &path)?;
         self.wal.lock().truncate()?;
         Ok(())
+    }
+
+    fn clone_in_memory(&self) -> DbResult<Arc<dyn StorageEngine>> {
+        let wal = self.wal.lock().clone_in_memory().ok_or_else(DbError::durable_copy)?;
+        let collections = self
+            .collections
+            .read()
+            .iter()
+            .map(|(name, coll)| (name.clone(), Arc::new(coll.copy())))
+            .collect();
+        Ok(Arc::new(WiredTigerEngine {
+            collections: RwLock::new(collections),
+            wal: Mutex::new(wal),
+            stats: self.stats.copy(),
+            compression: self.compression,
+            latch_shards: self.latch_shards,
+            data_dir: None,
+        }))
     }
 }
 

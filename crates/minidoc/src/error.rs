@@ -21,6 +21,9 @@ pub enum DbError {
     Io(std::io::Error),
     /// The collection does not exist.
     NoSuchCollection(String),
+    /// The operation does not apply to this database (copying a durable
+    /// one, for instance).
+    Unsupported(String),
 }
 
 impl fmt::Display for DbError {
@@ -32,6 +35,7 @@ impl fmt::Display for DbError {
             DbError::Corrupt(m) => write!(f, "corrupt data: {m}"),
             DbError::Io(e) => write!(f, "i/o error: {e}"),
             DbError::NoSuchCollection(c) => write!(f, "no such collection: {c}"),
+            DbError::Unsupported(m) => write!(f, "unsupported: {m}"),
         }
     }
 }
@@ -48,6 +52,11 @@ impl DbError {
     /// Helper constructing [`DbError::DuplicateKey`] from raw key bytes.
     pub(crate) fn duplicate(key: &[u8]) -> Self {
         DbError::DuplicateKey(String::from_utf8_lossy(key).into_owned())
+    }
+
+    /// The refusal of an in-memory copy of a database backed by files.
+    pub(crate) fn durable_copy() -> Self {
+        DbError::Unsupported("a durable database cannot be copied in memory".into())
     }
 
     /// Helper constructing [`DbError::NotFound`] from raw key bytes.

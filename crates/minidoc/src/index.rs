@@ -82,7 +82,7 @@ fn encode_f64(v: f64) -> [u8; 8] {
 }
 
 /// One single-field index: ordered value → document keys.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FieldIndex {
     entries: BTreeMap<IndexKey, BTreeSet<Vec<u8>>>,
     /// Total (value, key) pairs, for stats.

@@ -152,6 +152,19 @@ impl Database {
     pub fn checkpoint(&self) -> DbResult<()> {
         self.engine.checkpoint()
     }
+
+    /// An independent in-memory copy of this database: its records, log
+    /// state, engine statistics and secondary indexes
+    /// ([`StorageEngine::clone_in_memory`]). Costs memcpy and allocation,
+    /// never the engine's modelled write path, so a loaded database can be
+    /// branched for a run instead of loaded again. Unlike [`Clone`], which
+    /// shares the database, writes to the copy leave this one unchanged.
+    /// Refuses a durable database with [`DbError::Unsupported`].
+    pub fn clone_in_memory(&self) -> DbResult<Database> {
+        let indexes = self.indexes.read();
+        let engine = self.engine.clone_in_memory()?;
+        Ok(Database { engine, kind: self.kind, indexes: Arc::new(RwLock::new(indexes.clone())) })
+    }
 }
 
 impl std::fmt::Debug for Database {
@@ -537,6 +550,49 @@ mod tests {
             assert_eq!(stats.documents, 50);
             assert!(stats.logical_bytes > 0);
             assert!(stats.stored_bytes > 0, "engine {:?}", db.engine_kind());
+        }
+    }
+
+    #[test]
+    fn clone_in_memory_branches_records_stats_and_indexes() {
+        for db in both_engines() {
+            let coll = db.collection("t");
+            for i in 0..40u32 {
+                coll.insert(&format!("k{i:02}"), &obj! {"group" => i % 4, "pad" => "x".repeat(90)})
+                    .unwrap();
+            }
+            coll.create_index("group").unwrap();
+            let before = db.stats();
+            let copy = db.clone_in_memory().unwrap();
+            assert_eq!(copy.stats(), before, "engine {:?}", db.engine_kind());
+            assert_eq!(copy.collection("t").index_names(), vec!["group".to_string()]);
+
+            let branch = copy.collection("t");
+            branch.update("k01", &obj! {"group" => 9}).unwrap();
+            branch.delete("k02").unwrap();
+            branch.insert("k99", &obj! {"group" => 9}).unwrap();
+            let nines: Vec<String> =
+                branch.find(&Filter::eq("group", 9)).unwrap().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(nines, vec!["k01", "k99"], "engine {:?}", db.engine_kind());
+            let threes = branch.find(&Filter::eq("group", 3)).unwrap();
+            assert_eq!(threes.len(), 10, "the copy's index holds the entries made before it");
+
+            assert_eq!(db.stats(), before, "writes to the copy leave the original unchanged");
+            assert_eq!(coll.count(), 40);
+            assert_eq!(coll.get("k01").unwrap().unwrap().get("group"), Some(&Value::from(1)));
+            assert!(coll.find(&Filter::eq("group", 9)).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn clone_in_memory_refuses_a_durable_database() {
+        for engine in [EngineKind::WiredTiger, EngineKind::MmapV1] {
+            let dir =
+                std::env::temp_dir().join(format!("minidoc-clone-{}-{engine}", std::process::id()));
+            let db = Database::open(DbConfig::at_dir(engine, &dir)).unwrap();
+            assert!(matches!(db.clone_in_memory(), Err(DbError::Unsupported(_))), "{engine}");
+            drop(db);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

@@ -170,6 +170,22 @@ impl Wal {
         }
     }
 
+    /// A copy of an in-memory log: its buffer, byte counters and policy.
+    /// `None` for a file-backed log, whose file a copy could not share.
+    pub(crate) fn clone_in_memory(&self) -> Option<Wal> {
+        if self.file.is_some() {
+            return None;
+        }
+        Some(Wal {
+            file: None,
+            path: None,
+            buffer: self.buffer.clone(),
+            appended_bytes: self.appended_bytes,
+            policy: self.policy,
+            pending_since_sync: self.pending_since_sync,
+        })
+    }
+
     /// For [`SyncPolicy::GroupCommit`]: when enough bytes have accumulated,
     /// returns a handle the caller must `sync_data()` — **after releasing
     /// the log lock** — and resets the accumulator.
@@ -427,6 +443,25 @@ mod tests {
         wal.append(&ops()[1]).unwrap();
         drop(wal);
         assert_eq!(Wal::replay(&path).unwrap(), vec![ops()[1].clone()]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn in_memory_clone_carries_buffer_and_counters() {
+        let mut wal = Wal::in_memory();
+        wal.append(&ops()[0]).unwrap();
+        let mut copy = wal.clone_in_memory().unwrap();
+        assert_eq!(
+            (&copy.buffer, copy.appended_bytes, copy.pending_since_sync),
+            (&wal.buffer, wal.appended_bytes, wal.pending_since_sync)
+        );
+        copy.append(&ops()[1]).unwrap();
+        assert!(copy.appended_bytes > wal.appended_bytes, "the copy appends on its own");
+        assert_eq!(wal.buffer.len() as u64, wal.appended_bytes, "the original is untouched");
+
+        let path = tmp("clone");
+        let file_backed = Wal::open(&path, false).unwrap();
+        assert!(file_backed.clone_in_memory().is_none());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,11 +1,13 @@
 //! Property tests: both storage engines must behave identically to a
 //! reference model (a `BTreeMap`) under arbitrary operation sequences —
 //! the engines differ in *how* they store, never in *what* they store.
+//! An in-memory copy of either is held to the same model: it must continue
+//! from where its original stood, and the original must stay there.
 
 use std::collections::BTreeMap;
 
 use chronos_json::obj;
-use minidoc::{Database, DbConfig, EngineKind};
+use minidoc::{Database, DbConfig, EngineKind, Filter};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -34,9 +36,15 @@ fn payload(n: usize) -> chronos_json::Value {
 }
 
 fn run_against_model(db: &Database, ops: &[Op]) {
+    let mut model = BTreeMap::new();
+    apply_to_model(db, ops, &mut model);
+    assert_matches_model(db, &model);
+}
+
+/// Runs `ops` on `db` and on `model`, checking every answer on the way.
+fn apply_to_model(db: &Database, ops: &[Op], model: &mut BTreeMap<String, usize>) {
     let engine = db.engine_kind();
     let coll = db.collection("t");
-    let mut model: BTreeMap<String, usize> = BTreeMap::new();
     for op in ops {
         match op {
             Op::Insert(k, n) => {
@@ -90,8 +98,62 @@ fn run_against_model(db: &Database, ops: &[Op]) {
             }
         }
     }
+}
+
+/// `db` holds exactly the model's documents, and its `len` index finds
+/// each of them.
+fn assert_matches_model(db: &Database, model: &BTreeMap<String, usize>) {
+    let engine = db.engine_kind();
+    let coll = db.collection("t");
     assert_eq!(coll.count(), model.len() as u64, "{engine}: final count");
     assert_eq!(db.stats().documents, model.len() as u64, "{engine}: stats documents");
+    let expected: Vec<(String, chronos_json::Value)> =
+        model.iter().map(|(k, &n)| (k.clone(), payload(n))).collect();
+    assert_eq!(coll.scan("", usize::MAX).unwrap(), expected, "{engine}: documents");
+    if coll.index_names().is_empty() {
+        return;
+    }
+    let mut by_len: BTreeMap<usize, Vec<String>> = BTreeMap::new();
+    for (key, &n) in model {
+        by_len.entry(n).or_default().push(key.clone());
+    }
+    for (n, keys) in by_len {
+        let found: Vec<String> =
+            coll.find(&Filter::eq("len", n)).unwrap().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(found, keys, "{engine}: index lookup of len {n}");
+    }
+}
+
+/// Runs `prefix` on a database with an index, copies it, and runs
+/// `suffix` on the copy. The copy must match the model of prefix + suffix
+/// and report the statistics a database that ran both reports, log bytes
+/// included; the original must still match the model of the prefix and
+/// report what it reported before the copy.
+fn check_clone(engine: EngineKind, prefix: &[Op], suffix: &[Op]) {
+    let open = || {
+        let db = Database::open(DbConfig::in_memory(engine)).unwrap();
+        db.collection("t").create_index("len").unwrap();
+        db
+    };
+    let original = open();
+    let mut model = BTreeMap::new();
+    apply_to_model(&original, prefix, &mut model);
+    let prefix_model = model.clone();
+    let prefix_stats = original.stats();
+
+    let copy = original.clone_in_memory().unwrap();
+    assert_eq!(copy.stats(), prefix_stats, "{engine}: the copy starts where the original stands");
+    apply_to_model(&copy, suffix, &mut model);
+
+    let reference = open();
+    let mut reference_model = BTreeMap::new();
+    apply_to_model(&reference, prefix, &mut reference_model);
+    apply_to_model(&reference, suffix, &mut reference_model);
+    assert_eq!(copy.stats(), reference.stats(), "{engine}: copy vs prefix + suffix");
+    assert_eq!(original.stats(), prefix_stats, "{engine}: the original moved");
+
+    assert_matches_model(&copy, &model);
+    assert_matches_model(&original, &prefix_model);
 }
 
 /// Limits around the cursors' 256-record refill, and past the end.
@@ -152,6 +214,22 @@ proptest! {
     fn mmapv1_matches_model(ops in prop::collection::vec(arb_op(), 1..80)) {
         let db = Database::open(DbConfig::in_memory(EngineKind::MmapV1)).unwrap();
         run_against_model(&db, &ops);
+    }
+
+    #[test]
+    fn wiredtiger_clone_continues_the_model(
+        prefix in prop::collection::vec(arb_op(), 0..60),
+        suffix in prop::collection::vec(arb_op(), 0..60),
+    ) {
+        check_clone(EngineKind::WiredTiger, &prefix, &suffix);
+    }
+
+    #[test]
+    fn mmapv1_clone_continues_the_model(
+        prefix in prop::collection::vec(arb_op(), 0..60),
+        suffix in prop::collection::vec(arb_op(), 0..60),
+    ) {
+        check_clone(EngineKind::MmapV1, &prefix, &suffix);
     }
 
     #[test]

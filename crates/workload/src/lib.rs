@@ -31,7 +31,7 @@ pub use generators::{
     SequentialGenerator, UniformGenerator, ZipfianGenerator,
 };
 pub use runaway::{RunawayKind, RunawayScenario};
-pub use runner::{Operation, WorkloadRunner};
+pub use runner::{LoadKey, Operation, WorkloadRunner};
 pub use spec::{CoreWorkload, Distribution, OpMix, WorkloadSpec};
 pub use surface::ResponseSurface;
 pub use tpcc::{TpccConfig, TpccRunner, TpccTx};

@@ -53,6 +53,40 @@ impl Operation {
     }
 }
 
+/// The fields of a [`WorkloadSpec`] that
+/// [`WorkloadRunner::load_partition`] reads: two specs with equal keys load
+/// the same records, byte for byte, for any thread partitioning, whatever
+/// their operation mix, distribution or operation count. A client that
+/// keeps a loaded database may reuse it for any spec of the same key.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoadKey {
+    /// Records loaded.
+    pub record_count: u64,
+    /// Fields per document.
+    pub field_count: usize,
+    /// Bytes per field value.
+    pub field_length: usize,
+    /// Share of field bytes drawn from the word dictionary.
+    pub compressibility: f64,
+    /// The seed every thread's load generator derives from.
+    pub seed: u64,
+}
+
+impl WorkloadSpec {
+    /// This spec's [`LoadKey`]. Kept beside
+    /// [`WorkloadRunner::load_partition`]: a field the load phase starts to
+    /// read belongs in the key.
+    pub fn load_key(&self) -> LoadKey {
+        LoadKey {
+            record_count: self.record_count,
+            field_count: self.field_count,
+            field_length: self.field_length,
+            compressibility: self.compressibility,
+            seed: self.seed,
+        }
+    }
+}
+
 /// Shared workload state for one benchmark run.
 #[derive(Debug)]
 pub struct WorkloadRunner {
@@ -81,7 +115,8 @@ impl WorkloadRunner {
 
     /// Keys (with generated documents) for the load phase, partitioned for
     /// `thread` of `threads` (round-robin so all partitions are equal ±1).
-    /// Records are generated as the iterator is drained.
+    /// Records are generated as the iterator is drained. What a partition
+    /// holds depends on the spec's [`LoadKey`] and nothing else of it.
     pub fn load_partition(
         &self,
         thread: usize,

@@ -49,7 +49,7 @@ if ! cargo test -q --offline --test wire_compat; then
     exit 1
 fi
 
-echo "== generator determinism: golden op streams, draw sequences and SuE bytes =="
+echo "== generator determinism: golden op streams, draw sequences and SuE bytes; a clone must match a load =="
 # FNV-1a digests of every YCSB op stream (workloads a-f, threads 1 and 2,
 # four field lengths, four record counts, three seeds, plus the load phase)
 # and the first draws of every gen_range shape the generators use. A
@@ -59,11 +59,16 @@ echo "== generator determinism: golden op streams, draw sequences and SuE bytes 
 # compressed blocks, log frames and CRCs (minidoc golden_blocks), the
 # durable engines' log and checkpoint files, and the engine_stats of a
 # seeded job per engine x workload (chronos-agent docstore_engine_stats).
+# A client hands repeated loads a copy of a kept image, so a clone must
+# match a load: docstore_engine_stats runs the same jobs on copies against
+# the same table, and minidoc engine_equivalence holds a copy of either
+# engine to the model of everything written before and after the copy.
 if ! cargo test -q --offline -p chronos-workload --test golden_streams \
     || ! cargo test -q --offline -p rand --test golden_sequences \
     || ! cargo test -q --offline -p minidoc --test golden_blocks \
+    || ! cargo test -q --offline -p minidoc --test engine_equivalence \
     || ! cargo test -q --offline -p chronos-agent --test docstore_engine_stats; then
-    echo "FAIL: generator output moved: results across commits are no longer comparable" >&2
+    echo "FAIL: generator output moved, or a clone no longer matches a load: results across commits are no longer comparable" >&2
     exit 1
 fi
 

@@ -307,6 +307,16 @@ fn malformed_definitions_and_assignments_answer_pinned_bodies() {
             ),
             bad("value 1.5 is not a valid ratio"),
         ),
+        (
+            definition_with(
+                "s",
+                parameter(
+                    obj! {"type" => "interval", "min" => 1, "max" => 7, "step" => 2, "default" => 4},
+                ),
+                good_chart(),
+            ),
+            bad("value 4 is not a valid interval"),
+        ),
     ];
     let mut cases = systems;
     for field in ["kind", "title", "x_param", "value_path"] {
@@ -335,6 +345,25 @@ fn malformed_definitions_and_assignments_answer_pinned_bodies() {
         body
     };
     let sweep = |values: Value| obj! {"sweep" => values};
+    // Intervals whose full sweeps a walk of `v += step` could not build:
+    // too many points, or a step past which `v` overflows.
+    let interval = |name: &str, max: i64, step: i64| {
+        obj! {"name" => name, "type" => "interval", "min" => 0, "max" => max, "step" => step, "default" => 0}
+    };
+    let wide = obj! {
+        "name" => "wide",
+        "parameters" => Value::Array(vec![
+            interval("every", i64::MAX, 1),
+            interval("huge", 1_000_000_000_000, 1),
+            interval("coarse", i64::MAX, 1 << 62),
+        ]),
+        "charts" => Value::Array(vec![good_chart()]),
+    };
+    let wide = env.post("/api/v1/systems", &wide);
+    let wide_id = wide.get("id").and_then(Value::as_str).unwrap();
+    let on_wide = |parameters: Value| {
+        obj! {"name" => "e", "system_id" => wide_id, "parameters" => parameters}
+    };
     let experiments = [
         (
             experiment(obj! {"threads" => sweep(Value::Array(vec![]))}, None),
@@ -353,7 +382,19 @@ fn malformed_definitions_and_assignments_answer_pinned_bodies() {
         (experiment(obj! {"warp" => 9}, None), bad("unknown parameter \"warp\"")),
         (
             experiment(obj! {"threads" => 99}, None),
-            bad("parameter \"threads\": invalid request: value 99 is not a valid interval"),
+            bad("parameter \"threads\": value 99 is not a valid interval"),
+        ),
+        (
+            on_wide(obj! {"coarse" => 3}),
+            bad("parameter \"coarse\": value 3 is not a valid interval"),
+        ),
+        (
+            on_wide(obj! {"every" => sweep(Value::from("all"))}),
+            bad("evaluation space exceeds 10000000 points"),
+        ),
+        (
+            on_wide(obj! {"huge" => sweep(Value::from("all"))}),
+            bad("evaluation space exceeds 10000000 points"),
         ),
         (
             experiment(obj! {"record_count" => sweep(Value::from("all"))}, None),
@@ -378,6 +419,10 @@ fn malformed_definitions_and_assignments_answer_pinned_bodies() {
         let text = String::from_utf8_lossy(&response.body);
         assert_eq!((response.status.0, text.as_ref()), (400, expected.as_str()), "{body}");
     }
+    // The coarse interval has two points, 0 and 2^62: counted, its full
+    // sweep is an ordinary experiment.
+    let coarse = env.post_raw(&path, &on_wide(obj! {"coarse" => sweep(Value::from("all"))}));
+    assert_eq!(coarse.status.0, 201, "{}", String::from_utf8_lossy(&coarse.body));
 }
 
 /// The bytes of `experiment.json` and `system.json` inside a project's
@@ -414,7 +459,7 @@ fn project_archive_pins_experiment_and_system_bytes() {
             "description" => "every assignment kind",
             "parameters" => obj! {
                 "engine" => obj! {"sweep" => "all"},
-                "threads" => obj! {"sweep" => Value::Array(vec![Value::from(1), Value::from(4)])},
+                "threads" => obj! {"sweep" => Value::Array(vec![Value::from(1), Value::from(3)])},
                 "record_count" => 50,
                 "read_ratio" => 0.25,
             },
@@ -454,7 +499,7 @@ const PINNED_EXPERIMENT_JSON: &str = r#"{
     "threads": {
       "sweep": [
         1,
-        4
+        3
       ]
     },
     "record_count": 50,
