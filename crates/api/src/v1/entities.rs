@@ -505,46 +505,116 @@ impl WireDecode for ExperimentDto {
 ///
 /// Lazy evaluations additionally carry their job-source state (`strategy`,
 /// `total_points`, `materialized`, and for adaptive runs the `frontier`).
-/// All four are optional and omitted when absent, so pre-refactor
-/// documents and fixtures stay byte-identical.
+/// All four are omitted when there is none, so pre-refactor documents and
+/// fixtures stay byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvaluationDto {
     pub id: Id,
     pub experiment_id: Id,
+    /// Ids of this evaluation's materialized jobs, in issue order. Stored
+    /// documents list none (the jobs name their evaluation); served ones
+    /// are filled from the job documents.
     pub job_ids: Vec<Id>,
+    /// Names of the swept parameters (analysis axes).
     pub swept_params: Vec<String>,
     pub created_at: u64,
-    pub source: EvaluationSourceDto,
+    /// Lazy iteration state. `None` for documents that predate lazy
+    /// evaluations — those were fully materialized at creation.
+    pub source: Option<JobSourceState>,
 }
 
-/// The job-source fields of an evaluation document, each optional and
-/// omitted when absent.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EvaluationSourceDto {
-    pub strategy: Option<Strategy>,
-    pub total_points: Option<u64>,
-    pub materialized: Option<u64>,
+/// The persisted iteration state of a lazy evaluation: a resumable cursor
+/// over its parameter space. Stored inside the evaluation document, so
+/// every cursor advance is one log frame and replicates to followers with
+/// the rest of the control plane.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobSourceState {
+    /// The strategy, frozen at evaluation creation.
+    pub strategy: Strategy,
+    /// Size of the full parameter space.
+    pub total_points: u64,
+    /// How many points have been materialized as job documents.
+    pub materialized: u64,
+    /// Adaptive only: the current rung.
     pub frontier: Option<FrontierDto>,
 }
 
-impl EvaluationDto {
-    /// The `GET /evaluations/:id` detail body: the evaluation document with
-    /// the status roll-up appended under `"status"`.
-    pub fn detail_value(&self, status: &EvaluationStatusDto) -> Value {
-        let mut doc = self.to_value();
-        doc.set("status", status.to_value());
-        doc
+/// Sizes of every rung of a successive-halving run that starts with `k0`
+/// candidates: `k0, ceil(k0/eta), ...` down to a single survivor.
+pub fn rung_sizes(k0: u64, eta: u64) -> Vec<u64> {
+    let mut sizes = vec![k0.max(1)];
+    let mut k = k0.max(1);
+    while k > 1 {
+        k = k.div_ceil(eta);
+        sizes.push(k);
+    }
+    sizes
+}
+
+impl JobSourceState {
+    /// Points this source still plans to issue. For grid sources this is
+    /// exact; for adaptive sources it is the plan (unissued candidates of
+    /// the current rung plus all future rung sizes) — pruning can only make
+    /// it smaller, never larger, so an unsettled evaluation always reports
+    /// a positive remainder.
+    pub fn remaining(&self) -> u64 {
+        match (&self.strategy, &self.frontier) {
+            (Strategy::Adaptive(cfg), Some(frontier)) => {
+                let k = frontier.candidates.len() as u64;
+                let current = k.saturating_sub(frontier.issued);
+                let future: u64 = rung_sizes(k, cfg.eta).iter().skip(1).sum();
+                current + future
+            }
+            _ => self.total_points.saturating_sub(self.materialized),
+        }
     }
 
-    /// Decodes only the job-source fields of an evaluation document,
-    /// leaving its `job_ids` unparsed.
-    pub fn decode_source(value: &Value) -> Result<EvaluationSourceDto, WireError> {
-        Ok(EvaluationSourceDto {
-            strategy: codec::field(value, "strategy").map(Strategy::decode).transpose()?,
-            total_points: codec::lenient_u64(value, "total_points"),
-            materialized: codec::lenient_u64(value, "materialized"),
-            frontier: codec::field(value, "frontier").map(FrontierDto::decode).transpose()?,
-        })
+    /// The next point index to materialize, without advancing any state.
+    /// `None` when the source is exhausted or (adaptive) the current rung
+    /// is fully issued and must settle before pruning.
+    pub fn peek(&self) -> Option<u64> {
+        match &self.frontier {
+            None => (self.materialized < self.total_points).then_some(self.materialized),
+            Some(frontier) => frontier.candidates.get(frontier.issued as usize).copied(),
+        }
+    }
+
+    /// Advances past the point returned by [`JobSourceState::peek`].
+    pub fn advance(&mut self) {
+        self.materialized += 1;
+        if let Some(frontier) = &mut self.frontier {
+            frontier.issued += 1;
+        }
+    }
+}
+
+impl EvaluationDto {
+    /// The document's job source, decoded without parsing its `job_ids`:
+    /// what the control plane's fold reads on every put of an evaluation.
+    /// `None` when the document has no `total_points` (it predates lazy
+    /// evaluations); an absent or `null` strategy is grid, and an absent
+    /// `materialized` counts the listed jobs, which only documents from
+    /// older logs list.
+    pub fn decode_source(value: &Value) -> Result<Option<JobSourceState>, WireError> {
+        let strategy = codec::field(value, "strategy").map(Strategy::decode).transpose()?;
+        let frontier = codec::field(value, "frontier").map(FrontierDto::decode).transpose()?;
+        let Some(total_points) = codec::lenient_u64(value, "total_points") else { return Ok(None) };
+        let listed =
+            || codec::field(value, "job_ids").and_then(Value::as_array).map_or(0, Vec::len);
+        Ok(Some(JobSourceState {
+            strategy: strategy.unwrap_or(Strategy::Grid),
+            total_points,
+            materialized: codec::lenient_u64(value, "materialized")
+                .unwrap_or_else(|| listed() as u64),
+            frontier,
+        }))
+    }
+
+    /// [`WireEncode::to_value`] under its older name, kept only for the
+    /// repo benchmark (`benchmark/`), which calls it; it goes when the
+    /// benchmark calls `to_value`.
+    pub fn to_json(&self) -> Value {
+        self.to_value()
     }
 }
 
@@ -557,18 +627,13 @@ impl WireEncode for EvaluationDto {
             "swept_params" => Value::Array(self.swept_params.iter().map(|s| Value::from(s.as_str())).collect()),
             "created_at" => self.created_at,
         };
-        let source = &self.source;
-        if let Some(strategy) = &source.strategy {
-            doc.set("strategy", strategy.to_value());
-        }
-        if let Some(total_points) = source.total_points {
-            doc.set("total_points", total_points);
-        }
-        if let Some(materialized) = source.materialized {
-            doc.set("materialized", materialized);
-        }
-        if let Some(frontier) = &source.frontier {
-            doc.set("frontier", frontier.to_value());
+        if let Some(source) = &self.source {
+            doc.set("strategy", source.strategy.to_value());
+            doc.set("total_points", source.total_points);
+            doc.set("materialized", source.materialized);
+            if let Some(frontier) = &source.frontier {
+                doc.set("frontier", frontier.to_value());
+            }
         }
         doc
     }
@@ -684,25 +749,42 @@ impl WireDecode for TimelineEventDto {
     }
 }
 
-/// A job document: the full wire view served by `GET /jobs/:id`, claim
-/// responses, and (trimmed via [`JobDto::summary_value`]) job listings.
+/// A job: "a subset of an evaluation, e.g., the run of a benchmark for a
+/// specific set of parameters." The full wire view served by
+/// `GET /jobs/:id`, claim responses, and (trimmed via
+/// [`JobDto::summary_value`]) job listings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDto {
     pub id: Id,
+    /// Owning evaluation.
     pub evaluation_id: Id,
+    /// The system this job runs against.
     pub system_id: Id,
+    /// Concrete parameter values for this point of the evaluation space.
     pub parameters: Value,
     pub state: JobState,
+    /// Deployment the job is (or was) assigned to.
     pub deployment_id: Option<Id>,
+    /// Progress 0..=100 (reported by the agent); larger values clamp.
     pub progress: u8,
+    /// Log output streamed by the agent.
     pub log: String,
+    /// Timeline of state changes and notable events.
     pub timeline: Vec<TimelineEventDto>,
+    /// Last agent heartbeat (unix millis), while running.
     pub heartbeat_at: Option<u64>,
     /// Claims so far; absent reads as 0, a job never claimed.
     pub attempts: u32,
+    /// Idempotency key of the claim that started the current attempt; a
+    /// re-claim carrying the same key (retry after a dropped response)
+    /// returns this job instead of failing with a conflict.
     pub claim_key: Option<String>,
+    /// Idempotency key of the accepted result upload; a duplicate upload
+    /// with the same key returns the stored result instead of conflicting.
     pub result_key: Option<String>,
+    /// The result id once finished.
     pub result_id: Option<Id>,
+    /// Failure reason when failed.
     pub failure: Option<String>,
     pub created_at: u64,
     /// Index of this job's point in the evaluation's parameter space.
@@ -751,6 +833,13 @@ impl JobDto {
     /// and `timeline` omitted.
     pub fn summary_value(&self) -> Value {
         self.build_value(false)
+    }
+
+    /// [`WireEncode::to_value`] under its older name, kept only for the
+    /// repo benchmark (`benchmark/`), which calls it; it goes when the
+    /// benchmark calls `to_value`.
+    pub fn to_json(&self) -> Value {
+        self.to_value()
     }
 }
 
@@ -854,5 +943,130 @@ impl WireDecode for UserPublic {
             role: codec::str_or(value, "role", "member"),
             created_at: codec::lenient_u64(value, "created_at").unwrap_or(0),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scheduled job created at 1000, as the control plane creates one.
+    fn scheduled_job() -> JobDto {
+        JobDto {
+            id: Id::generate(),
+            evaluation_id: Id::generate(),
+            system_id: Id::generate(),
+            parameters: obj! {"threads" => 4},
+            state: JobState::Scheduled,
+            deployment_id: None,
+            progress: 0,
+            log: String::new(),
+            timeline: vec![TimelineEventDto {
+                at: 1000,
+                kind: "created".into(),
+                message: "job created and scheduled".into(),
+            }],
+            heartbeat_at: None,
+            attempts: 0,
+            claim_key: None,
+            result_key: None,
+            result_id: None,
+            failure: None,
+            created_at: 1000,
+            point_index: None,
+            budget: None,
+        }
+    }
+
+    #[test]
+    fn job_json_roundtrip() {
+        let mut job = scheduled_job();
+        job.state = JobState::Running;
+        job.timeline.push(TimelineEventDto {
+            at: 2000,
+            kind: "running".into(),
+            message: "claimed".into(),
+        });
+        job.deployment_id = Some(Id::generate());
+        job.progress = 42;
+        job.log = "line1\nline2\n".into();
+        job.heartbeat_at = Some(2500);
+        job.claim_key = Some("claim-abc".into());
+        job.result_key = Some("upload-xyz".into());
+        job.budget = Some(JobBudget { wall_millis: Some(60_000), ..Default::default() });
+        let parsed = JobDto::decode(&job.to_value()).unwrap();
+        assert_eq!(parsed, job);
+    }
+
+    /// Job documents that were once read two ways read the one way the
+    /// control plane reads them: a job without `attempts` was never
+    /// claimed, a `progress` past 100 clamps, and a `null` budget reads as
+    /// absent.
+    #[test]
+    fn drifted_job_documents_decode_leniently() {
+        let mut job = scheduled_job();
+        job.progress = 7;
+        let mut document = job.to_value();
+        document.as_object_mut().unwrap().remove("attempts");
+        assert_eq!(
+            JobDto::decode(&document).unwrap().attempts,
+            0,
+            "absent attempts: never claimed"
+        );
+        document.set("progress", 300);
+        assert_eq!(JobDto::decode(&document).unwrap().progress, 100, "progress clamps to 100");
+        document.set("budget", Value::Null);
+        assert_eq!(JobDto::decode(&document).unwrap().budget, None, "null budget is no budget");
+    }
+
+    #[test]
+    fn evaluation_roundtrip() {
+        let legacy = EvaluationDto {
+            id: Id::generate(),
+            experiment_id: Id::generate(),
+            job_ids: vec![Id::generate(), Id::generate()],
+            swept_params: vec!["engine".into(), "threads".into()],
+            created_at: 7,
+            source: None,
+        };
+        let encoded = legacy.to_value();
+        assert!(encoded.get("total_points").is_none(), "legacy shape has no source keys");
+        assert_eq!(EvaluationDto::decode(&encoded).unwrap(), legacy);
+
+        let lazy = EvaluationDto {
+            source: Some(JobSourceState {
+                strategy: Strategy::Grid,
+                total_points: 40,
+                materialized: 0,
+                frontier: None,
+            }),
+            ..legacy.clone()
+        };
+        let encoded = lazy.to_value();
+        assert_eq!(encoded.get("total_points").and_then(Value::as_u64), Some(40));
+        assert_eq!(EvaluationDto::decode(&encoded).unwrap(), lazy);
+
+        let adaptive = EvaluationDto {
+            source: Some(JobSourceState {
+                strategy: Strategy::Adaptive(AdaptiveConfig {
+                    seed: 3,
+                    initial: Some(8),
+                    ..Default::default()
+                }),
+                total_points: 40,
+                materialized: 0,
+                frontier: Some(FrontierDto {
+                    rung: 0,
+                    candidates: vec![1, 4, 9, 16, 20, 25, 33, 39],
+                    issued: 0,
+                    job_ids: Vec::new(),
+                    decisions: Vec::new(),
+                }),
+            }),
+            ..legacy
+        };
+        let encoded = adaptive.to_value();
+        assert_eq!(encoded.pointer("/frontier/rung").and_then(Value::as_u64), Some(0));
+        assert_eq!(EvaluationDto::decode(&encoded).unwrap(), adaptive);
     }
 }

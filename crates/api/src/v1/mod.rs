@@ -22,8 +22,8 @@ pub use analytics::{
 };
 pub use cluster::{ClusterStatusDto, ReplicateAck, ReplicateRequest, VoteRequest, VoteResponse};
 pub use entities::{
-    AdaptiveConfig, ChartSpec, DeploymentDto, EvaluationDto, EvaluationSourceDto,
-    EvaluationStatusDto, ExperimentDto, FrontierDto, JobBudget, JobDto, JobResultDto, ProjectDto,
+    rung_sizes, AdaptiveConfig, ChartSpec, DeploymentDto, EvaluationDto, EvaluationStatusDto,
+    ExperimentDto, FrontierDto, JobBudget, JobDto, JobResultDto, JobSourceState, ProjectDto,
     Strategy, SystemDto, TimelineEventDto, UserPublic,
 };
 pub use params::{Assignment, ParamAssignments, ParamDef, ParamType};

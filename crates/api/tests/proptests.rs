@@ -158,6 +158,36 @@ fn arb_frontier() -> impl Strategy<Value = v1::FrontierDto> {
         })
 }
 
+/// An evaluation's job source: none (a pre-lazy document), a grid cursor,
+/// or an adaptive one with its frontier.
+fn arb_source() -> impl Strategy<Value = Option<v1::JobSourceState>> {
+    prop_oneof![
+        Just(None),
+        (arb_u64(), arb_u64()).prop_map(|(total_points, materialized)| {
+            Some(v1::JobSourceState {
+                strategy: v1::Strategy::Grid,
+                total_points,
+                materialized,
+                frontier: None,
+            })
+        }),
+        (arb_strategy(), arb_u64(), arb_u64(), arb_frontier()).prop_map(
+            |(strategy, total_points, materialized, frontier)| {
+                let strategy = match strategy {
+                    v1::Strategy::Grid => v1::Strategy::Adaptive(v1::AdaptiveConfig::default()),
+                    adaptive => adaptive,
+                };
+                Some(v1::JobSourceState {
+                    strategy,
+                    total_points,
+                    materialized,
+                    frontier: Some(frontier),
+                })
+            }
+        ),
+    ]
+}
+
 fn arb_state() -> impl Strategy<Value = JobState> {
     prop_oneof![
         Just(JobState::Scheduled),
@@ -239,14 +269,7 @@ proptest! {
         (flag, created_at) in (any::<bool>(), arb_ts()),
         (members, swept) in
             (prop::collection::vec(arb_id(), 0..4), prop::collection::vec("[a-z]{1,6}", 0..3)),
-        (doc, strategy, frontier, total_points, materialized, budget) in (
-            arb_doc(),
-            opt(arb_strategy()),
-            opt(arb_frontier()),
-            opt(arb_u64()),
-            opt(arb_u64()),
-            opt(arb_budget()),
-        ),
+        (doc, source, budget) in (arb_doc(), arb_source(), opt(arb_budget())),
         (parameters, charts, assignments, experiment_strategy) in (
             prop::collection::vec(arb_param_def(), 0..4),
             prop::collection::vec(arb_chart(), 0..3),
@@ -296,7 +319,7 @@ proptest! {
             job_ids: members,
             swept_params: swept,
             created_at,
-            source: v1::EvaluationSourceDto { strategy, total_points, materialized, frontier },
+            source,
         });
         roundtrip(&v1::JobResultDto {
             id,
@@ -559,4 +582,29 @@ fn every_vocabulary_variant_roundtrips() {
 fn api_index_roundtrips() {
     let index = ApiIndex::default();
     roundtrip(&index);
+}
+
+/// Evaluation documents from before lazy evaluations read as they always
+/// did: no source fields is no source, and a `total_points` without
+/// `materialized` has materialized every job the document lists.
+#[test]
+fn legacy_evaluation_documents_decode() {
+    let legacy = obj! {
+        "id" => Id::from_u128(1).to_base32(),
+        "experiment_id" => Id::from_u128(2).to_base32(),
+        "job_ids" => Value::Array(vec![
+            Value::from(Id::from_u128(3).to_base32()),
+            Value::from(Id::from_u128(4).to_base32()),
+        ]),
+        "swept_params" => Value::Array(vec![Value::from("threads")]),
+        "created_at" => 5,
+    };
+    assert_eq!(v1::EvaluationDto::decode(&legacy).unwrap().source, None);
+
+    let mut counted = legacy.clone();
+    counted.set("total_points", 8);
+    let source = v1::EvaluationDto::decode(&counted).unwrap().source.expect("a source");
+    assert_eq!(source.materialized, 2, "the listed jobs were materialized");
+    assert_eq!(source.strategy, v1::Strategy::Grid, "an absent strategy is grid");
+    assert_eq!(v1::EvaluationDto::decode_source(&counted).unwrap(), Some(source));
 }

@@ -55,14 +55,14 @@ pub fn archive_project(control: &ChronosControl, project_id: Id) -> CoreResult<V
             add(
                 &mut zip,
                 format!("{eval_dir}/evaluation.json"),
-                evaluation.to_json().to_pretty_string().as_bytes(),
+                evaluation.to_value().to_pretty_string().as_bytes(),
             )?;
             for job in control.list_jobs(evaluation.id)? {
                 let job_dir = format!("{eval_dir}/jobs/{}", job.id);
                 add(
                     &mut zip,
                     format!("{job_dir}/job.json"),
-                    job.to_json().to_pretty_string().as_bytes(),
+                    job.to_value().to_pretty_string().as_bytes(),
                 )?;
                 if !job.log.is_empty() {
                     add(&mut zip, format!("{job_dir}/log.txt"), job.log.as_bytes())?;

@@ -27,8 +27,8 @@ use crate::auth::{Role, SessionManager, User};
 use crate::charts::ChartSpec;
 use crate::derived::{Change, Derived};
 use crate::error::{CoreError, CoreResult};
-use crate::jobsource::{prune_rung, JobSourceState, Strategy};
-use crate::lifecycle::JobEvent;
+use crate::jobsource::{self, prune_rung, JobSourceState, Strategy};
+use crate::lifecycle::{JobEvent, JobExt};
 use crate::model::{Deployment, Evaluation, Experiment, Job, JobResult, JobState, Project, System};
 use crate::params::{self, ParamAssignments, ParamDef, PointSpace};
 use crate::scheduler::{EvaluationStatus, SchedulerConfig};
@@ -212,7 +212,7 @@ impl ChronosControl {
                     let id = evaluation.as_u128();
                     self.analytics.mark_fresh(id);
                     touched.push(id);
-                    let source = JobSourceState::of_document(doc);
+                    let source = Evaluation::decode_source(doc).ok().flatten();
                     let remaining = source.map(|s| s.remaining() as usize);
                     changes.push(Change::Evaluation { id, remaining });
                 }
@@ -244,10 +244,18 @@ impl ChronosControl {
         self.versions.commit(&touched);
     }
 
-    /// One document decoded; `NotFound` when it is missing or undecodable.
-    fn fetch<T, E>(&self, kind: &'static str, id: Id, decode: Decode<T, E>) -> CoreResult<T> {
-        let doc = self.store.get(kind, &id.to_base32());
-        doc.and_then(|v| decode(&v).ok()).ok_or_else(|| CoreError::not_found(kind, id))
+    /// One document decoded; `NotFound` when it is missing. A stored
+    /// document that does not decode is a storage fault naming its kind
+    /// and id, never a missing one.
+    fn fetch<T, E: std::fmt::Display>(
+        &self,
+        kind: &'static str,
+        id: Id,
+        decode: Decode<T, E>,
+    ) -> CoreResult<T> {
+        let doc =
+            self.store.get(kind, &id.to_base32()).ok_or_else(|| CoreError::not_found(kind, id))?;
+        decode(&doc).map_err(|e| undecodable(kind, id, e))
     }
 
     /// Every decodable document of a kind, in id order.
@@ -640,16 +648,16 @@ impl ChronosControl {
                 job_ids: Vec::new(),
                 swept_params: params::swept_names(&experiment.parameters, &system.parameters),
                 created_at: tx.now,
-                source: Some(JobSourceState::plan(experiment.strategy, space.total())),
+                source: Some(jobsource::plan(experiment.strategy, space.total())),
             };
-            tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
+            tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_value());
             Ok(evaluation)
         })
     }
 
     /// Fetches an evaluation.
     pub fn get_evaluation(&self, id: Id) -> CoreResult<Evaluation> {
-        self.with_members(self.fetch(KIND_EVALUATION, id, Evaluation::from_json)?)
+        self.with_members(self.fetch(KIND_EVALUATION, id, Evaluation::decode)?)
     }
 
     /// `evaluation` with its members as its `job_ids`.
@@ -665,9 +673,9 @@ impl ChronosControl {
     }
 
     /// The `GET /evaluations/:id` body: the stored document — the one
-    /// [`Evaluation::to_json`] wrote, copied rather than decoded and encoded
-    /// again — with its members under `"job_ids"` and its status roll-up
-    /// under `"status"`.
+    /// [`create_evaluation`](ChronosControl::create_evaluation) wrote,
+    /// copied rather than decoded and encoded again — with its members
+    /// under `"job_ids"` and its status roll-up under `"status"`.
     pub fn evaluation_detail(&self, id: Id) -> CoreResult<Value> {
         let status = self.evaluation_status(id)?;
         let ids = self.folded(id, |fold| fold.members(id.as_u128(), |_, text| text.into()))?;
@@ -678,17 +686,18 @@ impl ChronosControl {
     }
 
     /// The system an evaluation's experiment runs on (whose chart specs a
-    /// chart read renders), found through the stored `experiment_id`.
+    /// chart read renders), found through the stored `experiment_id`; a
+    /// stored document without one is a storage fault, as in `fetch`.
     pub fn evaluation_system(&self, id: Id) -> CoreResult<System> {
         let document = self.evaluation_document(id)?;
         let experiment = codec::req_id(&document, "experiment_id")
-            .map_err(|_| CoreError::not_found(KIND_EVALUATION, id))?;
+            .map_err(|e| undecodable(KIND_EVALUATION, id, e))?;
         self.get_system(self.get_experiment(experiment)?.system_id)
     }
 
     /// Evaluations of an experiment (all when `None`).
     pub fn list_evaluations(&self, experiment_id: Option<Id>) -> Vec<Evaluation> {
-        let all = self.decode_all(KIND_EVALUATION, Evaluation::from_json);
+        let all = self.decode_all(KIND_EVALUATION, Evaluation::decode);
         let all = all.filter(|e| experiment_id.is_none_or(|x| e.experiment_id == x));
         all.filter_map(|evaluation| self.with_members(evaluation).ok()).collect()
     }
@@ -737,7 +746,7 @@ impl ChronosControl {
 
     /// Fetches a job.
     pub fn get_job(&self, id: Id) -> CoreResult<Job> {
-        self.fetch(KIND_JOB, id, Job::from_json)
+        self.fetch(KIND_JOB, id, Job::decode)
     }
 
     /// Jobs of an evaluation, in creation order.
@@ -754,7 +763,7 @@ impl ChronosControl {
         job.heartbeat_at = Some(tx.now);
         job.attempts += 1;
         job.claim_key = key.map(str::to_string);
-        tx.put(KIND_JOB, job.id, job.to_json());
+        tx.put(KIND_JOB, job.id, job.to_value());
         Ok(job)
     }
 
@@ -781,7 +790,7 @@ impl ChronosControl {
                 // Job ids are time-ordered, so store order = creation order.
                 for id in self.store.ids(KIND_JOB) {
                     let Some(doc) = self.store.get(KIND_JOB, &id) else { continue };
-                    let Ok(job) = Job::from_json(&doc) else { continue };
+                    let Ok(job) = Job::decode(&doc) else { continue };
                     if job.state == JobState::Running
                         && job.deployment_id == Some(deployment_id)
                         && job.claim_key.as_deref() == Some(key)
@@ -794,7 +803,7 @@ impl ChronosControl {
             // materialized point another agent abandoned).
             for id in self.store.ids(KIND_JOB) {
                 let Some(doc) = self.store.get(KIND_JOB, &id) else { continue };
-                let Ok(job) = Job::from_json(&doc) else { continue };
+                let Ok(job) = Job::decode(&doc) else { continue };
                 if job.state == JobState::Scheduled && job.system_id == deployment.system_id {
                     return Self::claim(tx, job, &deployment, idempotency_key).map(Some);
                 }
@@ -818,7 +827,7 @@ impl ChronosControl {
     ) -> CoreResult<Option<Job>> {
         for key in self.store.ids(KIND_EVALUATION) {
             let Some(doc) = self.store.get(KIND_EVALUATION, &key) else { continue };
-            let Ok(mut evaluation) = Evaluation::from_json(&doc) else { continue };
+            let Ok(mut evaluation) = Evaluation::decode(&doc) else { continue };
             let Some(mut source) = evaluation.source.clone() else { continue };
             if source.remaining() == 0 {
                 continue;
@@ -847,7 +856,7 @@ impl ChronosControl {
             }
             evaluation.job_ids.clear(); // the job names it; an older log's list goes
             evaluation.source = Some(source);
-            tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
+            tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_value());
             return Self::claim(tx, job, deployment, idempotency_key).map(Some);
         }
         Ok(None)
@@ -937,7 +946,7 @@ impl ChronosControl {
             if let Some(p) = progress {
                 job.progress = p.min(100);
             }
-            tx.put(KIND_JOB, job.id, job.to_json());
+            tx.put(KIND_JOB, job.id, job.to_value());
             Ok(job)
         })
     }
@@ -951,7 +960,7 @@ impl ChronosControl {
             if !text.ends_with('\n') {
                 job.log.push('\n');
             }
-            tx.put(KIND_JOB, job.id, job.to_json());
+            tx.put(KIND_JOB, job.id, job.to_value());
             Ok(())
         })
     }
@@ -990,7 +999,7 @@ impl ChronosControl {
             tx.put(KIND_RESULT, result.id, stored);
             job.result_id = Some(result.id);
             job.result_key = idempotency_key.map(str::to_string);
-            tx.put(KIND_JOB, job.id, job.to_json());
+            tx.put(KIND_JOB, job.id, job.to_value());
             Ok(result)
         })
     }
@@ -1042,7 +1051,7 @@ impl ChronosControl {
                 ),
             )?;
         }
-        tx.put(KIND_JOB, job.id, job.to_json());
+        tx.put(KIND_JOB, job.id, job.to_value());
         Ok(job)
     }
 
@@ -1051,7 +1060,7 @@ impl ChronosControl {
         self.write(|tx| {
             let mut job = self.get_job(job_id)?;
             job.apply(JobEvent::Abort, tx.now, "aborted by user")?;
-            tx.put(KIND_JOB, job.id, job.to_json());
+            tx.put(KIND_JOB, job.id, job.to_value());
             Ok(job)
         })
     }
@@ -1065,7 +1074,7 @@ impl ChronosControl {
             job.progress = 0;
             job.failure = None;
             job.claim_key = None;
-            tx.put(KIND_JOB, job.id, job.to_json());
+            tx.put(KIND_JOB, job.id, job.to_value());
             Ok(job)
         })
     }
@@ -1081,7 +1090,7 @@ impl ChronosControl {
                 .list(KIND_JOB)
                 .iter()
                 .filter(|doc| stored_job_state(doc) == Some(JobState::Running))
-                .filter_map(|doc| Job::from_json(doc).ok())
+                .filter_map(|doc| Job::decode(doc).ok())
                 .filter(|job| self.config.lease_expired(job.heartbeat_at, tx.now))
                 .collect();
             let reason =
@@ -1127,9 +1136,9 @@ impl ChronosControl {
     /// first putting an older log's evaluation documents without job ids.
     pub fn compact_store(&self) -> CoreResult<()> {
         self.write(|tx| {
-            for mut evaluation in self.decode_all(KIND_EVALUATION, Evaluation::from_json) {
+            for mut evaluation in self.decode_all(KIND_EVALUATION, Evaluation::decode) {
                 if !std::mem::take(&mut evaluation.job_ids).is_empty() {
-                    tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_json());
+                    tx.put(KIND_EVALUATION, evaluation.id, evaluation.to_value());
                 }
             }
             Ok(())
@@ -1162,6 +1171,12 @@ impl ChronosControl {
 /// the rest of it. `None` when the field is missing or not a known state.
 fn stored_job_state(doc: &Value) -> Option<JobState> {
     codec::str_ref(doc, "state").and_then(JobState::parse)
+}
+
+/// A stored document that does not decode: a storage fault naming it,
+/// never a missing document.
+fn undecodable(kind: &str, id: Id, error: impl std::fmt::Display) -> CoreError {
+    CoreError::Storage(format!("stored {kind} {id} does not decode: {error}"))
 }
 
 /// The evaluation a stored job document belongs to, read without decoding
@@ -1321,7 +1336,7 @@ mod tests {
         let mut statuses = Vec::new();
         for document in control.store.list(KIND_EVALUATION) {
             assert_eq!(document.get("job_ids"), Some(&Value::Array(Vec::new())), "{what}");
-            let mut evaluation = Evaluation::from_json(&document).unwrap();
+            let mut evaluation = Evaluation::decode(&document).unwrap();
             let jobs = scanned.get(&evaluation.id).map_or(&[][..], Vec::as_slice);
             let mut status = tally(jobs.iter().map(|&(_, state)| state));
             status.remaining = evaluation.source.as_ref().map(|s| s.remaining() as usize);
@@ -1333,7 +1348,7 @@ mod tests {
             assert_eq!(control.get_evaluation(evaluation.id).unwrap(), evaluation, "{what}");
             // The detail body serves the stored document with the members
             // in place: the bytes of the evaluation encoded again.
-            let mut detail = evaluation.to_json();
+            let mut detail = evaluation.to_value();
             detail.set("status", status.to_json());
             let served = control.evaluation_detail(evaluation.id).unwrap();
             assert_eq!(served.to_string(), detail.to_string(), "{what}: detail");
@@ -1403,7 +1418,7 @@ mod tests {
         let before = versions();
         control
             .write(|tx| {
-                tx.put(KIND_JOB, job.id, job.to_json());
+                tx.put(KIND_JOB, job.id, job.to_value());
                 let result = obj! {"job_id" => job.id.to_base32(), "data" => obj! {"ok" => 1}};
                 tx.put(KIND_RESULT, Id::generate(), result);
                 assert_eq!(versions(), before, "a version moved before the write's last mutation");
@@ -1460,8 +1475,8 @@ mod tests {
             .write(|tx| {
                 let mut later = job.clone();
                 later.progress = 7;
-                tx.put(KIND_JOB, job.id, job.to_json());
-                tx.put(KIND_JOB, later.id, later.to_json());
+                tx.put(KIND_JOB, job.id, job.to_value());
+                tx.put(KIND_JOB, later.id, later.to_value());
                 Ok(())
             })
             .unwrap();
@@ -1971,7 +1986,7 @@ mod tests {
         let (control, _clock, evaluation, deployment) = demo_evaluation();
         let job = control.claim_next_job(deployment.id, None).unwrap().unwrap();
         for state in [Value::from("paused"), Value::Null] {
-            let mut doc = job.to_json();
+            let mut doc = job.to_value();
             doc.set("state", state);
             control.store.put(KIND_JOB, &job.id.to_base32(), doc).unwrap();
             let (follower, _follower_clock) = control_with_clock();
@@ -2088,7 +2103,7 @@ mod tests {
             created_at: 1_000_000,
             source,
         };
-        let source = JobSourceState::plan(Strategy::Grid, space.total());
+        let source = jobsource::plan(Strategy::Grid, space.total());
         let lazy = evaluation(100, [1, 3, 5], Some(JobSourceState { materialized: 3, ..source }));
         let eager = evaluation(101, [2, 4, 6], None);
         let states = [
@@ -2117,11 +2132,11 @@ mod tests {
                 job.result_id = Some(result.id);
                 control.store.put(KIND_RESULT, &result.id.to_base32(), result.to_json()).unwrap();
             }
-            control.store.put(KIND_JOB, &job.id.to_base32(), job.to_json()).unwrap();
+            control.store.put(KIND_JOB, &job.id.to_base32(), job.to_value()).unwrap();
         }
         for evaluation in [&lazy, &eager] {
             let id = evaluation.id.to_base32();
-            control.store.put(KIND_EVALUATION, &id, evaluation.to_json()).unwrap();
+            control.store.put(KIND_EVALUATION, &id, evaluation.to_value()).unwrap();
         }
         control.store.compact().unwrap();
         (lazy, eager, deployment.id)
@@ -2154,7 +2169,7 @@ mod tests {
                 assert_eq!(control.get_evaluation(evaluation.id).unwrap(), *evaluation);
                 let jobs = control.list_jobs(evaluation.id).unwrap();
                 assert_eq!(jobs.iter().map(|job| job.id).collect::<Vec<_>>(), evaluation.job_ids);
-                let mut detail = evaluation.to_json();
+                let mut detail = evaluation.to_value();
                 detail.set("status", status.to_json());
                 let served = control.evaluation_detail(evaluation.id).unwrap();
                 assert_eq!(served.to_string(), detail.to_string());
@@ -2179,7 +2194,7 @@ mod tests {
         claimed.job_ids.push(job.id);
         claimed.source.as_mut().unwrap().advance();
         assert_read_as_listed(&control, [&claimed, &eager]);
-        let eager_list = eager.to_json().get("job_ids").unwrap().to_string();
+        let eager_list = eager.to_value().get("job_ids").unwrap().to_string();
         assert_eq!(listed_jobs(&control), "[]".len() + eager_list.len(), "a claim listed jobs");
         control.compact_store().unwrap();
         assert_read_as_listed(&control, [&claimed, &eager]);

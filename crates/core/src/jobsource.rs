@@ -23,135 +23,34 @@
 //!   appended to a decision log, so replaying the same seed — on one node
 //!   or across a leader failover — yields identical decisions.
 
-use chronos_api::{codec, v1 as dto};
 use chronos_json::{obj, Value};
 use chronos_util::SplitMix64;
 
 /// The live frontier of an adaptive evaluation: the current rung.
 pub use chronos_api::v1::FrontierDto as Frontier;
-/// How an experiment explores its parameter space, and the tunables of its
-/// adaptive strategy: `chronos-api` types, re-exported.
-pub use chronos_api::v1::{AdaptiveConfig, Strategy};
+/// How an experiment explores its parameter space, the tunables of its
+/// adaptive strategy, and the evaluation's persisted cursor over the
+/// space (with the rung plan its remainder is counted from):
+/// `chronos-api` types, re-exported.
+pub use chronos_api::v1::{rung_sizes, AdaptiveConfig, JobSourceState, Strategy};
 
-/// Sizes of every rung of a successive-halving run that starts with `k0`
-/// candidates: `k0, ceil(k0/eta), ...` down to a single survivor.
-pub fn rung_sizes(k0: u64, eta: u64) -> Vec<u64> {
-    let mut sizes = vec![k0.max(1)];
-    let mut k = k0.max(1);
-    while k > 1 {
-        k = k.div_ceil(eta);
-        sizes.push(k);
-    }
-    sizes
-}
-
-/// The persisted iteration state of a lazy evaluation. Stored inside the
-/// evaluation document, so every cursor advance is one WAL frame and
-/// replicates to followers with the rest of the control plane.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSourceState {
-    /// The strategy, frozen at evaluation creation.
-    pub strategy: Strategy,
-    /// Size of the full parameter space.
-    pub total_points: u64,
-    /// How many points have been materialized as job documents.
-    pub materialized: u64,
-    /// Adaptive only: the current rung.
-    pub frontier: Option<Frontier>,
-}
-
-impl JobSourceState {
-    /// Plans the source for a space of `total_points`. Adaptive strategies
-    /// draw their rung-0 candidate sample here (seeded, deterministic).
-    pub fn plan(strategy: Strategy, total_points: u64) -> JobSourceState {
-        let frontier = match &strategy {
-            Strategy::Grid => None,
-            Strategy::Adaptive(cfg) => {
-                let k0 = cfg.rung0_size(total_points);
-                Some(Frontier {
-                    rung: 0,
-                    candidates: sample_distinct(cfg.seed, total_points, k0),
-                    issued: 0,
-                    job_ids: Vec::new(),
-                    decisions: Vec::new(),
-                })
-            }
-        };
-        JobSourceState { strategy, total_points, materialized: 0, frontier }
-    }
-
-    /// Points this source still plans to issue. For grid sources this is
-    /// exact; for adaptive sources it is the plan (unissued candidates of
-    /// the current rung plus all future rung sizes) — pruning can only make
-    /// it smaller, never larger, so an unsettled evaluation always reports
-    /// a positive remainder.
-    pub fn remaining(&self) -> u64 {
-        match (&self.strategy, &self.frontier) {
-            (Strategy::Adaptive(cfg), Some(frontier)) => {
-                let k = frontier.candidates.len() as u64;
-                let current = k.saturating_sub(frontier.issued);
-                let future: u64 = rung_sizes(k, cfg.eta).iter().skip(1).sum();
-                current + future
-            }
-            _ => self.total_points.saturating_sub(self.materialized),
+/// Plans the source of a space of `total_points`. Adaptive strategies draw
+/// their rung-0 candidate sample here (seeded, deterministic).
+pub fn plan(strategy: Strategy, total_points: u64) -> JobSourceState {
+    let frontier = match &strategy {
+        Strategy::Grid => None,
+        Strategy::Adaptive(cfg) => {
+            let k0 = cfg.rung0_size(total_points);
+            Some(Frontier {
+                rung: 0,
+                candidates: sample_distinct(cfg.seed, total_points, k0),
+                issued: 0,
+                job_ids: Vec::new(),
+                decisions: Vec::new(),
+            })
         }
-    }
-
-    /// The next point index to materialize, without advancing any state.
-    /// `None` when the source is exhausted or (adaptive) the current rung
-    /// is fully issued and must settle before pruning.
-    pub fn peek(&self) -> Option<u64> {
-        match &self.frontier {
-            None => (self.materialized < self.total_points).then_some(self.materialized),
-            Some(frontier) => frontier.candidates.get(frontier.issued as usize).copied(),
-        }
-    }
-
-    /// Advances past the point returned by [`JobSourceState::peek`].
-    pub fn advance(&mut self) {
-        self.materialized += 1;
-        if let Some(frontier) = &mut self.frontier {
-            frontier.issued += 1;
-        }
-    }
-
-    /// The evaluation document's source fields (flat, appended after the
-    /// frozen evaluation keys).
-    pub(crate) fn to_source(&self) -> dto::EvaluationSourceDto {
-        dto::EvaluationSourceDto {
-            strategy: Some(self.strategy.clone()),
-            total_points: Some(self.total_points),
-            materialized: Some(self.materialized),
-            frontier: self.frontier.clone(),
-        }
-    }
-
-    /// The source of a stored evaluation document, decoded without its
-    /// `job_ids`: what the fold reads on every put of an evaluation. `None`
-    /// as for [`JobSourceState::from_source`], and when a source field does
-    /// not decode. Counting `job_ids` for a missing `materialized` serves
-    /// only documents from older logs: no write lists jobs any more.
-    pub(crate) fn of_document(doc: &Value) -> Option<JobSourceState> {
-        let source = dto::EvaluationDto::decode_source(doc).ok()?;
-        let jobs = codec::field(doc, "job_ids").and_then(Value::as_array).map_or(0, Vec::len);
-        Self::from_source(source, jobs)
-    }
-
-    /// The source the decoded fields describe; `None` when the document
-    /// predates lazy evaluations (such evaluations are fully materialized).
-    /// An evaluation of `jobs` jobs and no `materialized` count has
-    /// materialized them all.
-    pub(crate) fn from_source(
-        source: dto::EvaluationSourceDto,
-        jobs: usize,
-    ) -> Option<JobSourceState> {
-        Some(JobSourceState {
-            strategy: source.strategy.unwrap_or(Strategy::Grid),
-            total_points: source.total_points?,
-            materialized: source.materialized.unwrap_or(jobs as u64),
-            frontier: source.frontier,
-        })
-    }
+    };
+    JobSourceState { strategy, total_points, materialized: 0, frontier }
 }
 
 /// The outcome of scoring one rung: records the decision and installs the
@@ -264,7 +163,7 @@ mod tests {
 
     #[test]
     fn grid_source_issues_every_index_in_order() {
-        let mut source = JobSourceState::plan(Strategy::Grid, 4);
+        let mut source = plan(Strategy::Grid, 4);
         let mut issued = Vec::new();
         while let Some(i) = source.peek() {
             issued.push(i);
@@ -278,7 +177,7 @@ mod tests {
     #[test]
     fn adaptive_source_plans_rung0_and_blocks_until_settled() {
         let cfg = AdaptiveConfig { seed: 7, initial: Some(4), ..Default::default() };
-        let mut source = JobSourceState::plan(Strategy::Adaptive(cfg.clone()), 100);
+        let mut source = plan(Strategy::Adaptive(cfg.clone()), 100);
         let frontier = source.frontier.clone().unwrap();
         assert_eq!(frontier.candidates.len(), 4);
         // remaining = current rung + planned future rungs (4 → 1).

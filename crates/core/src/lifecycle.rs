@@ -1,11 +1,12 @@
 //! The job lifecycle state machine — the single transition table every
 //! layer consults.
 //!
-//! The wire vocabulary ([`JobState`]) lives in `chronos-api`; this module
-//! owns *legality*: which event may fire in which state, and what state it
-//! lands in. Server handlers, the scheduler sweep, and the agent-facing
-//! control paths all funnel through [`transition`] instead of comparing
-//! state strings.
+//! The wire vocabulary ([`JobState`]) and the job document ([`Job`]) live
+//! in `chronos-api`; this module owns *legality*: which event may fire in
+//! which state, and what state it lands in. Server handlers, the scheduler
+//! sweep, and the agent-facing control paths all funnel through
+//! [`transition`] — through [`JobExt::apply`] on a job — instead of
+//! comparing state strings.
 //!
 //! ```text
 //!                 Claim                 Finish
@@ -20,6 +21,11 @@
 //! ```
 
 use chronos_api::JobState;
+use chronos_json::Value;
+use chronos_util::Id;
+
+use crate::error::{CoreError, CoreResult};
+use crate::model::{Job, TimelineEvent};
 
 /// An event that moves a job through its lifecycle. Each event has exactly
 /// one target state; legality depends on the state it fires in.
@@ -131,6 +137,69 @@ impl JobStateExt for JobState {
 
     fn is_terminal(&self) -> bool {
         matches!(self, JobState::Finished | JobState::Aborted | JobState::Quarantined)
+    }
+}
+
+/// A job's lifecycle as methods on [`Job`] (the document type lives in
+/// `chronos-api`, which knows nothing about legality either).
+pub trait JobExt {
+    /// Creates a scheduled job.
+    fn new(evaluation_id: Id, system_id: Id, parameters: Value, now: u64) -> Self;
+    /// Records a timeline event.
+    fn record(&mut self, now: u64, kind: &str, message: impl Into<String>);
+    /// Applies a lifecycle event, enforcing the transition table.
+    fn apply(&mut self, event: JobEvent, now: u64, message: &str) -> CoreResult<()>;
+    /// Applies a state transition. Each state is the target of exactly one
+    /// [`JobEvent`], so this is the state-centric view of [`JobExt::apply`].
+    fn transition(&mut self, next: JobState, now: u64, message: &str) -> CoreResult<()>;
+}
+
+impl JobExt for Job {
+    fn new(evaluation_id: Id, system_id: Id, parameters: Value, now: u64) -> Job {
+        Job {
+            id: Id::generate(),
+            evaluation_id,
+            system_id,
+            parameters,
+            state: JobState::Scheduled,
+            deployment_id: None,
+            progress: 0,
+            log: String::new(),
+            timeline: vec![TimelineEvent {
+                at: now,
+                kind: "created".into(),
+                message: "job created and scheduled".into(),
+            }],
+            heartbeat_at: None,
+            attempts: 0,
+            claim_key: None,
+            result_key: None,
+            result_id: None,
+            failure: None,
+            created_at: now,
+            point_index: None,
+            budget: None,
+        }
+    }
+
+    fn record(&mut self, now: u64, kind: &str, message: impl Into<String>) {
+        self.timeline.push(TimelineEvent { at: now, kind: kind.into(), message: message.into() });
+    }
+
+    fn apply(&mut self, event: JobEvent, now: u64, message: &str) -> CoreResult<()> {
+        let next = transition(self.state, event)
+            .map_err(|violation| CoreError::Conflict(format!("job {} {violation}", self.id)))?;
+        self.state = next;
+        self.record(now, next.as_str(), message);
+        Ok(())
+    }
+
+    fn transition(&mut self, next: JobState, now: u64, message: &str) -> CoreResult<()> {
+        let event = JobEvent::ALL
+            .into_iter()
+            .find(|e| e.target() == next)
+            .expect("every state is the target of exactly one lifecycle event");
+        self.apply(event, now, message)
     }
 }
 

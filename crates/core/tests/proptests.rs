@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use chronos_core::model::{Job, JobState, JobStateExt};
+use chronos_core::model::{Job, JobExt, JobState, JobStateExt};
 use chronos_core::params::{self, ParamAssignments, ParamDef, ParamType};
 use chronos_core::store::MetadataStore;
 use chronos_json::{obj, Value};

@@ -18,7 +18,7 @@
 //!   shard slot; there is no padding, so storage is tight.
 //! * **WAL + checkpoints.** Mutations append to a write-ahead log. Log
 //!   records are framed (serialized + checksummed) *outside* the log lock
-//!   — only the buffer append is serialized — so the log does not become
+//!   — only the append itself is serialized — so the log does not become
 //!   the scaling bottleneck the mmapv1 journal is.
 //!
 //! An in-memory copy ([`StorageEngine::clone_in_memory`]) copies each

@@ -3,7 +3,7 @@
 //! Every request body and path parameter goes through the typed contract
 //! in `chronos-api`: DTO decoders reject missing/ill-typed required fields
 //! with a 400 envelope, and every response body is produced by a DTO
-//! encoder (directly or via the model's `to_json` delegation), so this
+//! encoder (directly, or for a result via `JobResult::to_json`), so this
 //! module never touches raw `Value` fields.
 
 use std::sync::Arc;
@@ -434,7 +434,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             writer(&control_, req)?;
             let evaluation = control_.create_evaluation(param_id(p, "id")?)?;
-            Ok(Response::json_status(Status::CREATED, &evaluation.to_json()))
+            Ok(Response::json_status(Status::CREATED, &evaluation.to_value()))
         })())
     });
 
@@ -445,7 +445,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             let evaluations: Vec<_> = control_
                 .list_evaluations(Some(param_id(p, "id")?))
                 .iter()
-                .map(|e| e.to_json())
+                .map(|e| e.to_value())
                 .collect();
             Ok(Response::json(&chronos_json::Value::Array(evaluations)))
         })())
@@ -472,7 +472,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             reads_.serve(req, Scope::Evaluation(id), || {
                 // Listing view: omit the potentially large log and timeline.
                 let jobs: Vec<_> =
-                    control_.list_jobs(id)?.iter().map(|j| j.to_json_summary()).collect();
+                    control_.list_jobs(id)?.iter().map(|j| j.summary_value()).collect();
                 Ok(Response::json(&chronos_json::Value::Array(jobs)))
             })
         })())
@@ -556,7 +556,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             authed(&control_, req)?;
             let job = control_.get_job(param_id(p, "id")?)?;
-            Ok(Response::json(&job.to_json()))
+            Ok(Response::json(&job.to_value()))
         })())
     });
 
@@ -574,7 +574,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             writer(&control_, req)?;
             let job = control_.abort_job(param_id(p, "id")?)?;
-            Ok(Response::json(&job.to_json()))
+            Ok(Response::json(&job.to_value()))
         })())
     });
 
@@ -583,7 +583,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
         respond((|| {
             writer(&control_, req)?;
             let job = control_.reschedule_job(param_id(p, "id")?)?;
-            Ok(Response::json(&job.to_json()))
+            Ok(Response::json(&job.to_value()))
         })())
     });
 
@@ -594,7 +594,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             authed(&control_, req)?;
             let claim: v1::ClaimRequest = body(req)?;
             match control_.claim_next_job(claim.deployment_id, claim.idempotency_key.as_deref())? {
-                Some(job) => Ok(Response::json(&job.to_json())),
+                Some(job) => Ok(Response::json(&job.to_value())),
                 None => Ok(Response::status(Status::NO_CONTENT)),
             }
         })())
@@ -644,7 +644,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             authed(&control_, req)?;
             let fail: v1::FailRequest = body(req)?;
             let job = control_.fail_job(param_id(p, "id")?, &fail.reason, fail.attempt)?;
-            Ok(Response::json(&job.to_json()))
+            Ok(Response::json(&job.to_value()))
         })())
     });
 
@@ -689,7 +689,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
             let jobs = control_.evaluation_status(evaluation.id)?.total();
             let response = v1::TriggerBuildResponse {
                 jobs,
-                evaluation: evaluation.to_json(),
+                evaluation: evaluation.to_value(),
                 build: trigger.build,
             };
             Ok(Response::json_status(Status::CREATED, &response.to_value()))

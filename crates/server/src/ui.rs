@@ -77,6 +77,7 @@ fn ui_error(error: CoreError) -> Response {
     let status = match &error {
         CoreError::NotFound { .. } => Status::NOT_FOUND,
         CoreError::Forbidden(_) => Status::FORBIDDEN,
+        CoreError::Storage(_) | CoreError::Archive(_) => Status::INTERNAL_ERROR,
         _ => Status::BAD_REQUEST,
     };
     let html = format!(

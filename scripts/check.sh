@@ -29,6 +29,8 @@ echo "== cargo clippy (deny warnings) =="
 # (AnalyticsStore::{ingest, mark_fresh}) and the job membership and state counters
 # (Derived::fold). And crates/agent/clippy.toml: no
 # std::thread::sleep in the agent, whose per-job threads wait on a StopSignal instead.
+# And crates/core/clippy.toml with the root clippy.toml: no workspace caller of
+# chronos_api::v1::{JobDto, EvaluationDto}::to_json, kept only for benchmark/.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test =="

@@ -17,6 +17,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use chronos::api::WireDecode;
 use chronos::core::analysis;
 use chronos::core::auth::Role;
 use chronos::core::model::{Job, JobState};
@@ -274,7 +275,7 @@ fn claims_and_uploads_survive_a_failed_append_exactly_once() {
         drop(control);
 
         let store = MetadataStore::open(&path).unwrap();
-        let jobs: Vec<Job> = store.list("job").iter().map(|d| Job::from_json(d).unwrap()).collect();
+        let jobs: Vec<Job> = store.list("job").iter().map(|d| Job::decode(d).unwrap()).collect();
         for job in jobs.iter().filter(|job| job.point_index.is_some()) {
             assert_eq!(job.evaluation_id, evaluation.id, "k={k}: job {} {}", job.id, replay());
             let listed = members.iter().filter(|id| **id == job.id).count();

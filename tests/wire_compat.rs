@@ -326,15 +326,15 @@ fn entity_bodies() {
     golden("deployment.json", &fixture_deployment().to_value().to_string());
     golden("project.json", &fixture_project().to_value().to_string());
     golden("experiment.json", &fixture_experiment().to_value().to_string());
-    golden("evaluation.json", &fixture_evaluation().to_json().to_string());
+    golden("evaluation.json", &fixture_evaluation().to_value().to_string());
     golden("evaluation_status.json", &fixture_status().to_json().to_string());
     // GET /api/v1/evaluations/:id — the evaluation with its status roll-up.
-    let mut detail = fixture_evaluation().to_json();
+    let mut detail = fixture_evaluation().to_value();
     detail.set("status", fixture_status().to_json());
     golden("evaluation_detail.json", &detail.to_string());
-    golden("job.json", &fixture_job().to_json().to_string());
+    golden("job.json", &fixture_job().to_value().to_string());
     // Listing view: the log and timeline are omitted.
-    golden("job_listing_item.json", &fixture_job().to_json_summary().to_string());
+    golden("job_listing_item.json", &fixture_job().summary_value().to_string());
     golden("job_result.json", &fixture_result().to_json().to_string());
 }
 
@@ -364,10 +364,10 @@ fn entity_fixtures_decode_and_reencode() {
         reencodes(name, Experiment::decode, Experiment::to_value);
     }
     for name in ["evaluation.json", "evaluation_lazy_grid.json", "evaluation_adaptive.json"] {
-        reencodes(name, Evaluation::from_json, Evaluation::to_json);
+        reencodes(name, Evaluation::decode, Evaluation::to_value);
     }
     for name in ["job.json", "job_point_index.json", "job_budgeted.json", "job_quarantined.json"] {
-        reencodes(name, Job::from_json, Job::to_json);
+        reencodes(name, Job::decode, Job::to_value);
     }
 }
 
@@ -407,7 +407,7 @@ fn lazy_and_adaptive_bodies() {
         materialized: 1,
         frontier: None,
     });
-    golden("evaluation_lazy_grid.json", &evaluation.to_json().to_string());
+    golden("evaluation_lazy_grid.json", &evaluation.to_value().to_string());
 
     // An adaptive evaluation on rung 1 with one recorded pruning decision.
     let mut evaluation = fixture_evaluation();
@@ -433,10 +433,10 @@ fn lazy_and_adaptive_bodies() {
             }],
         }),
     });
-    let body = evaluation.to_json().to_string();
+    let body = evaluation.to_value().to_string();
     golden("evaluation_adaptive.json", &body);
     // The document reads back losslessly through the core decoder.
-    assert_eq!(Evaluation::from_json(&chronos::json::parse(&body).unwrap()).unwrap(), evaluation);
+    assert_eq!(Evaluation::decode(&chronos::json::parse(&body).unwrap()).unwrap(), evaluation);
 
     // An experiment that selected the adaptive strategy.
     let mut experiment = fixture_experiment();
@@ -459,8 +459,8 @@ fn lazy_and_adaptive_bodies() {
     // A lazily-materialized job carries its point index.
     let mut job = fixture_job();
     job.point_index = Some(3);
-    golden("job_point_index.json", &job.to_json().to_string());
-    golden("job_point_index_listing_item.json", &job.to_json_summary().to_string());
+    golden("job_point_index.json", &job.to_value().to_string());
+    golden("job_point_index_listing_item.json", &job.summary_value().to_string());
 
     // The create-experiment request opting into adaptive scheduling.
     let request = v1::CreateExperimentRequest {
@@ -553,9 +553,9 @@ fn budget_and_quarantine_bodies() {
     // response, which returns the full job document to the agent.
     let mut job = fixture_job();
     job.budget = Some(budget);
-    let body = job.to_json().to_string();
+    let body = job.to_value().to_string();
     golden("job_budgeted.json", &body);
-    assert_eq!(Job::from_json(&chronos::json::parse(&body).unwrap()).unwrap(), job);
+    assert_eq!(Job::decode(&chronos::json::parse(&body).unwrap()).unwrap(), job);
 
     // A poison job after max_attempts typed budget failures: terminal
     // Quarantined state with the typed failure reason.
@@ -569,9 +569,9 @@ fn budget_and_quarantine_bodies() {
         kind: "quarantined".into(),
         message: "failed 3 of 3 attempts; quarantined".into(),
     });
-    let body = job.to_json().to_string();
+    let body = job.to_value().to_string();
     golden("job_quarantined.json", &body);
-    assert_eq!(Job::from_json(&chronos::json::parse(&body).unwrap()).unwrap(), job);
+    assert_eq!(Job::decode(&chronos::json::parse(&body).unwrap()).unwrap(), job);
 
     // Status roll-up with quarantined jobs: the count is a conditional
     // trailing field, omitted while zero.
@@ -611,7 +611,7 @@ fn trigger_and_stats_bodies() {
     let evaluation = fixture_evaluation();
     let response = v1::TriggerBuildResponse {
         jobs: evaluation.job_ids.len(),
-        evaluation: evaluation.to_json(),
+        evaluation: evaluation.to_value(),
         build: "abc123".into(),
     };
     golden("trigger_build_response.json", &response.encode());
