@@ -147,12 +147,6 @@ impl ResourceTracker {
         ResourceTracker { start, overhead_nanos: begin.elapsed().as_nanos() as u64 }
     }
 
-    /// The opening snapshot, for callers (the budget watchdog) that need
-    /// the baseline this tracker will diff against.
-    pub fn start_sample(&self) -> Option<ResourceSample> {
-        self.start
-    }
-
     /// Takes the closing snapshot and renders the per-job deltas as the
     /// `resources` JSON block, `None` when procfs is unavailable.
     pub fn finish(mut self) -> Option<Value> {
@@ -262,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_without_start_sample_is_none() {
+    fn finish_without_an_opening_snapshot_is_none() {
         let tracker = ResourceTracker { start: None, overhead_nanos: 0 };
         assert!(tracker.finish().is_none());
     }

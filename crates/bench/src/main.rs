@@ -395,13 +395,14 @@ fn experiment_e15(Options { quick, report }: Options) {
         let deployment = control.create_deployment(system.id, "bench", "1").unwrap();
         let project = control.create_project("bench", "E15", owner.id).unwrap();
         let experiment = control
-            .create_experiment_with_strategy(
+            .create_experiment_with_options(
                 project.id,
                 system.id,
                 "surface sweep",
                 "",
                 ParamAssignments::new().sweep_all("x").sweep_all("y"),
                 Strategy::Adaptive(AdaptiveConfig { seed, ..Default::default() }),
+                None,
             )
             .unwrap();
         let evaluation = control.create_evaluation(experiment.id).unwrap();
@@ -1165,12 +1166,12 @@ fn experiment_e14(Options { quick, report }: Options) {
 
     use chronos_agent::{AgentConfig, ChronosAgent, ControlClient, DocstoreClient};
     use chronos_bench::overload::run_load;
-    use chronos_core::cluster::election_jitter;
+    use chronos_core::cluster::{election_jitter, ClusterConfig};
     use chronos_core::model::JobState;
     use chronos_core::scheduler::SchedulerConfig;
     use chronos_http::Server;
     use chronos_json::arr;
-    use chronos_server::{ChronosServer, ClusterOptions};
+    use chronos_server::ChronosServer;
     use chronos_util::SystemClock;
 
     println!("== E14: replicated control plane (failover, exactly-once, read scaling) ==");
@@ -1201,7 +1202,7 @@ fn experiment_e14(Options { quick, report }: Options) {
                 control,
                 "127.0.0.1:0",
                 Server::new(),
-                ClusterOptions::new(*id).with_lease(lease),
+                ClusterConfig::new(*id).with_lease(lease),
             )
             .expect("bind cluster node")
         })

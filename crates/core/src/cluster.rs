@@ -65,6 +65,22 @@ pub struct ClusterConfig {
     pub staleness_bound: Duration,
 }
 
+impl ClusterConfig {
+    /// Defaults: a one-second lease and a staleness bound of twice the
+    /// lease.
+    pub fn new(node_id: impl Into<String>) -> Self {
+        let lease = Duration::from_secs(1);
+        ClusterConfig { node_id: node_id.into(), lease, staleness_bound: lease * 2 }
+    }
+
+    /// Overrides the lease; the staleness bound follows at twice the lease.
+    pub fn with_lease(mut self, lease: Duration) -> Self {
+        self.lease = lease;
+        self.staleness_bound = lease * 2;
+        self
+    }
+}
+
 struct Inner {
     role: ClusterRole,
     term: u64,
@@ -355,11 +371,7 @@ mod tests {
     use super::*;
 
     fn state(lease_ms: u64) -> ClusterState {
-        ClusterState::new(ClusterConfig {
-            node_id: "n1".into(),
-            lease: Duration::from_millis(lease_ms),
-            staleness_bound: Duration::from_millis(lease_ms * 2),
-        })
+        ClusterState::new(ClusterConfig::new("n1").with_lease(Duration::from_millis(lease_ms)))
     }
 
     #[test]

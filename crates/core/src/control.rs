@@ -158,11 +158,6 @@ impl ChronosControl {
         control
     }
 
-    /// The scheduling policy in force.
-    pub fn scheduler_config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
     /// Current time from the control clock.
     pub fn now(&self) -> u64 {
         self.clock.now_millis()
@@ -535,42 +530,21 @@ impl ChronosControl {
         description: &str,
         assignments: ParamAssignments,
     ) -> CoreResult<Experiment> {
-        self.create_experiment_with_strategy(
-            project_id,
-            system_id,
-            name,
-            description,
-            assignments,
-            Strategy::Grid,
-        )
-    }
-
-    /// Creates an experiment with an explicit exploration strategy. The
-    /// parameter space is validated without being materialized, so spaces
-    /// far beyond the old eager-expansion limit are accepted.
-    pub fn create_experiment_with_strategy(
-        &self,
-        project_id: Id,
-        system_id: Id,
-        name: &str,
-        description: &str,
-        assignments: ParamAssignments,
-        strategy: Strategy,
-    ) -> CoreResult<Experiment> {
         self.create_experiment_with_options(
             project_id,
             system_id,
             name,
             description,
             assignments,
-            strategy,
+            Strategy::Grid,
             None,
         )
     }
 
     /// Full experiment creation: explicit strategy plus an optional per-job
     /// resource budget copied onto every job the evaluations materialize.
-    /// An empty budget document normalizes to `None`.
+    /// An empty budget document normalizes to `None`. The parameter space
+    /// is validated without being materialized.
     #[allow(clippy::too_many_arguments)]
     pub fn create_experiment_with_options(
         &self,
@@ -666,33 +640,24 @@ impl ChronosControl {
         Ok(Evaluation { job_ids, ..evaluation })
     }
 
-    /// An evaluation's stored document, not decoded.
-    fn evaluation_document(&self, id: Id) -> CoreResult<Arc<Value>> {
-        let document = self.store.get(KIND_EVALUATION, &id.to_base32());
-        document.ok_or_else(|| CoreError::not_found(KIND_EVALUATION, id))
-    }
-
-    /// The `GET /evaluations/:id` body: the stored document — the one
-    /// [`create_evaluation`](ChronosControl::create_evaluation) wrote,
-    /// copied rather than decoded and encoded again — with its members
-    /// under `"job_ids"` and its status roll-up under `"status"`.
+    /// The `GET /evaluations/:id` body: the stored document decoded and
+    /// encoded again, with its members under `"job_ids"` and its status
+    /// roll-up under `"status"`. A stored document that does not decode is
+    /// a storage fault, as in `fetch`.
     pub fn evaluation_detail(&self, id: Id) -> CoreResult<Value> {
         let status = self.evaluation_status(id)?;
         let ids = self.folded(id, |fold| fold.members(id.as_u128(), |_, text| text.into()))?;
-        let mut detail = Value::clone(&*self.evaluation_document(id)?);
+        let mut detail = self.fetch(KIND_EVALUATION, id, Evaluation::decode)?.to_value();
         detail.set("job_ids", Value::Array(ids));
         detail.set("status", status.to_json());
         Ok(detail)
     }
 
     /// The system an evaluation's experiment runs on (whose chart specs a
-    /// chart read renders), found through the stored `experiment_id`; a
-    /// stored document without one is a storage fault, as in `fetch`.
+    /// chart read renders).
     pub fn evaluation_system(&self, id: Id) -> CoreResult<System> {
-        let document = self.evaluation_document(id)?;
-        let experiment = codec::req_id(&document, "experiment_id")
-            .map_err(|e| undecodable(KIND_EVALUATION, id, e))?;
-        self.get_system(self.get_experiment(experiment)?.system_id)
+        let evaluation = self.fetch(KIND_EVALUATION, id, Evaluation::decode)?;
+        self.get_system(self.get_experiment(evaluation.experiment_id)?.system_id)
     }
 
     /// Evaluations of an experiment (all when `None`).
@@ -2428,7 +2393,7 @@ mod tests {
         ));
         assert_eq!(control.count_results(), 1);
         // max_attempts = 2: a further failure would not be rescheduled.
-        assert!(!control.scheduler_config().may_auto_reschedule(2));
+        assert!(!control.config.may_auto_reschedule(2));
     }
 
     #[test]
@@ -2519,7 +2484,7 @@ mod tests {
         let owner = control.create_user("ada", "pw", Role::Member).unwrap();
         let project = control.create_project("p", "", owner.id).unwrap();
         let experiment = control
-            .create_experiment_with_strategy(
+            .create_experiment_with_options(
                 project.id,
                 system.id,
                 "adaptive",
@@ -2531,6 +2496,7 @@ mod tests {
                     eta: 2,
                     ..Default::default()
                 }),
+                None,
             )
             .unwrap();
         let evaluation = control.create_evaluation(experiment.id).unwrap();

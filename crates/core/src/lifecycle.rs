@@ -6,7 +6,9 @@
 //! which state, and what state it lands in. Server handlers, the scheduler
 //! sweep, and the agent-facing control paths all funnel through
 //! [`transition`] — through [`JobExt::apply`] on a job — instead of
-//! comparing state strings.
+//! comparing state strings. A caller names the [`JobEvent`], never the
+//! state it wants: each event has one target state, and legality is a
+//! property of the (state, event) pair.
 //!
 //! ```text
 //!                 Claim                 Finish
@@ -58,16 +60,6 @@ impl JobEvent {
             JobEvent::Quarantine => JobState::Quarantined,
         }
     }
-
-    /// Every lifecycle event.
-    pub const ALL: [JobEvent; 6] = [
-        JobEvent::Claim,
-        JobEvent::Finish,
-        JobEvent::Fail,
-        JobEvent::Abort,
-        JobEvent::Reschedule,
-        JobEvent::Quarantine,
-    ];
 }
 
 /// A lifecycle violation: `event` fired while the job was in `from`.
@@ -75,13 +67,6 @@ impl JobEvent {
 pub struct InvalidTransition {
     pub from: JobState,
     pub event: JobEvent,
-}
-
-impl InvalidTransition {
-    /// The state the event would have landed in.
-    pub fn target(&self) -> JobState {
-        self.event.target()
-    }
 }
 
 impl std::fmt::Display for InvalidTransition {
@@ -115,31 +100,6 @@ pub fn transition(state: JobState, event: JobEvent) -> Result<JobState, InvalidT
     }
 }
 
-/// Whether *any* event leads from `from` to `to` — the legacy
-/// state-to-state view of the table.
-pub fn can_transition(from: JobState, to: JobState) -> bool {
-    JobEvent::ALL.iter().any(|event| event.target() == to && transition(from, *event).is_ok())
-}
-
-/// State-machine queries as methods on [`JobState`] (the enum itself lives
-/// in `chronos-api`, which deliberately knows nothing about legality).
-pub trait JobStateExt {
-    /// Whether a transition to `next` is legal.
-    fn can_transition_to(&self, next: JobState) -> bool;
-    /// Terminal states cannot progress (except `Failed`, via reschedule).
-    fn is_terminal(&self) -> bool;
-}
-
-impl JobStateExt for JobState {
-    fn can_transition_to(&self, next: JobState) -> bool {
-        can_transition(*self, next)
-    }
-
-    fn is_terminal(&self) -> bool {
-        matches!(self, JobState::Finished | JobState::Aborted | JobState::Quarantined)
-    }
-}
-
 /// A job's lifecycle as methods on [`Job`] (the document type lives in
 /// `chronos-api`, which knows nothing about legality either).
 pub trait JobExt {
@@ -149,9 +109,6 @@ pub trait JobExt {
     fn record(&mut self, now: u64, kind: &str, message: impl Into<String>);
     /// Applies a lifecycle event, enforcing the transition table.
     fn apply(&mut self, event: JobEvent, now: u64, message: &str) -> CoreResult<()>;
-    /// Applies a state transition. Each state is the target of exactly one
-    /// [`JobEvent`], so this is the state-centric view of [`JobExt::apply`].
-    fn transition(&mut self, next: JobState, now: u64, message: &str) -> CoreResult<()>;
 }
 
 impl JobExt for Job {
@@ -193,64 +150,67 @@ impl JobExt for Job {
         self.record(now, next.as_str(), message);
         Ok(())
     }
-
-    fn transition(&mut self, next: JobState, now: u64, message: &str) -> CoreResult<()> {
-        let event = JobEvent::ALL
-            .into_iter()
-            .find(|e| e.target() == next)
-            .expect("every state is the target of exactly one lifecycle event");
-        self.apply(event, now, message)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn table_matches_paper_lifecycle() {
-        assert_eq!(transition(JobState::Scheduled, JobEvent::Claim), Ok(JobState::Running));
-        assert_eq!(transition(JobState::Running, JobEvent::Finish), Ok(JobState::Finished));
-        assert_eq!(transition(JobState::Running, JobEvent::Fail), Ok(JobState::Failed));
-        assert_eq!(transition(JobState::Scheduled, JobEvent::Abort), Ok(JobState::Aborted));
-        assert_eq!(transition(JobState::Running, JobEvent::Abort), Ok(JobState::Aborted));
-        assert_eq!(transition(JobState::Failed, JobEvent::Reschedule), Ok(JobState::Scheduled));
-        assert_eq!(transition(JobState::Failed, JobEvent::Quarantine), Ok(JobState::Quarantined));
-    }
+    const EVENTS: [JobEvent; 6] = [
+        JobEvent::Claim,
+        JobEvent::Finish,
+        JobEvent::Fail,
+        JobEvent::Abort,
+        JobEvent::Reschedule,
+        JobEvent::Quarantine,
+    ];
 
     #[test]
-    fn terminal_states_accept_no_event() {
-        for terminal in [JobState::Finished, JobState::Aborted, JobState::Quarantined] {
-            for event in JobEvent::ALL {
-                assert_eq!(
-                    transition(terminal, event),
-                    Err(InvalidTransition { from: terminal, event })
-                );
-            }
-            assert!(terminal.is_terminal());
-        }
-    }
-
-    #[test]
-    fn state_view_agrees_with_event_table() {
-        // Every (from, to) pair the legacy matrix allowed, and nothing more.
-        let allowed = [
-            (JobState::Scheduled, JobState::Running),
-            (JobState::Scheduled, JobState::Aborted),
-            (JobState::Running, JobState::Finished),
-            (JobState::Running, JobState::Failed),
-            (JobState::Running, JobState::Aborted),
-            (JobState::Failed, JobState::Scheduled),
-            (JobState::Failed, JobState::Quarantined),
+    fn every_state_and_event_applies_or_conflicts() {
+        use JobEvent::*;
+        use JobState::*;
+        // Paper §2.1: scheduled or running jobs can be aborted, failed ones
+        // re-scheduled (or quarantined once out of attempts).
+        let legal = [
+            (Scheduled, Claim),
+            (Running, Finish),
+            (Running, Fail),
+            (Scheduled, Abort),
+            (Running, Abort),
+            (Failed, Reschedule),
+            (Failed, Quarantine),
         ];
+        let mut pairs = 0;
         for from in JobState::ALL {
-            for to in JobState::ALL {
-                assert_eq!(
-                    from.can_transition_to(to),
-                    allowed.contains(&(from, to)),
-                    "disagreement for {from} -> {to}"
-                );
+            for event in EVENTS {
+                pairs += 1;
+                let mut job = Job::new(Id::generate(), Id::generate(), Value::Null, 1_000);
+                job.state = from;
+                let before = job.clone();
+                let result = job.apply(event, 2_000, "probe");
+                if legal.contains(&(from, event)) {
+                    assert!(result.is_ok(), "{from} + {event:?}: {result:?}");
+                    assert_eq!(job.state, event.target());
+                    assert_eq!(job.timeline.len(), before.timeline.len() + 1);
+                    assert_eq!(
+                        job.timeline.last(),
+                        Some(&TimelineEvent {
+                            at: 2_000,
+                            kind: event.target().as_str().into(),
+                            message: "probe".into(),
+                        })
+                    );
+                } else {
+                    let expected =
+                        format!("job {} cannot go from {from} to {}", job.id, event.target());
+                    assert!(
+                        matches!(&result, Err(CoreError::Conflict(m)) if *m == expected),
+                        "{from} + {event:?}: {result:?}"
+                    );
+                    assert_eq!(job, before, "a refused event changes nothing");
+                }
             }
         }
+        assert_eq!(pairs, 36);
     }
 }

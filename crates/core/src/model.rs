@@ -19,7 +19,8 @@
 //!   [`Strategy`](crate::jobsource::Strategy), an evaluation's
 //!   [`JobSourceState`](crate::jobsource::JobSourceState), each decoded
 //!   once with its validation. A job's lifecycle methods are
-//!   [`JobExt`], beside the transition table they enforce.
+//!   [`JobExt`], beside the transition table they enforce: a caller fires
+//!   a [`JobEvent`](crate::lifecycle::JobEvent), never names a state.
 //! - [`JobResult`] stays a core type: it holds the archive bytes, which
 //!   its document reports only by size.
 
@@ -28,10 +29,10 @@ use chronos_api::WireEncode;
 use chronos_json::Value;
 use chronos_util::Id;
 
-// The wire vocabulary lives in `chronos-api`; legality queries and the
-// lifecycle methods come from the lifecycle state machine. Re-exported so
-// `model::JobState` keeps working across the workspace.
-pub use crate::lifecycle::{JobExt, JobStateExt};
+// The wire vocabulary lives in `chronos-api`; the lifecycle methods come
+// from the lifecycle state machine. Re-exported so `model::JobState` keeps
+// working across the workspace.
+pub use crate::lifecycle::JobExt;
 pub use chronos_api::JobState;
 
 /// A deployment: one reachable instance of a system in an environment
@@ -88,41 +89,21 @@ impl JobResult {
 mod tests {
     use super::*;
     use crate::jobsource::Strategy;
+    use crate::lifecycle::JobEvent;
     use crate::params::{ParamAssignments, ParamType};
     use chronos_api::WireDecode;
     use chronos_json::obj;
 
     #[test]
-    fn job_state_machine() {
-        use JobState::*;
-        assert!(Scheduled.can_transition_to(Running));
-        assert!(Scheduled.can_transition_to(Aborted));
-        assert!(!Scheduled.can_transition_to(Finished));
-        assert!(Running.can_transition_to(Finished));
-        assert!(Running.can_transition_to(Failed));
-        assert!(Running.can_transition_to(Aborted));
-        assert!(!Running.can_transition_to(Scheduled));
-        assert!(Failed.can_transition_to(Scheduled), "failed jobs can be re-scheduled");
-        assert!(Failed.can_transition_to(Quarantined), "poison jobs can be quarantined");
-        assert!(!Finished.can_transition_to(Running));
-        assert!(!Aborted.can_transition_to(Scheduled));
-        assert!(!Quarantined.can_transition_to(Scheduled), "quarantine is terminal");
-        assert!(Finished.is_terminal());
-        assert!(Aborted.is_terminal());
-        assert!(Quarantined.is_terminal());
-        assert!(!Failed.is_terminal());
-    }
-
-    #[test]
-    fn job_transition_records_timeline() {
+    fn job_events_record_the_timeline() {
         let mut job = Job::new(Id::generate(), Id::generate(), obj! {"threads" => 4}, 1000);
-        job.transition(JobState::Running, 2000, "claimed by agent-1").unwrap();
-        job.transition(JobState::Finished, 3000, "result uploaded").unwrap();
+        job.apply(JobEvent::Claim, 2000, "claimed by agent-1").unwrap();
+        job.apply(JobEvent::Finish, 3000, "result uploaded").unwrap();
         assert_eq!(job.timeline.len(), 3);
         assert_eq!(job.timeline[1].kind, "running");
         assert_eq!(job.timeline[2].at, 3000);
-        // Illegal transition refused and not recorded.
-        assert!(job.transition(JobState::Running, 4000, "no").is_err());
+        // Illegal event refused and not recorded.
+        assert!(job.apply(JobEvent::Claim, 4000, "no").is_err());
         assert_eq!(job.timeline.len(), 3);
     }
 

@@ -1,18 +1,15 @@
 //! Property tests for Chronos Control invariants:
 //!
 //! * evaluation-space expansion size and contents,
-//! * the job state machine under arbitrary operation sequences,
 //! * metadata-store consistency against a model.
 
 #![allow(clippy::disallowed_methods)] // drives the store below the control plane
 
 use std::collections::BTreeMap;
 
-use chronos_core::model::{Job, JobExt, JobState, JobStateExt};
 use chronos_core::params::{self, ParamAssignments, ParamDef, ParamType};
 use chronos_core::store::MetadataStore;
 use chronos_json::{obj, Value};
-use chronos_util::Id;
 use proptest::prelude::*;
 
 fn arb_interval() -> impl Strategy<Value = (i64, i64, i64)> {
@@ -57,46 +54,6 @@ proptest! {
                 def.param_type.validate_value(value).unwrap();
             }
             prop_assert!(seen.insert(point.to_string()), "duplicate point {point}");
-        }
-    }
-
-    /// The job state machine never reaches an illegal state, no matter the
-    /// operation sequence; terminal states stay terminal (except failed →
-    /// scheduled).
-    #[test]
-    fn job_state_machine_is_closed(transitions in prop::collection::vec(0u8..5, 1..40)) {
-        let mut job = Job::new(Id::generate(), Id::generate(), obj! {}, 0);
-        let mut now = 1u64;
-        for t in transitions {
-            let target = match t {
-                0 => JobState::Scheduled,
-                1 => JobState::Running,
-                2 => JobState::Finished,
-                3 => JobState::Aborted,
-                _ => JobState::Failed,
-            };
-            let before = job.state;
-            let timeline_before = job.timeline.len();
-            let result = job.transition(target, now, "fuzz");
-            match result {
-                Ok(()) => {
-                    prop_assert!(before.can_transition_to(target));
-                    prop_assert_eq!(job.state, target);
-                    prop_assert_eq!(job.timeline.len(), timeline_before + 1);
-                }
-                Err(_) => {
-                    prop_assert!(!before.can_transition_to(target));
-                    prop_assert_eq!(job.state, before, "failed transition must not change state");
-                    prop_assert_eq!(job.timeline.len(), timeline_before);
-                }
-            }
-            now += 1;
-        }
-        // From any reachable state, the set of legal moves matches the spec.
-        for target in [JobState::Scheduled, JobState::Running, JobState::Finished] {
-            let legal = job.state.can_transition_to(target);
-            let mut probe = job.clone();
-            prop_assert_eq!(probe.transition(target, now, "probe").is_ok(), legal);
         }
     }
 

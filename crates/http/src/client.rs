@@ -101,11 +101,6 @@ impl Client {
         self.send(Request::new(Method::Post, path).with_json(body))
     }
 
-    /// Sends `PUT path` with a JSON body.
-    pub fn put_json(&self, path: &str, body: &Value) -> Result<Response, ClientError> {
-        self.send(Request::new(Method::Put, path).with_json(body))
-    }
-
     /// Sends `POST path` with a binary body.
     pub fn post_bytes(
         &self,
@@ -542,7 +537,7 @@ mod tests {
             .unwrap();
         let client = Client::new(&server.base_url());
         let doc = obj! { "nested" => obj! { "k" => 1.5 } };
-        let resp = client.put_json("/doc", &doc).unwrap();
+        let resp = client.send(Request::new(Method::Put, "/doc").with_json(&doc)).unwrap();
         assert_eq!(resp.json_body().unwrap(), doc);
     }
 }

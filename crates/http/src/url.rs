@@ -98,15 +98,6 @@ pub fn parse_query(query: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Builds a query string from pairs, encoding both sides.
-pub fn build_query(pairs: &[(&str, &str)]) -> String {
-    pairs
-        .iter()
-        .map(|(k, v)| format!("{}={}", encode_component(k), encode_component(v)))
-        .collect::<Vec<_>>()
-        .join("&")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,10 +169,5 @@ mod tests {
             ]
         );
         assert!(parse_query("").is_empty());
-    }
-
-    #[test]
-    fn build_query_encodes() {
-        assert_eq!(build_query(&[("a", "1"), ("q", "x y")]), "a=1&q=x%20y");
     }
 }

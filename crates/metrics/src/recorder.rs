@@ -151,11 +151,6 @@ impl RunSummary {
         self.ops.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
-    /// Operation type names in first-recorded order.
-    pub fn op_names(&self) -> Vec<&str> {
-        self.ops.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// The per-second throughput series.
     pub fn throughput_series(&self) -> &Timeseries {
         &self.throughput
@@ -210,7 +205,6 @@ mod tests {
         assert_eq!(s.op("read").unwrap().latency_micros.count(), 2);
         assert_eq!(s.op("update").unwrap().errors, 1);
         assert!(s.op("scan").is_none());
-        assert_eq!(s.op_names(), vec!["read", "update"]);
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! on read-mostly workloads but plateaus under write concurrency and uses
 //! more storage.
 //!
+//! A write replaces a whole document ([`Collection::insert`],
+//! [`Collection::update`], [`Collection::upsert`], [`Collection::delete`]),
+//! as YCSB's `update` does; there are no partial-update operators.
+//!
 //! ```
 //! use minidoc::{Database, DbConfig, EngineKind};
 //! use chronos_json::obj;
@@ -37,13 +41,11 @@ pub mod engine;
 pub mod error;
 pub mod index;
 pub mod query;
-pub mod update;
 pub mod wal;
 
 pub use engine::{EngineKind, EngineStats, RecordCursor, SharedBytes, StorageEngine};
 pub use error::{DbError, DbResult};
 pub use query::Filter;
-pub use update::{UpdateOp, UpdateSpec};
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;

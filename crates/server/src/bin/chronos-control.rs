@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use chronos_core::auth::Role;
+use chronos_core::cluster::ClusterConfig;
 use chronos_core::scheduler::SchedulerConfig;
 use chronos_core::store::MetadataStore;
 use chronos_core::ChronosControl;
@@ -147,7 +148,7 @@ fn main() {
 
     let started = match &options.node_id {
         Some(node_id) => {
-            let cluster = chronos_server::ClusterOptions::new(node_id.clone())
+            let cluster = ClusterConfig::new(node_id.clone())
                 .with_lease(std::time::Duration::from_millis(options.lease_millis));
             ChronosServer::start_cluster(
                 Arc::clone(&control),

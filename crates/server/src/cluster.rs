@@ -49,42 +49,6 @@ pub const CODE_OFFSET_GAP: &str = "offset_gap";
 /// Named envelope code refusing a segment whose checksum does not match.
 pub const CODE_BAD_SEGMENT: &str = "bad_segment";
 
-/// Cluster-mode configuration for [`ChronosServer::start_cluster`]
-/// (crate root).
-#[derive(Debug, Clone)]
-pub struct ClusterOptions {
-    /// Stable node identifier (election jitter, status bodies).
-    pub node_id: String,
-    /// Leader lease; see [`chronos_core::cluster::ClusterConfig::lease`].
-    pub lease: Duration,
-    /// Follower-read staleness bound; defaults to twice the lease.
-    pub staleness_bound: Duration,
-}
-
-impl ClusterOptions {
-    /// Defaults: a one-second lease and a two-second staleness bound.
-    pub fn new(node_id: impl Into<String>) -> Self {
-        ClusterOptions {
-            node_id: node_id.into(),
-            lease: Duration::from_secs(1),
-            staleness_bound: Duration::from_secs(2),
-        }
-    }
-
-    /// Overrides the lease and re-derives the default staleness bound.
-    pub fn with_lease(mut self, lease: Duration) -> Self {
-        self.lease = lease;
-        self.staleness_bound = lease * 2;
-        self
-    }
-
-    /// Overrides the staleness bound independently of the lease.
-    pub fn with_staleness_bound(mut self, bound: Duration) -> Self {
-        self.staleness_bound = bound;
-        self
-    }
-}
-
 /// One replication peer, from this node's point of view.
 struct Peer {
     client: Client,

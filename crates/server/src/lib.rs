@@ -51,7 +51,7 @@ use chronos_core::ChronosControl;
 use chronos_http::{Request, Response, Router, Server, ServerHandle, ServerMetrics, Status};
 use chronos_json::obj;
 
-pub use cluster::{ClusterOptions, CODE_BAD_SEGMENT, CODE_OFFSET_GAP, CODE_STALE_TERM};
+pub use cluster::{CODE_BAD_SEGMENT, CODE_OFFSET_GAP, CODE_STALE_TERM};
 
 /// How often the background sweeper checks for heartbeat timeouts.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(500);
@@ -103,26 +103,20 @@ impl ChronosServer {
         control: Arc<ChronosControl>,
         addr: &str,
         http: Server,
-        options: ClusterOptions,
+        config: ClusterConfig,
     ) -> std::io::Result<ChronosServer> {
-        Self::start_inner(control, addr, http, Some(options))
+        Self::start_inner(control, addr, http, Some(config))
     }
 
     fn start_inner(
         control: Arc<ChronosControl>,
         addr: &str,
         http: Server,
-        options: Option<ClusterOptions>,
+        config: Option<ClusterConfig>,
     ) -> std::io::Result<ChronosServer> {
         let metrics = ServerMetrics::shared();
         let draining = Arc::new(AtomicBool::new(false));
-        let state = options.map(|o| {
-            Arc::new(ClusterState::new(ClusterConfig {
-                node_id: o.node_id,
-                lease: o.lease,
-                staleness_bound: o.staleness_bound,
-            }))
-        });
+        let state = config.map(|config| Arc::new(ClusterState::new(config)));
         if state.is_none() {
             // A single-node server is trivially its own leader: the gauges
             // read the same whether or not cluster mode is on.

@@ -102,21 +102,6 @@ pub fn hex_encode(data: &[u8]) -> String {
     out
 }
 
-/// Parses a hexadecimal string (case-insensitive, even length).
-pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Some(out)
-}
-
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 /// Standard Base64 encoding with padding (RFC 4648).
@@ -273,17 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn hex_roundtrip() {
-        let data = vec![0u8, 1, 15, 16, 127, 128, 255];
-        let enc = hex_encode(&data);
-        assert_eq!(enc, "00010f10 7f80ff".replace(' ', ""));
-        assert_eq!(hex_decode(&enc).unwrap(), data);
-    }
-
-    #[test]
-    fn hex_rejects_bad_input() {
-        assert!(hex_decode("abc").is_none());
-        assert!(hex_decode("zz").is_none());
+    fn hex_known_vectors() {
+        assert_eq!(hex_encode(&[]), "");
+        assert_eq!(hex_encode(&[0u8, 1, 15, 16, 127, 128, 255]), "00010f107f80ff");
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Id {
         Id(ts | mid | entropy as u128)
     }
 
-    /// The millisecond timestamp embedded in this id.
-    pub fn timestamp_millis(&self) -> u64 {
-        (self.0 >> 80) as u64
-    }
-
     /// Raw 128-bit value.
     pub fn as_u128(&self) -> u128 {
         self.0
@@ -187,9 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn timestamp_extraction() {
+    fn the_timestamp_is_the_top_48_bits() {
         let id = Id::from_parts(123_456_789, 7);
-        assert_eq!(id.timestamp_millis(), 123_456_789);
+        assert_eq!(id.as_u128() >> 80, 123_456_789);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! * [`clock`] — a [`Clock`](clock::Clock) abstraction with a real
 //!   implementation and a manually driven [`MockClock`](clock::MockClock) so
 //!   schedulers and lease expiry can be tested deterministically.
-//! * [`encode`] — CRC-32, hexadecimal and Base64 codecs used by the ZIP
+//! * [`encode`] — CRC-32, hexadecimal encoding and Base64 used by the ZIP
 //!   substrate and by HTTP basic authentication.
 //! * [`pool`] — the scoped fork/join helper of multi-threaded clients.
-//! * [`retry`] — bounded exponential backoff used by agents talking to
-//!   Chronos Control.
+//! * [`retry`] — bounded retry with seeded decorrelated jitter, used by
+//!   agents talking to Chronos Control.
 //! * [`circuit`] — per-endpoint circuit breakers so a struggling control
 //!   plane is not hammered by its own agent fleet.
 //! * [`splitmix`] — the one seeded pseudo-random generator behind every

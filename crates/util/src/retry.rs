@@ -1,40 +1,37 @@
-//! Bounded retry with exponential backoff.
+//! Bounded retry with decorrelated jitter.
 //!
 //! Chronos Agents run unattended for days (requirement *(iii)*: long-running
 //! evaluations need reliability), so every call to Chronos Control goes
 //! through a retry policy instead of failing the whole evaluation on a
-//! transient network hiccup.
+//! transient network hiccup. The delays follow one seeded
+//! decorrelated-jitter schedule, so a fleet of agents retrying the same
+//! outage doesn't synchronize into a thundering herd.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// An exponential backoff policy with an attempt cap.
+/// A decorrelated-jitter backoff policy with an attempt cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Backoff {
-    /// Delay before the first retry.
+    /// Lower bound of every delay, and the first delay's upper bound.
     pub initial: Duration,
-    /// Multiplier applied after each retry (as a percentage, 200 = double).
-    pub factor_percent: u32,
     /// Upper bound on any single delay.
     pub max_delay: Duration,
     /// Maximum number of attempts (including the first).
     pub max_attempts: u32,
-    /// When set, [`run`](Backoff::run) sleeps per a decorrelated-jitter
-    /// schedule seeded here instead of the fixed exponential ladder, so a
-    /// fleet of agents retrying the same outage doesn't synchronize into a
-    /// thundering herd. `None` (the default) keeps delays exact.
-    pub jitter_seed: Option<u64>,
+    /// Seed of the delay schedule ([`Backoff::jittered_delays`]): the same
+    /// seed sleeps the same delays, which tests rely on.
+    pub jitter_seed: u64,
 }
 
 impl Default for Backoff {
     fn default() -> Self {
         Backoff {
             initial: Duration::from_millis(50),
-            factor_percent: 200,
             max_delay: Duration::from_secs(5),
             max_attempts: 5,
-            jitter_seed: None,
+            jitter_seed: 0,
         }
     }
 }
@@ -45,29 +42,11 @@ impl Backoff {
         Backoff { max_attempts: 1, ..Backoff::default() }
     }
 
-    /// Switches `run` to decorrelated jitter (`delay = uniform(initial,
-    /// min(max_delay, 3 * previous))`) drawn from a PRNG seeded with `seed`.
-    /// The schedule is deterministic for a given seed, which tests rely on.
+    /// Seeds the delay schedule with `seed`; agents seed theirs apart so
+    /// their retries fan out.
     pub fn with_decorrelated_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
+        self.jitter_seed = seed;
         self
-    }
-
-    /// The delay to apply after attempt `attempt` (0-based) fails, or `None`
-    /// if no further attempt should be made.
-    pub fn delay_after(&self, attempt: u32) -> Option<Duration> {
-        if attempt + 1 >= self.max_attempts {
-            return None;
-        }
-        let mut delay = self.initial;
-        for _ in 0..attempt {
-            let next_ms = delay.as_millis() as u64 * self.factor_percent as u64 / 100;
-            delay = Duration::from_millis(next_ms);
-            if delay >= self.max_delay {
-                return Some(self.max_delay);
-            }
-        }
-        Some(delay.min(self.max_delay))
     }
 
     /// The decorrelated-jitter delay sequence for `seed` (AWS-style:
@@ -103,27 +82,16 @@ impl Backoff {
         F: FnMut(u32) -> Result<T, E>,
         H: Fn(&E) -> Option<Duration>,
     {
-        let mut jitter = self.jitter_seed.map(|seed| self.jittered_delays(seed));
+        let mut delays = self.jittered_delays(self.jitter_seed);
         let mut attempt = 0;
         loop {
             match op(attempt) {
                 Ok(v) => return Ok(v),
+                Err(e) if attempt + 1 >= self.max_attempts => return Err(e),
                 Err(e) => {
-                    let delay = if attempt + 1 >= self.max_attempts {
-                        None
-                    } else {
-                        match &mut jitter {
-                            Some(schedule) => schedule.next(),
-                            None => self.delay_after(attempt),
-                        }
-                    };
-                    match delay {
-                        Some(delay) => {
-                            std::thread::sleep(effective_delay(delay, hint(&e)));
-                            attempt += 1;
-                        }
-                        None => return Err(e),
-                    }
+                    let delay = delays.next().expect("the jitter schedule is unbounded");
+                    std::thread::sleep(effective_delay(delay, hint(&e)));
+                    attempt += 1;
                 }
             }
         }
@@ -172,45 +140,31 @@ impl Iterator for JitterSchedule {
 mod tests {
     use super::*;
 
-    #[test]
-    fn delays_grow_and_cap() {
-        let b = Backoff {
-            initial: Duration::from_millis(100),
-            factor_percent: 200,
-            max_delay: Duration::from_millis(350),
-            max_attempts: 10,
-            ..Backoff::default()
-        };
-        assert_eq!(b.delay_after(0), Some(Duration::from_millis(100)));
-        assert_eq!(b.delay_after(1), Some(Duration::from_millis(200)));
-        assert_eq!(b.delay_after(2), Some(Duration::from_millis(350))); // capped
-        assert_eq!(b.delay_after(3), Some(Duration::from_millis(350)));
-    }
-
-    #[test]
-    fn exhausts_after_max_attempts() {
-        let b = Backoff { max_attempts: 3, ..Backoff::default() };
-        assert!(b.delay_after(2).is_none());
-        assert!(b.delay_after(5).is_none());
+    /// Delays of 1–3 ms: the `run` tests sleep, but not for long.
+    fn quick(max_attempts: u32) -> Backoff {
+        Backoff {
+            initial: Duration::from_millis(1),
+            max_delay: Duration::from_millis(3),
+            max_attempts,
+            jitter_seed: 9,
+        }
     }
 
     #[test]
     fn none_never_retries() {
-        let b = Backoff::none();
-        assert!(b.delay_after(0).is_none());
+        let mut calls = 0;
+        let result: Result<(), u32> = Backoff::none().run(|attempt| {
+            calls += 1;
+            Err(attempt)
+        });
+        assert_eq!(result, Err(0));
+        assert_eq!(calls, 1);
     }
 
     #[test]
     fn run_retries_until_success() {
-        let b = Backoff {
-            initial: Duration::from_millis(1),
-            factor_percent: 100,
-            max_delay: Duration::from_millis(1),
-            max_attempts: 5,
-            ..Backoff::default()
-        };
         let mut calls = 0;
-        let result: Result<u32, &str> = b.run(|attempt| {
+        let result: Result<u32, &str> = quick(5).run(|attempt| {
             calls += 1;
             if attempt < 2 {
                 Err("transient")
@@ -224,42 +178,55 @@ mod tests {
 
     #[test]
     fn run_returns_last_error_when_exhausted() {
+        let mut calls = 0;
+        let result: Result<(), u32> = quick(4).run(|attempt| {
+            calls += 1;
+            Err(attempt)
+        });
+        assert_eq!(result, Err(3));
+        assert_eq!(calls, 4);
+    }
+
+    #[test]
+    fn run_sleeps_the_seeded_schedule() {
         let b = Backoff {
-            initial: Duration::from_millis(1),
-            factor_percent: 100,
-            max_delay: Duration::from_millis(1),
-            max_attempts: 3,
-            ..Backoff::default()
+            initial: Duration::from_millis(5),
+            max_delay: Duration::from_millis(20),
+            max_attempts: 4,
+            jitter_seed: 11,
         };
-        let result: Result<(), u32> = b.run(Err);
-        assert_eq!(result, Err(2));
+        let scheduled: Vec<Duration> = b.jittered_delays(11).take(3).collect();
+        let mut attempted_at = Vec::new();
+        let result: Result<(), u32> = b.run(|attempt| {
+            attempted_at.push(std::time::Instant::now());
+            Err(attempt)
+        });
+        assert_eq!(result, Err(3));
+        // Between consecutive attempts, at least that step's delay of the
+        // schedule seeded with `jitter_seed`.
+        for (gap, delay) in attempted_at.windows(2).zip(&scheduled) {
+            assert!(gap[1] - gap[0] >= *delay, "slept less than the scheduled {delay:?}");
+        }
     }
 
     #[test]
     fn run_hinted_stretches_delay_to_the_hint() {
-        let b = Backoff {
-            initial: Duration::from_millis(1),
-            factor_percent: 100,
-            max_delay: Duration::from_millis(1),
-            max_attempts: 3,
-            ..Backoff::default()
-        };
         let hint = Duration::from_millis(60);
         let started = std::time::Instant::now();
-        let result: Result<(), u32> = b.run_hinted(Err, |_| Some(hint));
+        let result: Result<(), u32> = quick(3).run_hinted(Err, |_| Some(hint));
         assert_eq!(result, Err(2));
-        // Two sleeps, each stretched from 1ms to the 60ms hint.
+        // Two sleeps, each stretched from at most 3 ms to the 60 ms hint.
         assert!(started.elapsed() >= hint * 2, "hint must stretch the scheduled delay");
     }
 
     #[test]
     fn run_hinted_never_shrinks_below_the_schedule() {
+        // initial == max_delay: every scheduled delay is exactly 40 ms.
         let b = Backoff {
             initial: Duration::from_millis(40),
-            factor_percent: 100,
             max_delay: Duration::from_millis(40),
             max_attempts: 2,
-            ..Backoff::default()
+            jitter_seed: 9,
         };
         let started = std::time::Instant::now();
         // A 1ms hint must not shrink the scheduled 40ms delay.
@@ -297,37 +264,5 @@ mod tests {
         }
         let other: Vec<Duration> = b.jittered_delays(43).take(50).collect();
         assert_ne!(a, other);
-    }
-
-    #[test]
-    fn jittered_delays_decorrelate_from_the_ladder() {
-        // With a wide range, 20 draws all landing exactly on the exponential
-        // ladder would mean the jitter isn't jittering.
-        let b = Backoff {
-            initial: Duration::from_millis(10),
-            max_delay: Duration::from_millis(10_000),
-            ..Backoff::default()
-        };
-        let ladder: Vec<Option<Duration>> = (0..20).map(|i| b.delay_after(i)).collect();
-        let jittered: Vec<Option<Duration>> = b.jittered_delays(7).take(20).map(Some).collect();
-        assert_ne!(ladder, jittered);
-    }
-
-    #[test]
-    fn run_with_jitter_still_counts_attempts() {
-        let b = Backoff {
-            initial: Duration::from_millis(1),
-            max_delay: Duration::from_millis(2),
-            max_attempts: 4,
-            ..Backoff::default()
-        }
-        .with_decorrelated_jitter(9);
-        let mut calls = 0;
-        let result: Result<(), u32> = b.run(|attempt| {
-            calls += 1;
-            Err(attempt)
-        });
-        assert_eq!(result, Err(3));
-        assert_eq!(calls, 4);
     }
 }

@@ -1,7 +1,5 @@
 //! Declarative workload specifications and the YCSB core presets.
 
-use chronos_util::Id;
-
 /// Which request distribution drives key selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Distribution {
@@ -15,31 +13,6 @@ pub enum Distribution {
     Hotspot,
     /// Exponential (front-loaded).
     Exponential,
-}
-
-impl Distribution {
-    /// Parses the lowercase name used in experiment parameters.
-    pub fn parse(s: &str) -> Option<Distribution> {
-        match s {
-            "uniform" => Some(Distribution::Uniform),
-            "zipfian" => Some(Distribution::Zipfian),
-            "latest" => Some(Distribution::Latest),
-            "hotspot" => Some(Distribution::Hotspot),
-            "exponential" => Some(Distribution::Exponential),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Distribution::Uniform => "uniform",
-            Distribution::Zipfian => "zipfian",
-            Distribution::Latest => "latest",
-            Distribution::Hotspot => "hotspot",
-            Distribution::Exponential => "exponential",
-        }
-    }
 }
 
 /// Operation mix proportions. Must sum to (approximately) 1.
@@ -271,63 +244,6 @@ impl WorkloadSpec {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-
-    /// Serializes to the JSON shape used in Chronos experiment parameters.
-    pub fn to_json(&self) -> chronos_json::Value {
-        chronos_json::obj! {
-            "record_count" => self.record_count,
-            "operation_count" => self.operation_count,
-            "field_count" => self.field_count,
-            "field_length" => self.field_length,
-            "read" => self.mix.read,
-            "update" => self.mix.update,
-            "insert" => self.mix.insert,
-            "scan" => self.mix.scan,
-            "read_modify_write" => self.mix.read_modify_write,
-            "distribution" => self.distribution.as_str(),
-            "max_scan_length" => self.max_scan_length,
-            "seed" => self.seed,
-            "compressibility" => self.compressibility,
-        }
-    }
-
-    /// Parses the JSON shape produced by [`WorkloadSpec::to_json`]. Missing
-    /// fields fall back to the defaults.
-    pub fn from_json(value: &chronos_json::Value) -> Result<Self, String> {
-        let d = WorkloadSpec::default();
-        let get_u64 = |k: &str, dflt: u64| value.get(k).and_then(|v| v.as_u64()).unwrap_or(dflt);
-        let get_f64 = |k: &str, dflt: f64| value.get(k).and_then(|v| v.as_f64()).unwrap_or(dflt);
-        let distribution = match value.get("distribution").and_then(|v| v.as_str()) {
-            Some(s) => {
-                Distribution::parse(s).ok_or_else(|| format!("unknown distribution {s:?}"))?
-            }
-            None => d.distribution,
-        };
-        let spec = WorkloadSpec {
-            record_count: get_u64("record_count", d.record_count),
-            operation_count: get_u64("operation_count", d.operation_count),
-            field_count: get_u64("field_count", d.field_count as u64) as usize,
-            field_length: get_u64("field_length", d.field_length as u64) as usize,
-            mix: OpMix {
-                read: get_f64("read", d.mix.read),
-                update: get_f64("update", d.mix.update),
-                insert: get_f64("insert", d.mix.insert),
-                scan: get_f64("scan", d.mix.scan),
-                read_modify_write: get_f64("read_modify_write", d.mix.read_modify_write),
-            },
-            distribution,
-            max_scan_length: get_u64("max_scan_length", d.max_scan_length),
-            seed: get_u64("seed", d.seed),
-            compressibility: get_f64("compressibility", d.compressibility),
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// A workload-scoped unique run id (handy for collection names).
-    pub fn run_tag(&self) -> String {
-        format!("run-{}", Id::generate())
-    }
 }
 
 #[cfg(test)]
@@ -392,43 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let spec = WorkloadSpec::core(CoreWorkload::E);
-        let parsed = WorkloadSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(parsed, spec);
-    }
-
-    #[test]
-    fn json_defaults_applied() {
-        let spec = WorkloadSpec::from_json(&chronos_json::obj! {}).unwrap();
-        assert_eq!(spec, WorkloadSpec::default());
-    }
-
-    #[test]
-    fn json_rejects_unknown_distribution() {
-        let bad = chronos_json::obj! { "distribution" => "gaussian" };
-        assert!(WorkloadSpec::from_json(&bad).is_err());
-    }
-
-    #[test]
     fn thread_seeds_differ() {
         let spec = WorkloadSpec::default();
         let seeds: Vec<u64> = (0..16).map(|t| spec.thread_seed(t)).collect();
         let unique: std::collections::HashSet<_> = seeds.iter().collect();
         assert_eq!(unique.len(), seeds.len());
-    }
-
-    #[test]
-    fn distribution_name_roundtrip() {
-        for d in [
-            Distribution::Uniform,
-            Distribution::Zipfian,
-            Distribution::Latest,
-            Distribution::Hotspot,
-            Distribution::Exponential,
-        ] {
-            assert_eq!(Distribution::parse(d.as_str()), Some(d));
-        }
-        assert_eq!(Distribution::parse("nope"), None);
     }
 }

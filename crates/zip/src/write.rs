@@ -9,6 +9,11 @@ const CENTRAL_HEADER_SIG: u32 = 0x0201_4B50;
 const EOCD_SIG: u32 = 0x0605_4B50;
 /// "Version needed to extract": 2.0 (stored entries, directories).
 const VERSION: u16 = 20;
+/// DOS time and date stamped on every entry: 2020-03-30 00:00:00 (EDBT
+/// 2020). Fixed, so archives are byte-reproducible, which Chronos relies on
+/// for result fingerprints.
+const DOS_TIME: u16 = 0;
+const DOS_DATE: u16 = ((2020 - 1980) << 9) | (3 << 5) | 30;
 
 struct PendingEntry {
     name: String,
@@ -25,9 +30,6 @@ struct PendingEntry {
 pub struct ZipWriter {
     buf: Vec<u8>,
     entries: Vec<PendingEntry>,
-    /// DOS date/time stamped on entries; fixed default keeps archives
-    /// byte-reproducible, which Chronos relies on for result fingerprints.
-    dos_datetime: (u16, u16),
 }
 
 impl Default for ZipWriter {
@@ -39,24 +41,7 @@ impl Default for ZipWriter {
 impl ZipWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        // 2020-03-30 00:00:00 — a fixed, valid DOS timestamp (EDBT 2020).
-        let date = ((2020 - 1980) << 9) | (3 << 5) | 30;
-        ZipWriter { buf: Vec::new(), entries: Vec::new(), dos_datetime: (0, date) }
-    }
-
-    /// Sets the DOS timestamp applied to subsequently added entries.
-    pub fn set_modified(&mut self, unix_millis: u64) {
-        let ts = chronos_util::clock::format_timestamp(unix_millis);
-        // ts = YYYY-MM-DDTHH:MM:SS.mmmZ
-        let year: u16 = ts[0..4].parse().unwrap_or(1980);
-        let month: u16 = ts[5..7].parse().unwrap_or(1);
-        let day: u16 = ts[8..10].parse().unwrap_or(1);
-        let hour: u16 = ts[11..13].parse().unwrap_or(0);
-        let min: u16 = ts[14..16].parse().unwrap_or(0);
-        let sec: u16 = ts[17..19].parse().unwrap_or(0);
-        let date = (year.saturating_sub(1980) << 9) | (month << 5) | day;
-        let time = (hour << 11) | (min << 5) | (sec / 2);
-        self.dos_datetime = (time, date);
+        ZipWriter { buf: Vec::new(), entries: Vec::new() }
     }
 
     /// Adds a file entry with the given payload.
@@ -111,13 +96,12 @@ impl ZipWriter {
     }
 
     fn write_local_header(&mut self, name: &str, crc: u32, size: u32) {
-        let (time, date) = self.dos_datetime;
         push_u32(&mut self.buf, LOCAL_HEADER_SIG);
         push_u16(&mut self.buf, VERSION); // version needed
         push_u16(&mut self.buf, 0x0800); // flags: UTF-8 names
         push_u16(&mut self.buf, 0); // method: STORE
-        push_u16(&mut self.buf, time);
-        push_u16(&mut self.buf, date);
+        push_u16(&mut self.buf, DOS_TIME);
+        push_u16(&mut self.buf, DOS_DATE);
         push_u32(&mut self.buf, crc);
         push_u32(&mut self.buf, size); // compressed
         push_u32(&mut self.buf, size); // uncompressed
@@ -129,15 +113,14 @@ impl ZipWriter {
     /// Writes the central directory and returns the complete archive.
     pub fn finish(mut self) -> Vec<u8> {
         let cd_start = self.buf.len() as u32;
-        let (time, date) = self.dos_datetime;
         for entry in &self.entries {
             push_u32(&mut self.buf, CENTRAL_HEADER_SIG);
             push_u16(&mut self.buf, VERSION); // version made by
             push_u16(&mut self.buf, VERSION); // version needed
             push_u16(&mut self.buf, 0x0800); // flags: UTF-8 names
             push_u16(&mut self.buf, 0); // method
-            push_u16(&mut self.buf, time);
-            push_u16(&mut self.buf, date);
+            push_u16(&mut self.buf, DOS_TIME);
+            push_u16(&mut self.buf, DOS_DATE);
             push_u32(&mut self.buf, entry.crc);
             push_u32(&mut self.buf, entry.size);
             push_u32(&mut self.buf, entry.size);
@@ -204,15 +187,5 @@ mod tests {
             w.finish()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn set_modified_changes_timestamp() {
-        let mut a = ZipWriter::new();
-        a.set_modified(1_585_571_696_789); // 2020-03-30T12:34:56Z
-        a.add_file("x", b"1").unwrap();
-        let mut b = ZipWriter::new();
-        b.add_file("x", b"1").unwrap();
-        assert_ne!(a.finish(), b.finish());
     }
 }

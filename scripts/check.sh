@@ -16,6 +16,13 @@
 #              cluster storms (leader death mid-evaluation: exactly-once, and
 #              mid-adaptive-evaluation: identical pruning decisions) at three
 #              pinned seeds
+#
+# Every cargo build, lint, test and run passes --locked, for the root
+# workspace and for benchmark/ alike: a change that would rewrite either
+# Cargo.lock fails the gate instead of rewriting it. benchmark/Cargo.lock is
+# tracked and lists the dependency edges of every crate it builds, so a
+# dependency dropped from one of those crates needs that lock regenerated
+# on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,10 +38,10 @@ echo "== cargo clippy (deny warnings) =="
 # std::thread::sleep in the agent, whose per-job threads wait on a StopSignal instead.
 # And crates/core/clippy.toml with the root clippy.toml: no workspace caller of
 # chronos_api::v1::{JobDto, EvaluationDto}::to_json, kept only for benchmark/.
-cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --locked --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test =="
-cargo test -q --workspace --offline
+cargo test --locked -q --workspace --offline
 
 echo "== wire compatibility: golden fixtures, encoders, decoders and the decoder fuzz wall =="
 # Byte-for-byte check of every frozen request/response body against the
@@ -46,7 +53,7 @@ echo "== wire compatibility: golden fixtures, encoders, decoders and the decoder
 # (decoders_survive_mutated_fixtures): a fixed seed and budget of byte
 # mutants of every fixture, which no decoder may panic on and which must
 # re-encode byte-stably wherever they decode.
-if ! cargo test -q --offline --test wire_compat; then
+if ! cargo test --locked -q --offline --test wire_compat; then
     echo "FAIL: wire contract drifted from tests/fixtures/api_v1/, or a decoder panicked on or re-encoded unstably a fuzz-wall mutant (see above)" >&2
     exit 1
 fi
@@ -65,16 +72,16 @@ echo "== generator determinism: golden op streams, draw sequences and SuE bytes;
 # match a load: docstore_engine_stats runs the same jobs on copies against
 # the same table, and minidoc engine_equivalence holds a copy of either
 # engine to the model of everything written before and after the copy.
-if ! cargo test -q --offline -p chronos-workload --test golden_streams \
-    || ! cargo test -q --offline -p rand --test golden_sequences \
-    || ! cargo test -q --offline -p minidoc --test golden_blocks \
-    || ! cargo test -q --offline -p minidoc --test engine_equivalence \
-    || ! cargo test -q --offline -p chronos-agent --test docstore_engine_stats; then
+if ! cargo test --locked -q --offline -p chronos-workload --test golden_streams \
+    || ! cargo test --locked -q --offline -p rand --test golden_sequences \
+    || ! cargo test --locked -q --offline -p minidoc --test golden_blocks \
+    || ! cargo test --locked -q --offline -p minidoc --test engine_equivalence \
+    || ! cargo test --locked -q --offline -p chronos-agent --test docstore_engine_stats; then
     echo "FAIL: generator output moved, or a clone no longer matches a load: results across commits are no longer comparable" >&2
     exit 1
 fi
 
-cargo build --release -p chronos-bench --offline
+cargo build --locked --release -p chronos-bench --offline
 bench_bin="$PWD/target/release/chronos-bench"
 # The experiments that write a report, straight from the binary's own
 # table (`--list` prints "<id> [<report file>]" per experiment).
@@ -102,7 +109,7 @@ rm -rf "$smoke_dir"
 echo "== overload protection gate (tests/overload.rs) =="
 # Typed shed envelopes, deadline refusal, graceful drain, Retry-After
 # cooperation — pinned explicitly, not just via the workspace run.
-cargo test -q --offline --test overload
+cargo test --locked -q --offline --test overload
 
 echo "== budget + quarantine gate (tests/quarantine.rs) =="
 # Per-job resource budgets end to end: the watchdog kills a runaway with a
@@ -110,18 +117,18 @@ echo "== budget + quarantine gate (tests/quarantine.rs) =="
 # (never rescheduled, never re-claimed), compliant siblings finish exactly
 # once, and unbudgeted experiments never arm the watchdog. Pinned
 # explicitly like the overload gate — this is the containment contract.
-cargo test -q --offline --test quarantine
+cargo test --locked -q --offline --test quarantine
 
 echo "== repo benchmark builds (benchmark/, its own workspace) =="
 # chronos-benchmark links the crates' public API from outside the
 # workspace; without this stage a deletion under crates/ could break the
 # BENCHMARK.json command and no other gate would notice.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --locked --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== repo benchmark unit tests =="
 # The harness's own arithmetic: percentile rule, span self-time, stamp
 # comparison, and BENCHMARK.json <-> metric-table agreement.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test --locked -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== repo benchmark, quick sizes: all four workloads and their output checks =="
 # Under 15 s. The numbers are not comparable and nobody reads them here;
@@ -130,7 +137,7 @@ echo "== repo benchmark, quick sizes: all four workloads and their output checks
 # list disagree with the finished jobs, the restarted store serves another
 # summary, or any operation failed — every one of which a wrong answer from
 # the response cache would trip.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick
+cargo run --locked --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick
 
 for arg in "$@"; do
     case "$arg" in
@@ -144,7 +151,7 @@ for arg in "$@"; do
         # A fixed seed keeps the fault schedule reproducible in CI; any
         # failure message carries the seed for local replay.
         CHRONOS_FAIL_SEED="${CHRONOS_FAIL_SEED:-20260807}" \
-            cargo test -q --offline --features failpoints --test torture --test chaos
+            cargo test --locked -q --offline --features failpoints --test torture --test chaos
         echo "== zero-overhead check: default build has no failpoint sites =="
         # The fail_eval! macro compiles to a constant None without the
         # feature, so site-name literals must not survive in the release
@@ -158,7 +165,7 @@ for arg in "$@"; do
         echo "== clippy with failpoints (deny warnings) =="
         # The storm module and every fail_eval! site only compile under
         # the feature; hold them to the same bar as the default build.
-        cargo clippy --workspace --all-targets --offline --features failpoints -- -D warnings
+        cargo clippy --locked --workspace --all-targets --offline --features failpoints -- -D warnings
         echo "== cluster storms: leader death mid-evaluation, 3 pinned seeds =="
         # Replicated control plane under a seeded fault storm: new leader
         # within the lease budget, every job finished exactly once,
@@ -166,10 +173,10 @@ for arg in "$@"; do
         # storm, the successive-halving decision log assembled across the
         # failover must equal a fresh single-node replay. The default seed
         # (0xBADCAB) plus two more; a failure prints its replay seed.
-        cargo test -q --offline --features failpoints --test cluster
+        cargo test --locked -q --offline --features failpoints --test cluster
         for seed in 7 20260809; do
             CHRONOS_FAIL_SEED="$seed" \
-                cargo test -q --offline --features failpoints --test cluster
+                cargo test --locked -q --offline --features failpoints --test cluster
         done
         ;;
     esac

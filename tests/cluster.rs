@@ -16,15 +16,13 @@ use std::time::{Duration, Instant};
 use chronos::agent::ControlClient;
 use chronos::api::{v1, ErrorCode, ErrorEnvelope, WireDecode, WireEncode, TOKEN_HEADER};
 use chronos::core::auth::Role;
-use chronos::core::cluster::segment_checksum;
+use chronos::core::cluster::{segment_checksum, ClusterConfig};
 use chronos::core::scheduler::SchedulerConfig;
 use chronos::core::store::MetadataStore;
 use chronos::core::ChronosControl;
 use chronos::http::{Client, Server};
 use chronos::json::{obj, Value};
-use chronos::server::{
-    ChronosServer, ClusterOptions, CODE_BAD_SEGMENT, CODE_OFFSET_GAP, CODE_STALE_TERM,
-};
+use chronos::server::{ChronosServer, CODE_BAD_SEGMENT, CODE_OFFSET_GAP, CODE_STALE_TERM};
 use chronos::util::{Id, SystemClock};
 use common::TestEnv;
 
@@ -68,7 +66,7 @@ fn start_cluster_with(
                 control,
                 "127.0.0.1:0",
                 Server::new(),
-                ClusterOptions::new(format!("node-{i}")).with_lease(lease),
+                ClusterConfig::new(format!("node-{i}")).with_lease(lease),
             )
             .expect("bind cluster node")
         })
@@ -871,7 +869,7 @@ mod storm {
         let replay_deployment = replayed.create_deployment(system.id, "replay", "1").unwrap();
         let replay_project = replayed.create_project("replay", "", owner.id).unwrap();
         let replay_experiment = replayed
-            .create_experiment_with_strategy(
+            .create_experiment_with_options(
                 replay_project.id,
                 system.id,
                 "adaptive failover sweep",
@@ -884,6 +882,7 @@ mod storm {
                     metric: "/throughput_ops_per_sec".into(),
                     maximize: true,
                 }),
+                None,
             )
             .unwrap();
         let replay_evaluation = replayed.create_evaluation(replay_experiment.id).unwrap();

@@ -67,6 +67,8 @@ fn a_damaged_evaluation_is_a_storage_fault() {
     let id = Id::generate();
     let document = obj! {"id" => id.to_base32(), "experiment_id" => 42, "job_ids" => "none"};
     let (router, token) = serve_damaged("evaluation", id, document);
+    let detail = get(&router, &token, &format!("/api/v1/evaluations/{id}"));
+    assert_storage_fault(&detail, "evaluation", id);
     let chart = get(&router, &token, &format!("/api/v1/evaluations/{id}/charts/0.svg"));
     assert_storage_fault(&chart, "evaluation", id);
     let page = get(&router, &token, &format!("/ui/evaluations/{id}?token={token}"));

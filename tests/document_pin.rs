@@ -147,7 +147,7 @@ fn job_and_evaluation_documents_are_pinned_across_a_lifecycle() {
         )
         .unwrap();
     let adaptive = control
-        .create_experiment_with_strategy(
+        .create_experiment_with_options(
             project.id,
             system.id,
             "adaptive",
@@ -159,6 +159,7 @@ fn job_and_evaluation_documents_are_pinned_across_a_lifecycle() {
                 eta: 2,
                 ..Default::default()
             }),
+            None,
         )
         .unwrap();
     tick();
