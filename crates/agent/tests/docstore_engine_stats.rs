@@ -4,6 +4,8 @@
 //! encoded size, what the engine keeps for them (wiredTiger's compressed
 //! blocks, mmapv1's padded slots), the log bytes, and mmapv1's in-place
 //! updates and record moves — are part of what the paper's demo compares.
+//! So are the operations the engine counts (inserts, updates, reads and
+//! scans, each YCSB scan exactly once, the warm-up's reads included).
 //! One single-threaded job per engine × YCSB workload a–f, with a fixed
 //! seed, must report the same figures on every commit. A client keeps the
 //! loads it ran and hands later jobs of the same load a copy, and a copy
@@ -15,12 +17,22 @@ use chronos_agent::{DocstoreClient, EvaluationClient, JobContext};
 use chronos_json::{obj, Value};
 use chronos_util::Id;
 
-const FIELDS: [&str; 6] =
-    ["documents", "logical_bytes", "stored_bytes", "wal_bytes", "inplace_updates", "record_moves"];
+const FIELDS: [&str; 10] = [
+    "documents",
+    "logical_bytes",
+    "stored_bytes",
+    "wal_bytes",
+    "inplace_updates",
+    "record_moves",
+    "inserts",
+    "updates",
+    "reads",
+    "scans",
+];
 
 /// Runs one seeded job on `client`; its `engine_stats` and how its set-up
 /// got its data.
-fn engine_stats(client: &mut DocstoreClient, engine: &str, workload: &str) -> ([u64; 6], String) {
+fn engine_stats(client: &mut DocstoreClient, engine: &str, workload: &str) -> ([u64; 10], String) {
     let ctx = JobContext::new(
         Id::generate(),
         obj! {
@@ -49,7 +61,7 @@ fn engine_stats(client: &mut DocstoreClient, engine: &str, workload: &str) -> ([
 
 /// The twelve jobs, engine-major like the pinned table, each on a fresh
 /// client or all on one; their stats and set-ups.
-fn run_all(one_client: bool) -> Vec<(String, [u64; 6], String)> {
+fn run_all(one_client: bool) -> Vec<(String, [u64; 10], String)> {
     let mut out = Vec::new();
     let mut client = DocstoreClient::new();
     for engine in ["wiredtiger", "mmapv1"] {
@@ -65,20 +77,20 @@ fn run_all(one_client: bool) -> Vec<(String, [u64; 6], String)> {
 }
 
 /// Checks `actual` against the pinned table, printing the table it reads.
-fn assert_pinned(pass: &str, actual: &[(String, [u64; 6], String)]) {
-    let expected: &[(&str, [u64; 6])] = &[
-        ("wiredtiger/a", [300, 327600, 220510, 1024910, 607, 0]),
-        ("wiredtiger/b", [300, 327600, 220739, 402280, 56, 0]),
-        ("wiredtiger/c", [300, 327600, 220303, 339000, 0, 0]),
-        ("wiredtiger/d", [354, 386568, 259523, 400020, 0, 0]),
-        ("wiredtiger/e", [352, 384384, 257738, 397760, 0, 0]),
-        ("wiredtiger/f", [300, 327600, 220510, 1024910, 607, 0]),
-        ("mmapv1/a", [300, 327600, 614400, 1024910, 607, 0]),
-        ("mmapv1/b", [300, 327600, 614400, 402280, 56, 0]),
-        ("mmapv1/c", [300, 327600, 614400, 339000, 0, 0]),
-        ("mmapv1/d", [354, 386568, 724992, 400020, 0, 0]),
-        ("mmapv1/e", [352, 384384, 720896, 397760, 0, 0]),
-        ("mmapv1/f", [300, 327600, 614400, 1024910, 607, 0]),
+fn assert_pinned(pass: &str, actual: &[(String, [u64; 10], String)]) {
+    let expected: &[(&str, [u64; 10])] = &[
+        ("wiredtiger/a", [300, 327600, 220510, 1024910, 607, 0, 300, 607, 623, 0]),
+        ("wiredtiger/b", [300, 327600, 220739, 402280, 56, 0, 300, 56, 1174, 0]),
+        ("wiredtiger/c", [300, 327600, 220303, 339000, 0, 0, 300, 0, 1230, 0]),
+        ("wiredtiger/d", [354, 386568, 259523, 400020, 0, 0, 354, 0, 1176, 0]),
+        ("wiredtiger/e", [352, 384384, 257738, 397760, 0, 0, 352, 0, 30, 1148]),
+        ("wiredtiger/f", [300, 327600, 220510, 1024910, 607, 0, 300, 607, 1230, 0]),
+        ("mmapv1/a", [300, 327600, 614400, 1024910, 607, 0, 300, 607, 623, 0]),
+        ("mmapv1/b", [300, 327600, 614400, 402280, 56, 0, 300, 56, 1174, 0]),
+        ("mmapv1/c", [300, 327600, 614400, 339000, 0, 0, 300, 0, 1230, 0]),
+        ("mmapv1/d", [354, 386568, 724992, 400020, 0, 0, 354, 0, 1176, 0]),
+        ("mmapv1/e", [352, 384384, 720896, 397760, 0, 0, 352, 0, 30, 1148]),
+        ("mmapv1/f", [300, 327600, 614400, 1024910, 607, 0, 300, 607, 1230, 0]),
     ];
     let table: String = actual
         .iter()

@@ -201,6 +201,45 @@ fn limited_scans_agree_across_engines() {
     }
 }
 
+/// Scans of both engines and of an in-memory copy of each against the
+/// model: limits around the 256 records a scan reads per lock hold, the
+/// exact remainder from each start and no limit; starts before the keys,
+/// on a key, between keys, in a hole, and past the keys.
+#[test]
+fn scans_match_the_model_on_engines_and_copies() {
+    for engine in [EngineKind::WiredTiger, EngineKind::MmapV1] {
+        let db = Database::open(DbConfig::in_memory(engine)).unwrap();
+        let coll = db.collection("t");
+        let mut model = BTreeMap::new();
+        for i in 0..600usize {
+            let key = format!("key{i:04}");
+            coll.insert(&key, &payload(i % 89)).unwrap();
+            model.insert(key, i % 89);
+        }
+        for i in (0..600usize).step_by(7) {
+            let key = format!("key{i:04}");
+            assert!(coll.delete(&key).unwrap());
+            model.remove(&key);
+        }
+        let copy = db.clone_in_memory().unwrap();
+        for (name, db) in [("original", &db), ("copy", &copy)] {
+            let coll = db.collection("t");
+            for start in ["", "a", "key0001", "key0001x", "key0007", "key0300", "key0599", "z"] {
+                let remainder = model.range(start.to_string()..).count();
+                for limit in [0, 1, 255, 256, 257, remainder, usize::MAX] {
+                    let expected: Vec<(String, chronos_json::Value)> = model
+                        .range(start.to_string()..)
+                        .take(limit)
+                        .map(|(k, &n)| (k.clone(), payload(n)))
+                        .collect();
+                    let got = coll.scan(start, limit).unwrap();
+                    assert_eq!(got, expected, "{engine} {name}: start {start:?}, limit {limit}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
