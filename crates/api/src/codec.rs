@@ -80,10 +80,10 @@ pub fn str_or(value: &Value, field: &str, default: &str) -> String {
     opt_str(value, field).unwrap_or_else(|| default.to_string())
 }
 
-/// Required id field; absent renders `missing field`, unparsable `bad <field>`.
+/// Required id field; absent or `null` renders `missing field`, present but
+/// not a string or unparsable `bad <field>`.
 pub fn req_id(value: &Value, field: &'static str) -> Result<Id, WireError> {
-    let raw = str_ref(value, field).ok_or(WireError::Missing(field))?;
-    Id::parse_base32(raw).map_err(|_| WireError::BadField(field))
+    opt_id(value, field)?.ok_or(WireError::Missing(field))
 }
 
 /// Optional id field; present-but-unparsable is an error.
@@ -146,4 +146,25 @@ pub fn list_or_empty<T>(
 /// Optional array field, cloned element-wise; absent/`null` → empty.
 pub fn arr_or_empty(value: &Value, field: &str) -> Vec<Value> {
     value.get(field).and_then(Value::as_array).cloned().unwrap_or_default()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chronos_json::obj;
+
+    #[test]
+    fn req_id_tells_a_missing_field_from_a_bad_one() {
+        let id = Id::generate();
+        let render = |doc: Value| req_id(&doc, "experiment_id").map_err(|e| e.to_string());
+        assert_eq!(render(obj! {"experiment_id" => id.to_base32()}), Ok(id));
+        assert_eq!(render(obj! {}), Err("missing field \"experiment_id\"".to_string()));
+        assert_eq!(
+            render(obj! {"experiment_id" => Value::Null}),
+            Err("missing field \"experiment_id\"".to_string())
+        );
+        for present in [Value::from(42), Value::from(true), Value::from("not-an-id")] {
+            assert_eq!(render(obj! {"experiment_id" => present}), Err("bad experiment_id".into()));
+        }
+    }
 }

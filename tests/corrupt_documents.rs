@@ -69,6 +69,8 @@ fn a_damaged_evaluation_is_a_storage_fault() {
     let (router, token) = serve_damaged("evaluation", id, document);
     let detail = get(&router, &token, &format!("/api/v1/evaluations/{id}"));
     assert_storage_fault(&detail, "evaluation", id);
+    let body = String::from_utf8_lossy(&detail.body).to_string();
+    assert!(body.contains("bad experiment_id"), "a present field is bad, not missing: {body}");
     let chart = get(&router, &token, &format!("/api/v1/evaluations/{id}/charts/0.svg"));
     assert_storage_fault(&chart, "evaluation", id);
     let page = get(&router, &token, &format!("/ui/evaluations/{id}?token={token}"));
