@@ -239,12 +239,10 @@ fn apply(coll: &Collection, op: Operation) -> Result<(), String> {
             coll.insert(&key, &fields_to_doc(fields)).map_err(|e| e.to_string())
         }
         Operation::Scan { start_key, count } => {
-            // YCSB scans read and discard; stream the raw records off the
-            // engine cursor instead of decoding every document. The cursor
-            // fetches at most `count` records.
-            let cursor = coll.cursor(&start_key, count as usize).map_err(|e| e.to_string())?;
-            cursor.for_each(drop);
-            Ok(())
+            // YCSB scans read and discard: visit the raw records where the
+            // engine keeps them instead of decoding every document. The
+            // engine reads at most `count` records.
+            coll.scan_raw(&start_key, count as usize, &mut |_, _| Ok(())).map_err(|e| e.to_string())
         }
         Operation::ReadModifyWrite { key, fields } => {
             let current = coll.get(&key).map_err(|e| e.to_string())?;

@@ -1,7 +1,7 @@
-//! E9 — the data-plane read path: engine cursors for scans and predicate
-//! pushdown on the encoded bytes for non-indexed finds.
+//! E9 — the data-plane read path: engine scans and predicate pushdown on
+//! the encoded bytes for non-indexed finds.
 //!
-//! The scan runner streams the cursor's raw `Arc`-shared records (no
+//! The scan runner visits raw records where the engine keeps them (no
 //! decode); the find runner goes through `Collection::find`, which
 //! evaluates filters on the encoded bytes and decodes only the matches.
 //! Agreement between pushdown and decode + `Filter::matches` is
@@ -69,15 +69,19 @@ fn next_rand(state: &mut u64) -> u64 {
     *state
 }
 
-/// Cursor scans: seeded key ranges streamed as raw records, no decode.
-pub fn run_scans_cursor(coll: &Collection, scans: usize) -> Report {
+/// Raw scans: seeded key ranges visited as raw records, no decode.
+pub fn run_scans_raw(coll: &Collection, scans: usize) -> Report {
     let records = coll.count() as usize;
     let mut state = 0x243F_6A88_85A3_08D3u64;
     let mut rows = 0u64;
     let start = Instant::now();
     for _ in 0..scans {
         let first = (next_rand(&mut state) as usize) % records.max(1);
-        rows += coll.cursor(&key_for(first), SCAN_LEN).unwrap().count() as u64;
+        coll.scan_raw(&key_for(first), SCAN_LEN, &mut |_, _| {
+            rows += 1;
+            Ok(())
+        })
+        .unwrap();
     }
     Report { ops: scans as u64, rows, secs: start.elapsed().as_secs_f64() }
 }
@@ -106,7 +110,7 @@ mod tests {
             // 300 records over 100 groups: every filter matches exactly 3.
             let finds = run_finds_pushdown(&coll, 10);
             assert_eq!((finds.ops, finds.rows), (10, 30), "engine {engine}");
-            let scans = run_scans_cursor(&coll, 20);
+            let scans = run_scans_raw(&coll, 20);
             assert_eq!(scans.ops, 20);
             assert!(scans.rows > 0 && scans.rows <= 20 * SCAN_LEN as u64, "engine {engine}");
         }

@@ -1043,12 +1043,12 @@ fn experiment_e4(options: Options) {
     );
 }
 
-/// E9 — data-plane read path: engine cursors (scans) and predicate
+/// E9 — data-plane read path: engine scans of raw records and predicate
 /// pushdown over the encoded bytes (non-indexed finds), per engine.
 /// `--json` also writes the numbers to `BENCH_data_plane.json` for
 /// regression tracking.
 fn experiment_e9(Options { quick, report }: Options) {
-    use chronos_bench::data_plane::{self, load, run_finds_pushdown, run_scans_cursor};
+    use chronos_bench::data_plane::{self, load, run_finds_pushdown, run_scans_raw};
 
     println!("== E9: data-plane read path (scans + non-indexed find) ==");
     let records = if quick { 2_000 } else { 20_000 };
@@ -1064,7 +1064,7 @@ fn experiment_e9(Options { quick, report }: Options) {
         let db = load(engine, records, 100);
         let coll = db.collection("usertable");
         let legs = [
-            ("scan (YCSB-E, len 50)", "scans_per_sec", run_scans_cursor(&coll, scans)),
+            ("scan (YCSB-E, len 50)", "scans_per_sec", run_scans_raw(&coll, scans)),
             ("find (non-indexed, ~1%)", "finds_per_sec", run_finds_pushdown(&coll, finds)),
         ];
         for (label, unit, report) in legs {
@@ -1079,12 +1079,12 @@ fn experiment_e9(Options { quick, report }: Options) {
             });
         }
     }
-    println!("shape: cursors skip per-row decode, pushdown decodes only matches\n");
+    println!("shape: raw scans skip per-row decode, pushdown decodes only matches\n");
 
     if let Some(path) = report {
         let doc = chronos_json::obj! {
             "experiment" => "E9",
-            "description" => "data-plane read path: engine cursors + predicate pushdown",
+            "description" => "data-plane read path: raw engine scans + predicate pushdown",
             "workload" => chronos_json::obj! {
                 "records" => records as i64,
                 "scan_length" => data_plane::SCAN_LEN as i64,

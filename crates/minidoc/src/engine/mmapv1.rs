@@ -26,7 +26,10 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::engine::{EngineStats, RecordCursor, SharedBytes, StatCounters, StorageEngine};
+use crate::engine::{
+    assert_not_visiting, scan_in_chunks, EngineStats, SharedBytes, StatCounters, StorageEngine,
+    Visiting, Visitor,
+};
 use crate::error::{DbError, DbResult};
 use crate::wal::{Wal, WalOp};
 use crate::DbConfig;
@@ -107,84 +110,6 @@ impl MmapCollection {
     }
 }
 
-/// Largest refill; bounds the collection read-lock hold.
-const MAX_CURSOR_CHUNK: usize = 256;
-
-/// Streaming cursor: snapshots a chunk of keys in key order, copies the
-/// payloads out of the extents in (extent, offset) order — sequential
-/// memory reads — then emits them back in key order. Each refill takes at
-/// most the records still owed to its `limit`, so a short scan copies only
-/// what it yields.
-struct MmapCursor {
-    coll: Arc<RwLock<MmapCollection>>,
-    buf: std::vec::IntoIter<(Vec<u8>, SharedBytes)>,
-    resume: Option<Bound<Vec<u8>>>,
-    /// Records the cursor may still yield.
-    remaining: usize,
-}
-
-impl MmapCursor {
-    fn new(coll: Arc<RwLock<MmapCollection>>, start_key: &[u8], limit: usize) -> Self {
-        MmapCursor {
-            coll,
-            buf: Vec::new().into_iter(),
-            resume: Some(Bound::Included(start_key.to_vec())),
-            remaining: limit,
-        }
-    }
-
-    fn refill(&mut self) -> bool {
-        let chunk = self.remaining.min(MAX_CURSOR_CHUNK);
-        if chunk == 0 {
-            return false;
-        }
-        let Some(low) = self.resume.take() else { return false };
-        let coll = Arc::clone(&self.coll);
-        let c = coll.read();
-        let entries: Vec<(Vec<u8>, RecordLoc)> = c
-            .index
-            .range((low, Bound::Unbounded))
-            .take(chunk)
-            .map(|(k, &loc)| (k.clone(), loc))
-            .collect();
-        if entries.is_empty() {
-            return false;
-        }
-        if entries.len() == chunk {
-            self.resume = Some(Bound::Excluded(entries[entries.len() - 1].0.clone()));
-        }
-        self.remaining -= entries.len();
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_unstable_by_key(|&i| (entries[i].1.extent, entries[i].1.offset));
-        let mut values: Vec<Option<SharedBytes>> = vec![None; entries.len()];
-        for i in order {
-            values[i] = Some(SharedBytes::from(c.record_slice(entries[i].1)));
-        }
-        self.buf = entries
-            .into_iter()
-            .zip(values)
-            .map(|((key, _), value)| (key, value.expect("filled above")))
-            .collect::<Vec<_>>()
-            .into_iter();
-        true
-    }
-}
-
-impl Iterator for MmapCursor {
-    type Item = (Vec<u8>, SharedBytes);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.buf.next() {
-                return Some(item);
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
-    }
-}
-
 /// The engine: a map of independently locked collections plus one global
 /// journal (mmapv1 had a single journal per dbpath).
 pub struct MmapV1Engine {
@@ -230,7 +155,9 @@ impl MmapV1Engine {
     }
 
     fn coll(&self, name: &str) -> Option<Arc<RwLock<MmapCollection>>> {
-        self.collections.read().get(name).cloned()
+        let coll = self.collections.read().get(name).cloned()?;
+        assert_not_visiting(&*coll, name);
+        Some(coll)
     }
 
     fn coll_or_create(&self, name: &str) -> Arc<RwLock<MmapCollection>> {
@@ -422,10 +349,30 @@ impl StorageEngine for MmapV1Engine {
         Ok(true)
     }
 
-    fn cursor(&self, collection: &str, start_key: &[u8], limit: usize) -> DbResult<RecordCursor> {
+    fn scan(
+        &self,
+        collection: &str,
+        start_key: &[u8],
+        limit: usize,
+        visit: &mut Visitor<'_>,
+    ) -> DbResult<()> {
         StatCounters::add(&self.stats.scans, 1);
-        let Some(coll) = self.coll(collection) else { return Ok(RecordCursor::empty()) };
-        Ok(RecordCursor::new(MmapCursor::new(coll, start_key, limit)))
+        let Some(coll) = self.coll(collection) else { return Ok(()) };
+        let _visiting = Visiting::enter(&*coll);
+        // Each record is copied out of its extent, as mmapv1 does, into one
+        // buffer that serves the whole scan.
+        let mut copy = Vec::new();
+        scan_in_chunks(start_key, limit, |from, n| {
+            let c = coll.read();
+            let (mut visited, mut last) = (0, None);
+            for (key, &loc) in c.index.range::<[u8], _>((from, Bound::Unbounded)).take(n) {
+                copy.clear();
+                copy.extend_from_slice(c.record_slice(loc));
+                visit(key, &copy)?;
+                (visited, last) = (visited + 1, Some(key));
+            }
+            Ok((visited, last.filter(|_| visited == n).cloned()))
+        })
     }
 
     fn count(&self, collection: &str) -> u64 {
@@ -519,6 +466,7 @@ fn journal_snapshot_path(journal: &Wal) -> Option<std::path::PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SCAN_CHUNK;
     use crate::EngineKind;
 
     fn engine() -> MmapV1Engine {
@@ -604,48 +552,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn cursor_streams_across_chunk_boundaries() {
-        let e = engine();
-        for i in 0..600u32 {
-            e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
-        }
-        let rows: Vec<(Vec<u8>, SharedBytes)> =
-            e.cursor("c", b"k0003", usize::MAX).unwrap().collect();
-        assert_eq!(rows.len(), 597, "cursor crosses the {MAX_CURSOR_CHUNK}-entry refill boundary");
-        assert_eq!(rows[0].0, b"k0003");
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
-        assert_eq!(&*rows[596].1, b"v599");
+    /// Every record `e.scan` visits, copied out.
+    fn scanned(e: &MmapV1Engine, start: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut rows = Vec::new();
+        e.scan("c", start, limit, &mut |k, v| {
+            rows.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        rows
     }
 
     #[test]
-    fn cursor_limit_equals_take_of_an_unbounded_cursor() {
+    fn scan_visits_in_key_order_across_lock_holds() {
         let e = engine();
         for i in 0..600u32 {
             e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
-        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
-            let remaining = e.cursor("c", start, usize::MAX).unwrap().count();
-            for limit in [0, 1, 31, 32, 33, 256, 257, remaining + 1, 10_000, usize::MAX] {
-                let unbounded: Vec<(Vec<u8>, SharedBytes)> =
-                    e.cursor("c", start, usize::MAX).unwrap().take(limit).collect();
-                let limited: Vec<(Vec<u8>, SharedBytes)> =
-                    e.cursor("c", start, limit).unwrap().collect();
-                assert_eq!(limited, unbounded, "start {start:?}, limit {limit}");
-                // Nothing past the limit is fetched: the refills together
-                // hold exactly the records yielded, each at most
-                // MAX_CURSOR_CHUNK of them.
-                let coll = e.coll("c").unwrap();
-                let mut cursor = MmapCursor::new(coll, start, limit);
-                let mut fetched = Vec::new();
-                while cursor.refill() {
-                    fetched.push(cursor.buf.len());
-                }
-                assert_eq!(fetched.iter().sum::<usize>(), unbounded.len(), "limit {limit}");
-                assert!(fetched.iter().all(|&n| n <= MAX_CURSOR_CHUNK.min(limit)));
-            }
+        let rows = scanned(&e, b"k0003", usize::MAX);
+        assert_eq!(rows.len(), 597, "the scan crosses the {SCAN_CHUNK}-entry lock holds");
+        assert_eq!(rows[0].0, b"k0003");
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
+        assert_eq!(rows[596].1, b"v599");
+        for limit in [0, 1, 255, 256, 257, 597, 598, usize::MAX] {
+            let limited = scanned(&e, b"k0003", limit);
+            assert_eq!(limited[..], rows[..limit.min(597)], "limit {limit}");
         }
-        assert_eq!(e.cursor("absent", b"", 10).unwrap().count(), 0);
+        assert!(scanned(&e, b"z", usize::MAX).is_empty());
+        let mut visits = 0;
+        e.scan("absent", b"", 10, &mut |_, _| {
+            visits += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((visits, e.stats().scans), (0, 11), "a scan of nothing still counts");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! What the engines model, they pay on every operation: wiredTiger
 //! compresses each write and accounts the compressed size, both engines
 //! frame, checksum and append each mutation to their log (the in-memory
-//! sink included), and mmapv1 copies each record a read or a cursor yields
+//! sink included), and mmapv1 copies each record a read or a scan yields
 //! out of its extents. What they do not model they do not pay: a write
 //! frames the log record straight from the borrowed key and value, and a
-//! cursor is opened with a record limit ([`StorageEngine::cursor`]), so a
-//! scan fetches, clones and copies only the records it yields.
+//! scan ([`StorageEngine::scan`]) hands each record to its visitor where it
+//! lies, as borrowed key and value slices: wiredTiger's cache-resident
+//! bytes, and mmapv1's copy in one buffer reused for the whole scan. A scan
+//! allocates nothing per record and reads nothing past its limit.
 //!
 //! An in-memory engine can also be copied whole
 //! ([`StorageEngine::clone_in_memory`]): its record layout, log state and
@@ -23,6 +25,7 @@
 pub mod mmapv1;
 pub mod wiredtiger;
 
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,51 +35,87 @@ use crate::error::DbResult;
 ///
 /// The wiredTiger-like engine hands out its cache-resident copy without any
 /// byte copy; the mmapv1-like engine copies out of its extents once and the
-/// `Arc` is then shared by every downstream consumer (cursor batches, filter
-/// pushdown, decode).
+/// `Arc` is then shared by every downstream consumer (point reads, batched
+/// reads, decode).
 pub type SharedBytes = Arc<[u8]>;
 
-/// A streaming cursor over one collection's records in key order.
-///
-/// Cursors replace the old copy-per-batch `scan` loop: the engine refills an
-/// internal chunk under its own short-lived locks and yields `Arc`-shared
-/// value bytes, so iterating a collection never copies record payloads and
-/// never re-enters the engine with cloned sentinel resume keys. A cursor is
-/// opened with a record limit and no refill reaches past it: a YCSB scan of
-/// 50 records fetches 50, not the 32 + 64 of two doubling chunks. What the
-/// engines model is kept — mmapv1 still copies every record it yields out
-/// of its extents. Records inserted or deleted while the cursor is open may
-/// or may not be observed (same snapshot semantics the batched `scan` had).
-pub struct RecordCursor {
-    inner: Box<dyn Iterator<Item = (Vec<u8>, SharedBytes)> + Send>,
+/// What [`StorageEngine::scan`] calls with each record's key and value,
+/// borrowed from the engine. An error from it stops the scan and is what
+/// the scan returns.
+pub type Visitor<'a> = dyn FnMut(&[u8], &[u8]) -> DbResult<()> + 'a;
+
+/// The most index entries a scan walks per hold of the engine's read lock.
+pub(crate) const SCAN_CHUNK: usize = 256;
+
+/// Drives a scan of at most `limit` records from `start_key` in chunks of
+/// at most [`SCAN_CHUNK`] index entries. `chunk(from, n)` walks at most `n`
+/// entries from `from` under one lock hold, visiting each record, and
+/// returns how many records it visited and, when it walked all `n`, a copy
+/// of the last key it walked: the next chunk resumes after it.
+pub(crate) fn scan_in_chunks(
+    start_key: &[u8],
+    limit: usize,
+    mut chunk: impl FnMut(Bound<&[u8]>, usize) -> DbResult<(usize, Option<Vec<u8>>)>,
+) -> DbResult<()> {
+    let mut remaining = limit;
+    let mut resume: Option<Vec<u8>> = None;
+    while remaining > 0 {
+        let from = match &resume {
+            Some(key) => Bound::Excluded(key.as_slice()),
+            None => Bound::Included(start_key),
+        };
+        let (visited, last) = chunk(from, remaining.min(SCAN_CHUNK))?;
+        remaining -= visited;
+        match last {
+            Some(key) => resume = Some(key),
+            None => break,
+        }
+    }
+    Ok(())
 }
 
-impl RecordCursor {
-    /// Wraps an engine-internal record iterator.
-    pub(crate) fn new(
-        inner: impl Iterator<Item = (Vec<u8>, SharedBytes)> + Send + 'static,
-    ) -> Self {
-        RecordCursor { inner: Box::new(inner) }
-    }
+#[cfg(debug_assertions)]
+thread_local! {
+    /// The collections whose scans this thread is visiting, by the address
+    /// of their storage.
+    static VISITING: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+}
 
-    /// A cursor over nothing (missing collection).
-    pub(crate) fn empty() -> Self {
-        RecordCursor::new(std::iter::empty())
+/// Marks a collection's storage as visited by this thread's scan until it
+/// is dropped, so that [`assert_not_visiting`] catches a visitor that calls
+/// back into it. Debug builds only; release builds keep nothing.
+pub(crate) struct Visiting(());
+
+impl Visiting {
+    pub(crate) fn enter<T>(storage: &T) -> Visiting {
+        #[cfg(debug_assertions)]
+        VISITING.with_borrow_mut(|visiting| visiting.push(storage as *const T as usize));
+        #[cfg(not(debug_assertions))]
+        let _ = storage;
+        Visiting(())
     }
 }
 
-impl Iterator for RecordCursor {
-    type Item = (Vec<u8>, SharedBytes);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
+impl Drop for Visiting {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        VISITING.with_borrow_mut(|visiting| visiting.pop());
     }
 }
 
-impl std::fmt::Debug for RecordCursor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RecordCursor")
+/// Panics in a debug build when this thread is inside a scan's visitor of
+/// the collection stored at `storage`: the scan holds that collection's
+/// read lock, on which a write deadlocks, and behind which a read waits for
+/// any writer queued on it.
+pub(crate) fn assert_not_visiting<T>(storage: &T, collection: &str) {
+    #[cfg(debug_assertions)]
+    if VISITING.with_borrow(|visiting| visiting.contains(&(storage as *const T as usize))) {
+        panic!(
+            "a scan's visitor called into collection {collection:?}, which the scan holds locked"
+        );
     }
+    #[cfg(not(debug_assertions))]
+    let _ = (storage, collection);
 }
 
 /// Which storage engine a database uses.
@@ -256,24 +295,24 @@ pub trait StorageEngine: Send + Sync {
     /// Removes a record; returns whether it existed.
     fn delete(&self, collection: &str, key: &[u8]) -> DbResult<bool>;
 
-    /// Streaming cursor over at most `limit` records, from the first key
-    /// ≥ `start_key`. It yields what `.take(limit)` of an unbounded cursor
-    /// would, and fetches nothing past `limit`: no index entry, no record
-    /// clone, no extent copy. Full walks pass `usize::MAX`.
-    fn cursor(&self, collection: &str, start_key: &[u8], limit: usize) -> DbResult<RecordCursor>;
-
-    /// Up to `limit` records with key ≥ `start_key`, in key order.
-    ///
-    /// Compatibility wrapper over [`StorageEngine::cursor`] that copies the
-    /// shared value bytes out; hot paths should iterate the cursor instead.
+    /// Visits at most `limit` records with key ≥ `start_key`, in key order
+    /// (`usize::MAX` walks the collection). `visit` gets each record's key
+    /// and value as borrowed slices; an error from it stops the scan and is
+    /// returned. The engine walks at most 256 index entries per hold of
+    /// its read lock and runs `visit` under it, then releases the
+    /// lock and resumes after a copy of the last key: a record written
+    /// between two holds may or may not be visited, one present for the
+    /// whole scan always is. So `visit` must not call into the collection
+    /// it visits: a write there would deadlock on that lock (a debug build
+    /// panics instead, naming the collection). Nothing past `limit` is
+    /// read, and no record is allocated for.
     fn scan(
         &self,
         collection: &str,
         start_key: &[u8],
         limit: usize,
-    ) -> DbResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        Ok(self.cursor(collection, start_key, limit)?.map(|(k, v)| (k, v.to_vec())).collect())
-    }
+        visit: &mut Visitor<'_>,
+    ) -> DbResult<()>;
 
     /// Number of records in `collection` (0 if it does not exist).
     fn count(&self, collection: &str) -> u64;

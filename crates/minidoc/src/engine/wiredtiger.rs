@@ -35,7 +35,10 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::compress::compress_or_store;
-use crate::engine::{EngineStats, RecordCursor, SharedBytes, StatCounters, StorageEngine};
+use crate::engine::{
+    assert_not_visiting, scan_in_chunks, EngineStats, SharedBytes, StatCounters, StorageEngine,
+    Visiting, Visitor,
+};
 use crate::error::{DbError, DbResult};
 use crate::wal::{Wal, WalOp};
 use crate::DbConfig;
@@ -48,8 +51,8 @@ struct RecordId {
 }
 
 /// A cache-resident record: the raw bytes plus the size its compressed
-/// block occupies "on disk". The bytes are `Arc`-shared so reads and
-/// cursors hand out the cache copy without duplicating the payload.
+/// block occupies "on disk". The bytes are `Arc`-shared so reads hand out
+/// the cache copy without duplicating the payload.
 #[derive(Debug, Clone)]
 struct Record {
     raw: SharedBytes,
@@ -124,85 +127,6 @@ impl WtCollection {
     }
 }
 
-/// Largest refill; bounds how long the index read lock is held.
-const MAX_CURSOR_CHUNK: usize = 256;
-
-/// Streaming cursor: refills a chunk of (key, record) pairs under short
-/// index/shard lock holds and resumes from the last key it handed out.
-/// Each refill takes at most the records still owed to its `limit`, so a
-/// short scan reads only what it yields.
-struct WtCursor {
-    coll: Arc<WtCollection>,
-    buf: std::vec::IntoIter<(Vec<u8>, SharedBytes)>,
-    resume: Option<Bound<Vec<u8>>>,
-    /// Records the cursor may still yield.
-    remaining: usize,
-}
-
-impl WtCursor {
-    fn new(coll: Arc<WtCollection>, start_key: &[u8], limit: usize) -> Self {
-        WtCursor {
-            coll,
-            buf: Vec::new().into_iter(),
-            resume: Some(Bound::Included(start_key.to_vec())),
-            remaining: limit,
-        }
-    }
-
-    /// Snapshots the next chunk of index entries, then reads each record
-    /// from its shard. Returns false once the index range or the limit is
-    /// exhausted.
-    fn refill(&mut self) -> bool {
-        let chunk = self.remaining.min(MAX_CURSOR_CHUNK);
-        if chunk == 0 {
-            return false;
-        }
-        let Some(low) = self.resume.take() else { return false };
-        let ids: Vec<(Vec<u8>, RecordId)> = {
-            let index = self.coll.index.read();
-            index
-                .range((low, Bound::Unbounded))
-                .take(chunk)
-                .map(|(k, &id)| (k.clone(), id))
-                .collect()
-        };
-        if ids.is_empty() {
-            return false;
-        }
-        if ids.len() == chunk {
-            self.resume = Some(Bound::Excluded(ids[ids.len() - 1].0.clone()));
-        }
-        let mut records = Vec::with_capacity(ids.len());
-        for (key, id) in ids {
-            // A record may vanish between index snapshot and shard read
-            // (concurrent delete); skip those.
-            if let Some(record) = self.coll.read_record(id) {
-                records.push((key, record.raw));
-            }
-        }
-        // Only yielded records count against the limit, so a skipped one
-        // is made up by the next refill.
-        self.remaining -= records.len();
-        self.buf = records.into_iter();
-        true
-    }
-}
-
-impl Iterator for WtCursor {
-    type Item = (Vec<u8>, SharedBytes);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.buf.next() {
-                return Some(item);
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
-    }
-}
-
 /// The engine.
 pub struct WiredTigerEngine {
     collections: RwLock<BTreeMap<String, Arc<WtCollection>>>,
@@ -258,7 +182,9 @@ impl WiredTigerEngine {
     }
 
     fn coll(&self, name: &str) -> Option<Arc<WtCollection>> {
-        self.collections.read().get(name).cloned()
+        let coll = self.collections.read().get(name).cloned()?;
+        assert_not_visiting(&*coll, name);
+        Some(coll)
     }
 
     fn coll_or_create(&self, name: &str) -> Arc<WtCollection> {
@@ -476,10 +402,34 @@ impl StorageEngine for WiredTigerEngine {
         Ok(existed)
     }
 
-    fn cursor(&self, collection: &str, start_key: &[u8], limit: usize) -> DbResult<RecordCursor> {
+    fn scan(
+        &self,
+        collection: &str,
+        start_key: &[u8],
+        limit: usize,
+        visit: &mut Visitor<'_>,
+    ) -> DbResult<()> {
         StatCounters::add(&self.stats.scans, 1);
-        let Some(coll) = self.coll(collection) else { return Ok(RecordCursor::empty()) };
-        Ok(RecordCursor::new(WtCursor::new(coll, start_key, limit)))
+        let Some(coll) = self.coll(collection) else { return Ok(()) };
+        let _visiting = Visiting::enter(&*coll);
+        scan_in_chunks(start_key, limit, |from, n| {
+            let index = coll.index.read();
+            let (mut walked, mut visited, mut last) = (0, 0, None);
+            for (key, &id) in index.range::<[u8], _>((from, Bound::Unbounded)).take(n) {
+                (walked, last) = (walked + 1, Some(key));
+                // The visitor reads the cache-resident bytes under the
+                // record's shard latch. A delete unlinks the key before it
+                // frees the slot, so under the index lock every entry's
+                // slot holds its record; one that did not would be
+                // skipped, not counted.
+                let shard = coll.shards[id.shard as usize].lock();
+                if let Some(record) = shard.slots.get(id.slot as usize).and_then(Option::as_ref) {
+                    visit(key, &record.raw)?;
+                    visited += 1;
+                }
+            }
+            Ok((visited, last.filter(|_| walked == n).cloned()))
+        })
     }
 
     fn count(&self, collection: &str) -> u64 {
@@ -574,6 +524,7 @@ impl StorageEngine for WiredTigerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SCAN_CHUNK;
     use crate::EngineKind;
 
     fn engine() -> WiredTigerEngine {
@@ -666,60 +617,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn scan_skips_concurrently_deleted() {
-        let e = engine();
-        for i in 0..10u32 {
-            e.insert("c", format!("k{i}").as_bytes(), b"v").unwrap();
-        }
-        let rows = e.scan("c", b"k3", 4).unwrap();
-        let keys: Vec<String> =
-            rows.iter().map(|(k, _)| String::from_utf8_lossy(k).into_owned()).collect();
-        assert_eq!(keys, vec!["k3", "k4", "k5", "k6"]);
+    /// Every record `e.scan` visits, copied out.
+    fn scanned(e: &WiredTigerEngine, start: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut rows = Vec::new();
+        e.scan("c", start, limit, &mut |k, v| {
+            rows.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        rows
     }
 
     #[test]
-    fn cursor_streams_across_chunk_boundaries() {
+    fn scan_visits_in_key_order_across_lock_holds() {
         let e = engine();
         for i in 0..600u32 {
             e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
-        let rows: Vec<(Vec<u8>, crate::engine::SharedBytes)> =
-            e.cursor("c", b"k0003", usize::MAX).unwrap().collect();
-        assert_eq!(rows.len(), 597, "cursor crosses the {MAX_CURSOR_CHUNK}-entry refill boundary");
+        let rows = scanned(&e, b"k0003", usize::MAX);
+        assert_eq!(rows.len(), 597, "the scan crosses the {SCAN_CHUNK}-entry lock holds");
         assert_eq!(rows[0].0, b"k0003");
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
-        assert_eq!(&*rows[596].1, b"v599");
-    }
-
-    #[test]
-    fn cursor_limit_equals_take_of_an_unbounded_cursor() {
-        let e = engine();
-        for i in 0..600u32 {
-            e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+        assert_eq!(rows[596].1, b"v599");
+        for limit in [0, 1, 255, 256, 257, 597, 598, usize::MAX] {
+            let limited = scanned(&e, b"k0003", limit);
+            assert_eq!(limited[..], rows[..limit.min(597)], "limit {limit}");
         }
-        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
-            let remaining = e.cursor("c", start, usize::MAX).unwrap().count();
-            for limit in [0, 1, 31, 32, 33, 256, 257, remaining + 1, 10_000, usize::MAX] {
-                let unbounded: Vec<(Vec<u8>, SharedBytes)> =
-                    e.cursor("c", start, usize::MAX).unwrap().take(limit).collect();
-                let limited: Vec<(Vec<u8>, SharedBytes)> =
-                    e.cursor("c", start, limit).unwrap().collect();
-                assert_eq!(limited, unbounded, "start {start:?}, limit {limit}");
-                // Nothing past the limit is fetched: the refills together
-                // hold exactly the records yielded, each at most
-                // MAX_CURSOR_CHUNK of them.
-                let coll = e.coll("c").unwrap();
-                let mut cursor = WtCursor::new(coll, start, limit);
-                let mut fetched = Vec::new();
-                while cursor.refill() {
-                    fetched.push(cursor.buf.len());
-                }
-                assert_eq!(fetched.iter().sum::<usize>(), unbounded.len(), "limit {limit}");
-                assert!(fetched.iter().all(|&n| n <= MAX_CURSOR_CHUNK.min(limit)));
-            }
-        }
-        assert_eq!(e.cursor("absent", b"", 10).unwrap().count(), 0);
+        assert!(scanned(&e, b"z", usize::MAX).is_empty());
+        let mut visits = 0;
+        e.scan("absent", b"", 10, &mut |_, _| {
+            visits += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((visits, e.stats().scans), (0, 11), "a scan of nothing still counts");
     }
 
     #[test]

@@ -22,7 +22,15 @@
 //!
 //! A write replaces a whole document ([`Collection::insert`],
 //! [`Collection::update`], [`Collection::upsert`], [`Collection::delete`]),
-//! as YCSB's `update` does; there are no partial-update operators.
+//! as YCSB's `update` does; there are no partial-update operators. A scan
+//! visits records in key order where the engine keeps them
+//! ([`Collection::scan_raw`], [`StorageEngine::scan`]): the visitor borrows
+//! each key and encoded document, and nothing is allocated per record.
+//! [`Collection::scan`] and [`Collection::find`] decode what they return,
+//! and [`Collection::create_index`] extracts just the indexed field. The
+//! engine holds its read lock for at most 256 records at a time and runs
+//! the visitor under it, so a visitor must not call into the collection it
+//! visits (a debug build panics, naming it, where a write would deadlock).
 //!
 //! ```
 //! use minidoc::{Database, DbConfig, EngineKind};
@@ -43,7 +51,7 @@ pub mod index;
 pub mod query;
 pub mod wal;
 
-pub use engine::{EngineKind, EngineStats, RecordCursor, SharedBytes, StorageEngine};
+pub use engine::{EngineKind, EngineStats, SharedBytes, StorageEngine, Visitor};
 pub use error::{DbError, DbResult};
 pub use query::Filter;
 
@@ -278,13 +286,14 @@ impl Collection {
             return Ok(());
         }
         let mut index = FieldIndex::new();
-        for (key, bytes) in self.engine.cursor(&self.name, &[], usize::MAX)? {
+        self.scan_raw("", usize::MAX, &mut |key, bytes| {
             // Extract just the indexed field from the encoded bytes; the
             // rest of the document is never materialized.
-            if let Some(value) = doc::decode_path(&bytes, field)? {
-                index.insert(&value, &key);
+            if let Some(value) = doc::decode_path(bytes, field)? {
+                index.insert(&value, key);
             }
-        }
+            Ok(())
+        })?;
         indexes.entry(self.name.clone()).or_default().insert(field.to_string(), index);
         Ok(())
     }
@@ -348,19 +357,24 @@ impl Collection {
 
     /// Ordered scan: up to `limit` documents with keys ≥ `start_key`.
     pub fn scan(&self, start_key: &str, limit: usize) -> DbResult<Vec<(String, Value)>> {
-        self.cursor(start_key, limit)?
-            .map(|(k, v)| Ok((decode_key(k)?, doc::decode(&v)?)))
-            .collect()
+        let mut out = Vec::new();
+        self.scan_raw(start_key, limit, &mut |key, bytes| {
+            out.push((decode_key(key)?, doc::decode(bytes)?));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    /// Streaming cursor over at most `limit` raw `(key, encoded document)`
-    /// records with keys ≥ `start_key`, in key order; the engine fetches
-    /// nothing past `limit` (`usize::MAX` walks the collection). Yields the
-    /// engine's `Arc`-shared value bytes without decoding — pair with
-    /// [`doc::matches_encoded`]/[`doc::decode_path`] to inspect them, or
-    /// [`doc::decode`] to materialize.
-    pub fn cursor(&self, start_key: &str, limit: usize) -> DbResult<RecordCursor> {
-        self.engine.cursor(&self.name, start_key.as_bytes(), limit)
+    /// Visits at most `limit` raw `(key, encoded document)` records with
+    /// keys ≥ `start_key`, in key order (`usize::MAX` walks the collection),
+    /// borrowed from the engine without decoding
+    /// ([`StorageEngine::scan`]): pair with
+    /// [`doc::matches_encoded`]/[`doc::decode_path`] to inspect a record, or
+    /// [`doc::decode`] to materialize it. An error from `visit` stops the
+    /// scan and is returned. `visit` runs under the engine's read lock, so
+    /// it must not call into this collection.
+    pub fn scan_raw(&self, start_key: &str, limit: usize, visit: &mut Visitor<'_>) -> DbResult<()> {
+        self.engine.scan(&self.name, start_key.as_bytes(), limit, visit)
     }
 
     /// Number of documents.
@@ -380,7 +394,7 @@ impl Collection {
             // true matches are decoded.
             let values = self.engine.get_many(&self.name, &candidates)?;
             let mut out = Vec::with_capacity(candidates.len());
-            for (key_bytes, value) in candidates.into_iter().zip(values) {
+            for (key_bytes, value) in candidates.iter().zip(values) {
                 let Some(bytes) = value else { continue };
                 if doc::matches_encoded(&bytes, filter)? {
                     out.push((decode_key(key_bytes)?, doc::decode(&bytes)?));
@@ -389,23 +403,26 @@ impl Collection {
             return Ok(out);
         }
         // Full scan with predicate pushdown: the filter is evaluated
-        // directly on each record's encoded bytes as the cursor streams
+        // directly on each record's encoded bytes where the engine holds
         // them; non-matching documents are never materialized.
         let mut out = Vec::new();
-        for (key_bytes, bytes) in self.cursor("", usize::MAX)? {
-            if doc::matches_encoded(&bytes, filter)? {
-                out.push((decode_key(key_bytes)?, doc::decode(&bytes)?));
+        self.scan_raw("", usize::MAX, &mut |key, bytes| {
+            if doc::matches_encoded(bytes, filter)? {
+                out.push((decode_key(key)?, doc::decode(bytes)?));
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 }
 
-/// Decodes an engine key back into the `String` the API hands out,
-/// rejecting non-UTF-8 bytes as corruption instead of silently mangling
-/// them with a lossy conversion.
-fn decode_key(bytes: Vec<u8>) -> DbResult<String> {
-    String::from_utf8(bytes).map_err(|e| DbError::Corrupt(format!("non-UTF-8 document key: {e}")))
+/// Decodes an engine key into the `String` the API hands out, rejecting
+/// non-UTF-8 bytes as corruption instead of silently mangling them with a
+/// lossy conversion.
+fn decode_key(bytes: &[u8]) -> DbResult<String> {
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|e| DbError::Corrupt(format!("non-UTF-8 document key: {e}")))
 }
 
 impl std::fmt::Debug for Collection {
@@ -519,8 +536,14 @@ mod tests {
             coll.engine.insert("t", &[0x80, 0xFF], &bytes).unwrap();
             assert!(matches!(coll.scan("", 10), Err(DbError::Corrupt(_))));
             assert!(matches!(coll.find(&Filter::exists("v")), Err(DbError::Corrupt(_))));
-            // The raw cursor still exposes the record for repair tooling.
-            assert_eq!(coll.cursor("", usize::MAX).unwrap().count(), 2);
+            // The raw scan still exposes the record for repair tooling.
+            let mut records = 0;
+            coll.scan_raw("", usize::MAX, &mut |_, _| {
+                records += 1;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(records, 2);
         }
     }
 

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use chronos_json::obj;
-use minidoc::{Database, DbConfig, EngineKind, Filter};
+use minidoc::{doc, Database, DbConfig, DbError, EngineKind, Filter};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -156,7 +156,7 @@ fn check_clone(engine: EngineKind, prefix: &[Op], suffix: &[Op]) {
     assert_matches_model(&original, &prefix_model);
 }
 
-/// Limits around the cursors' 256-record refill, and past the end.
+/// Limits around the scans' 256-record lock hold, and past the end.
 const LIMITS: [usize; 10] = [0, 1, 31, 32, 33, 50, 256, 257, 1000, usize::MAX];
 
 #[test]
@@ -192,10 +192,13 @@ fn limited_scans_agree_across_engines() {
                 let engine = db.engine_kind();
                 let coll = db.collection("t");
                 assert_eq!(coll.scan(start, limit).unwrap(), expected, "{engine}: {start} {limit}");
-                let unbounded: Vec<_> =
-                    coll.cursor(start, usize::MAX).unwrap().take(limit).collect();
-                let limited: Vec<_> = coll.cursor(start, limit).unwrap().collect();
-                assert_eq!(limited, unbounded, "{engine}: cursor {start} {limit}");
+                let mut raw = Vec::new();
+                coll.scan_raw(start, limit, &mut |k, v| {
+                    raw.push((String::from_utf8(k.to_vec()).unwrap(), doc::decode(v)?));
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(raw, expected, "{engine}: raw scan {start} {limit}");
             }
         }
     }
@@ -235,6 +238,39 @@ fn scans_match_the_model_on_engines_and_copies() {
                     let got = coll.scan(start, limit).unwrap();
                     assert_eq!(got, expected, "{engine} {name}: start {start:?}, limit {limit}");
                 }
+            }
+        }
+    }
+}
+
+/// An error from the visitor stops the scan where it is raised and is what
+/// the scan returns, on both engines and on an in-memory copy of each.
+#[test]
+fn a_visitor_error_stops_the_scan_and_is_returned() {
+    for engine in [EngineKind::WiredTiger, EngineKind::MmapV1] {
+        let db = Database::open(DbConfig::in_memory(engine)).unwrap();
+        for i in 0..600usize {
+            db.collection("t").insert(&format!("key{i:04}"), &payload(i % 89)).unwrap();
+        }
+        let copy = db.clone_in_memory().unwrap();
+        for (name, db) in [("original", &db), ("copy", &copy)] {
+            let coll = db.collection("t");
+            // 300 is past the first 256-record lock hold.
+            for stop_at in [0usize, 1, 255, 256, 300] {
+                let mut visited = Vec::new();
+                let result = coll.scan_raw("key0000", usize::MAX, &mut |k, _| {
+                    if visited.len() == stop_at {
+                        return Err(DbError::Corrupt(format!("stop at {}", visited.len())));
+                    }
+                    visited.push(k.to_vec());
+                    Ok(())
+                });
+                let message = format!("{engine} {name}: stop at {stop_at}");
+                assert!(
+                    matches!(&result, Err(DbError::Corrupt(m)) if *m == format!("stop at {stop_at}")),
+                    "{message}: {result:?}"
+                );
+                assert_eq!(visited.len(), stop_at, "{message}: nothing is visited after the error");
             }
         }
     }

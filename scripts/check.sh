@@ -58,7 +58,7 @@ if ! cargo test --locked -q --offline --test wire_compat; then
     exit 1
 fi
 
-echo "== generator determinism: golden op streams, draw sequences and SuE bytes; a clone must match a load =="
+echo "== generator determinism: golden op streams, draw sequences, SuE bytes and scan counters; a clone must match a load; scans, finds and index builds must match the model =="
 # FNV-1a digests of every YCSB op stream (workloads a-f, threads 1 and 2,
 # four field lengths, four record counts, three seeds, plus the load phase)
 # and the first draws of every gen_range shape the generators use. A
@@ -67,17 +67,23 @@ echo "== generator determinism: golden op streams, draw sequences and SuE bytes;
 # The same holds for what minidoc writes for those operations: the
 # compressed blocks, log frames and CRCs (minidoc golden_blocks), the
 # durable engines' log and checkpoint files, and the engine_stats of a
-# seeded job per engine x workload (chronos-agent docstore_engine_stats).
+# seeded job per engine x workload (chronos-agent docstore_engine_stats),
+# its operation counters included: a YCSB scan counts exactly once.
 # A client hands repeated loads a copy of a kept image, so a clone must
 # match a load: docstore_engine_stats runs the same jobs on copies against
 # the same table, and minidoc engine_equivalence holds a copy of either
-# engine to the model of everything written before and after the copy.
+# engine to the model of everything written before and after the copy,
+# its scans included. Finds and index builds run on the same engine scan:
+# minidoc pushdown holds a full-scan find to the decoded filter, and
+# index_build_race holds an index built during writes to the documents.
 if ! cargo test --locked -q --offline -p chronos-workload --test golden_streams \
     || ! cargo test --locked -q --offline -p rand --test golden_sequences \
     || ! cargo test --locked -q --offline -p minidoc --test golden_blocks \
     || ! cargo test --locked -q --offline -p minidoc --test engine_equivalence \
+    || ! cargo test --locked -q --offline -p minidoc --test pushdown \
+    || ! cargo test --locked -q --offline -p minidoc --test index_build_race \
     || ! cargo test --locked -q --offline -p chronos-agent --test docstore_engine_stats; then
-    echo "FAIL: generator output moved, or a clone no longer matches a load: results across commits are no longer comparable" >&2
+    echo "FAIL: generator output or scan counters moved, a clone no longer matches a load, or a scan, find or index build no longer matches the model: results across commits are no longer comparable" >&2
     exit 1
 fi
 
