@@ -96,13 +96,15 @@ fn scans_under_concurrent_writes_keep_order_limit_and_stable_keys() {
     for engine in [EngineKind::WiredTiger, EngineKind::MmapV1] {
         let db = loaded(engine);
         let (tx, rx) = mpsc::channel();
-        // Not joined on a timeout: a hung scan fails the test instead of
-        // hanging it.
-        std::thread::spawn(move || tx.send(scan_while_writing(db)).unwrap());
+        let scanner = std::thread::spawn(move || tx.send(scan_while_writing(db)).unwrap());
         match rx.recv_timeout(Duration::from_secs(120)) {
             Ok(scans) => assert_eq!(scans, 6 * 6 * 8, "{engine}"),
+            // Not joined: a hung scan fails the test instead of hanging it.
             Err(mpsc::RecvTimeoutError::Timeout) => panic!("{engine}: scans did not finish"),
-            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{engine}: a scan check failed"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {}
+        }
+        if let Err(panic) = scanner.join() {
+            std::panic::resume_unwind(panic);
         }
     }
 }
