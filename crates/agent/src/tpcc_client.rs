@@ -23,7 +23,7 @@ use chronos_util::pool::scoped_indexed;
 use chronos_workload::tpcc::{
     keys, TpccConfig, TpccRunner, TpccTx, CUSTOMERS_PER_DISTRICT, DISTRICTS_PER_WAREHOUSE, ITEMS,
 };
-use minidoc::{doc, Collection, Database, DbConfig, DbError, EngineKind, Filter};
+use minidoc::{Collection, Database, DbConfig, EngineKind, Filter};
 
 use crate::context::JobContext;
 use crate::runtime::EvaluationClient;
@@ -234,23 +234,15 @@ fn execute_tx(db: &Database, runner: &TpccRunner, tx: &TpccTx) -> Result<(), Str
             // prefix-ordered by (warehouse, district, order id).
             for d in 1..=DISTRICTS_PER_WAREHOUSE {
                 let prefix = keys::new_order(*warehouse, d, 0);
-                // The first marker's key and order id, read off its encoded
-                // record without decoding the rest.
-                let mut first = None;
-                t.new_orders
-                    .scan_raw(&prefix, 1, &mut |key, marker| {
-                        let key = std::str::from_utf8(key)
-                            .map_err(|e| DbError::Corrupt(format!("non-UTF-8 key: {e}")))?;
-                        first = Some((key.to_owned(), doc::decode_path(marker, "order")?));
-                        Ok(())
-                    })
-                    .map_err(e)?;
-                let Some((marker_key, order)) = first else { continue };
+                let batch = t.new_orders.scan(&prefix, 1).map_err(e)?;
+                let Some((marker_key, marker)) = batch.into_iter().next() else { continue };
                 // The scan may have run past this district's prefix.
                 if !marker_key.starts_with(&format!("w{:04}d{:02}", warehouse, d)) {
                     continue;
                 }
-                let Some(order_id) = order.as_ref().and_then(Value::as_u64) else { continue };
+                let Some(order_id) = marker.get("order").and_then(Value::as_u64) else {
+                    continue;
+                };
                 let o_key = keys::order(order_id);
                 if let Some(mut order) = t.orders.get(&o_key).map_err(e)? {
                     order.set("carrier", *carrier as i64);
