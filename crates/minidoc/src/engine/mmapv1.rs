@@ -27,8 +27,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::engine::{
-    assert_not_visiting, scan_in_chunks, EngineStats, SharedBytes, StatCounters, StorageEngine,
-    Visiting, Visitor,
+    assert_not_visiting, scan_in_chunks, CollectionLock, EngineStats, SharedBytes, StatCounters,
+    StorageEngine, Visitor,
 };
 use crate::error::{DbError, DbResult};
 use crate::wal::{Wal, WalOp};
@@ -113,7 +113,7 @@ impl MmapCollection {
 /// The engine: a map of independently locked collections plus one global
 /// journal (mmapv1 had a single journal per dbpath).
 pub struct MmapV1Engine {
-    collections: RwLock<BTreeMap<String, Arc<RwLock<MmapCollection>>>>,
+    collections: RwLock<BTreeMap<String, Arc<CollectionLock<MmapCollection>>>>,
     journal: Mutex<Wal>,
     stats: StatCounters,
 }
@@ -154,20 +154,20 @@ impl MmapV1Engine {
         Ok(engine)
     }
 
-    fn coll(&self, name: &str) -> Option<Arc<RwLock<MmapCollection>>> {
+    fn coll(&self, name: &str) -> Option<Arc<CollectionLock<MmapCollection>>> {
         let coll = self.collections.read().get(name).cloned()?;
         assert_not_visiting(&*coll, name);
         Some(coll)
     }
 
-    fn coll_or_create(&self, name: &str) -> Arc<RwLock<MmapCollection>> {
+    fn coll_or_create(&self, name: &str) -> Arc<CollectionLock<MmapCollection>> {
         if let Some(c) = self.coll(name) {
             return c;
         }
         let mut map = self.collections.write();
         Arc::clone(
             map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(RwLock::new(MmapCollection::default()))),
+                .or_insert_with(|| Arc::new(CollectionLock::new(MmapCollection::default()))),
         )
     }
 
@@ -358,20 +358,18 @@ impl StorageEngine for MmapV1Engine {
     ) -> DbResult<()> {
         StatCounters::add(&self.stats.scans, 1);
         let Some(coll) = self.coll(collection) else { return Ok(()) };
-        let _visiting = Visiting::enter(&*coll);
         // Each record is copied out of its extent, as mmapv1 does, into one
         // buffer that serves the whole scan.
         let mut copy = Vec::new();
-        scan_in_chunks(start_key, limit, |from, n| {
-            let c = coll.read();
-            let (mut visited, mut last) = (0, None);
-            for (key, &loc) in c.index.range::<[u8], _>((from, Bound::Unbounded)).take(n) {
+        scan_in_chunks(&coll, start_key, limit, visit, |c, from, visit| {
+            for (key, &loc) in c.index.range::<[u8], _>((from, Bound::Unbounded)) {
                 copy.clear();
                 copy.extend_from_slice(c.record_slice(loc));
-                visit(key, &copy)?;
-                (visited, last) = (visited + 1, Some(key));
+                if !visit(key, &copy)? {
+                    break;
+                }
             }
-            Ok((visited, last.filter(|_| visited == n).cloned()))
+            Ok(())
         })
     }
 
@@ -448,7 +446,7 @@ impl StorageEngine for MmapV1Engine {
             .collections
             .read()
             .iter()
-            .map(|(name, coll)| (name.clone(), Arc::new(RwLock::new(coll.read().clone()))))
+            .map(|(name, coll)| (name.clone(), Arc::new(CollectionLock::new(coll.read().clone()))))
             .collect();
         Ok(Arc::new(MmapV1Engine {
             collections: RwLock::new(collections),
@@ -574,18 +572,52 @@ mod tests {
         assert_eq!(rows[0].0, b"k0003");
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
         assert_eq!(rows[596].1, b"v599");
-        for limit in [0, 1, 255, 256, 257, 597, 598, usize::MAX] {
-            let limited = scanned(&e, b"k0003", limit);
-            assert_eq!(limited[..], rows[..limit.min(597)], "limit {limit}");
+        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
+            let unbounded = scanned(&e, start, usize::MAX);
+            let n = unbounded.len();
+            for limit in [0, 1, 31, 32, 33, 255, 256, 257, n, n + 1, 10_000, usize::MAX] {
+                let limited = scanned(&e, start, limit);
+                assert_eq!(
+                    limited[..],
+                    unbounded[..limit.min(n)],
+                    "start {start:?}, limit {limit}"
+                );
+            }
         }
-        assert!(scanned(&e, b"z", usize::MAX).is_empty());
-        let mut visits = 0;
+        let (scans, mut visits) = (e.stats().scans, 0);
         e.scan("absent", b"", 10, &mut |_, _| {
             visits += 1;
             Ok(())
         })
         .unwrap();
-        assert_eq!((visits, e.stats().scans), (0, 11), "a scan of nothing still counts");
+        assert_eq!((visits, e.stats().scans - scans), (0, 1), "a scan of nothing still counts");
+    }
+
+    #[test]
+    fn a_writer_that_queues_behind_a_scan_gets_in_at_the_next_record() {
+        let e = engine();
+        for i in 0..2000u32 {
+            e.insert("c", format!("k{i:04}").as_bytes(), b"v").unwrap();
+        }
+        let coll = e.coll("c").unwrap();
+        let mut keys = Vec::new();
+        std::thread::scope(|s| {
+            e.scan("c", b"", usize::MAX, &mut |key, _| {
+                if keys.len() == 200 {
+                    s.spawn(|| e.insert("c", b"k0200+", b"late").unwrap());
+                    // The writer waits for the read lock this hold keeps.
+                    while coll.queued() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                keys.push(key.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        });
+        assert_eq!(keys[201], b"k0200+", "the writer got in before the scan's next record");
+        assert_eq!(keys.len(), 2001);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "key order");
     }
 
     #[test]

@@ -29,6 +29,8 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 use crate::error::DbResult;
 
 /// Record value bytes shared with the engine's cache.
@@ -44,50 +46,107 @@ pub type SharedBytes = Arc<[u8]>;
 /// the scan returns.
 pub type Visitor<'a> = dyn FnMut(&[u8], &[u8]) -> DbResult<()> + 'a;
 
-/// The most index entries a scan walks per hold of the engine's read lock.
+/// The most records a scan visits per hold of a collection's read lock.
 pub(crate) const SCAN_CHUNK: usize = 256;
 
-/// Drives a scan of at most `limit` records from `start_key` in chunks of
-/// at most [`SCAN_CHUNK`] index entries. `chunk(from, n)` walks at most `n`
-/// entries from `from` under one lock hold, visiting each record, and
-/// returns how many records it visited and, when it walked all `n`, a copy
-/// of the last key it walked: the next chunk resumes after it.
-pub(crate) fn scan_in_chunks(
+/// A collection's reader-writer lock, which a scan hands to the writers
+/// that queue on it: the standard library's lets a reader that releases it
+/// take it again before a woken writer runs.
+pub(crate) struct CollectionLock<T> {
+    lock: RwLock<T>,
+    /// Writers that have asked for the lock, and those of them that got it.
+    asked: AtomicU64,
+    got: AtomicU64,
+}
+
+impl<T> CollectionLock<T> {
+    pub(crate) fn new(value: T) -> Self {
+        CollectionLock { lock: RwLock::new(value), asked: 0.into(), got: 0.into() }
+    }
+
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.lock.read()
+    }
+
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.asked.fetch_add(1, Ordering::Relaxed);
+        let guard = self.lock.write();
+        self.got.fetch_add(1, Ordering::Relaxed);
+        guard
+    }
+
+    /// How many writers wait for the lock (the two counts are read apart).
+    pub(crate) fn queued(&self) -> u64 {
+        self.asked.load(Ordering::Relaxed).saturating_sub(self.got.load(Ordering::Relaxed))
+    }
+
+    /// Waits until every writer that has asked for the lock by now got it.
+    fn let_writers_in(&self) {
+        let asked = self.asked.load(Ordering::Relaxed);
+        while self.got.load(Ordering::Relaxed) < asked {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Runs a scan of at most `limit` records from `start_key`, handing each to
+/// `visit` under `lock`'s read lock. `walk(locked, from, f)` calls `f` with
+/// each record from `from` on, in key order, until `f` returns `false`. A
+/// hold of the lock visits at most [`SCAN_CHUNK`] records and ends early,
+/// after one, when a writer queues on the lock. The next hold lets the
+/// queued writers in first and resumes after a copy of the last key.
+pub(crate) fn scan_in_chunks<T>(
+    lock: &CollectionLock<T>,
     start_key: &[u8],
     limit: usize,
-    mut chunk: impl FnMut(Bound<&[u8]>, usize) -> DbResult<(usize, Option<Vec<u8>>)>,
+    visit: &mut Visitor<'_>,
+    mut walk: impl FnMut(
+        &T,
+        Bound<&[u8]>,
+        &mut dyn FnMut(&[u8], &[u8]) -> DbResult<bool>,
+    ) -> DbResult<()>,
 ) -> DbResult<()> {
-    let mut remaining = limit;
-    let mut resume: Option<Vec<u8>> = None;
+    let _visiting = Visiting::enter(lock);
+    let (mut remaining, mut resume, mut last) = (limit, None::<Vec<u8>>, Vec::new());
     while remaining > 0 {
         let from = match &resume {
             Some(key) => Bound::Excluded(key.as_slice()),
             None => Bound::Included(start_key),
         };
-        let (visited, last) = chunk(from, remaining.min(SCAN_CHUNK))?;
+        let hold = remaining.min(SCAN_CHUNK);
+        let (mut visited, mut cut) = (0, false);
+        lock.let_writers_in();
+        walk(&lock.read(), from, &mut |key, value| {
+            visit(key, value)?;
+            visited += 1;
+            cut = visited == hold || lock.queued() > 0;
+            if cut {
+                last.clear();
+                last.extend_from_slice(key);
+            }
+            Ok(!cut)
+        })?;
         remaining -= visited;
-        match last {
-            Some(key) => resume = Some(key),
-            None => break,
+        if !cut {
+            break;
         }
+        std::mem::swap(resume.get_or_insert_with(Vec::new), &mut last);
     }
     Ok(())
 }
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// The collections whose scans this thread is visiting, by the address
-    /// of their storage.
+    /// The storage addresses of the collections this thread's scans visit.
     static VISITING: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Marks a collection's storage as visited by this thread's scan until it
-/// is dropped, so that [`assert_not_visiting`] catches a visitor that calls
-/// back into it. Debug builds only; release builds keep nothing.
-pub(crate) struct Visiting(());
+/// Marks a collection as visited by this thread's scan until dropped, for
+/// [`assert_not_visiting`]. Release builds keep nothing.
+struct Visiting(());
 
 impl Visiting {
-    pub(crate) fn enter<T>(storage: &T) -> Visiting {
+    fn enter<T>(storage: &T) -> Visiting {
         #[cfg(debug_assertions)]
         VISITING.with_borrow_mut(|visiting| visiting.push(storage as *const T as usize));
         #[cfg(not(debug_assertions))]
@@ -104,9 +163,8 @@ impl Drop for Visiting {
 }
 
 /// Panics in a debug build when this thread is inside a scan's visitor of
-/// the collection stored at `storage`: the scan holds that collection's
-/// read lock, on which a write deadlocks, and behind which a read waits for
-/// any writer queued on it.
+/// the collection stored at `storage`, whose read lock the scan holds: a
+/// write there deadlocks, and a read waits behind any queued writer.
 pub(crate) fn assert_not_visiting<T>(storage: &T, collection: &str) {
     #[cfg(debug_assertions)]
     if VISITING.with_borrow(|visiting| visiting.contains(&(storage as *const T as usize))) {
@@ -298,14 +356,15 @@ pub trait StorageEngine: Send + Sync {
     /// Visits at most `limit` records with key ≥ `start_key`, in key order
     /// (`usize::MAX` walks the collection). `visit` gets each record's key
     /// and value as borrowed slices; an error from it stops the scan and is
-    /// returned. The engine walks at most 256 index entries per hold of
-    /// its read lock and runs `visit` under it, then releases the
-    /// lock and resumes after a copy of the last key: a record written
-    /// between two holds may or may not be visited, one present for the
-    /// whole scan always is. So `visit` must not call into the collection
-    /// it visits: a write there would deadlock on that lock (a debug build
-    /// panics instead, naming the collection). Nothing past `limit` is
-    /// read, and no record is allocated for.
+    /// returned. The engine visits at most 256 records per hold of its
+    /// read lock, fewer when a writer queues on it, and runs `visit` under
+    /// it; then it lets the queued writers in and resumes after a copy of
+    /// the last key. A record written between two holds may or may not be
+    /// visited, one present for the whole scan always is. So `visit` must
+    /// not call into the collection it visits: a write there would
+    /// deadlock on that lock (a debug build panics instead, naming the
+    /// collection). Nothing past `limit` is read, and no record is
+    /// allocated for.
     fn scan(
         &self,
         collection: &str,
@@ -341,6 +400,8 @@ pub trait StorageEngine: Send + Sync {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -357,6 +418,40 @@ mod tests {
         let stats = EngineStats { logical_bytes: 100, stored_bytes: 250, ..Default::default() };
         assert_eq!(stats.storage_amplification(), 2.5);
         assert_eq!(EngineStats::default().storage_amplification(), 1.0);
+    }
+
+    #[test]
+    fn a_scan_walks_at_most_a_chunk_per_lock_hold() {
+        let all: Vec<Vec<u8>> = (0..600u32).map(|i| format!("k{i:04}").into_bytes()).collect();
+        let lock = CollectionLock::new(all.iter().cloned().collect::<BTreeSet<_>>());
+        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
+            let expected: Vec<Vec<u8>> =
+                all.iter().filter(|key| key.as_slice() >= start).cloned().collect();
+            let n = expected.len();
+            for limit in [0, 1, 31, 32, 33, 255, 256, 257, n, n + 1, 10_000, usize::MAX] {
+                let (mut holds, mut visited) = (Vec::new(), Vec::new());
+                let mut visit = |key: &[u8], _: &[u8]| {
+                    visited.push(key.to_vec());
+                    Ok(())
+                };
+                scan_in_chunks(&lock, start, limit, &mut visit, |keys, from, visit| {
+                    holds.push(0);
+                    for key in keys.range::<[u8], _>((from, Bound::Unbounded)) {
+                        *holds.last_mut().unwrap() += 1;
+                        if !visit(key, b"")? {
+                            break;
+                        }
+                    }
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(visited, expected[..limit.min(n)], "start {start:?}, limit {limit}");
+                assert!(
+                    holds.iter().all(|&n| n <= SCAN_CHUNK.min(limit)),
+                    "start {start:?}, limit {limit}: holds of {holds:?} records"
+                );
+            }
+        }
     }
 
     #[test]

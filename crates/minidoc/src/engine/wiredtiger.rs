@@ -36,8 +36,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::compress::compress_or_store;
 use crate::engine::{
-    assert_not_visiting, scan_in_chunks, EngineStats, SharedBytes, StatCounters, StorageEngine,
-    Visiting, Visitor,
+    assert_not_visiting, scan_in_chunks, CollectionLock, EngineStats, SharedBytes, StatCounters,
+    StorageEngine, Visitor,
 };
 use crate::error::{DbError, DbResult};
 use crate::wal::{Wal, WalOp};
@@ -91,7 +91,7 @@ impl Shard {
 
 /// One collection: a key index plus sharded record storage.
 struct WtCollection {
-    index: RwLock<BTreeMap<Vec<u8>, RecordId>>,
+    index: CollectionLock<BTreeMap<Vec<u8>, RecordId>>,
     shards: Vec<Mutex<Shard>>,
     next_shard: AtomicU64,
 }
@@ -99,7 +99,7 @@ struct WtCollection {
 impl WtCollection {
     fn new(shards: usize) -> Self {
         WtCollection {
-            index: RwLock::new(BTreeMap::new()),
+            index: CollectionLock::new(BTreeMap::new()),
             shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
             next_shard: AtomicU64::new(0),
         }
@@ -115,7 +115,7 @@ impl WtCollection {
     fn copy(&self) -> WtCollection {
         let index = self.index.read();
         WtCollection {
-            index: RwLock::new(index.clone()),
+            index: CollectionLock::new(index.clone()),
             shards: self.shards.iter().map(|shard| Mutex::new(shard.lock().clone())).collect(),
             next_shard: AtomicU64::new(self.next_shard.load(Ordering::Relaxed)),
         }
@@ -183,7 +183,7 @@ impl WiredTigerEngine {
 
     fn coll(&self, name: &str) -> Option<Arc<WtCollection>> {
         let coll = self.collections.read().get(name).cloned()?;
-        assert_not_visiting(&*coll, name);
+        assert_not_visiting(&coll.index, name);
         Some(coll)
     }
 
@@ -411,24 +411,19 @@ impl StorageEngine for WiredTigerEngine {
     ) -> DbResult<()> {
         StatCounters::add(&self.stats.scans, 1);
         let Some(coll) = self.coll(collection) else { return Ok(()) };
-        let _visiting = Visiting::enter(&*coll);
-        scan_in_chunks(start_key, limit, |from, n| {
-            let index = coll.index.read();
-            let (mut walked, mut visited, mut last) = (0, 0, None);
-            for (key, &id) in index.range::<[u8], _>((from, Bound::Unbounded)).take(n) {
-                (walked, last) = (walked + 1, Some(key));
+        scan_in_chunks(&coll.index, start_key, limit, visit, |index, from, visit| {
+            for (key, &id) in index.range::<[u8], _>((from, Bound::Unbounded)) {
                 // The visitor reads the cache-resident bytes under the
-                // record's shard latch. A delete unlinks the key before it
-                // frees the slot, so under the index lock every entry's
-                // slot holds its record; one that did not would be
-                // skipped, not counted.
+                // record's shard latch. A delete unlinks the key first, so
+                // every entry's slot holds its record.
                 let shard = coll.shards[id.shard as usize].lock();
                 if let Some(record) = shard.slots.get(id.slot as usize).and_then(Option::as_ref) {
-                    visit(key, &record.raw)?;
-                    visited += 1;
+                    if !visit(key, &record.raw)? {
+                        break;
+                    }
                 }
             }
-            Ok((visited, last.filter(|_| walked == n).cloned()))
+            Ok(())
         })
     }
 
@@ -639,18 +634,52 @@ mod tests {
         assert_eq!(rows[0].0, b"k0003");
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
         assert_eq!(rows[596].1, b"v599");
-        for limit in [0, 1, 255, 256, 257, 597, 598, usize::MAX] {
-            let limited = scanned(&e, b"k0003", limit);
-            assert_eq!(limited[..], rows[..limit.min(597)], "limit {limit}");
+        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
+            let unbounded = scanned(&e, start, usize::MAX);
+            let n = unbounded.len();
+            for limit in [0, 1, 31, 32, 33, 255, 256, 257, n, n + 1, 10_000, usize::MAX] {
+                let limited = scanned(&e, start, limit);
+                assert_eq!(
+                    limited[..],
+                    unbounded[..limit.min(n)],
+                    "start {start:?}, limit {limit}"
+                );
+            }
         }
-        assert!(scanned(&e, b"z", usize::MAX).is_empty());
-        let mut visits = 0;
+        let (scans, mut visits) = (e.stats().scans, 0);
         e.scan("absent", b"", 10, &mut |_, _| {
             visits += 1;
             Ok(())
         })
         .unwrap();
-        assert_eq!((visits, e.stats().scans), (0, 11), "a scan of nothing still counts");
+        assert_eq!((visits, e.stats().scans - scans), (0, 1), "a scan of nothing still counts");
+    }
+
+    #[test]
+    fn a_writer_that_queues_behind_a_scan_gets_in_at_the_next_record() {
+        let e = engine();
+        for i in 0..2000u32 {
+            e.insert("c", format!("k{i:04}").as_bytes(), b"v").unwrap();
+        }
+        let coll = e.coll("c").unwrap();
+        let mut keys = Vec::new();
+        std::thread::scope(|s| {
+            e.scan("c", b"", usize::MAX, &mut |key, _| {
+                if keys.len() == 200 {
+                    s.spawn(|| e.insert("c", b"k0200+", b"late").unwrap());
+                    // The writer waits for the read lock this hold keeps.
+                    while coll.index.queued() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                keys.push(key.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        });
+        assert_eq!(keys[201], b"k0200+", "the writer got in before the scan's next record");
+        assert_eq!(keys.len(), 2001);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "key order");
     }
 
     #[test]

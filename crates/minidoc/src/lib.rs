@@ -23,14 +23,10 @@
 //! A write replaces a whole document ([`Collection::insert`],
 //! [`Collection::update`], [`Collection::upsert`], [`Collection::delete`]),
 //! as YCSB's `update` does; there are no partial-update operators. A scan
-//! visits records in key order where the engine keeps them
-//! ([`Collection::scan_raw`], [`StorageEngine::scan`]): the visitor borrows
-//! each key and encoded document, and nothing is allocated per record.
-//! [`Collection::scan`] and [`Collection::find`] decode what they return,
-//! and [`Collection::create_index`] extracts just the indexed field. The
-//! engine holds its read lock for at most 256 records at a time and runs
-//! the visitor under it, so a visitor must not call into the collection it
-//! visits (a debug build panics, naming it, where a write would deadlock).
+//! ([`Collection::scan_raw`], [`StorageEngine::scan`]) lends each key and
+//! encoded document to a visitor where the engine keeps them, under its
+//! read lock, so a visitor must not call into the collection it visits (a
+//! debug build panics, naming it, where a write would deadlock).
 //!
 //! ```
 //! use minidoc::{Database, DbConfig, EngineKind};
@@ -366,13 +362,9 @@ impl Collection {
     }
 
     /// Visits at most `limit` raw `(key, encoded document)` records with
-    /// keys ≥ `start_key`, in key order (`usize::MAX` walks the collection),
-    /// borrowed from the engine without decoding
-    /// ([`StorageEngine::scan`]): pair with
-    /// [`doc::matches_encoded`]/[`doc::decode_path`] to inspect a record, or
-    /// [`doc::decode`] to materialize it. An error from `visit` stops the
-    /// scan and is returned. `visit` runs under the engine's read lock, so
-    /// it must not call into this collection.
+    /// keys ≥ `start_key` in key order, as [`StorageEngine::scan`] does:
+    /// pair with [`doc::matches_encoded`]/[`doc::decode_path`] to inspect a
+    /// record, or [`doc::decode`] to materialize it.
     pub fn scan_raw(&self, start_key: &str, limit: usize, visit: &mut Visitor<'_>) -> DbResult<()> {
         self.engine.scan(&self.name, start_key.as_bytes(), limit, visit)
     }
