@@ -110,7 +110,7 @@ struct RunState {
 /// A durable job's data directory, removed when dropped. `set_up` owns it
 /// from before the database creates it, so every exit — an error, a
 /// panicking load, or tear-down after a successful run — removes it.
-struct DataDir(std::path::PathBuf);
+pub(crate) struct DataDir(pub(crate) std::path::PathBuf);
 
 impl Drop for DataDir {
     fn drop(&mut self) {
@@ -126,25 +126,8 @@ impl DocstoreClient {
     }
 
     fn parse_config(ctx: &JobContext) -> Result<(DbConfig, WorkloadSpec, usize), String> {
-        let engine = match ctx.param_str("engine").as_deref() {
-            Some(name) => {
-                EngineKind::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?
-            }
-            None => EngineKind::WiredTiger,
-        };
-        // `durability` parameter: run against a real data directory with
-        // synced journals/WAL (the demo's disk-bound configuration) instead
-        // of fully in memory.
-        let mut db_config = if ctx.param_bool("durability").unwrap_or(false) {
-            let dir = std::env::temp_dir().join(format!(
-                "minidoc-job-{}-{}",
-                std::process::id(),
-                ctx.job_id
-            ));
-            DbConfig::at_dir(engine, dir)
-        } else {
-            DbConfig::in_memory(engine)
-        };
+        let mut db_config = db_config(ctx, "minidoc-job")?;
+        let engine = db_config.engine;
         if let Some(compression) = ctx.param_bool("compression") {
             db_config = db_config.with_compression(compression && engine == EngineKind::WiredTiger);
         }
@@ -192,6 +175,24 @@ impl DocstoreClient {
         }
         self.images.push(Image { key, db });
     }
+}
+
+/// The database a job's `engine` and `durability` parameters ask for. A
+/// durable job runs against a real data directory with synced journals or
+/// WAL (the demo's disk-bound configuration), named
+/// `<prefix>-<process id>-<job id>` in the temp directory, instead of fully
+/// in memory.
+pub(crate) fn db_config(ctx: &JobContext, prefix: &str) -> Result<DbConfig, String> {
+    let engine = match ctx.param_str("engine").as_deref() {
+        Some(name) => EngineKind::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?,
+        None => EngineKind::WiredTiger,
+    };
+    Ok(if ctx.param_bool("durability").unwrap_or(false) {
+        let dir = format!("{prefix}-{}-{}", std::process::id(), ctx.job_id);
+        DbConfig::at_dir(engine, std::env::temp_dir().join(dir))
+    } else {
+        DbConfig::in_memory(engine)
+    })
 }
 
 /// Bulk-loads the benchmark data into `db` from `threads` threads.

@@ -23,9 +23,10 @@ use chronos_util::pool::scoped_indexed;
 use chronos_workload::tpcc::{
     keys, TpccConfig, TpccRunner, TpccTx, CUSTOMERS_PER_DISTRICT, DISTRICTS_PER_WAREHOUSE, ITEMS,
 };
-use minidoc::{Collection, Database, DbConfig, EngineKind, Filter};
+use minidoc::{Collection, Database, Filter};
 
 use crate::context::JobContext;
+use crate::docstore_client::{db_config, DataDir};
 use crate::runtime::EvaluationClient;
 
 /// The tpcc-lite evaluation client.
@@ -38,7 +39,9 @@ struct TpccState {
     db: Database,
     runner: TpccRunner,
     threads: usize,
-    data_dir: Option<std::path::PathBuf>,
+    /// Temp data directory for durable runs. Declared after `db`, so the
+    /// database is closed before its directory goes.
+    _data_dir: Option<DataDir>,
 }
 
 impl TpccClient {
@@ -295,22 +298,8 @@ impl EvaluationClient for TpccClient {
     }
 
     fn set_up(&mut self, ctx: &JobContext) -> Result<(), String> {
-        let engine = match ctx.param_str("engine").as_deref() {
-            Some(name) => {
-                EngineKind::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?
-            }
-            None => EngineKind::WiredTiger,
-        };
-        let db_config = if ctx.param_bool("durability").unwrap_or(false) {
-            let dir = std::env::temp_dir().join(format!(
-                "minidoc-tpcc-{}-{}",
-                std::process::id(),
-                ctx.job_id
-            ));
-            DbConfig::at_dir(engine, dir)
-        } else {
-            DbConfig::in_memory(engine)
-        };
+        let db_config = db_config(ctx, "minidoc-tpcc")?;
+        let engine = db_config.engine;
         let config = TpccConfig {
             warehouses: ctx.param_i64("warehouses").unwrap_or(2).max(1) as u64,
             transaction_count: ctx.param_i64("transaction_count").unwrap_or(1_000).max(1) as u64,
@@ -321,7 +310,9 @@ impl EvaluationClient for TpccClient {
             "set_up: tpcc-lite engine={engine} warehouses={} transactions={} threads={threads}",
             config.warehouses, config.transaction_count
         ));
-        let data_dir = db_config.data_dir.clone();
+        // Owned from before the database creates it, so a failed or
+        // panicking load removes it too.
+        let data_dir = db_config.data_dir.clone().map(DataDir);
         let db = Database::open(db_config).map_err(|err| err.to_string())?;
         load_population(&db, config.warehouses)?;
         ctx.log(format!(
@@ -332,7 +323,7 @@ impl EvaluationClient for TpccClient {
         ));
         ctx.set_progress(10);
         let runner = TpccRunner::new(config)?;
-        self.state = Some(TpccState { db, runner, threads, data_dir });
+        self.state = Some(TpccState { db, runner, threads, _data_dir: data_dir });
         Ok(())
     }
 
@@ -374,12 +365,7 @@ impl EvaluationClient for TpccClient {
     }
 
     fn tear_down(&mut self, ctx: &JobContext) {
-        if let Some(state) = self.state.take() {
-            let data_dir = state.data_dir.clone();
-            drop(state);
-            if let Some(dir) = data_dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
+        if self.state.take().is_some() {
             ctx.log("tear_down: dropped database");
         }
     }

@@ -1,15 +1,16 @@
 //! A durable minidoc job whose set-up fails leaves no data directory.
 //!
-//! `DocstoreClient::set_up` creates the job's `minidoc-job-*` directory
-//! when it opens the database. The runtime calls `tear_down` after a failed
-//! set-up, but a set-up that fails has no state to tear down, so the
-//! directory must be removed on every exit from `set_up` itself: a load
-//! that returns errors and a load that panics alike. A client keeps the
-//! databases it loads for later jobs to copy; a failed load keeps nothing.
+//! `DocstoreClient::set_up` creates the job's `minidoc-job-*` directory,
+//! and `TpccClient::set_up` its `minidoc-tpcc-*` one, when it opens the
+//! database. The runtime calls `tear_down` after a failed set-up, but a
+//! set-up that fails has no state to tear down, so the directory must be
+//! removed on every exit from `set_up` itself: a load that returns errors
+//! and a load that panics alike. A client keeps the databases it loads for
+//! later jobs to copy; a failed load keeps nothing.
 
 #![cfg(feature = "failpoints")]
 
-use chronos_agent::{DocstoreClient, EvaluationClient, JobContext};
+use chronos_agent::{DocstoreClient, EvaluationClient, JobContext, TpccClient};
 use chronos_json::obj;
 use chronos_util::fail::{self, Policy};
 use chronos_util::Id;
@@ -33,38 +34,83 @@ fn durable_ctx(engine: &str) -> (JobContext, std::path::PathBuf) {
     (ctx, dir)
 }
 
+fn durable_tpcc_ctx(engine: &str) -> (JobContext, std::path::PathBuf) {
+    let job_id = Id::generate();
+    let dir = std::env::temp_dir().join(format!("minidoc-tpcc-{}-{job_id}", std::process::id()));
+    let params = obj! {
+        "engine" => engine,
+        "durability" => true,
+        "warehouses" => 1,
+        "transaction_count" => 50,
+    };
+    (JobContext::new(job_id, params), dir)
+}
+
+/// Fails a durable set-up of `client` on `engine` once with an error and
+/// once with a panic in its load, then runs it whole: no exit leaves the
+/// job's data directory behind. A failed load's error contains
+/// `load_error`.
+fn set_ups_remove_their_data_directory(
+    client: impl Fn() -> Box<dyn EvaluationClient>,
+    engine: &str,
+    ctx: impl Fn(&str) -> (JobContext, std::path::PathBuf),
+    load_error: &str,
+) {
+    let name = format!("{} on {engine}", client().name());
+    let ctx = || ctx(engine);
+    // A load whose log appends fail: set_up returns the error.
+    fail::arm("minidoc.wal.append", Policy::ErrorTimes(1));
+    let (job, dir) = ctx();
+    let mut failed = client();
+    let err = failed.set_up(&job).unwrap_err();
+    fail::reset();
+    assert!(err.contains(load_error), "{name}: {err}");
+    failed.tear_down(&job);
+    assert!(!dir.exists(), "{name}: {} left behind after a failed load", dir.display());
+
+    // A load that panics: the directory goes with the unwinding set_up.
+    fail::arm("minidoc.wal.append", Policy::Panic);
+    let (job, dir) = ctx();
+    let mut panicking = client();
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| panicking.set_up(&job)));
+    fail::reset();
+    assert!(panicked.is_err(), "{name}: the armed panic fires during the load");
+    panicking.tear_down(&job);
+    assert!(!dir.exists(), "{name}: {} left behind after a panicked load", dir.display());
+
+    // The same job without the fault runs, and tear_down removes it.
+    let (job, dir) = ctx();
+    let mut whole = client();
+    whole.set_up(&job).unwrap();
+    assert!(dir.exists(), "{name}: a durable job writes its directory");
+    whole.tear_down(&job);
+    assert!(!dir.exists(), "{name}: tear_down removes the directory");
+}
+
 #[test]
 fn failed_durable_set_up_removes_its_data_directory() {
     let _serial = FAILPOINTS.lock().unwrap_or_else(|p| p.into_inner());
     for engine in ["wiredtiger", "mmapv1"] {
-        // A load whose log appends fail: set_up returns the error.
-        fail::arm("minidoc.wal.append", Policy::ErrorTimes(1));
-        let (ctx, dir) = durable_ctx(engine);
-        let mut client = DocstoreClient::new();
-        let err = client.set_up(&ctx).unwrap_err();
-        fail::reset();
-        assert!(err.contains("errors during data load"), "{engine}: {err}");
-        client.tear_down(&ctx);
-        assert!(!dir.exists(), "{engine}: {} left behind after a failed load", dir.display());
+        set_ups_remove_their_data_directory(
+            || Box::new(DocstoreClient::new()),
+            engine,
+            durable_ctx,
+            "errors during data load",
+        );
+    }
+}
 
-        // A load that panics: the directory goes with the unwinding set_up.
-        fail::arm("minidoc.wal.append", Policy::Panic);
-        let (ctx, dir) = durable_ctx(engine);
-        let mut client = DocstoreClient::new();
-        let panicked =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.set_up(&ctx)));
-        fail::reset();
-        assert!(panicked.is_err(), "{engine}: the armed panic fires during the load");
-        client.tear_down(&ctx);
-        assert!(!dir.exists(), "{engine}: {} left behind after a panicked load", dir.display());
-
-        // The same job without the fault runs, and tear_down removes it.
-        let (ctx, dir) = durable_ctx(engine);
-        let mut client = DocstoreClient::new();
-        client.set_up(&ctx).unwrap();
-        assert!(dir.exists(), "{engine}: a durable job writes its directory");
-        client.tear_down(&ctx);
-        assert!(!dir.exists(), "{engine}: tear_down removes the directory");
+#[test]
+fn failed_durable_tpcc_set_up_removes_its_data_directory() {
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|p| p.into_inner());
+    for engine in ["wiredtiger", "mmapv1"] {
+        set_ups_remove_their_data_directory(
+            || Box::new(TpccClient::new()),
+            engine,
+            durable_tpcc_ctx,
+            "minidoc.wal.append",
+        );
     }
 }
 

@@ -24,14 +24,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use crate::engine::{
-    assert_not_visiting, scan_in_chunks, CollectionLock, EngineStats, SharedBytes, StatCounters,
-    StorageEngine, Visitor,
+    scan_in_chunks, CollectionLock, EngineStats, Put, RecordVisitor, SharedBytes, Shell,
+    ShellCollection, StatCounters, StorageEngine, Visitor,
 };
 use crate::error::{DbError, DbResult};
-use crate::wal::{Wal, WalOp};
+use crate::wal::{SyncPolicy, Wal, WalOp};
 use crate::DbConfig;
 
 /// Extent size: 1 MiB slabs (MongoDB grew extents up to 2 GB; a fixed size
@@ -50,7 +48,7 @@ struct RecordLoc {
 
 /// One collection's memory-mapped-style storage.
 #[derive(Debug, Default, Clone)]
-struct MmapCollection {
+pub(super) struct MmapCollection {
     extents: Vec<Vec<u8>>,
     index: BTreeMap<Vec<u8>, RecordLoc>,
     /// Freed slots by slot size (size classes are powers of two).
@@ -110,189 +108,132 @@ impl MmapCollection {
     }
 }
 
+impl ShellCollection for CollectionLock<MmapCollection> {
+    type Locked = MmapCollection;
+
+    fn lock(&self) -> &Self {
+        self
+    }
+
+    fn records(&self, c: &MmapCollection, f: &mut RecordVisitor<'_>) -> DbResult<()> {
+        c.index.iter().try_for_each(|(key, &loc)| f(key, c.record_slice(loc), loc.slot_size as u64))
+    }
+
+    fn copy(&self) -> Self {
+        CollectionLock::new(self.read().clone())
+    }
+}
+
 /// The engine: a map of independently locked collections plus one global
 /// journal (mmapv1 had a single journal per dbpath).
 pub struct MmapV1Engine {
-    collections: RwLock<BTreeMap<String, Arc<CollectionLock<MmapCollection>>>>,
-    journal: Mutex<Wal>,
-    stats: StatCounters,
+    pub(super) shell: Shell<CollectionLock<MmapCollection>>,
 }
 
 impl MmapV1Engine {
     /// Opens the engine, replaying the snapshot + journal when `config`
     /// points at a data directory.
     pub fn open(config: DbConfig) -> DbResult<Self> {
-        let (journal, recovered) = match &config.data_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let snapshot = dir.join("mmapv1.snapshot");
-                let journal_path = dir.join("mmapv1.journal");
-                let mut ops = Wal::replay(&snapshot)?;
-                ops.extend(Wal::replay_and_trim(&journal_path)?);
-                (Wal::open(&journal_path, config.durable_writes)?, ops)
-            }
-            None => (Wal::in_memory(), Vec::new()),
-        };
-        let engine = MmapV1Engine {
-            collections: RwLock::new(BTreeMap::new()),
-            journal: Mutex::new(journal),
-            stats: StatCounters::default(),
-        };
-        for op in recovered {
-            match op {
-                WalOp::Put { collection, key, value } => {
-                    engine.apply_put(&collection, &key, &value)?;
-                }
-                WalOp::Delete { collection, key } => {
-                    engine.apply_delete(&collection, &key);
-                }
-                WalOp::DropCollection { collection } => {
-                    engine.collections.write().remove(&collection);
-                }
-            }
-        }
+        let files = ["mmapv1.snapshot", "mmapv1.journal"];
+        let (shell, recovered) = Shell::open(&config, files, SyncPolicy::EveryAppend)?;
+        let engine = MmapV1Engine { shell };
+        engine.shell.recover(recovered, |collection, key, value| match value {
+            Some(value) => engine.put(collection, key, value, Put::Upsert, false),
+            None => engine.remove(collection, key, false).map(drop),
+        })?;
         Ok(engine)
     }
 
-    fn coll(&self, name: &str) -> Option<Arc<CollectionLock<MmapCollection>>> {
-        let coll = self.collections.read().get(name).cloned()?;
-        assert_not_visiting(&*coll, name);
-        Some(coll)
-    }
-
-    fn coll_or_create(&self, name: &str) -> Arc<CollectionLock<MmapCollection>> {
-        if let Some(c) = self.coll(name) {
-            return c;
+    /// Writes `value` under `key` with the collection's write lock held
+    /// for the whole write: the slot, the record copy, the index and, when
+    /// `log` (not in recovery), the framed journal append, the defining
+    /// serialization cost of this engine. A record that fits its slot is
+    /// overwritten in place, one that does not moves.
+    fn put(&self, collection: &str, key: &[u8], value: &[u8], how: Put, log: bool) -> DbResult<()> {
+        let coll = match how {
+            Put::Update => self.shell.get(collection).ok_or_else(|| DbError::not_found(key))?,
+            Put::Insert | Put::Upsert => self
+                .shell
+                .get_or_create(collection, || CollectionLock::new(MmapCollection::default())),
+        };
+        let mut guard = coll.write();
+        let c = &mut *guard;
+        let old = c.index.get(key).copied();
+        match (how, old) {
+            (Put::Insert, Some(_)) => return Err(DbError::duplicate(key)),
+            (Put::Update, None) => return Err(DbError::not_found(key)),
+            _ => {}
         }
-        let mut map = self.collections.write();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(CollectionLock::new(MmapCollection::default()))),
-        )
-    }
-
-    /// Raw upsert used during recovery (no journaling, but stats counted so
-    /// `documents`/`stored_bytes` are correct after restart).
-    fn apply_put(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let coll = self.coll_or_create(collection);
-        let mut c = coll.write();
-        self.put_locked(&mut c, key, value, true)?;
+        if let Some(inj) = chronos_util::fail_eval!("minidoc.extent.write") {
+            return Err(DbError::injected(inj, "extent write"));
+        }
+        let stats = &self.shell.stats;
+        let slot_size = MmapCollection::slot_size_for(value.len());
+        match old {
+            Some(loc) if value.len() + 4 <= loc.slot_size as usize => {
+                let logical = value.len() as i64 - c.record_slice(loc).len() as i64;
+                c.write_record(loc, value);
+                stats.shift(0, logical, 0);
+                StatCounters::add(&stats.inplace_updates, 1);
+            }
+            Some(loc) => {
+                let logical = value.len() as i64 - c.record_slice(loc).len() as i64;
+                c.free(loc);
+                let new_loc = c.allocate(slot_size);
+                c.write_record(new_loc, value);
+                c.index.insert(key.to_vec(), new_loc);
+                stats.shift(0, logical, slot_size as i64 - loc.slot_size as i64);
+                StatCounters::add(&stats.record_moves, 1);
+            }
+            None => {
+                let loc = c.allocate(slot_size);
+                c.write_record(loc, value);
+                c.index.insert(key.to_vec(), loc);
+                stats.shift(1, value.len() as i64, slot_size as i64);
+            }
+        }
+        if log {
+            self.shell.log_append(&Wal::frame_put(collection, key, value))?;
+            self.shell.stats.count_put(old.is_some());
+        }
         Ok(())
     }
 
-    fn apply_delete(&self, collection: &str, key: &[u8]) {
-        if let Some(coll) = self.coll(collection) {
-            let mut c = coll.write();
-            if let Some(loc) = c.index.remove(key) {
-                let len = c.record_slice(loc).len();
-                c.free(loc);
-                StatCounters::sub(&self.stats.documents, 1);
-                StatCounters::sub(&self.stats.logical_bytes, len as u64);
-                StatCounters::sub(&self.stats.stored_bytes, loc.slot_size as u64);
-            }
+    /// Removes `key` under the collection's write lock, journaling the
+    /// delete under it when `log` (not in recovery). Returns whether it
+    /// existed.
+    fn remove(&self, collection: &str, key: &[u8], log: bool) -> DbResult<bool> {
+        let Some(coll) = self.shell.get(collection) else { return Ok(false) };
+        let mut c = coll.write();
+        let Some(loc) = c.index.remove(key) else { return Ok(false) };
+        let len = c.record_slice(loc).len() as i64;
+        c.free(loc);
+        self.shell.stats.shift(-1, -len, -(loc.slot_size as i64));
+        if log {
+            let delete = WalOp::Delete { collection: collection.to_string(), key: key.to_vec() };
+            self.shell.log_append(&Wal::frame(&delete))?;
+            StatCounters::add(&self.shell.stats.deletes, 1);
         }
-    }
-
-    /// Insert-or-replace under an already-held write lock. `allow_replace`
-    /// distinguishes upsert/recovery from strict insert.
-    fn put_locked(
-        &self,
-        c: &mut MmapCollection,
-        key: &[u8],
-        value: &[u8],
-        allow_replace: bool,
-    ) -> DbResult<bool> {
-        if let Some(inj) = chronos_util::fail_eval!("minidoc.extent.write") {
-            let msg = match inj {
-                chronos_util::fail::Injected::Error(m) => m,
-                chronos_util::fail::Injected::Torn { .. } => {
-                    "extent write failed: injected torn write".to_string()
-                }
-            };
-            return Err(DbError::Io(std::io::Error::other(msg)));
-        }
-        if let Some(&loc) = c.index.get(key) {
-            if !allow_replace {
-                return Err(DbError::duplicate(key));
-            }
-            let old_len = c.record_slice(loc).len() as u64;
-            let replaced = self.update_in_slot(c, key.to_vec(), loc, value);
-            StatCounters::sub(&self.stats.logical_bytes, old_len);
-            StatCounters::add(&self.stats.logical_bytes, value.len() as u64);
-            if !replaced {
-                // moved: stored bytes adjusted inside update_in_slot
-            }
-            return Ok(true);
-        }
-        let slot_size = MmapCollection::slot_size_for(value.len());
-        let loc = c.allocate(slot_size);
-        c.write_record(loc, value);
-        c.index.insert(key.to_vec(), loc);
-        StatCounters::add(&self.stats.documents, 1);
-        StatCounters::add(&self.stats.logical_bytes, value.len() as u64);
-        StatCounters::add(&self.stats.stored_bytes, slot_size as u64);
-        Ok(false)
-    }
-
-    /// Writes `value` for `key` whose current slot is `loc`; in place when it
-    /// fits, otherwise move. Returns `true` for in-place.
-    fn update_in_slot(
-        &self,
-        c: &mut MmapCollection,
-        key: Vec<u8>,
-        loc: RecordLoc,
-        value: &[u8],
-    ) -> bool {
-        if value.len() + 4 <= loc.slot_size as usize {
-            c.write_record(loc, value);
-            StatCounters::add(&self.stats.inplace_updates, 1);
-            true
-        } else {
-            c.free(loc);
-            let slot_size = MmapCollection::slot_size_for(value.len());
-            let new_loc = c.allocate(slot_size);
-            c.write_record(new_loc, value);
-            c.index.insert(key, new_loc);
-            StatCounters::sub(&self.stats.stored_bytes, loc.slot_size as u64);
-            StatCounters::add(&self.stats.stored_bytes, slot_size as u64);
-            StatCounters::add(&self.stats.record_moves, 1);
-            false
-        }
-    }
-
-    /// Journal framing and append performed **while the collection write
-    /// lock is held** (the defining serialization cost of this engine).
-    fn journal_put(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let mut journal = self.journal.lock();
-        journal.append_framed(&Wal::frame_put(collection, key, value))
+        Ok(true)
     }
 }
 
 impl StorageEngine for MmapV1Engine {
     fn insert(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let coll = self.coll_or_create(collection);
-        let mut c = coll.write();
-        if c.index.contains_key(key) {
-            return Err(DbError::duplicate(key));
-        }
-        self.put_locked(&mut c, key, value, false)?;
-        self.journal_put(collection, key, value)?;
-        drop(c);
-        StatCounters::add(&self.stats.inserts, 1);
-        Ok(())
+        self.put(collection, key, value, Put::Insert, true)
     }
 
     fn get(&self, collection: &str, key: &[u8]) -> DbResult<Option<SharedBytes>> {
-        StatCounters::add(&self.stats.reads, 1);
-        let Some(coll) = self.coll(collection) else { return Ok(None) };
+        StatCounters::add(&self.shell.stats.reads, 1);
+        let Some(coll) = self.shell.get(collection) else { return Ok(None) };
         let c = coll.read();
         Ok(c.index.get(key).map(|&loc| SharedBytes::from(c.record_slice(loc))))
     }
 
     fn get_many(&self, collection: &str, keys: &[Vec<u8>]) -> DbResult<Vec<Option<SharedBytes>>> {
-        StatCounters::add(&self.stats.reads, keys.len() as u64);
+        StatCounters::add(&self.shell.stats.reads, keys.len() as u64);
         let mut out = vec![None; keys.len()];
-        let Some(coll) = self.coll(collection) else { return Ok(out) };
+        let Some(coll) = self.shell.get(collection) else { return Ok(out) };
         // One read-lock hold for the whole batch; copies happen in
         // (extent, offset) order so extent memory is walked sequentially.
         let c = coll.read();
@@ -309,44 +250,15 @@ impl StorageEngine for MmapV1Engine {
     }
 
     fn update(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let coll = self.coll(collection).ok_or_else(|| DbError::not_found(key))?;
-        let mut c = coll.write();
-        let &loc = c.index.get(key).ok_or_else(|| DbError::not_found(key))?;
-        let old_len = c.record_slice(loc).len() as u64;
-        self.update_in_slot(&mut c, key.to_vec(), loc, value);
-        StatCounters::sub(&self.stats.logical_bytes, old_len);
-        StatCounters::add(&self.stats.logical_bytes, value.len() as u64);
-        self.journal_put(collection, key, value)?;
-        drop(c);
-        StatCounters::add(&self.stats.updates, 1);
-        Ok(())
+        self.put(collection, key, value, Put::Update, true)
     }
 
     fn upsert(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let coll = self.coll_or_create(collection);
-        let mut c = coll.write();
-        let replaced = self.put_locked(&mut c, key, value, true)?;
-        self.journal_put(collection, key, value)?;
-        drop(c);
-        StatCounters::add(if replaced { &self.stats.updates } else { &self.stats.inserts }, 1);
-        Ok(())
+        self.put(collection, key, value, Put::Upsert, true)
     }
 
     fn delete(&self, collection: &str, key: &[u8]) -> DbResult<bool> {
-        let Some(coll) = self.coll(collection) else { return Ok(false) };
-        let mut c = coll.write();
-        let Some(loc) = c.index.remove(key) else { return Ok(false) };
-        let len = c.record_slice(loc).len();
-        c.free(loc);
-        self.journal
-            .lock()
-            .append(&WalOp::Delete { collection: collection.to_string(), key: key.to_vec() })?;
-        drop(c);
-        StatCounters::sub(&self.stats.documents, 1);
-        StatCounters::sub(&self.stats.logical_bytes, len as u64);
-        StatCounters::sub(&self.stats.stored_bytes, loc.slot_size as u64);
-        StatCounters::add(&self.stats.deletes, 1);
-        Ok(true)
+        self.remove(collection, key, true)
     }
 
     fn scan(
@@ -356,8 +268,8 @@ impl StorageEngine for MmapV1Engine {
         limit: usize,
         visit: &mut Visitor<'_>,
     ) -> DbResult<()> {
-        StatCounters::add(&self.stats.scans, 1);
-        let Some(coll) = self.coll(collection) else { return Ok(()) };
+        StatCounters::add(&self.shell.stats.scans, 1);
+        let Some(coll) = self.shell.get(collection) else { return Ok(()) };
         // Each record is copied out of its extent, as mmapv1 does, into one
         // buffer that serves the whole scan.
         let mut copy = Vec::new();
@@ -374,97 +286,33 @@ impl StorageEngine for MmapV1Engine {
     }
 
     fn count(&self, collection: &str) -> u64 {
-        self.coll(collection).map(|c| c.read().index.len() as u64).unwrap_or(0)
+        self.shell.get(collection).map(|c| c.read().index.len() as u64).unwrap_or(0)
     }
 
     fn collection_names(&self) -> Vec<String> {
-        self.collections.read().keys().cloned().collect()
+        self.shell.names()
     }
 
     fn drop_collection(&self, collection: &str) -> DbResult<()> {
-        let removed = self.collections.write().remove(collection);
-        if let Some(coll) = removed {
-            let c = coll.read();
-            let mut docs = 0u64;
-            let mut logical = 0u64;
-            let mut stored = 0u64;
-            for (_, &loc) in c.index.iter() {
-                docs += 1;
-                logical += c.record_slice(loc).len() as u64;
-                stored += loc.slot_size as u64;
-            }
-            StatCounters::sub(&self.stats.documents, docs);
-            StatCounters::sub(&self.stats.logical_bytes, logical);
-            StatCounters::sub(&self.stats.stored_bytes, stored);
-            self.journal
-                .lock()
-                .append(&WalOp::DropCollection { collection: collection.to_string() })?;
-        }
-        Ok(())
+        self.shell.drop_collection(collection, true)
     }
 
     fn stats(&self) -> EngineStats {
-        let wal_bytes = self.journal.lock().appended_bytes;
-        self.stats.snapshot(wal_bytes)
+        self.shell.stats()
     }
 
     fn checkpoint(&self) -> DbResult<()> {
-        let mut journal = self.journal.lock();
-        let Some(path) = journal_snapshot_path(&journal) else {
-            return Ok(()); // in-memory: nothing to do
-        };
-        // Write all live records as a fresh snapshot, then truncate the
-        // journal. Collections are read-locked one at a time.
-        let tmp = path.with_extension("tmp");
-        {
-            let mut snapshot = Wal::open(&tmp, false)?;
-            let collections = self.collections.read();
-            for (name, coll) in collections.iter() {
-                let c = coll.read();
-                for (key, &loc) in c.index.iter() {
-                    snapshot.append_framed(&Wal::frame_put(name, key, c.record_slice(loc)))?;
-                }
-            }
-        }
-        if let Some(inj) = chronos_util::fail_eval!("minidoc.checkpoint.rename") {
-            let msg = match inj {
-                chronos_util::fail::Injected::Error(m) => m,
-                chronos_util::fail::Injected::Torn { .. } => {
-                    "checkpoint rename failed: injected torn write".to_string()
-                }
-            };
-            return Err(DbError::Io(std::io::Error::other(msg)));
-        }
-        std::fs::rename(&tmp, &path)?;
-        journal.truncate()?;
-        Ok(())
+        self.shell.checkpoint()
     }
 
     fn clone_in_memory(&self) -> DbResult<Arc<dyn StorageEngine>> {
-        let journal = self.journal.lock().clone_in_memory().ok_or_else(DbError::durable_copy)?;
-        let collections = self
-            .collections
-            .read()
-            .iter()
-            .map(|(name, coll)| (name.clone(), Arc::new(CollectionLock::new(coll.read().clone()))))
-            .collect();
-        Ok(Arc::new(MmapV1Engine {
-            collections: RwLock::new(collections),
-            journal: Mutex::new(journal),
-            stats: self.stats.copy(),
-        }))
+        Ok(Arc::new(MmapV1Engine { shell: self.shell.copy()? }))
     }
-}
-
-/// Derives the snapshot path from the journal's path (`None` in memory).
-fn journal_snapshot_path(journal: &Wal) -> Option<std::path::PathBuf> {
-    journal.path().map(|p| p.with_file_name("mmapv1.snapshot"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SCAN_CHUNK;
     use crate::EngineKind;
 
     fn engine() -> MmapV1Engine {
@@ -488,7 +336,7 @@ mod tests {
         e.delete("c", b"a").unwrap();
         e.insert("c", b"b", &[2u8; 100]).unwrap();
         assert_eq!(e.stats().stored_bytes, stored_before, "same size class reuses the slot");
-        let coll = e.coll("c").unwrap();
+        let coll = e.shell.get("c").unwrap();
         let c = coll.read();
         assert_eq!(c.extents.len(), 1);
         assert_eq!(c.tail_offset, 128, "only one slot ever bump-allocated");
@@ -521,120 +369,6 @@ mod tests {
         let big = vec![7u8; 3 * EXTENT_SIZE];
         e.insert("c", b"big", &big).unwrap();
         assert_eq!(e.get("c", b"big").unwrap().unwrap().to_vec(), big);
-    }
-
-    #[test]
-    fn durable_roundtrip_with_recovery() {
-        let dir = std::env::temp_dir().join(format!("minidoc-mmap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = DbConfig::at_dir(EngineKind::MmapV1, &dir);
-        {
-            let e = MmapV1Engine::open(config.clone()).unwrap();
-            e.insert("c", b"k1", b"v1").unwrap();
-            e.insert("c", b"k2", b"v2").unwrap();
-            e.update("c", b"k1", b"v1-new").unwrap();
-            e.delete("c", b"k2").unwrap();
-        }
-        {
-            let e = MmapV1Engine::open(config.clone()).unwrap();
-            assert_eq!(e.get("c", b"k1").unwrap().unwrap().to_vec(), b"v1-new");
-            assert!(e.get("c", b"k2").unwrap().is_none());
-            assert_eq!(e.stats().documents, 1);
-            e.checkpoint().unwrap();
-        }
-        {
-            // After checkpoint the journal is empty but the snapshot holds.
-            let e = MmapV1Engine::open(config).unwrap();
-            assert_eq!(e.get("c", b"k1").unwrap().unwrap().to_vec(), b"v1-new");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Every record `e.scan` visits, copied out.
-    fn scanned(e: &MmapV1Engine, start: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut rows = Vec::new();
-        e.scan("c", start, limit, &mut |k, v| {
-            rows.push((k.to_vec(), v.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        rows
-    }
-
-    #[test]
-    fn scan_visits_in_key_order_across_lock_holds() {
-        let e = engine();
-        for i in 0..600u32 {
-            e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
-        }
-        let rows = scanned(&e, b"k0003", usize::MAX);
-        assert_eq!(rows.len(), 597, "the scan crosses the {SCAN_CHUNK}-entry lock holds");
-        assert_eq!(rows[0].0, b"k0003");
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
-        assert_eq!(rows[596].1, b"v599");
-        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
-            let unbounded = scanned(&e, start, usize::MAX);
-            let n = unbounded.len();
-            for limit in [0, 1, 31, 32, 33, 255, 256, 257, n, n + 1, 10_000, usize::MAX] {
-                let limited = scanned(&e, start, limit);
-                assert_eq!(
-                    limited[..],
-                    unbounded[..limit.min(n)],
-                    "start {start:?}, limit {limit}"
-                );
-            }
-        }
-        let (scans, mut visits) = (e.stats().scans, 0);
-        e.scan("absent", b"", 10, &mut |_, _| {
-            visits += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!((visits, e.stats().scans - scans), (0, 1), "a scan of nothing still counts");
-    }
-
-    #[test]
-    fn a_writer_that_queues_behind_a_scan_gets_in_at_the_next_record() {
-        let e = engine();
-        for i in 0..2000u32 {
-            e.insert("c", format!("k{i:04}").as_bytes(), b"v").unwrap();
-        }
-        let coll = e.coll("c").unwrap();
-        let mut keys = Vec::new();
-        std::thread::scope(|s| {
-            e.scan("c", b"", usize::MAX, &mut |key, _| {
-                if keys.len() == 200 {
-                    s.spawn(|| e.insert("c", b"k0200+", b"late").unwrap());
-                    // The writer waits for the read lock this hold keeps.
-                    while coll.queued() == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                keys.push(key.to_vec());
-                Ok(())
-            })
-            .unwrap();
-        });
-        assert_eq!(keys[201], b"k0200+", "the writer got in before the scan's next record");
-        assert_eq!(keys.len(), 2001);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "key order");
-    }
-
-    #[test]
-    fn get_many_aligns_hits_and_misses() {
-        let e = engine();
-        for i in 0..20u32 {
-            e.insert("c", format!("k{i:02}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
-        }
-        let keys: Vec<Vec<u8>> =
-            vec![b"k03".to_vec(), b"missing".to_vec(), b"k19".to_vec(), b"k00".to_vec()];
-        let got = e.get_many("c", &keys).unwrap();
-        assert_eq!(got.len(), 4);
-        assert_eq!(got[0].as_deref(), Some(&b"v3"[..]));
-        assert!(got[1].is_none());
-        assert_eq!(got[2].as_deref(), Some(&b"v19"[..]));
-        assert_eq!(got[3].as_deref(), Some(&b"v0"[..]));
-        assert!(e.get_many("absent", &keys).unwrap().iter().all(Option::is_none));
     }
 
     #[test]

@@ -5,13 +5,21 @@
 //! here. Engines store opaque record bytes under binary keys, per named
 //! collection, with ordered scans.
 //!
-//! What the engines model, they pay on every operation: wiredTiger
-//! compresses each write and accounts the compressed size, both engines
-//! frame, checksum and append each mutation to their log (the in-memory
-//! sink included), and mmapv1 copies each record a read or a scan yields
-//! out of its extents. What they do not model they do not pay: a write
-//! frames the log record straight from the borrowed key and value, and a
-//! scan ([`StorageEngine::scan`]) hands each record to its visitor where it
+//! Everything around what an engine models is written once, in [`Shell`]:
+//! the named-collection map, recovery (replay the checkpoint, trim-replay
+//! the log, then apply its records), the log append with its group-commit
+//! sync outside the log lock, the checkpoint, a dropped collection's
+//! accounting, the in-memory copy and the statistics. The engines keep
+//! only what they model. wiredTiger compresses each write, frames its log
+//! record outside every lock, keeps records behind sharded latches and
+//! group-commits its log. mmapv1 places records in padded extent slots,
+//! frames and journals each write under its collection lock, and copies
+//! each record a read or a scan yields out of its extents.
+//!
+//! What the engines model, they pay on every operation, and what they do
+//! not model they do not pay: a write frames the log record straight from
+//! the borrowed key and value (the in-memory sink included), and a scan
+//! ([`StorageEngine::scan`]) hands each record to its visitor where it
 //! lies, as borrowed key and value slices: wiredTiger's cache-resident
 //! bytes, and mmapv1's copy in one buffer reused for the whole scan. A scan
 //! allocates nothing per record and reads nothing past its limit.
@@ -25,13 +33,19 @@
 pub mod mmapv1;
 pub mod wiredtiger;
 
+use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::ops::Bound;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
+use crate::wal::{SyncPolicy, Wal, WalOp};
+use crate::DbConfig;
 
 /// Record value bytes shared with the engine's cache.
 ///
@@ -322,8 +336,21 @@ impl StatCounters {
         counter.fetch_add(delta, Ordering::Relaxed);
     }
 
-    pub(crate) fn sub(counter: &AtomicU64, delta: u64) {
-        counter.fetch_sub(delta, Ordering::Relaxed);
+    /// Counts a completed put: as an update when it replaced a record, as
+    /// an insert when not.
+    pub(crate) fn count_put(&self, replaced: bool) {
+        Self::add(if replaced { &self.updates } else { &self.inserts }, 1);
+    }
+
+    /// Moves the live documents and their logical and stored bytes by the
+    /// given amounts (negative for records that went).
+    pub(crate) fn shift(&self, documents: i64, logical: i64, stored: i64) {
+        let counters = [&self.documents, &self.logical_bytes, &self.stored_bytes];
+        for (counter, delta) in counters.into_iter().zip([documents, logical, stored]) {
+            if delta != 0 {
+                counter.fetch_add(delta as u64, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -398,11 +425,353 @@ pub trait StorageEngine: Send + Sync {
     fn clone_in_memory(&self) -> DbResult<Arc<dyn StorageEngine>>;
 }
 
+/// What a put asks of the key it writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Put {
+    /// The key must be absent.
+    Insert,
+    /// The key must be present.
+    Update,
+    /// Either.
+    Upsert,
+}
+
+/// What [`ShellCollection::records`] calls with each record's key, value
+/// and stored size.
+pub(crate) type RecordVisitor<'a> = dyn FnMut(&[u8], &[u8], u64) -> DbResult<()> + 'a;
+
+/// What [`Shell`] needs of an engine's collection.
+pub(crate) trait ShellCollection: Send + Sync {
+    /// What the collection's lock guards.
+    type Locked;
+
+    /// The lock a scan of the collection holds and a checkpoint reads it
+    /// under.
+    fn lock(&self) -> &CollectionLock<Self::Locked>;
+
+    /// Hands `f` each record in key order, with the collection's lock held
+    /// as `locked`.
+    fn records(&self, locked: &Self::Locked, f: &mut RecordVisitor<'_>) -> DbResult<()>;
+
+    /// An independent copy in the same layout.
+    fn copy(&self) -> Self;
+}
+
+/// What both engines keep around what they model: the named collections,
+/// the log, the counters and the checkpoint's file (`None` in memory).
+pub(crate) struct Shell<C> {
+    collections: RwLock<BTreeMap<String, Arc<C>>>,
+    log: Mutex<Wal>,
+    pub(crate) stats: StatCounters,
+    snapshot: Option<PathBuf>,
+}
+
+impl<C: ShellCollection> Shell<C> {
+    /// Opens `config`'s files, the checkpoint and the log named by `files`,
+    /// and returns the shell with what they hold, oldest first: a durable
+    /// log syncs as `durable` says. The engine applies the records with
+    /// [`Shell::recover`].
+    pub(crate) fn open(
+        config: &DbConfig,
+        files: [&str; 2],
+        durable: SyncPolicy,
+    ) -> DbResult<(Self, Vec<WalOp>)> {
+        let (log, snapshot, recovered) = match &config.data_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)?;
+                let (snapshot, log) = (dir.join(files[0]), dir.join(files[1]));
+                let mut ops = Wal::replay(&snapshot)?;
+                ops.extend(Wal::replay_and_trim(&log)?);
+                let policy = if config.durable_writes { durable } else { SyncPolicy::Never };
+                (Wal::open(&log, policy)?, Some(snapshot), ops)
+            }
+            None => (Wal::in_memory(), None, Vec::new()),
+        };
+        let collections = RwLock::new(BTreeMap::new());
+        let shell =
+            Shell { collections, log: Mutex::new(log), stats: Default::default(), snapshot };
+        Ok((shell, recovered))
+    }
+
+    /// Applies what [`Shell::open`] recovered: each put (`Some(value)`) and
+    /// delete (`None`) through the engine's unlogged `apply`, each drop
+    /// here.
+    pub(crate) fn recover(
+        &self,
+        recovered: Vec<WalOp>,
+        mut apply: impl FnMut(&str, &[u8], Option<&[u8]>) -> DbResult<()>,
+    ) -> DbResult<()> {
+        recovered.into_iter().try_for_each(|op| match op {
+            WalOp::Put { collection, key, value } => apply(&collection, &key, Some(&value)),
+            WalOp::Delete { collection, key } => apply(&collection, &key, None),
+            WalOp::DropCollection { collection } => self.drop_collection(&collection, false),
+        })
+    }
+
+    /// The collection `name`. A debug build panics when a scan of it on
+    /// this thread is visiting ([`assert_not_visiting`]).
+    pub(crate) fn get(&self, name: &str) -> Option<Arc<C>> {
+        let coll = self.collections.read().get(name).cloned()?;
+        assert_not_visiting(coll.lock(), name);
+        Some(coll)
+    }
+
+    /// The collection `name`, made by `new` if there is none.
+    pub(crate) fn get_or_create(&self, name: &str, new: impl FnOnce() -> C) -> Arc<C> {
+        if let Some(coll) = self.get(name) {
+            return coll;
+        }
+        let mut collections = self.collections.write();
+        Arc::clone(collections.entry(name.to_string()).or_insert_with(|| Arc::new(new())))
+    }
+
+    /// Existing collection names, sorted.
+    pub(crate) fn names(&self) -> Vec<String> {
+        self.collections.read().keys().cloned().collect()
+    }
+
+    /// Removes the collection `name` and takes its records off the
+    /// counters, logging the drop when `log` (recovery does not).
+    pub(crate) fn drop_collection(&self, name: &str, log: bool) -> DbResult<()> {
+        let Some(coll) = self.collections.write().remove(name) else { return Ok(()) };
+        let (mut documents, mut logical, mut stored) = (0, 0, 0);
+        coll.records(&coll.lock().read(), &mut |_, value, size| {
+            (documents, logical, stored) = (documents + 1, logical + value.len(), stored + size);
+            Ok(())
+        })?;
+        self.stats.shift(-documents, -(logical as i64), -(stored as i64));
+        if log {
+            self.log_append(&Wal::frame(&WalOp::DropCollection { collection: name.into() }))?;
+        }
+        Ok(())
+    }
+
+    /// Appends a framed record to the log. The log lock is held for the
+    /// append alone: a group commit's sync, when one is due, runs after it
+    /// is released.
+    pub(crate) fn log_append(&self, framed: &[u8]) -> DbResult<()> {
+        let sync = {
+            let mut log = self.log.lock();
+            log.append_framed(framed)?;
+            log.take_sync_handle()?
+        };
+        if let Some(file) = sync {
+            if let Some(inj) = chronos_util::fail_eval!("minidoc.wal.sync") {
+                return Err(DbError::injected(inj, "wal sync"));
+            }
+            file.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// The counters, with the bytes the log took.
+    pub(crate) fn stats(&self) -> EngineStats {
+        self.stats.snapshot(self.log.lock().appended_bytes)
+    }
+
+    /// Writes every record to the checkpoint file and empties the log.
+    ///
+    /// The lock order is every writer's: collections, then the log. The
+    /// checkpoint read-locks the collection map and each collection, then
+    /// takes the log and holds it until the log is truncated, so a write
+    /// is either in the snapshot or appended after the truncation. The
+    /// snapshot goes to a temp file, synced, renamed over the checkpoint
+    /// and made durable by a directory sync before the log is emptied.
+    pub(crate) fn checkpoint(&self) -> DbResult<()> {
+        let Some(path) = &self.snapshot else { return Ok(()) };
+        let tmp = path.with_extension("tmp");
+        let map = self.collections.read();
+        let collections: Vec<(&String, &Arc<C>)> = map.iter().collect();
+        let locked: Vec<_> = collections.iter().map(|(_, coll)| coll.lock().read()).collect();
+        let mut log = self.log.lock();
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        for ((name, coll), locked) in collections.iter().zip(&locked) {
+            coll.records(locked, &mut |key, value, _| {
+                Ok(out.write_all(&Wal::frame_put(name, key, value))?)
+            })?;
+        }
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        if let Some(inj) = chronos_util::fail_eval!("minidoc.checkpoint.rename") {
+            return Err(DbError::injected(inj, "checkpoint rename"));
+        }
+        std::fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        log.truncate()
+    }
+
+    /// An in-memory copy of the collections, the log's counters and the
+    /// statistics; a file-backed shell is refused.
+    pub(crate) fn copy(&self) -> DbResult<Self> {
+        let log = self.log.lock().clone_in_memory().ok_or_else(DbError::durable_copy)?;
+        let collections = self.collections.read();
+        let copies = collections.iter().map(|(name, coll)| (name.clone(), Arc::new(coll.copy())));
+        let collections = RwLock::new(copies.collect());
+        Ok(Shell { collections, log: Mutex::new(log), stats: self.stats.copy(), snapshot: None })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
 
+    use super::mmapv1::MmapV1Engine;
+    use super::wiredtiger::WiredTigerEngine;
     use super::*;
+
+    /// How many writers wait for the lock of `shell`'s collection `name`.
+    fn queued<C: ShellCollection>(shell: &Shell<C>, name: &str) -> u64 {
+        shell.collections.read().get(name).map_or(0, |coll| coll.lock().queued())
+    }
+
+    /// Runs `test` on a new in-memory engine of each kind, with a count of
+    /// the writers queued on its collection "c".
+    fn on_each_engine(test: impl Fn(EngineKind, &dyn StorageEngine, &dyn Fn() -> u64)) {
+        let wt = WiredTigerEngine::open(DbConfig::in_memory(EngineKind::WiredTiger)).unwrap();
+        test(EngineKind::WiredTiger, &wt, &|| queued(&wt.shell, "c"));
+        let mm = MmapV1Engine::open(DbConfig::in_memory(EngineKind::MmapV1)).unwrap();
+        test(EngineKind::MmapV1, &mm, &|| queued(&mm.shell, "c"));
+    }
+
+    fn open(config: DbConfig) -> Box<dyn StorageEngine> {
+        match config.engine {
+            EngineKind::WiredTiger => Box::new(WiredTigerEngine::open(config).unwrap()),
+            EngineKind::MmapV1 => Box::new(MmapV1Engine::open(config).unwrap()),
+        }
+    }
+
+    /// Every record `e.scan` visits in collection "c", copied out.
+    fn scanned(e: &dyn StorageEngine, start: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut rows = Vec::new();
+        e.scan("c", start, limit, &mut |k, v| {
+            rows.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        rows
+    }
+
+    #[test]
+    fn scan_visits_in_key_order_across_lock_holds() {
+        on_each_engine(|kind, e, _| {
+            for i in 0..600u32 {
+                e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+            }
+            let rows = scanned(e, b"k0003", usize::MAX);
+            assert_eq!(rows.len(), 597, "{kind}: the scan crosses the {SCAN_CHUNK}-entry holds");
+            assert_eq!(rows[0].0, b"k0003");
+            assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "{kind}: key order");
+            assert_eq!(rows[596].1, b"v599");
+            for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
+                let unbounded = scanned(e, start, usize::MAX);
+                let n = unbounded.len();
+                for limit in [0, 1, 31, 32, 33, 255, 256, 257, n, n + 1, 10_000, usize::MAX] {
+                    let limited = scanned(e, start, limit);
+                    let at = format!("{kind}: start {start:?}, limit {limit}");
+                    assert_eq!(limited[..], unbounded[..limit.min(n)], "{at}");
+                }
+            }
+            let (scans, mut visits) = (e.stats().scans, 0);
+            e.scan("absent", b"", 10, &mut |_, _| {
+                visits += 1;
+                Ok(())
+            })
+            .unwrap();
+            let counted = (visits, e.stats().scans - scans);
+            assert_eq!(counted, (0, 1), "{kind}: a scan of nothing still counts");
+        });
+    }
+
+    #[test]
+    fn a_writer_that_queues_behind_a_scan_gets_in_at_the_next_record() {
+        on_each_engine(|kind, e, queued| {
+            for i in 0..2000u32 {
+                e.insert("c", format!("k{i:04}").as_bytes(), b"v").unwrap();
+            }
+            let mut keys = Vec::new();
+            std::thread::scope(|s| {
+                e.scan("c", b"", usize::MAX, &mut |key, _| {
+                    if keys.len() == 200 {
+                        s.spawn(|| e.insert("c", b"k0200+", b"late").unwrap());
+                        // The writer waits for the read lock this hold keeps.
+                        while queued() == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    keys.push(key.to_vec());
+                    Ok(())
+                })
+                .unwrap();
+            });
+            assert_eq!(keys[201], b"k0200+", "{kind}: the writer got in before the next record");
+            assert_eq!(keys.len(), 2001);
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{kind}: key order");
+        });
+    }
+
+    #[test]
+    fn get_many_aligns_hits_and_misses() {
+        on_each_engine(|kind, e, _| {
+            for i in 0..20u32 {
+                e.insert("c", format!("k{i:02}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+            }
+            let keys: Vec<Vec<u8>> =
+                vec![b"k03".to_vec(), b"missing".to_vec(), b"k19".to_vec(), b"k00".to_vec()];
+            let got = e.get_many("c", &keys).unwrap();
+            assert_eq!(got.len(), 4, "{kind}");
+            assert_eq!(got[0].as_deref(), Some(&b"v3"[..]));
+            assert!(got[1].is_none(), "{kind}");
+            assert_eq!(got[2].as_deref(), Some(&b"v19"[..]));
+            assert_eq!(got[3].as_deref(), Some(&b"v0"[..]));
+            assert!(e.get_many("absent", &keys).unwrap().iter().all(Option::is_none), "{kind}");
+        });
+    }
+
+    /// Reopens recover from the log alone, then from a checkpoint and the
+    /// log after it. The checkpoint replaces a temp file a failed one left.
+    #[test]
+    fn durable_roundtrip_with_recovery() {
+        for kind in [EngineKind::WiredTiger, EngineKind::MmapV1] {
+            let dir =
+                std::env::temp_dir().join(format!("minidoc-engine-{kind}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = DbConfig::at_dir(kind, &dir);
+            let get = |e: &dyn StorageEngine, key: &[u8]| e.get("c", key).unwrap();
+            {
+                let e = open(config.clone());
+                e.insert("c", b"k1", b"v1").unwrap();
+                e.insert("c", b"k2", b"v2").unwrap();
+                e.update("c", b"k1", b"v1b").unwrap();
+                e.delete("c", b"k2").unwrap();
+                e.insert("d", b"k", b"dropped").unwrap();
+                e.drop_collection("d").unwrap();
+            }
+            let snapshot = match kind {
+                EngineKind::WiredTiger => "wt.checkpoint",
+                EngineKind::MmapV1 => "mmapv1.snapshot",
+            };
+            let tmp = dir.join(snapshot).with_extension("tmp");
+            {
+                let e = open(config.clone());
+                assert_eq!(get(&*e, b"k1").as_deref(), Some(&b"v1b"[..]), "{kind}: from the log");
+                assert!(get(&*e, b"k2").is_none(), "{kind}");
+                assert_eq!(e.collection_names(), ["c"], "{kind}");
+                assert_eq!(e.stats().documents, 1, "{kind}: the drop is recovered");
+                std::fs::write(&tmp, Wal::frame_put("c", b"stale", b"left by a failed one"))
+                    .unwrap();
+                e.checkpoint().unwrap();
+                assert!(!tmp.exists(), "{kind}: the checkpoint renamed its temp file");
+                e.insert("c", b"k3", b"v3").unwrap(); // lands in the log only
+            }
+            let e = open(config);
+            assert_eq!(get(&*e, b"k1").as_deref(), Some(&b"v1b"[..]), "{kind}: from the snapshot");
+            assert!(get(&*e, b"k2").is_none() && get(&*e, b"stale").is_none(), "{kind}");
+            assert_eq!(get(&*e, b"k3").as_deref(), Some(&b"v3"[..]), "{kind}: from the log");
+            assert_eq!(e.stats().documents, 2, "{kind}");
+            drop(e);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 
     #[test]
     fn engine_kind_roundtrip() {

@@ -32,20 +32,20 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::compress::compress_or_store;
 use crate::engine::{
-    assert_not_visiting, scan_in_chunks, CollectionLock, EngineStats, SharedBytes, StatCounters,
-    StorageEngine, Visitor,
+    scan_in_chunks, CollectionLock, EngineStats, Put, RecordVisitor, SharedBytes, Shell,
+    ShellCollection, StatCounters, StorageEngine, Visitor,
 };
 use crate::error::{DbError, DbResult};
-use crate::wal::{Wal, WalOp};
+use crate::wal::{SyncPolicy, Wal, WalOp};
 use crate::DbConfig;
 
 /// A record's identity: shard + slot within the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RecordId {
+pub(super) struct RecordId {
     shard: u32,
     slot: u32,
 }
@@ -80,6 +80,10 @@ impl Shard {
         }
     }
 
+    fn get(&self, slot: u32) -> Option<&Record> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
     fn remove(&mut self, slot: u32) -> Option<Record> {
         let taken = self.slots.get_mut(slot as usize)?.take();
         if taken.is_some() {
@@ -90,7 +94,7 @@ impl Shard {
 }
 
 /// One collection: a key index plus sharded record storage.
-struct WtCollection {
+pub(super) struct WtCollection {
     index: CollectionLock<BTreeMap<Vec<u8>, RecordId>>,
     shards: Vec<Mutex<Shard>>,
     next_shard: AtomicU64,
@@ -110,6 +114,24 @@ impl WtCollection {
     fn place(&self) -> u32 {
         (self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len() as u64) as u32
     }
+}
+
+impl ShellCollection for WtCollection {
+    type Locked = BTreeMap<Vec<u8>, RecordId>;
+
+    fn lock(&self) -> &CollectionLock<Self::Locked> {
+        &self.index
+    }
+
+    fn records(&self, index: &Self::Locked, f: &mut RecordVisitor<'_>) -> DbResult<()> {
+        for (key, &id) in index {
+            let shard = self.shards[id.shard as usize].lock();
+            if let Some(record) = shard.get(id.slot) {
+                f(key, &record.raw, record.stored_size as u64)?;
+            }
+        }
+        Ok(())
+    }
 
     /// A copy with the same index, slots, free lists and next placement.
     fn copy(&self) -> WtCollection {
@@ -120,82 +142,28 @@ impl WtCollection {
             next_shard: AtomicU64::new(self.next_shard.load(Ordering::Relaxed)),
         }
     }
-
-    fn read_record(&self, id: RecordId) -> Option<Record> {
-        let shard = self.shards[id.shard as usize].lock();
-        shard.slots.get(id.slot as usize)?.clone()
-    }
 }
 
 /// The engine.
 pub struct WiredTigerEngine {
-    collections: RwLock<BTreeMap<String, Arc<WtCollection>>>,
-    wal: Mutex<Wal>,
-    stats: StatCounters,
+    pub(super) shell: Shell<WtCollection>,
     compression: bool,
     latch_shards: usize,
-    data_dir: Option<std::path::PathBuf>,
 }
 
 impl WiredTigerEngine {
     /// Opens the engine, recovering from checkpoint + WAL when durable.
     pub fn open(config: DbConfig) -> DbResult<Self> {
-        let (wal, recovered) = match &config.data_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let checkpoint = dir.join("wt.checkpoint");
-                let wal_path = dir.join("wt.wal");
-                let mut ops = Wal::replay(&checkpoint)?;
-                ops.extend(Wal::replay_and_trim(&wal_path)?);
-                let policy = if config.durable_writes {
-                    // Group commit: sync every ~32 KiB of log, outside locks.
-                    crate::wal::SyncPolicy::GroupCommit { batch_bytes: 32 * 1024 }
-                } else {
-                    crate::wal::SyncPolicy::Never
-                };
-                (Wal::open_with_policy(&wal_path, policy)?, ops)
-            }
-            None => (Wal::in_memory(), Vec::new()),
-        };
-        let engine = WiredTigerEngine {
-            collections: RwLock::new(BTreeMap::new()),
-            wal: Mutex::new(wal),
-            stats: StatCounters::default(),
-            compression: config.compression,
-            latch_shards: config.latch_shards.max(1),
-            data_dir: config.data_dir.clone(),
-        };
-        for op in recovered {
-            match op {
-                WalOp::Put { collection, key, value } => {
-                    engine.put_internal(&collection, &key, &value, true, false)?;
-                }
-                WalOp::Delete { collection, key } => {
-                    engine.delete_internal(&collection, &key, false)?;
-                }
-                WalOp::DropCollection { collection } => {
-                    engine.collections.write().remove(&collection);
-                }
-            }
-        }
+        // Group commit: sync every ~32 KiB of log, outside locks.
+        let policy = SyncPolicy::GroupCommit { batch_bytes: 32 * 1024 };
+        let (shell, recovered) = Shell::open(&config, ["wt.checkpoint", "wt.wal"], policy)?;
+        let latch_shards = config.latch_shards.max(1);
+        let engine = WiredTigerEngine { shell, compression: config.compression, latch_shards };
+        engine.shell.recover(recovered, |collection, key, value| match value {
+            Some(value) => engine.put(collection, key, value, Put::Upsert, false),
+            None => engine.remove(collection, key, false).map(drop),
+        })?;
         Ok(engine)
-    }
-
-    fn coll(&self, name: &str) -> Option<Arc<WtCollection>> {
-        let coll = self.collections.read().get(name).cloned()?;
-        assert_not_visiting(&coll.index, name);
-        Some(coll)
-    }
-
-    fn coll_or_create(&self, name: &str) -> Arc<WtCollection> {
-        if let Some(c) = self.coll(name) {
-            return c;
-        }
-        let mut map = self.collections.write();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(WtCollection::new(self.latch_shards))),
-        )
     }
 
     /// Builds the cache record: the write path pays the block-compression
@@ -209,84 +177,54 @@ impl WiredTigerEngine {
         Record { raw: SharedBytes::from(value), stored_size }
     }
 
-    /// WAL append of a record framed before taking the log lock, with the
-    /// group-commit fsync performed after releasing it, so the log lock is
-    /// only ever held for a buffered write.
-    fn log_append(&self, framed: &[u8]) -> DbResult<()> {
-        let sync_handle = {
-            let mut wal = self.wal.lock();
-            wal.append_framed(framed)?;
-            wal.take_sync_handle()?
-        };
-        if let Some(file) = sync_handle {
-            if let Some(inj) = chronos_util::fail_eval!("minidoc.wal.sync") {
-                let msg = match inj {
-                    chronos_util::fail::Injected::Error(m) => m,
-                    chronos_util::fail::Injected::Torn { .. } => {
-                        "wal sync failed: injected torn write".to_string()
-                    }
-                };
-                return Err(DbError::Io(std::io::Error::other(msg)));
+    /// Writes `value` under `key`; `log` is false in recovery. The record
+    /// is compressed before any latch is taken, and the log record is
+    /// framed and appended after every latch is released.
+    fn put(&self, collection: &str, key: &[u8], value: &[u8], how: Put, log: bool) -> DbResult<()> {
+        let coll = match how {
+            Put::Update => self.shell.get(collection).ok_or_else(|| DbError::not_found(key))?,
+            Put::Insert | Put::Upsert => {
+                self.shell.get_or_create(collection, || WtCollection::new(self.latch_shards))
             }
-            file.sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// Core insert/replace. `allow_replace` selects upsert semantics, `log`
-    /// is false during recovery replay.
-    fn put_internal(
-        &self,
-        collection: &str,
-        key: &[u8],
-        value: &[u8],
-        allow_replace: bool,
-        log: bool,
-    ) -> DbResult<bool> {
-        let coll = self.coll_or_create(collection);
+        };
         // Fast path for updates: shared index lock only.
         let existing = { coll.index.read().get(key).copied() };
-        let replaced = match existing {
+        match existing {
+            Some(_) if how == Put::Insert => return Err(DbError::duplicate(key)),
             Some(id) => {
-                if !allow_replace {
-                    return Err(DbError::duplicate(key));
-                }
                 let record = self.make_record(value);
-                let new_stored = record.stored_size as u64;
+                let new_stored = record.stored_size as i64;
                 let mut shard = coll.shards[id.shard as usize].lock();
                 let slot = shard.slots.get_mut(id.slot as usize).and_then(Option::as_mut);
                 match slot {
                     Some(old) => {
-                        let old_stored = old.stored_size as u64;
-                        let old_logical = old.raw.len() as u64;
+                        let logical = value.len() as i64 - old.raw.len() as i64;
+                        let stored = new_stored - old.stored_size as i64;
                         *old = record;
                         drop(shard);
-                        StatCounters::sub(&self.stats.stored_bytes, old_stored);
-                        StatCounters::add(&self.stats.stored_bytes, new_stored);
-                        StatCounters::sub(&self.stats.logical_bytes, old_logical);
-                        StatCounters::add(&self.stats.logical_bytes, value.len() as u64);
-                        StatCounters::add(&self.stats.inplace_updates, 1);
+                        self.shell.stats.shift(0, logical, stored);
+                        StatCounters::add(&self.shell.stats.inplace_updates, 1);
                     }
                     None => {
                         // Index pointed at a freed slot: lost a race with a
                         // concurrent delete; treat as fresh insert.
                         drop(shard);
-                        return self.put_internal(collection, key, value, allow_replace, log);
+                        return self.put(collection, key, value, how, log);
                     }
                 }
-                true
             }
+            None if how == Put::Update => return Err(DbError::not_found(key)),
             None => {
                 let record = self.make_record(value);
-                let stored = record.stored_size as u64;
+                let stored = record.stored_size as i64;
                 // Take the index write lock only to publish the pointer.
                 let mut index = coll.index.write();
                 if index.contains_key(key) {
                     drop(index);
-                    if !allow_replace {
+                    if how == Put::Insert {
                         return Err(DbError::duplicate(key));
                     }
-                    return self.put_internal(collection, key, value, allow_replace, log);
+                    return self.put(collection, key, value, how, log);
                 }
                 let shard_no = coll.place();
                 let slot = {
@@ -295,41 +233,30 @@ impl WiredTigerEngine {
                 };
                 index.insert(key.to_vec(), RecordId { shard: shard_no, slot });
                 drop(index);
-                StatCounters::add(&self.stats.documents, 1);
-                StatCounters::add(&self.stats.logical_bytes, value.len() as u64);
-                StatCounters::add(&self.stats.stored_bytes, stored);
-                false
+                self.shell.stats.shift(1, value.len() as i64, stored);
             }
-        };
-        if log {
-            self.log_append(&Wal::frame_put(collection, key, value))?;
         }
-        Ok(replaced)
+        if log {
+            self.shell.log_append(&Wal::frame_put(collection, key, value))?;
+            self.shell.stats.count_put(existing.is_some());
+        }
+        Ok(())
     }
 
-    fn delete_internal(&self, collection: &str, key: &[u8], log: bool) -> DbResult<bool> {
-        let Some(coll) = self.coll(collection) else { return Ok(false) };
-        let id = {
-            let mut index = coll.index.write();
-            match index.remove(key) {
-                Some(id) => id,
-                None => return Ok(false),
-            }
-        };
-        let removed = {
-            let mut shard = coll.shards[id.shard as usize].lock();
-            shard.remove(id.slot)
-        };
+    /// Removes `key`, logging the delete when `log` (not in recovery).
+    /// Returns whether it existed.
+    fn remove(&self, collection: &str, key: &[u8], log: bool) -> DbResult<bool> {
+        let Some(coll) = self.shell.get(collection) else { return Ok(false) };
+        let Some(id) = coll.index.write().remove(key) else { return Ok(false) };
+        let removed = coll.shards[id.shard as usize].lock().remove(id.slot);
         if let Some(record) = removed {
-            StatCounters::sub(&self.stats.documents, 1);
-            StatCounters::sub(&self.stats.stored_bytes, record.stored_size as u64);
-            StatCounters::sub(&self.stats.logical_bytes, record.raw.len() as u64);
+            let (logical, stored) = (record.raw.len() as i64, record.stored_size as i64);
+            self.shell.stats.shift(-1, -logical, -stored);
         }
         if log {
-            self.log_append(&Wal::frame(&WalOp::Delete {
-                collection: collection.to_string(),
-                key: key.to_vec(),
-            }))?;
+            let delete = WalOp::Delete { collection: collection.to_string(), key: key.to_vec() };
+            self.shell.log_append(&Wal::frame(&delete))?;
+            StatCounters::add(&self.shell.stats.deletes, 1);
         }
         Ok(true)
     }
@@ -337,22 +264,21 @@ impl WiredTigerEngine {
 
 impl StorageEngine for WiredTigerEngine {
     fn insert(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        self.put_internal(collection, key, value, false, true)?;
-        StatCounters::add(&self.stats.inserts, 1);
-        Ok(())
+        self.put(collection, key, value, Put::Insert, true)
     }
 
     fn get(&self, collection: &str, key: &[u8]) -> DbResult<Option<SharedBytes>> {
-        StatCounters::add(&self.stats.reads, 1);
-        let Some(coll) = self.coll(collection) else { return Ok(None) };
-        let id = { coll.index.read().get(key).copied() };
-        Ok(id.and_then(|id| coll.read_record(id)).map(|r| r.raw))
+        StatCounters::add(&self.shell.stats.reads, 1);
+        let Some(coll) = self.shell.get(collection) else { return Ok(None) };
+        let Some(id) = coll.index.read().get(key).copied() else { return Ok(None) };
+        let shard = coll.shards[id.shard as usize].lock();
+        Ok(shard.get(id.slot).map(|record| Arc::clone(&record.raw)))
     }
 
     fn get_many(&self, collection: &str, keys: &[Vec<u8>]) -> DbResult<Vec<Option<SharedBytes>>> {
-        StatCounters::add(&self.stats.reads, keys.len() as u64);
+        StatCounters::add(&self.shell.stats.reads, keys.len() as u64);
         let mut out = vec![None; keys.len()];
-        let Some(coll) = self.coll(collection) else { return Ok(out) };
+        let Some(coll) = self.shell.get(collection) else { return Ok(out) };
         // One index read-lock resolves every key to its record id.
         let mut hits: Vec<(usize, RecordId)> = {
             let index = coll.index.read();
@@ -366,11 +292,7 @@ impl StorageEngine for WiredTigerEngine {
             let shard = coll.shards[shard_no as usize].lock();
             while i < hits.len() && hits[i].1.shard == shard_no {
                 let (pos, id) = hits[i];
-                out[pos] = shard
-                    .slots
-                    .get(id.slot as usize)
-                    .and_then(Option::as_ref)
-                    .map(|r| Arc::clone(&r.raw));
+                out[pos] = shard.get(id.slot).map(|record| Arc::clone(&record.raw));
                 i += 1;
             }
         }
@@ -378,28 +300,15 @@ impl StorageEngine for WiredTigerEngine {
     }
 
     fn update(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let exists =
-            self.coll(collection).map(|c| c.index.read().contains_key(key)).unwrap_or(false);
-        if !exists {
-            return Err(DbError::not_found(key));
-        }
-        self.put_internal(collection, key, value, true, true)?;
-        StatCounters::add(&self.stats.updates, 1);
-        Ok(())
+        self.put(collection, key, value, Put::Update, true)
     }
 
     fn upsert(&self, collection: &str, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let replaced = self.put_internal(collection, key, value, true, true)?;
-        StatCounters::add(if replaced { &self.stats.updates } else { &self.stats.inserts }, 1);
-        Ok(())
+        self.put(collection, key, value, Put::Upsert, true)
     }
 
     fn delete(&self, collection: &str, key: &[u8]) -> DbResult<bool> {
-        let existed = self.delete_internal(collection, key, true)?;
-        if existed {
-            StatCounters::add(&self.stats.deletes, 1);
-        }
-        Ok(existed)
+        self.remove(collection, key, true)
     }
 
     fn scan(
@@ -409,15 +318,15 @@ impl StorageEngine for WiredTigerEngine {
         limit: usize,
         visit: &mut Visitor<'_>,
     ) -> DbResult<()> {
-        StatCounters::add(&self.stats.scans, 1);
-        let Some(coll) = self.coll(collection) else { return Ok(()) };
+        StatCounters::add(&self.shell.stats.scans, 1);
+        let Some(coll) = self.shell.get(collection) else { return Ok(()) };
         scan_in_chunks(&coll.index, start_key, limit, visit, |index, from, visit| {
             for (key, &id) in index.range::<[u8], _>((from, Bound::Unbounded)) {
                 // The visitor reads the cache-resident bytes under the
                 // record's shard latch. A delete unlinks the key first, so
                 // every entry's slot holds its record.
                 let shard = coll.shards[id.shard as usize].lock();
-                if let Some(record) = shard.slots.get(id.slot as usize).and_then(Option::as_ref) {
+                if let Some(record) = shard.get(id.slot) {
                     if !visit(key, &record.raw)? {
                         break;
                     }
@@ -428,98 +337,34 @@ impl StorageEngine for WiredTigerEngine {
     }
 
     fn count(&self, collection: &str) -> u64 {
-        self.coll(collection).map(|c| c.index.read().len() as u64).unwrap_or(0)
+        self.shell.get(collection).map(|c| c.index.read().len() as u64).unwrap_or(0)
     }
 
     fn collection_names(&self) -> Vec<String> {
-        self.collections.read().keys().cloned().collect()
+        self.shell.names()
     }
 
     fn drop_collection(&self, collection: &str) -> DbResult<()> {
-        let removed = self.collections.write().remove(collection);
-        if let Some(coll) = removed {
-            let index = coll.index.read();
-            let mut docs = 0u64;
-            let mut stored = 0u64;
-            let mut logical = 0u64;
-            for (_, &id) in index.iter() {
-                if let Some(record) = coll.read_record(id) {
-                    docs += 1;
-                    stored += record.stored_size as u64;
-                    logical += record.raw.len() as u64;
-                }
-            }
-            StatCounters::sub(&self.stats.documents, docs);
-            StatCounters::sub(&self.stats.stored_bytes, stored);
-            StatCounters::sub(&self.stats.logical_bytes, logical);
-            self.log_append(&Wal::frame(&WalOp::DropCollection {
-                collection: collection.to_string(),
-            }))?;
-        }
-        Ok(())
+        self.shell.drop_collection(collection, true)
     }
 
     fn stats(&self) -> EngineStats {
-        let wal_bytes = self.wal.lock().appended_bytes;
-        self.stats.snapshot(wal_bytes)
+        self.shell.stats()
     }
 
     fn checkpoint(&self) -> DbResult<()> {
-        let Some(dir) = &self.data_dir else { return Ok(()) };
-        let path = dir.join("wt.checkpoint");
-        let tmp = path.with_extension("tmp");
-        {
-            let mut snapshot = Wal::open(&tmp, false)?;
-            let collections = self.collections.read();
-            for (name, coll) in collections.iter() {
-                let entries: Vec<(Vec<u8>, RecordId)> = {
-                    let index = coll.index.read();
-                    index.iter().map(|(k, &id)| (k.clone(), id)).collect()
-                };
-                for (key, id) in entries {
-                    if let Some(record) = coll.read_record(id) {
-                        snapshot.append_framed(&Wal::frame_put(name, &key, &record.raw))?;
-                    }
-                }
-            }
-        }
-        if let Some(inj) = chronos_util::fail_eval!("minidoc.checkpoint.rename") {
-            let msg = match inj {
-                chronos_util::fail::Injected::Error(m) => m,
-                chronos_util::fail::Injected::Torn { .. } => {
-                    "checkpoint rename failed: injected torn write".to_string()
-                }
-            };
-            return Err(DbError::Io(std::io::Error::other(msg)));
-        }
-        std::fs::rename(&tmp, &path)?;
-        self.wal.lock().truncate()?;
-        Ok(())
+        self.shell.checkpoint()
     }
 
     fn clone_in_memory(&self) -> DbResult<Arc<dyn StorageEngine>> {
-        let wal = self.wal.lock().clone_in_memory().ok_or_else(DbError::durable_copy)?;
-        let collections = self
-            .collections
-            .read()
-            .iter()
-            .map(|(name, coll)| (name.clone(), Arc::new(coll.copy())))
-            .collect();
-        Ok(Arc::new(WiredTigerEngine {
-            collections: RwLock::new(collections),
-            wal: Mutex::new(wal),
-            stats: self.stats.copy(),
-            compression: self.compression,
-            latch_shards: self.latch_shards,
-            data_dir: None,
-        }))
+        let (compression, latch_shards) = (self.compression, self.latch_shards);
+        Ok(Arc::new(WiredTigerEngine { shell: self.shell.copy()?, compression, latch_shards }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SCAN_CHUNK;
     use crate::EngineKind;
 
     fn engine() -> WiredTigerEngine {
@@ -586,117 +431,6 @@ mod tests {
         });
         assert_eq!(e.stats().documents, 64);
         assert_eq!(e.stats().updates, 400);
-    }
-
-    #[test]
-    fn durable_roundtrip_with_recovery() {
-        let dir = std::env::temp_dir().join(format!("minidoc-wt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = DbConfig::at_dir(EngineKind::WiredTiger, &dir);
-        {
-            let e = WiredTigerEngine::open(config.clone()).unwrap();
-            e.insert("c", b"k1", b"v1").unwrap();
-            e.insert("c", b"k2", b"v2").unwrap();
-            e.update("c", b"k1", b"v1b").unwrap();
-            e.delete("c", b"k2").unwrap();
-            e.checkpoint().unwrap();
-            e.insert("c", b"k3", b"v3").unwrap(); // lands in the WAL only
-        }
-        {
-            let e = WiredTigerEngine::open(config).unwrap();
-            assert_eq!(e.get("c", b"k1").unwrap().unwrap().to_vec(), b"v1b");
-            assert!(e.get("c", b"k2").unwrap().is_none());
-            assert_eq!(e.get("c", b"k3").unwrap().unwrap().to_vec(), b"v3");
-            assert_eq!(e.stats().documents, 2);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Every record `e.scan` visits, copied out.
-    fn scanned(e: &WiredTigerEngine, start: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut rows = Vec::new();
-        e.scan("c", start, limit, &mut |k, v| {
-            rows.push((k.to_vec(), v.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        rows
-    }
-
-    #[test]
-    fn scan_visits_in_key_order_across_lock_holds() {
-        let e = engine();
-        for i in 0..600u32 {
-            e.insert("c", format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
-        }
-        let rows = scanned(&e, b"k0003", usize::MAX);
-        assert_eq!(rows.len(), 597, "the scan crosses the {SCAN_CHUNK}-entry lock holds");
-        assert_eq!(rows[0].0, b"k0003");
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
-        assert_eq!(rows[596].1, b"v599");
-        for start in [&b""[..], b"k0003", b"k0400", b"k0599", b"z"] {
-            let unbounded = scanned(&e, start, usize::MAX);
-            let n = unbounded.len();
-            for limit in [0, 1, 31, 32, 33, 255, 256, 257, n, n + 1, 10_000, usize::MAX] {
-                let limited = scanned(&e, start, limit);
-                assert_eq!(
-                    limited[..],
-                    unbounded[..limit.min(n)],
-                    "start {start:?}, limit {limit}"
-                );
-            }
-        }
-        let (scans, mut visits) = (e.stats().scans, 0);
-        e.scan("absent", b"", 10, &mut |_, _| {
-            visits += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!((visits, e.stats().scans - scans), (0, 1), "a scan of nothing still counts");
-    }
-
-    #[test]
-    fn a_writer_that_queues_behind_a_scan_gets_in_at_the_next_record() {
-        let e = engine();
-        for i in 0..2000u32 {
-            e.insert("c", format!("k{i:04}").as_bytes(), b"v").unwrap();
-        }
-        let coll = e.coll("c").unwrap();
-        let mut keys = Vec::new();
-        std::thread::scope(|s| {
-            e.scan("c", b"", usize::MAX, &mut |key, _| {
-                if keys.len() == 200 {
-                    s.spawn(|| e.insert("c", b"k0200+", b"late").unwrap());
-                    // The writer waits for the read lock this hold keeps.
-                    while coll.index.queued() == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                keys.push(key.to_vec());
-                Ok(())
-            })
-            .unwrap();
-        });
-        assert_eq!(keys[201], b"k0200+", "the writer got in before the scan's next record");
-        assert_eq!(keys.len(), 2001);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "key order");
-    }
-
-    #[test]
-    fn get_many_aligns_hits_and_misses() {
-        let e = engine();
-        for i in 0..20u32 {
-            e.insert("c", format!("k{i:02}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
-        }
-        let keys: Vec<Vec<u8>> =
-            vec![b"k03".to_vec(), b"missing".to_vec(), b"k19".to_vec(), b"k00".to_vec()];
-        let got = e.get_many("c", &keys).unwrap();
-        assert_eq!(got.len(), 4);
-        assert_eq!(got[0].as_deref(), Some(&b"v3"[..]));
-        assert!(got[1].is_none());
-        assert_eq!(got[2].as_deref(), Some(&b"v19"[..]));
-        assert_eq!(got[3].as_deref(), Some(&b"v0"[..]));
-        assert!(e.get_many("absent", &keys).unwrap().iter().all(Option::is_none));
     }
 
     #[test]

@@ -63,4 +63,16 @@ impl DbError {
     pub(crate) fn not_found(key: &[u8]) -> Self {
         DbError::NotFound(String::from_utf8_lossy(key).into_owned())
     }
+
+    /// The I/O error a failpoint injects at a site that cannot tear: an
+    /// injected error's own message, or "`what` failed" for a torn write.
+    pub(crate) fn injected(inj: chronos_util::fail::Injected, what: &str) -> Self {
+        let msg = match inj {
+            chronos_util::fail::Injected::Error(msg) => msg,
+            chronos_util::fail::Injected::Torn { .. } => {
+                format!("{what} failed: injected torn write")
+            }
+        };
+        DbError::Io(std::io::Error::other(msg))
+    }
 }

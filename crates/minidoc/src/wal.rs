@@ -140,14 +140,9 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating if needed) the log at `path`.
-    pub fn open(path: &Path, sync_on_append: bool) -> DbResult<Self> {
-        let policy = if sync_on_append { SyncPolicy::EveryAppend } else { SyncPolicy::Never };
-        Self::open_with_policy(path, policy)
-    }
-
-    /// Opens the log with an explicit [`SyncPolicy`].
-    pub fn open_with_policy(path: &Path, policy: SyncPolicy) -> DbResult<Self> {
+    /// Opens (creating if needed) the log at `path`, synced as `policy`
+    /// says.
+    pub fn open(path: &Path, policy: SyncPolicy) -> DbResult<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(Wal {
             file: Some(file),
@@ -201,15 +196,11 @@ impl Wal {
         }
     }
 
-    /// The backing file path (`None` for in-memory logs).
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
-
     /// Frames an operation into its on-log record form (length + CRC +
-    /// payload). Framing is CPU work callers may do *outside* the log lock
-    /// — the wiredTiger-like engine does, the mmapv1-like engine does not;
-    /// that difference is part of the engines' contrasting write paths.
+    /// payload). Both engines frame *outside* the log lock: the
+    /// wiredTiger-like engine outside every lock, the mmapv1-like engine
+    /// under its collection lock, which it holds through the append; that
+    /// difference is part of the engines' contrasting write paths.
     pub fn frame(op: &WalOp) -> Vec<u8> {
         match op {
             WalOp::Put { collection, key, value } => Self::frame_put(collection, key, value),
@@ -224,12 +215,6 @@ impl Wal {
     /// borrowed parts.
     pub fn frame_put(collection: &str, key: &[u8], value: &[u8]) -> Vec<u8> {
         frame_fields(OP_PUT, &[collection.as_bytes(), key, value])
-    }
-
-    /// Appends one operation record (framing inline).
-    pub fn append(&mut self, op: &WalOp) -> DbResult<()> {
-        let record = Self::frame(op);
-        self.append_framed(&record)
     }
 
     /// Appends a record previously produced by [`Wal::frame`].
@@ -258,13 +243,7 @@ impl Wal {
                 file.write_all(record)?;
                 if self.policy == SyncPolicy::EveryAppend {
                     if let Some(inj) = chronos_util::fail_eval!("minidoc.wal.sync") {
-                        let msg = match inj {
-                            chronos_util::fail::Injected::Error(m) => m,
-                            chronos_util::fail::Injected::Torn { .. } => {
-                                "wal sync failed: injected torn write".to_string()
-                            }
-                        };
-                        return Err(DbError::Io(std::io::Error::other(msg)));
+                        return Err(DbError::injected(inj, "wal sync"));
                     }
                     file.sync_data()?;
                     self.pending_since_sync = 0;
@@ -378,9 +357,9 @@ mod tests {
     #[test]
     fn append_and_replay() {
         let path = tmp("replay");
-        let mut wal = Wal::open(&path, false).unwrap();
+        let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
         for op in ops() {
-            wal.append(&op).unwrap();
+            wal.append_framed(&Wal::frame(&op)).unwrap();
         }
         drop(wal);
         assert_eq!(Wal::replay(&path).unwrap(), ops());
@@ -395,9 +374,9 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped() {
         let path = tmp("torn");
-        let mut wal = Wal::open(&path, false).unwrap();
+        let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
         for op in ops() {
-            wal.append(&op).unwrap();
+            wal.append_framed(&Wal::frame(&op)).unwrap();
         }
         drop(wal);
         // Truncate mid-record to simulate a crash during the last append.
@@ -411,9 +390,9 @@ mod tests {
     #[test]
     fn corrupt_record_stops_replay() {
         let path = tmp("corrupt");
-        let mut wal = Wal::open(&path, false).unwrap();
+        let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
         for op in ops() {
-            wal.append(&op).unwrap();
+            wal.append_framed(&Wal::frame(&op)).unwrap();
         }
         drop(wal);
         let mut data = std::fs::read(&path).unwrap();
@@ -429,12 +408,12 @@ mod tests {
     #[test]
     fn truncate_clears_log() {
         let path = tmp("truncate");
-        let mut wal = Wal::open(&path, false).unwrap();
-        wal.append(&ops()[0]).unwrap();
+        let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+        wal.append_framed(&Wal::frame(&ops()[0])).unwrap();
         wal.truncate().unwrap();
         assert!(Wal::replay(&path).unwrap().is_empty());
         // Appends after truncation still work.
-        wal.append(&ops()[1]).unwrap();
+        wal.append_framed(&Wal::frame(&ops()[1])).unwrap();
         drop(wal);
         assert_eq!(Wal::replay(&path).unwrap(), vec![ops()[1].clone()]);
         std::fs::remove_file(&path).unwrap();
@@ -443,7 +422,7 @@ mod tests {
     #[test]
     fn in_memory_clone_carries_counters() {
         let mut wal = Wal::in_memory();
-        wal.append(&ops()[0]).unwrap();
+        wal.append_framed(&Wal::frame(&ops()[0])).unwrap();
         let first = Wal::frame(&ops()[0]).len();
         assert_eq!((wal.appended_bytes, wal.pending_since_sync), (first as u64, first));
         let mut copy = wal.clone_in_memory().unwrap();
@@ -451,14 +430,14 @@ mod tests {
             (copy.appended_bytes, copy.pending_since_sync, copy.policy),
             (wal.appended_bytes, wal.pending_since_sync, wal.policy)
         );
-        copy.append(&ops()[1]).unwrap();
+        copy.append_framed(&Wal::frame(&ops()[1])).unwrap();
         let second = Wal::frame(&ops()[1]).len();
         assert_eq!(copy.appended_bytes, (first + second) as u64, "the copy counts on its own");
         assert_eq!(copy.pending_since_sync, first + second);
         assert_eq!(wal.appended_bytes, first as u64, "the original is untouched");
 
         let path = tmp("clone");
-        let file_backed = Wal::open(&path, false).unwrap();
+        let file_backed = Wal::open(&path, SyncPolicy::Never).unwrap();
         assert!(file_backed.clone_in_memory().is_none());
         std::fs::remove_file(&path).unwrap();
     }
@@ -466,7 +445,7 @@ mod tests {
     #[test]
     fn in_memory_wal_tracks_bytes() {
         let mut wal = Wal::in_memory();
-        wal.append(&ops()[0]).unwrap();
+        wal.append_framed(&Wal::frame(&ops()[0])).unwrap();
         assert!(wal.appended_bytes > 0);
         wal.truncate().unwrap();
     }

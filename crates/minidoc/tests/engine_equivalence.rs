@@ -2,7 +2,9 @@
 //! reference model (a `BTreeMap`) under arbitrary operation sequences —
 //! the engines differ in *how* they store, never in *what* they store.
 //! An in-memory copy of either is held to the same model: it must continue
-//! from where its original stood, and the original must stay there.
+//! from where its original stood, and the original must stay there. So is a
+//! durable database of either, reopened after any mix of writes and drops
+//! with a checkpoint somewhere among them.
 
 use std::collections::BTreeMap;
 
@@ -29,6 +31,18 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Get),
         (any::<u8>(), 0..300usize).prop_map(|(k, n)| Op::Scan(k, n)),
     ]
+}
+
+/// A step of a durable run: an operation, or a drop of its collection
+/// (one step in twelve).
+#[derive(Debug, Clone)]
+enum Step {
+    Op(Op),
+    Drop,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (arb_op(), 0..12u8).prop_map(|(op, d)| if d == 0 { Step::Drop } else { Step::Op(op) })
 }
 
 fn payload(n: usize) -> chronos_json::Value {
@@ -308,33 +322,39 @@ proptest! {
     }
 
     #[test]
-    fn durable_wiredtiger_recovers_to_model(ops in prop::collection::vec(arb_op(), 1..40)) {
-        let dir = std::env::temp_dir().join(format!(
-            "minidoc-prop-wt-{}-{:x}",
-            std::process::id(),
-            rand::random::<u64>()
-        ));
-        let config = DbConfig::at_dir(EngineKind::WiredTiger, &dir);
-        let mut model: BTreeMap<String, usize> = BTreeMap::new();
-        {
-            let db = Database::open(config.clone()).unwrap();
-            let coll = db.collection("t");
-            for op in &ops {
-                if let Op::Upsert(k, n) = op {
-                    let key = format!("key{k:03}");
-                    coll.upsert(&key, &payload(*n)).unwrap();
-                    model.insert(key, *n);
+    fn durable_engines_recover_to_model(
+        steps in prop::collection::vec(arb_step(), 1..40),
+        at in 0..40usize,
+    ) {
+        let checkpoint_at = at % (steps.len() + 1);
+        for engine in [EngineKind::WiredTiger, EngineKind::MmapV1] {
+            let dir = std::env::temp_dir().join(format!(
+                "minidoc-prop-durable-{}-{:x}",
+                std::process::id(),
+                rand::random::<u64>()
+            ));
+            let config = DbConfig::at_dir(engine, &dir);
+            let mut model: BTreeMap<String, usize> = BTreeMap::new();
+            {
+                let db = Database::open(config.clone()).unwrap();
+                for (i, step) in steps.iter().enumerate() {
+                    if i == checkpoint_at {
+                        db.checkpoint().unwrap();
+                    }
+                    match step {
+                        Step::Op(op) => apply_to_model(&db, std::slice::from_ref(op), &mut model),
+                        Step::Drop => {
+                            db.drop_collection("t").unwrap();
+                            model.clear();
+                        }
+                    }
+                }
+                if checkpoint_at == steps.len() {
+                    db.checkpoint().unwrap();
                 }
             }
+            assert_matches_model(&Database::open(config).unwrap(), &model);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        {
-            let db = Database::open(config).unwrap();
-            let coll = db.collection("t");
-            for (key, &n) in &model {
-                prop_assert_eq!(coll.get(key).unwrap().unwrap(), payload(n));
-            }
-            prop_assert_eq!(coll.count(), model.len() as u64);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -76,14 +76,19 @@ echo "== generator determinism: golden op streams, draw sequences, SuE bytes and
 # its scans included. Finds and index builds run on the same engine scan:
 # minidoc pushdown holds a full-scan find to the decoded filter, and
 # index_build_race holds an index built during writes to the documents.
+# And the durable files those pins cover must hold every acknowledged
+# write: minidoc checkpoint_contract checkpoints each engine beside a
+# writer, within a time bound, and finds every acknowledged write after a
+# reopen.
 if ! cargo test --locked -q --offline -p chronos-workload --test golden_streams \
     || ! cargo test --locked -q --offline -p rand --test golden_sequences \
     || ! cargo test --locked -q --offline -p minidoc --test golden_blocks \
     || ! cargo test --locked -q --offline -p minidoc --test engine_equivalence \
     || ! cargo test --locked -q --offline -p minidoc --test pushdown \
     || ! cargo test --locked -q --offline -p minidoc --test index_build_race \
+    || ! cargo test --locked -q --offline -p minidoc --test checkpoint_contract \
     || ! cargo test --locked -q --offline -p chronos-agent --test docstore_engine_stats; then
-    echo "FAIL: generator output or scan counters moved, a clone no longer matches a load, or a scan, find or index build no longer matches the model: results across commits are no longer comparable" >&2
+    echo "FAIL: generator output or scan counters moved, a clone no longer matches a load, a scan, find or index build no longer matches the model, or a checkpoint lost a write or hung: results across commits are no longer comparable" >&2
     exit 1
 fi
 
