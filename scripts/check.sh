@@ -77,9 +77,9 @@ echo "== generator determinism: golden op streams, draw sequences, SuE bytes and
 # minidoc pushdown holds a full-scan find to the decoded filter, and
 # index_build_race holds an index built during writes to the documents.
 # And the durable files those pins cover must hold every acknowledged
-# write: minidoc checkpoint_contract checkpoints each engine beside a
-# writer, within a time bound, and finds every acknowledged write after a
-# reopen.
+# write: minidoc checkpoint_contract checkpoints each engine beside an
+# inserter and an updater, within a time bound, and finds every
+# acknowledged write after a reopen.
 if ! cargo test --locked -q --offline -p chronos-workload --test golden_streams \
     || ! cargo test --locked -q --offline -p rand --test golden_sequences \
     || ! cargo test --locked -q --offline -p minidoc --test golden_blocks \
