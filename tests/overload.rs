@@ -482,3 +482,47 @@ fn every_connection_gets_an_answer_under_overload() {
     assert_eq!(server.pool_panics(), 0);
     server.shutdown();
 }
+
+/// The exact bytes of the `504` a spent budget gets, on a route with no
+/// work, a cached read and a frozen v0 route: the refusal is the same
+/// message whichever handler the request was bound for, and it is
+/// answered before the handler (or authentication) runs.
+#[test]
+fn spent_deadline_gets_the_same_504_bytes_on_every_route() {
+    let mut server = ChronosServer::start(small_control(), "127.0.0.1:0").unwrap();
+    let metrics = server.metrics();
+    let login = Client::new(&server.base_url())
+        .post_json(
+            "/api/v1/login",
+            &chronos::json::obj! {"username" => "admin", "password" => "admin-pw"},
+        )
+        .unwrap();
+    let token =
+        login.json_body().unwrap().get("token").and_then(Value::as_str).unwrap().to_string();
+    let evaluation = Id::generate().to_base32();
+    let routes = [
+        "/healthz".to_string(),
+        "/api/v1/stats".into(),
+        format!("/api/v0/evaluations/{evaluation}/status"),
+    ];
+    let body = r#"{"error":{"code":"deadline_exceeded","message":"deadline expired before the handler ran"}}"#;
+    let expected = format!(
+        "HTTP/1.1 504 Gateway Timeout\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    for (i, path) in routes.iter().enumerate() {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let request = format!(
+            "GET {path} HTTP/1.1\r\nHost: test\r\nX-Chronos-Token: {token}\r\n\
+             X-Chronos-Deadline-Ms: 0\r\nConnection: close\r\n\r\n"
+        );
+        stream.write_all(request.as_bytes()).expect("write request");
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).expect("read response");
+        assert_eq!(String::from_utf8_lossy(&raw), expected, "GET {path}");
+        assert_eq!(metrics.deadline_exceeded.get(), i as u64 + 1, "GET {path}");
+    }
+    server.shutdown();
+}
