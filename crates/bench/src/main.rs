@@ -562,9 +562,6 @@ fn experiment_e12(Options { quick, report }: Options) {
     if (nofile as usize) < 2 * max_agents + 64 {
         println!("warning: RLIMIT_NOFILE {nofile} may truncate the {max_agents}-agent point");
     }
-    // The open-connection cap must not be the variable under test: idle
-    // keep-alive connections count against it, so it has to clear the fleet.
-    let inflight_cap = 2 * max_agents + 64;
     let path = "/api/v1/ping";
     let handler = |_req: chronos_http::Request| {
         // Roughly 100-200 µs of real CPU per request — a cheap stats read,
@@ -584,7 +581,6 @@ fn experiment_e12(Options { quick, report }: Options) {
     let server = Server::new()
         .workers(WORKERS)
         .queue_depth(2)
-        .max_inflight(inflight_cap)
         .retry_after(Duration::from_secs(1))
         .serve("127.0.0.1:0", handler)
         .expect("bind E12 server");
@@ -682,7 +678,6 @@ fn experiment_e12(Options { quick, report }: Options) {
             "workload" => chronos_json::obj! {
                 "endpoint" => path,
                 "workers" => WORKERS as i64,
-                "max_inflight" => inflight_cap as i64,
                 "driver_threads" => DRIVERS as i64,
                 "duration_ms" => duration.as_millis() as i64,
                 "read_timeout_ms" => 1000i64,
@@ -739,8 +734,8 @@ fn experiment_e11(Options { quick, report }: Options) {
         control.create_evaluation(experiment.id).unwrap();
     }
 
-    // The smallest honest envelope: one worker, a one-slot queue,
-    // in-flight cap 2. Only one handler ever runs (queued work waits off
+    // The smallest honest envelope: one worker and a one-slot queue.
+    // Only one handler ever runs (queued work waits off
     // the CPU), so an accepted request's latency stays within the 2x
     // budget on any host — including a single-core CI box. The single
     // queue slot also absorbs the reconnect race of a lone back-to-back

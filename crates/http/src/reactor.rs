@@ -19,24 +19,30 @@
 //!              └───────────── (pipelined request) ←────────────────┘
 //! ```
 //!
-//! Admission invariants: `max_inflight` caps *open admitted connections*,
-//! idle keep-alive ones included (shed at accept with the typed
-//! `429 overloaded` envelope); at most `workers` requests run inside
-//! handlers and at most `queue_depth` parsed requests wait beyond them —
-//! beside the `workers` threads runs one spare thread that polls only while
-//! every handler slot is taken, and reads, queues or sheds the excess (the
-//! same `429`) at once; a waiting request gets the next slot to free and
-//! runs on the thread that freed it before anything else that thread
-//! does; drain closes idle connections immediately and lets in-flight
-//! requests finish with a polite `Connection: close`; and `accepted + shed
-//! == total connections` holds exactly.
+//! Admission is one rule, on requests: every connection accepted while the
+//! server runs is admitted, at most `workers` requests run inside handlers
+//! and at most `queue_depth` parsed requests wait beyond them. Beside the
+//! `workers` threads runs one spare thread that polls only while every
+//! handler slot is taken, and reads, queues or sheds the excess (typed
+//! `429 overloaded`, the connection stays open) at once; a waiting request
+//! gets the next slot to free and runs on the thread that freed it before
+//! anything else that thread does. A request whose `X-Chronos-Deadline-Ms`
+//! budget is spent when it gets its slot is answered `504
+//! deadline_exceeded` instead of running the handler. Open connections are
+//! bounded only by the process's descriptor limit: an `accept` that fails
+//! for want of a descriptor leaves the listener disarmed until the next
+//! timer tick. Drain closes idle connections immediately and lets
+//! in-flight requests finish with a polite `Connection: close`; and
+//! `accepted + shed == total connections` holds exactly for one-request
+//! (`Connection: close`) connections.
 //!
 //! A thread yields the CPU each time it has parked a connection, so the
 //! peer its response woke runs before the thread takes on more work.
 //!
 //! Whichever thread wakes also does the shared chores: the accept burst
 //! (the listener is armed one-shot too), the timer wheel (408 slowloris,
-//! idle reap, write stall — connections a thread owns are skipped) and the
+//! idle reap, write stall — connections a thread owns are skipped; the
+//! re-arm of a listener left disarmed for want of a descriptor) and the
 //! drain sweep. No thread sleeps longer than [`TICK_MS`], so the chores
 //! run even when no socket is ready.
 
@@ -45,7 +51,7 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,9 +62,9 @@ use parking_lot::Mutex;
 use crate::parser::{ParseError, ParsedRequest, RequestParser};
 use crate::server::{ServerMetrics, Shared, PHASE_DRAINING, PHASE_RUNNING, PHASE_STOPPED};
 use crate::sys::linux::{Epoll, EpollEvent, EventFd};
-use crate::sys::linux::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
+use crate::sys::linux::{EMFILE, ENFILE, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use crate::types::{Method, Request, Response, Status};
-use crate::types::{CODE_DRAINING, CODE_OVERLOADED, CODE_REQUEST_TIMEOUT};
+use crate::types::{CODE_DEADLINE_EXCEEDED, CODE_DRAINING, CODE_OVERLOADED, CODE_REQUEST_TIMEOUT};
 
 /// Epoll token reserved for the listening socket.
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -80,8 +86,6 @@ pub(crate) struct ReactorConfig {
     pub workers: usize,
     /// Parsed requests that may wait for a handler slot beyond those.
     pub queue_depth: usize,
-    /// Cap on open admitted connections, idle keep-alive ones included.
-    pub max_inflight: usize,
     /// `Retry-After` hint attached to shed responses.
     pub retry_after: Duration,
     /// Stall budget while reading a request head or body (slowloris guard).
@@ -119,9 +123,8 @@ struct Conn {
     out_pos: usize,
     /// In the epoll interest list yet (added on first park).
     registered: bool,
-    /// Counted against `max_inflight` / the `inflight` gauge. Shed
-    /// connections (typed refusal being written) are tracked but not
-    /// admitted.
+    /// Counted in the `inflight` gauge. Connections refused while draining
+    /// (typed refusal being written) are tracked but not admitted.
     admitted: bool,
     /// Counted in the `accepted` counter — set when the connection's first
     /// request gets a handler slot or a queue place, so `accepted + shed ==
@@ -219,8 +222,6 @@ struct Slab {
     /// that land in the same slot).
     scheduled: Vec<Option<usize>>,
     free: Vec<usize>,
-    /// Open admitted connections (the value `max_inflight` caps).
-    admitted: usize,
     wheel: TimerWheel,
 }
 
@@ -322,6 +323,9 @@ struct Core<F> {
     /// Milliseconds since `started` at which the timer wheel is next due;
     /// the thread that moves it forward runs the timers.
     next_tick_ms: AtomicU64,
+    /// The listener was left disarmed because `accept` ran out of
+    /// descriptors; the next timer tick re-arms it.
+    accept_paused: AtomicBool,
 }
 
 /// The running workers, as the server handle sees them.
@@ -379,13 +383,13 @@ where
             generations: Vec::new(),
             scheduled: Vec::new(),
             free: Vec::new(),
-            admitted: 0,
             wheel: TimerWheel::new(now),
         }),
         admission: std::sync::Mutex::new(Admission { running: 0, waiting: VecDeque::new() }),
         saturated: Condvar::new(),
         started: now,
         next_tick_ms: AtomicU64::new(0),
+        accept_paused: AtomicBool::new(false),
     });
     let mut workers = Workers { threads: Vec::with_capacity(threads), wake };
     for i in 0..threads {
@@ -544,10 +548,12 @@ where
     }
 
     /// Accepts until the backlog is empty, then re-arms the listener. Each
-    /// connection is admitted, or refused with `503 draining` / `429
-    /// overloaded` (in-flight cap hit); a refusal the peer does not take at
-    /// once is parked for `EPOLLOUT`, so a slow shed peer cannot stall
-    /// accepting.
+    /// connection is admitted, or refused with `503 draining` while the
+    /// server drains; a refusal the peer does not take at once is parked
+    /// for `EPOLLOUT`, so a slow peer cannot stall accepting. Out of
+    /// descriptors, the burst stops and the listener stays disarmed until
+    /// the next timer tick: re-armed at once, it would report the same
+    /// pending connection straight away, and every thread would spin on it.
     fn accept_burst(&self, worker: &mut Worker) {
         loop {
             match self.listener.accept() {
@@ -564,20 +570,15 @@ where
                     let _ = stream.set_nodelay(true);
                     match self.shared.phase() {
                         PHASE_STOPPED => return,
-                        PHASE_DRAINING => {
-                            self.metrics.shed_draining.inc();
-                            self.shed(
-                                stream,
-                                Status::SERVICE_UNAVAILABLE,
-                                CODE_DRAINING,
-                                "server is draining; connection not accepted",
-                                worker,
-                            );
-                        }
-                        _ => self.admit(stream, worker),
+                        PHASE_DRAINING => self.refuse_draining(stream, worker),
+                        _ => self.admit(stream),
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                    self.accept_paused.store(true, Ordering::Relaxed);
+                    return;
+                }
                 // Drained (`WouldBlock`), or a transient per-connection
                 // accept error (e.g. the peer reset before we got to it):
                 // the re-armed listener reports what is still pending.
@@ -589,34 +590,28 @@ where
     }
 
     /// Parks an admitted connection for its first request and starts its
-    /// header-read clock, or sheds it when the in-flight cap is reached.
-    fn admit(&self, stream: TcpStream, worker: &mut Worker) {
-        let mut slab = self.slab.lock();
-        if slab.admitted >= self.cfg.max_inflight {
-            drop(slab);
-            self.metrics.shed_overload.inc();
-            let message = "connection limit reached; retry later";
-            return self.shed(stream, Status::TOO_MANY_REQUESTS, CODE_OVERLOADED, message, worker);
-        }
-        slab.admitted += 1;
+    /// header-read clock.
+    fn admit(&self, stream: TcpStream) {
         self.metrics.inflight.inc();
         self.metrics.open_connections.inc();
-        let (slot, generation) = slab.allocate();
-        drop(slab);
+        let (slot, generation) = self.slab.lock().allocate();
         let mut conn = Conn::new(stream, slot, generation, true);
         conn.deadline = Some(Instant::now() + self.cfg.header_read_timeout);
         self.park(conn, EPOLLIN);
     }
 
-    /// Writes a typed refusal on a connection the server will not admit.
-    fn shed(&self, stream: TcpStream, status: Status, code: &str, message: &str, w: &mut Worker) {
+    /// Writes the typed `503 draining` refusal on a connection accepted
+    /// while the server drains.
+    fn refuse_draining(&self, stream: TcpStream, worker: &mut Worker) {
+        self.metrics.shed_draining.inc();
         let (slot, generation) = self.slab.lock().allocate();
         self.metrics.open_connections.inc();
         let mut conn = Conn::new(stream, slot, generation, false);
-        let response =
-            Response::error_named(status, code, message).with_retry_after(self.cfg.retry_after);
+        let message = "server is draining; connection not accepted";
+        let response = Response::error_named(Status::SERVICE_UNAVAILABLE, CODE_DRAINING, message)
+            .with_retry_after(self.cfg.retry_after);
         let step = self.respond(&mut conn, response, Method::Get, false);
-        self.serve(conn, step, w);
+        self.serve(conn, step, worker);
     }
 
     /// Returns `conn` to the slab, schedules its deadline and re-arms it for
@@ -658,10 +653,9 @@ where
             slab.generations[conn.slot] = conn.generation.wrapping_add(1);
             slab.scheduled[conn.slot] = None;
             slab.free.push(conn.slot);
-            if conn.admitted {
-                slab.admitted -= 1;
-                self.metrics.inflight.dec();
-            }
+        }
+        if conn.admitted {
+            self.metrics.inflight.dec();
         }
         if conn.idle {
             self.metrics.idle_keepalive.dec();
@@ -744,13 +738,21 @@ where
         }
     }
 
-    /// Runs the handler on this thread. A panic is answered with a typed
-    /// `500` and `Connection: close`. The handler slot passes to the oldest
-    /// waiting request, which this thread then owes, or is freed.
+    /// Runs the handler on this thread, or answers `504 deadline_exceeded`
+    /// without it when the request's budget is spent. A panic is answered
+    /// with a typed `500` and `Connection: close`. The handler slot passes
+    /// to the oldest waiting request, which this thread then owes, or is
+    /// freed.
     fn run_handler(&self, conn: &mut Conn, parsed: ParsedRequest, worker: &mut Worker) -> Step {
         let ParsedRequest { request, keep_alive } = parsed;
         let method = request.method;
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| (self.handler)(request)));
+        let outcome = if request.deadline_expired() {
+            self.metrics.deadline_exceeded.inc();
+            let message = "deadline expired before the handler ran";
+            Ok(Response::error_named(Status::GATEWAY_TIMEOUT, CODE_DEADLINE_EXCEEDED, message))
+        } else {
+            std::panic::catch_unwind(AssertUnwindSafe(|| (self.handler)(request)))
+        };
         {
             let mut admission = self.admission();
             match admission.waiting.pop_front() {
@@ -883,6 +885,10 @@ where
                 .is_ok();
         if !tick && !draining {
             return;
+        }
+        if tick && self.accept_paused.swap(false, Ordering::Relaxed) {
+            let fd = self.listener.as_raw_fd();
+            let _ = self.epoll.modify(fd, TOKEN_LISTENER, EPOLLIN | EPOLLONESHOT);
         }
         let (mut due, mut idle) = (Vec::new(), Vec::new());
         {

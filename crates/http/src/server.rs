@@ -18,13 +18,17 @@
 //!
 //! # Overload protection
 //!
-//! Admission is *bounded*: at most `workers` requests inside handlers, at
-//! most `queue_depth` parsed requests waiting beyond them, and a cap on open
-//! admitted connections. When a limit is hit the server sheds cheaply — a
-//! typed `429`
-//! `{"error":{"code":"overloaded",...}}` body with `Retry-After` hints —
-//! instead of queueing work until collapse. `accepted + shed == total
-//! connections` holds exactly.
+//! Admission bounds *requests*, not connections: every connection accepted
+//! while the server runs is admitted, at most `workers` requests run inside
+//! handlers and at most `queue_depth` parsed requests wait beyond them. The
+//! rest are shed cheaply — a typed `429`
+//! `{"error":{"code":"overloaded",...}}` body with `Retry-After` hints, on a
+//! connection that stays open — instead of queueing work until collapse.
+//! Open connections are bounded by the process's descriptor limit alone.
+//! A request whose `X-Chronos-Deadline-Ms` budget is spent when it gets its
+//! handler slot is answered `504 deadline_exceeded` without running the
+//! handler. `accepted + shed == total connections` holds exactly for
+//! one-request (`Connection: close`) connections.
 //!
 //! # Graceful drain
 //!
@@ -67,26 +71,27 @@ const DEFAULT_HEADER_READ_TIMEOUT: Duration = Duration::from_secs(30);
 const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Counters surfaced by a running server: admission decisions and the
-/// current in-flight level. Shared with the dispatch layer (which owns the
-/// `deadline_exceeded` count) and the status UI.
+/// current in-flight level. Shared with the dispatch layer (which counts
+/// the read cache) and the status UI.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     /// Connections whose first request got a handler slot or a queue place.
     pub accepted: Counter,
     /// Requests fully parsed and handed to the handler.
     pub requests: Counter,
-    /// Connections shed with `429 overloaded` (queue or in-flight cap hit).
+    /// Requests shed with `429 overloaded` (every handler slot and queue
+    /// place taken).
     pub shed_overload: Counter,
     /// Connections shed with `503 draining` during shutdown.
     pub shed_draining: Counter,
-    /// Requests answered `504 deadline_exceeded` (incremented by the
-    /// dispatch layer, which owns deadline semantics).
+    /// Requests answered `504 deadline_exceeded`: their budget was spent
+    /// when they got a handler slot (counted by the transport).
     pub deadline_exceeded: Counter,
     /// Connections dropped (or answered `408 request_timeout`) for stalling:
     /// keep-alive idle past the cap, or a head/body read that timed out
     /// (slowloris).
     pub shed_idle: Counter,
-    /// Admitted connections currently queued or being served.
+    /// Connections accepted while running and still open.
     pub inflight: Gauge,
     /// All tracked connections, admitted or being shed.
     pub open_connections: Gauge,
@@ -170,7 +175,6 @@ impl Shared {
 pub struct Server {
     workers: usize,
     queue_depth: Option<usize>,
-    max_inflight: Option<usize>,
     retry_after: Duration,
     metrics: Option<Arc<ServerMetrics>>,
     header_read_timeout: Duration,
@@ -195,14 +199,12 @@ impl Default for Server {
 
 impl Server {
     /// Creates a server with a default worker count (2× CPUs, min 4) and
-    /// bounded admission (queue depth 2× workers, in-flight cap workers +
-    /// queue).
+    /// bounded request admission (queue depth 2× workers).
     pub fn new() -> Self {
         let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         Server {
             workers: (cpus * 2).max(4),
             queue_depth: None,
-            max_inflight: None,
             retry_after: Duration::from_secs(1),
             metrics: None,
             header_read_timeout: DEFAULT_HEADER_READ_TIMEOUT,
@@ -240,14 +242,6 @@ impl Server {
         self
     }
 
-    /// Overrides the cap on open admitted connections — idle keep-alive
-    /// ones included, so a fleet of N polling agents needs a cap of at
-    /// least N. Default: workers + queue depth.
-    pub fn max_inflight(mut self, cap: usize) -> Self {
-        self.max_inflight = Some(cap.max(1));
-        self
-    }
-
     /// Overrides the `Retry-After` hint attached to shed responses.
     pub fn retry_after(mut self, hint: Duration) -> Self {
         self.retry_after = hint;
@@ -255,7 +249,7 @@ impl Server {
     }
 
     /// Shares an externally created metrics block (the dispatch layer needs
-    /// it before the server starts, to count `deadline_exceeded`).
+    /// it before the server starts, to count read-cache hits).
     pub fn with_metrics(mut self, metrics: Arc<ServerMetrics>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -279,11 +273,9 @@ impl Server {
         {
             let listener = std::net::TcpListener::bind(addr)?;
             let local_addr = listener.local_addr()?;
-            let queue_depth = self.queue_depth.unwrap_or(self.workers * 2);
             let cfg = crate::reactor::ReactorConfig {
                 workers: self.workers,
-                queue_depth,
-                max_inflight: self.max_inflight.unwrap_or(self.workers + queue_depth),
+                queue_depth: self.queue_depth.unwrap_or(self.workers * 2),
                 retry_after: self.retry_after,
                 header_read_timeout: self.header_read_timeout,
                 idle_timeout: self.idle_timeout,
@@ -512,16 +504,15 @@ mod tests {
 
     #[test]
     fn sheds_with_typed_envelope_when_queue_is_full() {
-        // One worker parked in a slow handler, queue depth 0, cap 1: the
-        // second connection must be shed with a typed 429 while the first is
-        // still being served.
+        // One worker parked in a slow handler, queue depth 0: the second
+        // request must be shed with a typed 429 while the first is still
+        // being served.
         let gate = Arc::new(parking_lot::Mutex::new(()));
         let guard = gate.lock();
         let handler_gate = Arc::clone(&gate);
         let server = Server::new()
             .workers(1)
             .queue_depth(0)
-            .max_inflight(1)
             .serve("127.0.0.1:0", move |_req| {
                 drop(handler_gate.lock());
                 Response::text(Status::OK, "slow")

@@ -30,6 +30,10 @@ pub mod linux {
     /// Disarms the fd after one event until `EPOLL_CTL_MOD` re-arms it, so
     /// of the threads sharing one epoll exactly one sees each readiness.
     pub const EPOLLONESHOT: u32 = 1 << 30;
+    /// `errno`s of an `accept` with no descriptor left: the process's limit
+    /// (`EMFILE`) or the system's (`ENFILE`).
+    pub(crate) const ENFILE: i32 = 23;
+    pub(crate) const EMFILE: i32 = 24;
 
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_DEL: c_int = 2;

@@ -6,9 +6,9 @@ use std::time::{Duration, Instant};
 use chronos_json::Value;
 
 /// Request header carrying the caller's remaining budget in milliseconds.
-/// Parsed by the server into [`Request::deadline`]; handlers check it before
-/// starting expensive work and answer `504` with the `deadline_exceeded`
-/// envelope once the budget is gone.
+/// Parsed by the server into [`Request::deadline`]. The server checks it
+/// once, when the request gets its handler slot, and answers a spent budget
+/// with `504` and the `deadline_exceeded` envelope instead of the handler.
 pub const DEADLINE_HEADER: &str = "X-Chronos-Deadline-Ms";
 
 /// Response header mirroring `Retry-After` with millisecond precision
@@ -28,7 +28,7 @@ pub const CODE_DRAINING: &str = "draining";
 /// flowing before the message completed (slowloris / stalled uploads).
 pub const CODE_REQUEST_TIMEOUT: &str = "request_timeout";
 /// Named error code on `504` responses whose [`DEADLINE_HEADER`] budget ran
-/// out before (or while) the handler did the work.
+/// out before the request got a handler slot.
 pub const CODE_DEADLINE_EXCEEDED: &str = "deadline_exceeded";
 
 /// Serializes a JSON body straight into the byte vector that becomes the

@@ -12,15 +12,16 @@ use std::sync::Arc;
 
 use chronos_api::{v0, ApiVersion, WireEncode};
 use chronos_core::{ChronosControl, CoreError};
-use chronos_http::{Response, Router, ServerMetrics};
+use chronos_http::{Response, Router};
 use chronos_util::Id;
 
-use crate::{deadline_guard, error_response};
+use crate::error_response;
 
-/// Mounts the frozen v0 routes. The wire shapes are frozen; the deadline
-/// check only adds a new (never-before-seen) 504 refusal, which legacy
-/// clients that do not send `X-Chronos-Deadline-Ms` can never trigger.
-pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<ServerMetrics>) {
+/// Mounts the frozen v0 routes. The wire shapes are frozen; the server's
+/// deadline check (made by the transport, for every route) only adds a
+/// new (never-before-seen) 504 refusal, which legacy clients that do not
+/// send `X-Chronos-Deadline-Ms` can never trigger.
+pub fn mount(router: &mut Router, control: Arc<ChronosControl>) {
     router.get("/api/v0/version", |_req, _p| Response::json(&ApiVersion::V0.version_body()));
 
     // v0 predates sessions: job status polling is unauthenticated (ids are
@@ -46,11 +47,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     });
 
     let control_ = Arc::clone(&control);
-    router.get("/api/v0/evaluations/:id/status", move |req, p| {
-        // Status aggregates every job of the evaluation.
-        if let Some(busy) = deadline_guard(req, &metrics) {
-            return busy;
-        }
+    router.get("/api/v0/evaluations/:id/status", move |_req, p| {
         let result = (|| {
             let id = p
                 .get("id")

@@ -16,8 +16,8 @@ use chronos_core::{ChronosControl, CoreError, CoreResult};
 use chronos_http::{Request, Response, RouteParams, Router, ServerMetrics, Status};
 use chronos_util::Id;
 
+use crate::error_response;
 use crate::read_cache::{CachedReads, Scope};
-use crate::{deadline_guard, error_response};
 
 /// Header carrying the session token (defined by the wire contract).
 pub use chronos_api::TOKEN_HEADER;
@@ -62,16 +62,15 @@ fn admin(control: &ChronosControl, req: &Request) -> CoreResult<User> {
     Ok(user)
 }
 
-/// Mounts all v1 routes. Handlers doing expensive store or archive work
-/// re-check the caller's `X-Chronos-Deadline-Ms` budget (via
-/// [`deadline_guard`]) before starting it; `metrics` counts rejections.
-/// The hot reads (evaluation detail, job list, summary, CSV, charts,
-/// stats, trend, regressions) answer through one [`CachedReads`] made
-/// here, after the deadline guard and authentication have run.
+/// Mounts all v1 routes. No handler checks the caller's
+/// `X-Chronos-Deadline-Ms` budget: the transport does, once, when the
+/// request gets its handler slot. The hot reads (evaluation detail, job
+/// list, summary, CSV, charts, stats, trend, regressions) answer through
+/// one [`CachedReads`] made here, after authentication has run; `metrics`
+/// counts its hits and misses.
 pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<ServerMetrics>) {
     let c = &control;
-    let m = &metrics;
-    let reads = Arc::new(CachedReads::new(Arc::clone(c), Arc::clone(m)));
+    let reads = Arc::new(CachedReads::new(Arc::clone(c), metrics));
 
     router.get("/api/v1/version", |_req, _p| Response::json(&ApiVersion::V1.version_body()));
 
@@ -239,13 +238,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     });
 
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     router.get("/api/v1/projects/:id/archive.zip", move |req, p| {
-        // Building a full project archive walks every evaluation; honor
-        // the caller's budget before starting.
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             let user = authed(&control_, req)?;
             let project_id = param_id(p, "id")?;
@@ -327,12 +320,8 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     // Performance trend across an experiment's evaluations (QA over
     // subsequent change sets, paper §3).
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     let reads_ = Arc::clone(&reads);
     router.get("/api/v1/experiments/:id/trend", move |req, p| {
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
@@ -353,12 +342,8 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     // Automatic regression detection: seeded change-point analysis over
     // the experiment's per-evaluation metric history (columnar store).
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     let reads_ = Arc::clone(&reads);
     router.get("/api/v1/experiments/:id/regressions", move |req, p| {
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
@@ -424,13 +409,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
 
     // ----- evaluations -----
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     router.post("/api/v1/experiments/:id/evaluations", move |req, p| {
-        // Evaluation creation validates the parameter space and commits
-        // the plan; don't start with a spent budget.
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             writer(&control_, req)?;
             let evaluation = control_.create_evaluation(param_id(p, "id")?)?;
@@ -479,12 +458,8 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     });
 
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id/summary", move |req, p| {
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
@@ -496,12 +471,8 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     });
 
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id/summary.csv", move |req, p| {
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             authed(&control_, req)?;
             let id = param_id(p, "id")?;
@@ -514,12 +485,8 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
 
     // Chart renders: /charts/:index.svg and .txt (paper Fig. 3d).
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     let reads_ = Arc::clone(&reads);
     router.get("/api/v1/evaluations/:id/charts/:chart", move |req, p| {
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             authed(&control_, req)?;
             let evaluation_id = param_id(p, "id")?;
@@ -659,11 +626,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     });
 
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     router.get("/api/v1/results/:id/archive.zip", move |req, p| {
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             authed(&control_, req)?;
             let result = control_.get_result(param_id(p, "id")?)?;
@@ -675,11 +638,7 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
     // Build-bot trigger (paper §2.2): "schedule an evaluation which is
     // caused by a successful build of the SuE's build bot".
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     router.post("/api/v1/trigger/build", move |req, _p| {
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             writer(&control_, req)?;
             let trigger: v1::TriggerBuildRequest = body(req)?;
@@ -698,14 +657,10 @@ pub fn mount(router: &mut Router, control: Arc<ChronosControl>, metrics: Arc<Ser
 
     // Stats: job states across the installation (monitoring dashboards).
     let control_ = Arc::clone(c);
-    let metrics_ = Arc::clone(m);
     let reads_ = Arc::clone(&reads);
     router.get("/api/v1/stats", move |req, _p| {
         // A miss sums the job-state counters the control keeps and counts
         // the systems and projects; no evaluation is decoded, no job read.
-        if let Some(busy) = deadline_guard(req, &metrics_) {
-            return busy;
-        }
         respond((|| {
             authed(&control_, req)?;
             reads_.serve(req, Scope::State, || {

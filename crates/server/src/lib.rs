@@ -14,17 +14,18 @@
 //!
 //! ## Overload protection and graceful degradation
 //!
-//! The HTTP front end runs with bounded admission by default: a cap on
-//! requests inside handlers, a bounded queue of parsed requests beyond
-//! them, and an in-flight connection cap. Excess load is shed cheaply with
-//! typed `429 {"error":{"code":"overloaded"}}` envelopes carrying
-//! `Retry-After`.
+//! The HTTP front end admits every connection and bounds requests: a cap
+//! on requests inside handlers and a bounded queue of parsed requests
+//! beyond them. Excess requests are shed cheaply with typed
+//! `429 {"error":{"code":"overloaded"}}` envelopes carrying `Retry-After`,
+//! on connections that stay open.
 //! Callers can bound their wait with the `X-Chronos-Deadline-Ms` header;
-//! an exhausted budget is answered with `504 deadline_exceeded` before
-//! any expensive work runs. `/healthz` (liveness) and `/readyz`
-//! (readiness: store healthy and not draining) expose the state to
-//! orchestrators, and [`ChronosServer::drain`] performs a two-phase
-//! graceful shutdown that finishes in-flight requests.
+//! the transport answers a request whose budget is spent when it gets its
+//! handler slot with `504 deadline_exceeded`, before any handler runs.
+//! `/healthz` (liveness) and `/readyz` (readiness: store healthy and not
+//! draining) expose the state to orchestrators, and
+//! [`ChronosServer::drain`] performs a two-phase graceful shutdown that
+//! finishes in-flight requests.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -48,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use chronos_core::cluster::{ClusterConfig, ClusterState};
 use chronos_core::ChronosControl;
-use chronos_http::{Request, Response, Router, Server, ServerHandle, ServerMetrics, Status};
+use chronos_http::{Response, Router, Server, ServerHandle, ServerMetrics, Status};
 use chronos_json::obj;
 
 pub use cluster::{CODE_BAD_SEGMENT, CODE_OFFSET_GAP, CODE_STALE_TERM};
@@ -79,7 +80,7 @@ impl ChronosServer {
     }
 
     /// Like [`ChronosServer::start`], but with a caller-configured HTTP
-    /// front end (worker count, admission queue depth, in-flight cap).
+    /// front end (worker count, admission queue depth, timeouts).
     /// Used by the overload experiment and robustness tests to pin the
     /// admission envelope.
     pub fn start_with(
@@ -128,17 +129,10 @@ impl ChronosServer {
             Arc::clone(&draining),
             state.clone(),
         );
-        let guard_metrics = Arc::clone(&metrics);
         let guard_state = state.clone();
         let http = http.with_metrics(Arc::clone(&metrics)).serve(addr, move |request| {
-            // First line of deadline defense: a request whose budget ran
-            // out while queued is answered before the router runs at all.
-            if request.deadline_expired() {
-                guard_metrics.deadline_exceeded.inc();
-                return deadline_response("deadline expired before the handler ran");
-            }
-            // Second line, cluster mode: role-aware routing. A follower
-            // refuses writes (and stale reads) before the router runs.
+            // Cluster mode: role-aware routing. A follower refuses writes
+            // (and stale reads) before the router runs.
             if let Some(state) = &guard_state {
                 if let Some(refusal) = cluster::guard(&request, state) {
                     return refusal;
@@ -288,14 +282,17 @@ impl Drop for ChronosServer {
 /// Builds the full routing table (v1 + frozen v0) with a detached set of
 /// metrics and a never-draining readiness flag. Prefer
 /// [`ChronosServer::start`], which wires the router to the live server
-/// state; this entry point serves embedding and router-level tests.
+/// state; this entry point serves embedding and router-level tests. The
+/// `X-Chronos-Deadline-Ms` budget is checked by the transport when a
+/// request gets its handler slot, so a router dispatched without a
+/// [`chronos_http::Server`] checks no deadline.
 pub fn build_router(control: Arc<ChronosControl>) -> Router {
     router_with(control, ServerMetrics::shared(), Arc::new(AtomicBool::new(false)))
 }
 
 /// Builds the routing table wired to live server state: `metrics` counts
-/// deadline rejections and is surfaced on the status UI, `draining`
-/// drives `/readyz`.
+/// read-cache hits and is surfaced on the status UI, `draining` drives
+/// `/readyz`.
 fn router_with(
     control: Arc<ChronosControl>,
     metrics: Arc<ServerMetrics>,
@@ -315,7 +312,7 @@ fn router_with_cluster(
 ) -> Router {
     let mut router = Router::new();
     api_v1::mount(&mut router, Arc::clone(&control), Arc::clone(&metrics));
-    api_v0::mount(&mut router, Arc::clone(&control), Arc::clone(&metrics));
+    api_v0::mount(&mut router, Arc::clone(&control));
     ui::mount(&mut router, Arc::clone(&control), Arc::clone(&metrics), Arc::clone(&draining));
     if let Some(state) = &state {
         cluster::mount(&mut router, Arc::clone(state), Arc::clone(&control), Arc::clone(&metrics));
@@ -363,26 +360,6 @@ fn router_with_cluster(
         }
     });
     router
-}
-
-/// The `504 deadline_exceeded` response for a request whose
-/// `X-Chronos-Deadline-Ms` budget ran out server-side.
-pub(crate) fn deadline_response(message: &str) -> Response {
-    use chronos_api::{ErrorEnvelope, WireEncode};
-    Response::json_status(
-        Status::GATEWAY_TIMEOUT,
-        &ErrorEnvelope::deadline_exceeded(message).to_value(),
-    )
-}
-
-/// Checks the request's deadline budget before expensive work; returns the
-/// ready-made 504 response (and counts it) when the budget is spent.
-pub(crate) fn deadline_guard(req: &Request, metrics: &ServerMetrics) -> Option<Response> {
-    if req.deadline_expired() {
-        metrics.deadline_exceeded.inc();
-        return Some(deadline_response("request deadline expired"));
-    }
-    None
 }
 
 /// Maps a [`chronos_core::CoreError`] to the wire error envelope.

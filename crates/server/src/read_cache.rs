@@ -130,7 +130,7 @@ impl CachedReads {
     /// Answers a cached route: `304` when the request's `If-None-Match`
     /// names the current version, the held body when there is one for it,
     /// else `compute`'s — kept if it is a `200`. The caller has already
-    /// authenticated the request and checked its deadline.
+    /// authenticated the request.
     pub(crate) fn serve(
         &self,
         req: &Request,

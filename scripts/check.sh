@@ -117,10 +117,16 @@ for file in $report_files; do
 done
 rm -rf "$smoke_dir"
 
-echo "== overload protection gate (tests/overload.rs) =="
-# Typed shed envelopes, deadline refusal, graceful drain, Retry-After
-# cooperation — pinned explicitly, not just via the workspace run.
+echo "== overload protection gate (tests/overload.rs, accept_without_descriptors) =="
+# One admission rule: every connection is admitted, and requests are
+# bounded (workers in handlers, queue_depth waiting, the rest a typed 429
+# on a connection that stays open); a request's deadline is checked once,
+# when it gets its handler slot. Typed shed envelopes, the pinned 504,
+# graceful drain, Retry-After cooperation, and a server out of descriptors
+# that neither spins nor loses the pending connection — pinned explicitly,
+# not just via the workspace run.
 cargo test --locked -q --offline --test overload
+cargo test --locked -q --offline -p chronos-http --test accept_without_descriptors
 
 echo "== budget + quarantine gate (tests/quarantine.rs) =="
 # Per-job resource budgets end to end: the watchdog kills a runaway with a

@@ -463,12 +463,18 @@ fn swarm_client(addr: std::net::SocketAddr, done: &AtomicBool) -> (u64, u64, u64
 /// sheds the excess with typed 429s, the agents retry through it, and at
 /// the end a graceful drain completes cleanly with every accepted job
 /// finished exactly once. The swarm starts against a server whose every
-/// connection slot is held by an idle socket, so it is shed whatever the
-/// timing; the holders let go before the agents start.
+/// handler slot is held by a write waiting behind a delayed log append, so
+/// it is shed whatever the timing; the writes finish before the agents
+/// start.
 #[test]
 fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
     let _guard = serial();
-    let mut env = TestEnv::start_with_server(
+    let dir = std::env::temp_dir().join(format!("chronos-overload-storm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = chronos::core::store::MetadataStore::open(&dir.join("control.log")).unwrap();
+    let mut env = TestEnv::start_with_store(
+        store,
         SchedulerConfig { heartbeat_timeout_millis: 1500, max_attempts: 12, auto_reschedule: true },
         chronos::http::Server::new()
             .workers(5)
@@ -490,15 +496,25 @@ fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
     let job_count = expected_jobs(&evaluation);
     assert_eq!(job_count, 2);
 
-    // Fill every connection slot (the cap is workers + queue depth = 5)
-    // with idle sockets before any fault is armed, so none of them is lost
-    // to an injected accept failure.
+    // Fill every handler slot (five workers, no queue) with a write that
+    // waits behind a delayed log append, before any fault is armed, so
+    // none of them is lost to an injected accept failure.
     let addr = env.server.addr();
     let metrics = env.server.metrics();
-    let holders: Vec<std::net::TcpStream> =
-        (0..5).map(|_| std::net::TcpStream::connect(addr).expect("connect holder")).collect();
+    let admitted = metrics.requests.get();
+    fail::arm("core.store.wal.append", Policy::Delay(Duration::from_millis(600)));
+    let holders: Vec<_> = (0..5)
+        .map(|i| {
+            let client = chronos::http::Client::new(&env.server.base_url())
+                .with_timeout(Duration::from_secs(10));
+            client.set_default_header("X-Chronos-Token", &env.admin_token);
+            std::thread::spawn(move || {
+                let _ = client.post_json("/api/v1/projects", &obj! {"name" => format!("hold-{i}")});
+            })
+        })
+        .collect();
     let full = Instant::now() + Duration::from_secs(5);
-    while metrics.inflight.get() < 5 {
+    while metrics.requests.get() < admitted + 5 {
         assert!(Instant::now() < full, "holders never filled the server {}", replay());
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -526,10 +542,14 @@ fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
                 .unwrap()
         })
         .collect();
-    // A fixed window in which the full server sheds every swarm connect,
-    // then the holders let go before the agents need capacity.
+    // A fixed window in which the full server sheds every swarm request,
+    // then the holders let go before the agents need capacity: the first
+    // write's append ends its delay, the others append at once.
     std::thread::sleep(Duration::from_millis(300));
-    drop(holders);
+    fail::disarm("core.store.wal.append");
+    for holder in holders {
+        holder.join().expect("holder thread");
+    }
     let agents: Vec<_> = (0..2)
         .map(|i| {
             let base_url = base_url.clone();
@@ -594,4 +614,6 @@ fn overload_storm_every_accepted_job_finishes_and_drain_is_clean() {
     assert!(env.server.drain(), "drain timed out with requests in flight {}", replay());
     assert!(env.server.is_draining());
     assert_eq!(env.server.pool_panics(), 0, "a handler panicked during the storm {}", replay());
+    drop(env);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -40,11 +40,17 @@ impl TestEnv {
         config: SchedulerConfig,
         http_server: chronos::http::Server,
     ) -> TestEnv {
-        let control = Arc::new(ChronosControl::new(
-            MetadataStore::in_memory(),
-            Arc::new(SystemClock),
-            config,
-        ));
+        Self::start_with_store(MetadataStore::in_memory(), config, http_server)
+    }
+
+    /// [`TestEnv::start_with_server`] over a given metadata store (a
+    /// durable one, for tests that need the log file's append path).
+    pub fn start_with_store(
+        store: MetadataStore,
+        config: SchedulerConfig,
+        http_server: chronos::http::Server,
+    ) -> TestEnv {
+        let control = Arc::new(ChronosControl::new(store, Arc::new(SystemClock), config));
         control.create_user("admin", "admin-pw", Role::Admin).unwrap();
         let server = ChronosServer::start_with(control, "127.0.0.1:0", http_server).unwrap();
         let http = Client::new(&server.base_url()).with_timeout(Duration::from_secs(10));

@@ -6,10 +6,10 @@
 //! finish, keep-alive connections close politely), and the agent's
 //! Retry-After-honoring retry loop.
 //!
-//! Load-bearing detail: the blocking server pins one worker per *admitted
-//! connection*, so every test that needs to pass through admission control
-//! uses raw connection-per-request sockets (`Connection: close`) instead of
-//! the keep-alive [`chronos::http::Client`].
+//! Admission bounds requests, not connections: every connection is
+//! admitted, and a test pins capacity by holding handler slots (a gated
+//! handler) rather than by opening sockets. Most tests use raw sockets so
+//! each response's status line and headers can be read as sent.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -104,9 +104,9 @@ fn raw_get(addr: SocketAddr, path: &str, extra_headers: &str) -> RawResponse {
     read_response(&mut stream)
 }
 
-/// A connection that is *admitted* (it occupies a worker) but whose request
-/// never completes until [`HeldRequest::finish`] sends the final blank
-/// line. This is how the tests pin server capacity deterministically.
+/// A connection whose request never completes until [`HeldRequest::finish`]
+/// sends the final blank line. It holds a connection open mid-request, not
+/// a handler slot: a drain must wait for it, but it takes no capacity.
 struct HeldRequest {
     stream: TcpStream,
 }
@@ -165,21 +165,29 @@ fn healthz_and_readyz_answer_without_auth() {
 
 #[test]
 fn shed_connection_gets_typed_overloaded_envelope_with_retry_hints() {
-    // Capacity one: a single worker, no queue slots, in-flight cap 1.
-    let mut server = ChronosServer::start_with(
-        small_control(),
-        "127.0.0.1:0",
-        Server::new().workers(1).queue_depth(0).retry_after(Duration::from_millis(250)),
-    )
-    .unwrap();
+    // Capacity one: a single worker and no queue slots, held by a request
+    // parked in a gated handler.
+    let gate = Arc::new(std::sync::Mutex::new(()));
+    let guard = gate.lock().unwrap();
+    let handler_gate = Arc::clone(&gate);
+    let mut server = Server::new()
+        .workers(1)
+        .queue_depth(0)
+        .retry_after(Duration::from_millis(250))
+        .serve("127.0.0.1:0", move |_req| {
+            drop(handler_gate.lock().unwrap_or_else(|poisoned| poisoned.into_inner()));
+            chronos::http::Response::json(&chronos::json::obj! {"status" => "ok"})
+        })
+        .unwrap();
     let metrics = server.metrics();
+    let addr = server.addr();
 
-    // Pin the only capacity unit with a held request…
-    let holder = HeldRequest::open(server.addr(), "/healthz");
-    wait_for("holder admission", || metrics.inflight.get() >= 1);
+    // Pin the only handler slot with a held request…
+    let holder = std::thread::spawn(move || raw_get(addr, "/healthz", ""));
+    wait_for("holder admission", || metrics.requests.get() >= 1);
 
-    // …so the next connection must be shed with the typed envelope.
-    let shed = raw_get(server.addr(), "/healthz", "");
+    // …so the next request must be shed with the typed envelope.
+    let shed = raw_get(addr, "/healthz", "");
     assert_eq!(shed.status, 429, "expected a shed, got: {}", shed.body);
     let envelope = shed.envelope();
     assert!(envelope.is_retryable_overload(), "envelope: {envelope:?}");
@@ -190,30 +198,29 @@ fn shed_connection_gets_typed_overloaded_envelope_with_retry_hints() {
     assert!(metrics.shed_overload.get() >= 1);
 
     // Releasing the held request frees the capacity again.
-    let held = holder.finish();
+    drop(guard);
+    let held = holder.join().expect("holder thread");
     assert_eq!(held.status, 200);
     // The handler slot is freed before the response is written, and the
     // connection's admission before `inflight` reads 0: the next request
     // is served at once.
     wait_for("capacity release", || metrics.inflight.get() == 0);
-    let after = raw_get(server.addr(), "/healthz", "");
+    let after = raw_get(addr, "/healthz", "");
     assert_eq!(after.status, 200, "after release: {}", after.body);
     server.shutdown();
 }
 
 #[test]
 fn excess_requests_are_shed_per_request_and_their_connections_stay_open() {
-    // The shape E12 relies on: a connection cap far above workers + queue
-    // depth, so every connection is admitted and admission happens per
-    // request. One handler runs, one request waits, the rest are shed on
-    // the spot with the typed 429 and keep their connections.
+    // The shape E12 relies on: every connection is admitted and admission
+    // happens per request. One handler runs, one request waits, the rest
+    // are shed on the spot with the typed 429 and keep their connections.
     const HOLD: Duration = Duration::from_millis(200);
     const CONNECTIONS: usize = 16;
     let queue_depth = 1;
     let server = Server::new()
         .workers(1)
         .queue_depth(queue_depth)
-        .max_inflight(64)
         .retry_after(Duration::from_millis(250))
         .serve("127.0.0.1:0", |_req| {
             std::thread::sleep(HOLD);
@@ -276,6 +283,78 @@ fn excess_requests_are_shed_per_request_and_their_connections_stay_open() {
         }
     }
     assert_eq!(metrics.inflight.get(), CONNECTIONS as u64);
+}
+
+#[test]
+fn a_keep_alive_fleet_larger_than_workers_and_queue_is_served() {
+    // Six keep-alive pollers against two workers and a two-place queue: an
+    // idle connection takes no capacity, so a fleet larger than workers +
+    // queue depth is served while its requests do not pile up.
+    const CLIENTS: usize = 6;
+    const POLL: Duration = Duration::from_millis(50);
+    const WINDOW: Duration = Duration::from_secs(2);
+    let mut server = ChronosServer::start_with(
+        small_control(),
+        "127.0.0.1:0",
+        Server::new().workers(2).queue_depth(2),
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    // The clients connect in order, each answered before the next connects.
+    let mut clients: Vec<(Option<TcpStream>, u16)> = Vec::new();
+    for _ in 0..CLIENTS {
+        let mut stream = None;
+        let status = poll_healthz(addr, &mut stream);
+        clients.push((stream, status));
+    }
+    let started = Instant::now();
+    let answers: Vec<Vec<u16>> = std::thread::scope(|scope| {
+        let pollers: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut stream, first))| {
+                scope.spawn(move || {
+                    // Spread over the polling period, as a fleet is.
+                    std::thread::sleep(POLL * i as u32 / CLIENTS as u32);
+                    let mut statuses = vec![first];
+                    while started.elapsed() < WINDOW {
+                        statuses.push(poll_healthz(addr, &mut stream));
+                        std::thread::sleep(POLL);
+                    }
+                    statuses
+                })
+            })
+            .collect();
+        pollers.into_iter().map(|p| p.join().expect("poller")).collect()
+    });
+    for (client, statuses) in answers.iter().enumerate() {
+        let served = statuses.iter().filter(|status| **status == 200).count();
+        assert_eq!(
+            served,
+            statuses.len(),
+            "client {client}: {served} of {} answers were 200: {statuses:?}",
+            statuses.len()
+        );
+    }
+    server.shutdown();
+}
+
+/// One keep-alive `GET /healthz` on `stream`, connecting first when it holds
+/// no connection; a response that closes the connection drops it.
+fn poll_healthz(addr: SocketAddr, stream: &mut Option<TcpStream>) -> u16 {
+    let conn = stream.get_or_insert_with(|| {
+        let conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        conn.set_nodelay(true).unwrap();
+        conn
+    });
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: fleet\r\n\r\n").expect("write request");
+    let response = read_keep_alive_response(conn);
+    if response.header("connection") == Some("close") {
+        *stream = None;
+    }
+    response.status
 }
 
 #[test]
