@@ -206,17 +206,17 @@ mod tests {
 
     #[test]
     fn shed_path_and_contract_agree_on_the_wire_shape() {
-        // The accept thread sheds via chronos_http::Response::error_named —
+        // The server sheds a request via chronos_http::Response::error_named —
         // that body must decode into the same typed envelope this crate
         // defines, or agents would see untyped errors exactly when the
         // server is too loaded to be polite.
         let response = chronos_http::Response::error_named(
             chronos_http::Status::TOO_MANY_REQUESTS,
             CODE_OVERLOADED,
-            "connection limit reached",
+            "request queue full; retry later",
         );
         let decoded = ErrorEnvelope::decode(&response.json_body().unwrap()).unwrap();
-        assert_eq!(decoded, ErrorEnvelope::overloaded("connection limit reached"));
+        assert_eq!(decoded, ErrorEnvelope::overloaded("request queue full; retry later"));
     }
 
     #[test]
